@@ -935,7 +935,8 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
                 sizes.append(root)
             return BlocksResult(tuple(sorted(sizes)), idems, "float",
                                 {"center_dim": m})
-        except RecognitionError as exc:
+        except (RecognitionError, NonSquareBlock) as exc:
+            # A non-square rank means this element merged blocks: a failed split.
             last_err = exc
     raise RecognitionError(f"float center splitting failed: {last_err}")
 

@@ -115,42 +115,6 @@ def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(M: int) -> np.ndarray:
-    """Integer matrix expressing x^t mod Phi_M for 0 <= t < 2*deg - 1."""
-    phi = cyclotomic_polynomial(M)
-    D = len(phi) - 1
-    rows = np.zeros((max(2 * D - 1, D), D), dtype=object)
-    for t in range(D):
-        rows[t, t] = 1
-    for t in range(D, 2 * D - 1):
-        # x^t = x * x^(t-1); reduce the overflow of degree D via Phi (monic).
-        prev = rows[t - 1]
-        shifted = np.zeros(D + 1, dtype=object)
-        shifted[1:] = prev
-        if shifted[D]:
-            c = shifted[D]
-            for j in range(D):
-                shifted[j] -= c * phi[j]
-        rows[t] = shifted[:D]
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _promotion_table(M: int, L: int) -> np.ndarray:
-    """Integer matrix sending the basis of Q(zeta_M) into Q(zeta_L), L = k*M."""
-    assert L % M == 0
-    DM = euler_phi(M)
-    DL = euler_phi(L)
-    step = L // M
-    red = _reduction_table(L)
-    out = np.zeros((DM, DL), dtype=object)
-    for t in range(DM):
-        e = (t * step) % L
-        out[t] = _power_row(L, e)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _power_row(M: int, e: int) -> tuple:
     """Coefficient row of zeta_M^e in the canonical basis."""
     D = euler_phi(M)
@@ -173,14 +137,35 @@ def _power_row(M: int, e: int) -> tuple:
     return tuple(row)
 
 
+def _power_rows(M: int, exponents) -> np.ndarray:
+    return np.array([_power_row(M, e) for e in exponents], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(M: int) -> np.ndarray:
+    """Integer matrix whose row t is x^t mod Phi_M, for 0 <= t < 2*deg - 1."""
+    D = euler_phi(M)
+    return _power_rows(M, range(max(2 * D - 1, D)))
+
+
+@lru_cache(maxsize=None)
+def _product_table(M: int) -> np.ndarray:
+    """Row t1*D + t2 is the coefficient row of zeta_M^(t1 + t2), shape (D*D, D)."""
+    D = euler_phi(M)
+    return _reduction_table(M)[np.add.outer(np.arange(D), np.arange(D)).ravel()]
+
+
+@lru_cache(maxsize=None)
+def _promotion_table(M: int, L: int) -> np.ndarray:
+    """Integer matrix sending the basis of Q(zeta_M) into Q(zeta_L), L = k*M."""
+    assert L % M == 0
+    return _power_rows(L, range(0, L, L // M)[:euler_phi(M)])
+
+
 @lru_cache(maxsize=None)
 def _conjugation_table(M: int) -> np.ndarray:
     """Integer matrix of complex conjugation zeta^t -> zeta^(M-t)."""
-    D = euler_phi(M)
-    out = np.zeros((D, D), dtype=object)
-    for t in range(D):
-        out[t] = _power_row(M, (M - t) % M)
-    return out
+    return _power_rows(M, range(0, -euler_phi(M), -1))
 
 
 def _lcm(a: int, b: int) -> int:
@@ -342,7 +327,7 @@ class Cyclotomic:
                 row = table[t]
                 for j in range(D):
                     if row[j]:
-                        out[j] += c * row[j]
+                        out[j] += c * int(row[j])
         return Cyclotomic(self.order, out)
 
     # -- predicates ---------------------------------------------------------
@@ -534,23 +519,61 @@ class FloatConfig:
 
 DEFAULT_FLOAT_CONFIG = FloatConfig()
 
-# Escalate int64 payloads to Python ints before products can overflow.
+# Coefficient planes are stored as int64 while every coefficient is below
+# this bound and as Python ints otherwise.
 _INT64_GUARD = 2**31
 
 
-def _as_object(a: np.ndarray) -> np.ndarray:
-    return a if a.dtype == object else a.astype(object)
+def _maxabs(a: np.ndarray) -> int:
+    """Largest absolute value, at least 1, so that a product of these caps
+    each of its factors.  int64 input never holds -2**63 (whose abs wraps):
+    every int64 result is computed under a bound below 2**63."""
+    return int(np.abs(a).max(initial=1))
 
 
-def _maybe_compact(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        try:
-            m = max((abs(int(x)) for x in a.flat), default=0)
-        except (TypeError, OverflowError):
-            return a
-        if m < _INT64_GUARD:
-            return a.astype(np.int64)
-    return a
+def _stored(planes: np.ndarray) -> np.ndarray:
+    dtype = np.int64 if _maxabs(planes) < _INT64_GUARD else object
+    return planes.astype(dtype, copy=False)
+
+
+def _working(bound: int, *arrays):
+    """The arrays as int64 when bound caps every intermediate value below
+    2**63, as Python ints otherwise."""
+    dtype = np.int64 if bound < 2**63 else object
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _contract(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """out[v] = sum over k of table[k, v] * stack[k]."""
+    out = np.dot(table.T, stack.reshape(len(stack), -1))
+    return out.reshape(table.shape[1], *stack.shape[1:])
+
+
+def _linear(planes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Map a plane stack (D_in, r, c) through an integer matrix (D_in, D_out)."""
+    bound = _maxabs(planes) * _maxabs(table) * len(table)
+    planes, table = _working(bound, planes, table)
+    return _stored(_contract(table, planes))
+
+
+def _bilinear(order: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.ndarray:
+    """sum over t1, t2 of zeta^(t1 + t2) * product(a[t1], b[t2]) as a plane
+    stack; ``product`` maps the two stacks to the (D, D, r, c) stack of plane
+    products, each entry a sum of ``inner`` terms."""
+    T = _product_table(order)
+    bound = _maxabs(a) * _maxabs(b) * max(inner, 1) * _maxabs(T) * len(T)
+    a, b, T = _working(bound, a, b, T)
+    P = product(a, b)
+    return _stored(_contract(T, P.reshape(len(T), *P.shape[2:])))
+
+
+def _planes_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None], b[None])
+
+
+def _planes_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.kron(a, b)
+    return out.reshape(len(a), len(b), *out.shape[1:])
 
 
 class Mat:
@@ -558,7 +581,8 @@ class Mat:
 
     Exact payload: integer coefficient tensor ``coef`` of shape (D, r, c)
     with a single positive integer denominator, representing
-    (1/den) * sum_t coef[t] * zeta_M^t entrywise.
+    (1/den) * sum_t coef[t] * zeta_M^t entrywise.  Only this module reads
+    or builds that payload.
     """
 
     __slots__ = ("rows", "cols", "backend", "order", "coef", "den", "data", "config")
@@ -571,8 +595,7 @@ class Mat:
         m = object.__new__(cls)
         m.rows, m.cols = rows, cols
         m.backend = "exact"
-        g = den
-        m.order, m.coef, m.den = order, coef, g
+        m.order, m.coef, m.den = order, coef, den
         m.data, m.config = None, None
         return m
 
@@ -610,7 +633,7 @@ class Mat:
                 for t, q in enumerate(x.coeffs):
                     if q:
                         coef[t, i, j] = int(q * den)
-        return cls._new_exact(r, c, order, _maybe_compact(coef), den)
+        return cls._new_exact(r, c, order, _stored(coef), den)
 
     @classmethod
     def flt(cls, data, config: FloatConfig | None = None) -> "Mat":
@@ -651,26 +674,15 @@ class Mat:
     def _promote_order(self, L: int) -> "Mat":
         if L == self.order:
             return self
-        table = _promotion_table(self.order, L)
-        DL = euler_phi(L)
-        out = np.zeros((DL, self.rows, self.cols), dtype=object)
-        for t in range(self.coef.shape[0]):
-            block = self.coef[t]
-            if not block.any():
-                continue
-            row = table[t]
-            for j in range(DL):
-                if row[j]:
-                    out[j] = out[j] + block * int(row[j])
-        return Mat._new_exact(self.rows, self.cols, L, _maybe_compact(out), self.den)
+        coef = _linear(self.coef, _promotion_table(self.order, L))
+        return Mat._new_exact(self.rows, self.cols, L, coef, self.den)
 
-    def _needs_object(self, other: "Mat", inner: int) -> bool:
-        if self.coef.dtype == object or other.coef.dtype == object:
-            return True
-        a = int(np.abs(self.coef).max(initial=0))
-        b = int(np.abs(other.coef).max(initial=0))
-        D = self.coef.shape[0]
-        return a * b * max(inner, 1) * D >= 2**62
+    def _rescaled_pair(self, other: "Mat", ka: int, kb: int):
+        """Both coefficient stacks at a common order, times ka and kb, in a
+        dtype that also holds their sum."""
+        a, b = self._promote_pair(other)
+        ca, cb = _working(_maxabs(a.coef) * ka + _maxabs(b.coef) * kb, a.coef, b.coef)
+        return a, ca * ka, cb * kb
 
     # -- arithmetic ---------------------------------------------------------
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -680,33 +692,8 @@ class Mat:
         if self.backend == "float":
             return Mat._new_float(self.data @ other.data, self.config)
         a, b = self._promote_pair(other)
-        D = euler_phi(a.order)
-        red = _reduction_table(a.order)
-        ca, cb = a.coef, b.coef
-        if a._needs_object(b, a.cols):
-            ca, cb = _as_object(ca), _as_object(cb)
-        prod = [None] * (2 * D - 1)
-        for t1 in range(D):
-            if not ca[t1].any():
-                continue
-            for t2 in range(D):
-                if not cb[t2].any():
-                    continue
-                term = np.dot(ca[t1], cb[t2])
-                u = t1 + t2
-                prod[u] = term if prod[u] is None else prod[u] + term
-        out = np.zeros((D, self.rows, other.cols), dtype=object)
-        for u, term in enumerate(prod):
-            if term is None:
-                continue
-            if u < D:
-                out[u] = out[u] + term
-            else:
-                row = red[u]
-                for v in range(D):
-                    if row[v]:
-                        out[v] = out[v] + term * int(row[v])
-        return Mat._new_exact(self.rows, other.cols, a.order, _maybe_compact(out), a.den * b.den)
+        coef = _bilinear(a.order, a.coef, b.coef, _planes_matmul, a.cols)
+        return Mat._new_exact(self.rows, other.cols, a.order, coef, a.den * b.den)
 
     mul = __matmul__
 
@@ -716,11 +703,9 @@ class Mat:
             raise DimensionMismatch("shape mismatch in add")
         if self.backend == "float":
             return Mat._new_float(self.data + other.data, self.config)
-        a, b = self._promote_pair(other)
-        den = _lcm(a.den, b.den)
-        ca = _as_object(a.coef) * (den // a.den)
-        cb = _as_object(b.coef) * (den // b.den)
-        return Mat._new_exact(a.rows, a.cols, a.order, _maybe_compact(ca + cb), den)
+        den = _lcm(self.den, other.den)
+        a, ca, cb = self._rescaled_pair(other, den // self.den, den // other.den)
+        return Mat._new_exact(a.rows, a.cols, a.order, _stored(ca + cb), den)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
@@ -736,63 +721,26 @@ class Mat:
             return Mat._new_float(self.data * complex(s), self.config)
         s = Cyclotomic._coerce(s)
         L = _lcm(self.order, s.order)
-        m = self._promote_order(L)
         sv = s.promoted(L)
         # Represent s with integer coefficients over a common denominator.
         sden = 1
         for q in sv.coeffs:
             sden = _lcm(sden, q.denominator)
-        ints = [int(q * sden) for q in sv.coeffs]
-        D = euler_phi(L)
-        red = _reduction_table(L)
-        src = _as_object(m.coef)
-        out = np.zeros((D, m.rows, m.cols), dtype=object)
-        for t1 in range(D):
-            if not src[t1].any():
-                continue
-            for t2, c in enumerate(ints):
-                if not c:
-                    continue
-                u = t1 + t2
-                term = src[t1] * c
-                if u < D:
-                    out[u] = out[u] + term
-                else:
-                    row = red[u]
-                    for v in range(D):
-                        if row[v]:
-                            out[v] = out[v] + term * int(row[v])
-        return Mat._new_exact(m.rows, m.cols, L, _maybe_compact(out),
-                              m.den * sden)
+        ints = np.array([int(q * sden) for q in sv.coeffs], dtype=object)
+        # Promotion to order L, then multiplication by s: one integer map.
+        D = len(ints)
+        table = np.dot(_promotion_table(self.order, L),
+                       np.dot(ints, _product_table(L).reshape(D, D, D)))
+        return Mat._new_exact(self.rows, self.cols, L, _linear(self.coef, table),
+                              self.den * sden)
 
     def kron(self, other: "Mat") -> "Mat":
         self._check_same_backend(other)
         if self.backend == "float":
             return Mat._new_float(np.kron(self.data, other.data), self.config)
         a, b = self._promote_pair(other)
-        D = euler_phi(a.order)
-        red = _reduction_table(a.order)
-        ca, cb = a.coef, b.coef
-        if a._needs_object(b, 1):
-            ca, cb = _as_object(ca), _as_object(cb)
-        rows, cols = a.rows * b.rows, a.cols * b.cols
-        out = np.zeros((D, rows, cols), dtype=object)
-        for t1 in range(D):
-            if not ca[t1].any():
-                continue
-            for t2 in range(D):
-                if not cb[t2].any():
-                    continue
-                term = np.kron(ca[t1], cb[t2])
-                u = t1 + t2
-                if u < D:
-                    out[u] = out[u] + term
-                else:
-                    row = red[u]
-                    for v in range(D):
-                        if row[v]:
-                            out[v] = out[v] + term * int(row[v])
-        return Mat._new_exact(rows, cols, a.order, _maybe_compact(out), a.den * b.den)
+        coef = _bilinear(a.order, a.coef, b.coef, _planes_kron, 1)
+        return Mat._new_exact(a.rows * b.rows, a.cols * b.cols, a.order, coef, a.den * b.den)
 
     def adjoint(self) -> "Mat":
         if self.backend == "float":
@@ -808,18 +756,16 @@ class Mat:
     def conj(self) -> "Mat":
         if self.backend == "float":
             return Mat._new_float(self.data.conj(), self.config)
-        table = _conjugation_table(self.order)
-        D = euler_phi(self.order)
-        src = _as_object(self.coef)
-        out = np.zeros_like(src)
-        for t in range(D):
-            if not src[t].any():
-                continue
-            row = table[t]
-            for v in range(D):
-                if row[v]:
-                    out[v] = out[v] + src[t] * int(row[v])
-        return Mat._new_exact(self.rows, self.cols, self.order, _maybe_compact(out), self.den)
+        coef = _linear(self.coef, _conjugation_table(self.order))
+        return Mat._new_exact(self.rows, self.cols, self.order, coef, self.den)
+
+    def select(self, rows, cols) -> "Mat":
+        """The submatrix of the given row and column indices, in that order."""
+        ix = np.ix_(rows, cols)
+        if self.backend == "float":
+            return Mat._new_float(self.data[ix], self.config)
+        return Mat._new_exact(len(rows), len(cols), self.order,
+                              self.coef[(slice(None),) + ix], self.den)
 
     # -- scalar extraction ---------------------------------------------------
     def entry(self, i: int, j: int):
@@ -868,9 +814,7 @@ class Mat:
             return False
         if self.backend == "float":
             return bool(np.max(np.abs(self.data - other.data), initial=0.0) <= self.config.eps)
-        a, b = self._promote_pair(other)
-        ca = _as_object(a.coef) * b.den
-        cb = _as_object(b.coef) * a.den
+        _, ca, cb = self._rescaled_pair(other, other.den, self.den)
         return bool((ca == cb).all())
 
     def residual(self, other: "Mat") -> float:
@@ -914,16 +858,8 @@ class Mat:
         """Nonzero entries as {(i, j): scalar}; exact backend only."""
         if self.backend != "exact":
             raise BackendMismatch("sparse_entries is an exact-backend helper")
-        mask = None
-        for t in range(self.coef.shape[0]):
-            m = self.coef[t] != 0
-            mask = m if mask is None else (mask | m)
-        out = {}
-        if mask is None:
-            return out
-        for i, j in zip(*np.nonzero(mask)):
-            out[(int(i), int(j))] = self.entry(int(i), int(j))
-        return out
+        nonzero = (self.coef != 0).any(axis=0)
+        return {(int(i), int(j)): self.entry(int(i), int(j)) for i, j in zip(*np.nonzero(nonzero))}
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {self.backend})"

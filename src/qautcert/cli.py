@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -97,7 +96,6 @@ class SuiteConfig:
     out: str | None = None
     markdown: str | None = None
     force: bool = False
-    workers: int = 1
     strict: bool = False
 
     def __post_init__(self):
@@ -229,57 +227,50 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
     tagged = [("block", p) for p in perms]
     tagged += [("any", p) for p in arbitrary_permutations(spec, 3, seed=cfg.seed)]
     worst = 0.0
+
+    def battery_failure(presentation, images, cases, key, record):
+        """Substitute each case's generator values into the formal images
+        and check the presentation's relations; the failing fragment, if any."""
+        nonlocal worst
+        for label, line, assignment in cases:
+            values = assignment.values
+            if cfg.backend == "float":
+                values = {k: v.to_float(fc) for k, v in values.items()}
+            subst = {sym: ft.substitute(values) if cfg.backend == "exact"
+                     else ft_to_float(ft, fc).substitute(values)
+                     for sym, ft in images.items()}
+            rep = check_relations(GeneratorAssignment(presentation, subst))
+            worst = max(worst, rep.worst_residual)
+            record.append(line)
+            if not rep.ok:
+                return {"passed": False, "failure": f"{label}: {rep.failing}",
+                        "worst_residual": worst, key: record}
+        return None
+
+    def pi_cases():
+        for mode, perm in tagged:
+            yield ("pi battery",
+                   f"{mode}:" + ",".join(f"{k}->{v}" for k, v in sorted(perm.items())),
+                   permutation_assignment(spec, perm))
+        yield ("pi direct sum", "direct_sum:first-two-block-preserving",
+               direct_sum_assignment(spec, perms[:2]))
+
     battery_record = []
-    for mode, perm in tagged:
-        uasg = permutation_assignment(spec, perm)
-        values = uasg.values
-        if cfg.backend == "float":
-            values = {k: v.to_float(fc) for k, v in values.items()}
-        qvals = {sym: ft.substitute(values) if cfg.backend == "exact"
-                 else ft_to_float(ft, fc).substitute(values)
-                 for sym, ft in pi.items()}
-        rep = check_relations(GeneratorAssignment(qpres, qvals))
-        worst = max(worst, rep.worst_residual)
-        battery_record.append(
-            f"{mode}:" + ",".join(f"{k}->{v}" for k, v in sorted(perm.items())))
-        if not rep.ok:
-            return {"passed": False, "failure": f"pi battery: {rep.failing}",
-                    "worst_residual": worst, "pi_battery": battery_record}
-    dsum = direct_sum_assignment(spec, perms[:2])
-    values = dsum.values
-    if cfg.backend == "float":
-        values = {k: v.to_float(fc) for k, v in values.items()}
-    qvals = {sym: ft.substitute(values) if cfg.backend == "exact"
-             else ft_to_float(ft, fc).substitute(values)
-             for sym, ft in pi.items()}
-    rep = check_relations(GeneratorAssignment(qpres, qvals))
-    worst = max(worst, rep.worst_residual)
-    battery_record.append("direct_sum:first-two-block-preserving")
-    if not rep.ok:
-        return {"passed": False, "failure": f"pi direct sum: {rep.failing}",
-                "worst_residual": worst, "pi_battery": battery_record}
+    failure = battery_failure(qpres, pi, pi_cases(), "pi_battery", battery_record)
+    if failure:
+        return failure
     rho, rho_report = rho_map(spec)
     if not rho_report["both_forms_agree"]:
         return {"passed": False, "failure": "rho displayed forms disagree",
                 "worst_residual": worst}
-    upres = SnPresentation(spec)
     battery = classical_theta_battery(spec, 10, seed=cfg.seed)
+    theta_cases = (("rho battery", str(entry[:-1]), classical_assignment_aut(spec, entry[-1]))
+                   for entry in battery)
     theta_record = []
-    for entry in battery:
-        theta = entry[-1]
-        qasg = classical_assignment_aut(spec, theta)
-        values = qasg.values
-        if cfg.backend == "float":
-            values = {k: v.to_float(fc) for k, v in values.items()}
-        uvals = {sym: ft.substitute(values) if cfg.backend == "exact"
-                 else ft_to_float(ft, fc).substitute(values)
-                 for sym, ft in rho.items()}
-        rep = check_relations(GeneratorAssignment(upres, uvals))
-        worst = max(worst, rep.worst_residual)
-        theta_record.append(str(entry[:-1]))
-        if not rep.ok:
-            return {"passed": False, "failure": f"rho battery: {rep.failing}",
-                    "worst_residual": worst, "theta_battery": theta_record}
+    failure = battery_failure(SnPresentation(spec), rho, theta_cases, "theta_battery",
+                              theta_record)
+    if failure:
+        return failure
     out = {"passed": True, "worst_residual": worst,
            "pi_permutations": len(perms), "rho_automorphisms": len(battery),
            "rho_forms_agree": True,
@@ -330,26 +321,14 @@ def run(cfg: SuiteConfig) -> dict:
     """Execute the selected suites and assemble the certificate."""
     results: dict = {}
     timings: dict = {}
-
-    def run_one(name):
+    selected = list(cfg.suites)
+    for name in selected:
         t0 = time.perf_counter()
         try:
-            fragment = _SUITES[name](cfg)
+            results[name] = _SUITES[name](cfg)
         except Exception as exc:  # suite crashes are certificate failures
-            fragment = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
-        return name, fragment, time.perf_counter() - t0
-
-    selected = list(cfg.suites)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for name, fragment, dt in pool.map(run_one, selected):
-                results[name] = fragment
-                timings[name] = round(dt, 6)
-    else:
-        for name in selected:
-            _, fragment, dt = run_one(name)
-            results[name] = fragment
-            timings[name] = round(dt, 6)
+            results[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+        timings[name] = round(time.perf_counter() - t0, 6)
     passed = all(results[name].get("passed", False) for name in selected)
     cert = {
         "schema": 1,
@@ -454,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--markdown", default=_env_default("MARKDOWN", None))
     runp.add_argument("--force", action="store_true",
                       default=_env_default("FORCE", "") == "1")
-    runp.add_argument("--workers", type=int, default=int(_env_default("WORKERS", "1")))
     runp.add_argument("--strict", action="store_true",
                       default=_env_default("STRICT", "") == "1")
     diffp = sub.add_parser("diff", help="structurally compare two certificates")
@@ -488,7 +466,6 @@ def main(argv=None) -> int:
             out=args.out,
             markdown=args.markdown,
             force=args.force,
-            workers=args.workers,
             strict=args.strict,
         )
     except (ConfigError, ValueError) as exc:

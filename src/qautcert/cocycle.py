@@ -241,13 +241,6 @@ class GradedAlgebra:
                     raise GradingMismatch(
                         f"structure constants violate the grading at ({i},{j})->{k}")
 
-    def homogeneous_projection(self, vec, chi):
-        """Component of degree chi (here a plain coordinate restriction)."""
-        out = []
-        for i, a in enumerate(vec):
-            out.append(a if self.degrees[i] == chi else Cyclotomic.zero())
-        return out
-
 
 def twist_left(graded: GradedAlgebra, sigma: GroupCocycle):
     """The twisted algebra: structure constants multiplied by sigma on

@@ -23,7 +23,6 @@ __all__ = [
     "entangled_projection",
     "pvm_check",
     "BlockEmbedding",
-    "block_embed",
     "WrongCount",
     "NotPVM",
     "SlotMismatch",
@@ -248,6 +247,9 @@ class BlockEmbedding:
             b = digits[1::2]
             paired = _undigits(a + b, list(sizes) + list(sizes))
             self._to_paired[idx] = paired
+        self._from_paired = [0] * len(self._to_paired)
+        for src, dst in enumerate(self._to_paired):
+            self._from_paired[dst] = src
 
     def paren(self, r: int, T: Mat) -> Mat:
         sizes = self.spec.sizes
@@ -279,42 +281,10 @@ class BlockEmbedding:
 
     def rearrange(self, interleaved: Mat) -> Mat:
         """Conjugate an interleaved-layout operator into the M_d x M_d layout."""
-        return self._permute(interleaved, self._to_paired)
+        return interleaved.select(self._from_paired, self._from_paired)
 
     def rearrange_inverse(self, paired: Mat) -> Mat:
-        inverse = [0] * len(self._to_paired)
-        for src, dst in enumerate(self._to_paired):
-            inverse[dst] = src
-        return self._permute(paired, inverse)
-
-    @staticmethod
-    def _permute(mat: Mat, perm: list[int]) -> Mat:
-        # perm maps source index -> destination index
-        n = mat.rows
-        if mat.backend == "float":
-            import numpy as np
-
-            out = np.zeros_like(mat.data)
-            idx = np.asarray(perm)
-            out[np.ix_(idx, idx)] = mat.data
-            return Mat.flt(out, mat.config)
-        import numpy as np
-
-        coef = mat.coef
-        out = np.zeros_like(coef)
-        idx = list(perm)
-        for t in range(coef.shape[0]):
-            block = coef[t]
-            dst = np.zeros_like(block)
-            dst[np.ix_(idx, idx)] = block
-            out[t] = dst
-        return Mat._new_exact(n, n, mat.order, out, mat.den)
-
-    def bracket_t(self, s: int, i: int, j: int) -> Mat:
-        """T^[s]_{i,j}: X^i Z^j x I_{n_s} in the s-th doubled slot."""
-        n = self.spec.sizes[s - 1]
-        wb = weyl_basis(n)
-        return self.bracket(s, wb.t(i, j).kron(Mat.identity(n)))
+        return paired.select(self._to_paired, self._to_paired)
 
     def bracket_phi(self, s: int, i: int, j: int) -> Mat:
         """phi^[s]_{i,j}: the entangled projection in the s-th doubled slot."""
@@ -342,14 +312,3 @@ def _undigits(digits: list[int], radix: list[int]) -> int:
     for d, n in zip(digits, radix):
         idx = idx * n + d
     return idx
-
-
-def block_embed(spec: BlockSpec, which: str, slot: int, T: Mat) -> Mat:
-    """Embed T per the requested convention: 'paren' lands in M_d,
-    'bracket' in the rearranged M_d x M_d."""
-    emb = BlockEmbedding(spec)
-    if which == "paren":
-        return emb.paren(slot, T)
-    if which == "bracket":
-        return emb.bracket(slot, T)
-    raise ValueError("which must be 'paren' or 'bracket'")

@@ -49,7 +49,6 @@ __all__ = [
     "theta_identity",
     "theta_ad_unitary",
     "theta_block_swap",
-    "theta_compose",
     "classical_theta_battery",
     "uet_pvm",
     "pi_map",
@@ -431,19 +430,6 @@ def theta_block_swap(spec: BlockSpec, r1: int, r2: int):
     return theta
 
 
-def theta_compose(a, b):
-    N = len(a)
-    out = [[Cyclotomic.zero() for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for k in range(N):
-            if a[i][k].is_zero():
-                continue
-            for j in range(N):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
 def classical_assignment_aut(spec: BlockSpec, theta) -> GeneratorAssignment:
     """Scalar q-assignment reading the coefficients of a verified unital
     *-automorphism of B that preserves the Plancherel trace."""
@@ -607,8 +593,8 @@ def uet_pvm(spec: BlockSpec, backend: str = "exact", tol: float = 1e-9) -> dict:
         pt = Mat.zeros(d, d, backend)
         for i in range(ns):
             row = offset + i
-            block = _extract_block(P, row, row, d, backend)
-            pt = pt + block
+            rng = range(row * d, (row + 1) * d)
+            pt = pt + P.select(rng, rng)
         pt = pt.scale(ns)
         if not pt.equals(Mat.identity(d, backend)):
             cert.update(passed=False, failure=f"partial trace of P{meta[idx]}")
@@ -631,14 +617,6 @@ def uet_pvm(spec: BlockSpec, backend: str = "exact", tol: float = 1e-9) -> dict:
     return cert
 
 
-def _extract_block(P: Mat, brow: int, bcol: int, d: int, backend: str) -> Mat:
-    if backend == "float":
-        return Mat.flt(P.data[brow * d:(brow + 1) * d, bcol * d:(bcol + 1) * d],
-                       P.config)
-    coef = P.coef[:, brow * d:(brow + 1) * d, bcol * d:(bcol + 1) * d]
-    return Mat._new_exact(d, d, P.order, coef.copy(), P.den)
-
-
 def _psi_tr(spec: BlockSpec, P: Mat, backend: str):
     """(psi x tr) of an element of B x M_d presented in M_D x M_d."""
     d = spec.d
@@ -648,8 +626,8 @@ def _psi_tr(spec: BlockSpec, P: Mat, backend: str):
         weight = Fraction(n, spec.N * d)
         for i in range(n):
             row = pos + i
-            block = _extract_block(P, row, row, d, backend)
-            t = block.trace()
+            rng = range(row * d, (row + 1) * d)
+            t = P.select(rng, rng).trace()
             term = t * weight if backend == "exact" else t * float(weight)
             acc = term if acc is None else acc + term
         pos += n
@@ -1190,7 +1168,8 @@ def covariance_check(spec: BlockSpec, backend: str = "exact",
         sv = np.linalg.svd(stack, compute_uv=False)
         rank = int(np.sum(sv > max(tol, 1e-12) * max(stack.shape) * max(float(sv[0]), 1.0)))
     else:
-        vectors = [_sparse_flat(mat) for mat in word_mats]
+        vectors = [{i * mat.cols + j: v for (i, j), v in mat.sparse_entries().items()}
+                   for mat in word_mats]
         rank = span_rank_sparse(vectors)
     cert["e_span_rank"] = rank
     cert["e_expected"] = d ** 4
@@ -1209,18 +1188,6 @@ def _paren_pauli(spec: BlockSpec, t: int, which: str) -> Mat:
         wb = weyl_basis(spec.sizes[t - 1])
         _PAULI_CACHE[key] = emb.paren(t, wb.x if which == "x" else wb.z)
     return _PAULI_CACHE[key]
-
-
-def _sparse_flat(mat: Mat) -> dict:
-    import numpy as np
-
-    mask = np.zeros((mat.rows, mat.cols), dtype=bool)
-    for tcoef in mat.coef:
-        mask |= tcoef != 0
-    out = {}
-    for i, j in zip(*np.nonzero(mask)):
-        out[int(i) * mat.cols + int(j)] = mat.entry(int(i), int(j))
-    return out
 
 
 # ---------------------------------------------------------------------------

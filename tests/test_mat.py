@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from qautcert.arith import (
     Cyclotomic,
     DimensionMismatch,
     Mat,
+    euler_phi,
     kernel_exact,
     rank_exact,
     root_of_unity,
@@ -98,3 +101,62 @@ def test_exact_float_agree_on_products(xs, ys):
     exact = (A @ B).to_float()
     floated = A.to_float() @ B.to_float()
     assert exact.residual(floated) < 1e-9
+
+
+ORDERS = (1, 2, 3, 4, 5, 8, 12)
+# Small and at-least-2**31 numerators, so both int64 and Python-int
+# coefficient planes occur, alone and mixed; some near 2**62, where sums of
+# two coefficients already leave int64.
+NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(2**31, 2**40),
+                       st.integers(-(2**40), -(2**31)), st.integers(2**61, 2**63),
+                       st.integers(-(2**63), -(2**61)))
+
+
+def cyclotomics():
+    coeff = st.builds(Fraction, NUMERATORS, st.sampled_from([1, 2, 3]))
+    return st.sampled_from(ORDERS).flatmap(
+        lambda M: st.lists(coeff, min_size=euler_phi(M), max_size=euler_phi(M))
+        .map(lambda cs: Cyclotomic(M, cs)))
+
+
+def grids(rows, cols):
+    return st.lists(st.lists(cyclotomics(), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def assert_entries(m: Mat, expected):
+    assert (m.rows, m.cols) == (len(expected), len(expected[0]))
+    for i, row in enumerate(expected):
+        for j, x in enumerate(row):
+            assert m.entry(i, j) == x, (i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_ops_match_cyclotomic_entrywise(data):
+    r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a, b = data.draw(grids(r, k)), data.draw(grids(k, c))
+    a2 = data.draw(grids(r, k))
+    s = data.draw(cyclotomics())
+    A, B, A2 = Mat.exact(a), Mat.exact(b), Mat.exact(a2)
+    assert_entries(A @ B, [[sum((a[i][t] * b[t][j] for t in range(k)), Cyclotomic.zero())
+                            for j in range(c)] for i in range(r)])
+    assert_entries(A.kron(B), [[a[i][j] * b[p][q] for j in range(k) for q in range(c)]
+                               for i in range(r) for p in range(k)])
+    assert_entries(A + A2, [[x + y for x, y in zip(u, v)] for u, v in zip(a, a2)])
+    assert_entries(A.scale(s), [[x * s for x in u] for u in a])
+    assert_entries(A.conj(), [[x.conjugate() for x in u] for u in a])
+    assert_entries(A.adjoint(), [[a[i][j].conjugate() for i in range(r)] for j in range(k)])
+    assert A.equals(A2) == (a == a2)
+    if not s.is_zero():
+        assert A.equals(A.scale(s).scale(s.inverse()))
+
+
+@pytest.mark.parametrize("x, y", [(2**62, 2**62), (-(2**62), -(2**62)),
+                                  (2**63 - 1, 1), (2**62, Fraction(2**62, 3))])
+def test_exact_sum_near_int64_limit(x, y):
+    a, b = Cyclotomic(1, [x]), Cyclotomic(1, [y])
+    A, B = Mat.exact([[a]]), Mat.exact([[b]])
+    assert (A + B).entry(0, 0) == a + b
+    assert (A - B.scale(-1)).entry(0, 0) == a + b
+    assert (A + B).equals(Mat.exact([[a + b]]))
