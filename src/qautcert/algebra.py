@@ -15,18 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (
-    Cyclotomic,
-    DEFAULT_FLOAT_CONFIG,
-    FloatConfig,
-    kernel_exact,
-    rank_exact,
-    rref_exact,
-)
+from .arith import Cyclotomic, kernel_exact, rank_exact, rref_exact
 
 __all__ = [
     "BlockSpec",
     "StructAlgebra",
+    "sparse_vector",
+    "sparse_eq",
+    "column_sparse",
+    "apply_columns",
     "multimatrix",
     "function_algebra",
     "tensor_algebra",
@@ -101,123 +98,94 @@ class BlockSpec:
 
 _EXHAUSTIVE_AXIOM_DIM = 64
 _AXIOM_SAMPLES = 512
+# Relative singular-value cutoff of the float center: the default float tolerance.
+_FLOAT_EPS = 1e-9
 
 
 class StructAlgebra:
-    """A *-algebra with basis, structure constants, involution and trace.
+    """A *-algebra with basis, exact structure constants, involution and trace.
 
-    Exact backend: ``mul`` maps (i, j) to a tuple of (k, Cyclotomic) pairs,
-    ``invol`` maps i to such a tuple, ``unit``/``trace`` are scalar lists.
-    Float backend: ``sc`` is a complex (dim, dim, dim) tensor with
-    sc[i, j, k] the coefficient of b_k in b_i b_j, ``invol_mat`` a matrix,
-    ``unit``/``trace`` complex vectors.
+    ``mul`` maps (i, j) to a tuple of (k, Cyclotomic) pairs, the expansion of
+    b_i b_j; ``invol`` maps i to the expansion of b_i*; ``unit``/``trace`` are
+    scalar lists.  The sparse element operations take elements as iterables
+    of (k, coefficient) pairs (a dict's ``items()``, or the tuples of ``mul``,
+    ``invol`` and column maps) and return dicts {k: coefficient} without
+    zeros; the dense methods on coordinate lists wrap them.
     """
 
-    def __init__(self, dim, labels, backend, *, mul=None, invol=None, sc=None,
-                 invol_mat=None, unit=None, trace=None, tracial=True,
-                 config: FloatConfig | None = None, verify=True, seed=0):
+    def __init__(self, dim, labels, *, mul, invol, unit, trace, tracial=True,
+                 verify=True, seed=0):
         self.dim = dim
         self.labels = tuple(labels)
-        self.backend = backend
-        self.config = config or DEFAULT_FLOAT_CONFIG
         self.tracial = tracial
-        if backend == "exact":
-            self.mul = {k: tuple((i, c) for i, c in v if not c.is_zero())
-                        for k, v in mul.items()}
-            self.mul = {k: v for k, v in self.mul.items() if v}
-            self.invol = [tuple(t) for t in invol]
-            self.unit = [Cyclotomic._coerce(c) for c in unit]
-            self.trace = [Cyclotomic._coerce(c) for c in trace]
-        else:
-            self.sc = np.asarray(sc, dtype=np.complex128)
-            self.invol_mat = np.asarray(invol_mat, dtype=np.complex128)
-            self.unit = np.asarray(unit, dtype=np.complex128)
-            self.trace = np.asarray(trace, dtype=np.complex128)
+        self.mul = {k: tuple((i, c) for i, c in v if not c.is_zero())
+                    for k, v in mul.items()}
+        self.mul = {k: v for k, v in self.mul.items() if v}
+        self.invol = [tuple(t) for t in invol]
+        self.unit = [Cyclotomic._coerce(c) for c in unit]
+        self.trace = [Cyclotomic._coerce(c) for c in trace]
         if verify:
             self.verify_axioms(seed=seed)
 
-    # -- basic operations ----------------------------------------------------
-    def basis_mul(self, i: int, j: int):
-        if self.backend == "exact":
-            return self.mul.get((i, j), ())
-        return self.sc[i, j]
+    # -- element operations ----------------------------------------------------
+    def mul_sparse(self, u, v) -> dict:
+        out: dict = {}
+        for i, a in u:
+            for j, b in v:
+                _accumulate(out, a * b, self.mul.get((i, j), ()))
+        return out
+
+    def _mul_sparse(self, terms, other: int, right: bool) -> dict:
+        """(sum of c b_k over terms) times b_other, or b_other times it when
+        not ``right``: the associativity check's product, without the scalar
+        factor of a general product."""
+        out: dict = {}
+        mul = self.mul
+        for k1, c1 in terms:
+            _accumulate(out, c1, mul.get((k1, other) if right else (other, k1), ()))
+        return out
+
+    def invol_sparse(self, terms) -> dict:
+        out: dict = {}
+        for i, a in terms:
+            _accumulate(out, a.conjugate(), self.invol[i])
+        return out
+
+    def trace_sparse(self, terms):
+        out = Cyclotomic.zero()
+        for k, a in terms:
+            out = out + a * self.trace[k]
+        return out
+
+    def dense(self, vec: dict) -> list:
+        out = [Cyclotomic.zero()] * self.dim
+        for k, a in vec.items():
+            out[k] = a
+        return out
 
     def mul_vec(self, u, v):
-        if self.backend == "exact":
-            acc: dict = {}
-            for i, a in enumerate(u):
-                if isinstance(a, Cyclotomic) and a.is_zero():
-                    continue
-                for j, b in enumerate(v):
-                    if isinstance(b, Cyclotomic) and b.is_zero():
-                        continue
-                    ab = a * b
-                    for k, c in self.mul.get((i, j), ()):
-                        cur = acc.get(k)
-                        acc[k] = ab * c if cur is None else cur + ab * c
-            out = [Cyclotomic.zero()] * self.dim
-            for k, val in acc.items():
-                out[k] = val
-            return out
-        return np.einsum("i,j,ijk->k", u, v, self.sc)
+        return self.dense(self.mul_sparse(sparse_vector(u).items(),
+                                          sparse_vector(v).items()))
 
     def invol_vec(self, v):
-        if self.backend == "exact":
-            acc: dict = {}
-            for i, a in enumerate(v):
-                a = Cyclotomic._coerce(a).conjugate()
-                if a.is_zero():
-                    continue
-                for k, c in self.invol[i]:
-                    cur = acc.get(k)
-                    acc[k] = a * c if cur is None else cur + a * c
-            out = [Cyclotomic.zero()] * self.dim
-            for k, val in acc.items():
-                out[k] = val
-            return out
-        return self.invol_mat.T @ np.conj(v)
+        return self.dense(self.invol_sparse(sparse_vector(v).items()))
 
     def trace_of(self, v):
-        if self.backend == "exact":
-            out = Cyclotomic.zero()
-            for a, t in zip(v, self.trace):
-                out = out + Cyclotomic._coerce(a) * t
-            return out
-        return complex(np.dot(self.trace, v))
+        return self.trace_sparse(sparse_vector(v).items())
 
     def left_mult_rows(self, v):
         """Matrix of left multiplication by the vector v, as rows over k."""
-        if self.backend == "exact":
-            rows = [[Cyclotomic.zero() for _ in range(self.dim)] for _ in range(self.dim)]
-            for i, a in enumerate(v):
-                a = Cyclotomic._coerce(a)
-                if a.is_zero():
-                    continue
-                for j in range(self.dim):
-                    for k, c in self.mul.get((i, j), ()):
-                        rows[k][j] = rows[k][j] + a * c
-            return rows
-        return np.einsum("i,ijk->kj", v, self.sc)
+        cols = [self.mul_vec(v, self.basis_vector(j)) for j in range(self.dim)]
+        return [list(row) for row in zip(*cols)]
 
     def basis_vector(self, i: int):
-        if self.backend == "exact":
-            v = [Cyclotomic.zero() for _ in range(self.dim)]
-            v[i] = Cyclotomic.one()
-            return v
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[i] = 1.0
+        v = [Cyclotomic.zero()] * self.dim
+        v[i] = Cyclotomic.one()
         return v
 
     # -- verification ---------------------------------------------------------
     def verify_axioms(self, seed=0):
-        if self.backend == "float":
-            self._verify_float()
-        else:
-            self._verify_exact(seed=seed)
-
-    def _verify_exact(self, seed=0):
         dim = self.dim
-        triples = None
         if dim > _EXHAUSTIVE_AXIOM_DIM:
             rng = random.Random(seed)
             triples = [(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
@@ -227,121 +195,56 @@ class StructAlgebra:
         for i, j, k in triples:
             lhs = self._mul_sparse(self.mul.get((i, j), ()), k, right=True)
             rhs = self._mul_sparse(self.mul.get((j, k), ()), i, right=False)
-            if lhs != rhs:
+            if lhs != rhs:  # both free of zeros, so plain dict equality
                 raise AxiomViolation(f"associativity fails at basis triple ({i},{j},{k})")
         pairs = {(i, j) for (i, j, _) in triples}
         for i, j in pairs:
-            lhs = self._expand_invol(self.mul.get((i, j), ()))
-            rhs = {}
-            for k1, c1 in self.invol[j]:
-                for k2, c2 in self.invol[i]:
-                    for k, c in self.mul.get((k1, k2), ()):
-                        rhs[k] = rhs.get(k, Cyclotomic.zero()) + c1 * c2 * c
-            if _sparse_ne(lhs, rhs):
+            lhs = self.invol_sparse(self.mul.get((i, j), ()))
+            rhs = self.mul_sparse(self.invol[j], self.invol[i])
+            if not sparse_eq(lhs, rhs):
                 raise AxiomViolation(f"involution is not antimultiplicative at ({i},{j})")
+        one = Cyclotomic.one()
         for i in range(dim):
-            acc = {}
-            for k1, c1 in self.invol[i]:
-                c1c = c1.conjugate()
-                for k, c in self.invol[k1]:
-                    acc[k] = acc.get(k, Cyclotomic.zero()) + c1c * c
-            expect = {i: Cyclotomic.one()}
-            if _sparse_ne(acc, expect):
+            if not sparse_eq(self.invol_sparse(self.invol[i]), {i: one}):
                 raise AxiomViolation(f"involution is not involutive at basis {i}")
+        unit = tuple(sparse_vector(self.unit).items())
         for i in range(dim):
-            left = self.mul_vec(self.unit, self.basis_vector(i))
-            right = self.mul_vec(self.basis_vector(i), self.unit)
-            expect = self.basis_vector(i)
-            if any((a - b) != Cyclotomic.zero() for a, b in zip(left, expect)):
+            if not sparse_eq(self.mul_sparse(unit, ((i, one),)), {i: one}):
                 raise AxiomViolation(f"unit fails on the left at basis {i}")
-            if any((a - b) != Cyclotomic.zero() for a, b in zip(right, expect)):
+            if not sparse_eq(self.mul_sparse(((i, one),), unit), {i: one}):
                 raise AxiomViolation(f"unit fails on the right at basis {i}")
         if self.tracial:
             for i, j in pairs:
-                tij = self._pair_trace(i, j)
-                tji = self._pair_trace(j, i)
+                tij = self.trace_sparse(self.mul.get((i, j), ()))
+                tji = self.trace_sparse(self.mul.get((j, i), ()))
                 if tij != tji:
                     raise AxiomViolation(f"trace is not tracial at ({i},{j})")
 
-    def _pair_trace(self, i, j):
-        out = Cyclotomic.zero()
-        for k, c in self.mul.get((i, j), ()):
-            out = out + c * self.trace[k]
-        return out
-
-    def _mul_sparse(self, terms, other, right: bool):
-        out = {}
-        for k1, c1 in terms:
-            key = (k1, other) if right else (other, k1)
-            for k, c in self.mul.get(key, ()):
-                cur = out.get(k)
-                out[k] = c1 * c if cur is None else cur + c1 * c
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def _expand_invol(self, terms):
-        out = {}
-        for k1, c1 in terms:
-            c1c = c1.conjugate()
-            for k, c in self.invol[k1]:
-                cur = out.get(k)
-                out[k] = c1c * c if cur is None else cur + c1c * c
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def _verify_float(self):
-        eps = self.config.eps
-        n = self.dim
-        C = self.sc
-        a1 = C.reshape(n * n, n) @ C.reshape(n, n * n)
-        ct = np.ascontiguousarray(C.transpose(1, 0, 2))
-        a2 = C.reshape(n * n, n) @ ct.reshape(n, n * n)
-        a2 = a2.reshape(n, n, n, n).transpose(2, 0, 1, 3).reshape(n * n, n * n)
-        scale = max(1.0, float(np.max(np.abs(C))) ** 2)
-        if np.max(np.abs(a1 - a2)) > eps * scale * n:
-            raise AxiomViolation("associativity fails (float backend)")
-        S = self.invol_mat
-        lhs = np.einsum("ijk,kl->ijl", C, S).conj()
-        rhs = np.einsum("jp,iq,pqk->jik", S.conj(), S.conj(), C).conj()
-        rhs = rhs.transpose(1, 0, 2)
-        if np.max(np.abs(lhs - rhs)) > eps * scale * n:
-            raise AxiomViolation("involution not antimultiplicative (float backend)")
-        if np.max(np.abs(S.conj() @ S - np.eye(n))) > eps * n:
-            raise AxiomViolation("involution not involutive (float backend)")
-        for i in range(n):
-            e = np.zeros(n, dtype=np.complex128)
-            e[i] = 1
-            if np.max(np.abs(self.mul_vec(self.unit, e) - e)) > eps * n:
-                raise AxiomViolation("unit fails (float backend)")
-            if np.max(np.abs(self.mul_vec(e, self.unit) - e)) > eps * n:
-                raise AxiomViolation("unit fails (float backend)")
-        if self.tracial:
-            t1 = np.einsum("ijk,k->ij", C, self.trace)
-            if np.max(np.abs(t1 - t1.T)) > eps * n:
-                raise AxiomViolation("trace not tracial (float backend)")
-
-    # -- conversions -----------------------------------------------------------
-    def to_float(self, config: FloatConfig | None = None) -> "StructAlgebra":
-        if self.backend == "float":
-            return self
-        n = self.dim
-        sc = np.zeros((n, n, n), dtype=np.complex128)
-        for (i, j), terms in self.mul.items():
-            for k, c in terms:
-                sc[i, j, k] = c.to_complex()
-        invol_mat = np.zeros((n, n), dtype=np.complex128)
-        for i, terms in enumerate(self.invol):
-            for k, c in terms:
-                invol_mat[i, k] = c.to_complex()
-        unit = np.array([c.to_complex() for c in self.unit])
-        trace = np.array([c.to_complex() for c in self.trace])
-        return StructAlgebra(n, self.labels, "float", sc=sc, invol_mat=invol_mat,
-                             unit=unit, trace=trace, tracial=self.tracial,
-                             config=config or self.config, verify=False)
+    def automorphism_failure(self, cols) -> str | None:
+        """Check the linear map sending b_i to the sum of c b_k over the
+        (k, c) pairs of ``cols[i]``.  Returns the first property it lacks,
+        one of "unital", "multiplicative", "*-compatible" and
+        "trace-preserving", or None when it is a trace-preserving unital
+        *-endomorphism."""
+        unit = sparse_vector(self.unit)
+        if not sparse_eq(apply_columns(cols, unit.items()), unit):
+            return "unital"
+        for i in range(self.dim):
+            for j in range(self.dim):
+                lhs = apply_columns(cols, self.mul.get((i, j), ()))
+                if not sparse_eq(lhs, self.mul_sparse(cols[i], cols[j])):
+                    return "multiplicative"
+        for i in range(self.dim):
+            if not sparse_eq(apply_columns(cols, self.invol[i]), self.invol_sparse(cols[i])):
+                return "*-compatible"
+        for i in range(self.dim):
+            if self.trace_sparse(cols[i]) != self.trace[i]:
+                return "trace-preserving"
+        return None
 
     # -- serialization -----------------------------------------------------------
     def serialize(self) -> str:
-        """Stable text form (exact backend) for golden-file regression."""
-        if self.backend != "exact":
-            raise ValueError("only exact algebras serialize to text")
+        """Stable text form for golden-file regression."""
         lines = [f"dim {self.dim}", "labels " + " ".join(self.labels)]
 
         def scal(c: Cyclotomic) -> str:
@@ -385,19 +288,52 @@ class StructAlgebra:
                 unit = [parse_scal(t) for t in parts[1:]]
             elif parts[0] == "trace":
                 trace = [parse_scal(t) for t in parts[1:]]
-        return cls(dim, labels, "exact", mul=mul, invol=invol, unit=unit, trace=trace)
+        return cls(dim, labels, mul=mul, invol=invol, unit=unit, trace=trace)
 
 
-def _sparse_ne(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    for k in keys:
-        if a.get(k, Cyclotomic.zero()) != b.get(k, Cyclotomic.zero()):
-            return True
-    return False
+def _accumulate(out: dict, a, terms):
+    """out += a * (sum of c b_k over the (k, c) pairs of terms), dropping
+    coordinates that cancel."""
+    for k, c in terms:
+        cur = out.get(k)
+        new = a * c if cur is None else cur + a * c
+        if new.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = new
 
 
-def multimatrix(spec: BlockSpec, backend: str = "exact",
-                config: FloatConfig | None = None) -> StructAlgebra:
+def sparse_vector(vec) -> dict:
+    """The nonzero coordinates of a dense vector, as {k: Cyclotomic}."""
+    out = {}
+    for i, a in enumerate(vec):
+        a = Cyclotomic._coerce(a)
+        if not a.is_zero():
+            out[i] = a
+    return out
+
+
+def sparse_eq(a: dict, b: dict) -> bool:
+    zero = Cyclotomic.zero()
+    return all(a.get(k, zero) == b.get(k, zero) for k in set(a) | set(b))
+
+
+def column_sparse(M) -> tuple:
+    """Column-sparse form of a dense matrix given as rows of scalars: entry
+    i lists the (k, c) pairs of column i."""
+    return tuple(tuple(sparse_vector([row[i] for row in M]).items())
+                 for i in range(len(M)))
+
+
+def apply_columns(cols, terms) -> dict:
+    """Image of a sparse element under a linear map in column-sparse form."""
+    out: dict = {}
+    for i, a in terms:
+        _accumulate(out, a, cols[i])
+    return out
+
+
+def multimatrix(spec: BlockSpec) -> StructAlgebra:
     """The multimatrix algebra of a partition, in its matrix-unit basis,
     with the Plancherel trace psi(E^(r)_ij) = delta_ij * n_r / N."""
     sizes = spec.sizes
@@ -427,31 +363,23 @@ def multimatrix(spec: BlockSpec, backend: str = "exact",
         if i == j:
             trace[a] = Cyclotomic.rational(Fraction(sizes[r], N))
             unit[a] = Cyclotomic.one()
-    alg = StructAlgebra(len(labels), labels, "exact", mul=mul, invol=invol,
-                        unit=unit, trace=trace)
-    if backend == "float":
-        return alg.to_float(config)
-    return alg
+    return StructAlgebra(len(labels), labels, mul=mul, invol=invol, unit=unit,
+                         trace=trace)
 
 
-def function_algebra(npoints: int, backend: str = "exact",
-                     config: FloatConfig | None = None,
-                     labels=None) -> StructAlgebra:
+def function_algebra(npoints: int, labels=None) -> StructAlgebra:
     """C(X) for |X| = npoints in the point-indicator basis, uniform trace."""
     labels = labels or [f"d{x}" for x in range(npoints)]
     mul = {(i, i): ((i, Cyclotomic.one()),) for i in range(npoints)}
     invol = [((i, Cyclotomic.one()),) for i in range(npoints)]
     unit = [Cyclotomic.one() for _ in range(npoints)]
     trace = [Cyclotomic.rational(Fraction(1, npoints)) for _ in range(npoints)]
-    alg = StructAlgebra(npoints, labels, "exact", mul=mul, invol=invol,
-                        unit=unit, trace=trace)
-    return alg.to_float(config) if backend == "float" else alg
+    return StructAlgebra(npoints, labels, mul=mul, invol=invol, unit=unit,
+                         trace=trace)
 
 
 def tensor_algebra(A: StructAlgebra, k: int) -> StructAlgebra:
     """A tensor M_k in the basis b_i x E_uv, with trace tau_A x (Tr/k)."""
-    if A.backend != "exact":
-        raise ValueError("tensor_algebra expects an exact base")
     dim = A.dim * k * k
     labels = []
     index = {}
@@ -476,7 +404,7 @@ def tensor_algebra(A: StructAlgebra, k: int) -> StructAlgebra:
         if u == v:
             unit[a] = A.unit[i]
             trace[a] = A.trace[i] / Cyclotomic.rational(k)
-    return StructAlgebra(dim, labels, "exact", mul=mul, invol=invol, unit=unit,
+    return StructAlgebra(dim, labels, mul=mul, invol=invol, unit=unit,
                          trace=trace, tracial=A.tracial)
 
 
@@ -487,8 +415,6 @@ def delta_form_check(A: StructAlgebra, psi=None):
     when the Gram matrix of psi is singular or not positive definite, and
     NotDeltaForm when m m* is not a scalar multiple of the identity.
     """
-    if A.backend == "float":
-        return _delta_form_float(A, psi)
     psi = psi if psi is not None else A.trace
     n = A.dim
     gram = [[Cyclotomic.zero() for _ in range(n)] for _ in range(n)]
@@ -529,28 +455,6 @@ def delta_form_check(A: StructAlgebra, psi=None):
             if mmstar[l][k] != expect:
                 raise NotDeltaForm("m m* is not a scalar multiple of the identity")
     return c
-
-
-def _delta_form_float(A: StructAlgebra, psi=None):
-    psi = np.asarray(psi if psi is not None else A.trace, dtype=np.complex128)
-    n = A.dim
-    eps = A.config.eps
-    gram = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        bi_star = A.invol_vec(np.eye(n)[i])
-        for j in range(n):
-            gram[i, j] = np.dot(psi, A.mul_vec(bi_star, np.eye(n)[j]))
-    herm = np.max(np.abs(gram - gram.conj().T))
-    eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    if herm > eps * n or np.min(eig) <= eps:
-        raise NotFaithful("Gram matrix singular or not positive definite")
-    M = A.sc.reshape(n * n, n).T  # rows l, cols (i,j)
-    g2inv = np.kron(np.linalg.inv(gram), np.linalg.inv(gram))
-    mm = M @ g2inv @ M.conj().T @ gram
-    c = mm[0, 0]
-    if np.max(np.abs(mm - c * np.eye(n))) > 1e3 * eps * max(1.0, abs(c)):
-        raise NotDeltaForm("m m* is not a scalar multiple of the identity")
-    return complex(c)
 
 
 def _check_positive_definite_exact(gram):
@@ -608,40 +512,25 @@ def _invert_exact(rows):
 def center(A: StructAlgebra):
     """Basis of the center, by solving [x, b_i] = 0 for all i."""
     n = A.dim
-    if A.backend == "exact":
-        rows = []
-        for i in range(n):
-            for k in range(n):
-                row = [Cyclotomic.zero() for _ in range(n)]
-                nz = False
-                for j in range(n):
-                    coeff = Cyclotomic.zero()
-                    for kk, c in A.mul.get((j, i), ()):
-                        if kk == k:
-                            coeff = coeff + c
-                    for kk, c in A.mul.get((i, j), ()):
-                        if kk == k:
-                            coeff = coeff - c
-                    if not coeff.is_zero():
-                        row[j] = coeff
-                        nz = True
-                if nz:
-                    rows.append(row)
-        return kernel_exact(rows, n)
-    # float: nullspace of the stacked commutator system via SVD;
-    # rows indexed by (i, k), columns by j: coeff = sc[j,i,k] - sc[i,j,k]
-    C = A.sc
-    rows = np.zeros((n * n, n), dtype=np.complex128)
+    rows = []
     for i in range(n):
-        rows[i * n:(i + 1) * n, :] = C[:, i, :].T - C[i, :, :].T
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    eps = A.config.eps
-    tol = eps * max(rows.shape) * max(float(s[0]) if s.size else 1.0, 1.0)
-    null_dim = int(np.sum(s <= tol))
-    if s.size < n:
-        null_dim += n - s.size
-    basis = vh.conj()[n - null_dim:, :] if null_dim else np.zeros((0, n))
-    return [basis[i] for i in range(null_dim)]
+        for k in range(n):
+            row = [Cyclotomic.zero() for _ in range(n)]
+            nz = False
+            for j in range(n):
+                coeff = Cyclotomic.zero()
+                for kk, c in A.mul.get((j, i), ()):
+                    if kk == k:
+                        coeff = coeff + c
+                for kk, c in A.mul.get((i, j), ()):
+                    if kk == k:
+                        coeff = coeff - c
+                if not coeff.is_zero():
+                    row[j] = coeff
+                    nz = True
+            if nz:
+                rows.append(row)
+    return kernel_exact(rows, n)
 
 
 @dataclass
@@ -650,20 +539,21 @@ class BlocksResult:
     idempotents: list
     method: str
     details: dict
+    residual: float  # worst |e e - e| over the idempotents; 0.0 when exact
 
 
-def recognize_blocks(A: StructAlgebra, seed: int = 0) -> BlocksResult:
+def recognize_blocks(A: StructAlgebra, seed: int = 0, *,
+                     force_float: bool = False) -> BlocksResult:
     """Artin-Wedderburn block sizes with explicit central idempotents.
 
     Semisimplicity is detected (trace-form nondegeneracy of the regular
     representation), never assumed.  Exact splitting is attempted for
-    dim <= 9 and falls back to the float backend above that.
+    dim <= 9 unless ``force_float``; above that, or when forced, the
+    structure constants are converted to complex128 and split numerically.
     """
-    if A.backend == "exact" and A.dim > 9:
-        return recognize_blocks(A.to_float(), seed=seed)
-    if A.backend == "exact":
-        return _recognize_exact(A, seed)
-    return _recognize_float(A, seed)
+    if force_float or A.dim > 9:
+        return _recognize_float(A, seed)
+    return _recognize_exact(A, seed)
 
 
 def _regular_trace_form_exact(A: StructAlgebra):
@@ -696,7 +586,7 @@ def _recognize_exact(A: StructAlgebra, seed: int) -> BlocksResult:
         if root * root != n:
             raise NonSquareBlock(f"simple algebra of non-square dimension {n}")
         e = A.unit
-        return BlocksResult((root,), [e], "exact", {"center_dim": 1})
+        return BlocksResult((root,), [e], "exact", {"center_dim": 1}, 0.0)
     idems = _split_center_exact(A, cen, seed)
     sizes = []
     for e in idems:
@@ -707,7 +597,7 @@ def _recognize_exact(A: StructAlgebra, seed: int) -> BlocksResult:
             raise NonSquareBlock(f"block of non-square dimension {d}")
         sizes.append(root)
     return BlocksResult(tuple(sorted(sizes)), idems, "exact",
-                        {"center_dim": len(cen)})
+                        {"center_dim": len(cen)}, 0.0)
 
 
 def _split_center_exact(A: StructAlgebra, cen, seed: int):
@@ -902,15 +792,18 @@ def _deflate(coeffs, root: Fraction):
 
 
 def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
-    if A.backend == "exact":
-        A = A.to_float()
     n = A.dim
-    t = np.einsum("kll->k", A.sc)
-    form = np.einsum("ijk,k->ij", A.sc, t)
+    sc = np.zeros((n, n, n), dtype=np.complex128)  # sc[i, j, k]: b_k in b_i b_j
+    for (i, j), terms in A.mul.items():
+        for k, c in terms:
+            sc[i, j, k] = c.to_complex()
+    unit = np.array([c.to_complex() for c in A.unit])
+    t = np.einsum("kll->k", sc)
+    form = np.einsum("ijk,k->ij", sc, t)
     sv = np.linalg.svd(form, compute_uv=False)
     if sv.size and sv[-1] <= 1e-6 * max(sv[0], 1.0):
         raise NotSemisimple("trace form of the regular representation is degenerate")
-    cen = center(A)
+    cen = _center_float(sc)
     m = len(cen)
     if m == 0:
         raise RecognitionError("empty center")
@@ -923,10 +816,10 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
     for coeffs in coeff_sets:
         z = sum(c * v for c, v in zip(coeffs, cen))
         try:
-            idems = _idempotents_from_generic_float(A, cen, z)
+            idems, resid = _idempotents_from_generic_float(sc, unit, cen, z)
             sizes = []
             for e in idems:
-                rows = A.left_mult_rows(e)
+                rows = np.einsum("i,ijk->kj", e, sc)
                 svr = np.linalg.svd(rows, compute_uv=False)
                 d = int(np.sum(svr > 1e-6 * max(float(svr[0]), 1.0)))
                 root = math.isqrt(d)
@@ -934,20 +827,42 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
                     raise NonSquareBlock(f"block of non-square dimension {d}")
                 sizes.append(root)
             return BlocksResult(tuple(sorted(sizes)), idems, "float",
-                                {"center_dim": m})
+                                {"center_dim": m}, resid)
         except (RecognitionError, NonSquareBlock) as exc:
             # A non-square rank means this element merged blocks: a failed split.
             last_err = exc
     raise RecognitionError(f"float center splitting failed: {last_err}")
 
 
-def _idempotents_from_generic_float(A: StructAlgebra, cen, z):
+def _center_float(sc):
+    """Center basis as the SVD nullspace of the stacked commutator system:
+    rows indexed by (i, k), columns by j, entries sc[j,i,k] - sc[i,j,k]."""
+    n = sc.shape[0]
+    rows = np.zeros((n * n, n), dtype=np.complex128)
+    for i in range(n):
+        rows[i * n:(i + 1) * n, :] = sc[:, i, :].T - sc[i, :, :].T
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    tol = _FLOAT_EPS * max(rows.shape) * max(float(s[0]) if s.size else 1.0, 1.0)
+    null_dim = int(np.sum(s <= tol))
+    if s.size < n:
+        null_dim += n - s.size
+    basis = vh.conj()[n - null_dim:, :] if null_dim else np.zeros((0, n))
+    return [basis[i] for i in range(null_dim)]
+
+
+def _idempotents_from_generic_float(sc, unit, cen, z):
+    """Idempotents from the spectral projections of z, with the worst
+    |e e - e| among them."""
+
+    def mul(u, v):
+        return np.einsum("i,j,ijk->k", u, v, sc)
+
     m = len(cen)
     cen_mat = np.array(cen).T  # dim x m
     pinv = np.linalg.pinv(cen_mat)
     cols = []
     for j in range(m):
-        prod = A.mul_vec(z, cen[j])
+        prod = mul(z, cen[j])
         cols.append(pinv @ prod)
     Mz = np.array(cols).T
     lam, _ = np.linalg.eig(Mz)
@@ -959,19 +874,20 @@ def _idempotents_from_generic_float(A: StructAlgebra, cen, z):
     if len(distinct) != m:
         raise RecognitionError("eigenvalue collision for generic central element")
     idems = []
-    unit = A.unit
+    worst = 0.0
     for w in distinct:
         e = unit
         for u in distinct:
             if u == w:
                 continue
             shifted = z - u * unit
-            e = A.mul_vec(e, shifted) / (w - u)
-        resid = float(np.max(np.abs(A.mul_vec(e, e) - e)))
+            e = mul(e, shifted) / (w - u)
+        resid = float(np.max(np.abs(mul(e, e) - e)))
         if resid > 1e-6 * max(1.0, float(np.max(np.abs(e))) ** 2):
             raise RecognitionError(f"idempotent residual too large: {resid}")
+        worst = max(worst, resid)
         idems.append(e)
     total = sum(idems)
     if float(np.max(np.abs(total - unit))) > 1e-6:
         raise RecognitionError("idempotents do not sum to the unit")
-    return idems
+    return idems, worst

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "Cyclotomic",
-    "Scalar",
     "FloatConfig",
     "DEFAULT_FLOAT_CONFIG",
     "Mat",
@@ -505,11 +504,6 @@ def _sqrt_prime(p: int) -> Cyclotomic:
     return g * root_of_unity(4, 3)
 
 
-#: A scalar is either exact (Cyclotomic) or a float-backend complex number;
-#: float equality always means agreement within the ambient tolerance.
-Scalar = Cyclotomic | complex
-
-
 @dataclass(frozen=True)
 class FloatConfig:
     """Ambient tolerance for all float-backend predicates."""
@@ -694,8 +688,6 @@ class Mat:
         a, b = self._promote_pair(other)
         coef = _bilinear(a.order, a.coef, b.coef, _planes_matmul, a.cols)
         return Mat._new_exact(self.rows, other.cols, a.order, coef, a.den * b.den)
-
-    mul = __matmul__
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_backend(other)

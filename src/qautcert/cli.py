@@ -2,8 +2,10 @@
 deterministic JSON certificates (timings quarantined in their own section),
 render Markdown reports, and diff certificates structurally.
 
-Exit codes: 0 all selected suites passed, 1 at least one suite failed,
-2 malformed configuration.
+Exit codes of ``run``: 0 all selected suites passed, 1 at least one suite
+failed, 2 malformed configuration.  Exit codes of ``diff``: 0 identical,
+1 the certificates differ, 2 a file is missing or is not a certificate, or
+the tool versions differ.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from . import __version__
@@ -327,7 +330,8 @@ def run(cfg: SuiteConfig) -> dict:
         try:
             results[name] = _SUITES[name](cfg)
         except Exception as exc:  # suite crashes are certificate failures
-            results[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+            results[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}",
+                             "where": _crash_site(exc)}
         timings[name] = round(time.perf_counter() - t0, 6)
     passed = all(results[name].get("passed", False) for name in selected)
     cert = {
@@ -352,6 +356,15 @@ def run(cfg: SuiteConfig) -> dict:
         "timings": timings,
     }
     return cert
+
+
+def _crash_site(exc: BaseException) -> str:
+    """``<module>.py:<line>`` of the innermost traceback frame inside this
+    package."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    frames = [f for f in traceback.extract_tb(exc.__traceback__)
+              if os.path.dirname(os.path.abspath(f.filename)) == package]
+    return f"{os.path.basename(frames[-1].filename)}:{frames[-1].lineno}"
 
 
 def certificate_json(cert: dict) -> str:
@@ -411,6 +424,17 @@ def diff(cert_a: dict, cert_b: dict) -> str:
 # ---------------------------------------------------------------------------
 # argument handling
 
+def _load_certificate(path: str) -> dict:
+    with open(path) as fh:
+        try:
+            cert = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(cert, dict) or not isinstance(cert.get("tool", {}), dict):
+        raise ValueError(f"{path}: not a certificate object")
+    return cert
+
+
 def _env_default(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
@@ -444,11 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "diff":
-        with open(args.cert_a) as fa, open(args.cert_b) as fb:
-            a, b = json.load(fa), json.load(fb)
         try:
-            delta = diff(a, b)
-        except VersionMismatch as exc:
+            delta = diff(_load_certificate(args.cert_a), _load_certificate(args.cert_b))
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if delta:

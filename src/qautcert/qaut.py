@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import BlockSpec, multimatrix
+from .algebra import BlockSpec, column_sparse, multimatrix, sparse_eq
 from .arith import Cyclotomic, Mat, root_of_unity, span_rank_sparse
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
 from .pauli import BlockEmbedding, weyl_basis
@@ -433,34 +433,11 @@ def theta_block_swap(spec: BlockSpec, r1: int, r2: int):
 def classical_assignment_aut(spec: BlockSpec, theta) -> GeneratorAssignment:
     """Scalar q-assignment reading the coefficients of a verified unital
     *-automorphism of B that preserves the Plancherel trace."""
-    B = multimatrix(spec)
-    N = spec.N
-    cols = [[theta[k][i] for k in range(N)] for i in range(N)]
-    # unital
-    img_unit = [Cyclotomic.zero() for _ in range(N)]
-    for i, c in enumerate(B.unit):
-        if c.is_zero():
-            continue
-        for k in range(N):
-            img_unit[k] = img_unit[k] + c * theta[k][i]
-    if any(a != b for a, b in zip(img_unit, B.unit)):
-        raise NotAutomorphismB("theta is not unital")
-    # multiplicative and *-compatible on basis
-    for i in range(N):
-        for j in range(N):
-            prod = B.mul_vec(B.basis_vector(i), B.basis_vector(j))
-            lhs = _apply_theta(theta, prod, N)
-            rhs = B.mul_vec(cols[i], cols[j])
-            if any(a != b for a, b in zip(lhs, rhs)):
-                raise NotAutomorphismB("theta is not multiplicative")
-    for i in range(N):
-        lhs = _apply_theta(theta, B.invol_vec(B.basis_vector(i)), N)
-        rhs = B.invol_vec(cols[i])
-        if any(a != b for a, b in zip(lhs, rhs)):
-            raise NotAutomorphismB("theta is not *-compatible")
-    for i in range(N):
-        if B.trace_of(cols[i]) != B.trace[i]:
-            raise NotTracePreserving("theta does not preserve the Plancherel trace")
+    failure = multimatrix(spec).automorphism_failure(column_sparse(theta))
+    if failure == "trace-preserving":
+        raise NotTracePreserving("theta does not preserve the Plancherel trace")
+    if failure:
+        raise NotAutomorphismB(f"theta is not {failure}")
     index = _unit_index(spec)
     pres = QautPresentation(spec)
     values = {}
@@ -468,18 +445,6 @@ def classical_assignment_aut(spec: BlockSpec, theta) -> GeneratorAssignment:
         _, s, r, i, j, k, l = sym
         values[sym] = Mat.scalar(theta[index[(r, k, l)]][index[(s, i, j)]])
     return GeneratorAssignment(pres, values)
-
-
-def _apply_theta(theta, vec, N):
-    out = [Cyclotomic.zero() for _ in range(N)]
-    for i, a in enumerate(vec):
-        if a.is_zero():
-            continue
-        for k in range(N):
-            c = theta[k][i]
-            if not c.is_zero():
-                out[k] = out[k] + a * c
-    return out
 
 
 def classical_theta_battery(spec: BlockSpec, count: int, seed: int):
@@ -811,7 +776,7 @@ def rearranged_Q_check(spec: BlockSpec, backend: str = "exact",
                                 worst = max(worst, resid)
                                 bad = resid > tol
                             else:
-                                bad = not _sparse_dict_eq(shuffled, rhs)
+                                bad = not sparse_eq(shuffled, rhs)
                             if bad:
                                 return {"passed": False, "failed_word": str(sym),
                                         "partition": list(sizes)}
@@ -855,21 +820,6 @@ def _sparse_dict_residual(a: dict, b: dict) -> float:
         worst = max(worst, abs(Cyclotomic._coerce(va).to_complex()
                                - Cyclotomic._coerce(vb).to_complex()))
     return worst
-
-
-def _sparse_dict_eq(a: dict, b: dict) -> bool:
-    for key in set(a) | set(b):
-        va = a.get(key)
-        vb = b.get(key)
-        if va is None:
-            if not (isinstance(vb, Cyclotomic) and vb.is_zero()):
-                return False
-        elif vb is None:
-            if not (isinstance(va, Cyclotomic) and va.is_zero()):
-                return False
-        elif Cyclotomic._coerce(va) != Cyclotomic._coerce(vb):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

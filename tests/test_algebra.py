@@ -69,32 +69,39 @@ def test_delta_form_equals_dimension():
 
 
 def brute_force_mmstar(A, psi):
-    # independent float oracle: m m* with explicit Gram matrices
+    # independent float oracle: m m* with explicit Gram matrices, built from
+    # numpy tensors of the structure constants
     n = A.dim
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        star = A.invol_vec(np.eye(n)[i])
-        for j in range(n):
-            gram[i, j] = np.dot(psi, A.mul_vec(star, np.eye(n)[j]))
-    M = A.sc.reshape(n * n, n).T
+    sc = np.zeros((n, n, n), dtype=complex)
+    for (i, j), terms in A.mul.items():
+        for k, c in terms:
+            sc[i, j, k] = c.to_complex()
+    star = np.zeros((n, n), dtype=complex)
+    for i, terms in enumerate(A.invol):
+        for k, c in terms:
+            star[i, k] = c.to_complex()
+    psi = np.array([p.to_complex() for p in psi])
+    gram = np.einsum("ip,pjk,k->ij", star, sc, psi)
+    M = sc.reshape(n * n, n).T
     return M @ np.kron(np.linalg.inv(gram), np.linalg.inv(gram)) @ M.conj().T @ gram
 
 
 def test_single_block_perturbed_state_is_still_a_delta_form():
     # a faithful state Tr(Q .) on one full matrix block always satisfies
     # m m* = Tr(Q^-1) id; the perturbation changes the constant, not scalarity
-    A = multimatrix(BlockSpec((2,))).to_float()
-    psi = np.array([0.75, 0.0, 0.0, 0.25], dtype=complex)
+    A = multimatrix(BlockSpec((2,)))
+    psi = [Cyclotomic.rational(q) for q in (Fraction(3, 4), 0, 0, Fraction(1, 4))]
     mm = brute_force_mmstar(A, psi)
     assert np.max(np.abs(mm - mm[0, 0] * np.eye(4))) < 1e-9
     c = delta_form_check(A, psi)
-    assert abs(c - (4 / 3 + 4)) < 1e-9  # Tr(Q^-1), != dim B
+    assert c == Cyclotomic.rational(Fraction(16, 3))  # Tr(Q^-1) = 4/3 + 4, != dim B
+    assert abs(mm[0, 0] - 16 / 3) < 1e-9
 
 
 def test_perturbed_state_across_blocks_is_not_delta_form():
     # unequal per-block constants break scalarity: C + C with weights 3/4, 1/4
-    A = function_algebra(2, backend="float")
-    psi = np.array([0.75, 0.25], dtype=complex)
+    A = function_algebra(2)
+    psi = [Cyclotomic.rational(Fraction(3, 4)), Cyclotomic.rational(Fraction(1, 4))]
     mm = brute_force_mmstar(A, psi)
     off = mm - mm[0, 0] * np.eye(2)
     assert np.max(np.abs(off)) > 1e-3  # oracle sees a non-scalar output
@@ -110,6 +117,16 @@ def test_center_dimensions():
 
 def test_recognize_literal_multimatrix():
     assert recognize_blocks(multimatrix(BlockSpec((2, 2)))).sizes == (2, 2)
+
+
+def test_recognizer_residual_exact_and_forced_float():
+    A = multimatrix(BlockSpec((2, 1)))
+    exact = recognize_blocks(A)
+    assert exact.method == "exact" and exact.residual == 0.0
+    res = recognize_blocks(A, force_float=True)
+    assert res.method == "float"
+    assert res.sizes == (1, 2)
+    assert 0.0 <= res.residual <= 1e-9
 
 
 def test_recognize_abelian_function_algebra():
@@ -159,7 +176,7 @@ def test_not_semisimple_detected():
     one = Cyclotomic.one()
     mul = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)}
     invol = [((0, one),), ((1, one),)]
-    alg = StructAlgebra(2, ["1", "x"], "exact", mul=mul, invol=invol,
+    alg = StructAlgebra(2, ["1", "x"], mul=mul, invol=invol,
                         unit=[one, Cyclotomic.zero()],
                         trace=[one, Cyclotomic.zero()])
     with pytest.raises(NotSemisimple):
@@ -173,7 +190,7 @@ def test_axiom_violation_caught_at_construction():
            (1, 1): ((1, one),)}
     invol = [((0, one),), ((1, one),)]
     with pytest.raises(AxiomViolation):
-        StructAlgebra(2, ["a", "b"], "exact", mul=mul, invol=invol,
+        StructAlgebra(2, ["a", "b"], mul=mul, invol=invol,
                       unit=[one, Cyclotomic.zero()],
                       trace=[one, Cyclotomic.zero()])
 

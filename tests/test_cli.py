@@ -16,6 +16,7 @@ from qautcert.cli import (
 
 
 SMALL = ("ueb", "twist", "pvm", "haar")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def small_config(**overrides):
@@ -175,3 +176,53 @@ def test_cli_diff_nonidentical_exits_1(tmp_path):
     assert main(["run", "--partition", "2", "--suites", "homs", "--seed", "2",
                  "--out", str(b)]) == 0
     assert main(["diff", str(a), str(b)]) == 1
+
+
+def test_cli_diff_missing_file_exits_2(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    assert main(["run", "--partition", "2", "--suites", "ueb", "--out", str(a)]) == 0
+    capsys.readouterr()
+    assert main(["diff", str(a), str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_diff_malformed_file_exits_2(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    assert main(["run", "--partition", "2", "--suites", "ueb", "--out", str(a)]) == 0
+    for text in ('{"schema": 1,', "[1, 2]", '{"tool": "qautcert"}'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["diff", str(bad), str(a)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_crashed_fragment_records_where(monkeypatch):
+    import re
+
+    import qautcert.qaut
+
+    def broken(spec):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(qautcert.qaut, "pi_map", broken)
+    cert = run(SuiteConfig(partition=(2,), suites=("haar",)))
+    frag = cert["suites"]["haar"]
+    assert not frag["passed"]
+    assert frag["error"] == "RuntimeError: injected"
+    assert re.match(r"^qaut\.py:\d+$", frag["where"]), frag["where"]
+
+
+@pytest.mark.parametrize("partition", [(2, 1), (1, 1, 1, 1), (2, 1, 1)])
+def test_exact_certificate_matches_golden(partition):
+    tag = "_".join(str(n) for n in partition)
+    with open(os.path.join(GOLDEN, f"cert_{tag}_exact.json")) as fh:
+        golden = json.load(fh)
+    tol = golden["config"]["tol"]
+    # only float-recognizer residuals of tt may move, with the LAPACK build
+    for line in diff(golden, run(SuiteConfig(partition=partition))).splitlines():
+        path, values = line.split(": ", 1)
+        assert path.endswith(".worst_residual"), line
+        assert max(float(v) for v in values.split(" != ")) <= tol, line
