@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Cyclotomic, kernel_exact, rank_exact, rref_exact
+from .arith import Cyclotomic, accumulate, echelon
 
 __all__ = [
     "BlockSpec",
@@ -110,7 +110,7 @@ class StructAlgebra:
     scalar lists.  The sparse element operations take elements as iterables
     of (k, coefficient) pairs (a dict's ``items()``, or the tuples of ``mul``,
     ``invol`` and column maps) and return dicts {k: coefficient} without
-    zeros; the dense methods on coordinate lists wrap them.
+    zeros.
     """
 
     def __init__(self, dim, labels, *, mul, invol, unit, trace, tracial=True,
@@ -132,7 +132,7 @@ class StructAlgebra:
         out: dict = {}
         for i, a in u:
             for j, b in v:
-                _accumulate(out, a * b, self.mul.get((i, j), ()))
+                accumulate(out, a * b, self.mul.get((i, j), ()))
         return out
 
     def _mul_sparse(self, terms, other: int, right: bool) -> dict:
@@ -142,13 +142,13 @@ class StructAlgebra:
         out: dict = {}
         mul = self.mul
         for k1, c1 in terms:
-            _accumulate(out, c1, mul.get((k1, other) if right else (other, k1), ()))
+            accumulate(out, c1, mul.get((k1, other) if right else (other, k1), ()))
         return out
 
     def invol_sparse(self, terms) -> dict:
         out: dict = {}
         for i, a in terms:
-            _accumulate(out, a.conjugate(), self.invol[i])
+            accumulate(out, a.conjugate(), self.invol[i])
         return out
 
     def trace_sparse(self, terms):
@@ -156,32 +156,6 @@ class StructAlgebra:
         for k, a in terms:
             out = out + a * self.trace[k]
         return out
-
-    def dense(self, vec: dict) -> list:
-        out = [Cyclotomic.zero()] * self.dim
-        for k, a in vec.items():
-            out[k] = a
-        return out
-
-    def mul_vec(self, u, v):
-        return self.dense(self.mul_sparse(sparse_vector(u).items(),
-                                          sparse_vector(v).items()))
-
-    def invol_vec(self, v):
-        return self.dense(self.invol_sparse(sparse_vector(v).items()))
-
-    def trace_of(self, v):
-        return self.trace_sparse(sparse_vector(v).items())
-
-    def left_mult_rows(self, v):
-        """Matrix of left multiplication by the vector v, as rows over k."""
-        cols = [self.mul_vec(v, self.basis_vector(j)) for j in range(self.dim)]
-        return [list(row) for row in zip(*cols)]
-
-    def basis_vector(self, i: int):
-        v = [Cyclotomic.zero()] * self.dim
-        v[i] = Cyclotomic.one()
-        return v
 
     # -- verification ---------------------------------------------------------
     def verify_axioms(self, seed=0):
@@ -291,18 +265,6 @@ class StructAlgebra:
         return cls(dim, labels, mul=mul, invol=invol, unit=unit, trace=trace)
 
 
-def _accumulate(out: dict, a, terms):
-    """out += a * (sum of c b_k over the (k, c) pairs of terms), dropping
-    coordinates that cancel."""
-    for k, c in terms:
-        cur = out.get(k)
-        new = a * c if cur is None else cur + a * c
-        if new.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = new
-
-
 def sparse_vector(vec) -> dict:
     """The nonzero coordinates of a dense vector, as {k: Cyclotomic}."""
     out = {}
@@ -329,7 +291,7 @@ def apply_columns(cols, terms) -> dict:
     """Image of a sparse element under a linear map in column-sparse form."""
     out: dict = {}
     for i, a in terms:
-        _accumulate(out, a, cols[i])
+        accumulate(out, a, cols[i])
     return out
 
 
@@ -417,120 +379,93 @@ def delta_form_check(A: StructAlgebra, psi=None):
     """
     psi = psi if psi is not None else A.trace
     n = A.dim
-    gram = [[Cyclotomic.zero() for _ in range(n)] for _ in range(n)]
+    one = Cyclotomic.one()
+    zero = Cyclotomic.zero()
+    gram = []  # gram[i][j] = psi(b_i* b_j), as sparse rows
     for i in range(n):
-        bi_star = A.invol_vec(A.basis_vector(i))
+        row = {}
         for j in range(n):
-            prod = A.mul_vec(bi_star, A.basis_vector(j))
-            out = Cyclotomic.zero()
-            for a, t in zip(prod, psi):
-                out = out + a * t
-            gram[i][j] = out
-    _check_positive_definite_exact(gram)
-    ginv = _invert_exact(gram)
+            val = zero
+            for k, a in A.mul_sparse(A.invol[i], ((j, one),)).items():
+                val = val + a * psi[k]
+            if not val.is_zero():
+                row[j] = val
+        gram.append(row)
+    ginv = _positive_definite_inverse(gram)
     # m m* = M (G^-1 x G^-1) M^dagger G with M the multiplication matrix
     # M[l,(i,j)] = c^l_{ij}; the Kronecker inverse is folded directly through
     # the sparse structure constants.
-    comp = [[Cyclotomic.zero() for _ in range(n)] for _ in range(n)]
+    comp = [{} for _ in range(n)]
     for (i, j), terms in A.mul.items():
         for (p, q), terms2 in A.mul.items():
-            w = ginv[i][p] * ginv[j][q]
-            if w.is_zero():
+            if p not in ginv[i] or q not in ginv[j]:
                 continue
-            for k2, c2 in terms2:
-                c2c = c2.conjugate()
-                for l, c1 in terms:
-                    comp[l][k2] = comp[l][k2] + c1 * w * c2c
-    mmstar = [[Cyclotomic.zero() for _ in range(n)] for _ in range(n)]
-    for l in range(n):
-        for k in range(n):
-            acc = Cyclotomic.zero()
-            for k2 in range(n):
-                acc = acc + comp[l][k2] * gram[k2][k]
-            mmstar[l][k] = acc
-    c = mmstar[0][0]
-    for l in range(n):
-        for k in range(n):
-            expect = c if l == k else Cyclotomic.zero()
-            if mmstar[l][k] != expect:
-                raise NotDeltaForm("m m* is not a scalar multiple of the identity")
+            w = ginv[i][p] * ginv[j][q]
+            conj2 = tuple((k2, c2.conjugate()) for k2, c2 in terms2)
+            for l, c1 in terms:
+                accumulate(comp[l], c1 * w, conj2)
+    mmstar = []
+    for row in comp:
+        out: dict = {}
+        for k2, a in row.items():
+            accumulate(out, a, gram[k2].items())
+        mmstar.append(out)
+    c = mmstar[0].get(0, zero)
+    for l, row in enumerate(mmstar):
+        if not sparse_eq(row, {l: c}):
+            raise NotDeltaForm("m m* is not a scalar multiple of the identity")
     return c
 
 
-def _check_positive_definite_exact(gram):
-    # Positivity via leading principal minors; the exact path requires the
-    # minors to come out rational (true for every Gram matrix in scope).
+def _positive_definite_inverse(gram):
+    """Inverse of a Hermitian matrix given as sparse rows, raising
+    NotFaithful unless it is positive definite.  One in-order elimination of
+    [G | I]: its k-th pivot is the ratio of the k-th and (k-1)-th leading
+    minors, so Sylvester's criterion reads off the pivots.  The exact path
+    requires the minors to come out rational (true for every Gram matrix in
+    scope)."""
     n = len(gram)
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j].conjugate() != gram[j][i]:
+    zero = Cyclotomic.zero()
+    for i, row in enumerate(gram):
+        for j, c in row.items():
+            if c.conjugate() != gram[j].get(i, zero):
                 raise NotFaithful("Gram matrix is not Hermitian")
-    for k in range(1, n + 1):
-        sub = [[gram[i][j] for j in range(k)] for i in range(k)]
-        det = _det_exact(sub)
-        if not det.is_rational():
-            raise NotFaithful("Gram minors are not totally real")
-        if det.as_fraction() <= 0:
+    one = Cyclotomic.one()
+    rref, leads = echelon({**row, n + i: one} for i, row in enumerate(gram))
+    for k, lead in enumerate(leads):
+        if lead is None or lead[0] != k:  # minor_k = 0
             raise NotFaithful("Gram matrix singular or not positive definite")
+        if not lead[1].is_rational():
+            raise NotFaithful("Gram minors are not totally real")
+        if lead[1].as_fraction() <= 0:
+            raise NotFaithful("Gram matrix singular or not positive definite")
+    return [{j - n: c for j, c in rref[i].items() if j >= n} for i in range(n)]
 
 
-def _det_exact(rows):
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    det = Cyclotomic.one()
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if not mat[r][c].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return Cyclotomic.zero()
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det = det * mat[c][c]
-        inv = mat[c][c].inverse()
-        for r in range(c + 1, n):
-            f = mat[r][c] * inv
-            if not f.is_zero():
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
-    return det
-
-
-def _invert_exact(rows):
-    n = len(rows)
-    aug = [[rows[i][j] for j in range(n)] +
-           [Cyclotomic.one() if j == i else Cyclotomic.zero() for j in range(n)]
-           for i in range(n)]
-    rref, pivots = rref_exact(aug)
-    if pivots != list(range(n)):
-        raise NotFaithful("matrix is singular")
-    return [[rref[i][n + j] for j in range(n)] for i in range(n)]
+def _kernel(rows, ncols: int) -> list:
+    """Basis of the right kernel of sparse rows, one vector per free column
+    in ascending order, read off the reduced row echelon form."""
+    rref, _ = echelon(rows)
+    one = Cyclotomic.one()
+    basis = []
+    for f in range(ncols):
+        if f not in rref:
+            vec = {f: one}
+            vec.update((p, -row[f]) for p, row in rref.items() if f in row)
+            basis.append(vec)
+    return basis
 
 
 def center(A: StructAlgebra):
-    """Basis of the center, by solving [x, b_i] = 0 for all i."""
-    n = A.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            row = [Cyclotomic.zero() for _ in range(n)]
-            nz = False
-            for j in range(n):
-                coeff = Cyclotomic.zero()
-                for kk, c in A.mul.get((j, i), ()):
-                    if kk == k:
-                        coeff = coeff + c
-                for kk, c in A.mul.get((i, j), ()):
-                    if kk == k:
-                        coeff = coeff - c
-                if not coeff.is_zero():
-                    row[j] = coeff
-                    nz = True
-            if nz:
-                rows.append(row)
-    return kernel_exact(rows, n)
+    """Basis of the center, by solving [x, b_i] = 0 for all i: the row
+    (i, k) holds the b_k-coefficients of x b_i - b_i x."""
+    one = Cyclotomic.one()
+    rows: dict = {}
+    for (a, b), terms in A.mul.items():
+        for k, c in terms:
+            accumulate(rows.setdefault((b, k), {}), c, ((a, one),))
+            accumulate(rows.setdefault((a, k), {}), -c, ((b, one),))
+    return _kernel(rows.values(), A.dim)
 
 
 @dataclass
@@ -557,41 +492,42 @@ def recognize_blocks(A: StructAlgebra, seed: int = 0, *,
 
 
 def _regular_trace_form_exact(A: StructAlgebra):
-    n = A.dim
-    t = [Cyclotomic.zero() for _ in range(n)]
-    for k in range(n):
-        acc = Cyclotomic.zero()
-        for l in range(n):
-            for kk, c in A.mul.get((k, l), ()):
-                if kk == l:
-                    acc = acc + c
-        t[k] = acc
-    form = [[Cyclotomic.zero() for _ in range(n)] for _ in range(n)]
+    """Sparse rows of Tr(L_(b_i b_j)), the trace form of the regular
+    representation."""
+    one = Cyclotomic.one()
+    t: dict = {}  # t[k] = Tr(L_(b_k))
+    for (k, l), terms in A.mul.items():
+        for kk, c in terms:
+            if kk == l:
+                accumulate(t, c, ((k, one),))
+    form = [{} for _ in range(A.dim)]
     for (i, j), terms in A.mul.items():
         acc = Cyclotomic.zero()
         for k, c in terms:
-            acc = acc + c * t[k]
-        form[i][j] = acc
+            if k in t:
+                acc = acc + c * t[k]
+        if not acc.is_zero():
+            form[i][j] = acc
     return form
 
 
 def _recognize_exact(A: StructAlgebra, seed: int) -> BlocksResult:
     n = A.dim
-    form = _regular_trace_form_exact(A)
-    if rank_exact(form) < n:
+    if len(echelon(_regular_trace_form_exact(A))[0]) < n:
         raise NotSemisimple("trace form of the regular representation is degenerate")
     cen = center(A)
     if len(cen) == 1:
         root = math.isqrt(n)
         if root * root != n:
             raise NonSquareBlock(f"simple algebra of non-square dimension {n}")
-        e = A.unit
-        return BlocksResult((root,), [e], "exact", {"center_dim": 1}, 0.0)
+        return BlocksResult((root,), [sparse_vector(A.unit)], "exact",
+                            {"center_dim": 1}, 0.0)
     idems = _split_center_exact(A, cen, seed)
+    one = Cyclotomic.one()
     sizes = []
     for e in idems:
-        rows = A.left_mult_rows(e)
-        d = rank_exact(rows)
+        # rank of left multiplication by e, from its columns e b_j
+        d = len(echelon(A.mul_sparse(e.items(), ((j, one),)) for j in range(n))[0])
         root = math.isqrt(d)
         if root * root != d:
             raise NonSquareBlock(f"block of non-square dimension {d}")
@@ -608,10 +544,9 @@ def _split_center_exact(A: StructAlgebra, cen, seed: int):
         attempts.append([Fraction(rng.randrange(1, 100)) for _ in range(m)])
     last = None
     for coeffs in attempts:
-        z = [Cyclotomic.zero() for _ in range(A.dim)]
+        z: dict = {}
         for c, vec in zip(coeffs, cen):
-            for i in range(A.dim):
-                z[i] = z[i] + c * vec[i]
+            accumulate(z, c, vec.items())
         try:
             return _idempotents_from_generic_exact(A, cen, z)
         except RecognitionError as exc:
@@ -622,114 +557,92 @@ def _split_center_exact(A: StructAlgebra, cen, seed: int):
 
 def _idempotents_from_generic_exact(A: StructAlgebra, cen, z):
     m = len(cen)
-    # Coordinates of center elements in the center basis: solve via rref.
-    cen_rows = [[cen[j][i] for j in range(m)] for i in range(A.dim)]
+    cen_rows = [{} for _ in range(A.dim)]  # the center basis as columns
+    for j, vec in enumerate(cen):
+        for i, a in vec.items():
+            cen_rows[i][j] = a
 
     def to_center_coords(vec):
-        aug = [row + [vec[i]] for i, row in enumerate(cen_rows)]
-        rref, pivots = rref_exact(aug)
-        coords = [Cyclotomic.zero() for _ in range(m)]
-        for r, p in zip(rref, pivots):
-            if p < m:
-                coords[p] = r[m]
-            elif not r[m].is_zero():
-                raise RecognitionError("element does not lie in the center")
-        return coords
+        """Coordinates in the center basis, as a sparse column: the
+        echelon form of [cen | vec] has a pivot at m iff vec is not in the
+        span."""
+        rref, _ = echelon({**row, m: vec[i]} if i in vec else row
+                          for i, row in enumerate(cen_rows))
+        if m in rref:
+            raise RecognitionError("element does not lie in the center")
+        return tuple((p, row[m]) for p, row in rref.items() if m in row)
 
-    # Matrix of multiplication by z on the center.
-    cols = []
-    for j in range(m):
-        prod = A.mul_vec(z, cen[j])
-        cols.append(to_center_coords(prod))
-    Mz = [[cols[j][i] for j in range(m)] for i in range(m)]
+    # Multiplication by z on the center, column-sparse.
+    Mz = [to_center_coords(A.mul_sparse(z.items(), vec.items())) for vec in cen]
     minpoly = _min_poly_exact(Mz)
     roots = _rational_roots(minpoly)
-    if len(roots) != len(minpoly) - 1 or len(set(roots)) != len(roots):
+    if len(roots) != max(minpoly) or len(set(roots)) != len(roots):
         raise RecognitionError("eigenvalue collision or non-rational spectrum")
     if len(roots) != m:
         raise RecognitionError("generic element does not separate the center")
+    unit = sparse_vector(A.unit)
+    shifted = {}  # z - mu 1
+    for mu in roots:
+        shifted[mu] = dict(z)
+        accumulate(shifted[mu], -mu, unit.items())
     idems = []
     for lam in roots:
-        e = A.unit
+        e = unit
         scale = Fraction(1)
         for mu in roots:
             if mu == lam:
                 continue
-            e = A.mul_vec(e, _shift(A, z, mu))
+            e = A.mul_sparse(e.items(), shifted[mu].items())
             scale *= lam - mu
         inv = Cyclotomic.rational(Fraction(1) / scale)
-        e = [inv * x for x in e]
-        idems.append(e)
-    _verify_idempotents_exact(A, idems)
+        idems.append({k: inv * x for k, x in e.items()})
+    _verify_idempotents_exact(A, idems, unit)
     return idems
 
 
-def _shift(A: StructAlgebra, z, mu: Fraction):
-    return [zi - Cyclotomic.rational(mu) * ui for zi, ui in zip(z, A.unit)]
-
-
-def _verify_idempotents_exact(A: StructAlgebra, idems):
-    total = [Cyclotomic.zero() for _ in range(A.dim)]
+def _verify_idempotents_exact(A: StructAlgebra, idems, unit):
+    one = Cyclotomic.one()
+    total: dict = {}
     for e in idems:
-        sq = A.mul_vec(e, e)
-        if any(a != b for a, b in zip(sq, e)):
+        if not sparse_eq(A.mul_sparse(e.items(), e.items()), e):
             raise RecognitionError("candidate idempotent fails e^2 = e")
-        for i in range(A.dim):
-            total[i] = total[i] + e[i]
-    if any(a != b for a, b in zip(total, A.unit)):
+        accumulate(total, one, e.items())
+    if not sparse_eq(total, unit):
         raise RecognitionError("idempotents do not sum to the unit")
     for a in range(len(idems)):
         for b in range(a + 1, len(idems)):
-            prod = A.mul_vec(idems[a], idems[b])
-            if any(not x.is_zero() for x in prod):
+            if A.mul_sparse(idems[a].items(), idems[b].items()):
                 raise RecognitionError("idempotents are not orthogonal")
 
 
-def _min_poly_exact(Mz):
-    m = len(Mz)
-    # Grow powers of Mz until the flattened matrices become dependent.
-    powers = [_mat_identity(m)]
+def _min_poly_exact(cols):
+    """Monic minimal polynomial {degree: coefficient} of the matrix with
+    column-sparse form ``cols``: the first linear dependence among its
+    powers, which involves the newest power with coefficient 1."""
+    one = Cyclotomic.one()
+    powers = [tuple(((j, one),) for j in range(len(cols)))]
     while True:
-        powers.append(_mat_mul_exact(powers[-1], Mz))
-        k = len(powers) - 1
-        rows = [[powers[t][i][j] for t in range(k + 1)]
-                for i in range(m) for j in range(m)]
-        ker = kernel_exact(rows, k + 1)
+        powers.append(tuple(tuple(apply_columns(cols, col).items())
+                            for col in powers[-1]))
+        rows: dict = {}  # entry (i, j) of each power, by exponent
+        for t, power in enumerate(powers):
+            for j, col in enumerate(power):
+                for i, c in col:
+                    rows.setdefault((i, j), {})[t] = c
+        ker = _kernel(rows.values(), len(powers))
         if ker:
-            monic = [v for v in ker if not v[k].is_zero()]
-            assert monic, "dependence must involve the newest power"
-            v = monic[0]
-            inv = v[k].inverse()
-            return [x * inv for x in v]
-
-
-def _mat_identity(m):
-    return [[Cyclotomic.one() if i == j else Cyclotomic.zero() for j in range(m)]
-            for i in range(m)]
-
-
-def _mat_mul_exact(Am, Bm):
-    m = len(Am)
-    out = [[Cyclotomic.zero() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for k in range(m):
-            if Am[i][k].is_zero():
-                continue
-            for j in range(m):
-                if not Bm[k][j].is_zero():
-                    out[i][j] = out[i][j] + Am[i][k] * Bm[k][j]
-    return out
+            return ker[0]
 
 
 def _rational_roots(poly):
-    """All roots, with multiplicity, of a polynomial over the cyclotomic
-    field that is required to have rational coefficients and to split over
-    the rationals; raises RecognitionError otherwise."""
-    coeffs = []
-    for c in poly:
+    """All roots, with multiplicity, of a polynomial {degree: coefficient}
+    over the cyclotomic field that is required to have rational coefficients
+    and to split over the rationals; raises RecognitionError otherwise."""
+    coeffs = [Fraction(0)] * (max(poly) + 1)
+    for t, c in poly.items():
         if not c.is_rational():
             raise RecognitionError("minimal polynomial has non-rational coefficients")
-        coeffs.append(c.as_fraction())
+        coeffs[t] = c.as_fraction()
     den = 1
     for q in coeffs:
         den = den * q.denominator // math.gcd(den, q.denominator)

@@ -4,7 +4,9 @@ Scalars come in two flavours: :class:`Cyclotomic`, an exact element of the
 field Q(zeta_M) stored as the canonical residue modulo the M-th cyclotomic
 polynomial, and plain ``complex`` for the float backend.  :class:`Mat` wraps
 a dense matrix over either scalar kind behind one API; mixing backends in a
-single operation is rejected.
+single operation is rejected.  Outside :class:`Mat`, exact vectors and
+matrix rows are sparse dicts {index: Cyclotomic}; :func:`echelon` is their
+one Gaussian elimination.
 
 Canonical form reduces modulo Phi_M rather than x^M - 1, so exact equality
 of coefficient vectors decides equality of the represented complex numbers.
@@ -33,10 +35,8 @@ __all__ = [
     "euler_phi",
     "root_of_unity",
     "sqrt_int",
-    "rref_exact",
-    "kernel_exact",
-    "rank_exact",
-    "span_rank_sparse",
+    "accumulate",
+    "echelon",
 ]
 
 
@@ -840,8 +840,10 @@ class Mat:
             if sv.size == 0:
                 return 0
             return int(np.sum(sv > self.config.eps * max(self.rows, self.cols) * max(sv[0], 1.0)))
-        rows = [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-        return rank_exact(rows)
+        rows: dict = {}
+        for (i, j), c in self.sparse_entries().items():
+            rows.setdefault(i, {})[j] = c
+        return len(echelon(rows.values())[0])
 
     def entries(self):
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
@@ -863,76 +865,49 @@ def _float_residual(a: Mat, b: Mat) -> float:
     return float(np.max(np.abs(fa.data - fb.data), initial=0.0))
 
 
-# -- exact dense linear algebra over Cyclotomic scalars ----------------------
+# -- exact sparse linear algebra: vectors and rows are {index: Cyclotomic} ----
 
-def rref_exact(rows: list[list[Cyclotomic]]):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if not mat[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
+def accumulate(out: dict, a, terms):
+    """out += a * (sum of c e_k over the (k, c) pairs of terms), dropping
+    coordinates that cancel."""
+    for k, c in terms:
+        cur = out.get(k)
+        new = a * c if cur is None else cur + a * c
+        if new.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = new
+
+
+def echelon(rows):
+    """Gauss-Jordan elimination of sparse rows {column: Cyclotomic}.
+
+    Each row in turn is reduced by the pivot rows found before it; what is
+    left, if anything, becomes a pivot row at its smallest column, scaled to
+    1 there, and that column is cleared from the earlier pivot rows.
+    Returns ``(rref, leads)``: ``rref`` maps each pivot column to its row of
+    the reduced row echelon form (1 at the pivot, 0 at every other pivot
+    column), and ``leads[i]`` is the (column, entry) at which input row i
+    became a pivot, before scaling, or None when it depended on the rows
+    before it.  Taken in order, the leads of a square matrix whose leading
+    minors are nonzero are ``(k, minor_k / minor_(k-1))``.
+    """
+    rref: dict = {}
+    leads: list = []
+    for row in rows:
+        cur = {k: c for k, c in row.items() if not c.is_zero()}
+        # pivot rows are zero at each other's pivots: one pass clears them all
+        for p in [p for p in cur if p in rref]:
+            accumulate(cur, -cur[p], rref[p].items())
+        if not cur:
+            leads.append(None)
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def rank_exact(rows: list[list[Cyclotomic]]) -> int:
-    return len(rref_exact(rows)[0])
-
-
-def kernel_exact(rows: list[list[Cyclotomic]], ncols: int):
-    """Basis of the right kernel of the given row list."""
-    rref, pivots = rref_exact(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Cyclotomic.zero() for _ in range(ncols)]
-        vec[f] = Cyclotomic.one()
-        for i, p in enumerate(pivots):
-            vec[p] = -rref[i][f]
-        basis.append(vec)
-    return basis
-
-
-def span_rank_sparse(vectors: list[dict[int, Cyclotomic]]) -> int:
-    """Dimension of the span of sparse vectors {index: scalar}."""
-    pivots: dict[int, dict[int, Cyclotomic]] = {}
-    rank = 0
-    for vec in vectors:
-        cur = {k: v for k, v in vec.items() if not v.is_zero()}
-        while cur:
-            lead = min(cur)
-            if lead in pivots:
-                factor = cur[lead]
-                row = pivots[lead]
-                for k, v in row.items():
-                    new = cur.get(k, Cyclotomic.zero()) - factor * v
-                    if new.is_zero():
-                        cur.pop(k, None)
-                    else:
-                        cur[k] = new
-            else:
-                inv = cur[lead].inverse()
-                pivots[lead] = {k: v * inv for k, v in cur.items()}
-                rank += 1
-                break
-    return rank
+        lead = min(cur)
+        leads.append((lead, cur[lead]))
+        inv = cur[lead].inverse()
+        new = {k: c * inv for k, c in cur.items()}
+        for other in rref.values():
+            if lead in other:
+                accumulate(other, -other[lead], new.items())
+        rref[lead] = new
+    return rref, leads

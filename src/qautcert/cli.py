@@ -108,6 +108,8 @@ class SuiteConfig:
             raise ConfigError("backend must be exact or float")
         if self.tol <= 0:
             raise ConfigError("tolerance must be positive")
+        if not self.suites:
+            raise ConfigError("no suites selected")
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ConfigError(f"unknown suites: {', '.join(unknown)}")
@@ -235,13 +237,13 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
         """Substitute each case's generator values into the formal images
         and check the presentation's relations; the failing fragment, if any."""
         nonlocal worst
+        if cfg.backend == "float":
+            images = {sym: ft_to_float(ft, fc) for sym, ft in images.items()}
         for label, line, assignment in cases:
             values = assignment.values
             if cfg.backend == "float":
                 values = {k: v.to_float(fc) for k, v in values.items()}
-            subst = {sym: ft.substitute(values) if cfg.backend == "exact"
-                     else ft_to_float(ft, fc).substitute(values)
-                     for sym, ft in images.items()}
+            subst = {sym: ft.substitute(values) for sym, ft in images.items()}
             rep = check_relations(GeneratorAssignment(presentation, subst))
             worst = max(worst, rep.worst_residual)
             record.append(line)

@@ -81,9 +81,6 @@ class GroupAction:
     def apply_sparse(self, g, vec: dict) -> dict:
         return apply_columns(self.cols[g], vec.items())
 
-    def apply(self, g, vec):
-        return self.algebra.dense(self.apply_sparse(g, sparse_vector(vec)))
-
     def _verify(self):
         A = self.algebra
         G = self.group
@@ -112,22 +109,15 @@ class CrossedProduct:
     algebra: StructAlgebra
     index: dict  # (basis index of A, group element) -> basis index
 
-    def z_vector(self, g):
-        """The distinguished unitary z_g = 1_A z_g as a coordinate vector."""
-        A = self.base
-        out = [Cyclotomic.zero() for _ in range(self.algebra.dim)]
-        for i in range(A.dim):
-            if not A.unit[i].is_zero():
-                out[self.index[(i, g)]] = A.unit[i]
-        return out
+    def z_vector(self, g) -> dict:
+        """The distinguished unitary z_g = 1_A z_g as a sparse vector."""
+        return {self.index[(i, g)]: a for i, a in enumerate(self.base.unit)
+                if not a.is_zero()}
 
-    def embed(self, vec):
-        """A -> A rtimes Lambda, b -> b z_e."""
+    def embed(self, vec: dict) -> dict:
+        """A -> A rtimes Lambda, b -> b z_e, on sparse vectors."""
         e = self.group.identity
-        out = [Cyclotomic.zero() for _ in range(self.algebra.dim)]
-        for i, a in enumerate(vec):
-            out[self.index[(i, e)]] = Cyclotomic._coerce(a)
-        return out
+        return {self.index[(i, e)]: a for i, a in vec.items()}
 
 
 def crossed_product(action: GroupAction, verify_relations: bool = True) -> CrossedProduct:
@@ -148,14 +138,16 @@ def crossed_product(action: GroupAction, verify_relations: bool = True) -> Cross
     mul = {}
     for g in els:
         cols_g = action.cols[g]
-        for h in els:
-            gh = G.add(g, h)
-            for i in range(A.dim):
-                for j in range(A.dim):
-                    acc = A.mul_sparse(((i, one),), cols_g[j])  # b_i theta_g(b_j)
-                    if acc:
-                        mul[(index[(i, g)], index[(j, h)])] = tuple(
-                            (index[(k, gh)], c) for k, c in sorted(acc.items()))
+        for i in range(A.dim):
+            for j in range(A.dim):
+                acc = A.mul_sparse(((i, one),), cols_g[j])  # b_i theta_g(b_j)
+                if not acc:
+                    continue
+                terms = sorted(acc.items())
+                for h in els:
+                    gh = G.add(g, h)
+                    mul[(index[(i, g)], index[(j, h)])] = tuple(
+                        (index[(k, gh)], c) for k, c in terms)
     invol = [None] * dim
     unit = [Cyclotomic.zero() for _ in range(dim)]
     trace = [Cyclotomic.zero() for _ in range(dim)]
@@ -177,24 +169,21 @@ def crossed_product(action: GroupAction, verify_relations: bool = True) -> Cross
 
 def _verify_crossed_relations(cp: CrossedProduct, action: GroupAction):
     A, G, alg = cp.base, cp.group, cp.algebra
+    one = Cyclotomic.one()
+    unit = cp.embed(sparse_vector(A.unit))
     for g in G.elements():
-        zg = cp.z_vector(g)
-        zg_star = alg.invol_vec(zg)
-        prod = alg.mul_vec(zg, zg_star)
-        unit = cp.embed(A.unit)
-        if any(a != b for a, b in zip(prod, unit)):
+        zg = cp.z_vector(g).items()
+        zg_star = alg.invol_sparse(zg).items()
+        if not sparse_eq(alg.mul_sparse(zg, zg_star), unit):
             raise NotAutomorphism(f"z_{g} is not unitary in the crossed product")
         for h in G.elements():
-            zh = cp.z_vector(h)
-            lhs = alg.mul_vec(zg, zh)
-            rhs = cp.z_vector(G.add(g, h))
-            if any(a != b for a, b in zip(lhs, rhs)):
+            lhs = alg.mul_sparse(zg, cp.z_vector(h).items())
+            if not sparse_eq(lhs, cp.z_vector(G.add(g, h))):
                 raise NotAutomorphism(f"z_{g} z_{h} != z_(gh)")
         for i in range(A.dim):
-            b = cp.embed(A.basis_vector(i))
-            lhs = alg.mul_vec(alg.mul_vec(zg, b), zg_star)
-            rhs = cp.embed(action.apply(g, A.basis_vector(i)))
-            if any(a != b2 for a, b2 in zip(lhs, rhs)):
+            b = cp.embed({i: one}).items()
+            lhs = alg.mul_sparse(alg.mul_sparse(zg, b).items(), zg_star)
+            if not sparse_eq(lhs, cp.embed(dict(action.cols[g][i]))):
                 raise NotAutomorphism(f"z_{g} b z_{g}* != action_{g}(b)")
 
 

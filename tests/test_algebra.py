@@ -20,25 +20,26 @@ from qautcert.algebra import (
 from qautcert.arith import Cyclotomic
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+ONE = Cyclotomic.one()
 
 
 def test_multimatrix_abelian_uniform_trace():
     A = multimatrix(BlockSpec((1, 1, 1, 1)))
     for i in range(4):
-        assert A.trace_of(A.basis_vector(i)) == Cyclotomic.rational(Fraction(1, 4))
+        assert A.trace_sparse({i: ONE}.items()) == Cyclotomic.rational(Fraction(1, 4))
 
 
 def test_multimatrix_m2_trace_is_normalized_trace():
     # psi = (2/4) Tr on M_2, so diagonal units weigh 1/2
     A = multimatrix(BlockSpec((2,)))
-    assert A.trace_of(A.basis_vector(0)) == Cyclotomic.rational(Fraction(1, 2))
-    assert A.trace_of(A.basis_vector(1)).is_zero()
+    assert A.trace_sparse({0: ONE}.items()) == Cyclotomic.rational(Fraction(1, 2))
+    assert A.trace_sparse({1: ONE}.items()).is_zero()
 
 
 def test_multimatrix_2_1_plancherel_weights():
     A = multimatrix(BlockSpec((2, 1)))
-    assert A.trace_of(A.basis_vector(0)) == Cyclotomic.rational(Fraction(2, 5))
-    assert A.trace_of(A.basis_vector(4)) == Cyclotomic.rational(Fraction(1, 5))
+    assert A.trace_sparse({0: ONE}.items()) == Cyclotomic.rational(Fraction(2, 5))
+    assert A.trace_sparse({4: ONE}.items()) == Cyclotomic.rational(Fraction(1, 5))
 
 
 def test_plancherel_gram_is_diagonal_with_weights():
@@ -48,8 +49,8 @@ def test_plancherel_gram_is_diagonal_with_weights():
     weights = [Fraction(2, 5)] * 4 + [Fraction(1, 5)]
     for i in range(A.dim):
         for j in range(A.dim):
-            star = A.invol_vec(A.basis_vector(i))
-            val = A.trace_of(A.mul_vec(star, A.basis_vector(j)))
+            star = A.invol_sparse({i: ONE}.items())
+            val = A.trace_sparse(A.mul_sparse(star.items(), {j: ONE}.items()).items())
             expect = Cyclotomic.rational(weights[i]) if i == j else Cyclotomic.zero()
             assert val == expect
 

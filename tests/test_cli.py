@@ -108,6 +108,15 @@ def test_malformed_cli_config_exits_2(tmp_path):
     assert main(["run", "--partition", "2", "--suites", "bogus"]) == 2
 
 
+def test_empty_suite_list_is_a_config_error(capsys):
+    with pytest.raises(ConfigError):
+        SuiteConfig(partition=(1,), suites=())
+    assert main(["run", "--partition", "1", "--suites", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
 def test_env_overrides(tmp_path, monkeypatch):
     out = tmp_path / "env.json"
     monkeypatch.setenv("QAUTCERT_PARTITION", "1,1")
@@ -215,7 +224,7 @@ def test_crashed_fragment_records_where(monkeypatch):
     assert re.match(r"^qaut\.py:\d+$", frag["where"]), frag["where"]
 
 
-@pytest.mark.parametrize("partition", [(2, 1), (1, 1, 1, 1), (2, 1, 1)])
+@pytest.mark.parametrize("partition", [(2, 1), (1, 1, 1, 1), (2, 1, 1), (2,)])
 def test_exact_certificate_matches_golden(partition):
     tag = "_".join(str(n) for n in partition)
     with open(os.path.join(GOLDEN, f"cert_{tag}_exact.json")) as fh:

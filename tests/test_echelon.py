@@ -1,0 +1,176 @@
+"""The one sparse Gaussian elimination, `arith.echelon`, and what is read off
+it: kernels, inverses, ranks and Sylvester's positivity criterion."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qautcert.algebra import NotFaithful, _kernel, _positive_definite_inverse
+from qautcert.arith import Cyclotomic, accumulate, echelon, euler_phi, root_of_unity
+
+ORDERS = (1, 3, 4, 8)
+SINGULAR = "Gram matrix singular or not positive definite"
+ZERO = Cyclotomic.zero()
+ONE = Cyclotomic.one()
+
+
+def entries(order, exponents=None):
+    """Cyclotomics of the given order with coefficients in [-2, 2], on the
+    given powers of zeta only (all of them by default)."""
+    exponents = range(euler_phi(order)) if exponents is None else exponents
+
+    def build(cs):
+        coeffs = [0] * euler_phi(order)
+        for t, c in zip(exponents, cs):
+            coeffs[t] = c
+        return Cyclotomic(order, coeffs)
+
+    n = len(exponents)
+    return st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(build)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """(rows, ncols): up to 4 x 4, about half the entries zero, sometimes
+    with a last row that is a combination of two others."""
+    order = draw(st.sampled_from(ORDERS))
+    nrows = draw(st.integers(1, 4))
+    ncols = nrows if square else draw(st.integers(1, 4))
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            c = draw(entries(order))
+            if draw(st.booleans()) and not c.is_zero():
+                row[j] = c
+        rows.append(row)
+    if nrows > 2 and draw(st.booleans()):
+        combo = dict(rows[0])
+        accumulate(combo, draw(entries(order)), rows[1].items())
+        rows[-1] = combo
+    return rows, ncols
+
+
+def product(X, Y):
+    """Sparse rows of X Y."""
+    out = []
+    for row in X:
+        acc: dict = {}
+        for k, a in row.items():
+            accumulate(acc, a, Y[k].items())
+        out.append(acc)
+    return out
+
+
+def to_numpy(rows, ncols):
+    return np.array([[row.get(j, ZERO).to_complex() for j in range(ncols)]
+                     for row in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices())
+def test_kernel_annihilates_rows_and_rank_matches_float(drawn):
+    rows, ncols = drawn
+    rref, leads = echelon(rows)
+    ker = _kernel(rows, ncols)
+    for v in ker:
+        for row in rows:
+            acc = ZERO
+            for k, c in row.items():
+                acc = acc + c * v.get(k, ZERO)
+            assert acc.is_zero()
+    assert len(rref) + len(ker) == ncols
+    assert len(rref) == sum(lead is not None for lead in leads)
+    for p, row in rref.items():
+        assert row[p] == ONE
+        assert min(row) == p
+        assert not any(q in row for q in rref if q != p)
+    assert len(rref) == np.linalg.matrix_rank(to_numpy(rows, ncols), tol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(square=True))
+def test_inverse_from_augmented_echelon(drawn):
+    rows, n = drawn
+    assume(len(echelon(rows)[0]) == n)
+    rref, _ = echelon({**row, n + i: ONE} for i, row in enumerate(rows))
+    inverse = [{j - n: c for j, c in rref[i].items() if j >= n} for i in range(n)]
+    for i, row in enumerate(product(inverse, rows)):
+        assert row == {i: ONE}
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian matrices over Q(zeta_M) whose leading minors are rational:
+    at order 8 the entries stay in Q(i), spanned by 1 and zeta_8^2.  Half of
+    the draws are H^2 + 1, which is positive definite."""
+    order = draw(st.sampled_from(ORDERS))
+    off_diagonal = entries(order, (0, 2) if order == 8 else None)
+    n = draw(st.integers(1, 4))
+    rows = [{} for _ in range(n)]
+    for i in range(n):
+        d = draw(st.integers(-3, 6))
+        if d:
+            rows[i][i] = Cyclotomic.rational(d)
+        for j in range(i + 1, n):
+            c = draw(off_diagonal)
+            if not c.is_zero():
+                rows[i][j], rows[j][i] = c, c.conjugate()
+    if draw(st.booleans()):
+        rows = product(rows, rows)
+        for i in range(n):
+            accumulate(rows[i], ONE, ((i, ONE),))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(hermitian_matrices())
+def test_positivity_verdict_matches_eigenvalues(rows):
+    n = len(rows)
+    eig = np.linalg.eigvalsh(to_numpy(rows, n))
+    assume(np.min(np.abs(eig)) > 1e-3)
+    try:
+        inverse = _positive_definite_inverse(rows)
+    except NotFaithful as exc:
+        assert str(exc) == SINGULAR
+        assert eig.min() < 0
+        return
+    assert eig.min() > 0
+    for i, row in enumerate(product(inverse, rows)):
+        assert row == {i: ONE}
+
+
+Z8 = root_of_unity(8, 1)
+SQRT2 = Z8 + Z8.conjugate()
+
+
+def rational_rows(grid):
+    return [{j: Cyclotomic._coerce(c) for j, c in enumerate(row) if c != 0} for row in grid]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (rational_rows([[1, 1], [0, 1]]), "Gram matrix is not Hermitian"),
+    (rational_rows([[-1]]), SINGULAR),
+    (rational_rows([[0, 1], [1, 0]]), SINGULAR),  # first minor 0, the matrix invertible
+    (rational_rows([[1, 1], [1, 1]]), SINGULAR),
+    (rational_rows([[2, 1, 0], [1, 1, 0], [0, 0, -5]]), SINGULAR),
+    ([{0: SQRT2}], "Gram minors are not totally real"),
+    # second minor 3 - |1 + zeta_8|^2 = 1 - sqrt 2
+    ([{0: ONE, 1: ONE + Z8}, {0: ONE + Z8.conjugate(), 1: Cyclotomic.rational(3)}],
+     "Gram minors are not totally real"),
+])
+def test_positivity_failures_keep_their_messages(rows, message):
+    with pytest.raises(NotFaithful) as exc:
+        _positive_definite_inverse(rows)
+    assert str(exc.value) == message
+
+
+def test_positive_definite_inverse_is_exact():
+    rows = rational_rows([[2, 1], [1, 2]])
+    q = Cyclotomic.rational
+    assert _positive_definite_inverse(rows) == [
+        {0: q(Fraction(2, 3)), 1: q(Fraction(-1, 3))},
+        {0: q(Fraction(-1, 3)), 1: q(Fraction(2, 3))}]

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qautcert.algebra import _kernel
 from qautcert.arith import (
     BackendMismatch,
     Cyclotomic,
     DimensionMismatch,
     Mat,
+    echelon,
     euler_phi,
-    kernel_exact,
-    rank_exact,
     root_of_unity,
-    span_rank_sparse,
 )
 
 
@@ -85,11 +84,11 @@ def test_residual_exact_zero_and_float():
 
 def test_kernel_and_span_rank():
     one = Cyclotomic.rational
-    ker = kernel_exact([[one(1), one(2), one(3)]], 3)
+    ker = _kernel([{0: one(1), 1: one(2), 2: one(3)}], 3)
     assert len(ker) == 2
-    assert rank_exact([[one(1), one(2)], [one(2), one(4)]]) == 1
+    assert len(echelon([{0: one(1), 1: one(2)}, {0: one(2), 1: one(4)}])[0]) == 1
     vecs = [{0: one(1)}, {0: one(2)}, {1: root_of_unity(3, 1)}]
-    assert span_rank_sparse(vecs) == 2
+    assert len(echelon(vecs)[0]) == 2
 
 
 @settings(max_examples=30, deadline=None)

@@ -331,6 +331,29 @@ def test_haar_constants_2_1_records_both_candidates():
     assert not any(r["discrepancy"] for r in cert["records"])
 
 
+def test_haar_reports_non_scalar_substitution(monkeypatch):
+    import qautcert.qaut
+
+    real = qautcert.qaut.pi_map
+    spec = BlockSpec((2,))
+    sym = next(iter(real(spec)))
+
+    def skewed(spec):
+        pi = real(spec)
+        word, coeff = next(iter(pi[sym].terms.items()))
+        pi[sym] = pi[sym].copy()
+        unit = [[1 if (a, b) == (0, 0) else 0 for b in range(coeff.cols)]
+                for a in range(coeff.rows)]
+        pi[sym].add_term(word, Mat.exact(unit))  # no longer a multiple of 1
+        return pi
+
+    monkeypatch.setattr(qautcert.qaut, "pi_map", skewed)
+    cert = haar_compat_check(spec)
+    assert cert["all_scalar"] is False
+    assert cert["passed"] is False
+    assert cert["failure"] == f"substitution for {sym} is not scalar"
+
+
 def test_strict_word_mode_reports_without_failing():
     out = strict_word_check(BlockSpec((2,)))
     assert set(out["families"].values()) <= {"verified", "inconclusive"}
