@@ -181,7 +181,7 @@ def _suite_twist(cfg: SuiteConfig) -> dict:
 def _suite_conj(cfg: SuiteConfig) -> dict:
     graded = fourier_function_algebra(cfg.spec)
     sigma = spec_cocycle(cfg.spec)
-    return conjugation_lemma_check(graded, sigma, backend=cfg.backend, tol=cfg.tol)
+    return conjugation_lemma_check(graded, sigma)
 
 
 def _tt_group(spec: BlockSpec) -> FinAbGroup:
@@ -295,15 +295,15 @@ def ft_to_float(ft, fc: FloatConfig):
 
 
 def _suite_shuffle(cfg: SuiteConfig) -> dict:
-    return rearranged_Q_check(cfg.spec, backend=cfg.backend, tol=cfg.tol)
+    return rearranged_Q_check(cfg.spec)
 
 
 def _suite_cov(cfg: SuiteConfig) -> dict:
-    return covariance_check(cfg.spec, backend=cfg.backend, tol=cfg.tol)
+    return covariance_check(cfg.spec)
 
 
 def _suite_haar(cfg: SuiteConfig) -> dict:
-    return haar_compat_check(cfg.spec, backend=cfg.backend, tol=cfg.tol)
+    return haar_compat_check(cfg.spec)
 
 
 _SUITES = {
@@ -476,7 +476,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if delta:
-            print(delta)
+            try:
+                print(delta, flush=True)
+            except BrokenPipeError:
+                # the reader closed early (`| head`): point stdout at devnull
+                # so the interpreter's last flush stays quiet too
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
         return 0
     try:

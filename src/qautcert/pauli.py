@@ -139,11 +139,9 @@ def depolarization_check(family: list, x: Mat) -> UebReport:
     acc = Mat.zeros(n, n, x.backend, getattr(x, "config", None))
     for u in family:
         acc = acc + (u.adjoint() @ x @ u)
-    target = Mat.identity(n, x.backend, getattr(x, "config", None)).scale(
-        x.trace() * n if x.backend == "exact" else x.trace() * n)
-    resid = acc.residual(target)
-    return UebReport(acc.equals(target), resid,
-                     None if acc.equals(target) else "depolarization identity")
+    target = Mat.identity(n, x.backend, getattr(x, "config", None)).scale(x.trace() * n)
+    ok = acc.equals(target)
+    return UebReport(ok, acc.residual(target), None if ok else "depolarization identity")
 
 
 @dataclass

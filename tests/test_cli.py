@@ -1,7 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import qautcert
 
 from qautcert.cli import (
     ConfigError,
@@ -208,6 +212,25 @@ def test_cli_diff_malformed_file_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_diff_into_closed_reader_exits_quietly(tmp_path):
+    paths = []
+    for name, shift in (("a.json", 0), ("b.json", 1)):
+        cert = {"tool": {"version": "0.1.0"},
+                "values": {str(i): i + shift for i in range(20000)}}
+        path = tmp_path / name
+        path.write_text(json.dumps(cert))
+        paths.append(str(path))
+    src = os.path.dirname(os.path.dirname(qautcert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "qautcert", "diff", *paths],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"values.")
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_crashed_fragment_records_where(monkeypatch):
     import re
 
@@ -224,14 +247,24 @@ def test_crashed_fragment_records_where(monkeypatch):
     assert re.match(r"^qaut\.py:\d+$", frag["where"]), frag["where"]
 
 
-@pytest.mark.parametrize("partition", [(2, 1), (1, 1, 1, 1), (2, 1, 1), (2,)])
-def test_exact_certificate_matches_golden(partition):
+def assert_matches_golden(partition, backend):
     tag = "_".join(str(n) for n in partition)
-    with open(os.path.join(GOLDEN, f"cert_{tag}_exact.json")) as fh:
+    with open(os.path.join(GOLDEN, f"cert_{tag}_{backend}.json")) as fh:
         golden = json.load(fh)
     tol = golden["config"]["tol"]
-    # only float-recognizer residuals of tt may move, with the LAPACK build
-    for line in diff(golden, run(SuiteConfig(partition=partition))).splitlines():
+    # only float residuals may move, with the LAPACK build
+    cert = run(SuiteConfig(partition=partition, backend=backend))
+    for line in diff(golden, cert).splitlines():
         path, values = line.split(": ", 1)
         assert path.endswith(".worst_residual"), line
         assert max(float(v) for v in values.split(" != ")) <= tol, line
+
+
+@pytest.mark.parametrize("partition", [(2, 1), (1, 1, 1, 1), (2, 1, 1), (2,)])
+def test_exact_certificate_matches_golden(partition):
+    assert_matches_golden(partition, "exact")
+
+
+@pytest.mark.parametrize("partition", [(2, 1), (2, 1, 1)])
+def test_float_certificate_matches_golden(partition):
+    assert_matches_golden(partition, "float")

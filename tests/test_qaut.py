@@ -307,11 +307,6 @@ def test_covariance_degenerate_abelian():
     assert cert["passed"] and cert["e_span_rank"] == 1
 
 
-def test_covariance_float_mode():
-    cert = covariance_check(BlockSpec((2,)), backend="float", tol=1e-9)
-    assert cert["passed"] and cert["worst_residual"] < 1e-10
-
-
 def test_haar_constants_m2():
     cert = haar_compat_check(BlockSpec((2,)))
     assert cert["passed"] and cert["agreement"]
@@ -331,27 +326,59 @@ def test_haar_constants_2_1_records_both_candidates():
     assert not any(r["discrepancy"] for r in cert["records"])
 
 
-def test_haar_reports_non_scalar_substitution(monkeypatch):
+def _patch_pi(monkeypatch, edit):
+    """Make ``qaut.pi_map`` return its images after ``edit(pi)``."""
     import qautcert.qaut
 
     real = qautcert.qaut.pi_map
-    spec = BlockSpec((2,))
-    sym = next(iter(real(spec)))
 
-    def skewed(spec):
+    def edited(spec):
         pi = real(spec)
+        edit(pi)
+        return pi
+
+    monkeypatch.setattr(qautcert.qaut, "pi_map", edited)
+
+
+def test_haar_reports_non_scalar_substitution(monkeypatch):
+    sym = qsym(1, 1, 0, 0, 0, 0)
+
+    def skew(pi):
         word, coeff = next(iter(pi[sym].terms.items()))
         pi[sym] = pi[sym].copy()
         unit = [[1 if (a, b) == (0, 0) else 0 for b in range(coeff.cols)]
                 for a in range(coeff.rows)]
         pi[sym].add_term(word, Mat.exact(unit))  # no longer a multiple of 1
-        return pi
 
-    monkeypatch.setattr(qautcert.qaut, "pi_map", skewed)
-    cert = haar_compat_check(spec)
+    _patch_pi(monkeypatch, skew)
+    cert = haar_compat_check(BlockSpec((2,)))
     assert cert["all_scalar"] is False
     assert cert["passed"] is False
     assert cert["failure"] == f"substitution for {sym} is not scalar"
+
+
+def test_haar_reports_inconsistent_class_constants(monkeypatch):
+    sym = qsym(1, 1, 1, 1, 0, 0)  # diagonal generator of class (1,1)
+
+    def double(pi):
+        pi[sym] = pi[sym].scale(2)
+
+    _patch_pi(monkeypatch, double)
+    cert = haar_compat_check(BlockSpec((2,)))
+    assert cert["passed"] is False
+    assert cert["failure"] == "inconsistent constants in class (1,1)"
+
+
+def test_haar_reports_nonzero_off_diagonal_constant(monkeypatch):
+    off = qsym(1, 1, 0, 1, 0, 0)
+
+    def copy_diagonal(pi):
+        pi[off] = pi[qsym(1, 1, 0, 0, 0, 0)].copy()
+
+    _patch_pi(monkeypatch, copy_diagonal)
+    cert = haar_compat_check(BlockSpec((2,)))
+    assert cert["passed"] is False
+    assert cert["failure"] == f"off-diagonal generator {off} has nonzero constant"
 
 
 def test_strict_word_mode_reports_without_failing():
