@@ -8,6 +8,7 @@ type by splitting the center into primitive idempotents.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Cyclotomic, accumulate, echelon
+from .arith import Cyclotomic, accumulate, echelon, root_of_unity
 
 __all__ = [
     "BlockSpec",
@@ -96,59 +97,154 @@ class BlockSpec:
         return sum(self.sizes)
 
 
-_EXHAUSTIVE_AXIOM_DIM = 64
-_AXIOM_SAMPLES = 512
+# Rationals in the axiom checks are products of at most five table entries;
+# numerators and denominators below this bound keep them inside int64.
+_INT64_RATIONAL_BOUND = 2**12
 # Relative singular-value cutoff of the float center: the default float tolerance.
 _FLOAT_EPS = 1e-9
 
 
-class StructAlgebra:
-    """A *-algebra with basis, exact structure constants, involution and trace.
+def monomial_forms(values):
+    """(L, forms): L = lcm(2, orders of the values), and forms[t] = (q, e)
+    with values[t] = q zeta_L^e and q a positive Fraction, or None where
+    values[t] is not of that form.  The roots of unity in Q(zeta_M) are the
+    lcm(2, M)-th ones, so L suffices.  Each exponent is read off the
+    argument of the value and confirmed exactly."""
+    L = math.lcm(2, *(c.order for c in values))
+    forms = []
+    for c in values:
+        e = round(cmath.phase(c.to_complex()) * L / (2 * math.pi)) % L
+        q = c * root_of_unity(L, -e)
+        forms.append((q.as_fraction(), e) if q.is_rational() and q.as_fraction() > 0
+                     else None)
+    return L, forms
 
-    ``mul`` maps (i, j) to a tuple of (k, Cyclotomic) pairs, the expansion of
-    b_i b_j; ``invol`` maps i to the expansion of b_i*; ``unit``/``trace`` are
-    scalar lists.  The sparse element operations take elements as iterables
-    of (k, coefficient) pairs (a dict's ``items()``, or the tuples of ``mul``,
-    ``invol`` and column maps) and return dicts {k: coefficient} without
-    zeros.
+
+def _monomials_differ(k1, e1, n1, d1, k2, e2, n2, d2, L):
+    """Where (n1/d1) zeta_L^e1 b_k1 and (n2/d2) zeta_L^e2 b_k2 differ,
+    elementwise; k = -1 stands for zero."""
+    return (k1 != k2) | ((k1 >= 0) & (((e1 - e2) % L != 0) | (n1 * d2 != n2 * d1)))
+
+
+def associativity_failure(k, e, num, den, L):
+    """First basis triple (i, j, l), in lexicographic order, at which
+    (b_i b_j) b_l != b_i (b_j b_l), or None, for the monomial products
+    b_i b_j = (num/den)[i, j] zeta_L^e[i, j] b_k[i, j] (k = -1: zero).
+    Runs one row i at a time, so memory stays O(dim^2)."""
+    for i in range(k.shape[0]):
+        ki = k[i]
+        # (b_i b_j) b_l = c_ij c_(ki[j], l) b_k[ki[j], l]
+        left = (np.where(ki[:, None] >= 0, k[ki], -1), e[i][:, None] + e[ki],
+                num[i][:, None] * num[ki], den[i][:, None] * den[ki])
+        # b_i (b_j b_l) = c_jl c_(i, k[j, l]) b_ki[k[j, l]]
+        right = (np.where(k >= 0, ki[k], -1), e + e[i][k],
+                 num * num[i][k], den * den[i][k])
+        bad = _monomials_differ(*left, *right, L)
+        if bad.any():
+            j, l = np.argwhere(bad)[0].tolist()
+            return i, j, l
+    return None
+
+
+class StructAlgebra:
+    """A *-algebra with basis, exact monomial structure constants, involution
+    and trace.
+
+    ``mul`` maps (i, j) to the expansion of b_i b_j as (k, Cyclotomic) pairs
+    and ``invol`` lists the expansion of each b_i*.  Each must be zero (for a
+    product) or one term c b_k with c a positive rational times a root of
+    unity; anything else raises AxiomViolation.  They are stored as arrays:
+    ``k[i, j]`` is the target of b_i b_j, -1 when it is zero, and
+    ``s[i, j]`` indexes ``scalars``, the distinct values given, one object
+    per (order, coefficients); ``star_k``/``star_s`` hold b_i* the same way.
+    Scalar t is (num[t]/den[t]) zeta_L^exp[t], with L even.  ``unit`` and
+    ``trace`` are scalar lists.  The sparse element operations take elements
+    as iterables of (k, coefficient) pairs (a dict's ``items()``, or the
+    tuples of ``product``, ``star`` and column maps) and return dicts
+    {k: coefficient} without zeros.
     """
 
     def __init__(self, dim, labels, *, mul, invol, unit, trace, tracial=True,
-                 verify=True, seed=0):
+                 verify=True):
         self.dim = dim
         self.labels = tuple(labels)
         self.tracial = tracial
-        self.mul = {k: tuple((i, c) for i, c in v if not c.is_zero())
-                    for k, v in mul.items()}
-        self.mul = {k: v for k, v in self.mul.items() if v}
-        self.invol = [tuple(t) for t in invol]
+        self.scalars: list = []
+        slots: dict = {}
+
+        def monomial(terms, what):
+            terms = [(k, c) for k, c in terms if not c.is_zero()]
+            if len(terms) > 1:
+                raise AxiomViolation(f"{what} has {len(terms)} terms, not one")
+            if not terms:
+                return -1, 0
+            k, c = terms[0]
+            t = slots.setdefault((c.order, c.coeffs), len(self.scalars))
+            if t == len(self.scalars):
+                self.scalars.append(c)
+            return k, t
+
+        ks = [[-1] * dim for _ in range(dim)]
+        ss = [[0] * dim for _ in range(dim)]
+        for (i, j), terms in mul.items():
+            ks[i][j], ss[i][j] = monomial(terms, f"b_{i} b_{j}")
+        stars = [monomial(terms, f"b_{i}*") for i, terms in enumerate(invol)]
+        for i, (k, _) in enumerate(stars):
+            if k < 0:
+                raise AxiomViolation(f"b_{i}* is zero")
+        self.k = np.array(ks, dtype=np.int64).reshape(dim, dim)
+        self.s = np.array(ss, dtype=np.int64).reshape(dim, dim)
+        self.star_k = np.array([k for k, _ in stars], dtype=np.int64)
+        self.star_s = np.array([t for _, t in stars], dtype=np.int64)
+        self.L, forms = monomial_forms(self.scalars)
+        for c, form in zip(self.scalars, forms):
+            if form is None:
+                raise AxiomViolation(f"{c!r} is not a rational times a root of unity")
+        big = max((max(q.numerator, q.denominator) for q, _ in forms), default=1)
+        dtype = np.int64 if big < _INT64_RATIONAL_BOUND else object
+        self.exp = np.array([e for _, e in forms], dtype=np.int64)
+        self.num = np.array([q.numerator for q, _ in forms], dtype=dtype)
+        self.den = np.array([q.denominator for q, _ in forms], dtype=dtype)
         self.unit = [Cyclotomic._coerce(c) for c in unit]
         self.trace = [Cyclotomic._coerce(c) for c in trace]
         if verify:
-            self.verify_axioms(seed=seed)
+            self.verify_axioms()
+
+    # -- basis products -------------------------------------------------------
+    def product(self, i, j) -> tuple:
+        """b_i b_j as a tuple of (k, c) pairs: empty, or one pair."""
+        k = self.k.item(i, j)
+        return () if k < 0 else ((k, self.scalars[self.s.item(i, j)]),)
+
+    def star(self, i) -> tuple:
+        """b_i* as a tuple of one (k, c) pair."""
+        return ((self.star_k.item(i), self.scalars[self.star_s.item(i)]),)
+
+    @property
+    def mul(self) -> dict:
+        """The nonzero products as {(i, j): ((k, c),)}, in row-major order."""
+        return {(i, j): self.product(i, j)
+                for i, j in np.argwhere(self.k >= 0).tolist()}
+
+    @property
+    def invol(self) -> list:
+        """The involution as the list of the tuples ``star(i)``."""
+        return [self.star(i) for i in range(self.dim)]
 
     # -- element operations ----------------------------------------------------
     def mul_sparse(self, u, v) -> dict:
         out: dict = {}
         for i, a in u:
             for j, b in v:
-                accumulate(out, a * b, self.mul.get((i, j), ()))
-        return out
-
-    def _mul_sparse(self, terms, other: int, right: bool) -> dict:
-        """(sum of c b_k over terms) times b_other, or b_other times it when
-        not ``right``: the associativity check's product, without the scalar
-        factor of a general product."""
-        out: dict = {}
-        mul = self.mul
-        for k1, c1 in terms:
-            accumulate(out, c1, mul.get((k1, other) if right else (other, k1), ()))
+                terms = self.product(i, j)
+                if terms:
+                    accumulate(out, a * b, terms)
         return out
 
     def invol_sparse(self, terms) -> dict:
         out: dict = {}
         for i, a in terms:
-            accumulate(out, a.conjugate(), self.invol[i])
+            accumulate(out, a.conjugate(), self.star(i))
         return out
 
     def trace_sparse(self, terms):
@@ -158,41 +254,59 @@ class StructAlgebra:
         return out
 
     # -- verification ---------------------------------------------------------
-    def verify_axioms(self, seed=0):
-        dim = self.dim
-        if dim > _EXHAUSTIVE_AXIOM_DIM:
-            rng = random.Random(seed)
-            triples = [(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-                       for _ in range(_AXIOM_SAMPLES)]
-        else:
-            triples = [(i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)]
-        for i, j, k in triples:
-            lhs = self._mul_sparse(self.mul.get((i, j), ()), k, right=True)
-            rhs = self._mul_sparse(self.mul.get((j, k), ()), i, right=False)
-            if lhs != rhs:  # both free of zeros, so plain dict equality
-                raise AxiomViolation(f"associativity fails at basis triple ({i},{j},{k})")
-        pairs = {(i, j) for (i, j, _) in triples}
-        for i, j in pairs:
-            lhs = self.invol_sparse(self.mul.get((i, j), ()))
-            rhs = self.mul_sparse(self.invol[j], self.invol[i])
-            if not sparse_eq(lhs, rhs):
-                raise AxiomViolation(f"involution is not antimultiplicative at ({i},{j})")
+    def verify_axioms(self):
+        """Check every axiom on the basis: associativity on all triples,
+        antimultiplicativity of the involution and the trace property on all
+        pairs, involutivity and the unit on every basis element."""
+        K, L = self.k, self.L
+        E, N, D = self.exp[self.s], self.num[self.s], self.den[self.s]
+        bad = associativity_failure(K, E, N, D, L)
+        if bad:
+            raise AxiomViolation("associativity fails at basis triple ({},{},{})".format(*bad))
+        ik, ie = self.star_k, self.exp[self.star_s]
+        inum, iden = self.num[self.star_s], self.den[self.star_s]
+        # (b_i b_j)* = conj(c_ij) b_k* against b_j* b_i* = c_j* c_i* b_(j*) b_(i*)
+        rs = self.s[np.ix_(ik, ik)].T
+        bad = _monomials_differ(
+            np.where(K >= 0, ik[K], -1), ie[K] - E, N * inum[K], D * iden[K],
+            K[np.ix_(ik, ik)].T, ie[:, None] + ie[None, :] + self.exp[rs],
+            inum[:, None] * inum[None, :] * self.num[rs],
+            iden[:, None] * iden[None, :] * self.den[rs], L)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise AxiomViolation(f"involution is not antimultiplicative at ({i},{j})")
+        # (b_i*)* = conj(c_i) c_(i*) b_(i**) against b_i
+        bad = _monomials_differ(ik[ik], ie[ik] - ie, inum * inum[ik], iden * iden[ik],
+                                np.arange(self.dim), 0, 1, 1, L)
+        if bad.any():
+            raise AxiomViolation(f"involution is not involutive at basis {np.argmax(bad)}")
         one = Cyclotomic.one()
-        for i in range(dim):
-            if not sparse_eq(self.invol_sparse(self.invol[i]), {i: one}):
-                raise AxiomViolation(f"involution is not involutive at basis {i}")
         unit = tuple(sparse_vector(self.unit).items())
-        for i in range(dim):
+        for i in range(self.dim):
             if not sparse_eq(self.mul_sparse(unit, ((i, one),)), {i: one}):
                 raise AxiomViolation(f"unit fails on the left at basis {i}")
             if not sparse_eq(self.mul_sparse(((i, one),), unit), {i: one}):
                 raise AxiomViolation(f"unit fails on the right at basis {i}")
         if self.tracial:
-            for i, j in pairs:
-                tij = self.trace_sparse(self.mul.get((i, j), ()))
-                tji = self.trace_sparse(self.mul.get((j, i), ()))
-                if tij != tji:
-                    raise AxiomViolation(f"trace is not tracial at ({i},{j})")
+            values = self._trace_of_products()
+            bad = values != values.T
+            if bad.any():
+                i, j = np.argwhere(bad)[0].tolist()
+                raise AxiomViolation(f"trace is not tracial at ({i},{j})")
+
+    def _trace_of_products(self):
+        """Array whose entries (i, j) and (p, q) are equal iff
+        tr(b_i b_j) = tr(b_p b_q): one exact product c tr(b_k) per distinct
+        pair of scalar and target, then one code per distinct value."""
+        pairs = np.where(self.k >= 0, self.s * self.dim + self.k, -1).ravel()
+        distinct, inverse = np.unique(pairs, return_inverse=True)
+        values = [self.scalars[p // self.dim] * self.trace[p % self.dim] if p >= 0
+                  else Cyclotomic.zero() for p in distinct.tolist()]
+        L = math.lcm(*(v.order for v in values))
+        codes: dict = {}
+        code = np.array([codes.setdefault(v.promoted(L).coeffs, len(codes))
+                         for v in values], dtype=np.int64)
+        return code[inverse].reshape(self.k.shape)
 
     def automorphism_failure(self, cols) -> str | None:
         """Check the linear map sending b_i to the sum of c b_k over the
@@ -205,11 +319,11 @@ class StructAlgebra:
             return "unital"
         for i in range(self.dim):
             for j in range(self.dim):
-                lhs = apply_columns(cols, self.mul.get((i, j), ()))
+                lhs = apply_columns(cols, self.product(i, j))
                 if not sparse_eq(lhs, self.mul_sparse(cols[i], cols[j])):
                     return "multiplicative"
         for i in range(self.dim):
-            if not sparse_eq(apply_columns(cols, self.invol[i]), self.invol_sparse(cols[i])):
+            if not sparse_eq(apply_columns(cols, self.star(i)), self.invol_sparse(cols[i])):
                 return "*-compatible"
         for i in range(self.dim):
             if self.trace_sparse(cols[i]) != self.trace[i]:
@@ -224,12 +338,11 @@ class StructAlgebra:
         def scal(c: Cyclotomic) -> str:
             return f"{c.order}:" + ",".join(str(q) for q in c.coeffs)
 
-        for (i, j) in sorted(self.mul):
-            terms = " ".join(f"{k}={scal(c)}" for k, c in self.mul[(i, j)])
-            lines.append(f"mul {i} {j} {terms}")
-        for i, terms in enumerate(self.invol):
-            body = " ".join(f"{k}={scal(c)}" for k, c in terms)
-            lines.append(f"invol {i} {body}")
+        for (i, j), ((k, c),) in self.mul.items():
+            lines.append(f"mul {i} {j} {k}={scal(c)}")
+        for i in range(self.dim):
+            ((k, c),) = self.star(i)
+            lines.append(f"invol {i} {k}={scal(c)}")
         lines.append("unit " + " ".join(scal(c) for c in self.unit))
         lines.append("trace " + " ".join(scal(c) for c in self.trace))
         return "\n".join(lines) + "\n"
@@ -351,18 +464,17 @@ def tensor_algebra(A: StructAlgebra, k: int) -> StructAlgebra:
                 index[(i, u, v)] = len(labels)
                 labels.append(f"{A.labels[i]}*E[{u},{v}]")
     mul = {}
-    for (i, u, v), a in index.items():
-        for (j, p, q), b in index.items():
-            if v != p:
-                continue
-            terms = tuple((index[(kk, u, q)], c) for kk, c in A.mul.get((i, j), ()))
-            if terms:
-                mul[(a, b)] = terms
+    for (i, j), ((kk, c),) in A.mul.items():
+        for u in range(k):
+            for v in range(k):
+                for q in range(k):
+                    mul[(index[(i, u, v)], index[(j, v, q)])] = ((index[(kk, u, q)], c),)
     invol = [None] * dim
     unit = [Cyclotomic.zero() for _ in range(dim)]
     trace = [Cyclotomic.zero() for _ in range(dim)]
     for (i, u, v), a in index.items():
-        invol[a] = tuple((index[(kk, v, u)], c) for kk, c in A.invol[i])
+        ((kk, c),) = A.star(i)
+        invol[a] = ((index[(kk, v, u)], c),)
         if u == v:
             unit[a] = A.unit[i]
             trace[a] = A.trace[i] / Cyclotomic.rational(k)
@@ -386,7 +498,7 @@ def delta_form_check(A: StructAlgebra, psi=None):
         row = {}
         for j in range(n):
             val = zero
-            for k, a in A.mul_sparse(A.invol[i], ((j, one),)).items():
+            for k, a in A.mul_sparse(A.star(i), ((j, one),)).items():
                 val = val + a * psi[k]
             if not val.is_zero():
                 row[j] = val
@@ -396,14 +508,13 @@ def delta_form_check(A: StructAlgebra, psi=None):
     # M[l,(i,j)] = c^l_{ij}; the Kronecker inverse is folded directly through
     # the sparse structure constants.
     comp = [{} for _ in range(n)]
-    for (i, j), terms in A.mul.items():
-        for (p, q), terms2 in A.mul.items():
+    products = A.mul.items()
+    for (i, j), ((l, c1),) in products:
+        for (p, q), ((k2, c2),) in products:
             if p not in ginv[i] or q not in ginv[j]:
                 continue
             w = ginv[i][p] * ginv[j][q]
-            conj2 = tuple((k2, c2.conjugate()) for k2, c2 in terms2)
-            for l, c1 in terms:
-                accumulate(comp[l], c1 * w, conj2)
+            accumulate(comp[l], c1 * w, ((k2, c2.conjugate()),))
     mmstar = []
     for row in comp:
         out: dict = {}
@@ -461,10 +572,9 @@ def center(A: StructAlgebra):
     (i, k) holds the b_k-coefficients of x b_i - b_i x."""
     one = Cyclotomic.one()
     rows: dict = {}
-    for (a, b), terms in A.mul.items():
-        for k, c in terms:
-            accumulate(rows.setdefault((b, k), {}), c, ((a, one),))
-            accumulate(rows.setdefault((a, k), {}), -c, ((b, one),))
+    for (a, b), ((k, c),) in A.mul.items():
+        accumulate(rows.setdefault((b, k), {}), c, ((a, one),))
+        accumulate(rows.setdefault((a, k), {}), -c, ((b, one),))
     return _kernel(rows.values(), A.dim)
 
 
@@ -495,19 +605,15 @@ def _regular_trace_form_exact(A: StructAlgebra):
     """Sparse rows of Tr(L_(b_i b_j)), the trace form of the regular
     representation."""
     one = Cyclotomic.one()
+    products = A.mul.items()
     t: dict = {}  # t[k] = Tr(L_(b_k))
-    for (k, l), terms in A.mul.items():
-        for kk, c in terms:
-            if kk == l:
-                accumulate(t, c, ((k, one),))
+    for (k, l), ((kk, c),) in products:
+        if kk == l:
+            accumulate(t, c, ((k, one),))
     form = [{} for _ in range(A.dim)]
-    for (i, j), terms in A.mul.items():
-        acc = Cyclotomic.zero()
-        for k, c in terms:
-            if k in t:
-                acc = acc + c * t[k]
-        if not acc.is_zero():
-            form[i][j] = acc
+    for (i, j), ((k, c),) in products:
+        if k in t:
+            form[i][j] = c * t[k]
     return form
 
 
@@ -707,9 +813,9 @@ def _deflate(coeffs, root: Fraction):
 def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
     n = A.dim
     sc = np.zeros((n, n, n), dtype=np.complex128)  # sc[i, j, k]: b_k in b_i b_j
-    for (i, j), terms in A.mul.items():
-        for k, c in terms:
-            sc[i, j, k] = c.to_complex()
+    i, j = np.nonzero(A.k >= 0)
+    values = np.array([c.to_complex() for c in A.scalars], dtype=np.complex128)
+    sc[i, j, A.k[i, j]] = values[A.s[i, j]]
     unit = np.array([c.to_complex() for c in A.unit])
     t = np.einsum("kll->k", sc)
     form = np.einsum("ijk,k->ij", sc, t)

@@ -9,11 +9,18 @@ twist C(X) into a multimatrix algebra, certified by block recognition.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import BlockSpec, StructAlgebra, recognize_blocks
+import numpy as np
+
+from .algebra import (
+    BlockSpec,
+    StructAlgebra,
+    associativity_failure,
+    monomial_forms,
+    recognize_blocks,
+)
 from .arith import Cyclotomic, root_of_unity
 from .pauli import weyl_basis
 
@@ -33,10 +40,6 @@ __all__ = [
     "GradingMismatch",
     "CocycleError",
 ]
-
-_EXHAUSTIVE_COCYCLE_ORDER = 36
-_COCYCLE_SAMPLES = 4096
-
 
 class GradingMismatch(ValueError):
     pass
@@ -108,24 +111,33 @@ class GroupCocycle:
     def value(self, g, h) -> Cyclotomic:
         return self.table[(g, h)]
 
-    def verify(self, seed: int = 0):
+    def verify(self):
+        """Normalization, and the cocycle identity on every triple: it is
+        the associativity of the twisted group algebra u_g u_h =
+        sigma(g, h) u_(g+h), with each value a root of unity zeta_L^e."""
         G = self.group
         els = G.elements()
         e = G.identity
         for g in els:
             if not self.table[(e, g)].is_one() or not self.table[(g, e)].is_one():
                 raise CocycleError(f"cocycle not normalized at {g}")
-        if G.order <= _EXHAUSTIVE_COCYCLE_ORDER:
-            triples = itertools.product(els, els, els)
-        else:
-            rng = random.Random(seed)
-            triples = [(rng.choice(els), rng.choice(els), rng.choice(els))
-                       for _ in range(_COCYCLE_SAMPLES)]
-        for g, h, k in triples:
-            lhs = self.table[(g, h)] * self.table[(G.add(g, h), k)]
-            rhs = self.table[(h, k)] * self.table[(g, G.add(h, k))]
-            if lhs != rhs:
-                raise CocycleError(f"cocycle identity fails at ({g},{h},{k})")
+        distinct = {(c.order, c.coeffs): c for c in self.table.values()}
+        L, forms = monomial_forms(list(distinct.values()))
+        exps = {}
+        for (key, c), form in zip(distinct.items(), forms):
+            if form is None or form[0] != 1:
+                raise CocycleError(f"cocycle value {c!r} is not a root of unity")
+            exps[key] = form[1]
+        index = {g: i for i, g in enumerate(els)}
+        target = np.array([[index[G.add(g, h)] for h in els] for g in els], dtype=np.int64)
+        exp = np.zeros_like(target)
+        for (g, h), c in self.table.items():
+            exp[index[g], index[h]] = exps[(c.order, c.coeffs)]
+        ones = np.ones_like(exp)
+        bad = associativity_failure(target, exp, ones, ones, L)
+        if bad:
+            g, h, k = (els[i] for i in bad)
+            raise CocycleError(f"cocycle identity fails at ({g},{h},{k})")
 
     def inverse_pairing_trivial(self) -> bool:
         G = self.group
@@ -232,12 +244,10 @@ class GradedAlgebra:
     def __post_init__(self):
         if len(self.degrees) != self.algebra.dim:
             raise GradingMismatch("one degree per basis element is required")
-        for (i, j), terms in self.algebra.mul.items():
-            target = self.group.add(self.degrees[i], self.degrees[j])
-            for k, c in terms:
-                if not c.is_zero() and self.degrees[k] != target:
-                    raise GradingMismatch(
-                        f"structure constants violate the grading at ({i},{j})->{k}")
+        for (i, j), ((k, _),) in self.algebra.mul.items():
+            if self.degrees[k] != self.group.add(self.degrees[i], self.degrees[j]):
+                raise GradingMismatch(
+                    f"structure constants violate the grading at ({i},{j})->{k}")
 
 
 def twist_left(graded: GradedAlgebra, sigma: GroupCocycle):
@@ -253,18 +263,16 @@ def twist_left(graded: GradedAlgebra, sigma: GroupCocycle):
     if sigma.group != G:
         raise GradingMismatch("cocycle group does not match the grading group")
     mul = {}
-    for (i, j), terms in A.mul.items():
-        s = sigma.value(graded.degrees[i], graded.degrees[j])
-        new_terms = tuple((k, c * s) for k, c in terms)
-        if new_terms:
-            mul[(i, j)] = new_terms
+    for (i, j), ((k, c),) in A.mul.items():
+        mul[(i, j)] = ((k, c * sigma.value(graded.degrees[i], graded.degrees[j])),)
     invol = []
     scalars = []
     for i in range(A.dim):
         deg = graded.degrees[i]
         s = sigma.value(G.neg(deg), deg).conjugate()
         scalars.append(s)
-        invol.append(tuple((k, c * s) for k, c in A.invol[i]))
+        ((k, c),) = A.star(i)
+        invol.append(((k, c * s),))
     twisted = StructAlgebra(A.dim, A.labels, mul=mul, invol=invol,
                             unit=A.unit, trace=A.trace, tracial=A.tracial)
     record = {
@@ -392,14 +400,9 @@ def verify_twist_theorem(spec: BlockSpec, backend: str = "exact", seed: int = 0)
 
 
 def _cross_block_products_vanish(spec: BlockSpec, twisted: StructAlgebra) -> bool:
-    block_of = []
-    for r, n in enumerate(spec.sizes):
-        block_of += [r] * (n * n)
-    for (i, j), terms in twisted.mul.items():
-        if block_of[i] != block_of[j]:
-            if any(not c.is_zero() for _, c in terms):
-                return False
-    return True
+    block_of = np.repeat(np.arange(spec.m), [n * n for n in spec.sizes])
+    cross = block_of[:, None] != block_of[None, :]
+    return not np.any(cross & (twisted.k >= 0))
 
 
 def _explicit_weyl_isomorphism(spec: BlockSpec, graded: GradedAlgebra,

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .algebra import (
     BlockSpec,
     StructAlgebra,
@@ -291,10 +293,7 @@ def conjugation_lemma_check(graded: GradedAlgebra, sigma: GroupCocycle) -> dict:
     # splits into the cocycle factor (per k') and the shared product
     # expansion x b_j (per j); vectors in any other first-leg fibre vanish on
     # both sides because of the (chi_g)_1 projection.
-    product_nnz = 0
-    for x_idx in range(A.dim):
-        for j in range(A.dim):
-            product_nnz += len(A.mul.get((x_idx, j), ()))
+    product_nnz = int(np.count_nonzero(A.k >= 0))
     cases = 0
     scalar_checks = 0
     for x_idx in range(A.dim):

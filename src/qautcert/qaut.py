@@ -559,11 +559,14 @@ def uet_pvm(spec: BlockSpec, backend: str = "exact", tol: float = 1e-9) -> dict:
         val = _psi_tr(spec, P, backend)
         expect = Mat.scalar(Fraction(1, spec.N), backend).entry(0, 0)
         if backend == "exact":
-            if val != expect:
-                cert.update(passed=False, failure=f"(psi x tr)(P{meta[idx]}) != 1/N")
-                return cert
+            off = val != expect
         else:
-            worst = max(worst, abs(val - complex(expect)))
+            diff = abs(val - complex(expect))
+            worst = max(worst, diff)
+            off = diff > tol
+        if off:
+            cert.update(passed=False, failure=f"(psi x tr)(P{meta[idx]}) != 1/N")
+            return cert
         ranks.append(P.rank())
         if ranks[-1] != d // ns:
             cert.update(passed=False,

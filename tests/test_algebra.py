@@ -1,8 +1,12 @@
+import itertools
+import math
 import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qautcert.algebra import (
     AxiomViolation,
@@ -17,10 +21,11 @@ from qautcert.algebra import (
     recognize_blocks,
     tensor_algebra,
 )
-from qautcert.arith import Cyclotomic
+from qautcert.arith import Cyclotomic, root_of_unity
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 ONE = Cyclotomic.one()
+ZERO = Cyclotomic.zero()
 
 
 def test_multimatrix_abelian_uniform_trace():
@@ -203,3 +208,165 @@ def test_serialization_golden_roundtrip():
         assert text == fh.read()
     back = StructAlgebra.deserialize(text)
     assert back.serialize() == text
+
+
+def test_two_term_product_rejected_at_construction():
+    # C^2 in the basis b0 = 1, b1 = e0 + 2 e1: a valid algebra, but
+    # b1 b1 = -2 b0 + 3 b1 is not a monomial
+    r = Cyclotomic.rational
+    mul = {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),),
+           (1, 1): ((0, r(-2)), (1, r(3)))}
+    with pytest.raises(AxiomViolation, match=r"b_1 b_1 has 2 terms, not one"):
+        StructAlgebra(2, ["1", "x"], mul=mul, invol=[((0, ONE),), ((1, ONE),)],
+                      unit=[ONE, ZERO], trace=[r(1), r(Fraction(3, 2))])
+
+
+def _edited_tensor_128(edit):
+    """C(X) x M_2 for |X| = 32, dimension 128, rebuilt after
+    ``edit(mul, invol, trace)``.  The edits below touch only
+    d_3 x M_2 (basis 12..15), so they break a handful of the 2.1M basis
+    triples or 16k pairs, and the check must find those."""
+    T = tensor_algebra(function_algebra(32), 2)
+    mul, invol, trace = dict(T.mul), list(T.invol), list(T.trace)
+    edit(mul, invol, trace)
+    return StructAlgebra(T.dim, T.labels, mul=mul, invol=invol, unit=T.unit,
+                         trace=trace)
+
+
+def test_associativity_checked_on_every_triple_at_dim_128():
+    def negate_product(mul, invol, trace):
+        ((k, c),) = mul[(13, 14)]  # (d3 E01)(d3 E10) = d3 E00
+        mul[(13, 14)] = ((k, -c),)
+
+    with pytest.raises(AxiomViolation, match=r"associativity fails at basis triple \(13,14,13\)"):
+        _edited_tensor_128(negate_product)
+
+
+def test_antimultiplicativity_checked_on_every_pair_at_dim_128():
+    def negate_star(mul, invol, trace):
+        ((k, c),) = invol[12]  # (d3 E00)* = -d3 E00, still involutive
+        invol[12] = ((k, -c),)
+
+    with pytest.raises(AxiomViolation, match=r"not antimultiplicative at \(12,12\)"):
+        _edited_tensor_128(negate_star)
+
+
+def test_trace_property_checked_on_every_pair_at_dim_128():
+    def trace_off_diagonal(mul, invol, trace):
+        trace[13] = ONE  # tr(d3 E01) = 1
+
+    with pytest.raises(AxiomViolation, match=r"trace is not tracial at \(12,13\)"):
+        _edited_tensor_128(trace_off_diagonal)
+
+
+def reference_axiom_failure(dim, mul, invol, unit, trace):
+    """The message verify_axioms raises for these dict-based structure
+    constants, or None: every axiom in plain Cyclotomic arithmetic on sparse
+    dicts, over every basis triple and pair in lexicographic order."""
+
+    def clean(out):
+        return {k: c for k, c in out.items() if not c.is_zero()}
+
+    def times(u, v):
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, c in mul.get((i, j), ()):
+                    out[k] = out.get(k, ZERO) + a * b * c
+        return clean(out)
+
+    def star(u):
+        out = {}
+        for i, a in u.items():
+            for k, c in invol[i]:
+                out[k] = out.get(k, ZERO) + a.conjugate() * c
+        return clean(out)
+
+    def tr(u):
+        return sum((a * trace[k] for k, a in u.items()), ZERO)
+
+    b = [{i: ONE} for i in range(dim)]
+    for i, j, l in itertools.product(range(dim), repeat=3):
+        if times(times(b[i], b[j]), b[l]) != times(b[i], times(b[j], b[l])):
+            return f"associativity fails at basis triple ({i},{j},{l})"
+    for i, j in itertools.product(range(dim), repeat=2):
+        if star(times(b[i], b[j])) != times(star(b[j]), star(b[i])):
+            return f"involution is not antimultiplicative at ({i},{j})"
+    for i in range(dim):
+        if star(star(b[i])) != b[i]:
+            return f"involution is not involutive at basis {i}"
+    u = clean(dict(enumerate(unit)))
+    for i in range(dim):
+        if times(u, b[i]) != b[i]:
+            return f"unit fails on the left at basis {i}"
+        if times(b[i], u) != b[i]:
+            return f"unit fails on the right at basis {i}"
+    for i, j in itertools.product(range(dim), repeat=2):
+        if tr(times(b[i], b[j])) != tr(times(b[j], b[i])):
+            return f"trace is not tracial at ({i},{j})"
+    return None
+
+
+@st.composite
+def twisted_group_algebras(draw):
+    """C[Z_a x Z_b] twisted by zeta_L^e(g, h), with e a bilinear cocycle
+    plus a random coboundary, u_g* = conj(sigma(-g, g)) u_-g, unit u_0 and
+    tr(u_g) = [g = 0]; then sometimes one product, involution image, trace
+    value or the unit is changed.  A factor 2**70 takes the rational
+    comparisons past int64."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    L = 2 * a * b
+    d = math.gcd(a, b)
+    els = list(itertools.product(range(a), range(b)))
+    index = {g: i for i, g in enumerate(els)}
+
+    def add(g, h):
+        return ((g[0] + h[0]) % a, (g[1] + h[1]) % b)
+
+    m = draw(st.integers(0, d - 1))
+    f = [0] + [draw(st.integers(0, L - 1)) for _ in els[1:]]
+
+    def sigma(g, h):
+        e = (L // d) * m * g[0] * h[1] + f[index[g]] + f[index[h]] - f[index[add(g, h)]]
+        return root_of_unity(L, e)
+
+    mul = {(index[g], index[h]): ((index[add(g, h)], sigma(g, h)),)
+           for g in els for h in els}
+    neg = {g: (-g[0] % a, -g[1] % b) for g in els}
+    invol = [((index[neg[g]], sigma(neg[g], g).conjugate()),) for g in els]
+    unit = [ONE] + [ZERO] * (len(els) - 1)
+    trace = [ONE] + [ZERO] * (len(els) - 1)
+    dim = len(els)
+    edit = draw(st.sampled_from(["none", "product", "scale", "star", "trace", "unit"]))
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    phase = root_of_unity(L, draw(st.integers(1, L - 1)))
+    if edit == "product":
+        ((k, c),) = mul[(i, j)]
+        mul[(i, j)] = ((k, c * phase),)
+    elif edit == "scale":
+        factor = Cyclotomic.rational(draw(st.sampled_from([2, Fraction(1, 3), 2**70])))
+        ((k, c),) = mul[(i, j)]
+        mul[(i, j)] = ((k, c * factor),)
+    elif edit == "star":
+        ((k, c),) = invol[i]
+        invol[i] = ((k, c * phase),)
+    elif edit == "trace":
+        trace[i] = phase
+    elif edit == "unit":
+        unit = [ZERO] * dim
+        unit[i] = phase
+    return dim, mul, invol, unit, trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(twisted_group_algebras())
+def test_verify_axioms_agrees_with_dict_reference(case):
+    dim, mul, invol, unit, trace = case
+    alg = StructAlgebra(dim, [f"u{i}" for i in range(dim)], mul=mul, invol=invol,
+                        unit=unit, trace=trace, verify=False)
+    try:
+        alg.verify_axioms()
+        got = None
+    except AxiomViolation as exc:
+        got = str(exc)
+    assert got == reference_axiom_failure(dim, mul, invol, unit, trace)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -43,6 +44,26 @@ def test_cocycle_identity_verified_on_construction():
     bad = {(g, h): Cyclotomic.one() for g in G.elements() for h in G.elements()}
     bad[((1,), (1,))] = Cyclotomic.rational(-1)
     with pytest.raises(CocycleError):
+        GroupCocycle(G, bad)
+
+
+def test_cocycle_identity_checked_on_every_triple_at_order_81():
+    # one value of the (3,3) cocycle on (Z_3)^4 times zeta_3 breaks a few
+    # hundred of the 531441 triples
+    sigma = spec_cocycle(BlockSpec((3, 3)))
+    table = dict(sigma.table)
+    key = ((0, 0, 0, 1), (1, 1, 1, 1))
+    table[key] = table[key] * root_of_unity(3, 1)
+    with pytest.raises(CocycleError, match=re.escape(
+            "cocycle identity fails at ((0, 0, 0, 1),(0, 0, 0, 1),(1, 1, 1, 0))")):
+        GroupCocycle(sigma.group, table)
+
+
+def test_cocycle_value_off_the_unit_circle_rejected():
+    G = FinAbGroup((2,))
+    bad = {(g, h): Cyclotomic.one() for g in G.elements() for h in G.elements()}
+    bad[((1,), (1,))] = Cyclotomic.rational(2)
+    with pytest.raises(CocycleError, match="is not a root of unity"):
         GroupCocycle(G, bad)
 
 

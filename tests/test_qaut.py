@@ -138,6 +138,17 @@ def test_uet_pvm_float_backend():
     assert cert["passed"] and cert["worst_residual"] < 1e-12
 
 
+def test_uet_pvm_float_fails_plancherel_value_off_by_more_than_tol(monkeypatch):
+    import qautcert.qaut
+
+    real = qautcert.qaut._psi_tr
+    monkeypatch.setattr(qautcert.qaut, "_psi_tr",
+                        lambda spec, P, backend: real(spec, P, backend) + 1e-6)
+    cert = uet_pvm(BlockSpec((2, 1)), backend="float", tol=1e-9)
+    assert cert["passed"] is False
+    assert cert["failure"] == "(psi x tr)(P(1, 0, 0)) != 1/N"
+
+
 # -- pi and rho ---------------------------------------------------------------
 
 def test_pi_collapses_on_abelian_partition():
