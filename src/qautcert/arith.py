@@ -141,6 +141,12 @@ def _power_rows(M: int, exponents) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _root_table(M: int) -> np.ndarray:
+    """Row e is the coefficient row of zeta_M^e, for 0 <= e < M."""
+    return _power_rows(M, range(M))
+
+
+@lru_cache(maxsize=None)
 def _reduction_table(M: int) -> np.ndarray:
     """Integer matrix whose row t is x^t mod Phi_M, for 0 <= t < 2*deg - 1."""
     D = euler_phi(M)
@@ -628,6 +634,21 @@ class Mat:
                     if q:
                         coef[t, i, j] = int(q * den)
         return cls._new_exact(r, c, order, _stored(coef), den)
+
+    @classmethod
+    def from_entries(cls, rows, cols, order, row, col, exp, rational) -> "Mat":
+        """The exact rows x cols matrix sum over t of
+        rational[t] * zeta_order^exp[t] * E_(row[t], col[t]); entries at one
+        position add."""
+        rational = [Fraction(q) for q in rational]
+        den = math.lcm(1, *(q.denominator for q in rational))
+        num = np.array([int(q * den) for q in rational], dtype=object)
+        powers = _root_table(order)[np.asarray(exp, dtype=np.int64) % order]
+        num, powers = _working(_maxabs(num) * _maxabs(powers) * max(len(num), 1), num, powers)
+        flat = np.zeros((rows * cols, powers.shape[1]), dtype=num.dtype)
+        np.add.at(flat, np.asarray(row, dtype=np.int64) * cols + np.asarray(col, dtype=np.int64),
+                  num[:, None] * powers)
+        return cls._new_exact(rows, cols, order, _stored(flat.T.reshape(-1, rows, cols)), den)
 
     @classmethod
     def flt(cls, data, config: FloatConfig | None = None) -> "Mat":

@@ -16,11 +16,13 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import __version__
 from .algebra import BlockSpec
-from .arith import FloatConfig
+from .arith import FloatConfig, Mat, root_of_unity
 from .cocycle import (
     FinAbGroup,
     fourier_function_algebra,
@@ -59,7 +61,6 @@ from .qaut import (
     strict_word_check,
     uet_pvm,
 )
-from .arith import Mat
 
 SUITE_NAMES = ("ueb", "twist", "conj", "tt", "pvm", "homs", "shuffle", "cov", "haar")
 
@@ -240,10 +241,7 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
         if cfg.backend == "float":
             images = {sym: ft_to_float(ft, fc) for sym, ft in images.items()}
         for label, line, assignment in cases:
-            values = assignment.values
-            if cfg.backend == "float":
-                values = {k: v.to_float(fc) for k, v in values.items()}
-            subst = {sym: ft.substitute(values) for sym, ft in images.items()}
+            subst = {sym: ft.substitute(assignment.values) for sym, ft in images.items()}
             rep = check_relations(GeneratorAssignment(presentation, subst))
             worst = max(worst, rep.worst_residual)
             record.append(line)
@@ -286,12 +284,10 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
 
 
 def ft_to_float(ft, fc: FloatConfig):
-    from .formal import FormalTensor
-
-    out = FormalTensor(ft.a, ft.b)
-    for w, c in ft.terms.items():
-        out.terms[w] = c.to_float(fc)
-    return out
+    """The float form of a formal tensor: each row's coefficient
+    prefactor * zeta_order^exp as a complex128 phase."""
+    roots = np.array([root_of_unity(ft.order, e).to_complex() for e in range(ft.order)])
+    return replace(ft, phase=float(ft.prefactor) * roots[ft.exp % ft.order], config=fc)
 
 
 def _suite_shuffle(cfg: SuiteConfig) -> dict:
@@ -452,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated block sizes, e.g. 2,1")
     runp.add_argument("--backend", default=_env_default("BACKEND", "exact"),
                       choices=["exact", "float"])
-    runp.add_argument("--tol", type=float, default=float(_env_default("TOL", "1e-9")))
-    runp.add_argument("--seed", type=int, default=int(_env_default("SEED", "42")))
+    runp.add_argument("--tol", type=float, default=_env_default("TOL", "1e-9"))
+    runp.add_argument("--seed", type=int, default=_env_default("SEED", "42"))
     runp.add_argument("--suites", default=_env_default("SUITES", ",".join(SUITE_NAMES)))
     runp.add_argument("--out", default=_env_default("OUT", None))
     runp.add_argument("--markdown", default=_env_default("MARKDOWN", None))

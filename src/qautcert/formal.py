@@ -1,16 +1,20 @@
-"""Formal tensors: elements of M_a x M_b with coefficients attached to
-noncommutative words in generator symbols.
+"""Formal tensors: elements of M_size x (generator symbols) whose every
+coefficient is a phase-permutation, stored as rows of an index table.
 
 A symbol is a hashable tuple; q-type symbols carry their own adjoint rule
-(index transposition), u-type symbols are formally self-adjoint.  Products
-concatenate words and multiply coefficient matrices; nothing is rewritten.
+(index transposition), u-type symbols are formally self-adjoint.  The images
+of the generators under pi and rho are such tensors (see ``qaut.pi_map``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
-from .arith import Cyclotomic, Mat
+import numpy as np
+
+from .arith import FloatConfig, Mat, accumulate, root_of_unity
 
 __all__ = ["FormalTensor", "symbol_adjoint", "qsym", "usym"]
 
@@ -32,128 +36,82 @@ def symbol_adjoint(sym):
     raise ValueError(f"unknown symbol kind {sym[0]!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class FormalTensor:
-    """Finitely supported map word -> Mat(a*b); the empty word is scalar."""
+    """sum over rows t of prefactor * zeta_order^exp[t] * E_(row[t], col[t])
+    (x) symbols[sym[t]], with E the matrix units of M_size.
 
-    a: int
-    b: int
-    terms: dict = field(default_factory=dict)
+    ``cli.ft_to_float`` sets ``phase``, each row's coefficient as a complex
+    number, and ``config``; ``substitute`` then computes in floats."""
 
-    @classmethod
-    def from_coeff(cls, coeff: Mat, word=()) -> "FormalTensor":
-        ft = cls(coeff.rows, 1)
-        if not coeff.is_zero():
-            ft.terms[tuple(word)] = coeff
-        return ft
+    size: int
+    order: int
+    prefactor: Fraction
+    symbols: tuple
+    sym: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    exp: np.ndarray
+    phase: np.ndarray | None = None
+    config: FloatConfig | None = None
 
-    @classmethod
-    def zero(cls, a: int, b: int) -> "FormalTensor":
-        return cls(a, b, {})
-
-    def copy(self) -> "FormalTensor":
-        return FormalTensor(self.a, self.b, dict(self.terms))
-
-    def add_term(self, word, coeff: Mat):
-        word = tuple(word)
-        if word in self.terms:
-            total = self.terms[word] + coeff
-            if total.is_zero():
-                del self.terms[word]
-            else:
-                self.terms[word] = total
-        elif not coeff.is_zero():
-            self.terms[word] = coeff
-
-    def __add__(self, other: "FormalTensor") -> "FormalTensor":
-        out = self.copy()
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def __sub__(self, other: "FormalTensor") -> "FormalTensor":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "FormalTensor":
-        out = FormalTensor(self.a, self.b)
-        for w, c in self.terms.items():
-            sc = c.scale(s)
-            if not sc.is_zero():
-                out.terms[w] = sc
-        return out
-
-    def __matmul__(self, other: "FormalTensor") -> "FormalTensor":
-        out = FormalTensor(self.a, self.b)
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out.add_term(w1 + w2, c1 @ c2)
-        return out
-
-    def adjoint(self) -> "FormalTensor":
-        out = FormalTensor(self.a, self.b)
-        for w, c in self.terms.items():
-            out.add_term(tuple(symbol_adjoint(s) for s in reversed(w)), c.adjoint())
-        return out
+    def __post_init__(self):
+        for name in ("sym", "row", "col", "exp"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
     def equals(self, other: "FormalTensor") -> bool:
-        words = set(self.terms) | set(other.terms)
-        for w in words:
-            c1 = self.terms.get(w)
-            c2 = other.terms.get(w)
-            if c1 is None:
-                if not c2.is_zero():
-                    return False
-            elif c2 is None:
-                if not c1.is_zero():
-                    return False
-            elif not c1.equals(c2):
-                return False
-        return True
+        """Exact equality, for tensors that hold each (symbol, row, col) in
+        at most one row, as the images of pi and rho do."""
+        if self.prefactor != other.prefactor or self.symbols != other.symbols:
+            return False
+        order = math.lcm(self.order, other.order)
+        return np.array_equal(self._sorted_rows(order), other._sorted_rows(order))
 
-    def coefficient(self, word) -> Mat | None:
-        return self.terms.get(tuple(word))
+    def _sorted_rows(self, order: int) -> np.ndarray:
+        rows = np.stack([self.sym, self.row, self.col,
+                         self.exp * (order // self.order) % order])
+        return rows[:, np.lexsort(rows[::-1])]
+
+    def sparse(self) -> dict:
+        """The nonzero coefficients as {(symbol, row, col): Cyclotomic}."""
+        units = [root_of_unity(self.order, e) for e in range(self.order)]
+        out: dict = {}
+        accumulate(out, self.prefactor,
+                   (((self.symbols[j], r, c), units[e % self.order])
+                    for j, r, c, e in zip(self.sym.tolist(), self.row.tolist(),
+                                          self.col.tolist(), self.exp.tolist())))
+        return out
 
     def substitute(self, assignment: dict) -> Mat:
-        """Evaluate under symbol -> Mat; words become products, each term
-        coeff (x) value, summed.  Scalar (1x1) assignments collapse the
-        Kronecker factor to a plain scaling."""
+        """Evaluate under symbol -> exact Mat, every value k x k: the sum
+        over the rows of their coefficient times E_(row, col) (x) value, a
+        (size k) x (size k) matrix, in floats once ``phase`` is set."""
         k = next(iter(assignment.values())).rows if assignment else 1
-        some = next(iter(self.terms.values()), None)
-        backend = some.backend if some is not None else "exact"
-        config = getattr(some, "config", None)
-        base = some.rows if some is not None else self.a * self.b
-        size = base * (1 if k == 1 else k)
-        out = Mat.zeros(size, size, backend, config)
-        for w, c in self.terms.items():
-            val = None
-            zero = False
-            for sym in w:
-                m = assignment[sym]
-                if m.rows == 1 and m.is_zero():
-                    zero = True
-                    break
-                val = m if val is None else val @ m
-            if zero:
+        n = self.size * k
+        parts = []  # (table rows, rows, cols, value entry) per nonzero value entry
+        for j, symbol in enumerate(self.symbols):
+            value = assignment[symbol]
+            if value.is_zero():
                 continue
-            if val is None:
-                term = c if k == 1 else c.kron(
-                    Mat.identity(k, c.backend, getattr(c, "config", None)))
-            elif val.rows == 1:
-                term = c.scale(val.entry(0, 0))
-            else:
-                term = c.kron(val)
-            out = out + term
-        return out
-
-    def map_symbols(self, fn) -> "FormalTensor":
-        """Apply a substitution symbol -> (scalar, symbol) to every word."""
-        out = FormalTensor(self.a, self.b)
-        for w, c in self.terms.items():
-            scalar = Cyclotomic.one()
-            new_word = []
-            for sym in w:
-                s, new_sym = fn(sym)
-                scalar = scalar * s
-                new_word.append(new_sym)
-            out.add_term(tuple(new_word), c.scale(scalar))
-        return out
+            t = np.flatnonzero(self.sym == j)
+            parts += [(t, self.row[t] * k + a, self.col[t] * k + b, c)
+                      for (a, b), c in value.sparse_entries().items()]
+        if self.phase is not None:
+            data = np.zeros((n, n), dtype=np.complex128)
+            for t, rows, cols, c in parts:
+                np.add.at(data, (rows, cols), self.phase[t] * c.to_complex())
+            return Mat.flt(data, self.config)
+        # each value entry is sum over e of q_e zeta_M^e, its power basis
+        order = math.lcm(self.order, *(c.order for *_, c in parts))
+        rows, cols, exps, rational = [], [], [], []
+        for t, r, cl, c in parts:
+            for e, q in enumerate(c.coeffs):
+                if q:
+                    rows.append(r)
+                    cols.append(cl)
+                    exps.append(self.exp[t] * (order // self.order) + e * (order // c.order))
+                    rational += [q * self.prefactor] * len(t)
+        if not rows:
+            return Mat.zeros(n, n)
+        return Mat.from_entries(n, n, order, np.concatenate(rows), np.concatenate(cols),
+                                np.concatenate(exps), rational)

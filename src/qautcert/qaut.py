@@ -26,11 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import BlockSpec, column_sparse, multimatrix, sparse_eq
-from .arith import Cyclotomic, Mat, echelon, root_of_unity
+import numpy as np
+
+from .algebra import BlockSpec, column_sparse, monomial_forms, multimatrix, sparse_eq
+from .arith import Cyclotomic, Mat, accumulate, echelon, root_of_unity
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
 from .pauli import BlockEmbedding, weyl_basis
 
@@ -596,44 +598,71 @@ def _psi_tr(spec: BlockSpec, P: Mat, backend: str):
 # ---------------------------------------------------------------------------
 # the homomorphisms pi and rho
 
-def _emb_units(spec: BlockSpec):
-    emb = BlockEmbedding(spec)
-    cache = {}
-    for s, n in enumerate(spec.sizes, start=1):
-        for i in range(n):
-            for j in range(n):
-                cache[(s, i, j)] = emb.paren_unit(s, i, j)
-    return cache
+def _unit_positions(spec: BlockSpec, s: int):
+    """(stride, base): E^(s)_(a,b), embedded in M_d, has its ones at
+    (base + a*stride, base + b*stride), elementwise over base."""
+    stride = math.prod(spec.sizes[s:])
+    idx = np.arange(spec.d)
+    return stride, idx[(idx // stride) % spec.sizes[s - 1] == 0]
+
+
+def _index_range(ns: int, nr: int):
+    return itertools.product(range(ns), range(ns), range(nr), range(nr))
+
+
+def _phase_table(spec: BlockSpec):
+    """The one table of pi and rho.  Per block pair (s, r), integer arrays
+    row, col and exp over the axes (i, j, k, l, x, y, v, w, rest), one entry
+    per nonzero of
+
+        zeta_L^exp E_(row, col) = w_s^(-x(i-j)) w_r^(-v(k-l))
+                                  E^(s)_(i-y,j-y) x E^(r)_(k-w,l-w)
+
+    in M_d x M_d, L the lcm of the block sizes: the coefficient of
+    u_(s,x,y),(r,v,w) in n_r pi(q^(s,r)_(i,j),(k,l)) and, conjugated, that
+    of q^(s,r)_(i,j),(k,l) in n_s rho(u_(s,x,y),(r,v,w))."""
+    sizes, d = spec.sizes, spec.d
+    L = math.lcm(*sizes)
+    for s, ns in enumerate(sizes, start=1):
+        stride_s, base_s = _unit_positions(spec, s)
+        for r, nr in enumerate(sizes, start=1):
+            stride_r, base_r = _unit_positions(spec, r)
+            i, j, k, l, x, y, v, w = (np.arange(n).reshape((-1,) + (1,) * (8 - axis))
+                                      for axis, n in enumerate((ns, ns, nr, nr) * 2))
+            rest = np.arange(len(base_s) * len(base_r))
+            left, right = base_s[rest // len(base_r)], base_r[rest % len(base_r)]
+            row = ((left + (i - y) % ns * stride_s) * d
+                   + right + (k - w) % nr * stride_r)
+            col = ((left + (j - y) % ns * stride_s) * d
+                   + right + (l - w) % nr * stride_r)
+            exp = (-x * (i - j) * (L // ns) - v * (k - l) * (L // nr)) % L
+            yield (s, r, L) + tuple(np.broadcast_arrays(row, col, exp))
+
+
+def _table_images(spec: BlockSpec, of_rho: bool) -> dict:
+    """The images of pi (q-generators) or rho (u-generators), each read off
+    its rows of the phase table."""
+    out = {}
+    for s, r, L, row, col, exp in _phase_table(spec):
+        ns, nr = spec.sizes[s - 1], spec.sizes[r - 1]
+        qs = [qsym(s, r, *t) for t in _index_range(ns, nr)]
+        us = [usym(s, x, y, r, v, w) for x, y, v, w in _index_range(ns, nr)]
+        sources, targets, prefactor = qs, tuple(us), Fraction(1, nr)
+        if of_rho:
+            row, col, exp = (a.transpose(4, 5, 6, 7, 0, 1, 2, 3, 8) for a in (row, col, -exp))
+            sources, targets, prefactor = us, tuple(qs), Fraction(1, ns)
+        shape = (len(sources), len(targets), row.shape[-1])
+        row, col, exp = (a.reshape(shape) for a in (row, col, exp % L))
+        sym = np.repeat(np.arange(len(targets)), shape[2])
+        for n, source in enumerate(sources):
+            out[source] = FormalTensor(spec.d ** 2, L, prefactor, targets, sym,
+                                       row[n].ravel(), col[n].ravel(), exp[n].ravel())
+    return out
 
 
 def pi_map(spec: BlockSpec) -> dict:
     """pi on q-generators as formal tensors over M_d x M_d in u-symbols."""
-    sizes = spec.sizes
-    d = spec.d
-    units = _emb_units(spec)
-    out = {}
-    for s, ns in enumerate(sizes, start=1):
-        ws = root_of_unity(ns, 1) if ns > 1 else Cyclotomic.one()
-        for r, nr in enumerate(sizes, start=1):
-            wr = root_of_unity(nr, 1) if nr > 1 else Cyclotomic.one()
-            pref = Fraction(1, nr)
-            for i in range(ns):
-                for j in range(ns):
-                    for k in range(nr):
-                        for l in range(nr):
-                            ft = FormalTensor(d, d)
-                            for x in range(ns):
-                                for y in range(ns):
-                                    left = units[(s, (i - y) % ns, (j - y) % ns)]
-                                    phase_s = ws ** ((-x * (i - j)) % ns) if ns > 1 else Cyclotomic.one()
-                                    for v in range(nr):
-                                        phase = phase_s * (wr ** ((-v * (k - l)) % nr) if nr > 1 else Cyclotomic.one())
-                                        for w in range(nr):
-                                            right = units[(r, (k - w) % nr, (l - w) % nr)]
-                                            coeff = left.kron(right).scale(phase * pref)
-                                            ft.add_term((usym(s, x, y, r, v, w),), coeff)
-                            out[qsym(s, r, i, j, k, l)] = ft
-    return out
+    return _table_images(spec, of_rho=False)
 
 
 def rho_map(spec: BlockSpec, crosscheck: bool = True):
@@ -643,31 +672,7 @@ def rho_map(spec: BlockSpec, crosscheck: bool = True):
     (T^[s]_(x,-y) x T^[r]_(v,-w) x 1)(Q^(s,r)/n_s)(...)* is built
     independently and compared term by term; the report records the result.
     """
-    sizes = spec.sizes
-    d = spec.d
-    units = _emb_units(spec)
-    out = {}
-    for s, ns in enumerate(sizes, start=1):
-        ws = root_of_unity(ns, 1) if ns > 1 else Cyclotomic.one()
-        pref = Fraction(1, ns)
-        for r, nr in enumerate(sizes, start=1):
-            wr = root_of_unity(nr, 1) if nr > 1 else Cyclotomic.one()
-            for x in range(ns):
-                for y in range(ns):
-                    for v in range(nr):
-                        for w in range(nr):
-                            ft = FormalTensor(d, d)
-                            for i in range(ns):
-                                for j in range(ns):
-                                    left = units[(s, (i - y) % ns, (j - y) % ns)]
-                                    phase_s = ws ** ((x * (i - j)) % ns) if ns > 1 else Cyclotomic.one()
-                                    for k in range(nr):
-                                        for l in range(nr):
-                                            right = units[(r, (k - w) % nr, (l - w) % nr)]
-                                            phase = phase_s * (wr ** ((v * (k - l)) % nr) if nr > 1 else Cyclotomic.one())
-                                            ft.add_term((qsym(s, r, i, j, k, l),),
-                                                        left.kron(right).scale(phase * pref))
-                            out[usym(s, x, y, r, v, w)] = ft
+    out = _table_images(spec, of_rho=True)
     report = {"both_forms_agree": None}
     if crosscheck:
         report["both_forms_agree"] = _rho_conjugated_form_agrees(spec, out)
@@ -676,20 +681,13 @@ def rho_map(spec: BlockSpec, crosscheck: bool = True):
 
 def _rho_conjugated_form_agrees(spec: BlockSpec, rho: dict) -> bool:
     sizes = spec.sizes
-    d = spec.d
-    units = _emb_units(spec)
     emb = BlockEmbedding(spec)
     wbs = {n: weyl_basis(n) for n in set(sizes)}
     for s, ns in enumerate(sizes, start=1):
         for r, nr in enumerate(sizes, start=1):
             # Q^(s,r) = sum E^(s)_ij x E^(r)_kl x q
-            Q = FormalTensor(d, d)
-            for i in range(ns):
-                for j in range(ns):
-                    for k in range(nr):
-                        for l in range(nr):
-                            Q.add_term((qsym(s, r, i, j, k, l),),
-                                       units[(s, i, j)].kron(units[(r, k, l)]))
+            Q = {qsym(s, r, i, j, k, l): emb.paren_unit(s, i, j).kron(emb.paren_unit(r, k, l))
+                 for i, j, k, l in _index_range(ns, nr)}
             for x in range(ns):
                 for y in range(ns):
                     A = emb.paren(s, wbs[ns].t(x, (-y) % ns))
@@ -697,11 +695,12 @@ def _rho_conjugated_form_agrees(spec: BlockSpec, rho: dict) -> bool:
                         for w in range(nr):
                             B = emb.paren(r, wbs[nr].t(v, (-w) % nr))
                             conj = A.kron(B)
-                            lhs = FormalTensor(d, d)
-                            for word, coeff in Q.terms.items():
-                                lhs.add_term(word, (conj @ coeff @ conj.adjoint()).scale(
-                                    Fraction(1, ns)))
-                            if not lhs.equals(rho[usym(s, x, y, r, v, w)]):
+                            lhs = {}
+                            for q, coeff in Q.items():
+                                term = (conj @ coeff @ conj.adjoint()).scale(Fraction(1, ns))
+                                for (row, col), c in term.sparse_entries().items():
+                                    lhs[(q, row, col)] = c
+                            if not sparse_eq(lhs, rho[usym(s, x, y, r, v, w)].sparse()):
                                 return False
     return True
 
@@ -713,45 +712,37 @@ def rearranged_Q_check(spec: BlockSpec) -> dict:
             n_s sum_{x,y,v,w} phi^[s]_(-x,y) x phi^[r]_(-v,w) x u_(s,x,y),(r,v,w)
 
     where the shuffle re-pairs the four M_d legs (1,2,3,4) -> (1,3)(2,4) and
-    is applied exactly once, here at certificate assembly.  Coefficients are
-    compared entry by entry in sparse form (both sides have d^4 nonzeros out
-    of d^8)."""
+    is applied exactly once, here at certificate assembly.  The left side is
+    read off pi's images, the right side built from the entangled
+    projections; coefficients are compared entry by entry in sparse form
+    (both sides have d^4 nonzeros out of d^8)."""
     sizes = spec.sizes
     d = spec.d
-    units = _emb_units(spec)
-    unit_sparse = {key: mat.sparse_entries() for key, mat in units.items()}
+    d2 = d * d
+    # u -> coefficient of u on the left, legs shuffled: Q^(s,r) puts
+    # E^(s)_ij x E^(r)_kl on legs (1, 2) next to pi(q^(s,r)_(i,j),(k,l))
+    lhs: dict = {}
+    for (_, s, r, i, j, k, l), ft in pi_map(spec).items():
+        stride_s, base_s = _unit_positions(spec, s)
+        stride_r, base_r = _unit_positions(spec, r)
+        legs = [(r1 * d + r2, c1 * d + c2)
+                for r1, c1 in zip(base_s + i * stride_s, base_s + j * stride_s)
+                for r2, c2 in zip(base_r + k * stride_r, base_r + l * stride_r)]
+        for (u, row, col), c in ft.sparse().items():
+            coeff = lhs.setdefault(u, {})
+            for r12, c12 in legs:
+                coeff[(_shuffle_index(int(r12) * d2 + row, d),
+                       _shuffle_index(int(c12) * d2 + col, d))] = c
     emb = BlockEmbedding(spec)
     phi_sparse: dict = {}
     words_checked = 0
     for s, ns in enumerate(sizes, start=1):
-        ws = root_of_unity(ns, 1) if ns > 1 else Cyclotomic.one()
         for r, nr in enumerate(sizes, start=1):
-            wr = root_of_unity(nr, 1) if nr > 1 else Cyclotomic.one()
-            pref = Fraction(1, nr)
             for x in range(ns):
                 for y in range(ns):
                     for v in range(nr):
                         for w in range(nr):
                             sym = usym(s, x, y, r, v, w)
-                            # LHS coefficient of u_sym, legs in the natural
-                            # order (1,2,3,4): (1/n_r) sum over ijkl of
-                            # E_ij^(s) x E_kl^(r) x E_(i-y,j-y)^(s) x E_(k-w,l-w)^(r)
-                            lhs: dict = {}
-                            for i in range(ns):
-                                for j in range(ns):
-                                    pl = (ws ** ((-x * (i - j)) % ns)) if ns > 1 else Cyclotomic.one()
-                                    l1 = unit_sparse[(s, i, j)]
-                                    l3 = unit_sparse[(s, (i - y) % ns, (j - y) % ns)]
-                                    for k in range(nr):
-                                        for l in range(nr):
-                                            ph = pl * ((wr ** ((-v * (k - l)) % nr)) if nr > 1 else Cyclotomic.one()) * pref
-                                            l2 = unit_sparse[(r, k, l)]
-                                            l4 = unit_sparse[(r, (k - w) % nr, (l - w) % nr)]
-                                            _accumulate_quad(lhs, l1, l2, l3, l4, ph, d)
-                            # shuffle legs (A,B,C,E) -> (A,C,B,E)
-                            shuffled = {}
-                            for (row, col), val in lhs.items():
-                                shuffled[(_shuffle_index(row, d), _shuffle_index(col, d))] = val
                             key_s = (s, (-x) % ns, y)
                             if key_s not in phi_sparse:
                                 phi_sparse[key_s] = emb.bracket_phi(*key_s).sparse_entries()
@@ -759,35 +750,16 @@ def rearranged_Q_check(spec: BlockSpec) -> dict:
                             if key_r not in phi_sparse:
                                 phi_sparse[key_r] = emb.bracket_phi(*key_r).sparse_entries()
                             rhs = {}
-                            d2 = d * d
                             for (r1, c1), v1 in phi_sparse[key_s].items():
                                 for (r2, c2), v2 in phi_sparse[key_r].items():
                                     rhs[(r1 * d2 + r2, c1 * d2 + c2)] = v1 * v2 * ns
-                            if not sparse_eq(shuffled, rhs):
+                            if not sparse_eq(lhs.get(sym, {}), rhs):
                                 return {"passed": False, "failed_word": str(sym),
                                         "partition": list(sizes)}
                             words_checked += 1
     return {"passed": True, "partition": list(sizes), "d": d,
             "words_checked": words_checked, "shuffle": "(1,2,3,4)->(1,3)(2,4)",
             "rhs_constant": "n_s", "worst_residual": 0.0}
-
-
-def _accumulate_quad(acc: dict, l1: dict, l2: dict, l3: dict, l4: dict,
-                     phase, d: int):
-    for (r1, c1), v1 in l1.items():
-        for (r2, c2), v2 in l2.items():
-            v12 = v1 * v2
-            for (r3, c3), v3 in l3.items():
-                for (r4, c4), v4 in l4.items():
-                    row = ((r1 * d + r2) * d + r3) * d + r4
-                    col = ((c1 * d + c2) * d + c3) * d + c4
-                    val = phase * v12 * v3 * v4
-                    cur = acc.get((row, col))
-                    new = val if cur is None else cur + val
-                    if isinstance(new, Cyclotomic) and new.is_zero():
-                        acc.pop((row, col), None)
-                    else:
-                        acc[(row, col)] = new
 
 
 def _shuffle_index(idx: int, d: int) -> int:
@@ -952,12 +924,36 @@ def _z_images(spec: BlockSpec):
     return out
 
 
-def _conjugate_tensor(ft: FormalTensor, U: Mat) -> FormalTensor:
-    out = FormalTensor(ft.a, ft.b)
-    Ustar = U.adjoint()
-    for w, c in ft.terms.items():
-        out.add_term(w, U @ c @ Ustar)
-    return out
+def _phase_permutation(U: Mat):
+    """(L, perm, exp) with U = sum over c of zeta_L^exp[c] E_(perm[c], c)."""
+    entries = U.sparse_entries()
+    L, forms = monomial_forms(list(entries.values()))
+    perm = np.full(U.cols, -1)
+    exp = np.zeros(U.cols, dtype=np.int64)
+    for (i, j), form in zip(entries, forms):
+        if form is None or form[0] != 1 or perm[j] >= 0:
+            raise ValueError("not a phase-permutation")
+        perm[j], exp[j] = i, form[1]
+    if sorted(perm) != list(range(U.rows)):
+        raise ValueError("not a phase-permutation")
+    return L, perm, exp
+
+
+def _conjugated(ft: FormalTensor, U) -> FormalTensor:
+    """Ad(U) of ft, for U = (L, perm, exp) as ``_phase_permutation`` reads
+    it: U E_(a,b) U* = zeta_L^(exp[a] - exp[b]) E_(perm[a], perm[b])."""
+    L, perm, exp = U
+    order = math.lcm(ft.order, L)
+    return replace(ft, order=order, row=perm[ft.row], col=perm[ft.col],
+                   exp=ft.exp * (order // ft.order) + (exp[ft.row] - exp[ft.col]) * (order // L))
+
+
+def _times(c, ft: FormalTensor) -> FormalTensor:
+    """c ft for a scalar c = q zeta_L^e, q a positive rational."""
+    L, [(q, e)] = monomial_forms([c])
+    order = math.lcm(ft.order, L)
+    return replace(ft, order=order, prefactor=q * ft.prefactor,
+                   exp=ft.exp * (order // ft.order) + e * (order // L))
 
 
 def covariance_check(spec: BlockSpec) -> dict:
@@ -966,6 +962,7 @@ def covariance_check(spec: BlockSpec) -> dict:
     of the extended actions hold, and the z-words span all of M_d x M_d."""
     d = spec.d
     z = _z_images(spec)
+    zperm = {key: _phase_permutation(U) for key, U in z.items()}
     pi = pi_map(spec)
     rho, rho_report = rho_map(spec, crosscheck=False)
     qpres = QautPresentation(spec)
@@ -975,12 +972,10 @@ def covariance_check(spec: BlockSpec) -> dict:
     for idx in (1, 2, 3, 4):
         for t in range(1, spec.m + 1):
             sub = alpha(spec, idx, t)
-            zi = z[(idx, t)]
             for sym in qpres.generators:
                 lhs_scalar, lhs_sym = sub(sym)
-                lhs = pi[lhs_sym].scale(lhs_scalar)
-                rhs = _conjugate_tensor(pi[sym], zi)
-                if not lhs.equals(rhs):
+                lhs = _times(lhs_scalar, pi[lhs_sym])
+                if not lhs.equals(_conjugated(pi[sym], zperm[(idx, t)])):
                     cert.update(passed=False,
                                 failure=f"alpha{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                     return cert
@@ -1029,12 +1024,10 @@ def covariance_check(spec: BlockSpec) -> dict:
     for idx in (1, 2, 3, 4):
         for t in range(1, spec.m + 1):
             sub = beta(spec, idx, t)
-            zi = z[(idx, t)]
             for sym in upres.generators:
                 lhs_scalar, lhs_sym = sub(sym)
-                lhs = rho[lhs_sym].scale(lhs_scalar)
-                rhs = _conjugate_tensor(rho[sym], zi)
-                if not lhs.equals(rhs):
+                lhs = _times(lhs_scalar, rho[lhs_sym])
+                if not lhs.equals(_conjugated(rho[sym], zperm[(idx, t)])):
                     cert.update(passed=False,
                                 failure=f"beta{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                     return cert
@@ -1103,7 +1096,7 @@ def haar_compat_check(spec: BlockSpec) -> dict:
     classes = {}
     for sym, ft in pi.items():
         _, s, r, i, j, k, l = sym
-        values = {w[0]: flat for w in ft.terms}
+        values = {u: flat for u in ft.symbols}
         result = ft.substitute(values)
         scal = result.scalar_multiple_of_identity()
         if scal is None:
@@ -1160,53 +1153,48 @@ def strict_word_check(spec: BlockSpec, families=("r1", "r2")) -> dict:
                 "families": {f: "skipped_desk_scale" for f in families},
                 "note": "word-level expansion skipped for N > 5"}
 
-    def reduce_word(word):
-        # returns (is_zero, reduced word)
-        out = list(word)
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(len(out) - 1):
-                a, b = out[idx], out[idx + 1]
-                pa, qa = a[1:4], a[4:7]
-                pb, qb = b[1:4], b[4:7]
-                if a == b:
-                    out.pop(idx + 1)
-                    changed = True
-                    break
-                if pa == pb and qa != qb:
-                    return True, ()
-                if qa == qb and pa != pb:
-                    return True, ()
-        return False, tuple(out)
+    def reduce_pair(a, b):
+        """The word u_a u_b after the rewrites, or None when they annihilate it."""
+        if a == b:
+            return (a,)
+        if a[1:4] == b[1:4] or a[4:7] == b[4:7]:
+            return None
+        return (a, b)
 
-    pi = pi_map(spec)
-    d = spec.d
+    pi = {sym: ft.sparse() for sym, ft in pi_map(spec).items()}
+    by_row = {sym: {} for sym in pi}
+    for sym, entries in pi.items():
+        for (u, row, col), c in entries.items():
+            by_row[sym].setdefault(row, []).append((u, col, c))
+    unit = Cyclotomic.one()
+
+    def entries(word):
+        """pi(word) for words of length <= 2 as ((reduced word, row, col),
+        value) pairs; words the rewrites annihilate are dropped."""
+        if not word:
+            return [(((), row, row), unit) for row in range(spec.d ** 2)]
+        if len(word) == 1:
+            return [(((u,), row, col), c) for (u, row, col), c in pi[word[0]].items()]
+        out = []
+        for (u1, row, mid), c1 in pi[word[0]].items():
+            for u2, col, c2 in by_row[word[1]].get(mid, ()):
+                red = reduce_pair(u1, u2)
+                if red is not None:
+                    out.append(((red, row, col), c1 * c2))
+        return out
+
     results = {}
     for family in families:
         status = "verified"
         for rel in QautPresentation(spec).relations():
             if rel.family != family:
                 continue
-            acc = FormalTensor(d, d)
+            acc: dict = {}
             for coeff, word in rel.lhs:
-                term = None
-                for sym in word:
-                    term = pi[sym] if term is None else term @ pi[sym]
-                acc = acc + term.scale(coeff)
+                accumulate(acc, coeff, entries(word))
             for coeff, word in rel.rhs:
-                term = None
-                for sym in word:
-                    term = pi[sym] if term is None else term @ pi[sym]
-                if term is None:
-                    term = FormalTensor.from_coeff(Mat.identity(d * d))
-                acc = acc + term.scale(-Fraction(coeff))
-            reduced = FormalTensor(d, d)
-            for word, coeff in acc.terms.items():
-                zero, red = reduce_word(word)
-                if not zero:
-                    reduced.add_term(red, coeff)
-            if reduced.terms:
+                accumulate(acc, -coeff, entries(word))
+            if acc:
                 status = "inconclusive"
                 break
         results[family] = status

@@ -136,6 +136,21 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert json.loads(out2.read_text())["config"]["partition"] == [2]
 
 
+def test_malformed_env_tol_is_an_argument_error(monkeypatch, capsys):
+    monkeypatch.setenv("QAUTCERT_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suites", "ueb"])
+    assert exc.value.code == 2
+    assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_malformed_env_seed_does_not_reach_diff(tmp_path, monkeypatch):
+    a = tmp_path / "a.json"
+    assert main(["run", "--partition", "2", "--suites", "ueb", "--out", str(a)]) == 0
+    monkeypatch.setenv("QAUTCERT_SEED", "x")
+    assert main(["diff", str(a), str(a)]) == 0
+
+
 def test_tt_recognizer_retries_after_merged_blocks():
     # at this seed a generic central element first merges two blocks
     cert = run(SuiteConfig(partition=(2, 2), suites=("tt",), seed=5))
@@ -253,14 +268,15 @@ def assert_matches_golden(partition, backend):
         golden = json.load(fh)
     tol = golden["config"]["tol"]
     # only float residuals may move, with the LAPACK build
-    cert = run(SuiteConfig(partition=partition, backend=backend))
+    cert = run(SuiteConfig(partition=partition, backend=backend,
+                           suites=tuple(golden["config"]["suites"])))
     for line in diff(golden, cert).splitlines():
         path, values = line.split(": ", 1)
         assert path.endswith(".worst_residual"), line
         assert max(float(v) for v in values.split(" != ")) <= tol, line
 
 
-@pytest.mark.parametrize("partition", [(2, 1), (1, 1, 1, 1), (2, 1, 1), (2,)])
+@pytest.mark.parametrize("partition", [(2, 1), (1, 1, 1, 1), (2, 1, 1), (2,), (2, 2), (3,)])
 def test_exact_certificate_matches_golden(partition):
     assert_matches_golden(partition, "exact")
 

@@ -1,5 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qautcert.algebra import BlockSpec
@@ -157,8 +159,9 @@ def test_pi_collapses_on_abelian_partition():
     for s in (1, 2):
         for r in (1, 2):
             ft = pi[qsym(s, r, 0, 0, 0, 0)]
-            assert list(ft.terms) == [(usym(s, 0, 0, r, 0, 0),)]
-            assert ft.terms[(usym(s, 0, 0, r, 0, 0),)].scalar_multiple_of_identity().is_one()
+            u = usym(s, 0, 0, r, 0, 0)
+            assert ft.symbols == (u,)
+            assert ft.substitute({u: Mat.scalar(1)}).scalar_multiple_of_identity().is_one()
 
 
 def test_pi_identity_permutation_substitution():
@@ -198,7 +201,7 @@ def test_pi_block_crossing_cycle_passes():
 def test_rho_collapses_on_abelian_partition():
     rho, _ = rho_map(BlockSpec((1, 1)), crosscheck=False)
     ft = rho[usym(1, 0, 0, 2, 0, 0)]
-    assert list(ft.terms) == [(qsym(1, 2, 0, 0, 0, 0),)]
+    assert ft.symbols == (qsym(1, 2, 0, 0, 0, 0),)
 
 
 def test_rho_both_forms_agree():
@@ -351,15 +354,64 @@ def _patch_pi(monkeypatch, edit):
     monkeypatch.setattr(qautcert.qaut, "pi_map", edited)
 
 
+def _patch_rho(monkeypatch, edit):
+    """Make ``qaut.rho_map`` return its images after ``edit(rho)``, with the
+    cross-check run on the edited images."""
+    import qautcert.qaut
+
+    real = qautcert.qaut.rho_map
+
+    def edited(spec, crosscheck=True):
+        rho, _ = real(spec, crosscheck=False)
+        edit(rho)
+        agree = qautcert.qaut._rho_conjugated_form_agrees(spec, rho) if crosscheck else None
+        return rho, {"both_forms_agree": agree}
+
+    monkeypatch.setattr(qautcert.qaut, "rho_map", edited)
+
+
+def _exponent_off_by_one(images, sym):
+    """Raise the exponent of the first row of ``images[sym]`` by one."""
+    exp = images[sym].exp.copy()
+    exp[0] += 1
+    images[sym] = replace(images[sym], exp=exp)
+
+
+def test_pi_exponent_off_by_one_fails_covariance_and_shuffle(monkeypatch):
+    spec = BlockSpec((2, 1))
+    sym = qsym(1, 1, 0, 0, 0, 0)
+    ft = pi_map(spec)[sym]
+    assert ft.symbols[ft.sym[0]] == usym(1, 0, 0, 1, 0, 0)
+    _patch_pi(monkeypatch, lambda pi: _exponent_off_by_one(pi, sym))
+    cert = covariance_check(spec)
+    assert cert["passed"] is False
+    assert cert["failure"] == f"alpha2,1 vs Ad(z2,1) at {sym}"
+    cert = rearranged_Q_check(spec)
+    assert cert["passed"] is False
+    assert cert["failed_word"] == str(usym(1, 0, 0, 1, 0, 0))
+
+
+def test_rho_exponent_off_by_one_fails_covariance_and_cross_check(monkeypatch):
+    spec = BlockSpec((2, 1))
+    sym = usym(1, 0, 0, 1, 0, 0)
+    _patch_rho(monkeypatch, lambda rho: _exponent_off_by_one(rho, sym))
+    cert = covariance_check(spec)
+    assert cert["passed"] is False
+    assert cert["failure"] == f"beta1,1 vs Ad(z1,1) at {sym}"
+    import qautcert.qaut
+
+    _, report = qautcert.qaut.rho_map(spec)
+    assert report["both_forms_agree"] is False
+
+
 def test_haar_reports_non_scalar_substitution(monkeypatch):
     sym = qsym(1, 1, 0, 0, 0, 0)
 
     def skew(pi):
-        word, coeff = next(iter(pi[sym].terms.items()))
-        pi[sym] = pi[sym].copy()
-        unit = [[1 if (a, b) == (0, 0) else 0 for b in range(coeff.cols)]
-                for a in range(coeff.rows)]
-        pi[sym].add_term(word, Mat.exact(unit))  # no longer a multiple of 1
+        ft = pi[sym]
+        # one more row at (0, 0) of the first symbol: no longer a multiple of 1
+        pi[sym] = replace(ft, sym=np.append(ft.sym, 0), row=np.append(ft.row, 0),
+                          col=np.append(ft.col, 0), exp=np.append(ft.exp, 0))
 
     _patch_pi(monkeypatch, skew)
     cert = haar_compat_check(BlockSpec((2,)))
@@ -372,7 +424,7 @@ def test_haar_reports_inconsistent_class_constants(monkeypatch):
     sym = qsym(1, 1, 1, 1, 0, 0)  # diagonal generator of class (1,1)
 
     def double(pi):
-        pi[sym] = pi[sym].scale(2)
+        pi[sym] = replace(pi[sym], prefactor=2 * pi[sym].prefactor)
 
     _patch_pi(monkeypatch, double)
     cert = haar_compat_check(BlockSpec((2,)))
@@ -384,7 +436,7 @@ def test_haar_reports_nonzero_off_diagonal_constant(monkeypatch):
     off = qsym(1, 1, 0, 1, 0, 0)
 
     def copy_diagonal(pi):
-        pi[off] = pi[qsym(1, 1, 0, 0, 0, 0)].copy()
+        pi[off] = pi[qsym(1, 1, 0, 0, 0, 0)]
 
     _patch_pi(monkeypatch, copy_diagonal)
     cert = haar_compat_check(BlockSpec((2,)))
