@@ -1,12 +1,11 @@
-"""Exact cyclotomic scalars, a float fallback, and dense matrices over both.
+"""Exact cyclotomic scalars and the dense exact matrices over them.
 
-Scalars come in two flavours: :class:`Cyclotomic`, an exact element of the
-field Q(zeta_M) stored as the canonical residue modulo the M-th cyclotomic
-polynomial, and plain ``complex`` for the float backend.  :class:`Mat` wraps
-a dense matrix over either scalar kind behind one API; mixing backends in a
-single operation is rejected.  Outside :class:`Mat`, exact vectors and
-matrix rows are sparse dicts {index: Cyclotomic}; :func:`echelon` is their
-one Gaussian elimination.
+:class:`Cyclotomic` is an exact element of the field Q(zeta_M) stored as the
+canonical residue modulo the M-th cyclotomic polynomial, and :class:`Mat` a
+dense matrix of them; ``Mat.to_float`` gives its complex array, for
+residuals.  Outside :class:`Mat`, exact vectors and matrix rows are sparse
+dicts {index: Cyclotomic}; :func:`echelon` is their one Gaussian
+elimination.
 
 Canonical form reduces modulo Phi_M rather than x^M - 1, so exact equality
 of coefficient vectors decides equality of the represented complex numbers.
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,11 +24,8 @@ import numpy as np
 
 __all__ = [
     "Cyclotomic",
-    "FloatConfig",
-    "DEFAULT_FLOAT_CONFIG",
     "Mat",
     "DimensionMismatch",
-    "BackendMismatch",
     "cyclotomic_polynomial",
     "euler_phi",
     "root_of_unity",
@@ -41,10 +36,6 @@ __all__ = [
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class BackendMismatch(TypeError):
     pass
 
 
@@ -510,15 +501,6 @@ def _sqrt_prime(p: int) -> Cyclotomic:
     return g * root_of_unity(4, 3)
 
 
-@dataclass(frozen=True)
-class FloatConfig:
-    """Ambient tolerance for all float-backend predicates."""
-
-    eps: float = 1e-9
-
-
-DEFAULT_FLOAT_CONFIG = FloatConfig()
-
 # Coefficient planes are stored as int64 while every coefficient is below
 # this bound and as Python ints otherwise.
 _INT64_GUARD = 2**31
@@ -577,36 +559,26 @@ def _planes_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Mat:
-    """Dense matrix over exact cyclotomic or complex-float scalars.
+    """Dense exact matrix over Q(zeta_M).
 
-    Exact payload: integer coefficient tensor ``coef`` of shape (D, r, c)
-    with a single positive integer denominator, representing
+    Payload: integer coefficient tensor ``coef`` of shape (D, r, c) with a
+    single positive integer denominator, representing
     (1/den) * sum_t coef[t] * zeta_M^t entrywise.  Only this module reads
     or builds that payload.
     """
 
-    __slots__ = ("rows", "cols", "backend", "order", "coef", "den", "data", "config")
+    __slots__ = ("rows", "cols", "order", "coef", "den")
+
+    backend = "exact"  # the one kind; perfbench's span probes read it
 
     def __init__(self):
-        raise TypeError("use the Mat.exact/Mat.flt/Mat.zeros/... constructors")
+        raise TypeError("use the Mat.exact/Mat.from_entries/Mat.zeros/... constructors")
 
     @classmethod
-    def _new_exact(cls, rows, cols, order, coef, den) -> "Mat":
+    def _new(cls, rows, cols, order, coef, den) -> "Mat":
         m = object.__new__(cls)
         m.rows, m.cols = rows, cols
-        m.backend = "exact"
         m.order, m.coef, m.den = order, coef, den
-        m.data, m.config = None, None
-        return m
-
-    @classmethod
-    def _new_float(cls, data, config) -> "Mat":
-        m = object.__new__(cls)
-        m.rows, m.cols = data.shape
-        m.backend = "float"
-        m.order, m.coef, m.den = None, None, None
-        m.data = data
-        m.config = config or DEFAULT_FLOAT_CONFIG
         return m
 
     # -- constructors -----------------------------------------------------
@@ -633,7 +605,7 @@ class Mat:
                 for t, q in enumerate(x.coeffs):
                     if q:
                         coef[t, i, j] = int(q * den)
-        return cls._new_exact(r, c, order, _stored(coef), den)
+        return cls._new(r, c, order, _stored(coef), den)
 
     @classmethod
     def from_entries(cls, rows, cols, order, row, col, exp, rational) -> "Mat":
@@ -648,40 +620,21 @@ class Mat:
         flat = np.zeros((rows * cols, powers.shape[1]), dtype=num.dtype)
         np.add.at(flat, np.asarray(row, dtype=np.int64) * cols + np.asarray(col, dtype=np.int64),
                   num[:, None] * powers)
-        return cls._new_exact(rows, cols, order, _stored(flat.T.reshape(-1, rows, cols)), den)
+        return cls._new(rows, cols, order, _stored(flat.T.reshape(-1, rows, cols)), den)
 
     @classmethod
-    def flt(cls, data, config: FloatConfig | None = None) -> "Mat":
-        arr = np.asarray(data, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise DimensionMismatch("need a 2-d array")
-        return cls._new_float(arr.copy(), config)
+    def zeros(cls, rows, cols) -> "Mat":
+        return cls._new(rows, cols, 1, np.zeros((1, rows, cols), dtype=np.int64), 1)
 
     @classmethod
-    def zeros(cls, rows, cols, backend="exact", config=None) -> "Mat":
-        if backend == "exact":
-            return cls._new_exact(rows, cols, 1, np.zeros((1, rows, cols), dtype=np.int64), 1)
-        return cls._new_float(np.zeros((rows, cols), dtype=np.complex128), config)
+    def identity(cls, n) -> "Mat":
+        return cls._new(n, n, 1, np.eye(n, dtype=np.int64)[None], 1)
 
     @classmethod
-    def identity(cls, n, backend="exact", config=None) -> "Mat":
-        if backend == "exact":
-            coef = np.zeros((1, n, n), dtype=np.int64)
-            coef[0] = np.eye(n, dtype=np.int64)
-            return cls._new_exact(n, n, 1, coef, 1)
-        return cls._new_float(np.eye(n, dtype=np.complex128), config)
-
-    @classmethod
-    def scalar(cls, value, backend="exact", config=None) -> "Mat":
-        if backend == "exact":
-            return cls.exact([[value]])
-        return cls.flt([[complex(value)]], config)
+    def scalar(cls, value) -> "Mat":
+        return cls.exact([[value]])
 
     # -- shared helpers ----------------------------------------------------
-    def _check_same_backend(self, other: "Mat"):
-        if self.backend != other.backend:
-            raise BackendMismatch("mixed exact/float operands are rejected")
-
     def _promote_pair(self, other: "Mat"):
         L = _lcm(self.order, other.order)
         return self._promote_order(L), other._promote_order(L)
@@ -690,7 +643,7 @@ class Mat:
         if L == self.order:
             return self
         coef = _linear(self.coef, _promotion_table(self.order, L))
-        return Mat._new_exact(self.rows, self.cols, L, coef, self.den)
+        return Mat._new(self.rows, self.cols, L, coef, self.den)
 
     def _rescaled_pair(self, other: "Mat", ka: int, kb: int):
         """Both coefficient stacks at a common order, times ka and kb, in a
@@ -701,37 +654,27 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------------
     def __matmul__(self, other: "Mat") -> "Mat":
-        self._check_same_backend(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.backend == "float":
-            return Mat._new_float(self.data @ other.data, self.config)
         a, b = self._promote_pair(other)
         coef = _bilinear(a.order, a.coef, b.coef, _planes_matmul, a.cols)
-        return Mat._new_exact(self.rows, other.cols, a.order, coef, a.den * b.den)
+        return Mat._new(self.rows, other.cols, a.order, coef, a.den * b.den)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_backend(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
-        if self.backend == "float":
-            return Mat._new_float(self.data + other.data, self.config)
         den = _lcm(self.den, other.den)
         a, ca, cb = self._rescaled_pair(other, den // self.den, den // other.den)
-        return Mat._new_exact(a.rows, a.cols, a.order, _stored(ca + cb), den)
+        return Mat._new(a.rows, a.cols, a.order, _stored(ca + cb), den)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        if self.backend == "float":
-            return Mat._new_float(-self.data, self.config)
-        return Mat._new_exact(self.rows, self.cols, self.order, -self.coef, self.den)
+        return Mat._new(self.rows, self.cols, self.order, -self.coef, self.den)
 
     def scale(self, s) -> "Mat":
-        """Multiply by a scalar of the matching backend."""
-        if self.backend == "float":
-            return Mat._new_float(self.data * complex(s), self.config)
+        """Multiply by a scalar (Cyclotomic, int or Fraction)."""
         s = Cyclotomic._coerce(s)
         L = _lcm(self.order, s.order)
         sv = s.promoted(L)
@@ -744,102 +687,76 @@ class Mat:
         D = len(ints)
         table = np.dot(_promotion_table(self.order, L),
                        np.dot(ints, _product_table(L).reshape(D, D, D)))
-        return Mat._new_exact(self.rows, self.cols, L, _linear(self.coef, table),
+        return Mat._new(self.rows, self.cols, L, _linear(self.coef, table),
                               self.den * sden)
 
     def kron(self, other: "Mat") -> "Mat":
-        self._check_same_backend(other)
-        if self.backend == "float":
-            return Mat._new_float(np.kron(self.data, other.data), self.config)
         a, b = self._promote_pair(other)
         coef = _bilinear(a.order, a.coef, b.coef, _planes_kron, 1)
-        return Mat._new_exact(a.rows * b.rows, a.cols * b.cols, a.order, coef, a.den * b.den)
+        return Mat._new(a.rows * b.rows, a.cols * b.cols, a.order, coef, a.den * b.den)
 
     def adjoint(self) -> "Mat":
-        if self.backend == "float":
-            return Mat._new_float(self.data.conj().T.copy(), self.config)
         return self.conj().transpose()
 
     def transpose(self) -> "Mat":
-        if self.backend == "float":
-            return Mat._new_float(self.data.T.copy(), self.config)
         out = np.ascontiguousarray(self.coef.transpose(0, 2, 1))
-        return Mat._new_exact(self.cols, self.rows, self.order, out, self.den)
+        return Mat._new(self.cols, self.rows, self.order, out, self.den)
 
     def conj(self) -> "Mat":
-        if self.backend == "float":
-            return Mat._new_float(self.data.conj(), self.config)
         coef = _linear(self.coef, _conjugation_table(self.order))
-        return Mat._new_exact(self.rows, self.cols, self.order, coef, self.den)
+        return Mat._new(self.rows, self.cols, self.order, coef, self.den)
 
     def select(self, rows, cols) -> "Mat":
         """The submatrix of the given row and column indices, in that order."""
         ix = np.ix_(rows, cols)
-        if self.backend == "float":
-            return Mat._new_float(self.data[ix], self.config)
-        return Mat._new_exact(len(rows), len(cols), self.order,
+        return Mat._new(len(rows), len(cols), self.order,
                               self.coef[(slice(None),) + ix], self.den)
 
     # -- scalar extraction ---------------------------------------------------
-    def entry(self, i: int, j: int):
-        if self.backend == "float":
-            return complex(self.data[i, j])
+    def entry(self, i: int, j: int) -> Cyclotomic:
         return Cyclotomic(
             self.order, [Fraction(int(self.coef[t, i, j]), self.den) for t in range(self.coef.shape[0])]
         )
 
-    def trace(self):
+    def trace(self) -> Cyclotomic:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        if self.backend == "float":
-            return complex(np.trace(self.data))
         return Cyclotomic(
             self.order,
             [Fraction(int(np.trace(self.coef[t])), self.den) for t in range(self.coef.shape[0])],
         )
 
-    def normalized_trace(self):
-        t = self.trace()
-        if self.backend == "float":
-            return t / self.rows
-        return t / Cyclotomic.rational(self.rows)
+    def normalized_trace(self) -> Cyclotomic:
+        return self.trace() / Cyclotomic.rational(self.rows)
 
-    def to_float(self, config: FloatConfig | None = None) -> "Mat":
-        if self.backend == "float":
-            return Mat._new_float(self.data.copy(), config or self.config)
+    def to_float(self) -> np.ndarray:
+        """The complex128 array of the entries."""
         z = cmath.exp(2j * cmath.pi / self.order)
         acc = np.zeros((self.rows, self.cols), dtype=np.complex128)
         for t in range(self.coef.shape[0]):
             block = self.coef[t]
             if block.any():
                 acc += block.astype(np.complex128) * z**t
-        return Mat._new_float(acc / self.den, config)
+        return acc / self.den
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self) -> bool:
-        if self.backend == "float":
-            return bool(np.max(np.abs(self.data), initial=0.0) <= self.config.eps)
         return not self.coef.any()
 
     def equals(self, other: "Mat") -> bool:
-        self._check_same_backend(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if self.backend == "float":
-            return bool(np.max(np.abs(self.data - other.data), initial=0.0) <= self.config.eps)
         _, ca, cb = self._rescaled_pair(other, other.den, self.den)
         return bool((ca == cb).all())
 
     def residual(self, other: "Mat") -> float:
-        """Max entrywise deviation; exactly 0.0 for equal exact matrices."""
-        if self.backend == "exact" and other.backend == "exact":
-            return 0.0 if self.equals(other) else _float_residual(self, other)
-        return _float_residual(self, other)
+        """Max entrywise deviation, in floats; exactly 0.0 for equal matrices."""
+        return 0.0 if self.equals(other) else _float_residual(self, other)
 
     def is_unitary(self) -> bool:
         if self.rows != self.cols:
             return False
-        return (self @ self.adjoint()).equals(Mat.identity(self.rows, self.backend, self.config))
+        return (self @ self.adjoint()).equals(Mat.identity(self.rows))
 
     def is_projection(self) -> bool:
         if self.rows != self.cols:
@@ -851,16 +768,9 @@ class Mat:
         if self.rows != self.cols or self.rows == 0:
             return None
         c = self.entry(0, 0)
-        ident = Mat.identity(self.rows, self.backend, self.config)
-        cand = ident.scale(c)
-        return c if self.equals(cand) else None
+        return c if self.equals(Mat.identity(self.rows).scale(c)) else None
 
     def rank(self) -> int:
-        if self.backend == "float":
-            sv = np.linalg.svd(self.data, compute_uv=False)
-            if sv.size == 0:
-                return 0
-            return int(np.sum(sv > self.config.eps * max(self.rows, self.cols) * max(sv[0], 1.0)))
         rows: dict = {}
         for (i, j), c in self.sparse_entries().items():
             rows.setdefault(i, {})[j] = c
@@ -870,20 +780,16 @@ class Mat:
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def sparse_entries(self) -> dict:
-        """Nonzero entries as {(i, j): scalar}; exact backend only."""
-        if self.backend != "exact":
-            raise BackendMismatch("sparse_entries is an exact-backend helper")
+        """Nonzero entries as {(i, j): Cyclotomic}."""
         nonzero = (self.coef != 0).any(axis=0)
         return {(int(i), int(j)): self.entry(int(i), int(j)) for i, j in zip(*np.nonzero(nonzero))}
 
     def __repr__(self):
-        return f"Mat({self.rows}x{self.cols}, {self.backend})"
+        return f"Mat({self.rows}x{self.cols}, order {self.order})"
 
 
 def _float_residual(a: Mat, b: Mat) -> float:
-    fa = a.to_float() if a.backend == "exact" else a
-    fb = b.to_float() if b.backend == "exact" else b
-    return float(np.max(np.abs(fa.data - fb.data), initial=0.0))
+    return float(np.max(np.abs(a.to_float() - b.to_float()), initial=0.0))
 
 
 # -- exact sparse linear algebra: vectors and rows are {index: Cyclotomic} ----

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import FloatConfig, Mat, accumulate, root_of_unity
+from .arith import Mat, accumulate, root_of_unity
 
 __all__ = ["FormalTensor", "symbol_adjoint", "qsym", "usym"]
 
@@ -42,7 +42,7 @@ class FormalTensor:
     (x) symbols[sym[t]], with E the matrix units of M_size.
 
     ``cli.ft_to_float`` sets ``phase``, each row's coefficient as a complex
-    number, and ``config``; ``substitute`` then computes in floats."""
+    number; ``substitute`` then computes in floats."""
 
     size: int
     order: int
@@ -53,7 +53,6 @@ class FormalTensor:
     col: np.ndarray
     exp: np.ndarray
     phase: np.ndarray | None = None
-    config: FloatConfig | None = None
 
     def __post_init__(self):
         for name in ("sym", "row", "col", "exp"):
@@ -82,10 +81,11 @@ class FormalTensor:
                                           self.col.tolist(), self.exp.tolist())))
         return out
 
-    def substitute(self, assignment: dict) -> Mat:
+    def substitute(self, assignment: dict) -> Mat | np.ndarray:
         """Evaluate under symbol -> exact Mat, every value k x k: the sum
         over the rows of their coefficient times E_(row, col) (x) value, a
-        (size k) x (size k) matrix, in floats once ``phase`` is set."""
+        (size k) x (size k) exact Mat, or complex array once ``phase`` is
+        set."""
         k = next(iter(assignment.values())).rows if assignment else 1
         n = self.size * k
         parts = []  # (table rows, rows, cols, value entry) per nonzero value entry
@@ -100,7 +100,7 @@ class FormalTensor:
             data = np.zeros((n, n), dtype=np.complex128)
             for t, rows, cols, c in parts:
                 np.add.at(data, (rows, cols), self.phase[t] * c.to_complex())
-            return Mat.flt(data, self.config)
+            return data
         # each value entry is sum over e of q_e zeta_M^e, its power basis
         order = math.lcm(self.order, *(c.order for *_, c in parts))
         rows, cols, exps, rational = [], [], [], []

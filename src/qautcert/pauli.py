@@ -110,38 +110,30 @@ def is_unitary_error_basis(family: list, n: int | None = None) -> UebReport:
     n = n or size
     if len(family) != n * n:
         raise WrongCount(f"expected {n * n} members, got {len(family)}")
-    worst = 0.0
     for idx, u in enumerate(family):
         if not u.is_unitary():
-            prod = (u @ u.adjoint())
-            worst = max(worst, prod.residual(Mat.identity(size, u.backend)))
-            return UebReport(False, worst, f"member {idx} is not unitary")
-    backend = family[0].backend
+            resid = (u @ u.adjoint()).residual(Mat.identity(size))
+            return UebReport(False, resid, f"member {idx} is not unitary")
     for a, ua in enumerate(family):
         for b, ub in enumerate(family):
             val = (ua.adjoint() @ ub).normalized_trace()
             expect = 1 if a == b else 0
-            if backend == "exact":
-                if val != Cyclotomic.rational(expect):
-                    return UebReport(False, abs(val.to_complex() - expect),
-                                     f"trace pairing ({a},{b})")
-            else:
-                resid = abs(val - expect)
-                worst = max(worst, resid)
-                if resid > family[0].config.eps:
-                    return UebReport(False, worst, f"trace pairing ({a},{b})")
-    return UebReport(True, worst)
+            if val != Cyclotomic.rational(expect):
+                return UebReport(False, abs(val.to_complex() - expect),
+                                 f"trace pairing ({a},{b})")
+    return UebReport(True, 0.0)
 
 
 def depolarization_check(family: list, x: Mat) -> UebReport:
     """sum_a u_a* x u_a = n Tr(x) 1 for an n x n input x."""
     n = x.rows
-    acc = Mat.zeros(n, n, x.backend, getattr(x, "config", None))
+    acc = Mat.zeros(n, n)
     for u in family:
         acc = acc + (u.adjoint() @ x @ u)
-    target = Mat.identity(n, x.backend, getattr(x, "config", None)).scale(x.trace() * n)
-    ok = acc.equals(target)
-    return UebReport(ok, acc.residual(target), None if ok else "depolarization identity")
+    target = Mat.identity(n).scale(x.trace() * n)
+    if acc.equals(target):
+        return UebReport(True, 0.0)
+    return UebReport(False, acc.residual(target), "depolarization identity")
 
 
 @dataclass
@@ -195,28 +187,21 @@ def pvm_check(projections: list) -> UebReport:
     if not projections:
         raise NotPVM("empty family")
     size = projections[0].rows
-    backend = projections[0].backend
-    worst = 0.0
     for idx, p in enumerate(projections):
         if p.rows != size or p.cols != size:
             raise NotPVM(f"member {idx} has mismatched shape")
         if not p.is_projection():
             raise NotPVM(f"member {idx} is not a projection")
-        worst = max(worst, (p @ p).residual(p))
     for a in range(len(projections)):
         for b in range(a + 1, len(projections)):
-            prod = projections[a] @ projections[b]
-            worst = max(worst, prod.residual(Mat.zeros(size, size, backend)))
-            if not prod.is_zero():
+            if not (projections[a] @ projections[b]).is_zero():
                 raise NotPVM(f"members {a} and {b} are not orthogonal")
-    total = Mat.zeros(size, size, backend, getattr(projections[0], "config", None))
+    total = Mat.zeros(size, size)
     for p in projections:
         total = total + p
-    ident = Mat.identity(size, backend, getattr(projections[0], "config", None))
-    worst = max(worst, total.residual(ident))
-    if not total.equals(ident):
+    if not total.equals(Mat.identity(size)):
         raise NotPVM("members do not sum to the identity")
-    return UebReport(True, worst)
+    return UebReport(True, 0.0)
 
 
 class BlockEmbedding:
@@ -257,7 +242,7 @@ class BlockEmbedding:
             raise SlotMismatch(f"operator size {T.rows} does not fit block {r}")
         out = None
         for t, n in enumerate(sizes, start=1):
-            factor = T if t == r else Mat.identity(n, T.backend, getattr(T, "config", None))
+            factor = T if t == r else Mat.identity(n)
             out = factor if out is None else out.kron(factor)
         return out
 
@@ -270,10 +255,7 @@ class BlockEmbedding:
             raise SlotMismatch(f"doubled operator size {T2.rows} does not fit block {s}")
         out = None
         for t, n in enumerate(sizes, start=1):
-            if t == s:
-                factor = T2
-            else:
-                factor = Mat.identity(n * n, T2.backend, getattr(T2, "config", None))
+            factor = T2 if t == s else Mat.identity(n * n)
             out = factor if out is None else out.kron(factor)
         return self.rearrange(out)
 

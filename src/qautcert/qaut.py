@@ -23,8 +23,10 @@ generator-level trace constants on both sides agree (see haar_compat_check).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -34,7 +36,7 @@ import numpy as np
 from .algebra import BlockSpec, column_sparse, monomial_forms, multimatrix, sparse_eq
 from .arith import Cyclotomic, Mat, accumulate, echelon, root_of_unity
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
-from .pauli import BlockEmbedding, weyl_basis
+from .pauli import BlockEmbedding, NotPVM, pvm_check, weyl_basis
 
 __all__ = [
     "QautPresentation",
@@ -213,6 +215,8 @@ class SnPresentation:
 
 @dataclass
 class GeneratorAssignment:
+    """Generator values, all exact ``Mat``s or all complex arrays."""
+
     presentation: object
     values: dict
 
@@ -221,14 +225,14 @@ class GeneratorAssignment:
         missing = [g for g in gens if g not in self.values]
         if missing:
             raise IncompleteAssignment(f"{len(missing)} generators unassigned")
-        sizes = {(v.rows, v.cols) for v in self.values.values()}
-        if len(sizes) != 1 or any(r != c for r, c in sizes):
+        kinds = {isinstance(v, Mat) for v in self.values.values()}
+        if len(kinds) != 1:
+            raise IncompleteAssignment("assigned matrices must be all exact or all float")
+        self.exact = kinds.pop()
+        shapes = {(v.rows, v.cols) if self.exact else np.shape(v) for v in self.values.values()}
+        if len(shapes) != 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
             raise IncompleteAssignment("assigned matrices must be square of one size")
-        self.size = next(iter(sizes))[0]
-        backends = {v.backend for v in self.values.values()}
-        if len(backends) != 1:
-            raise IncompleteAssignment("assigned matrices must share a backend")
-        self.backend = next(iter(backends))
+        self.size = next(iter(shapes))[0]
 
 
 @dataclass
@@ -242,49 +246,48 @@ class RelationReport:
         return self.ok
 
 
-def _eval_terms(terms, values, size, backend, config, adjoint=False):
-    acc = Mat.zeros(size, size, backend, config)
+def _eval_terms(terms, values, zero, one, scale):
+    """The sum over (coeff, word) of scale(product of the word's values,
+    coeff), the empty product being ``one``."""
+    acc = zero
     for coeff, word in terms:
-        val = None
-        for sym in word:
-            v = values[sym]
-            val = v if val is None else val @ v
-        if val is None:
-            val = Mat.identity(size, backend, config)
-        if adjoint:
-            val = val.adjoint()
-        acc = acc + val.scale(coeff)
+        val = functools.reduce(operator.matmul, [values[sym] for sym in word]) if word else one
+        acc = acc + scale(val, coeff)
     return acc
 
 
-def check_relations(asg: GeneratorAssignment, stop_on_failure: bool = True) -> RelationReport:
-    """Evaluate every relation instance of the presentation under the
-    assignment; exact backends demand literal equality, float backends
-    pass a relation when max|lhs - rhs| <= eps, the rule of ``Mat.equals``,
-    and report the worst residual."""
+def check_relations(asg: GeneratorAssignment, tol: float = 1e-9) -> RelationReport:
+    """Evaluate the relation instances of the presentation under the
+    assignment, up to the first that fails.  Exact values demand literal
+    equality; complex-array values pass a relation when
+    max|lhs - rhs| <= tol.  Reports the worst residual."""
     size = asg.size
-    backend = asg.backend
-    config = next(iter(asg.values.values())).config if backend == "float" else None
+    if asg.exact:
+        zero, one = Mat.zeros(size, size), Mat.identity(size)
+        adjoint, scale = Mat.adjoint, Mat.scale
+    else:
+        zero, one = np.zeros((size, size), dtype=np.complex128), np.eye(size, dtype=np.complex128)
+        adjoint, scale = (lambda a: a.conj().T), (lambda a, c: a * complex(c))
     worst = 0.0
-    failing = None
     checked = 0
     for rel in asg.presentation.relations():
-        lhs = _eval_terms(rel.lhs, asg.values, size, backend, config,
-                          adjoint=rel.adjoint_lhs)
-        rhs = _eval_terms(rel.rhs, asg.values, size, backend, config)
+        # coefficients are rational, so the adjoint of the sum is the sum of
+        # the adjoints
+        lhs = _eval_terms(rel.lhs, asg.values, zero, one, scale)
+        if rel.adjoint_lhs:
+            lhs = adjoint(lhs)
+        rhs = _eval_terms(rel.rhs, asg.values, zero, one, scale)
         checked += 1
-        if backend == "exact":
+        if asg.exact:
             ok = lhs.equals(rhs)
             resid = 0.0 if ok else lhs.residual(rhs)
         else:
-            resid = lhs.residual(rhs)
-            ok = resid <= config.eps
+            resid = float(np.max(np.abs(lhs - rhs), initial=0.0))
+            ok = resid <= tol
         worst = max(worst, resid)
         if not ok:
-            failing = failing or rel.rid
-            if stop_on_failure:
-                return RelationReport(False, worst, failing, checked)
-    return RelationReport(failing is None, worst, failing, checked)
+            return RelationReport(False, worst, rel.rid, checked)
+    return RelationReport(True, worst, None, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +492,11 @@ def _block_diag_unit(spec: BlockSpec, s: int, i: int, j: int) -> Mat:
                        for b in range(D)] for a in range(D)])
 
 
-def uet_pvm(spec: BlockSpec, backend: str = "exact", tol: float = 1e-9) -> dict:
+def uet_pvm(spec: BlockSpec) -> dict:
     """The N projections P_(s,a,b) in B x M_d built from the Weyl bases,
-    with all five verification conditions: projection, mutual orthogonality,
-    completeness, partial trace, and Plancherel value 1/N."""
+    with all five verification conditions, exact: projection, mutual
+    orthogonality and completeness (``pvm_check``), partial trace, and
+    Plancherel value 1/N."""
     d = spec.d
     D = spec.D
     emb = BlockEmbedding(spec)
@@ -513,84 +517,50 @@ def uet_pvm(spec: BlockSpec, backend: str = "exact", tol: float = 1e-9) -> dict:
                         P = P + _block_diag_unit(spec, s, i, j).kron(emb.paren(s, inner))
                 projections.append(P)
                 meta.append((s, a, b))
-    if backend == "float":
-        from .arith import FloatConfig
-
-        cfgf = FloatConfig(tol)
-        projections = [p.to_float(cfgf) for p in projections]
     cert = {"partition": list(spec.sizes), "N": spec.N, "d": d,
-            "backend": backend, "outcomes": len(projections)}
-    worst = 0.0
-    for idx, P in enumerate(projections):
-        if not P.is_projection():
-            cert.update(passed=False, failure=f"P{meta[idx]} is not a projection")
-            return cert
-        worst = max(worst, (P @ P).residual(P))
-    for aa in range(len(projections)):
-        for bb in range(aa + 1, len(projections)):
-            prod = projections[aa] @ projections[bb]
-            worst = max(worst, prod.residual(Mat.zeros(D * d, D * d, backend)))
-            if not prod.is_zero():
-                cert.update(passed=False,
-                            failure=f"P{meta[aa]} P{meta[bb]} != 0")
-                return cert
-    total = Mat.zeros(D * d, D * d, backend)
-    for P in projections:
-        total = total + P
-    ident = Mat.identity(D * d, backend)
-    worst = max(worst, total.residual(ident))
-    if not total.equals(ident):
-        cert.update(passed=False, failure="sum is not 1_B x I_d")
+            "backend": "exact", "outcomes": len(projections)}
+    try:
+        pvm_check(projections)
+    except NotPVM as exc:
+        cert.update(passed=False, failure=str(exc))
         return cert
     # partial trace over the B leg, block s: n_s sum_i block (s,i),(s,i)
     ranks = []
-    for idx, P in enumerate(projections):
-        s = meta[idx][0]
+    for label, P in zip(meta, projections):
+        s = label[0]
         ns = spec.sizes[s - 1]
         offset = sum(spec.sizes[: s - 1])
-        pt = Mat.zeros(d, d, backend)
+        pt = Mat.zeros(d, d)
         for i in range(ns):
             row = offset + i
             rng = range(row * d, (row + 1) * d)
             pt = pt + P.select(rng, rng)
-        pt = pt.scale(ns)
-        if not pt.equals(Mat.identity(d, backend)):
-            cert.update(passed=False, failure=f"partial trace of P{meta[idx]}")
+        if not pt.scale(ns).equals(Mat.identity(d)):
+            cert.update(passed=False, failure=f"partial trace of P{label}")
             return cert
-        # Plancherel value (psi x tr)(P) = 1/N
-        val = _psi_tr(spec, P, backend)
-        expect = Mat.scalar(Fraction(1, spec.N), backend).entry(0, 0)
-        if backend == "exact":
-            off = val != expect
-        else:
-            diff = abs(val - complex(expect))
-            worst = max(worst, diff)
-            off = diff > tol
-        if off:
-            cert.update(passed=False, failure=f"(psi x tr)(P{meta[idx]}) != 1/N")
+        if _psi_tr(spec, P) != Fraction(1, spec.N):
+            cert.update(passed=False, failure=f"(psi x tr)(P{label}) != 1/N")
             return cert
         ranks.append(P.rank())
         if ranks[-1] != d // ns:
             cert.update(passed=False,
-                        failure=f"rank of P{meta[idx]} is {ranks[-1]}, expected {d // ns}")
+                        failure=f"rank of P{label} is {ranks[-1]}, expected {d // ns}")
             return cert
-    cert.update(passed=True, worst_residual=worst, ranks=ranks)
+    cert.update(passed=True, worst_residual=0.0, ranks=ranks)
     return cert
 
 
-def _psi_tr(spec: BlockSpec, P: Mat, backend: str):
+def _psi_tr(spec: BlockSpec, P: Mat) -> Cyclotomic:
     """(psi x tr) of an element of B x M_d presented in M_D x M_d."""
     d = spec.d
-    acc = None
+    acc = Cyclotomic.zero()
     pos = 0
-    for r, n in enumerate(spec.sizes, start=1):
+    for n in spec.sizes:
         weight = Fraction(n, spec.N * d)
         for i in range(n):
             row = pos + i
             rng = range(row * d, (row + 1) * d)
-            t = P.select(rng, rng).trace()
-            term = t * weight if backend == "exact" else t * float(weight)
-            acc = term if acc is None else acc + term
+            acc = acc + P.select(rng, rng).trace() * weight
         pos += n
     return acc
 

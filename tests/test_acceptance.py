@@ -116,7 +116,7 @@ def test_criterion_4_takesaki_takai():
 def test_criterion_5_pvm_representation():
     budget = Budget(30.0)
     for sizes in [(2,), (3,), (2, 1), (2, 2), (2, 1, 1)]:
-        cert = uet_pvm(BlockSpec(sizes), backend="exact")
+        cert = uet_pvm(BlockSpec(sizes))
         assert cert["passed"], (sizes, cert)
         assert cert["outcomes"] == BlockSpec(sizes).N
         assert cert["worst_residual"] == 0.0

@@ -1,12 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qautcert.algebra import _kernel
 from qautcert.arith import (
-    BackendMismatch,
     Cyclotomic,
     DimensionMismatch,
     Mat,
@@ -57,15 +57,9 @@ def test_dimension_mismatch():
         Mat.zeros(2, 3).trace()
 
 
-def test_mixed_backend_rejected():
-    with pytest.raises(BackendMismatch):
-        Mat.identity(2) @ Mat.identity(2, "float")
-
-
-def test_rank_both_backends():
+def test_rank():
     M = Mat.exact([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert M.rank() == 2
-    assert M.to_float().rank() == 2
 
 
 def test_scalar_multiple_detection():
@@ -79,7 +73,7 @@ def test_residual_exact_zero_and_float():
     A = Mat.exact([[1, 0], [0, 1]])
     assert A.residual(Mat.identity(2)) == 0.0
     Af = A.to_float()
-    assert Af.residual(Mat.identity(2, "float")) < 1e-15
+    assert np.max(np.abs(Af - np.eye(2))) < 1e-15
 
 
 def test_kernel_and_span_rank():
@@ -99,7 +93,7 @@ def test_exact_float_agree_on_products(xs, ys):
     B = Mat.exact([ys[:2], ys[2:]])
     exact = (A @ B).to_float()
     floated = A.to_float() @ B.to_float()
-    assert exact.residual(floated) < 1e-9
+    assert np.max(np.abs(exact - floated)) < 1e-9
 
 
 ORDERS = (1, 2, 3, 4, 5, 8, 12)

@@ -75,6 +75,36 @@ def test_incomplete_assignment_rejected():
         GeneratorAssignment(pres, {})
 
 
+@pytest.mark.parametrize("fill, odd_one", [
+    (Mat.scalar(0), Mat.zeros(2, 3)),        # not square
+    (Mat.scalar(0), Mat.identity(2)),        # mixed sizes
+    (Mat.scalar(0), np.zeros((1, 1))),       # exact and float
+    (np.zeros((1, 1)), np.zeros((2, 3))),
+    (np.zeros((1, 1)), np.zeros(1)),
+    (np.zeros((1, 1)), np.eye(2)),
+])
+def test_assignment_rejects_nonsquare_mixed_sizes_and_mixed_kinds(fill, odd_one):
+    pres = QautPresentation(BlockSpec((2,)))
+    values = {g: fill for g in pres.generators}
+    values[pres.generators[0]] = odd_one
+    with pytest.raises(IncompleteAssignment):
+        GeneratorAssignment(pres, values)
+
+
+def test_float_assignment_passes_within_tol_only():
+    spec = BlockSpec((2, 1))
+    exact = counit_assignment(spec)
+    floats = {g: v.to_float() for g, v in exact.values.items()}
+    rep = check_relations(GeneratorAssignment(exact.presentation, floats), 1e-9)
+    assert rep.ok and rep.worst_residual == 0.0 and rep.checked > 0
+    floats[qsym(1, 1, 0, 0, 0, 0)] = floats[qsym(1, 1, 0, 0, 0, 0)] + 1e-6
+    asg = GeneratorAssignment(exact.presentation, floats)
+    assert check_relations(asg, 1e-5).ok
+    rep = check_relations(asg, 1e-9)
+    assert not rep.ok and 1e-9 < rep.worst_residual < 1e-5
+    assert rep.failing.startswith("r1")
+
+
 def test_ad_shift_classical_point():
     # Ad(Z_2): q_(i,j),(k,l) = delta_(i+1,k) delta_(j+1,l) mod 2
     spec = BlockSpec((2,))
@@ -135,20 +165,30 @@ def test_uet_pvm_2_1():
     assert cert["ranks"] == [1, 1, 1, 1, 2]
 
 
-def test_uet_pvm_float_backend():
-    cert = uet_pvm(BlockSpec((2, 1)), backend="float")
-    assert cert["passed"] and cert["worst_residual"] < 1e-12
-
-
-def test_uet_pvm_float_fails_plancherel_value_off_by_more_than_tol(monkeypatch):
+def test_uet_pvm_fails_plancherel_value_off_by_a_fraction(monkeypatch):
     import qautcert.qaut
 
     real = qautcert.qaut._psi_tr
     monkeypatch.setattr(qautcert.qaut, "_psi_tr",
-                        lambda spec, P, backend: real(spec, P, backend) + 1e-6)
-    cert = uet_pvm(BlockSpec((2, 1)), backend="float", tol=1e-9)
+                        lambda spec, P: real(spec, P) + Fraction(1, 10**6))
+    cert = uet_pvm(BlockSpec((2, 1)))
     assert cert["passed"] is False
     assert cert["failure"] == "(psi x tr)(P(1, 0, 0)) != 1/N"
+
+
+def test_uet_pvm_fails_with_the_pvm_check_message(monkeypatch):
+    import qautcert.qaut
+
+    real = qautcert.qaut._block_diag_unit
+
+    def doubled_in_block_2(spec, s, i, j):
+        unit = real(spec, s, i, j)
+        return unit.scale(2) if s == 2 else unit
+
+    monkeypatch.setattr(qautcert.qaut, "_block_diag_unit", doubled_in_block_2)
+    cert = uet_pvm(BlockSpec((2, 1)))
+    assert cert["passed"] is False
+    assert cert["failure"] == "not a PVM: member 4 is not a projection"
 
 
 # -- pi and rho ---------------------------------------------------------------
