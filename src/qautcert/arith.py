@@ -623,6 +623,24 @@ class Mat:
         return cls._new(rows, cols, order, _stored(flat.T.reshape(-1, rows, cols)), den)
 
     @classmethod
+    def from_blocks(cls, blocks, index) -> "Mat":
+        """The block matrix whose block (a, b) is ``blocks[index[a, b]]``, for
+        blocks of one shape and a 2-D integer array ``index``."""
+        index = np.asarray(index)
+        used, where = np.unique(index, return_inverse=True)
+        parts = [blocks[t] for t in used]
+        order = math.lcm(*{p.order for p in parts})
+        den = math.lcm(*{p.den for p in parts})
+        stack = np.stack([p._promote_order(order).coef for p in parts], axis=1)
+        scales = np.array([den // p.den for p in parts], dtype=object)
+        if (scales != 1).any():
+            stack = _stored(_working(_maxabs(stack) * max(scales), stack)[0]
+                            * scales.astype(stack.dtype)[:, None, None])
+        (R, C), (r, c) = index.shape, (parts[0].rows, parts[0].cols)
+        coef = stack[:, where.reshape(R, C)].transpose(0, 1, 3, 2, 4)
+        return cls._new(R * r, C * c, order, coef.reshape(len(stack), R * r, C * c), den)
+
+    @classmethod
     def zeros(cls, rows, cols) -> "Mat":
         return cls._new(rows, cols, 1, np.zeros((1, rows, cols), dtype=np.int64), 1)
 
@@ -659,6 +677,17 @@ class Mat:
         a, b = self._promote_pair(other)
         coef = _bilinear(a.order, a.coef, b.coef, _planes_matmul, a.cols)
         return Mat._new(self.rows, other.cols, a.order, coef, a.den * b.den)
+
+    def block_products(self, other: "Mat") -> "Mat":
+        """For two vertical stacks of square blocks of one size, the stack of
+        the products of corresponding blocks."""
+        n = self.cols
+        if (self.rows, self.cols) != (other.rows, other.cols) or self.rows % max(n, 1):
+            raise DimensionMismatch(f"{self.rows}x{self.cols} blockwise {other.rows}x{other.cols}")
+        a, b = self._promote_pair(other)
+        coef = _bilinear(a.order, *(x.coef.reshape(len(x.coef), -1, n, n) for x in (a, b)),
+                         _planes_matmul, n)
+        return Mat._new(self.rows, n, a.order, coef.reshape(-1, self.rows, n), a.den * b.den)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -23,10 +23,8 @@ generator-level trace constants on both sides agree (see haar_compat_check).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -174,6 +172,67 @@ class QautPresentation:
                     rhs = [(Fraction(ns), ())] if i == j else []
                     yield RelationInstance(f"r5[{s},{i},{j}]", "r5", lhs, rhs)
 
+    def block_residuals(self, values: "_BlockValues"):
+        """The residual of every relation instance, one array per block
+        contraction, the arrays and their entries in the order of
+        ``relations()``."""
+        sizes, m = self.spec.sizes, self.spec.m
+        pos, start = {}, 0  # (s, r) -> generator numbers over (i, j, k, l)
+        for s, r in itertools.product(range(1, m + 1), repeat=2):
+            shape = (sizes[s - 1],) * 2 + (sizes[r - 1],) * 2
+            pos[s, r] = start + np.arange(math.prod(shape)).reshape(shape)
+            start += math.prod(shape)
+        zero, one = values.zero, values.one
+        # r1[s, s', r]: block rows (i, j, k), columns (i', j', l), summed over v
+        for s, sp, r in itertools.product(range(1, m + 1), repeat=3):
+            ns, nsp, nr = sizes[s - 1], sizes[sp - 1], sizes[r - 1]
+            rhs = None
+            if s == sp:
+                rhs = np.where(np.eye(ns, dtype=bool)[:, None, :, None, None],
+                               pos[s, r].transpose(0, 2, 1, 3)[:, None, :, None],
+                               zero).reshape(ns * ns * nr, -1)
+            resid = values.product_residuals(pos[s, r].reshape(-1, nr),
+                                             pos[sp, r].transpose(2, 0, 1, 3).reshape(nr, -1),
+                                             rhs)
+            yield resid.reshape(ns, ns, nr, nsp, nsp, nr).transpose(0, 1, 3, 4, 2, 5)
+        # r2[s, r, r']: n_s times the relation, block rows (i, k, l), columns
+        # (j, k', l'), summed over v; the residuals are scaled back by 1/n_s
+        for s, r, rp in itertools.product(range(1, m + 1), repeat=3):
+            ns, nr, nrp = sizes[s - 1], sizes[r - 1], sizes[rp - 1]
+            rhs = None
+            if r == rp:
+                rhs = np.where(np.eye(nr, dtype=bool)[:, None, :, None],
+                               pos[s, r].transpose(0, 2, 1, 3)[:, :, None, :, None],
+                               zero).reshape(ns * nr * nr, -1)
+            resid = values.product_residuals(pos[s, r].transpose(0, 2, 3, 1).reshape(-1, ns),
+                                             pos[s, rp].reshape(ns, -1), rhs,
+                                             Fraction(ns, nr), Fraction(1, ns))
+            yield resid.reshape(ns, nr, nr, ns, nrp, nrp).transpose(0, 3, 1, 2, 4, 5)
+        # r3[s, r]: Q with block rows (i, k), columns (j, l) is self-adjoint;
+        # instance (i, j, k, l) is block ((j, l), (i, k))
+        for s, r in itertools.product(range(1, m + 1), repeat=2):
+            ns, nr = sizes[s - 1], sizes[r - 1]
+            Q = values.gather(pos[s, r].transpose(0, 2, 1, 3).reshape(ns * nr, -1))
+            resid = values.residuals(values.adjoint(Q) - Q)
+            yield resid.reshape(ns, nr, ns, nr).transpose(2, 0, 3, 1)
+        # r4[r]: block rows (k, l), columns (s, i), times a column of identities
+        for r in range(1, m + 1):
+            nr = sizes[r - 1]
+            terms = np.concatenate([pos[s, r][np.arange(n), np.arange(n)].reshape(n, -1)
+                                    for s, n in enumerate(sizes, start=1)]).T
+            yield values.product_residuals(terms, np.full((terms.shape[1], 1), one),
+                                           np.where(np.eye(nr, dtype=bool), one, zero).reshape(-1, 1))
+        # r5[s]: block rows (i, j), columns (r, k), each column repeated n_r
+        # times for its coefficient n_r, times a column of identities
+        for s in range(1, m + 1):
+            ns = sizes[s - 1]
+            terms = np.concatenate([np.repeat(pos[s, r][..., np.arange(n), np.arange(n)]
+                                              .reshape(ns * ns, n), n, axis=1)
+                                    for r, n in enumerate(sizes, start=1)], axis=1)
+            yield values.product_residuals(terms, np.full((terms.shape[1], 1), one),
+                                           np.where(np.eye(ns, dtype=bool), one, zero).reshape(-1, 1),
+                                           ns)
+
 
 @dataclass
 class SnPresentation:
@@ -212,6 +271,24 @@ class SnPresentation:
                                    [(one, (usym(*p, *q),)) for p in pts],
                                    [(one, ())])
 
+    def block_residuals(self, values: "_BlockValues"):
+        """The residual of every relation instance, one array per block
+        contraction, the arrays and their entries in the order of
+        ``relations()``."""
+        N = len(self.points)
+        pos = np.arange(N * N).reshape(N, N)  # generator numbers over (p, q)
+        # selfadj and idem per (p, q), over chunks of the stack of generators
+        step = max(1, _CHUNK_ENTRIES // values.n ** 2)
+        for lo in range(0, N * N, step):
+            column = np.arange(lo, min(lo + step, N * N))[:, None]
+            u = values.gather(column)
+            selfadj = values.residuals(values.adjoint(u) - values.gather(column.T))
+            idem = values.residuals(values.block_products(u, u) - u)
+            yield np.stack([selfadj.ravel(), idem.ravel()], axis=1)
+        ones = np.full((N, 1), values.one)
+        for terms in (pos, pos.T):  # rowsum[p], colsum[q]
+            yield values.product_residuals(terms, ones, ones)
+
 
 @dataclass
 class GeneratorAssignment:
@@ -246,47 +323,113 @@ class RelationReport:
         return self.ok
 
 
-def _eval_terms(terms, values, zero, one, scale):
-    """The sum over (coeff, word) of scale(product of the word's values,
-    coeff), the empty product being ``one``."""
-    acc = zero
-    for coeff, word in terms:
-        val = functools.reduce(operator.matmul, [values[sym] for sym in word]) if word else one
-        acc = acc + scale(val, coeff)
-    return acc
+# Entries of one chunk of a block product, which bounds its working arrays
+# (a few hundred KB at the orders the suites reach) and so peak memory.
+_CHUNK_ENTRIES = 1 << 14
+
+
+class _BlockValues:
+    """The generator values of an assignment, for evaluating relation
+    families block matrix by block matrix.  ``gather(index)`` is the block
+    matrix whose block (a, b) is the value of generator number index[a, b]
+    of ``presentation.generators``, or zero (``self.zero``) or the identity
+    (``self.one``): an exact ``Mat`` or a complex array."""
+
+    def __init__(self, asg: GeneratorAssignment, tol: float):
+        gens = asg.presentation.generators
+        n = self.n = asg.size
+        self.exact = asg.exact
+        # a block passes when its residual is at most this
+        self.threshold = 0.0 if asg.exact else tol
+        self.zero, self.one = len(gens), len(gens) + 1
+        values = [asg.values[g] for g in gens]
+        if asg.exact:
+            # one stack puts every value at one order and denominator, so
+            # that the gathers promote nothing
+            stack = Mat.from_blocks(values + [Mat.zeros(n, n), Mat.identity(n)],
+                                    np.arange(len(values) + 2)[:, None])
+            self.blocks = [stack.select(range(t * n, t * n + n), range(n))
+                           for t in range(len(values) + 2)]
+        else:
+            self.blocks = values + [np.zeros((n, n)), np.eye(n)]
+
+    def gather(self, index):
+        index = np.asarray(index)
+        if self.exact:
+            return Mat.from_blocks(self.blocks, index)
+        (R, C), n = index.shape, self.n
+        stack = np.array([self.blocks[t] for t in index.ravel()], dtype=np.complex128)
+        return stack.reshape(R, C, n, n).transpose(0, 2, 1, 3).reshape(R * n, C * n)
+
+    def scale(self, a, c):
+        if c == 1:
+            return a
+        return a.scale(c) if self.exact else a * complex(c)
+
+    def adjoint(self, a):
+        return a.adjoint() if self.exact else a.conj().T
+
+    def block_products(self, a, b):
+        """The blockwise products of two vertical stacks of blocks."""
+        if self.exact:
+            return a.block_products(b)
+        n = self.n
+        return np.matmul(a.reshape(-1, n, n), b.reshape(-1, n, n)).reshape(-1, n)
+
+    def residuals(self, diff, unit=1) -> np.ndarray:
+        """max |entry| of each block of unit * diff, an array over (block
+        row, block column).  An exact block is zero or has a positive
+        residual."""
+        n = self.n
+        if not self.exact:
+            rb, cb = diff.shape[0] // n, diff.shape[1] // n
+            return np.abs(diff.reshape(rb, n, cb, n)).max(axis=(1, 3)) * float(unit)
+        out = np.zeros((diff.rows // n, diff.cols // n))
+        if diff.is_zero():
+            return out
+        for a, b in np.ndindex(out.shape):
+            block = diff.select(range(a * n, a * n + n), range(b * n, b * n + n))
+            if not block.is_zero():
+                resid = float(np.abs(block.to_float()).max()) * float(unit)
+                out[a, b] = max(resid, np.nextafter(0.0, 1.0))
+        return out
+
+    def product_residuals(self, a, b, rhs=None, c=1, unit=1):
+        """Block residuals of unit * (A @ B - c R) for the gathers A, B and R
+        of the index arrays a, b and rhs (None for R = 0), taken over chunks
+        of A's block rows."""
+        right = self.gather(b)
+        step = max(1, _CHUNK_ENTRIES // (self.n ** 2 * np.shape(b)[1]))
+        out = []
+        for lo in range(0, len(a), step):
+            diff = self.gather(a[lo:lo + step]) @ right
+            if rhs is not None:
+                diff = diff - self.scale(self.gather(rhs[lo:lo + step]), c)
+            out.append(self.residuals(diff, unit))
+        return np.concatenate(out)
 
 
 def check_relations(asg: GeneratorAssignment, tol: float = 1e-9) -> RelationReport:
     """Evaluate the relation instances of the presentation under the
-    assignment, up to the first that fails.  Exact values demand literal
-    equality; complex-array values pass a relation when
-    max|lhs - rhs| <= tol.  Reports the worst residual."""
-    size = asg.size
-    if asg.exact:
-        zero, one = Mat.zeros(size, size), Mat.identity(size)
-        adjoint, scale = Mat.adjoint, Mat.scale
-    else:
-        zero, one = np.zeros((size, size), dtype=np.complex128), np.eye(size, dtype=np.complex128)
-        adjoint, scale = (lambda a: a.conj().T), (lambda a, c: a * complex(c))
+    assignment, one block contraction per relation family, and report the
+    first that fails in the order of ``relations()``.  Exact values demand
+    literal equality; complex-array values pass a relation when
+    max|lhs - rhs| <= tol.  ``worst_residual`` is the largest residual of the
+    instances up to the first failure (all of them on a pass), and
+    ``checked`` counts those instances."""
+    values = _BlockValues(asg, tol)
     worst = 0.0
     checked = 0
-    for rel in asg.presentation.relations():
-        # coefficients are rational, so the adjoint of the sum is the sum of
-        # the adjoints
-        lhs = _eval_terms(rel.lhs, asg.values, zero, one, scale)
-        if rel.adjoint_lhs:
-            lhs = adjoint(lhs)
-        rhs = _eval_terms(rel.rhs, asg.values, zero, one, scale)
-        checked += 1
-        if asg.exact:
-            ok = lhs.equals(rhs)
-            resid = 0.0 if ok else lhs.residual(rhs)
-        else:
-            resid = float(np.max(np.abs(lhs - rhs), initial=0.0))
-            ok = resid <= tol
-        worst = max(worst, resid)
-        if not ok:
-            return RelationReport(False, worst, rel.rid, checked)
+    for resid in asg.presentation.block_residuals(values):
+        resid = resid.ravel()
+        fails = ~(resid <= values.threshold)  # a NaN residual fails
+        if fails.any():
+            t = int(fails.argmax())
+            worst = max(worst, float(resid[:t + 1].max()))
+            rel = next(itertools.islice(asg.presentation.relations(), checked + t, None))
+            return RelationReport(False, worst, rel.rid, checked + t + 1)
+        worst = max(worst, float(resid.max(initial=0.0)))
+        checked += resid.size
     return RelationReport(True, worst, None, checked)
 
 

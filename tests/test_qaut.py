@@ -1,3 +1,6 @@
+import functools
+import operator
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from qautcert.qaut import (
     IncompleteAssignment,
     NotAutomorphismB,
     QautPresentation,
+    RelationReport,
     SnPresentation,
     alpha,
     beta,
@@ -22,6 +26,7 @@ from qautcert.qaut import (
     classical_theta_battery,
     counit_assignment,
     covariance_check,
+    direct_sum_assignment,
     haar_compat_check,
     permutation_assignment,
     pi_map,
@@ -103,6 +108,191 @@ def test_float_assignment_passes_within_tol_only():
     rep = check_relations(asg, 1e-9)
     assert not rep.ok and 1e-9 < rep.worst_residual < 1e-5
     assert rep.failing.startswith("r1")
+
+
+# -- check_relations against the per-instance reference ------------------------
+
+def reference_residuals(asg):
+    """(relation instance, residual) in the order of ``relations()``, each
+    side evaluated as the sum over its terms of the coefficient times the
+    product of the word's values; an exact residual is 0.0 exactly when the
+    two sides are equal."""
+    n = asg.size
+    if asg.exact:
+        zero, one, adjoint, scale = Mat.zeros(n, n), Mat.identity(n), Mat.adjoint, Mat.scale
+    else:
+        zero, one = np.zeros((n, n), dtype=np.complex128), np.eye(n, dtype=np.complex128)
+        adjoint, scale = (lambda a: a.conj().T), (lambda a, c: a * complex(c))
+
+    def side(terms):
+        acc = zero
+        for coeff, word in terms:
+            val = functools.reduce(operator.matmul, [asg.values[s] for s in word]) if word else one
+            acc = acc + scale(val, coeff)
+        return acc
+
+    for rel in asg.presentation.relations():
+        lhs, rhs = side(rel.lhs), side(rel.rhs)
+        if rel.adjoint_lhs:
+            lhs = adjoint(lhs)
+        if asg.exact:
+            yield rel, lhs.residual(rhs)
+        else:
+            yield rel, float(np.max(np.abs(lhs - rhs), initial=0.0))
+
+
+def reference_check(asg, tol=1e-9):
+    """check_relations one relation instance at a time."""
+    worst, checked = 0.0, 0
+    for rel, resid in reference_residuals(asg):
+        checked += 1
+        worst = max(worst, resid)
+        if not resid <= (0.0 if asg.exact else tol):
+            return RelationReport(False, worst, rel.rid, checked)
+    return RelationReport(True, worst, None, checked)
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (1, 2), (3,), (1, 1, 1)])
+def test_block_residuals_list_every_instance_in_relations_order(sizes):
+    # at random complex values every instance has a residual of its own
+    from qautcert.qaut import _BlockValues
+
+    rng = np.random.default_rng(len(sizes))
+    spec = BlockSpec(sizes)
+    for pres in (QautPresentation(spec), SnPresentation(spec)):
+        asg = GeneratorAssignment(pres, {g: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                                         for g in pres.generators})
+        got = np.concatenate([r.ravel() for r in pres.block_residuals(_BlockValues(asg, 1e-9))])
+        want = [resid for _, resid in reference_residuals(asg)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def agreeing_report(asg, tol=1e-9):
+    """check_relations' report, after asserting that it agrees with the
+    reference's."""
+    got, want = check_relations(asg, tol), reference_check(asg, tol)
+    assert (got.ok, got.failing, got.checked) == (want.ok, want.failing, want.checked)
+    if not asg.exact:
+        assert abs(got.worst_residual - want.worst_residual) <= 1e-12
+    elif got.ok:
+        assert got.worst_residual == 0.0
+    else:
+        assert got.worst_residual > 0
+    return got
+
+
+def as_float(asg):
+    return GeneratorAssignment(asg.presentation, {g: v.to_float() for g, v in asg.values.items()})
+
+
+def perturbed(asg, t, a, b, e):
+    """asg with zeta_4^e added at entry (a, b) of generator number t."""
+    sym = asg.presentation.generators[t]
+    n = asg.size
+    values = dict(asg.values)
+    values[sym] = values[sym] + Mat.from_entries(n, n, 4, [a], [b], [e], [1])
+    return GeneratorAssignment(asg.presentation, values)
+
+
+def passing_points(sizes):
+    """Passing points of both presentations: a permutation, a direct sum of
+    two and rho at a classical automorphism theta for the magic unitary;
+    theta and pi at the first two for the q-generators."""
+    spec = BlockSpec(sizes)
+    perms = block_preserving_permutations(spec, 2, seed=1)
+    theta = classical_assignment_aut(spec, classical_theta_battery(spec, 1, seed=1)[-1][-1])
+    rho, _ = rho_map(spec, crosscheck=False)
+    pi = pi_map(spec)
+    perm, dsum = permutation_assignment(spec, perms[0]), direct_sum_assignment(spec, perms)
+    return {
+        "permutation": perm,
+        "direct sum": dsum,
+        "rho(theta)": GeneratorAssignment(SnPresentation(spec), substitute_all(rho, theta.values)),
+        "theta": theta,
+        "pi(permutation)": GeneratorAssignment(QautPresentation(spec),
+                                               substitute_all(pi, perm.values)),
+        "pi(direct sum)": GeneratorAssignment(QautPresentation(spec),
+                                              substitute_all(pi, dsum.values)),
+    }
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (3,), (1, 1, 1), (2, 2)])
+def test_check_relations_matches_the_per_instance_reference(sizes):
+    rng = random.Random(len(sizes) * 10 + sizes[0])
+    for name, asg in passing_points(sizes).items():
+        assert agreeing_report(asg).ok, name
+        assert agreeing_report(as_float(asg)).ok, name
+        t = rng.randrange(len(asg.presentation.generators))
+        a, b, e = rng.randrange(asg.size), rng.randrange(asg.size), rng.randrange(4)
+        bad = perturbed(asg, t, a, b, e)
+        assert not agreeing_report(bad).ok, (name, t, a, b, e)
+        assert not agreeing_report(as_float(bad)).ok, (name, t, a, b, e)
+
+
+def _hom_scalar_onto_block_1():
+    """The q-point of the unital *-homomorphism (x, c) -> (c 1, c) of
+    M_2 + C, which is not trace-preserving."""
+    pres = QautPresentation(BlockSpec((2, 1)))
+    ones = {qsym(2, 1, 0, 0, 0, 0), qsym(2, 1, 0, 0, 1, 1), qsym(2, 2, 0, 0, 0, 0)}
+    return GeneratorAssignment(pres, {g: Mat.scalar(int(g in ones)) for g in pres.generators})
+
+
+def _ad_shift_times_skew_idempotent():
+    """The point of Ad(Z), the shift, on block 1 of (2, 1) times [[1, 1], [0, 0]], an
+    idempotent that is not self-adjoint."""
+    spec = BlockSpec((2, 1))
+    point = classical_assignment_aut(spec, theta_ad_unitary(spec, 1, weyl_basis(2).z))
+    W = Mat.exact([[1, 1], [0, 0]])
+    return GeneratorAssignment(point.presentation,
+                               {g: W.scale(v.entry(0, 0)) for g, v in point.values.items()})
+
+
+def _function_point():
+    """u_(P),(Q) = [f(P) == Q] for a map f of the points of (2,) that is
+    not onto: every row sums to 1, not every column."""
+    pres = SnPresentation(BlockSpec((2,)))
+    pts = pres.points
+    f = {p: pts[0] if p == pts[1] else p for p in pts}
+    return GeneratorAssignment(pres, {g: Mat.scalar(int(f[g[1:4]] == g[4:7]))
+                                      for g in pres.generators})
+
+
+# One case per family that fails first there.  A change to one generator
+# moves rowsum[p] and colsum[q] alike, and rowsum comes first, so colsum
+# fails first only at a point that is not one change from a magic unitary.
+# r5 cannot fail first exactly after r1-r4 pass on matrices (a faithful
+# trace forces it), so its case is float, at a tolerance between the
+# residuals of r1-r4 (1.0) and of r5 (2.0).
+FIRST_FAILURES = [
+    ("r1", lambda: perturbed(passing_points((2,))["theta"], 0, 0, 0, 0), None),
+    ("r2", _hom_scalar_onto_block_1, None),
+    ("r3", _ad_shift_times_skew_idempotent, None),
+    ("r4", lambda: perturbed(passing_points((1, 1, 1))["theta"], 1, 0, 0, 2), None),
+    ("r5", lambda: perturbed(passing_points((1, 2))["pi(permutation)"], 1, 0, 0, 0), 1.5),
+    ("selfadj", lambda: perturbed(passing_points((2,))["permutation"], 0, 0, 0, 1), None),
+    ("idem", lambda: perturbed(passing_points((2,))["permutation"], 0, 0, 0, 2), None),
+    ("rowsum", lambda: perturbed(passing_points((2,))["permutation"], 0, 0, 0, 0), None),
+    ("colsum", _function_point, None),
+]
+
+
+@pytest.mark.parametrize("family, build, tol", FIRST_FAILURES,
+                         ids=[case[0] for case in FIRST_FAILURES])
+def test_each_family_fails_first_as_in_the_reference(family, build, tol):
+    asg = build()
+    reports = [agreeing_report(as_float(asg), tol)] if tol else [agreeing_report(asg),
+                                                                   agreeing_report(as_float(asg))]
+    rids = [rel.rid for rel in asg.presentation.relations()]
+    for rep in reports:
+        assert rep.failing.startswith(family + "[")
+        assert rep.checked == rids.index(rep.failing) + 1
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (1, 1, 1)])
+def test_checked_counts_every_instance_on_a_pass(sizes):
+    for asg in passing_points(sizes).values():
+        rep = check_relations(asg)
+        assert rep.ok and rep.checked == len(list(asg.presentation.relations()))
 
 
 def test_ad_shift_classical_point():
