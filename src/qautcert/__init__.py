@@ -30,6 +30,7 @@ from .qaut import (
     haar_compat_check,
     pi_map,
     rearranged_Q_check,
+    rho_forms_agree,
     rho_map,
     uet_pvm,
 )

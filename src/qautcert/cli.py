@@ -58,6 +58,7 @@ from .qaut import (
     permutation_assignment,
     pi_map,
     rearranged_Q_check,
+    rho_forms_agree,
     rho_map,
     strict_word_check,
     uet_pvm,
@@ -246,8 +247,8 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
     failure = battery_failure(qpres, pi, pi_cases(), "pi_battery", battery_record)
     if failure:
         return failure
-    rho, rho_report = rho_map(spec)
-    if not rho_report["both_forms_agree"]:
+    rho = rho_map(spec)
+    if not rho_forms_agree(spec, rho):
         return {"passed": False, "failure": "rho displayed forms disagree",
                 "worst_residual": worst}
     battery = classical_theta_battery(spec, 10, seed=cfg.seed)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BlockSpec, column_sparse, monomial_forms, multimatrix, sparse_eq
+from .algebra import BlockSpec, column_sparse, monomial_forms, multimatrix
 from .arith import Cyclotomic, Mat, accumulate, echelon, root_of_unity
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
 from .pauli import BlockEmbedding, NotPVM, pvm_check, weyl_basis
@@ -55,6 +55,7 @@ __all__ = [
     "uet_pvm",
     "pi_map",
     "rho_map",
+    "rho_forms_agree",
     "rearranged_Q_check",
     "alpha",
     "beta",
@@ -525,14 +526,8 @@ def theta_identity(spec: BlockSpec):
 
 
 def _unit_index(spec: BlockSpec):
-    index = {}
-    pos = 0
-    for r, n in enumerate(spec.sizes, start=1):
-        for i in range(n):
-            for j in range(n):
-                index[(r, i, j)] = pos
-                pos += 1
-    return index
+    """(r, i, j) -> the position of E^(r)_(i,j) in the basis of B."""
+    return {p: n for n, p in enumerate(SnPresentation(spec).points)}
 
 
 def theta_ad_unitary(spec: BlockSpec, r: int, U: Mat):
@@ -598,15 +593,10 @@ def classical_theta_battery(spec: BlockSpec, count: int, seed: int):
             for j in range(n):
                 battery.append(("ad_weyl", r, i, j,
                                 theta_ad_unitary(spec, r, wb.t(i, j))))
-    for r1 in range(1, spec.m + 1):
-        for r2 in range(r1 + 1, spec.m + 1):
-            if spec.sizes[r1 - 1] == spec.sizes[r2 - 1]:
-                battery.append(("block_swap", r1, r2, None,
-                                theta_block_swap(spec, r1, r2)))
-                break
-        else:
-            continue
-        break
+    swaps = [(r1, r2) for r1, r2 in itertools.combinations(range(1, spec.m + 1), 2)
+             if spec.sizes[r1 - 1] == spec.sizes[r2 - 1]]
+    if swaps:
+        battery.append(("block_swap", *swaps[0], None, theta_block_swap(spec, *swaps[0])))
     while len(battery) < count:
         r = rng.randrange(1, spec.m + 1)
         n = spec.sizes[r - 1]
@@ -778,43 +768,39 @@ def pi_map(spec: BlockSpec) -> dict:
     return _table_images(spec, of_rho=False)
 
 
-def rho_map(spec: BlockSpec, crosscheck: bool = True):
-    """rho on u-generators as formal tensors over M_d x M_d in q-symbols.
-
-    When ``crosscheck`` is set, the conjugated form
-    (T^[s]_(x,-y) x T^[r]_(v,-w) x 1)(Q^(s,r)/n_s)(...)* is built
-    independently and compared term by term; the report records the result.
-    """
-    out = _table_images(spec, of_rho=True)
-    report = {"both_forms_agree": None}
-    if crosscheck:
-        report["both_forms_agree"] = _rho_conjugated_form_agrees(spec, out)
-    return out, report
+def rho_map(spec: BlockSpec) -> dict:
+    """rho on u-generators as formal tensors over M_d x M_d in q-symbols."""
+    return _table_images(spec, of_rho=True)
 
 
-def _rho_conjugated_form_agrees(spec: BlockSpec, rho: dict) -> bool:
-    sizes = spec.sizes
+def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
+    """Whether every rho(u_(s,x,y),(r,v,w)) equals its conjugated form
+
+        (T^[s]_(x,-y) x T^[r]_(v,-w))(Q^(s,r)/n_s)(T^[s]_(x,-y) x T^[r]_(v,-w))*,
+
+    Q^(s,r) = sum E^(s)_(i,j) x E^(r)_(k,l) x q^(s,r)_(i,j),(k,l).  Both Q and
+    the conjugating phase-permutation are read off matrix units and Weyl
+    matrices, independently of the phase table that ``rho`` comes from."""
     emb = BlockEmbedding(spec)
-    wbs = {n: weyl_basis(n) for n in set(sizes)}
-    for s, ns in enumerate(sizes, start=1):
-        for r, nr in enumerate(sizes, start=1):
-            # Q^(s,r) = sum E^(s)_ij x E^(r)_kl x q
-            Q = {qsym(s, r, i, j, k, l): emb.paren_unit(s, i, j).kron(emb.paren_unit(r, k, l))
-                 for i, j, k, l in _index_range(ns, nr)}
-            for x in range(ns):
-                for y in range(ns):
-                    A = emb.paren(s, wbs[ns].t(x, (-y) % ns))
-                    for v in range(nr):
-                        for w in range(nr):
-                            B = emb.paren(r, wbs[nr].t(v, (-w) % nr))
-                            conj = A.kron(B)
-                            lhs = {}
-                            for q, coeff in Q.items():
-                                term = (conj @ coeff @ conj.adjoint()).scale(Fraction(1, ns))
-                                for (row, col), c in term.sparse_entries().items():
-                                    lhs[(q, row, col)] = c
-                            if not sparse_eq(lhs, rho[usym(s, x, y, r, v, w)].sparse()):
-                                return False
+    one = Mat.identity(spec.d)
+    # the conjugation (T^[s]_(x,-y) x 1)(1 x T^[r]_(v,-w)), one phase-permutation per factor
+    wbs = {n: weyl_basis(n) for n in set(spec.sizes)}
+    weyl = {(t, a, b): emb.paren(t, wbs[n].t(a, -b % n))
+            for t, n in enumerate(spec.sizes, start=1) for a in range(n) for b in range(n)}
+    left = {key: _phase_permutation(T.kron(one)) for key, T in weyl.items()}
+    right = {key: _phase_permutation(one.kron(T)) for key, T in weyl.items()}
+    for s, ns in enumerate(spec.sizes, start=1):
+        for r, nr in enumerate(spec.sizes, start=1):
+            units = [emb.paren_unit(s, i, j).kron(emb.paren_unit(r, k, l)).sparse_entries()
+                     for i, j, k, l in _index_range(ns, nr)]
+            sym, row, col = np.array([(n, a, b) for n, unit in enumerate(units) for a, b in unit]).T
+            Q = FormalTensor(spec.d ** 2, 1, Fraction(1, ns),
+                             tuple(qsym(s, r, *t) for t in _index_range(ns, nr)),
+                             sym, row, col, np.zeros_like(row))
+            for x, y, v, w in _index_range(ns, nr):
+                conjugated = _conjugated(_conjugated(Q, left[s, x, y]), right[r, v, w])
+                if not conjugated.equals(rho[usym(s, x, y, r, v, w)]):
+                    return False
     return True
 
 
@@ -825,61 +811,73 @@ def rearranged_Q_check(spec: BlockSpec) -> dict:
             n_s sum_{x,y,v,w} phi^[s]_(-x,y) x phi^[r]_(-v,w) x u_(s,x,y),(r,v,w)
 
     where the shuffle re-pairs the four M_d legs (1,2,3,4) -> (1,3)(2,4) and
-    is applied exactly once, here at certificate assembly.  The left side is
-    read off pi's images, the right side built from the entangled
-    projections; coefficients are compared entry by entry in sparse form
-    (both sides have d^4 nonzeros out of d^8)."""
+    is applied exactly once, here at certificate assembly.  The coefficient
+    of each u on either side is a table of (row, col, exponent) rows (d^4
+    nonzeros out of d^8): on the left read off pi's images, on the right
+    the Kronecker product of the entangled projections' nonzeros.  The two
+    are compared with ``FormalTensor.equals``, u by u."""
     sizes = spec.sizes
-    d = spec.d
-    d2 = d * d
-    # u -> coefficient of u on the left, legs shuffled: Q^(s,r) puts
-    # E^(s)_ij x E^(r)_kl on legs (1, 2) next to pi(q^(s,r)_(i,j),(k,l))
-    lhs: dict = {}
-    for (_, s, r, i, j, k, l), ft in pi_map(spec).items():
-        stride_s, base_s = _unit_positions(spec, s)
-        stride_r, base_r = _unit_positions(spec, r)
-        legs = [(r1 * d + r2, c1 * d + c2)
-                for r1, c1 in zip(base_s + i * stride_s, base_s + j * stride_s)
-                for r2, c2 in zip(base_r + k * stride_r, base_r + l * stride_r)]
-        for (u, row, col), c in ft.sparse().items():
-            coeff = lhs.setdefault(u, {})
-            for r12, c12 in legs:
-                coeff[(_shuffle_index(int(r12) * d2 + row, d),
-                       _shuffle_index(int(c12) * d2 + col, d))] = c
+    d2 = spec.d ** 2
+    us = [usym(s, x, y, r, v, w)
+          for s, ns in enumerate(sizes, start=1) for r, nr in enumerate(sizes, start=1)
+          for x, y, v, w in _index_range(ns, nr)]
     emb = BlockEmbedding(spec)
-    phi_sparse: dict = {}
-    words_checked = 0
-    for s, ns in enumerate(sizes, start=1):
-        for r, nr in enumerate(sizes, start=1):
-            for x in range(ns):
-                for y in range(ns):
-                    for v in range(nr):
-                        for w in range(nr):
-                            sym = usym(s, x, y, r, v, w)
-                            key_s = (s, (-x) % ns, y)
-                            if key_s not in phi_sparse:
-                                phi_sparse[key_s] = emb.bracket_phi(*key_s).sparse_entries()
-                            key_r = (r, (-v) % nr, w)
-                            if key_r not in phi_sparse:
-                                phi_sparse[key_r] = emb.bracket_phi(*key_r).sparse_entries()
-                            rhs = {}
-                            for (r1, c1), v1 in phi_sparse[key_s].items():
-                                for (r2, c2), v2 in phi_sparse[key_r].items():
-                                    rhs[(r1 * d2 + r2, c1 * d2 + c2)] = v1 * v2 * ns
-                            if not sparse_eq(lhs.get(sym, {}), rhs):
-                                return {"passed": False, "failed_word": str(sym),
-                                        "partition": list(sizes)}
-                            words_checked += 1
-    return {"passed": True, "partition": list(sizes), "d": d,
-            "words_checked": words_checked, "shuffle": "(1,2,3,4)->(1,3)(2,4)",
+    phi = {(t, a, b): _monomial_entries(emb.bracket_phi(t, -a, b))  # phi^[t]_(-a,b)
+           for t, n in enumerate(sizes, start=1) for a in range(n) for b in range(n)}
+    for sym, lhs in zip(us, _shuffled_pi(spec, us)):
+        _, s, x, y, r, v, w = sym
+        phi_s, phi_r = phi[s, x, y], phi[r, v, w]
+        if lhs is not None and phi_s is not None and phi_r is not None:
+            (Ls, qs, rs, cs, es), (Lr, qr, rr, cr, er) = phi_s, phi_r
+            order = math.lcm(Ls, Lr)
+            row, col = (rs[:, None] * d2 + rr).ravel(), (cs[:, None] * d2 + cr).ravel()
+            rhs = FormalTensor(d2 * d2, order, sizes[s - 1] * qs * qr, (sym,), np.zeros_like(row),
+                               row, col, (es[:, None] * (order // Ls) + er * (order // Lr)).ravel())
+            if lhs.equals(rhs):
+                continue
+        return {"passed": False, "failed_word": str(sym), "partition": list(sizes)}
+    return {"passed": True, "partition": list(sizes), "d": spec.d,
+            "words_checked": len(us), "shuffle": "(1,2,3,4)->(1,3)(2,4)",
             "rhs_constant": "n_s", "worst_residual": 0.0}
 
 
-def _shuffle_index(idx: int, d: int) -> int:
-    e = idx % d
-    c = (idx // d) % d
-    b = (idx // (d * d)) % d
-    a = idx // (d * d * d)
+def _shuffled_pi(spec: BlockSpec, us: list):
+    """The coefficient of each u in ``us``, in turn, in shuffle((id x id x
+    pi)(Q)), Q the sum of the Q^(s,r): E^(s)_ij x E^(r)_kl on legs (1, 2)
+    next to pi(q^(s,r)_(i,j),(k,l)) on legs (3, 4).  A formal tensor in the
+    one symbol u, or None where the pi images reaching u differ in prefactor."""
+    d = spec.d
+    pi = pi_map(spec)
+    order = math.lcm(*(ft.order for ft in pi.values()))
+    uid = {u: n for n, u in enumerate(us)}
+    parts = []  # per image: u, row, col and exp of its rows on every leg, and its number
+    for n, ((_, s, r, i, j, k, l), ft) in enumerate(pi.items()):
+        (stride_s, base_s), (stride_r, base_r) = _unit_positions(spec, s), _unit_positions(spec, r)
+        legs_row = ((base_s + i * stride_s)[:, None] * d + base_r + k * stride_r).reshape(-1, 1)
+        legs_col = ((base_s + j * stride_s)[:, None] * d + base_r + l * stride_r).reshape(-1, 1)
+        u = np.array([uid[sym] for sym in ft.symbols], dtype=np.int64)[ft.sym]
+        parts.append(np.broadcast_arrays(u, _shuffle_index(legs_row * d * d + ft.row, d),
+                                         _shuffle_index(legs_col * d * d + ft.col, d),
+                                         ft.exp * (order // ft.order), n))
+    u, row, col, exp, source = (np.concatenate([a.ravel() for a in c]) for c in zip(*parts))
+    del parts
+    by_u = np.argsort(u, kind="stable")
+    bounds = np.searchsorted(u[by_u], np.arange(len(us) + 1))
+    prefactors = [ft.prefactor for ft in pi.values()]
+    for n, sym in enumerate(us):
+        rows = by_u[bounds[n]:bounds[n + 1]]
+        found = {prefactors[m] for m in set(source[rows].tolist())}
+        if len(found) != 1:
+            yield None
+            continue
+        yield FormalTensor(d ** 4, order, found.pop(), (sym,), np.zeros(len(rows)),
+                           row[rows], col[rows], exp[rows])
+
+
+def _shuffle_index(idx, d: int):
+    """The index with base-d digits (a, b, c, e) sent to (a, c, b, e),
+    elementwise: legs (1,2,3,4) -> (1,3)(2,4) of (C^d)^(x4)."""
+    a, b, c, e = idx // d ** 3, idx // d ** 2 % d, idx // d % d, idx % d
     return ((a * d + c) * d + b) * d + e
 
 
@@ -1037,19 +1035,30 @@ def _z_images(spec: BlockSpec):
     return out
 
 
-def _phase_permutation(U: Mat):
-    """(L, perm, exp) with U = sum over c of zeta_L^exp[c] E_(perm[c], c)."""
+def _monomial_entries(U: Mat):
+    """(L, q, row, col, exp) with U = q sum over t of zeta_L^exp[t]
+    E_(row[t], col[t]) and q a positive Fraction, or None when the nonzeros
+    of U are not all of that form with one q."""
     entries = U.sparse_entries()
     L, forms = monomial_forms(list(entries.values()))
-    perm = np.full(U.cols, -1)
-    exp = np.zeros(U.cols, dtype=np.int64)
-    for (i, j), form in zip(entries, forms):
-        if form is None or form[0] != 1 or perm[j] >= 0:
-            raise ValueError("not a phase-permutation")
-        perm[j], exp[j] = i, form[1]
-    if sorted(perm) != list(range(U.rows)):
+    scales = {None if form is None else form[0] for form in forms}
+    if len(scales) != 1 or None in scales:
+        return None
+    row, col = np.array(list(entries), dtype=np.int64).T
+    return L, scales.pop(), row, col, np.array([e for _, e in forms], dtype=np.int64)
+
+
+def _phase_permutation(U: Mat):
+    """(L, perm, exp) with U = sum over c of zeta_L^exp[c] E_(perm[c], c)."""
+    form = _monomial_entries(U)
+    if (form is None or form[1] != 1
+            or not np.array_equal(np.sort(form[2]), np.arange(U.rows))
+            or not np.array_equal(np.sort(form[3]), np.arange(U.cols))):
         raise ValueError("not a phase-permutation")
-    return L, perm, exp
+    L, _, row, col, exp = form
+    perm, phase = np.empty_like(row), np.empty_like(exp)
+    perm[col], phase[col] = row, exp
+    return L, perm, phase
 
 
 def _conjugated(ft: FormalTensor, U) -> FormalTensor:
@@ -1077,7 +1086,7 @@ def covariance_check(spec: BlockSpec) -> dict:
     z = _z_images(spec)
     zperm = {key: _phase_permutation(U) for key, U in z.items()}
     pi = pi_map(spec)
-    rho, rho_report = rho_map(spec, crosscheck=False)
+    rho = rho_map(spec)
     qpres = QautPresentation(spec)
     upres = SnPresentation(spec)
     cert = {"partition": list(spec.sizes), "d": d}
@@ -1146,26 +1155,14 @@ def covariance_check(spec: BlockSpec) -> dict:
                     return cert
     cert["d_beta_cases"] = 4 * spec.m * len(upres.generators)
     # (e): z-words span M_d x M_d
-    gamma_els = list(itertools.product(*[range(n) for n in spec.sizes
-                                         for _ in (0, 1)]))
-    word_mats = []
-    for left in gamma_els:
-        L = Mat.identity(d)
-        for t in range(spec.m):
-            a, b = left[2 * t], left[2 * t + 1]
-            for _ in range(a):
-                L = L @ _paren_pauli(spec, t + 1, "x")
-            for _ in range(b):
-                L = L @ _paren_pauli(spec, t + 1, "z")
-        for right in gamma_els:
-            R = Mat.identity(d)
-            for t in range(spec.m):
-                a, b = right[2 * t], right[2 * t + 1]
-                for _ in range(a):
-                    R = R @ _paren_pauli(spec, t + 1, "x")
-                for _ in range(b):
-                    R = R @ _paren_pauli(spec, t + 1, "z")
-            word_mats.append(L.kron(R))
+    words = []  # x_1^a_1 z_1^b_1 ... x_m^a_m z_m^b_m over all exponents
+    for exps in itertools.product(*[range(n) for n in spec.sizes for _ in (0, 1)]):
+        word = Mat.identity(d)
+        for t, which in enumerate("xz" * spec.m):
+            for _ in range(exps[t]):
+                word = word @ _paren_pauli(spec, t // 2 + 1, which)
+        words.append(word)
+    word_mats = [left.kron(right) for left in words for right in words]
     rank = len(echelon({i * mat.cols + j: v for (i, j), v in mat.sparse_entries().items()}
                        for mat in word_mats)[0])
     cert["e_span_rank"] = rank

@@ -31,6 +31,7 @@ from qautcert.qaut import (
     permutation_assignment,
     pi_map,
     rearranged_Q_check,
+    rho_forms_agree,
     rho_map,
     uet_pvm,
 )
@@ -137,8 +138,8 @@ def test_criterion_6_homomorphism_batteries():
             qvals = {sym: ft.substitute(uasg.values) for sym, ft in pi.items()}
             rep = check_relations(GeneratorAssignment(qpres, qvals))
             assert rep.ok and rep.worst_residual == 0.0, (sizes, rep.failing)
-        rho, rho_report = rho_map(spec)
-        assert rho_report["both_forms_agree"]
+        rho = rho_map(spec)
+        assert rho_forms_agree(spec, rho)
         upres = SnPresentation(spec)
         battery = classical_theta_battery(spec, 10, seed=42)
         assert len(battery) >= 10

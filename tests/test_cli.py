@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from qautcert.cli import (
     main,
     run,
 )
+from qautcert.formal import qsym, usym
 
 
 SMALL = ("ueb", "twist", "pvm", "haar")
@@ -277,6 +279,47 @@ def test_crashed_fragment_records_where(monkeypatch):
     assert not frag["passed"]
     assert frag["error"] == "RuntimeError: injected"
     assert re.match(r"^qaut\.py:\d+$", frag["where"]), frag["where"]
+
+
+def _exponent_off_by_one(ft):
+    exp = ft.exp.copy()
+    exp[0] += 1
+    return replace(ft, exp=exp)
+
+
+def test_homs_fails_when_a_rho_image_disagrees_with_its_conjugated_form(monkeypatch):
+    import qautcert.cli
+
+    real = qautcert.cli.rho_map
+    sym = usym(1, 0, 0, 1, 0, 0)
+
+    def edited(spec):
+        rho = real(spec)
+        rho[sym] = _exponent_off_by_one(rho[sym])
+        return rho
+
+    monkeypatch.setattr(qautcert.cli, "rho_map", edited)
+    frag = run(SuiteConfig(partition=(2,), suites=("homs",)))["suites"]["homs"]
+    assert frag["passed"] is False
+    assert frag["failure"] == "rho displayed forms disagree"
+
+
+def test_shuffle_names_the_word_of_a_mutated_pi_image(monkeypatch):
+    import qautcert.qaut
+
+    real = qautcert.qaut.pi_map
+    sym = qsym(1, 1, 0, 0, 0, 0)
+
+    def edited(spec):
+        pi = real(spec)
+        pi[sym] = _exponent_off_by_one(pi[sym])
+        return pi
+
+    monkeypatch.setattr(qautcert.qaut, "pi_map", edited)
+    frag = run(SuiteConfig(partition=(2, 1), suites=("shuffle",)))["suites"]["shuffle"]
+    assert frag["passed"] is False
+    # the first row of pi(q^(1,1)_(0,0),(0,0)) is in the coefficient of this u
+    assert frag["failed_word"] == str(usym(1, 0, 0, 1, 0, 0))
 
 
 def assert_matches_golden(partition, backend):

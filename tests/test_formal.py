@@ -69,7 +69,7 @@ def dense_image(spec, source, values):
 def images_and_values(draw):
     spec = BlockSpec(draw(st.sampled_from([(1,), (2,), (2, 1), (3,), (1, 1)])))
     of_rho = draw(st.booleans())
-    images = rho_map(spec, crosscheck=False)[0] if of_rho else pi_map(spec)
+    images = rho_map(spec) if of_rho else pi_map(spec)
     source = draw(st.sampled_from(sorted(images)))
     ft = images[source]
     k = draw(st.sampled_from([1, 1, 2, 3]))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 import random
 from dataclasses import replace
@@ -7,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qautcert.algebra import BlockSpec
+from qautcert.algebra import BlockSpec, sparse_eq
 from qautcert.arith import Cyclotomic, Mat
 from qautcert.formal import qsym, usym
-from qautcert.pauli import weyl_basis
+from qautcert.pauli import BlockEmbedding, weyl_basis
 from qautcert.qaut import (
     GeneratorAssignment,
     IncompleteAssignment,
@@ -31,6 +32,7 @@ from qautcert.qaut import (
     permutation_assignment,
     pi_map,
     rearranged_Q_check,
+    rho_forms_agree,
     rho_map,
     strict_word_check,
     substitution_preserves_relations,
@@ -39,6 +41,7 @@ from qautcert.qaut import (
     theta_identity,
     uet_pvm,
 )
+from qautcert.qaut import _shuffle_index, _unit_positions
 
 
 def substitute_all(formal_map, values):
@@ -201,7 +204,7 @@ def passing_points(sizes):
     spec = BlockSpec(sizes)
     perms = block_preserving_permutations(spec, 2, seed=1)
     theta = classical_assignment_aut(spec, classical_theta_battery(spec, 1, seed=1)[-1][-1])
-    rho, _ = rho_map(spec, crosscheck=False)
+    rho = rho_map(spec)
     pi = pi_map(spec)
     perm, dsum = permutation_assignment(spec, perms[0]), direct_sum_assignment(spec, perms)
     return {
@@ -429,21 +432,21 @@ def test_pi_block_crossing_cycle_passes():
 
 
 def test_rho_collapses_on_abelian_partition():
-    rho, _ = rho_map(BlockSpec((1, 1)), crosscheck=False)
+    rho = rho_map(BlockSpec((1, 1)))
     ft = rho[usym(1, 0, 0, 2, 0, 0)]
     assert ft.symbols == (qsym(1, 2, 0, 0, 0, 0),)
 
 
 def test_rho_both_forms_agree():
     for sizes in [(2,), (2, 1)]:
-        _, report = rho_map(BlockSpec(sizes))
-        assert report["both_forms_agree"]
+        spec = BlockSpec(sizes)
+        assert rho_forms_agree(spec, rho_map(spec))
 
 
 def test_rho_classical_point_gives_magic_unitary():
     spec = BlockSpec((2,))
     qasg = classical_assignment_aut(spec, theta_ad_unitary(spec, 1, weyl_basis(2).x))
-    rho, _ = rho_map(spec, crosscheck=False)
+    rho = rho_map(spec)
     uvals = substitute_all(rho, qasg.values)
     assert next(iter(uvals.values())).rows == 4  # M_2 x M_2
     rep = check_relations(GeneratorAssignment(SnPresentation(spec), uvals))
@@ -452,7 +455,7 @@ def test_rho_classical_point_gives_magic_unitary():
 
 def test_rho_battery_of_automorphisms():
     spec = BlockSpec((2,))
-    rho, _ = rho_map(spec, crosscheck=False)
+    rho = rho_map(spec)
     pres = SnPresentation(spec)
     for entry in classical_theta_battery(spec, 10, seed=5):
         qasg = classical_assignment_aut(spec, entry[-1])
@@ -475,6 +478,144 @@ def test_rearranged_q_m2():
 def test_rearranged_q_mixed_blocks():
     cert = rearranged_Q_check(BlockSpec((2, 1)))
     assert cert["passed"] and cert["words_checked"] == 25
+
+
+# -- the table comparisons against exact-matrix references --------------------
+
+REFERENCE_PARTITIONS = [(1,), (2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1)]
+
+
+def reference_rho_forms_agree(spec, rho):
+    """The rho cross-check with exact matrices: (T x T)(Q^(s,r)/n_s)(T x T)*
+    by ``Mat`` products, compared with each image as {key: Cyclotomic}."""
+    emb = BlockEmbedding(spec)
+    for s, ns in enumerate(spec.sizes, start=1):
+        for r, nr in enumerate(spec.sizes, start=1):
+            Q = {qsym(s, r, i, j, k, l): emb.paren_unit(s, i, j).kron(emb.paren_unit(r, k, l))
+                 for i, j, k, l in itertools.product(range(ns), range(ns), range(nr), range(nr))}
+            for x, y, v, w in itertools.product(range(ns), range(ns), range(nr), range(nr)):
+                conj = (emb.paren(s, weyl_basis(ns).t(x, (-y) % ns))
+                        .kron(emb.paren(r, weyl_basis(nr).t(v, (-w) % nr))))
+                lhs = {}
+                for q, coeff in Q.items():
+                    term = (conj @ coeff @ conj.adjoint()).scale(Fraction(1, ns))
+                    for (row, col), c in term.sparse_entries().items():
+                        lhs[(q, row, col)] = c
+                if not sparse_eq(lhs, rho[usym(s, x, y, r, v, w)].sparse()):
+                    return False
+    return True
+
+
+def reference_shuffle(spec, pi):
+    """The shuffle identity with both sides as {(row, col): Cyclotomic} per
+    u-symbol: the left side read off ``pi`` leg by leg, the right side the
+    Kronecker product of the entangled projections' entries."""
+    d = spec.d
+    d2 = d * d
+    lhs = {}
+    for (_, s, r, i, j, k, l), ft in pi.items():
+        stride_s, base_s = _unit_positions(spec, s)
+        stride_r, base_r = _unit_positions(spec, r)
+        legs = [(r1 * d + r2, c1 * d + c2)
+                for r1, c1 in zip(base_s + i * stride_s, base_s + j * stride_s)
+                for r2, c2 in zip(base_r + k * stride_r, base_r + l * stride_r)]
+        for (u, row, col), c in ft.sparse().items():
+            coeff = lhs.setdefault(u, {})
+            for r12, c12 in legs:
+                coeff[(_shuffle_index(int(r12) * d2 + row, d),
+                       _shuffle_index(int(c12) * d2 + col, d))] = c
+    emb = BlockEmbedding(spec)
+    words = 0
+    for s, ns in enumerate(spec.sizes, start=1):
+        for r, nr in enumerate(spec.sizes, start=1):
+            for x, y, v, w in itertools.product(range(ns), range(ns), range(nr), range(nr)):
+                sym = usym(s, x, y, r, v, w)
+                phi_s = emb.bracket_phi(s, (-x) % ns, y).sparse_entries()
+                phi_r = emb.bracket_phi(r, (-v) % nr, w).sparse_entries()
+                rhs = {(r1 * d2 + r2, c1 * d2 + c2): v1 * v2 * ns
+                       for (r1, c1), v1 in phi_s.items() for (r2, c2), v2 in phi_r.items()}
+                if not sparse_eq(lhs.get(sym, {}), rhs):
+                    return {"passed": False, "failed_word": str(sym),
+                            "partition": list(spec.sizes)}
+                words += 1
+    return {"passed": True, "partition": list(spec.sizes), "d": d,
+            "words_checked": words, "shuffle": "(1,2,3,4)->(1,3)(2,4)",
+            "rhs_constant": "n_s", "worst_residual": 0.0}
+
+
+def _moved(a, t, by, mod=None):
+    a = a.copy()
+    a[t] = a[t] + by if mod is None else (a[t] + by) % mod
+    return a
+
+
+def single_row_mutations(images):
+    """(label, images with the middle image edited) per edit of its middle
+    row, and its prefactor; edits that leave the image equal are skipped."""
+    key = list(images)[len(images) // 2]
+    ft = images[key]
+    t = len(ft.row) // 2
+    edits = {
+        "exponent + 1": replace(ft, exp=_moved(ft.exp, t, 1)),
+        "row moved": replace(ft, row=_moved(ft.row, t, 1, ft.size)),
+        "column moved": replace(ft, col=_moved(ft.col, t, 1, ft.size)),
+        "row dropped": replace(ft, **{name: np.delete(getattr(ft, name), t)
+                                      for name in ("sym", "row", "col", "exp")}),
+        "prefactor doubled": replace(ft, prefactor=2 * ft.prefactor),
+    }
+    return [(label, {**images, key: edited})
+            for label, edited in edits.items() if not edited.equals(ft)]
+
+
+@pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
+def test_images_hold_each_entry_once(sizes):
+    """``FormalTensor.equals`` compares sorted rows, which presumes that no
+    (symbol, row, col) repeats within an image."""
+    spec = BlockSpec(sizes)
+    for images in (pi_map(spec), rho_map(spec)):
+        for ft in images.values():
+            keys = np.stack([ft.sym, ft.row, ft.col])
+            assert np.unique(keys, axis=1).shape[1] == keys.shape[1]
+
+
+@pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
+def test_rho_forms_agree_matches_reference(sizes):
+    spec = BlockSpec(sizes)
+    rho = rho_map(spec)
+    cases = [("real images", rho)] + single_row_mutations(rho)
+    assert len(cases) >= 3
+    for label, images in cases:
+        expected = reference_rho_forms_agree(spec, images)
+        assert expected is (label == "real images"), label
+        assert rho_forms_agree(spec, images) is expected, label
+
+
+@pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
+def test_shuffle_matches_reference(sizes, monkeypatch):
+    import qautcert.qaut
+
+    spec = BlockSpec(sizes)
+    pi = pi_map(spec)
+    cases = [("real images", pi)] + single_row_mutations(pi)
+    assert len(cases) >= 3
+    for label, images in cases:
+        expected = reference_shuffle(spec, images)
+        assert expected["passed"] is (label == "real images"), label
+        monkeypatch.setattr(qautcert.qaut, "pi_map", lambda _spec: images)
+        assert rearranged_Q_check(spec) == expected, label
+
+
+def test_shuffle_fails_on_a_projection_with_two_scales(monkeypatch):
+    real = BlockEmbedding.bracket_phi
+
+    def with_corner(self, s, i, j):
+        phi = real(self, s, i, j)  # entries 1/2 zeta^e at (2,)
+        return phi + Mat.from_entries(phi.rows, phi.cols, 1, [0], [1], [0], [1])
+
+    monkeypatch.setattr(BlockEmbedding, "bracket_phi", with_corner)
+    cert = rearranged_Q_check(BlockSpec((2,)))
+    assert cert["passed"] is False
+    assert cert["failed_word"] == str(usym(1, 0, 0, 1, 0, 0))
 
 
 # -- automorphism families ----------------------------------------------------
@@ -585,17 +726,15 @@ def _patch_pi(monkeypatch, edit):
 
 
 def _patch_rho(monkeypatch, edit):
-    """Make ``qaut.rho_map`` return its images after ``edit(rho)``, with the
-    cross-check run on the edited images."""
+    """Make ``qaut.rho_map`` return its images after ``edit(rho)``."""
     import qautcert.qaut
 
     real = qautcert.qaut.rho_map
 
-    def edited(spec, crosscheck=True):
-        rho, _ = real(spec, crosscheck=False)
+    def edited(spec):
+        rho = real(spec)
         edit(rho)
-        agree = qautcert.qaut._rho_conjugated_form_agrees(spec, rho) if crosscheck else None
-        return rho, {"both_forms_agree": agree}
+        return rho
 
     monkeypatch.setattr(qautcert.qaut, "rho_map", edited)
 
@@ -630,8 +769,7 @@ def test_rho_exponent_off_by_one_fails_covariance_and_cross_check(monkeypatch):
     assert cert["failure"] == f"beta1,1 vs Ad(z1,1) at {sym}"
     import qautcert.qaut
 
-    _, report = qautcert.qaut.rho_map(spec)
-    assert report["both_forms_agree"] is False
+    assert rho_forms_agree(spec, qautcert.qaut.rho_map(spec)) is False
 
 
 def test_haar_reports_non_scalar_substitution(monkeypatch):
