@@ -505,6 +505,20 @@ def _sqrt_prime(p: int) -> Cyclotomic:
 # this bound and as Python ints otherwise.
 _INT64_GUARD = 2**31
 
+# The most multiply-adds one float64 plane product hands to BLAS.  On a
+# 2-core x86_64 host OpenBLAS 0.3.31 ran products of 2**19 multiply-adds
+# (128x32x128, 256x32x64, 512x32x32, 128x16x256) on one thread, CPU time
+# equal to wall time, and products of 2**20 (256x32x128, 512x32x64,
+# 128x64x128, 256x16x256) on two, at 1.6-1.9 times the CPU time for the
+# same wall time.
+_BLAS_CALL_LIMIT = 1 << 19
+
+# The fewest multiply-adds for which a plane product runs in float64.  On
+# that host the two conversions and the BLAS call cost about 10 us, and
+# numpy's int64 matmul was faster below about 2**14 multiply-adds (32x8x32:
+# 12 us in int64, 14 us in float64; 32x32x32: 33 us against 17 us).
+_BLAS_MIN_WORK = 1 << 14
+
 
 def _maxabs(a: np.ndarray) -> int:
     """Largest absolute value, at least 1, so that a product of these caps
@@ -540,20 +554,44 @@ def _linear(planes: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def _bilinear(order: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.ndarray:
     """sum over t1, t2 of zeta^(t1 + t2) * product(a[t1], b[t2]) as a plane
-    stack; ``product`` maps the two stacks to the (D, D, r, c) stack of plane
-    products, each entry a sum of ``inner`` terms."""
+    stack; ``product(a, b, exact_float)`` maps the two stacks to the
+    (D, D, r, c) stack of plane products, each entry a sum of ``inner``
+    terms.
+
+    The plane products are bounded by maxabs(a) maxabs(b) inner.  They are
+    int64 below 2**63 and Python ints above it.  ``exact_float`` says that
+    the bound is below 2**53, where float64 holds every partial sum
+    exactly, so that ``_planes_matmul`` may run the products on BLAS."""
     T = _product_table(order)
-    bound = _maxabs(a) * _maxabs(b) * max(inner, 1) * _maxabs(T) * len(T)
-    a, b, T = _working(bound, a, b, T)
-    P = product(a, b)
+    bound = _maxabs(a) * _maxabs(b) * max(inner, 1)
+    P = product(*_working(bound, a, b), bound < 2**53)
+    P, T = _working(bound * _maxabs(T) * len(T), P, T)
     return _stored(_contract(T, P.reshape(len(T), *P.shape[2:])))
 
 
-def _planes_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(a[:, None], b[None])
+def _planes_matmul(a: np.ndarray, b: np.ndarray, exact_float: bool) -> np.ndarray:
+    """np.matmul(a[:, None], b[None]).  With ``exact_float``, and at least
+    _BLAS_MIN_WORK multiply-adds in all, the int64 planes are multiplied as
+    float64 a chunk at a time, over b's columns and then a's rows so that
+    each 2-D product makes at most _BLAS_CALL_LIMIT multiply-adds wherever
+    b has at most that many entries per column, and each chunk is written
+    to the int64 result."""
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    shape = (len(a), len(b)) + np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2]) + (m, n)
+    if not exact_float or math.prod(shape) * k < _BLAS_MIN_WORK:
+        return np.matmul(a[:, None], b[None])
+    cstep = max(1, min(n, _BLAS_CALL_LIMIT // max(k, 1)))
+    rstep = max(1, _BLAS_CALL_LIMIT // max(k * cstep, 1))
+    out = np.empty(shape, dtype=np.int64)
+    for c0 in range(0, n, cstep):
+        right = b[None, ..., c0:c0 + cstep].astype(np.float64)
+        for lo in range(0, m, rstep):
+            out[..., lo:lo + rstep, c0:c0 + cstep] = np.matmul(
+                a[:, None, ..., lo:lo + rstep, :].astype(np.float64), right)
+    return out
 
 
-def _planes_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _planes_kron(a: np.ndarray, b: np.ndarray, exact_float: bool) -> np.ndarray:
     out = np.kron(a, b)
     return out.reshape(len(a), len(b), *out.shape[1:])
 
@@ -608,37 +646,42 @@ class Mat:
         return cls._new(r, c, order, _stored(coef), den)
 
     @classmethod
-    def from_entries(cls, rows, cols, order, row, col, exp, rational) -> "Mat":
-        """The exact rows x cols matrix sum over t of
-        rational[t] * zeta_order^exp[t] * E_(row[t], col[t]); entries at one
-        position add."""
-        rational = [Fraction(q) for q in rational]
-        den = math.lcm(1, *(q.denominator for q in rational))
-        num = np.array([int(q * den) for q in rational], dtype=object)
+    def from_entries(cls, rows, cols, order, row, col, exp, num, den=1) -> "Mat":
+        """The exact rows x cols matrix (1/den) sum over t of
+        num[t] * zeta_order^exp[t] * E_(row[t], col[t]), for integers num[t];
+        entries at one position add.  ``terms`` reads a matrix back in this
+        form."""
+        num = np.asarray(num)
+        num = num.astype(np.int64 if num.dtype.kind in "iub" else object, copy=False)
         powers = _root_table(order)[np.asarray(exp, dtype=np.int64) % order]
         num, powers = _working(_maxabs(num) * _maxabs(powers) * max(len(num), 1), num, powers)
-        flat = np.zeros((rows * cols, powers.shape[1]), dtype=num.dtype)
-        np.add.at(flat, np.asarray(row, dtype=np.int64) * cols + np.asarray(col, dtype=np.int64),
+        planes = np.zeros((powers.shape[1], rows * cols), dtype=num.dtype)
+        np.add.at(planes.T, np.asarray(row, dtype=np.int64) * cols + np.asarray(col, dtype=np.int64),
                   num[:, None] * powers)
-        return cls._new(rows, cols, order, _stored(flat.T.reshape(-1, rows, cols)), den)
+        return cls._new(rows, cols, order, _stored(planes.reshape(-1, rows, cols)), den)
 
     @classmethod
-    def from_blocks(cls, blocks, index) -> "Mat":
-        """The block matrix whose block (a, b) is ``blocks[index[a, b]]``, for
-        blocks of one shape and a 2-D integer array ``index``."""
+    def vstack(cls, mats) -> "Mat":
+        """The matrices of one width stacked top to bottom, at one order and
+        one denominator."""
+        order = math.lcm(*{m.order for m in mats})
+        den = math.lcm(*{m.den for m in mats})
+        scales = [den // m.den for m in mats]
+        planes = [m._promote_order(order).coef for m in mats]
+        stack = np.concatenate(_working(max(map(_maxabs, planes)) * max(scales), *planes), axis=1)
+        if max(scales) > 1:
+            rows = np.repeat(np.array(scales, dtype=stack.dtype), [m.rows for m in mats])
+            stack = stack * rows[:, None]
+        return cls._new(stack.shape[1], mats[0].cols, order, _stored(stack), den)
+
+    def gather(self, index) -> "Mat":
+        """For a vertical stack of square blocks, the block matrix whose
+        block (a, b) is block ``index[a, b]`` of the stack, for a 2-D
+        integer array ``index``."""
         index = np.asarray(index)
-        used, where = np.unique(index, return_inverse=True)
-        parts = [blocks[t] for t in used]
-        order = math.lcm(*{p.order for p in parts})
-        den = math.lcm(*{p.den for p in parts})
-        stack = np.stack([p._promote_order(order).coef for p in parts], axis=1)
-        scales = np.array([den // p.den for p in parts], dtype=object)
-        if (scales != 1).any():
-            stack = _stored(_working(_maxabs(stack) * max(scales), stack)[0]
-                            * scales.astype(stack.dtype)[:, None, None])
-        (R, C), (r, c) = index.shape, (parts[0].rows, parts[0].cols)
-        coef = stack[:, where.reshape(R, C)].transpose(0, 1, 3, 2, 4)
-        return cls._new(R * r, C * c, order, coef.reshape(len(stack), R * r, C * c), den)
+        (R, C), n = index.shape, self.cols
+        coef = self.coef.reshape(len(self.coef), -1, n, n)[:, index].transpose(0, 1, 3, 2, 4)
+        return Mat._new(R * n, C * n, self.order, coef.reshape(len(coef), R * n, C * n), self.den)
 
     @classmethod
     def zeros(cls, rows, cols) -> "Mat":
@@ -807,6 +850,13 @@ class Mat:
 
     def entries(self):
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
+
+    def terms(self):
+        """(row, col, exp, num), integer arrays over the nonzero terms of the
+        power basis: self = (1/den) sum over t of
+        num[t] * zeta_order^exp[t] * E_(row[t], col[t])."""
+        exp, row, col = np.nonzero(self.coef)
+        return row, col, exp, self.coef[exp, row, col]
 
     def sparse_entries(self) -> dict:
         """Nonzero entries as {(i, j): Cyclotomic}."""

@@ -55,6 +55,7 @@ from .qaut import (
     classical_theta_battery,
     covariance_check,
     haar_compat_check,
+    image_stack,
     permutation_assignment,
     pi_map,
     rearranged_Q_check,
@@ -209,8 +210,7 @@ def _suite_pvm(cfg: SuiteConfig) -> dict:
 
 def _suite_homs(cfg: SuiteConfig) -> dict:
     spec = cfg.spec
-    pi = pi_map(spec)
-    qpres = QautPresentation(spec)
+    qpres, upres = QautPresentation(spec), SnPresentation(spec)
     # block-preserving by default, plus a few arbitrary permutations and one
     # direct sum: matrix-valued and block-crossing members exercise the
     # relation families the classical block-preserving points cannot reach
@@ -220,14 +220,14 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
     worst = 0.0
 
     def battery_failure(presentation, images, cases, key, record):
-        """Substitute each case's generator values into the formal images
+        """Substitute each case's generator values into the stacked images
         and check the presentation's relations; the failing fragment, if any."""
         nonlocal worst
         if cfg.backend == "float":
-            images = {sym: ft_to_float(ft) for sym, ft in images.items()}
+            images = ft_to_float(images)
         for label, line, assignment in cases:
-            subst = {sym: ft.substitute(assignment.values) for sym, ft in images.items()}
-            rep = check_relations(GeneratorAssignment(presentation, subst), cfg.tol)
+            subst = GeneratorAssignment(presentation, images.substitute(assignment.stack))
+            rep = check_relations(subst, cfg.tol)
             worst = max(worst, rep.worst_residual)
             record.append(line)
             if not rep.ok:
@@ -244,7 +244,8 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
                direct_sum_assignment(spec, perms[:2]))
 
     battery_record = []
-    failure = battery_failure(qpres, pi, pi_cases(), "pi_battery", battery_record)
+    failure = battery_failure(qpres, image_stack(pi_map(spec), qpres, upres), pi_cases(),
+                              "pi_battery", battery_record)
     if failure:
         return failure
     rho = rho_map(spec)
@@ -255,8 +256,8 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
     theta_cases = (("rho battery", str(entry[:-1]), classical_assignment_aut(spec, entry[-1]))
                    for entry in battery)
     theta_record = []
-    failure = battery_failure(SnPresentation(spec), rho, theta_cases, "theta_battery",
-                              theta_record)
+    failure = battery_failure(upres, image_stack(rho, upres, qpres), theta_cases,
+                              "theta_battery", theta_record)
     if failure:
         return failure
     out = {"passed": True, "worst_residual": worst,
@@ -269,10 +270,11 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
 
 
 def ft_to_float(ft):
-    """The float form of a formal tensor: each row's coefficient
-    prefactor * zeta_order^exp as a complex128 phase."""
+    """The float form of a formal tensor: each row's coefficient, its
+    image's prefactor times zeta_order^exp, as a complex128 phase."""
     roots = np.array([root_of_unity(ft.order, e).to_complex() for e in range(ft.order)])
-    return replace(ft, phase=float(ft.prefactor) * roots[ft.exp % ft.order])
+    prefactors = np.array([float(p) for p in ft.prefactors])
+    return replace(ft, phase=prefactors[ft.row // ft.size] * roots[ft.exp % ft.order])
 
 
 def _suite_shuffle(cfg: SuiteConfig) -> dict:

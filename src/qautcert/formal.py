@@ -8,6 +8,7 @@ of the generators under pi and rho are such tensors (see ``qaut.pi_map``).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,15 +39,22 @@ def symbol_adjoint(sym):
 
 @dataclass(eq=False)
 class FormalTensor:
-    """sum over rows t of prefactor * zeta_order^exp[t] * E_(row[t], col[t])
-    (x) symbols[sym[t]], with E the matrix units of M_size.
+    """A vertical stack of images, each an element of M_size x (symbols)
+    whose coefficients are phase-permutations.  Image b is
+
+        sum over the rows t with row[t] // size == b of
+            prefactor_b * zeta_order^exp[t] * E_(row[t] - b size, col[t]) (x) symbols[sym[t]],
+
+    E the matrix units of M_size, and ``prefactors`` holds prefactor_b for
+    each image b.  One image is a stack of one, with rows below ``size``;
+    ``stack`` lays several images out as one tensor.
 
     ``cli.ft_to_float`` sets ``phase``, each row's coefficient as a complex
     number; ``substitute`` then computes in floats."""
 
     size: int
     order: int
-    prefactor: Fraction
+    prefactors: tuple
     symbols: tuple
     sym: np.ndarray
     row: np.ndarray
@@ -55,13 +63,28 @@ class FormalTensor:
     phase: np.ndarray | None = None
 
     def __post_init__(self):
+        self.prefactors = tuple(Fraction(p) for p in self.prefactors)
         for name in ("sym", "row", "col", "exp"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+
+    @classmethod
+    def stack(cls, images, symbols) -> "FormalTensor":
+        """The images, of one size, as one tensor over the symbols
+        ``symbols``: image b of the list is image b of the stack."""
+        size = images[0].size
+        order = math.lcm(*(ft.order for ft in images))
+        number = {s: n for n, s in enumerate(symbols)}
+        sym = [np.array([number[s] for s in ft.symbols], dtype=np.int64)[ft.sym] for ft in images]
+        return cls(size, order, sum((ft.prefactors for ft in images), ()), tuple(symbols),
+                   np.concatenate(sym),
+                   np.concatenate([ft.row + b * size for b, ft in enumerate(images)]),
+                   np.concatenate([ft.col for ft in images]),
+                   np.concatenate([ft.exp * (order // ft.order) for ft in images]))
 
     def equals(self, other: "FormalTensor") -> bool:
         """Exact equality, for tensors that hold each (symbol, row, col) in
         at most one row, as the images of pi and rho do."""
-        if self.prefactor != other.prefactor or self.symbols != other.symbols:
+        if self.prefactors != other.prefactors or self.symbols != other.symbols:
             return False
         order = math.lcm(self.order, other.order)
         return np.array_equal(self._sorted_rows(order), other._sorted_rows(order))
@@ -72,46 +95,57 @@ class FormalTensor:
         return rows[:, np.lexsort(rows[::-1])]
 
     def sparse(self) -> dict:
-        """The nonzero coefficients as {(symbol, row, col): Cyclotomic}."""
+        """The nonzero coefficients of one image as {(symbol, row, col):
+        Cyclotomic}."""
+        if len(self.prefactors) != 1:
+            raise ValueError(f"sparse reads one image, not a stack of {len(self.prefactors)}")
         units = [root_of_unity(self.order, e) for e in range(self.order)]
         out: dict = {}
-        accumulate(out, self.prefactor,
+        accumulate(out, self.prefactors[0],
                    (((self.symbols[j], r, c), units[e % self.order])
                     for j, r, c, e in zip(self.sym.tolist(), self.row.tolist(),
                                           self.col.tolist(), self.exp.tolist())))
         return out
 
-    def substitute(self, assignment: dict) -> Mat | np.ndarray:
-        """Evaluate under symbol -> exact Mat, every value k x k: the sum
-        over the rows of their coefficient times E_(row, col) (x) value, a
-        (size k) x (size k) exact Mat, or complex array once ``phase`` is
-        set."""
-        k = next(iter(assignment.values())).rows if assignment else 1
+    def substitute(self, values) -> Mat | np.ndarray:
+        """Evaluate every image under symbol -> exact k x k value: image b
+        goes to block b of a (G size k) x (size k) stack, G the number of
+        images, the sum over its rows of their coefficient times
+        E_(row, col) (x) value.  ``values`` is a dict {symbol: Mat} or the
+        vertical stack of the values of ``symbols`` in order (a
+        ``GeneratorAssignment.stack``).  One scatter over the pairs of a row
+        and a nonzero power-basis term of its symbol's value gives an exact
+        Mat at one order and denominator, or a complex array once ``phase``
+        is set."""
+        if isinstance(values, dict):
+            values = Mat.vstack([values[s] for s in self.symbols])
+        k = values.cols
+        if values.rows != len(self.symbols) * k:
+            raise ValueError(f"{values.rows}x{k} values for {len(self.symbols)} symbols")
         n = self.size * k
-        parts = []  # (table rows, rows, cols, value entry) per nonzero value entry
-        for j, symbol in enumerate(self.symbols):
-            value = assignment[symbol]
-            if value.is_zero():
-                continue
-            t = np.flatnonzero(self.sym == j)
-            parts += [(t, self.row[t] * k + a, self.col[t] * k + b, c)
-                      for (a, b), c in value.sparse_entries().items()]
+        shape = (len(self.prefactors) * n, n)
+        vrow, vcol, vexp, vnum = values.terms()
+        # t: table row, v: value term of its symbol, for every such pair
+        by_symbol = np.argsort(vrow // k, kind="stable")
+        counts = np.bincount(vrow // k, minlength=len(self.symbols))
+        reps = counts[self.sym]
+        t = np.repeat(np.arange(len(self.sym)), reps)
+        first = np.cumsum(counts) - counts
+        v = by_symbol[np.repeat(first[self.sym] - (np.cumsum(reps) - reps), reps)
+                      + np.arange(len(t))]
+        rows, cols = self.row[t] * k + vrow[v] % k, self.col[t] * k + vcol[v]
         if self.phase is not None:
-            data = np.zeros((n, n), dtype=np.complex128)
-            for t, rows, cols, c in parts:
-                np.add.at(data, (rows, cols), self.phase[t] * c.to_complex())
+            z = cmath.exp(2j * cmath.pi / values.order)
+            powers = np.array([z ** e for e in range(values.order)])
+            data = np.zeros(shape, dtype=np.complex128)
+            np.add.at(data, (rows, cols),
+                      self.phase[t] * (vnum[v].astype(np.float64) / values.den) * powers[vexp[v]])
             return data
-        # each value entry is sum over e of q_e zeta_M^e, its power basis
-        order = math.lcm(self.order, *(c.order for *_, c in parts))
-        rows, cols, exps, rational = [], [], [], []
-        for t, r, cl, c in parts:
-            for e, q in enumerate(c.coeffs):
-                if q:
-                    rows.append(r)
-                    cols.append(cl)
-                    exps.append(self.exp[t] * (order // self.order) + e * (order // c.order))
-                    rational += [q * self.prefactor] * len(t)
-        if not rows:
-            return Mat.zeros(n, n)
-        return Mat.from_entries(n, n, order, np.concatenate(rows), np.concatenate(cols),
-                                np.concatenate(exps), rational)
+        order = math.lcm(self.order, values.order)
+        den = math.lcm(*(p.denominator for p in self.prefactors))
+        scale = [int(p * den) for p in self.prefactors]
+        # stored value terms are below 2**31, so below it the products fit int64
+        scale = np.array(scale, dtype=np.int64 if max(map(abs, scale)) < 2**31 else object)
+        return Mat.from_entries(*shape, order, rows, cols,
+                                self.exp[t] * (order // self.order) + vexp[v] * (order // values.order),
+                                scale[self.row[t] // self.size] * vnum[v], den * values.den)

@@ -23,6 +23,7 @@ generator-level trace constants on both sides agree (see haar_compat_check).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -56,6 +57,7 @@ __all__ = [
     "pi_map",
     "rho_map",
     "rho_forms_agree",
+    "image_stack",
     "rearranged_Q_check",
     "alpha",
     "beta",
@@ -291,26 +293,47 @@ class SnPresentation:
             yield values.product_residuals(terms, ones, ones)
 
 
-@dataclass
 class GeneratorAssignment:
-    """Generator values, all exact ``Mat``s or all complex arrays."""
+    """Generator values, all exact or all complex, every one k x k, held as
+    one block stack: ``stack`` is a (G k) x k exact ``Mat`` at one order and
+    denominator, or a complex array, whose block t is the value of generator
+    number t of ``presentation.generators``.  ``values`` is that stack, as
+    ``FormalTensor.substitute`` returns it, or a dict {generator: value},
+    which is stacked once here."""
 
-    presentation: object
-    values: dict
+    def __init__(self, presentation, values):
+        self.presentation = presentation
+        gens = presentation.generators
+        if isinstance(values, dict):
+            missing = [g for g in gens if g not in values]
+            if missing:
+                raise IncompleteAssignment(f"{len(missing)} generators unassigned")
+            kinds = {isinstance(v, Mat) for v in values.values()}
+            if len(kinds) != 1:
+                raise IncompleteAssignment("assigned matrices must be all exact or all float")
+            exact = kinds.pop()
+            shapes = {(v.rows, v.cols) if exact else np.shape(v) for v in values.values()}
+            if len(shapes) != 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
+                raise IncompleteAssignment("assigned matrices must be square of one size")
+            ordered = [values[g] for g in gens]
+            values = (Mat.vstack(ordered) if exact
+                      else np.concatenate(ordered).astype(np.complex128, copy=False))
+        self.exact = isinstance(values, Mat)
+        rows, self.size = (values.rows, values.cols) if self.exact else np.shape(values)
+        if rows != len(gens) * self.size:
+            raise IncompleteAssignment(f"a {rows}x{self.size} stack for {len(gens)} generators")
+        self.stack = values
 
-    def __post_init__(self):
-        gens = self.presentation.generators
-        missing = [g for g in gens if g not in self.values]
-        if missing:
-            raise IncompleteAssignment(f"{len(missing)} generators unassigned")
-        kinds = {isinstance(v, Mat) for v in self.values.values()}
-        if len(kinds) != 1:
-            raise IncompleteAssignment("assigned matrices must be all exact or all float")
-        self.exact = kinds.pop()
-        shapes = {(v.rows, v.cols) if self.exact else np.shape(v) for v in self.values.values()}
-        if len(shapes) != 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
-            raise IncompleteAssignment("assigned matrices must be square of one size")
-        self.size = next(iter(shapes))[0]
+    @functools.cached_property
+    def values(self) -> dict:
+        """{generator: value}, read off the stack."""
+        n = self.size
+
+        def block(t):
+            rows = range(t * n, t * n + n)
+            return self.stack.select(rows, range(n)) if self.exact else self.stack[rows.start:rows.stop]
+
+        return {g: block(t) for t, g in enumerate(self.presentation.generators)}
 
 
 @dataclass
@@ -337,27 +360,21 @@ class _BlockValues:
     (``self.one``): an exact ``Mat`` or a complex array."""
 
     def __init__(self, asg: GeneratorAssignment, tol: float):
-        gens = asg.presentation.generators
         n = self.n = asg.size
         self.exact = asg.exact
         # a block passes when its residual is at most this
         self.threshold = 0.0 if asg.exact else tol
-        self.zero, self.one = len(gens), len(gens) + 1
-        values = [asg.values[g] for g in gens]
+        self.zero = len(asg.presentation.generators)
+        self.one = self.zero + 1
         if asg.exact:
-            # one stack puts every value at one order and denominator, so
-            # that the gathers promote nothing
-            stack = Mat.from_blocks(values + [Mat.zeros(n, n), Mat.identity(n)],
-                                    np.arange(len(values) + 2)[:, None])
-            self.blocks = [stack.select(range(t * n, t * n + n), range(n))
-                           for t in range(len(values) + 2)]
-        else:
-            self.blocks = values + [np.zeros((n, n)), np.eye(n)]
+            self.blocks = Mat.vstack([asg.stack, Mat.zeros(n, n), Mat.identity(n)])
+        else:  # views into the stack
+            self.blocks = list(asg.stack.reshape(-1, n, n)) + [np.zeros((n, n)), np.eye(n)]
 
     def gather(self, index):
         index = np.asarray(index)
         if self.exact:
-            return Mat.from_blocks(self.blocks, index)
+            return self.blocks.gather(index)
         (R, C), n = index.shape, self.n
         stack = np.array([self.blocks[t] for t in index.ravel()], dtype=np.complex128)
         return stack.reshape(R, C, n, n).transpose(0, 2, 1, 3).reshape(R * n, C * n)
@@ -440,22 +457,15 @@ def check_relations(asg: GeneratorAssignment, tol: float = 1e-9) -> RelationRepo
 def counit_assignment(spec: BlockSpec) -> GeneratorAssignment:
     """q^(s,r)_(i,j),(k,l) -> delta_sr delta_ik delta_jl, as 1x1 matrices."""
     pres = QautPresentation(spec)
-    values = {}
-    for sym in pres.generators:
-        _, s, r, i, j, k, l = sym
-        values[sym] = Mat.scalar(1 if (s == r and i == k and j == l) else 0)
-    return GeneratorAssignment(pres, values)
+    return GeneratorAssignment(pres, Mat.exact([[int(s == r and i == k and j == l)]
+                                                for _, s, r, i, j, k, l in pres.generators]))
 
 
 def permutation_assignment(spec: BlockSpec, perm: dict) -> GeneratorAssignment:
     """u_(P),(Q) -> [P == perm(Q)] for a permutation of the N points."""
     pres = SnPresentation(spec)
-    values = {}
-    for sym in pres.generators:
-        p = sym[1:4]
-        q = sym[4:7]
-        values[sym] = Mat.scalar(1 if perm[q] == p else 0)
-    return GeneratorAssignment(pres, values)
+    return GeneratorAssignment(pres, Mat.exact([[int(perm[sym[4:7]] == sym[1:4])]
+                                                for sym in pres.generators]))
 
 
 def arbitrary_permutations(spec: BlockSpec, count: int, seed: int):
@@ -478,14 +488,10 @@ def direct_sum_assignment(spec: BlockSpec, perms: list) -> GeneratorAssignment:
     matrix-valued magic unitary."""
     pres = SnPresentation(spec)
     k = len(perms)
-    values = {}
-    for sym in pres.generators:
-        p = sym[1:4]
-        q = sym[4:7]
-        diag = [1 if perm[q] == p else 0 for perm in perms]
-        values[sym] = Mat.exact([[diag[a] if a == b else 0 for b in range(k)]
-                                 for a in range(k)])
-    return GeneratorAssignment(pres, values)
+    return GeneratorAssignment(pres, Mat.exact([[int(perm[sym[4:7]] == sym[1:4]) if a == b else 0
+                                                 for b in range(k)]
+                                                for sym in pres.generators
+                                                for a, perm in enumerate(perms)]))
 
 
 def block_preserving_permutations(spec: BlockSpec, count: int, seed: int):
@@ -574,11 +580,8 @@ def classical_assignment_aut(spec: BlockSpec, theta) -> GeneratorAssignment:
     images = [dict(col) for col in cols]
     zero = Cyclotomic.zero()
     pres = QautPresentation(spec)
-    values = {}
-    for sym in pres.generators:
-        _, s, r, i, j, k, l = sym
-        values[sym] = Mat.scalar(images[index[(s, i, j)]].get(index[(r, k, l)], zero))
-    return GeneratorAssignment(pres, values)
+    return GeneratorAssignment(pres, Mat.exact([[images[index[(s, i, j)]].get(index[(r, k, l)], zero)]
+                                                for _, s, r, i, j, k, l in pres.generators]))
 
 
 def classical_theta_battery(spec: BlockSpec, count: int, seed: int):
@@ -758,7 +761,7 @@ def _table_images(spec: BlockSpec, of_rho: bool) -> dict:
         row, col, exp = (a.reshape(shape) for a in (row, col, exp % L))
         sym = np.repeat(np.arange(len(targets)), shape[2])
         for n, source in enumerate(sources):
-            out[source] = FormalTensor(spec.d ** 2, L, prefactor, targets, sym,
+            out[source] = FormalTensor(spec.d ** 2, L, (prefactor,), targets, sym,
                                        row[n].ravel(), col[n].ravel(), exp[n].ravel())
     return out
 
@@ -771,6 +774,17 @@ def pi_map(spec: BlockSpec) -> dict:
 def rho_map(spec: BlockSpec) -> dict:
     """rho on u-generators as formal tensors over M_d x M_d in q-symbols."""
     return _table_images(spec, of_rho=True)
+
+
+def image_stack(images: dict, presentation, target) -> FormalTensor:
+    """The images of ``presentation.generators``, in that order, as one
+    stacked formal tensor over ``target.generators``: its ``substitute``
+    takes the stack of a ``GeneratorAssignment`` of ``target`` and returns
+    the stack of one of ``presentation``."""
+    missing = [g for g in presentation.generators if g not in images]
+    if missing:
+        raise IncompleteAssignment(f"{len(missing)} generators have no image")
+    return FormalTensor.stack([images[g] for g in presentation.generators], target.generators)
 
 
 def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
@@ -794,7 +808,7 @@ def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
             units = [emb.paren_unit(s, i, j).kron(emb.paren_unit(r, k, l)).sparse_entries()
                      for i, j, k, l in _index_range(ns, nr)]
             sym, row, col = np.array([(n, a, b) for n, unit in enumerate(units) for a, b in unit]).T
-            Q = FormalTensor(spec.d ** 2, 1, Fraction(1, ns),
+            Q = FormalTensor(spec.d ** 2, 1, (Fraction(1, ns),),
                              tuple(qsym(s, r, *t) for t in _index_range(ns, nr)),
                              sym, row, col, np.zeros_like(row))
             for x, y, v, w in _index_range(ns, nr):
@@ -831,7 +845,7 @@ def rearranged_Q_check(spec: BlockSpec) -> dict:
             (Ls, qs, rs, cs, es), (Lr, qr, rr, cr, er) = phi_s, phi_r
             order = math.lcm(Ls, Lr)
             row, col = (rs[:, None] * d2 + rr).ravel(), (cs[:, None] * d2 + cr).ravel()
-            rhs = FormalTensor(d2 * d2, order, sizes[s - 1] * qs * qr, (sym,), np.zeros_like(row),
+            rhs = FormalTensor(d2 * d2, order, (sizes[s - 1] * qs * qr,), (sym,), np.zeros_like(row),
                                row, col, (es[:, None] * (order // Ls) + er * (order // Lr)).ravel())
             if lhs.equals(rhs):
                 continue
@@ -863,7 +877,7 @@ def _shuffled_pi(spec: BlockSpec, us: list):
     del parts
     by_u = np.argsort(u, kind="stable")
     bounds = np.searchsorted(u[by_u], np.arange(len(us) + 1))
-    prefactors = [ft.prefactor for ft in pi.values()]
+    prefactors = [ft.prefactors for ft in pi.values()]
     for n, sym in enumerate(us):
         rows = by_u[bounds[n]:bounds[n + 1]]
         found = {prefactors[m] for m in set(source[rows].tolist())}
@@ -1074,14 +1088,16 @@ def _times(c, ft: FormalTensor) -> FormalTensor:
     """c ft for a scalar c = q zeta_L^e, q a positive rational."""
     L, [(q, e)] = monomial_forms([c])
     order = math.lcm(ft.order, L)
-    return replace(ft, order=order, prefactor=q * ft.prefactor,
+    return replace(ft, order=order, prefactors=tuple(q * p for p in ft.prefactors),
                    exp=ft.exp * (order // ft.order) + e * (order // L))
 
 
 def covariance_check(spec: BlockSpec) -> dict:
     """Items (a)-(e): the alpha/beta families are implemented by conjugation
     with the Pauli images of the crossed-product unitaries, the phase tables
-    of the extended actions hold, and the z-words span all of M_d x M_d."""
+    of the extended actions hold, and the z-words L x R span all of
+    M_d x M_d.  For (e), span{L x R} = span(words) x span(words), so
+    ``e_span_rank`` is r^2, r the rank of the d^2 words of M_d."""
     d = spec.d
     z = _z_images(spec)
     zperm = {key: _phase_permutation(U) for key, U in z.items()}
@@ -1154,22 +1170,28 @@ def covariance_check(spec: BlockSpec) -> dict:
                                 failure=f"beta{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                     return cert
     cert["d_beta_cases"] = 4 * spec.m * len(upres.generators)
-    # (e): z-words span M_d x M_d
-    words = []  # x_1^a_1 z_1^b_1 ... x_m^a_m z_m^b_m over all exponents
+    # (e): span{L x R} = span(words) x span(words), so the z-words span
+    # M_d x M_d exactly when the d^2 words span M_d: rank r^2 = d^4
+    r = len(echelon({i * d + j: v for (i, j), v in w.sparse_entries().items()}
+                    for w in _z_words(spec))[0])
+    cert["e_span_rank"] = r * r
+    cert["e_expected"] = d ** 4
+    cert["passed"] = r * r == d ** 4
+    cert["worst_residual"] = 0.0
+    return cert
+
+
+def _z_words(spec: BlockSpec) -> list:
+    """The d^2 words x_1^a_1 z_1^b_1 ... x_m^a_m z_m^b_m of M_d, over all
+    exponents a_t, b_t < n_t."""
+    words = []
     for exps in itertools.product(*[range(n) for n in spec.sizes for _ in (0, 1)]):
-        word = Mat.identity(d)
+        word = Mat.identity(spec.d)
         for t, which in enumerate("xz" * spec.m):
             for _ in range(exps[t]):
                 word = word @ _paren_pauli(spec, t // 2 + 1, which)
         words.append(word)
-    word_mats = [left.kron(right) for left in words for right in words]
-    rank = len(echelon({i * mat.cols + j: v for (i, j), v in mat.sparse_entries().items()}
-                       for mat in word_mats)[0])
-    cert["e_span_rank"] = rank
-    cert["e_expected"] = d ** 4
-    cert["passed"] = rank == d ** 4
-    cert["worst_residual"] = 0.0
-    return cert
+    return words
 
 
 _PAULI_CACHE: dict = {}
@@ -1188,26 +1210,26 @@ def _paren_pauli(spec: BlockSpec, t: int, which: str) -> Mat:
 # trace constants
 
 def haar_compat_check(spec: BlockSpec) -> dict:
-    """Substitute the flat value 1/N for every u-generator inside pi(q) and
-    record the scalar; compare against both candidate generator traces
-    n_s/N and n_r/N without asserting either as ground truth.  A
+    """Substitute the flat value 1/N for every u-generator inside pi(q), in
+    one substitution of the stack of pi's images, and record the scalar;
+    compare against both candidate generator traces n_s/N and n_r/N without
+    asserting either as ground truth.  A
     substitution that is not a scalar multiple of the identity, two
     diagonal generators of one class (s, r) with different constants, and
     an off-diagonal generator with a nonzero constant each fail the
     fragment."""
-    pi = pi_map(spec)
+    qpres, upres = QautPresentation(spec), SnPresentation(spec)
     N = spec.N
-    flat = Mat.scalar(Fraction(1, N))
+    flat = Mat.exact([[Fraction(1, N)]] * len(upres.generators))
+    substituted = GeneratorAssignment(qpres, image_stack(pi_map(spec), qpres, upres).substitute(flat))
 
     def failed(failure: str, **extra) -> dict:
         return {"partition": list(spec.sizes), **extra, "passed": False,
                 "worst_residual": 0.0, "failure": failure}
 
     classes = {}
-    for sym, ft in pi.items():
+    for sym, result in substituted.values.items():
         _, s, r, i, j, k, l = sym
-        values = {u: flat for u in ft.symbols}
-        result = ft.substitute(values)
         scal = result.scalar_multiple_of_identity()
         if scal is None:
             if not result.is_zero():

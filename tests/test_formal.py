@@ -1,7 +1,9 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +12,15 @@ from qautcert.arith import Mat, root_of_unity
 from qautcert.cli import ft_to_float
 from qautcert.formal import FormalTensor, qsym, symbol_adjoint, usym
 from qautcert.pauli import BlockEmbedding
-from qautcert.qaut import pi_map, rho_map
+from qautcert.qaut import (
+    GeneratorAssignment,
+    IncompleteAssignment,
+    QautPresentation,
+    SnPresentation,
+    image_stack,
+    pi_map,
+    rho_map,
+)
 
 
 def test_symbol_adjoints():
@@ -21,7 +31,7 @@ def test_symbol_adjoints():
 def test_substitute_scalar_assignment():
     sym = usym(1, 0, 0, 1, 0, 0)
     # 2 E_00 + 2 E_11
-    ft = FormalTensor(2, 1, Fraction(2), (sym,), [0, 0], [0, 1], [0, 1], [0, 0])
+    ft = FormalTensor(2, 1, (Fraction(2),), (sym,), [0, 0], [0, 1], [0, 1], [0, 0])
     out = ft.substitute({sym: Mat.scalar(Fraction(1, 2))})
     assert out.equals(Mat.identity(2))
 
@@ -29,7 +39,7 @@ def test_substitute_scalar_assignment():
 def test_substitute_matrix_assignment_uses_kron():
     c = Mat.exact([[1, 0], [0, 0]])
     sym = usym(1, 0, 0, 1, 0, 0)
-    ft = FormalTensor(2, 1, Fraction(1), (sym,), [0], [0], [0], [0])
+    ft = FormalTensor(2, 1, (Fraction(1),), (sym,), [0], [0], [0], [0])
     val = Mat.exact([[0, 1], [1, 0]])
     out = ft.substitute({sym: val})
     assert out.rows == 4
@@ -95,3 +105,72 @@ def test_substitute_matches_dense_kron_sum(case):
     assert ft.substitute(values).equals(expected)
     got = ft_to_float(ft).substitute(values)
     assert np.max(np.abs(got - expected.to_float())) <= 1e-9
+
+
+# -- the stacked substitution against dense_image, block by block ---------------
+
+def random_value(draw, k, order):
+    """A k x k exact value: 0, 1 or zeta_order in each entry, so that the
+    value has several power-basis terms."""
+    return Mat.exact([[draw(st.sampled_from([0, 1, root_of_unity(order, 1)]))
+                       for _ in range(k)] for _ in range(k)])
+
+
+@st.composite
+def families_and_values(draw):
+    spec = BlockSpec(draw(st.sampled_from([(2,), (3,), (2, 1)])))
+    qpres, upres = QautPresentation(spec), SnPresentation(spec)
+    of_rho = draw(st.booleans())
+    images, pres, target = ((rho_map(spec), upres, qpres) if of_rho
+                            else (pi_map(spec), qpres, upres))
+    # scale a few images' prefactors, on top of the mix (2, 1) has already
+    scaled = draw(st.lists(st.integers(0, len(pres.generators) - 1), max_size=3))
+    for t in scaled:
+        source = pres.generators[t]
+        images[source] = replace(images[source],
+                                 prefactors=(images[source].prefactors[0]
+                                             * draw(st.sampled_from([2, 3])),))
+    k = draw(st.sampled_from([1, 2, 3]))
+    # one order for all values, so that their stack's order need not be a
+    # multiple of the images' order
+    order = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    values = {sym: random_value(draw, k, order) for sym in target.generators}
+    # the first and last images (whose prefactors differ at (2, 1)), the
+    # scaled ones and a few more
+    checked = {0, len(pres.generators) - 1, *scaled,
+               *draw(st.lists(st.integers(0, len(pres.generators) - 1), max_size=2))}
+    return spec, images, pres, target, values, sorted(checked)
+
+
+def scaled_dense_image(spec, images, source, values):
+    """dense_image, times the factor by which ``images[source]``'s prefactor
+    differs from its own."""
+    natural = (pi_map(spec) if source[0] == "q" else rho_map(spec))[source].prefactors[0]
+    return dense_image(spec, source, values).scale(images[source].prefactors[0] / natural)
+
+
+@settings(max_examples=25, deadline=None)
+@given(families_and_values())
+def test_stacked_substitute_matches_dense_image_per_block(case):
+    spec, images, pres, target, values, checked = case
+    stack = image_stack(images, pres, target)
+    exact = stack.substitute(values)
+    assert exact.equals(stack.substitute(GeneratorAssignment(target, values).stack))
+    floats = ft_to_float(stack).substitute(values)
+    subst = GeneratorAssignment(pres, exact)
+    n = subst.size
+    for t in checked:
+        source = pres.generators[t]
+        expected = scaled_dense_image(spec, images, source, values)
+        assert subst.values[source].equals(expected)
+        got = floats[t * n:(t + 1) * n]
+        assert np.max(np.abs(got - expected.to_float()), initial=0.0) <= 1e-12
+
+
+def test_image_family_missing_a_generator_is_incomplete():
+    spec = BlockSpec((2, 1))
+    qpres, upres = QautPresentation(spec), SnPresentation(spec)
+    images = pi_map(spec)
+    del images[qpres.generators[5]]
+    with pytest.raises(IncompleteAssignment):
+        image_stack(images, qpres, upres)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qautcert.algebra import BlockSpec, sparse_eq
-from qautcert.arith import Cyclotomic, Mat
+from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
 from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, weyl_basis
 from qautcert.qaut import (
@@ -41,7 +41,7 @@ from qautcert.qaut import (
     theta_identity,
     uet_pvm,
 )
-from qautcert.qaut import _shuffle_index, _unit_positions
+from qautcert.qaut import _shuffle_index, _unit_positions, _z_words
 
 
 def substitute_all(formal_map, values):
@@ -81,6 +81,18 @@ def test_incomplete_assignment_rejected():
     pres = QautPresentation(BlockSpec((2,)))
     with pytest.raises(IncompleteAssignment):
         GeneratorAssignment(pres, {})
+
+
+def test_assignment_from_a_dict_or_its_stack_is_one_assignment():
+    spec = BlockSpec((2, 1))
+    perm = block_preserving_permutations(spec, 1, seed=3)[0]
+    point = direct_sum_assignment(spec, [perm, perm])
+    as_dict = GeneratorAssignment(point.presentation, dict(point.values))
+    assert as_dict.stack.equals(point.stack) and as_dict.size == 2
+    floats = GeneratorAssignment(point.presentation, point.stack.to_float())
+    assert all(np.array_equal(floats.values[g], v.to_float()) for g, v in point.values.items())
+    with pytest.raises(IncompleteAssignment):
+        GeneratorAssignment(point.presentation, point.stack.select(range(4), range(2)))
 
 
 @pytest.mark.parametrize("fill, odd_one", [
@@ -561,7 +573,7 @@ def single_row_mutations(images):
         "column moved": replace(ft, col=_moved(ft.col, t, 1, ft.size)),
         "row dropped": replace(ft, **{name: np.delete(getattr(ft, name), t)
                                       for name in ("sym", "row", "col", "exp")}),
-        "prefactor doubled": replace(ft, prefactor=2 * ft.prefactor),
+        "prefactor doubled": replace(ft, prefactors=(2 * ft.prefactors[0],)),
     }
     return [(label, {**images, key: edited})
             for label, edited in edits.items() if not edited.equals(ft)]
@@ -692,6 +704,38 @@ def test_covariance_degenerate_abelian():
     assert cert["passed"] and cert["e_span_rank"] == 1
 
 
+def reference_span_rank(words):
+    """The rank of the d^4 products L x R of the words, one echelon over
+    all of them."""
+    products = [left.kron(right) for left in words for right in words]
+    return len(echelon({i * m.cols + j: v for (i, j), v in m.sparse_entries().items()}
+                       for m in products)[0])
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (2, 2)])
+def test_span_rank_matches_the_rank_of_all_products(sizes):
+    spec = BlockSpec(sizes)
+    cert = covariance_check(spec)
+    assert cert["passed"]
+    assert cert["e_span_rank"] == reference_span_rank(_z_words(spec)) == spec.d ** 4
+
+
+@pytest.mark.parametrize("edit", ["repeat", "scale"])
+def test_span_rank_falls_short_with_a_dependent_word(monkeypatch, edit):
+    import qautcert.qaut
+
+    spec = BlockSpec((2, 1))
+    words = _z_words(spec)
+    if edit == "repeat":
+        words[3] = words[1]
+    else:
+        words[3] = words[1].scale(root_of_unity(4, 1))
+    monkeypatch.setattr(qautcert.qaut, "_z_words", lambda spec: list(words))
+    cert = covariance_check(spec)
+    assert cert["passed"] is False
+    assert cert["e_span_rank"] == reference_span_rank(words) == (spec.d ** 2 - 1) ** 2
+
+
 def test_haar_constants_m2():
     cert = haar_compat_check(BlockSpec((2,)))
     assert cert["passed"] and cert["agreement"]
@@ -792,7 +836,7 @@ def test_haar_reports_inconsistent_class_constants(monkeypatch):
     sym = qsym(1, 1, 1, 1, 0, 0)  # diagonal generator of class (1,1)
 
     def double(pi):
-        pi[sym] = replace(pi[sym], prefactor=2 * pi[sym].prefactor)
+        pi[sym] = replace(pi[sym], prefactors=(2 * pi[sym].prefactors[0],))
 
     _patch_pi(monkeypatch, double)
     cert = haar_compat_check(BlockSpec((2,)))
