@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Run one partition under both scalar backends and show the structural
-certificate delta (expected: the config's backend tag and the twist and homs
-fragments, the two suites that compute in floats).
+certificate delta (expected: the config's backend tag and the homs fragment,
+the one suite that computes in floats).
 
 Exits 1 when either certificate fails, or when a fragment of a suite that is
-exact on both backends (ueb, pvm, conj, cov, shuffle, haar, tt) differs
-between them."""
+the same computation on both backends (ueb, twist, pvm, conj, cov, shuffle,
+haar, tt) differs between them."""
 
 import argparse
 import sys
 
 from qautcert.cli import SuiteConfig, diff, run
 
-EXACT_ON_BOTH = ("ueb", "pvm", "conj", "cov", "shuffle", "haar", "tt")
+EXACT_ON_BOTH = ("ueb", "twist", "pvm", "conj", "cov", "shuffle", "haar", "tt")
 
 
 def main() -> int:

@@ -587,18 +587,18 @@ class BlocksResult:
     residual: float  # worst |e e - e| over the idempotents; 0.0 when exact
 
 
-def recognize_blocks(A: StructAlgebra, seed: int = 0, *,
-                     force_float: bool = False) -> BlocksResult:
+def recognize_blocks(A: StructAlgebra, seed: int = 0) -> BlocksResult:
     """Artin-Wedderburn block sizes with explicit central idempotents.
 
     Semisimplicity is detected (trace-form nondegeneracy of the regular
-    representation), never assumed.  Exact splitting is attempted for
-    dim <= 9 unless ``force_float``; above that, or when forced, the
-    structure constants are converted to complex128 and split numerically.
+    representation), never assumed.  The center is split exactly for
+    dim <= 9; above that the structure constants are converted to
+    complex128 and split numerically, from seeded generic central elements.
+    ``seed`` reaches only that float path.
     """
-    if force_float or A.dim > 9:
+    if A.dim > 9:
         return _recognize_float(A, seed)
-    return _recognize_exact(A, seed)
+    return _recognize_exact(A)
 
 
 def _regular_trace_form_exact(A: StructAlgebra):
@@ -617,18 +617,12 @@ def _regular_trace_form_exact(A: StructAlgebra):
     return form
 
 
-def _recognize_exact(A: StructAlgebra, seed: int) -> BlocksResult:
+def _recognize_exact(A: StructAlgebra) -> BlocksResult:
     n = A.dim
     if len(echelon(_regular_trace_form_exact(A))[0]) < n:
         raise NotSemisimple("trace form of the regular representation is degenerate")
-    cen = center(A)
-    if len(cen) == 1:
-        root = math.isqrt(n)
-        if root * root != n:
-            raise NonSquareBlock(f"simple algebra of non-square dimension {n}")
-        return BlocksResult((root,), [sparse_vector(A.unit)], "exact",
-                            {"center_dim": 1}, 0.0)
-    idems = _split_center_exact(A, cen, seed)
+    cen = list(echelon(center(A))[0].values())
+    idems = _central_idempotents(A, cen)
     one = Cyclotomic.one()
     sizes = []
     for e in idems:
@@ -642,68 +636,73 @@ def _recognize_exact(A: StructAlgebra, seed: int) -> BlocksResult:
                         {"center_dim": len(cen)}, 0.0)
 
 
-def _split_center_exact(A: StructAlgebra, cen, seed: int):
-    m = len(cen)
-    attempts = [[Fraction(i + 1) for i in range(m)]]
-    rng = random.Random(seed)
-    for _ in range(4):
-        attempts.append([Fraction(rng.randrange(1, 100)) for _ in range(m)])
-    last = None
-    for coeffs in attempts:
-        z: dict = {}
-        for c, vec in zip(coeffs, cen):
-            accumulate(z, c, vec.items())
-        try:
-            return _idempotents_from_generic_exact(A, cen, z)
-        except RecognitionError as exc:
-            last = exc
-    raise RecognitionError(
-        f"exact center splitting failed after seeded retries: {last}")
-
-
-def _idempotents_from_generic_exact(A: StructAlgebra, cen, z):
-    m = len(cen)
-    cen_rows = [{} for _ in range(A.dim)]  # the center basis as columns
-    for j, vec in enumerate(cen):
-        for i, a in vec.items():
-            cen_rows[i][j] = a
-
-    def to_center_coords(vec):
-        """Coordinates in the center basis, as a sparse column: the
-        echelon form of [cen | vec] has a pivot at m iff vec is not in the
-        span."""
-        rref, _ = echelon({**row, m: vec[i]} if i in vec else row
-                          for i, row in enumerate(cen_rows))
-        if m in rref:
-            raise RecognitionError("element does not lie in the center")
-        return tuple((p, row[m]) for p, row in rref.items() if m in row)
-
-    # Multiplication by z on the center, column-sparse.
-    Mz = [to_center_coords(A.mul_sparse(z.items(), vec.items())) for vec in cen]
-    minpoly = _min_poly_exact(Mz)
-    roots = _rational_roots(minpoly)
-    if len(roots) != max(minpoly) or len(set(roots)) != len(roots):
-        raise RecognitionError("eigenvalue collision or non-rational spectrum")
-    if len(roots) != m:
-        raise RecognitionError("generic element does not separate the center")
+def _central_idempotents(A: StructAlgebra, cen):
+    """The minimal central idempotents, from the rows of the reduced echelon
+    form of a center basis, which must have disjoint supports.  Each row c
+    must satisfy c^(n+1) = lam c with lam = q zeta_L^e != 0 for some n <= dim,
+    and q must have a rational n-th root: then p = c^n / lam is idempotent,
+    and on p the eigenvalues of c are the n-th roots mu of lam, with spectral
+    projections (1/n) sum_(k=1..n) (c/mu)^k.  Every idempotent found so far
+    is cut by 1 - p and by these projections, until there are as many as the
+    center has dimensions."""
+    support = [k for c in cen for k in c]
+    if len(support) != len(set(support)):
+        raise RecognitionError("reduced center basis rows share basis elements")
     unit = sparse_vector(A.unit)
-    shifted = {}  # z - mu 1
-    for mu in roots:
-        shifted[mu] = dict(z)
-        accumulate(shifted[mu], -mu, unit.items())
-    idems = []
-    for lam in roots:
-        e = unit
-        scale = Fraction(1)
-        for mu in roots:
-            if mu == lam:
-                continue
-            e = A.mul_sparse(e.items(), shifted[mu].items())
-            scale *= lam - mu
-        inv = Cyclotomic.rational(Fraction(1) / scale)
-        idems.append({k: inv * x for k, x in e.items()})
+    idems = [unit]
+    for c in cen:
+        if len(idems) == len(cen):
+            break
+        lam, powers = _power_cycle(A, c)
+        n = len(powers)
+        L, (form,) = monomial_forms([lam])
+        r = form and _nth_root(form[0], n)
+        if not r:
+            raise RecognitionError(f"c^(n+1) = lam c with n = {n} and lam = {lam!r}, not "
+                                   "a root of unity times the n-th power of a rational")
+        e = form[1]
+        cuts = [dict(unit)]  # 1 - p, then one projection per root mu
+        accumulate(cuts[0], -lam.inverse(), powers[-1].items())
+        for j in range(n):
+            mu_inv = root_of_unity(n * L, -(e + j * L)) / Cyclotomic.rational(r)
+            proj: dict = {}
+            w = Cyclotomic.rational(Fraction(1, n))
+            for ck in powers:
+                w = w * mu_inv
+                accumulate(proj, w, ck.items())
+            cuts.append(proj)
+        idems = [f for g in idems for f in
+                 (A.mul_sparse(g.items(), cut.items()) for cut in cuts) if f]
     _verify_idempotents_exact(A, idems, unit)
     return idems
+
+
+def _power_cycle(A: StructAlgebra, c):
+    """(lam, [c, c^2, ..., c^n]) for the least n <= dim with
+    c^(n+1) = lam c and lam != 0; raises RecognitionError when there is none."""
+    k, a = next(iter(c.items()))
+    powers = [c]
+    for _ in range(A.dim):
+        nxt = A.mul_sparse(powers[-1].items(), c.items())
+        lam = nxt[k] / a if k in nxt else None
+        if lam is not None and sparse_eq(nxt, {i: lam * x for i, x in c.items()}):
+            return lam, powers
+        powers.append(nxt)
+    raise RecognitionError("no power of a center row is a multiple of it")
+
+
+def _nth_root(q: Fraction, n: int):
+    """The rational r > 0 with r^n = q, for q > 0, or None."""
+
+    def floor_root(a):  # the largest integer x with x^n <= a
+        lo, hi = 0, 1 << (a.bit_length() // n + 1)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid ** n <= a else (lo, mid - 1)
+        return lo
+
+    r = Fraction(floor_root(q.numerator), floor_root(q.denominator))
+    return r if r ** n == q else None
 
 
 def _verify_idempotents_exact(A: StructAlgebra, idems, unit):
@@ -719,95 +718,6 @@ def _verify_idempotents_exact(A: StructAlgebra, idems, unit):
         for b in range(a + 1, len(idems)):
             if A.mul_sparse(idems[a].items(), idems[b].items()):
                 raise RecognitionError("idempotents are not orthogonal")
-
-
-def _min_poly_exact(cols):
-    """Monic minimal polynomial {degree: coefficient} of the matrix with
-    column-sparse form ``cols``: the first linear dependence among its
-    powers, which involves the newest power with coefficient 1."""
-    one = Cyclotomic.one()
-    powers = [tuple(((j, one),) for j in range(len(cols)))]
-    while True:
-        powers.append(tuple(tuple(apply_columns(cols, col).items())
-                            for col in powers[-1]))
-        rows: dict = {}  # entry (i, j) of each power, by exponent
-        for t, power in enumerate(powers):
-            for j, col in enumerate(power):
-                for i, c in col:
-                    rows.setdefault((i, j), {})[t] = c
-        ker = _kernel(rows.values(), len(powers))
-        if ker:
-            return ker[0]
-
-
-def _rational_roots(poly):
-    """All roots, with multiplicity, of a polynomial {degree: coefficient}
-    over the cyclotomic field that is required to have rational coefficients
-    and to split over the rationals; raises RecognitionError otherwise."""
-    coeffs = [Fraction(0)] * (max(poly) + 1)
-    for t, c in poly.items():
-        if not c.is_rational():
-            raise RecognitionError("minimal polynomial has non-rational coefficients")
-        coeffs[t] = c.as_fraction()
-    den = 1
-    for q in coeffs:
-        den = den * q.denominator // math.gcd(den, q.denominator)
-    work = [int(q * den) for q in coeffs]
-    while work and work[-1] == 0:
-        work.pop()
-    roots: list[Fraction] = []
-    while len(work) > 1 and work[0] == 0:
-        roots.append(Fraction(0))
-        work = work[1:]
-    if len(work) > 1:
-        cands = set()
-        for p in _divisors_of(work[0]):
-            for q in _divisors_of(work[-1]):
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
-        for cand in sorted(cands):
-            while len(work) > 1 and _eval_int_poly(work, cand) == 0:
-                roots.append(cand)
-                work = [int(x) if x == int(x) else x for x in _deflate(work, cand)]
-    if len(work) > 1:
-        raise RecognitionError("polynomial does not split over the rationals")
-    return roots
-
-
-def _divisors_of(n: int):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    return _all_divisors(n)
-
-
-def _all_divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _eval_int_poly(coeffs, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, root: Fraction):
-    # Synthetic division by (x - root); exact.
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * root
-        out[i - 1] = carry
-    return out
 
 
 def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:

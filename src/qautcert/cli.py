@@ -163,7 +163,7 @@ def _suite_ueb(cfg: SuiteConfig) -> dict:
 
 
 def _suite_twist(cfg: SuiteConfig) -> dict:
-    return verify_twist_theorem(cfg.spec, backend=cfg.backend, seed=cfg.seed)
+    return verify_twist_theorem(cfg.spec, seed=cfg.seed)
 
 
 def _suite_conj(cfg: SuiteConfig) -> dict:

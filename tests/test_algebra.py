@@ -13,6 +13,7 @@ from qautcert.algebra import (
     BlockSpec,
     NotDeltaForm,
     NotSemisimple,
+    RecognitionError,
     StructAlgebra,
     center,
     delta_form_check,
@@ -126,12 +127,12 @@ def test_recognize_literal_multimatrix():
 
 
 def test_recognizer_residual_exact_and_forced_float():
-    A = multimatrix(BlockSpec((2, 1)))
-    exact = recognize_blocks(A)
+    exact = recognize_blocks(multimatrix(BlockSpec((2, 1))))
     assert exact.method == "exact" and exact.residual == 0.0
-    res = recognize_blocks(A, force_float=True)
+    # above dimension 9 the float recognizer runs
+    res = recognize_blocks(multimatrix(BlockSpec((3, 1))))
     assert res.method == "float"
-    assert res.sizes == (1, 2)
+    assert res.sizes == (1, 3)
     assert 0.0 <= res.residual <= 1e-9
 
 
@@ -148,6 +149,60 @@ def test_recognize_untwisted_group_algebra_z2z2():
     res = recognize_blocks(graded.algebra)
     assert res.sizes == (1, 1, 1, 1)
     assert res.method == "exact"
+
+
+@pytest.mark.parametrize("factors", [(3,), (4,), (5,), (3, 2)])
+def test_recognize_group_algebras_with_irrational_characters(factors):
+    # the characters take values outside the rationals, where the center
+    # splits only over Q(zeta)
+    from qautcert.cocycle import FinAbGroup, group_algebra
+
+    res = recognize_blocks(group_algebra(FinAbGroup(factors)).algebra)
+    assert res.sizes == (1,) * math.prod(factors)
+    assert res.method == "exact"
+
+
+def square_root_algebra(square):
+    """{1, x} with x^2 = square, a nonzero rational, and x* = x for a positive
+    square, x* = -x for a negative one."""
+    mul = {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),),
+           (1, 1): ((0, Cyclotomic.rational(square)),)}
+    star = ONE if square > 0 else -ONE
+    return StructAlgebra(2, ["1", "x"], mul=mul, invol=[((0, ONE),), ((1, star),)],
+                         unit=[ONE, ZERO], trace=[ONE, ZERO])
+
+
+@pytest.mark.parametrize("square, root", [
+    (4, Cyclotomic.rational(2)),
+    (Fraction(1, 9), Cyclotomic.rational(Fraction(1, 3))),
+    (-1, root_of_unity(4, 1)),
+])
+def test_recognizer_splits_by_rational_roots(square, root):
+    # x^3 = square x, and the idempotents are (1 +- x / root) / 2
+    res = recognize_blocks(square_root_algebra(square))
+    assert res.sizes == (1, 1) and res.method == "exact"
+    half = Cyclotomic.rational(Fraction(1, 2))
+    assert len(res.idempotents) == 2
+    for sign in (1, -1):
+        assert {0: half, 1: half / root * sign} in res.idempotents
+
+
+def test_recognizer_refuses_center_not_split_over_cyclotomics():
+    # x^2 = 2: 2 has no rational square root, so the idempotents
+    # (1 +- x / sqrt 2) / 2 lie outside Q(zeta)
+    with pytest.raises(RecognitionError, match="n-th power of a rational"):
+        recognize_blocks(square_root_algebra(2))
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: ONE, 1: ONE}, {1: ONE}],  # overlapping supports
+    [{0: ONE, 1: Cyclotomic.rational(2)}, {2: ONE}],  # no power returns to the row
+])
+def test_center_splitter_refuses_rows(rows):
+    from qautcert.algebra import _central_idempotents
+
+    with pytest.raises(RecognitionError):
+        _central_idempotents(function_algebra(3), rows)
 
 
 def test_recognize_round_trip_all_partitions_up_to_16():
@@ -308,7 +363,7 @@ def reference_axiom_failure(dim, mul, invol, unit, trace):
 
 
 @st.composite
-def twisted_group_algebras(draw):
+def twisted_group_algebras(draw, edits=("none", "product", "scale", "star", "trace", "unit")):
     """C[Z_a x Z_b] twisted by zeta_L^e(g, h), with e a bilinear cocycle
     plus a random coboundary, u_g* = conj(sigma(-g, g)) u_-g, unit u_0 and
     tr(u_g) = [g = 0]; then sometimes one product, involution image, trace
@@ -337,7 +392,7 @@ def twisted_group_algebras(draw):
     unit = [ONE] + [ZERO] * (len(els) - 1)
     trace = [ONE] + [ZERO] * (len(els) - 1)
     dim = len(els)
-    edit = draw(st.sampled_from(["none", "product", "scale", "star", "trace", "unit"]))
+    edit = draw(st.sampled_from(edits))
     i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
     phase = root_of_unity(L, draw(st.integers(1, L - 1)))
     if edit == "product":
@@ -370,3 +425,19 @@ def test_verify_axioms_agrees_with_dict_reference(case):
     except AxiomViolation as exc:
         got = str(exc)
     assert got == reference_axiom_failure(dim, mul, invol, unit, trace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(twisted_group_algebras(edits=("none",)))
+def test_exact_recognizer_on_twisted_group_algebras(case):
+    # the center is spanned by the z central u_g, whose powers return to u_g
+    # up to a root of unity; a twisted group algebra of an abelian group has
+    # z blocks of one size
+    dim, mul, invol, unit, trace = case
+    alg = StructAlgebra(dim, [f"u{i}" for i in range(dim)], mul=mul, invol=invol,
+                        unit=unit, trace=trace)
+    z = len(center(alg))
+    size = math.isqrt(dim // z)
+    assert size * size * z == dim
+    res = recognize_blocks(alg)
+    assert res.method == "exact" and res.sizes == (size,) * z

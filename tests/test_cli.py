@@ -191,14 +191,13 @@ def test_float_pipeline_2_1_reports_tiny_residuals():
 
 
 def test_exact_vs_float_deltas_confined_to_expected_fields():
-    # only twist computes in floats here; ueb, pvm, shuffle and haar are
-    # exact on both backends
+    # ueb, twist, pvm, shuffle and haar are the same computation on both
+    # backends
     subset = ("ueb", "twist", "pvm", "shuffle", "haar")
     a = run(SuiteConfig(partition=(2, 1), backend="exact", suites=subset))
     b = run(SuiteConfig(partition=(2, 1), backend="float", suites=subset))
     for line in diff(a, b).splitlines():
-        path = line.split(":")[0]
-        assert path == "config.backend" or path.startswith("suites.twist."), line
+        assert line.split(":")[0] == "config.backend", line
 
 
 def test_markdown_is_pure_function_of_json():

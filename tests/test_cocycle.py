@@ -197,9 +197,13 @@ def test_twist_theorem_all_partitions_up_to_10():
 
 
 def test_twist_theorem_float_backend():
-    cert = verify_twist_theorem(BlockSpec((2, 2)), backend="float")
-    assert cert["passed"]
-    assert cert["worst_residual"] <= 1e-8
+    from qautcert.cli import SuiteConfig, run
+
+    frags = [run(SuiteConfig(partition=(2, 2), backend=backend,
+                             suites=("twist",)))["suites"]["twist"]
+             for backend in ("exact", "float")]
+    assert frags[0]["passed"] and frags[0]["backend"] == "exact"
+    assert frags[1] == frags[0]
 
 
 def test_gamma_group_factors():
