@@ -23,8 +23,7 @@ __all__ = [
     "StructAlgebra",
     "sparse_vector",
     "sparse_eq",
-    "column_sparse",
-    "apply_columns",
+    "MonomialMap",
     "multimatrix",
     "function_algebra",
     "tensor_algebra",
@@ -120,6 +119,20 @@ def monomial_forms(values):
     return L, forms
 
 
+def _monomial_arrays(values):
+    """(L, exp, num, den) with values[t] = (num[t]/den[t]) zeta_L^exp[t], as
+    ``monomial_forms`` reads them; AxiomViolation for any other value."""
+    L, forms = monomial_forms(values)
+    for c, form in zip(values, forms):
+        if form is None:
+            raise AxiomViolation(f"{c!r} is not a rational times a root of unity")
+    big = max((max(q.numerator, q.denominator) for q, _ in forms), default=1)
+    dtype = np.int64 if big < _INT64_RATIONAL_BOUND else object
+    return (L, np.array([e for _, e in forms], dtype=np.int64),
+            np.array([q.numerator for q, _ in forms], dtype=dtype),
+            np.array([q.denominator for q, _ in forms], dtype=dtype))
+
+
 def _monomials_differ(k1, e1, n1, d1, k2, e2, n2, d2, L):
     """Where (n1/d1) zeta_L^e1 b_k1 and (n2/d2) zeta_L^e2 b_k2 differ,
     elementwise; k = -1 stands for zero."""
@@ -160,8 +173,8 @@ class StructAlgebra:
     Scalar t is (num[t]/den[t]) zeta_L^exp[t], with L even.  ``unit`` and
     ``trace`` are scalar lists.  The sparse element operations take elements
     as iterables of (k, coefficient) pairs (a dict's ``items()``, or the
-    tuples of ``product``, ``star`` and column maps) and return dicts
-    {k: coefficient} without zeros.
+    tuples of ``product`` and ``star``) and return dicts {k: coefficient}
+    without zeros.  Linear maps on the basis are MonomialMaps.
     """
 
     def __init__(self, dim, labels, *, mul, invol, unit, trace, tracial=True,
@@ -196,15 +209,7 @@ class StructAlgebra:
         self.s = np.array(ss, dtype=np.int64).reshape(dim, dim)
         self.star_k = np.array([k for k, _ in stars], dtype=np.int64)
         self.star_s = np.array([t for _, t in stars], dtype=np.int64)
-        self.L, forms = monomial_forms(self.scalars)
-        for c, form in zip(self.scalars, forms):
-            if form is None:
-                raise AxiomViolation(f"{c!r} is not a rational times a root of unity")
-        big = max((max(q.numerator, q.denominator) for q, _ in forms), default=1)
-        dtype = np.int64 if big < _INT64_RATIONAL_BOUND else object
-        self.exp = np.array([e for _, e in forms], dtype=np.int64)
-        self.num = np.array([q.numerator for q, _ in forms], dtype=dtype)
-        self.den = np.array([q.denominator for q, _ in forms], dtype=dtype)
+        self.L, self.exp, self.num, self.den = _monomial_arrays(self.scalars)
         self.unit = [Cyclotomic._coerce(c) for c in unit]
         self.trace = [Cyclotomic._coerce(c) for c in trace]
         if verify:
@@ -308,26 +313,40 @@ class StructAlgebra:
                          for v in values], dtype=np.int64)
         return code[inverse].reshape(self.k.shape)
 
-    def automorphism_failure(self, cols) -> str | None:
-        """Check the linear map sending b_i to the sum of c b_k over the
-        (k, c) pairs of ``cols[i]``.  Returns the first property it lacks,
-        one of "unital", "multiplicative", "*-compatible" and
+    def automorphism_failure(self, theta) -> str | None:
+        """Check the monomial map ``theta`` (a MonomialMap on this basis)
+        on every basis element and pair.  Returns the first property it
+        lacks, one of "unital", "multiplicative", "*-compatible" and
         "trace-preserving", or None when it is a trace-preserving unital
         *-endomorphism."""
-        unit = sparse_vector(self.unit)
-        if not sparse_eq(apply_columns(cols, unit.items()), unit):
+        k, c = theta.k, theta.scalars
+        if k.shape != (self.dim,) or not ((0 <= k) & (k < self.dim)).all():
+            raise ValueError(f"not a map on a basis of dimension {self.dim}")
+        unit, image = sparse_vector(self.unit), {}
+        for i, a in unit.items():
+            accumulate(image, a, ((k.item(i), c[i]),))
+        if not sparse_eq(image, unit):
             return "unital"
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = apply_columns(cols, self.product(i, j))
-                if not sparse_eq(lhs, self.mul_sparse(cols[i], cols[j])):
-                    return "multiplicative"
-        for i in range(self.dim):
-            if not sparse_eq(apply_columns(cols, self.star(i)), self.invol_sparse(cols[i])):
-                return "*-compatible"
-        for i in range(self.dim):
-            if self.trace_sparse(cols[i]) != self.trace[i]:
-                return "trace-preserving"
+        L = math.lcm(self.L, theta.L)
+        e, n, d = theta.exp * (L // theta.L), theta.num, theta.den
+        K, E, N, D = self.k, self.exp[self.s] * (L // self.L), self.num[self.s], self.den[self.s]
+        # theta(b_i b_j) = c_ij c_(K[i, j]) b_k[K[i, j]] against
+        # theta(b_i) theta(b_j) = c_i c_j c_(k[i], k[j]) b_K[k[i], k[j]]
+        kk = np.ix_(k, k)
+        if _monomials_differ(np.where(K >= 0, k[K], -1), E + e[K], N * n[K], D * d[K],
+                             K[kk], e[:, None] + e[None, :] + E[kk],
+                             n[:, None] * n[None, :] * N[kk], d[:, None] * d[None, :] * D[kk],
+                             L).any():
+            return "multiplicative"
+        ik, ie = self.star_k, self.exp[self.star_s] * (L // self.L)
+        inum, iden = self.num[self.star_s], self.den[self.star_s]
+        # with b_i* = s_i b_(i*): theta(b_i*) = s_i c_(i*) b_k[i*] against
+        # theta(b_i)* = conj(c_i) s_k[i] b_(k[i])*
+        if _monomials_differ(k[ik], ie + e[ik], inum * n[ik], iden * d[ik],
+                             ik[k], ie[k] - e, n * inum[k], d * iden[k], L).any():
+            return "*-compatible"
+        if any(c[i] * self.trace[t] != self.trace[i] for i, t in enumerate(k.tolist())):
+            return "trace-preserving"
         return None
 
     # -- serialization -----------------------------------------------------------
@@ -393,19 +412,20 @@ def sparse_eq(a: dict, b: dict) -> bool:
     return all(a.get(k, zero) == b.get(k, zero) for k in set(a) | set(b))
 
 
-def column_sparse(M) -> tuple:
-    """Column-sparse form of a dense matrix given as rows of scalars: entry
-    i lists the (k, c) pairs of column i."""
-    return tuple(tuple(sparse_vector([row[i] for row in M]).items())
-                 for i in range(len(M)))
+class MonomialMap:
+    """The linear map b_i -> c_i b_(k[i]) on a basis: ``k`` is the integer
+    array of targets and ``scalars`` lists the c_i (all ones when omitted),
+    each a positive rational times a root of unity.  ``L``, ``exp``,
+    ``num`` and ``den`` read them as the structure constants of a
+    StructAlgebra are read: c_i = (num[i]/den[i]) zeta_L^exp[i]."""
 
-
-def apply_columns(cols, terms) -> dict:
-    """Image of a sparse element under a linear map in column-sparse form."""
-    out: dict = {}
-    for i, a in terms:
-        accumulate(out, a, cols[i])
-    return out
+    def __init__(self, targets, scalars=None):
+        self.k = np.array(targets, dtype=np.int64)
+        self.scalars = ([Cyclotomic.one()] * len(self.k) if scalars is None
+                        else [Cyclotomic._coerce(c) for c in scalars])
+        if self.k.ndim != 1 or len(self.scalars) != len(self.k):
+            raise ValueError("a monomial map has one target and one scalar per basis element")
+        self.L, self.exp, self.num, self.den = _monomial_arrays(self.scalars)
 
 
 def multimatrix(spec: BlockSpec) -> StructAlgebra:

@@ -31,7 +31,7 @@ from .cocycle import (
     verify_twist_theorem,
 )
 from .crossed import (
-    GroupAction,
+    action_from_graded,
     conjugation_lemma_check,
     takesaki_takai_check,
 )
@@ -190,15 +190,8 @@ def _tt_group(spec: BlockSpec) -> FinAbGroup:
 
 def _suite_tt(cfg: SuiteConfig) -> dict:
     spec = cfg.spec
-    graded = fourier_function_algebra(spec)
     group = _tt_group(spec)
-    G = graded.group
-    cols = {}
-    for g in group.elements():
-        padded = tuple(g) + (0,) * (len(G.factors) - len(g))
-        cols[g] = tuple(((i, G.pairing(graded.degrees[i], padded)),)
-                        for i in range(graded.algebra.dim))
-    action = GroupAction.from_columns(group, graded.algebra, cols)
+    action = action_from_graded(fourier_function_algebra(spec), group)
     out = takesaki_takai_check(action, seed=cfg.seed)
     out["acting_group"] = list(group.factors)
     return out

@@ -6,15 +6,17 @@ identity behind the twisted/untwisted crossed-product isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
+    AxiomViolation,
     BlockSpec,
+    MonomialMap,
     StructAlgebra,
-    apply_columns,
-    column_sparse,
+    _monomials_differ,
     recognize_blocks,
     sparse_eq,
     sparse_vector,
@@ -53,55 +55,45 @@ class NormalizationMissing(ValueError):
 
 @dataclass
 class GroupAction:
-    """Per-element *-automorphisms of a StructAlgebra, verified on basis:
-    multiplicative, unital, involution-compatible, trace-preserving, and
-    composing along the group law.
-
-    ``maps`` may be given as dense matrices (rows of scalars); internally the
-    action is kept column-sparse.
-    """
+    """An action of a finite abelian group on a StructAlgebra by monomial
+    *-automorphisms: ``thetas[g]`` is the MonomialMap theta_g.  Checked on
+    the basis at construction, on arrays: the identity acts trivially,
+    each theta_g is unital, multiplicative, *-compatible and
+    trace-preserving (``StructAlgebra.automorphism_failure``), and
+    theta_g theta_h = theta_(g+h) for every pair."""
 
     group: FinAbGroup
     algebra: StructAlgebra
-    maps: dict
-    cols: dict = field(init=False, repr=False)
+    thetas: dict
 
     def __post_init__(self):
-        self.cols = {}
-        for g in self.group.elements():
-            if g not in self.maps:
+        A, G = self.algebra, self.group
+        els = G.elements()
+        for g in els:
+            if g not in self.thetas:
                 raise NotAutomorphism(f"missing map for {g}")
-            m = self.maps[g]
-            self.cols[g] = m if isinstance(m, tuple) else column_sparse(m)
-        self._verify()
-
-    @classmethod
-    def from_columns(cls, group, algebra, cols):
-        return cls(group, algebra, {g: tuple(tuple(col) for col in c)
-                                    for g, c in cols.items()})
-
-    def apply_sparse(self, g, vec: dict) -> dict:
-        return apply_columns(self.cols[g], vec.items())
-
-    def _verify(self):
-        A = self.algebra
-        G = self.group
-        for i, col in enumerate(self.cols[G.identity]):
-            if dict(col) != {i: Cyclotomic.one()}:
-                raise NotAutomorphism("identity element does not act trivially")
-        for g in G.elements():
-            failure = A.automorphism_failure(self.cols[g])
+        ident = self.thetas[G.identity]
+        if (not np.array_equal(ident.k, np.arange(A.dim))
+                or not all(c.is_one() for c in ident.scalars)):
+            raise NotAutomorphism("identity element does not act trivially")
+        for g in els:
+            failure = A.automorphism_failure(self.thetas[g])
             if failure == "trace-preserving":
                 raise NotAutomorphism(f"action of {g} does not preserve the trace")
             if failure:
                 raise NotAutomorphism(f"action of {g} is not {failure}")
-        for g in G.elements():
-            for h in G.elements():
-                gh = G.add(g, h)
-                for i in range(A.dim):
-                    lhs = apply_columns(self.cols[g], self.cols[h][i])
-                    if not sparse_eq(lhs, dict(self.cols[gh][i])):
-                        raise NotAutomorphism(f"composition fails at ({g},{h})")
+        maps = [self.thetas[g] for g in els]
+        L = math.lcm(*(m.L for m in maps))
+        k, e = np.stack([m.k for m in maps]), np.stack([m.exp * (L // m.L) for m in maps])
+        num, den = np.stack([m.num for m in maps]), np.stack([m.den for m in maps])
+        pos = {g: t for t, g in enumerate(els)}
+        for t, g in enumerate(els):
+            # theta_g theta_h (b_i) = c^h_i c^g_(k_h[i]) b_(k_g[k_h[i]]), for every h at once
+            gh = [pos[G.add(g, h)] for h in els]
+            bad = _monomials_differ(k[t][k], e + e[t][k], num * num[t][k], den * den[t][k],
+                                    k[gh], e[gh], num[gh], den[gh], L).any(axis=1)
+            if bad.any():
+                raise NotAutomorphism(f"composition fails at ({g},{els[int(np.argmax(bad))]})")
 
 
 @dataclass
@@ -109,7 +101,7 @@ class CrossedProduct:
     base: StructAlgebra
     group: FinAbGroup
     algebra: StructAlgebra
-    index: dict  # (basis index of A, group element) -> basis index
+    index: dict  # (basis index of A, group element) -> basis index, in basis order
 
     def z_vector(self, g) -> dict:
         """The distinguished unitary z_g = 1_A z_g as a sparse vector."""
@@ -122,10 +114,12 @@ class CrossedProduct:
         return {self.index[(i, e)]: a for i, a in vec.items()}
 
 
-def crossed_product(action: GroupAction, verify_relations: bool = True) -> CrossedProduct:
+def crossed_product(action: GroupAction) -> CrossedProduct:
     """A rtimes Lambda on the basis {b_i z_g}: (b_i z_g)(b_j z_h) =
     b_i theta_g(b_j) z_{gh}, (b z_g)* = theta_{g^-1}(b*) z_{g^-1},
-    tau(b z_g) = [g = e] tau_A(b)."""
+    tau(b z_g) = [g = e] tau_A(b).  Every product and star is one term,
+    read off the arrays of A and of the maps; the relations of z_g are
+    checked on the result."""
     A = action.algebra
     G = action.group
     els = G.elements()
@@ -136,36 +130,34 @@ def crossed_product(action: GroupAction, verify_relations: bool = True) -> Cross
             index[(i, g)] = len(labels)
             labels.append(f"{A.labels[i]}.z{g}")
     dim = len(labels)
-    one = Cyclotomic.one()
     mul = {}
     for g in els:
-        cols_g = action.cols[g]
-        for i in range(A.dim):
-            for j in range(A.dim):
-                acc = A.mul_sparse(((i, one),), cols_g[j])  # b_i theta_g(b_j)
-                if not acc:
-                    continue
-                terms = sorted(acc.items())
-                for h in els:
-                    gh = G.add(g, h)
-                    mul[(index[(i, g)], index[(j, h)])] = tuple(
-                        (index[(k, gh)], c) for k, c in terms)
+        theta = action.thetas[g]
+        # b_i theta_g(b_j) = c_j b_i b_k[j] = c_j c_(i, k[j]) b_K[i, k[j]]
+        K, S = A.k[:, theta.k], A.s[:, theta.k]
+        sums = [G.add(g, h) for h in els]
+        for i, j in np.argwhere(K >= 0).tolist():
+            c = theta.scalars[j] * A.scalars[S.item(i, j)]
+            for h, gh in zip(els, sums):
+                mul[(index[(i, g)], index[(j, h)])] = ((index[(K.item(i, j), gh)], c),)
     invol = [None] * dim
     unit = [Cyclotomic.zero() for _ in range(dim)]
     trace = [Cyclotomic.zero() for _ in range(dim)]
     e = G.identity
     for (i, g), a in index.items():
         ginv = G.neg(g)
-        star = action.apply_sparse(ginv, A.invol_sparse(((i, one),)))
-        invol[a] = tuple((index[(k, ginv)], c) for k, c in sorted(star.items()))
+        theta = action.thetas[ginv]
+        # theta_(g^-1)(b_i*) = s_i c_(i*) b_k[i*]
+        istar = A.star_k.item(i)
+        c = A.scalars[A.star_s.item(i)] * theta.scalars[istar]
+        invol[a] = ((index[(theta.k.item(istar), ginv)], c),)
         if g == e:
             unit[a] = A.unit[i]
             trace[a] = A.trace[i]
     alg = StructAlgebra(dim, labels, mul=mul, invol=invol, unit=unit,
                         trace=trace, tracial=A.tracial)
     out = CrossedProduct(A, G, alg, index)
-    if verify_relations:
-        _verify_crossed_relations(out, action)
+    _verify_crossed_relations(out, action)
     return out
 
 
@@ -174,6 +166,7 @@ def _verify_crossed_relations(cp: CrossedProduct, action: GroupAction):
     one = Cyclotomic.one()
     unit = cp.embed(sparse_vector(A.unit))
     for g in G.elements():
+        theta = action.thetas[g]
         zg = cp.z_vector(g).items()
         zg_star = alg.invol_sparse(zg).items()
         if not sparse_eq(alg.mul_sparse(zg, zg_star), unit):
@@ -185,7 +178,7 @@ def _verify_crossed_relations(cp: CrossedProduct, action: GroupAction):
         for i in range(A.dim):
             b = cp.embed({i: one}).items()
             lhs = alg.mul_sparse(alg.mul_sparse(zg, b).items(), zg_star)
-            if not sparse_eq(lhs, cp.embed(dict(action.cols[g][i]))):
+            if not sparse_eq(lhs, cp.embed({theta.k.item(i): theta.scalars[i]})):
                 raise NotAutomorphism(f"z_{g} b z_{g}* != action_{g}(b)")
 
 
@@ -195,14 +188,9 @@ def dual_action(cp: CrossedProduct) -> GroupAction:
     The pairing is the global identification table from the cocycle module.
     """
     G = cp.group
-    alg = cp.algebra
-    cols = {}
-    for chi in G.elements():
-        col = [None] * alg.dim
-        for (i, g), a in cp.index.items():
-            col[a] = ((a, G.pairing(chi, g)),)
-        cols[chi] = tuple(col)
-    return GroupAction.from_columns(G, alg, cols)
+    return GroupAction(G, cp.algebra, {chi: MonomialMap(range(cp.algebra.dim),
+                                                        [G.pairing(chi, g) for _, g in cp.index])
+                                       for chi in G.elements()})
 
 
 def translation_action(spec: BlockSpec):
@@ -212,40 +200,40 @@ def translation_action(spec: BlockSpec):
     return action_from_graded(graded), graded
 
 
-def action_from_graded(graded: GradedAlgebra) -> GroupAction:
+def action_from_graded(graded: GradedAlgebra, group: FinAbGroup | None = None) -> GroupAction:
     """The diagonal action attached to a grading: g acts on degree chi by
-    the pairing <chi, g>."""
+    the pairing <chi, g>.  ``group`` is the acting subgroup, by default the
+    whole grading group; its elements are zero-padded on the right into the
+    grading group."""
     G = graded.group
-    A = graded.algebra
-    cols = {}
-    for g in G.elements():
-        cols[g] = tuple(((i, G.pairing(graded.degrees[i], g)),) for i in range(A.dim))
-    return GroupAction.from_columns(G, A, cols)
+    group = G if group is None else group
+    pad = (0,) * (len(G.factors) - len(group.factors))
+    return GroupAction(group, graded.algebra, {
+        g: MonomialMap(range(graded.algebra.dim), [G.pairing(chi, g + pad) for chi in graded.degrees])
+        for g in group.elements()})
 
 
 def inner_action(group: FinAbGroup, algebra: StructAlgebra, unitary_vec) -> GroupAction:
     """Cyclic inner action Ad(u^k) of Z_n given the coordinate vector of a
-    unitary u with u^n = 1."""
+    unitary u with u^n = 1.  Raises NotAutomorphism when Ad(u) is not a
+    monomial map."""
     if len(group.factors) != 1:
         raise ValueError("inner_action builds cyclic actions only")
-    n = group.factors[0]
-    A = algebra
-    u = sparse_vector(unitary_vec)
-    ustar = A.invol_sparse(u.items())
-    cols_by_power = []
-    cur = {i: {i: Cyclotomic.one()} for i in range(A.dim)}
-    for _ in range(n):
-        cols_by_power.append(cur)
-        nxt = {}
-        for i in range(A.dim):
-            nxt[i] = A.mul_sparse(A.mul_sparse(u.items(), cur[i].items()).items(),
-                                  ustar.items())
-        cur = nxt
-    cols = {}
-    for k in range(n):
-        cols[(k,)] = tuple(tuple(sorted(cols_by_power[k][i].items()))
-                           for i in range(A.dim))
-    return GroupAction.from_columns(group, A, cols)
+    A, one = algebra, Cyclotomic.one()
+    u = sparse_vector(unitary_vec).items()
+    images = [A.mul_sparse(A.mul_sparse(u, ((i, one),)).items(), A.invol_sparse(u).items())
+              for i in range(A.dim)]
+    if any(len(image) != 1 for image in images):
+        raise NotAutomorphism("Ad(u) is not a monomial map")
+    try:
+        ad = MonomialMap(*zip(*(image.popitem() for image in images)))
+    except AxiomViolation as err:
+        raise NotAutomorphism(f"Ad(u) is not a monomial map: {err}") from err
+    thetas, k, c = {}, np.arange(A.dim), [one] * A.dim
+    for p in range(group.factors[0]):  # Ad(u)(c_i b_k[i]) for Ad(u^p)(b_i) = c_i b_k[i]
+        thetas[(p,)] = MonomialMap(k, c)
+        k, c = ad.k[k], [ci * ad.scalars[ki] for ci, ki in zip(c, k.tolist())]
+    return GroupAction(group, A, thetas)
 
 
 def takesaki_takai_check(action: GroupAction, seed: int = 0) -> dict:
@@ -253,7 +241,7 @@ def takesaki_takai_check(action: GroupAction, seed: int = 0) -> dict:
     the independently built A x M_|Lambda|.  ``seed`` reaches only the float
     block recognizer, above dimension 9."""
     cp = crossed_product(action)
-    dp = crossed_product(dual_action(cp), verify_relations=False)
+    dp = crossed_product(dual_action(cp))
     double = dp.algebra
     blocks_double = recognize_blocks(double, seed=seed)
     oracle = tensor_algebra(action.algebra, action.group.order)

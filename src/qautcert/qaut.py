@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BlockSpec, column_sparse, monomial_forms, multimatrix
+from .algebra import BlockSpec, MonomialMap, monomial_forms, multimatrix
 from .arith import Cyclotomic, Mat, accumulate, echelon, root_of_unity
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
 from .pauli import BlockEmbedding, NotPVM, pvm_check, weyl_basis
@@ -526,9 +526,9 @@ def block_preserving_permutations(spec: BlockSpec, count: int, seed: int):
     return out
 
 
-def theta_identity(spec: BlockSpec):
-    """The identity of B, in the column-sparse form of ``apply_columns``."""
-    return tuple(((a, Cyclotomic.one()),) for a in range(spec.N))
+def theta_identity(spec: BlockSpec) -> MonomialMap:
+    """The identity of B, as a monomial map."""
+    return MonomialMap(range(spec.N))
 
 
 def _unit_index(spec: BlockSpec):
@@ -536,52 +536,47 @@ def _unit_index(spec: BlockSpec):
     return {p: n for n, p in enumerate(SnPresentation(spec).points)}
 
 
-def theta_ad_unitary(spec: BlockSpec, r: int, U: Mat):
-    """Ad(U) on block r, identity on the others, column-sparse."""
+def theta_ad_unitary(spec: BlockSpec, r: int, U: Mat) -> MonomialMap:
+    """Ad(U) on block r, identity on the others, for a phase-permutation U:
+    U E_ij U* = u_i conj(u_j) E_(perm[i], perm[j]) with u_c = U[perm[c], c].
+    The scalars are products of entries of U at its order, so the
+    assignment ``classical_assignment_aut`` builds keeps that order."""
     n = spec.sizes[r - 1]
     if U.rows != n:
         raise IndexOutOfRange(f"unitary size {U.rows} does not match block {r}")
-    index = _unit_index(spec)
-    Ustar = U.adjoint()
-    cols = []
-    for (rr, i, j), col in index.items():
-        if rr != r:
-            cols.append(((col, Cyclotomic.one()),))
-            continue
-        unit = Mat.exact([[1 if (a, b) == (i, j) else 0 for b in range(n)]
-                          for a in range(n)])
-        img = U @ unit @ Ustar
-        cols.append(tuple((index[(r, k, l)], c)
-                          for (k, l), c in img.sparse_entries().items()))
-    return tuple(cols)
+    perm = _phase_permutation(U)[1].tolist()
+    u = [U.entry(p, c) for c, p in enumerate(perm)]
+    index, one = _unit_index(spec), Cyclotomic.one()
+    return MonomialMap([index[(r, perm[i], perm[j]) if rr == r else (rr, i, j)] for rr, i, j in index],
+                       [u[i] * u[j].conjugate() if rr == r else one for rr, i, j in index])
 
 
-def theta_block_swap(spec: BlockSpec, r1: int, r2: int):
+def theta_block_swap(spec: BlockSpec, r1: int, r2: int) -> MonomialMap:
     if spec.sizes[r1 - 1] != spec.sizes[r2 - 1]:
         raise IndexOutOfRange("can only swap blocks of equal size")
     index = _unit_index(spec)
     swap = {r1: r2, r2: r1}
-    return tuple(((index[(swap.get(r, r), i, j)], Cyclotomic.one()),)
-                 for (r, i, j) in index)
+    return MonomialMap([index[(swap.get(r, r), i, j)] for (r, i, j) in index])
 
 
-def classical_assignment_aut(spec: BlockSpec, theta) -> GeneratorAssignment:
+def classical_assignment_aut(spec: BlockSpec, theta: MonomialMap) -> GeneratorAssignment:
     """Scalar q-assignment reading the coefficients of a verified unital
-    *-automorphism of B that preserves the Plancherel trace.  ``theta`` is
-    column-sparse, as the ``theta_*`` builders return it, or rows of
-    scalars."""
-    cols = theta if isinstance(theta, tuple) else column_sparse(theta)
-    failure = multimatrix(spec).automorphism_failure(cols)
+    *-automorphism of B that preserves the Plancherel trace, given as a
+    monomial map: q_(s,r,i,j,k,l) is the scalar of theta(E^(s)_ij) when
+    its target is E^(r)_kl, and 0 otherwise."""
+    failure = multimatrix(spec).automorphism_failure(theta)
     if failure == "trace-preserving":
         raise NotTracePreserving("theta does not preserve the Plancherel trace")
     if failure:
         raise NotAutomorphismB(f"theta is not {failure}")
     index = _unit_index(spec)
-    images = [dict(col) for col in cols]
     zero = Cyclotomic.zero()
     pres = QautPresentation(spec)
-    return GeneratorAssignment(pres, Mat.exact([[images[index[(s, i, j)]].get(index[(r, k, l)], zero)]
-                                                for _, s, r, i, j, k, l in pres.generators]))
+    values = []
+    for _, s, r, i, j, k, l in pres.generators:
+        src = index[(s, i, j)]
+        values.append([theta.scalars[src] if theta.k[src] == index[(r, k, l)] else zero])
+    return GeneratorAssignment(pres, Mat.exact(values))
 
 
 def classical_theta_battery(spec: BlockSpec, count: int, seed: int):

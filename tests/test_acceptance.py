@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from qautcert.algebra import BlockSpec, multimatrix
+from qautcert.algebra import BlockSpec, MonomialMap, multimatrix
 from qautcert.arith import Cyclotomic, Mat
 from qautcert.cli import SuiteConfig, certificate_json, run
 from qautcert.cocycle import FinAbGroup, fourier_function_algebra, spec_cocycle, verify_twist_theorem
@@ -100,7 +100,7 @@ def test_criterion_4_takesaki_takai():
     one = Cyclotomic.one()
     acts = []
     C1 = multimatrix(BlockSpec((1,)))
-    acts.append(GroupAction(FinAbGroup((2,)), C1, {(0,): [[one]], (1,): [[one]]}))
+    acts.append(GroupAction(FinAbGroup((2,)), C1, {(0,): MonomialMap([0]), (1,): MonomialMap([0])}))
     acts.append(translation_action(BlockSpec((2,)))[0])
     M2 = multimatrix(BlockSpec((2,)))
     acts.append(inner_action(FinAbGroup((2,)), M2,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qautcert.algebra import (
     AxiomViolation,
     BlockSpec,
+    MonomialMap,
     NotDeltaForm,
     NotSemisimple,
     RecognitionError,
@@ -22,7 +23,8 @@ from qautcert.algebra import (
     recognize_blocks,
     tensor_algebra,
 )
-from qautcert.arith import Cyclotomic, root_of_unity
+from qautcert.arith import Cyclotomic, accumulate, root_of_unity
+from qautcert.cocycle import fourier_function_algebra
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 ONE = Cyclotomic.one()
@@ -254,6 +256,113 @@ def test_axiom_violation_caught_at_construction():
         StructAlgebra(2, ["a", "b"], mul=mul, invol=invol,
                       unit=[one, Cyclotomic.zero()],
                       trace=[one, Cyclotomic.zero()])
+
+
+# -- automorphism checks on monomial maps ---------------------------------------
+
+def weighted_c2(w0, w1):
+    """C^2 in the point basis with trace weights w0, w1."""
+    mul = {(0, 0): ((0, ONE),), (1, 1): ((1, ONE),)}
+    return StructAlgebra(2, ["p", "q"], mul=mul, invol=[((0, ONE),), ((1, ONE),)],
+                         unit=[ONE, ONE], trace=[Cyclotomic.rational(w0), Cyclotomic.rational(w1)])
+
+
+def test_automorphism_failure_unital():
+    # b_0 -> b_0, b_1 -> 2 b_1 sends 1 = b_0 + b_1 to b_0 + 2 b_1
+    assert function_algebra(2).automorphism_failure(MonomialMap([0, 1], [1, 2])) == "unital"
+
+
+def test_automorphism_failure_multiplicative():
+    # the transpose E_ij -> E_ji of M_2 is unital and antimultiplicative
+    M2 = multimatrix(BlockSpec((2,)))
+    assert M2.automorphism_failure(MonomialMap([0, 2, 1, 3])) == "multiplicative"
+
+
+def test_automorphism_failure_star():
+    # Ad(diag(1, 2)) on M_2: E_01 -> E_01 / 2, E_10 -> 2 E_10
+    M2 = multimatrix(BlockSpec((2,)))
+    theta = MonomialMap(range(4), [1, Fraction(1, 2), 2, 1])
+    assert M2.automorphism_failure(theta) == "*-compatible"
+
+
+def test_automorphism_failure_trace():
+    # the swap of C^2 with trace weights 1/3, 2/3
+    A = weighted_c2(Fraction(1, 3), Fraction(2, 3))
+    assert A.automorphism_failure(MonomialMap([1, 0])) == "trace-preserving"
+    assert weighted_c2(Fraction(1, 2), Fraction(1, 2)).automorphism_failure(MonomialMap([1, 0])) is None
+
+
+def test_automorphism_failure_refuses_maps_of_another_basis():
+    with pytest.raises(ValueError):
+        function_algebra(2).automorphism_failure(MonomialMap([0, 1, 2]))
+    with pytest.raises(ValueError):
+        function_algebra(2).automorphism_failure(MonomialMap([0, 2]))
+
+
+def test_monomial_map_rejects_scalars_off_the_roots_of_unity():
+    with pytest.raises(AxiomViolation):
+        MonomialMap([0, 1], [ONE, Cyclotomic(4, [1, 1])])  # 1 + i
+    with pytest.raises(AxiomViolation):
+        MonomialMap([0, 1], [ONE, ZERO])
+    with pytest.raises(ValueError):
+        MonomialMap([0, 1], [ONE])
+
+
+def sparse_automorphism_failure(A, theta):
+    """The column-by-column automorphism check, on sparse vectors."""
+    cols = [((theta.k.item(i), theta.scalars[i]),) for i in range(A.dim)]
+
+    def image(terms):
+        out = {}
+        for i, a in terms:
+            accumulate(out, a, cols[i])
+        return out
+
+    unit = {i: a for i, a in enumerate(A.unit) if not a.is_zero()}
+    if image(unit.items()) != unit:
+        return "unital"
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if image(A.product(i, j)) != A.mul_sparse(cols[i], cols[j]):
+                return "multiplicative"
+    for i in range(A.dim):
+        if image(A.star(i)) != A.invol_sparse(cols[i]):
+            return "*-compatible"
+    for i in range(A.dim):
+        if A.trace_sparse(cols[i]) != A.trace[i]:
+            return "trace-preserving"
+    return None
+
+
+def test_automorphism_failure_agrees_with_sparse_reference():
+    # random monomial maps of three kinds: a permutation with random scalars,
+    # one that fixes the support of the unit and moves the rest, and a bare
+    # permutation; every outcome must be reached somewhere
+    pool = [ONE, -ONE, Cyclotomic.rational(2), Cyclotomic.rational(Fraction(1, 2)),
+            root_of_unity(4, 1), root_of_unity(3, 2)]
+    algebras = [multimatrix(BlockSpec((2,))), multimatrix(BlockSpec((2, 1))), function_algebra(3),
+                fourier_function_algebra(BlockSpec((2,))).algebra,
+                fourier_function_algebra(BlockSpec((3,))).algebra,
+                weighted_c2(Fraction(1, 3), Fraction(2, 3))]
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for A in algebras:
+        fixed = [not a.is_zero() for a in A.unit]
+        free = np.flatnonzero(np.logical_not(fixed))
+        for trial in range(45):
+            targets = rng.permutation(A.dim)
+            scalars = [pool[t] for t in rng.integers(0, len(pool), A.dim)]
+            if trial % 3 == 1:
+                targets = np.arange(A.dim)
+                targets[free] = rng.permutation(free)
+                scalars = [ONE if f else c for f, c in zip(fixed, scalars)]
+            elif trial % 3 == 2:
+                scalars = [ONE] * A.dim
+            theta = MonomialMap(targets, scalars)
+            failure = A.automorphism_failure(theta)
+            assert failure == sparse_automorphism_failure(A, theta), (A.labels, targets, scalars)
+            outcomes.add(failure)
+    assert outcomes == {"unital", "multiplicative", "*-compatible", "trace-preserving", None}
 
 
 def test_serialization_golden_roundtrip():

@@ -1,12 +1,24 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from qautcert.algebra import BlockSpec, function_algebra, multimatrix, recognize_blocks
-from qautcert.arith import Cyclotomic, Mat
+from qautcert.algebra import (
+    BlockSpec,
+    MonomialMap,
+    StructAlgebra,
+    function_algebra,
+    multimatrix,
+    recognize_blocks,
+)
+from qautcert.arith import Cyclotomic, Mat, accumulate
+from qautcert.cli import _tt_group
 from qautcert.cocycle import FinAbGroup, fourier_function_algebra, gamma_group, spec_cocycle, trivial_cocycle
 from qautcert.crossed import (
     GroupAction,
     NormalizationMissing,
     NotAutomorphism,
+    action_from_graded,
     conjugation_lemma_check,
     crossed_product,
     dual_action,
@@ -20,12 +32,12 @@ ZERO = Cyclotomic.zero()
 
 
 def ident_map(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return MonomialMap(range(n))
 
 
 def test_trivial_action_gives_group_algebra():
     C1 = multimatrix(BlockSpec((1,)))
-    act = GroupAction(FinAbGroup((2,)), C1, {(0,): [[ONE]], (1,): [[ONE]]})
+    act = GroupAction(FinAbGroup((2,)), C1, {(0,): ident_map(1), (1,): ident_map(1)})
     cp = crossed_product(act)
     assert cp.algebra.dim == 2
     assert recognize_blocks(cp.algebra).sizes == (1, 1)
@@ -33,7 +45,7 @@ def test_trivial_action_gives_group_algebra():
 
 def test_swap_action_on_c2_gives_m2():
     C2 = function_algebra(2)
-    swap = [[ZERO, ONE], [ONE, ZERO]]
+    swap = MonomialMap([1, 0])
     act = GroupAction(FinAbGroup((2,)), C2, {(0,): ident_map(2), (1,): swap})
     cp = crossed_product(act)
     assert cp.algebra.dim == 4
@@ -44,7 +56,7 @@ def test_swap_crossed_product_matches_regular_representation_oracle():
     # explicit oracle: delta_0 -> E_00, delta_1 -> E_11, z -> the swap matrix;
     # products of crossed basis elements must match the concrete matrices.
     C2 = function_algebra(2)
-    swap = [[ZERO, ONE], [ONE, ZERO]]
+    swap = MonomialMap([1, 0])
     act = GroupAction(FinAbGroup((2,)), C2, {(0,): ident_map(2), (1,): swap})
     cp = crossed_product(act)
     X = Mat.exact([[0, 1], [1, 0]])
@@ -86,14 +98,43 @@ def test_crossed_product_relations_and_trace():
 
 def test_not_automorphism_rejected():
     C2 = function_algebra(2)
-    bad = [[ONE, ONE], [ZERO, ONE]]  # not multiplicative
-    with pytest.raises(NotAutomorphism):
+    bad = MonomialMap([0, 0])  # 1 -> 2 b_0
+    with pytest.raises(NotAutomorphism, match="not unital"):
         GroupAction(FinAbGroup((2,)), C2, {(0,): ident_map(2), (1,): bad})
+
+
+def test_identity_acting_nontrivially_rejected():
+    C2 = function_algebra(2)
+    swap = MonomialMap([1, 0])
+    with pytest.raises(NotAutomorphism, match="identity element"):
+        GroupAction(FinAbGroup((2,)), C2, {(0,): swap, (1,): swap})
+
+
+def test_composition_failure_rejected():
+    # Z_3 by the swap at 1 and 2: theta_1 theta_1 is the identity, not theta_2
+    C2 = function_algebra(2)
+    swap = MonomialMap([1, 0])
+    with pytest.raises(NotAutomorphism, match=r"composition fails at \(\(1,\),\(1,\)\)"):
+        GroupAction(FinAbGroup((3,)), C2, {(0,): ident_map(2), (1,): swap, (2,): swap})
+
+
+def test_missing_map_rejected():
+    with pytest.raises(NotAutomorphism, match="missing map"):
+        GroupAction(FinAbGroup((2,)), function_algebra(2), {(0,): ident_map(2)})
+
+
+def test_inner_action_by_non_monomial_unitary_rejected():
+    # u = (E_00 + E_01 + E_10 - E_11) / 2 is 1/sqrt(2) times a unitary;
+    # Ad(u) sends E_00 to a sum of four matrix units
+    M2 = multimatrix(BlockSpec((2,)))
+    half = Cyclotomic.rational(Fraction(1, 2))
+    with pytest.raises(NotAutomorphism, match="not a monomial map"):
+        inner_action(FinAbGroup((2,)), M2, [half, half, half, -half])
 
 
 def test_takesaki_takai_smallest_instance():
     C1 = multimatrix(BlockSpec((1,)))
-    act = GroupAction(FinAbGroup((2,)), C1, {(0,): [[ONE]], (1,): [[ONE]]})
+    act = GroupAction(FinAbGroup((2,)), C1, {(0,): ident_map(1), (1,): ident_map(1)})
     out = takesaki_takai_check(act)
     assert out["passed"]
     assert out["double_crossed_blocks"] == [2]
@@ -124,9 +165,9 @@ def test_dual_action_diagonal_phases():
     G = cp.group
     for chi in G.elements():
         for (i, g), idx in cp.index.items():
-            image = dual.apply_sparse(chi, {idx: ONE})
-            assert image == {idx: G.pairing(chi, g)} or \
-                (G.pairing(chi, g).is_zero() and not image)
+            theta = dual.thetas[chi]
+            assert theta.k[idx] == idx
+            assert theta.scalars[idx] == G.pairing(chi, g)
 
 
 def test_conjugation_lemma_z2_squared():
@@ -156,3 +197,71 @@ def test_conjugation_lemma_requires_normalization():
     raw = product_cocycle([base_cocycle(2)])  # not inverse-normalized
     with pytest.raises(NormalizationMissing):
         conjugation_lemma_check(fourier_function_algebra(spec), raw)
+
+
+# -- reference: crossed products built with one sparse product per pair --------
+
+def apply_columns(cols, terms):
+    """Image of a sparse element under a map given column by column."""
+    out = {}
+    for i, a in terms:
+        accumulate(out, a, cols[i])
+    return out
+
+
+def column_crossed_product(A, G, cols):
+    """A rtimes G and its index from column-sparse maps cols[g][i], the
+    products b_i theta_g(b_j) and stars theta_(-g)(b_i*) taken as sparse
+    products and images."""
+    els = G.elements()
+    index, labels = {}, []
+    for i in range(A.dim):
+        for g in els:
+            index[(i, g)] = len(labels)
+            labels.append(f"{A.labels[i]}.z{g}")
+    one = Cyclotomic.one()
+    mul = {}
+    for g in els:
+        for i in range(A.dim):
+            for j in range(A.dim):
+                acc = A.mul_sparse(((i, one),), cols[g][j])
+                if not acc:
+                    continue
+                terms = sorted(acc.items())
+                for h in els:
+                    mul[(index[(i, g)], index[(j, h)])] = tuple(
+                        (index[(k, G.add(g, h))], c) for k, c in terms)
+    invol = [None] * len(labels)
+    unit = [ZERO] * len(labels)
+    trace = [ZERO] * len(labels)
+    for (i, g), a in index.items():
+        ginv = G.neg(g)
+        star = apply_columns(cols[ginv], A.invol_sparse(((i, one),)).items())
+        invol[a] = tuple((index[(k, ginv)], c) for k, c in sorted(star.items()))
+        if g == G.identity:
+            unit[a], trace[a] = A.unit[i], A.trace[i]
+    alg = StructAlgebra(len(labels), labels, mul=mul, invol=invol, unit=unit, trace=trace,
+                        tracial=A.tracial, verify=False)
+    return alg, index
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (2, 2)])
+def test_tt_crossed_products_match_column_sparse_reference(sizes):
+    spec = BlockSpec(sizes)
+    graded = fourier_function_algebra(spec)
+    group = _tt_group(spec)
+    cp = crossed_product(action_from_graded(graded, group))
+    dp = crossed_product(dual_action(cp))
+    G = graded.group
+    pad = (0,) * (len(G.factors) - len(group.factors))
+    cols = {g: tuple(((i, G.pairing(chi, tuple(g) + pad)),) for i, chi in enumerate(graded.degrees))
+            for g in group.elements()}
+    ref_cp, index = column_crossed_product(graded.algebra, group, cols)
+    dual_cols = {chi: tuple(((a, group.pairing(chi, g)),) for (_, g), a in index.items())
+                 for chi in group.elements()}
+    ref_dp, _ = column_crossed_product(ref_cp, group, dual_cols)
+    for built, ref in ((cp.algebra, ref_cp), (dp.algebra, ref_dp)):
+        assert built.serialize() == ref.serialize()
+        assert [(c.order, c.coeffs) for c in built.scalars] == \
+            [(c.order, c.coeffs) for c in ref.scalars]
+        assert np.array_equal(built.s, ref.s) and np.array_equal(built.star_s, ref.star_s)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qautcert.algebra import BlockSpec, sparse_eq
+from qautcert.algebra import BlockSpec, MonomialMap, sparse_eq
 from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
 from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, weyl_basis
@@ -333,20 +333,56 @@ def test_block_swap_classical_point():
 
 
 def test_non_star_automorphism_rejected():
+    # Ad(diag(1, 2)) on M_2 is a unital multiplicative monomial map, E_01 ->
+    # E_01 / 2 and E_10 -> 2 E_10, but not *-compatible
     spec = BlockSpec((2,))
-    g = Mat.exact([[1, 1], [0, 1]])  # invertible, not unitary
-    ginv = Mat.exact([[1, -1], [0, 1]])
-    index = {(1, i, j): i * 2 + j for i in range(2) for j in range(2)}
-    theta = [[Cyclotomic.zero() for _ in range(4)] for _ in range(4)]
-    for (r, i, j), col in index.items():
-        unit = Mat.exact([[1 if (a, b) == (i, j) else 0 for b in range(2)]
-                          for a in range(2)])
-        img = g @ unit @ ginv
-        for k in range(2):
-            for l in range(2):
-                theta[index[(1, k, l)]][col] = img.entry(k, l)
-    with pytest.raises(NotAutomorphismB):
+    theta = MonomialMap(range(4), [1, Fraction(1, 2), 2, 1])
+    with pytest.raises(NotAutomorphismB, match=r"\*-compatible"):
         classical_assignment_aut(spec, theta)
+
+
+def column_theta_stack(spec, entry):
+    """The assignment stack of a battery entry built from the images
+    U E_ij U* as exact matrices, read through Mat.exact."""
+    kind, r, a, b, _ = entry
+    index = {p: n for n, p in enumerate(SnPresentation(spec).points)}
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    if kind == "block_swap":
+        swap = {r: a, a: r}
+        images = [{index[(swap.get(rr, rr), i, j)]: one} for (rr, i, j) in index]
+    else:
+        n = spec.sizes[r - 1]
+        if kind == "ad_weyl":
+            U = weyl_basis(n).t(a, b)
+        elif kind == "perm":
+            U = Mat.exact([[1 if x == a[y] else 0 for y in range(n)] for x in range(n)])
+        else:
+            U = Mat.exact([[root_of_unity(n, a[x]) if x == y else 0 for y in range(n)]
+                           for x in range(n)])
+        images = []
+        for (rr, i, j), col in index.items():
+            if rr != r:
+                images.append({col: one})
+                continue
+            unit = Mat.exact([[1 if (x, y) == (i, j) else 0 for y in range(n)] for x in range(n)])
+            img = U @ unit @ U.adjoint()
+            images.append({index[(r, k, l)]: c for (k, l), c in img.sparse_entries().items()})
+    return Mat.exact([[images[index[(s, i, j)]].get(index[(r, k, l)], zero)]
+                      for _, s, r, i, j, k, l in QautPresentation(spec).generators])
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (2, 2)])
+def test_theta_stacks_match_matrix_reference(sizes):
+    spec = BlockSpec(sizes)
+    kinds = set()
+    for seed in (0, 42):
+        for entry in classical_theta_battery(spec, 10, seed=seed):
+            stack = classical_assignment_aut(spec, entry[-1]).stack
+            ref = column_theta_stack(spec, entry)
+            assert (stack.order, stack.den) == (ref.order, ref.den), entry[:-1]
+            assert np.array_equal(stack.coef, ref.coef), entry[:-1]
+            kinds.add(entry[0])
+    assert {"ad_weyl", "perm", "diag"} <= kinds
 
 
 # -- the PVM representation ---------------------------------------------------
