@@ -163,27 +163,63 @@ class StructAlgebra:
     """A *-algebra with basis, exact monomial structure constants, involution
     and trace.
 
-    ``mul`` maps (i, j) to the expansion of b_i b_j as (k, Cyclotomic) pairs
-    and ``invol`` lists the expansion of each b_i*.  Each must be zero (for a
-    product) or one term c b_k with c a positive rational times a root of
-    unity; anything else raises AxiomViolation.  They are stored as arrays:
-    ``k[i, j]`` is the target of b_i b_j, -1 when it is zero, and
-    ``s[i, j]`` indexes ``scalars``, the distinct values given, one object
-    per (order, coefficients); ``star_k``/``star_s`` hold b_i* the same way.
-    Scalar t is (num[t]/den[t]) zeta_L^exp[t], with L even.  ``unit`` and
-    ``trace`` are scalar lists.  The sparse element operations take elements
-    as iterables of (k, coefficient) pairs (a dict's ``items()``, or the
-    tuples of ``product`` and ``star``) and return dicts {k: coefficient}
-    without zeros.  Linear maps on the basis are MonomialMaps.
+    Each product b_i b_j is zero or c b_k, and each b_i* is c b_k, with c a
+    positive rational times a root of unity.  They are stored as arrays, the
+    one form of the structure constants: ``k[i, j]`` is the target of
+    b_i b_j, -1 when it is zero, and ``s[i, j]`` indexes ``scalars``;
+    ``star_k``/``star_s`` hold b_i* the same way.  ``scalars`` holds one
+    object per distinct (order, coefficients), numbered in order of first
+    use, row-major over ``k`` and then the stars, so every construction of
+    the same algebra gives the same ``scalars`` and ``s``.  Scalar t is
+    (num[t]/den[t]) zeta_L^exp[t], with L even.  ``unit`` and ``trace`` are
+    scalar lists.  Term tuples ((k, c),) appear only in the text form
+    (``serialize``/``deserialize``) and in ``product``/``star``.  The sparse
+    element operations take elements as iterables of (k, coefficient) pairs
+    (a dict's ``items()``, or the tuples of ``product`` and ``star``) and
+    return dicts {k: coefficient} without zeros.  Linear maps on the basis
+    are MonomialMaps.
     """
 
-    def __init__(self, dim, labels, *, mul, invol, unit, trace, tracial=True,
-                 verify=True):
+    def __init__(self, dim, labels, *, k, s, scalars, star_k, star_s, unit, trace):
         self.dim = dim
         self.labels = tuple(labels)
-        self.tracial = tracial
-        self.scalars: list = []
-        slots: dict = {}
+        k, s = np.array(k, dtype=np.int64), np.array(s, dtype=np.int64)
+        star_k, star_s = np.array(star_k, dtype=np.int64), np.array(star_s, dtype=np.int64)
+        scalars = [Cyclotomic._coerce(c) for c in scalars]
+        self.unit = [Cyclotomic._coerce(c) for c in unit]
+        self.trace = [Cyclotomic._coerce(c) for c in trace]
+        if (k.shape != (dim, dim) or s.shape != k.shape or star_k.shape != (dim,)
+                or star_s.shape != (dim,)
+                or not len(self.labels) == len(self.unit) == len(self.trace) == dim):
+            raise ValueError(f"structure constants do not have dimension {dim}")
+        live = k >= 0
+        targets, used = np.concatenate([k.ravel(), star_k]), np.concatenate([s[live], star_s])
+        if not (((-1 <= targets) & (targets < dim)).all()
+                and ((0 <= used) & (used < len(scalars))).all()):
+            raise ValueError("structure constant index out of range")
+        if (star_k < 0).any():
+            raise AxiomViolation(f"b_{np.argmax(star_k < 0)}* is zero")
+        # renumber the distinct values in order of first use
+        firsts, at = np.unique(used, return_index=True)
+        remap = np.zeros(len(scalars), dtype=np.int64)
+        slots: dict = {}  # (order, coeffs) -> (new index, value)
+        for t in firsts[np.argsort(at)].tolist():
+            c = scalars[t]
+            remap[t] = slots.setdefault((c.order, c.coeffs), (len(slots), c))[0]
+        self.scalars = [c for _, c in slots.values()]
+        self.k, self.s = k, np.zeros_like(k)
+        self.s[live] = remap[s[live]]
+        self.star_k, self.star_s = star_k, remap[star_s]
+        self.L, self.exp, self.num, self.den = _monomial_arrays(self.scalars)
+        self.verify_axioms()
+
+    @classmethod
+    def _from_terms(cls, dim, labels, mul, invol, unit, trace) -> "StructAlgebra":
+        """The algebra whose products ``mul[(i, j)]`` (absent: zero) and stars
+        ``invol[i]`` are given as tuples of (k, c) terms, as the text form
+        gives them.  A product or star of more than one nonzero term raises
+        AxiomViolation."""
+        scalars: list = []
 
         def monomial(terms, what):
             terms = [(k, c) for k, c in terms if not c.is_zero()]
@@ -191,29 +227,16 @@ class StructAlgebra:
                 raise AxiomViolation(f"{what} has {len(terms)} terms, not one")
             if not terms:
                 return -1, 0
-            k, c = terms[0]
-            t = slots.setdefault((c.order, c.coeffs), len(self.scalars))
-            if t == len(self.scalars):
-                self.scalars.append(c)
-            return k, t
+            scalars.append(terms[0][1])
+            return terms[0][0], len(scalars) - 1
 
-        ks = [[-1] * dim for _ in range(dim)]
-        ss = [[0] * dim for _ in range(dim)]
+        k = np.full((dim, dim), -1, dtype=np.int64)
+        s = np.zeros((dim, dim), dtype=np.int64)
         for (i, j), terms in mul.items():
-            ks[i][j], ss[i][j] = monomial(terms, f"b_{i} b_{j}")
+            k[i, j], s[i, j] = monomial(terms, f"b_{i} b_{j}")
         stars = [monomial(terms, f"b_{i}*") for i, terms in enumerate(invol)]
-        for i, (k, _) in enumerate(stars):
-            if k < 0:
-                raise AxiomViolation(f"b_{i}* is zero")
-        self.k = np.array(ks, dtype=np.int64).reshape(dim, dim)
-        self.s = np.array(ss, dtype=np.int64).reshape(dim, dim)
-        self.star_k = np.array([k for k, _ in stars], dtype=np.int64)
-        self.star_s = np.array([t for _, t in stars], dtype=np.int64)
-        self.L, self.exp, self.num, self.den = _monomial_arrays(self.scalars)
-        self.unit = [Cyclotomic._coerce(c) for c in unit]
-        self.trace = [Cyclotomic._coerce(c) for c in trace]
-        if verify:
-            self.verify_axioms()
+        return cls(dim, labels, k=k, s=s, scalars=scalars, star_k=[k for k, _ in stars],
+                   star_s=[t for _, t in stars], unit=unit, trace=trace)
 
     # -- basis products -------------------------------------------------------
     def product(self, i, j) -> tuple:
@@ -224,17 +247,6 @@ class StructAlgebra:
     def star(self, i) -> tuple:
         """b_i* as a tuple of one (k, c) pair."""
         return ((self.star_k.item(i), self.scalars[self.star_s.item(i)]),)
-
-    @property
-    def mul(self) -> dict:
-        """The nonzero products as {(i, j): ((k, c),)}, in row-major order."""
-        return {(i, j): self.product(i, j)
-                for i, j in np.argwhere(self.k >= 0).tolist()}
-
-    @property
-    def invol(self) -> list:
-        """The involution as the list of the tuples ``star(i)``."""
-        return [self.star(i) for i in range(self.dim)]
 
     # -- element operations ----------------------------------------------------
     def mul_sparse(self, u, v) -> dict:
@@ -292,26 +304,24 @@ class StructAlgebra:
                 raise AxiomViolation(f"unit fails on the left at basis {i}")
             if not sparse_eq(self.mul_sparse(((i, one),), unit), {i: one}):
                 raise AxiomViolation(f"unit fails on the right at basis {i}")
-        if self.tracial:
-            values = self._trace_of_products()
-            bad = values != values.T
-            if bad.any():
-                i, j = np.argwhere(bad)[0].tolist()
-                raise AxiomViolation(f"trace is not tracial at ({i},{j})")
+        values = self._trace_of_products()
+        bad = values != values.T
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise AxiomViolation(f"trace is not tracial at ({i},{j})")
 
     def _trace_of_products(self):
         """Array whose entries (i, j) and (p, q) are equal iff
         tr(b_i b_j) = tr(b_p b_q): one exact product c tr(b_k) per distinct
-        pair of scalar and target, then one code per distinct value."""
-        pairs = np.where(self.k >= 0, self.s * self.dim + self.k, -1).ravel()
-        distinct, inverse = np.unique(pairs, return_inverse=True)
-        values = [self.scalars[p // self.dim] * self.trace[p % self.dim] if p >= 0
-                  else Cyclotomic.zero() for p in distinct.tolist()]
+        pair of scalar and target (a zero product pairs with a zero appended
+        to the trace), then one code per distinct value."""
+        values, t = _scalar_products(self.scalars, self.s, self.trace + [Cyclotomic.zero()],
+                                     np.where(self.k >= 0, self.k, self.dim))
         L = math.lcm(*(v.order for v in values))
         codes: dict = {}
         code = np.array([codes.setdefault(v.promoted(L).coeffs, len(codes))
                          for v in values], dtype=np.int64)
-        return code[inverse].reshape(self.k.shape)
+        return code[t]
 
     def automorphism_failure(self, theta) -> str | None:
         """Check the monomial map ``theta`` (a MonomialMap on this basis)
@@ -351,13 +361,17 @@ class StructAlgebra:
 
     # -- serialization -----------------------------------------------------------
     def serialize(self) -> str:
-        """Stable text form for golden-file regression."""
+        """Stable text form for golden-file regression; a label that is
+        empty or holds whitespace, which could not be read back, raises ValueError."""
+        if not all(lab.split() == [lab] for lab in self.labels):
+            raise ValueError("labels must be nonempty and hold no whitespace")
         lines = [f"dim {self.dim}", "labels " + " ".join(self.labels)]
 
         def scal(c: Cyclotomic) -> str:
             return f"{c.order}:" + ",".join(str(q) for q in c.coeffs)
 
-        for (i, j), ((k, c),) in self.mul.items():
+        for i, j in np.argwhere(self.k >= 0).tolist():
+            ((k, c),) = self.product(i, j)
             lines.append(f"mul {i} {j} {k}={scal(c)}")
         for i in range(self.dim):
             ((k, c),) = self.star(i)
@@ -368,33 +382,49 @@ class StructAlgebra:
 
     @classmethod
     def deserialize(cls, text: str) -> "StructAlgebra":
-        def parse_scal(s: str) -> Cyclotomic:
-            order, body = s.split(":")
-            return Cyclotomic(int(order), [Fraction(q) for q in body.split(",")])
+        """The algebra of a ``serialize`` text.  The first line is ``dim``;
+        a malformed line, a repeated one, an index outside [0, dim) or a
+        list of the wrong length raises ValueError naming the line."""
+        dim, fields, mul, invol = None, {}, {}, {}
+        for n, line in enumerate(text.strip().splitlines(), 1):
+            try:
+                word, *parts = line.split()
+                if (word == "dim") != (n == 1):
+                    raise ValueError("the first line, and only it, is 'dim'")
+                if word == "dim":
+                    (dim,) = map(int, parts)
+                elif word in ("mul", "invol"):
+                    width = 2 if word == "mul" else 1
+                    key = tuple(map(int, parts[:width]))
+                    terms = [(int(k), c) for k, c in (t.split("=") for t in parts[width:])]
+                    indices = [*key, *(k for k, _ in terms)]
+                    if len(key) != width or not all(0 <= i < dim for i in indices):
+                        raise ValueError("basis index missing or outside [0, dim)")
+                    table = mul if word == "mul" else invol
+                    if key in table:
+                        raise ValueError("repeated")
+                    table[key] = tuple((k, _parse_scalar(c)) for k, c in terms)
+                elif word in ("labels", "unit", "trace") and word not in fields:
+                    if len(parts) != dim:
+                        raise ValueError(f"{len(parts)} entries, not {dim}")
+                    fields[word] = parts if word == "labels" else [_parse_scalar(t) for t in parts]
+                else:
+                    raise ValueError("unknown or repeated line")
+            except (ValueError, ZeroDivisionError) as err:
+                raise ValueError(f"line {n} {line!r}: {err}") from err
+        if dim is None:
+            raise ValueError("no 'dim' line")
+        missing = [w for w in ("labels", "unit", "trace") if w not in fields]
+        missing += [f"invol {i}" for i in range(dim) if (i,) not in invol]
+        if missing:
+            raise ValueError(f"no line for {', '.join(missing)}")
+        return cls._from_terms(dim, fields["labels"], mul, [invol[(i,)] for i in range(dim)],
+                               fields["unit"], fields["trace"])
 
-        dim = 0
-        labels: list[str] = []
-        mul: dict = {}
-        invol: list = []
-        unit = trace = None
-        for line in text.strip().splitlines():
-            parts = line.split()
-            if parts[0] == "dim":
-                dim = int(parts[1])
-            elif parts[0] == "labels":
-                labels = parts[1:]
-            elif parts[0] == "mul":
-                i, j = int(parts[1]), int(parts[2])
-                terms = tuple((int(t.split("=")[0]), parse_scal(t.split("=")[1])) for t in parts[3:])
-                mul[(i, j)] = terms
-            elif parts[0] == "invol":
-                terms = tuple((int(t.split("=")[0]), parse_scal(t.split("=")[1])) for t in parts[2:])
-                invol.append(terms)
-            elif parts[0] == "unit":
-                unit = [parse_scal(t) for t in parts[1:]]
-            elif parts[0] == "trace":
-                trace = [parse_scal(t) for t in parts[1:]]
-        return cls(dim, labels, mul=mul, invol=invol, unit=unit, trace=trace)
+
+def _parse_scalar(text: str) -> Cyclotomic:
+    order, body = text.split(":")
+    return Cyclotomic(int(order), [Fraction(q) for q in body.split(",")])
 
 
 def sparse_vector(vec) -> dict:
@@ -428,78 +458,64 @@ class MonomialMap:
         self.L, self.exp, self.num, self.den = _monomial_arrays(self.scalars)
 
 
+def _scalar_products(left, i, right, j):
+    """(values, t) with values[t] = left[i] * right[j], elementwise over the
+    integer arrays i and j, each distinct pair multiplied once."""
+    i, j = np.broadcast_arrays(i, j)
+    pairs, t = np.unique(i * len(right) + j, return_inverse=True)
+    values = [left[p // len(right)] * right[p % len(right)] for p in pairs.tolist()]
+    return values, t.reshape(i.shape)
+
+
 def multimatrix(spec: BlockSpec) -> StructAlgebra:
     """The multimatrix algebra of a partition, in its matrix-unit basis,
     with the Plancherel trace psi(E^(r)_ij) = delta_ij * n_r / N."""
-    sizes = spec.sizes
-    N = spec.N
-    index = {}
-    labels = []
-    for r, n in enumerate(sizes):
-        for i in range(n):
-            for j in range(n):
-                index[(r, i, j)] = len(labels)
-                labels.append(f"E{r + 1}[{i},{j}]")
-    mul = {}
-    for r, n in enumerate(sizes):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        if j == k:
-                            a = index[(r, i, j)]
-                            b = index[(r, k, l)]
-                            mul[(a, b)] = ((index[(r, i, l)], Cyclotomic.one()),)
-    invol = [None] * len(labels)
-    trace = [Cyclotomic.zero()] * len(labels)
-    unit = [Cyclotomic.zero() for _ in labels]
-    for (r, i, j), a in index.items():
-        invol[a] = ((index[(r, j, i)], Cyclotomic.one()),)
-        if i == j:
-            trace[a] = Cyclotomic.rational(Fraction(sizes[r], N))
-            unit[a] = Cyclotomic.one()
-    return StructAlgebra(len(labels), labels, mul=mul, invol=invol, unit=unit,
-                         trace=trace)
+    labels = [f"E{r + 1}[{i},{j}]" for r, n in enumerate(spec.sizes)
+              for i in range(n) for j in range(n)]
+    dim = len(labels)
+    k = np.full((dim, dim), -1, dtype=np.int64)
+    star_k = np.zeros(dim, dtype=np.int64)
+    unit, trace = [Cyclotomic.zero()] * dim, [Cyclotomic.zero()] * dim
+    o = 0  # E^(r)_ij is basis o + i n + j
+    for n in spec.sizes:
+        i, j, l = np.ogrid[:n, :n, :n]
+        k[o + i * n + j, o + j * n + l] = o + i * n + l  # E_ij E_jl = E_il
+        i, j = np.ogrid[:n, :n]
+        star_k[o + i * n + j] = o + j * n + i
+        for d in range(o, o + n * n, n + 1):
+            unit[d], trace[d] = Cyclotomic.one(), Cyclotomic.rational(Fraction(n, spec.N))
+        o += n * n
+    return StructAlgebra(dim, labels, k=k, s=np.zeros_like(k), scalars=[Cyclotomic.one()],
+                         star_k=star_k, star_s=np.zeros_like(star_k), unit=unit, trace=trace)
 
 
-def function_algebra(npoints: int, labels=None) -> StructAlgebra:
-    """C(X) for |X| = npoints in the point-indicator basis, uniform trace."""
-    labels = labels or [f"d{x}" for x in range(npoints)]
-    mul = {(i, i): ((i, Cyclotomic.one()),) for i in range(npoints)}
-    invol = [((i, Cyclotomic.one()),) for i in range(npoints)]
-    unit = [Cyclotomic.one() for _ in range(npoints)]
-    trace = [Cyclotomic.rational(Fraction(1, npoints)) for _ in range(npoints)]
-    return StructAlgebra(npoints, labels, mul=mul, invol=invol, unit=unit,
-                         trace=trace)
+def function_algebra(npoints: int) -> StructAlgebra:
+    """C(X) for |X| = npoints in the point-indicator basis, uniform trace:
+    the multimatrix algebra of npoints blocks of size 1, relabelled."""
+    A = multimatrix(BlockSpec((1,) * npoints))
+    A.labels = tuple(f"d{x}" for x in range(npoints))
+    return A
 
 
 def tensor_algebra(A: StructAlgebra, k: int) -> StructAlgebra:
     """A tensor M_k in the basis b_i x E_uv, with trace tau_A x (Tr/k)."""
-    dim = A.dim * k * k
-    labels = []
-    index = {}
-    for i in range(A.dim):
-        for u in range(k):
-            for v in range(k):
-                index[(i, u, v)] = len(labels)
-                labels.append(f"{A.labels[i]}*E[{u},{v}]")
-    mul = {}
-    for (i, j), ((kk, c),) in A.mul.items():
-        for u in range(k):
-            for v in range(k):
-                for q in range(k):
-                    mul[(index[(i, u, v)], index[(j, v, q)])] = ((index[(kk, u, q)], c),)
-    invol = [None] * dim
-    unit = [Cyclotomic.zero() for _ in range(dim)]
-    trace = [Cyclotomic.zero() for _ in range(dim)]
-    for (i, u, v), a in index.items():
-        ((kk, c),) = A.star(i)
-        invol[a] = ((index[(kk, v, u)], c),)
-        if u == v:
-            unit[a] = A.unit[i]
-            trace[a] = A.trace[i] / Cyclotomic.rational(k)
-    return StructAlgebra(dim, labels, mul=mul, invol=invol, unit=unit,
-                         trace=trace, tracial=A.tracial)
+    labels = [f"{a}*E[{u},{v}]" for a in A.labels for u in range(k) for v in range(k)]
+    dim = A.dim * k * k  # b_i x E_uv is basis (i k + u) k + v
+    i, u, v, j, w, q = np.ix_(*[range(n) for n in (A.dim, k, k, A.dim, k, k)])
+    # (b_i x E_uv)(b_j x E_wq) = [v = w] b_i b_j x E_uq
+    K = A.k[i, j]
+    target = np.where((K >= 0) & (v == w), (K * k + u) * k + q, -1)
+    S = np.broadcast_to(A.s[i, j], target.shape)
+    i, u, v = np.ix_(range(A.dim), range(k), range(k))
+    star_k = (A.star_k[i] * k + v) * k + u  # (b_i x E_uv)* = b_i* x E_vu
+    star_s = np.broadcast_to(A.star_s[i], star_k.shape)
+    unit, trace = [Cyclotomic.zero()] * dim, [Cyclotomic.zero()] * dim
+    for a in range(A.dim):
+        for d in range(a * k * k, (a + 1) * k * k, k + 1):
+            unit[d], trace[d] = A.unit[a], A.trace[a] / Cyclotomic.rational(k)
+    return StructAlgebra(dim, labels, k=target.reshape(dim, dim), s=S.reshape(dim, dim),
+                         scalars=A.scalars, star_k=star_k.ravel(), star_s=star_s.ravel(),
+                         unit=unit, trace=trace)
 
 
 def delta_form_check(A: StructAlgebra, psi=None):
@@ -528,9 +544,11 @@ def delta_form_check(A: StructAlgebra, psi=None):
     # M[l,(i,j)] = c^l_{ij}; the Kronecker inverse is folded directly through
     # the sparse structure constants.
     comp = [{} for _ in range(n)]
-    products = A.mul.items()
-    for (i, j), ((l, c1),) in products:
-        for (p, q), ((k2, c2),) in products:
+    rows, cols = np.nonzero(A.k >= 0)
+    products = list(zip(rows.tolist(), cols.tolist(), A.k[rows, cols].tolist(),
+                        [A.scalars[t] for t in A.s[rows, cols].tolist()]))
+    for i, j, l, c1 in products:
+        for p, q, k2, c2 in products:
             if p not in ginv[i] or q not in ginv[j]:
                 continue
             w = ginv[i][p] * ginv[j][q]
@@ -592,7 +610,8 @@ def center(A: StructAlgebra):
     (i, k) holds the b_k-coefficients of x b_i - b_i x."""
     one = Cyclotomic.one()
     rows: dict = {}
-    for (a, b), ((k, c),) in A.mul.items():
+    for a, b in np.argwhere(A.k >= 0).tolist():
+        k, c = A.k.item(a, b), A.scalars[A.s.item(a, b)]
         accumulate(rows.setdefault((b, k), {}), c, ((a, one),))
         accumulate(rows.setdefault((a, k), {}), -c, ((b, one),))
     return _kernel(rows.values(), A.dim)
@@ -625,15 +644,13 @@ def _regular_trace_form_exact(A: StructAlgebra):
     """Sparse rows of Tr(L_(b_i b_j)), the trace form of the regular
     representation."""
     one = Cyclotomic.one()
-    products = A.mul.items()
-    t: dict = {}  # t[k] = Tr(L_(b_k))
-    for (k, l), ((kk, c),) in products:
-        if kk == l:
-            accumulate(t, c, ((k, one),))
+    t: dict = {}  # t[k] = Tr(L_(b_k)), from the products b_k b_l = c b_l
+    for k, l in np.argwhere(A.k == np.arange(A.dim)).tolist():
+        accumulate(t, A.scalars[A.s.item(k, l)], ((k, one),))
     form = [{} for _ in range(A.dim)]
-    for (i, j), ((k, c),) in products:
-        if k in t:
-            form[i][j] = c * t[k]
+    for i, j in np.argwhere(A.k >= 0).tolist():
+        if A.k.item(i, j) in t:
+            form[i][j] = A.scalars[A.s.item(i, j)] * t[A.k.item(i, j)]
     return form
 
 
@@ -779,7 +796,7 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
                                 {"center_dim": m}, resid)
         except (RecognitionError, NonSquareBlock) as exc:
             # A non-square rank means this element merged blocks: a failed split.
-            last_err = exc
+            last_err = str(exc)  # not exc, whose traceback would hold sc in a cycle
     raise RecognitionError(f"float center splitting failed: {last_err}")
 
 

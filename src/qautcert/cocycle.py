@@ -17,6 +17,7 @@ import numpy as np
 from .algebra import (
     BlockSpec,
     StructAlgebra,
+    _scalar_products,
     associativity_failure,
     monomial_forms,
     recognize_blocks,
@@ -81,6 +82,16 @@ class FinAbGroup:
     def neg(self, g):
         return tuple((-a) % f for a, f in zip(g, self.factors))
 
+    def position_map(self) -> dict:
+        """g -> the position of g in ``elements()``."""
+        return {g: a for a, g in enumerate(self.elements())}
+
+    def addition_table(self) -> np.ndarray:
+        """t[a, b] = the position of g_a + g_b, for the elements g in
+        ``elements()`` order."""
+        els, pos = self.elements(), self.position_map()
+        return np.array([[pos[self.add(g, h)] for h in els] for g in els], dtype=np.int64)
+
     def pairing(self, chi, g) -> Cyclotomic:
         out = Cyclotomic.one()
         for c, a, f in zip(chi, g, self.factors):
@@ -128,8 +139,8 @@ class GroupCocycle:
             if form is None or form[0] != 1:
                 raise CocycleError(f"cocycle value {c!r} is not a root of unity")
             exps[key] = form[1]
-        index = {g: i for i, g in enumerate(els)}
-        target = np.array([[index[G.add(g, h)] for h in els] for g in els], dtype=np.int64)
+        index = G.position_map()
+        target = G.addition_table()
         exp = np.zeros_like(target)
         for (g, h), c in self.table.items():
             exp[index[g], index[h]] = exps[(c.order, c.coeffs)]
@@ -242,12 +253,22 @@ class GradedAlgebra:
     degrees: tuple
 
     def __post_init__(self):
+        K = self.algebra.k
         if len(self.degrees) != self.algebra.dim:
             raise GradingMismatch("one degree per basis element is required")
-        for (i, j), ((k, _),) in self.algebra.mul.items():
-            if self.degrees[k] != self.group.add(self.degrees[i], self.degrees[j]):
-                raise GradingMismatch(
-                    f"structure constants violate the grading at ({i},{j})->{k}")
+        deg = self.positions()
+        bad = (K >= 0) & (deg[K] != self.group.addition_table()[np.ix_(deg, deg)])
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise GradingMismatch(
+                f"structure constants violate the grading at ({i},{j})->{K.item(i, j)}")
+
+    def positions(self) -> np.ndarray:
+        """The degrees as positions in ``group.elements()``."""
+        pos = self.group.position_map()
+        if not all(d in pos for d in self.degrees):
+            raise GradingMismatch("every degree must be an element of the grading group")
+        return np.array([pos[d] for d in self.degrees], dtype=np.int64)
 
 
 def twist_left(graded: GradedAlgebra, sigma: GroupCocycle):
@@ -262,19 +283,14 @@ def twist_left(graded: GradedAlgebra, sigma: GroupCocycle):
     G = graded.group
     if sigma.group != G:
         raise GradingMismatch("cocycle group does not match the grading group")
-    mul = {}
-    for (i, j), ((k, c),) in A.mul.items():
-        mul[(i, j)] = ((k, c * sigma.value(graded.degrees[i], graded.degrees[j])),)
-    invol = []
-    scalars = []
-    for i in range(A.dim):
-        deg = graded.degrees[i]
-        s = sigma.value(G.neg(deg), deg).conjugate()
-        scalars.append(s)
-        ((k, c),) = A.star(i)
-        invol.append(((k, c * s),))
-    twisted = StructAlgebra(A.dim, A.labels, mul=mul, invol=invol,
-                            unit=A.unit, trace=A.trace, tracial=A.tracial)
+    els, deg = G.elements(), graded.positions()
+    values = [sigma.value(g, h) for g in els for h in els]
+    products, s = _scalar_products(A.scalars, A.s, values, deg[:, None] * len(els) + deg)
+    scalars = [sigma.value(G.neg(d), d).conjugate() for d in graded.degrees]
+    stars, star_s = _scalar_products(A.scalars, A.star_s, scalars, np.arange(A.dim))
+    twisted = StructAlgebra(A.dim, A.labels, k=A.k, s=s, scalars=products + stars,
+                            star_k=A.star_k, star_s=star_s + len(products),
+                            unit=A.unit, trace=A.trace)
     record = {
         "involution_scalars_all_one": all(s.is_one() for s in scalars),
         "involution_scalars": scalars,
@@ -292,18 +308,12 @@ def gamma_group(spec: BlockSpec) -> FinAbGroup:
 
 def group_algebra(group: FinAbGroup) -> GradedAlgebra:
     """C[K] graded by itself: u_g u_h = u_{gh}, u_g* = u_{g^-1}, tau(u_g) = [g=e]."""
-    els = group.elements()
-    index = {g: i for i, g in enumerate(els)}
-    dim = len(els)
-    mul = {}
-    for g in els:
-        for h in els:
-            mul[(index[g], index[h])] = ((index[group.add(g, h)], Cyclotomic.one()),)
-    invol = [((index[group.neg(g)], Cyclotomic.one()),) for g in els]
-    unit = [Cyclotomic.one() if g == group.identity else Cyclotomic.zero() for g in els]
-    trace = [Cyclotomic.one() if g == group.identity else Cyclotomic.zero() for g in els]
-    alg = StructAlgebra(dim, [f"u{g}" for g in els], mul=mul, invol=invol,
-                        unit=unit, trace=trace)
+    els, pos = group.elements(), group.position_map()
+    k = group.addition_table()
+    delta = [Cyclotomic.one() if g == group.identity else Cyclotomic.zero() for g in els]
+    alg = StructAlgebra(len(els), [f"u{g}".replace(" ", "") for g in els], k=k, s=np.zeros_like(k),
+                        scalars=[Cyclotomic.one()], star_k=[pos[group.neg(g)] for g in els],
+                        star_s=np.zeros(len(els), dtype=np.int64), unit=delta, trace=delta)
     return GradedAlgebra(alg, group, tuple(els))
 
 
@@ -317,10 +327,10 @@ def fourier_function_algebra(spec: BlockSpec) -> GradedAlgebra:
     The base point (0, 0) per block is the recorded torsor trivialization.
     """
     G = gamma_group(spec)
-    labels = []
-    degrees = []
-    block_of = []
-    chi_of = []
+    labels, degrees, unit, trace = [], [], [], []
+    k = np.full((spec.N, spec.N), -1, dtype=np.int64)
+    star_k = np.zeros(spec.N, dtype=np.int64)
+    o = 0  # e^(r)_[c1,c2] is basis o + c1 n + c2
     for r, n in enumerate(spec.sizes):
         for c1 in range(n):
             for c2 in range(n):
@@ -328,38 +338,19 @@ def fourier_function_algebra(spec: BlockSpec) -> GradedAlgebra:
                 deg = [0] * (2 * spec.m)
                 deg[2 * r], deg[2 * r + 1] = c1, c2
                 degrees.append(tuple(deg))
-                block_of.append(r)
-                chi_of.append((c1, c2))
-    dim = len(labels)
-    index = {(block_of[i], chi_of[i]): i for i in range(dim)}
-    mul = {}
-    for i in range(dim):
-        for j in range(dim):
-            if block_of[i] != block_of[j]:
-                continue
-            r = block_of[i]
-            n = spec.sizes[r]
-            chi = tuple((a + b) % n for a, b in zip(chi_of[i], chi_of[j]))
-            mul[(i, j)] = ((index[(r, chi)], Cyclotomic.one()),)
-    invol = []
-    for i in range(dim):
-        r = block_of[i]
-        n = spec.sizes[r]
-        chi_inv = tuple((-a) % n for a in chi_of[i])
-        invol.append(((index[(r, chi_inv)], Cyclotomic.one()),))
-    # Plancherel trace on C(X) is the uniform state: psi(e^(r)_chi) is
-    # (n_r^2 / N) for the trivial character and 0 otherwise.
-    N = spec.N
-    trace = []
-    unit = []
-    for i in range(dim):
-        r = block_of[i]
-        trivial = chi_of[i] == (0, 0)
-        trace.append(Cyclotomic.rational(Fraction(spec.sizes[r] ** 2, N)) if trivial
-                     else Cyclotomic.zero())
-        unit.append(Cyclotomic.one() if trivial else Cyclotomic.zero())
-    alg = StructAlgebra(dim, labels, mul=mul, invol=invol, unit=unit,
-                        trace=trace)
+                # Plancherel trace on C(X) is the uniform state: psi(e^(r)_chi)
+                # is (n_r^2 / N) for the trivial character and 0 otherwise.
+                trivial = (c1, c2) == (0, 0)
+                unit.append(Cyclotomic.one() if trivial else Cyclotomic.zero())
+                trace.append(Cyclotomic.rational(Fraction(n * n, spec.N)) if trivial
+                             else Cyclotomic.zero())
+        c1, c2, d1, d2 = np.ogrid[:n, :n, :n, :n]
+        k[o + c1 * n + c2, o + d1 * n + d2] = o + (c1 + d1) % n * n + (c2 + d2) % n
+        c1, c2 = np.ogrid[:n, :n]
+        star_k[o + c1 * n + c2] = o + (-c1 % n) * n + (-c2 % n)
+        o += n * n
+    alg = StructAlgebra(spec.N, labels, k=k, s=np.zeros_like(k), scalars=[Cyclotomic.one()],
+                        star_k=star_k, star_s=np.zeros_like(star_k), unit=unit, trace=trace)
     return GradedAlgebra(alg, G, tuple(degrees))
 
 

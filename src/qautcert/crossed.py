@@ -17,6 +17,7 @@ from .algebra import (
     MonomialMap,
     StructAlgebra,
     _monomials_differ,
+    _scalar_products,
     recognize_blocks,
     sparse_eq,
     sparse_vector,
@@ -86,10 +87,8 @@ class GroupAction:
         L = math.lcm(*(m.L for m in maps))
         k, e = np.stack([m.k for m in maps]), np.stack([m.exp * (L // m.L) for m in maps])
         num, den = np.stack([m.num for m in maps]), np.stack([m.den for m in maps])
-        pos = {g: t for t, g in enumerate(els)}
-        for t, g in enumerate(els):
+        for t, (g, gh) in enumerate(zip(els, G.addition_table())):
             # theta_g theta_h (b_i) = c^h_i c^g_(k_h[i]) b_(k_g[k_h[i]]), for every h at once
-            gh = [pos[G.add(g, h)] for h in els]
             bad = _monomials_differ(k[t][k], e + e[t][k], num * num[t][k], den * den[t][k],
                                     k[gh], e[gh], num[gh], den[gh], L).any(axis=1)
             if bad.any():
@@ -120,42 +119,34 @@ def crossed_product(action: GroupAction) -> CrossedProduct:
     tau(b z_g) = [g = e] tau_A(b).  Every product and star is one term,
     read off the arrays of A and of the maps; the relations of z_g are
     checked on the result."""
-    A = action.algebra
-    G = action.group
-    els = G.elements()
-    index = {}
-    labels = []
-    for i in range(A.dim):
-        for g in els:
-            index[(i, g)] = len(labels)
-            labels.append(f"{A.labels[i]}.z{g}")
+    A, G = action.algebra, action.group
+    els, pos = G.elements(), G.position_map()
+    n = len(els)
+    index = {(i, g): i * n + a for i in range(A.dim) for a, g in enumerate(els)}
+    labels = [f"{A.labels[i]}.z{g}".replace(" ", "") for i, g in index]
     dim = len(labels)
-    mul = {}
-    for g in els:
-        theta = action.thetas[g]
-        # b_i theta_g(b_j) = c_j b_i b_k[j] = c_j c_(i, k[j]) b_K[i, k[j]]
-        K, S = A.k[:, theta.k], A.s[:, theta.k]
-        sums = [G.add(g, h) for h in els]
-        for i, j in np.argwhere(K >= 0).tolist():
-            c = theta.scalars[j] * A.scalars[S.item(i, j)]
-            for h, gh in zip(els, sums):
-                mul[(index[(i, g)], index[(j, h)])] = ((index[(K.item(i, j), gh)], c),)
-    invol = [None] * dim
-    unit = [Cyclotomic.zero() for _ in range(dim)]
-    trace = [Cyclotomic.zero() for _ in range(dim)]
-    e = G.identity
-    for (i, g), a in index.items():
-        ginv = G.neg(g)
-        theta = action.thetas[ginv]
-        # theta_(g^-1)(b_i*) = s_i c_(i*) b_k[i*]
-        istar = A.star_k.item(i)
-        c = A.scalars[A.star_s.item(i)] * theta.scalars[istar]
-        invol[a] = ((index[(theta.k.item(istar), ginv)], c),)
-        if g == e:
-            unit[a] = A.unit[i]
-            trace[a] = A.trace[i]
-    alg = StructAlgebra(dim, labels, mul=mul, invol=invol, unit=unit,
-                        trace=trace, tracial=A.tracial)
+    thetas = [action.thetas[g] for g in els]
+    theta_k = np.stack([theta.k for theta in thetas])  # (g, j)
+    theta_c = [c for theta in thetas for c in theta.scalars]  # at g n_A + j
+    add = G.addition_table()
+    # (b_i z_g)(b_j z_h) = b_i theta_g(b_j) z_(g+h) = c^g_j c_(i, k_g[j]) b_K[i, k_g[j]] z_(g+h),
+    # on axes (i, g, j, h)
+    i, g, j, h = np.ix_(range(A.dim), range(n), range(A.dim), range(n))
+    K = A.k[i, theta_k[g, j]]
+    products, S = _scalar_products(theta_c, g * A.dim + j, A.scalars, A.s[i, theta_k[g, j]])
+    k = np.where(K >= 0, K * n + add[g, h], -1).reshape(dim, dim)
+    s = np.broadcast_to(S, (A.dim, n, A.dim, n)).reshape(dim, dim)
+    # (b_i z_g)* = theta_(-g)(b_i*) z_(-g) = s_i c^(-g)_(i*) b_(k_(-g)[i*]) z_(-g)
+    i, g = np.ix_(range(A.dim), range(n))
+    neg, istar = np.array([pos[G.neg(x)] for x in els])[g], A.star_k[i]
+    stars, star_s = _scalar_products(A.scalars, A.star_s[i], theta_c, neg * A.dim + istar)
+    star_k = theta_k[neg, istar] * n + neg
+    zero = Cyclotomic.zero()
+    unit = [A.unit[i] if g == G.identity else zero for i, g in index]
+    trace = [A.trace[i] if g == G.identity else zero for i, g in index]
+    alg = StructAlgebra(dim, labels, k=k, s=s, scalars=products + stars,
+                        star_k=star_k.ravel(), star_s=star_s.ravel() + len(products),
+                        unit=unit, trace=trace)
     out = CrossedProduct(A, G, alg, index)
     _verify_crossed_relations(out, action)
     return out

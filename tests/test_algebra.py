@@ -24,7 +24,13 @@ from qautcert.algebra import (
     tensor_algebra,
 )
 from qautcert.arith import Cyclotomic, accumulate, root_of_unity
-from qautcert.cocycle import fourier_function_algebra
+from qautcert.cocycle import (
+    FinAbGroup,
+    fourier_function_algebra,
+    group_algebra,
+    spec_cocycle,
+    twist_left,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 ONE = Cyclotomic.one()
@@ -82,12 +88,12 @@ def brute_force_mmstar(A, psi):
     # numpy tensors of the structure constants
     n = A.dim
     sc = np.zeros((n, n, n), dtype=complex)
-    for (i, j), terms in A.mul.items():
-        for k, c in terms:
-            sc[i, j, k] = c.to_complex()
     star = np.zeros((n, n), dtype=complex)
-    for i, terms in enumerate(A.invol):
-        for k, c in terms:
+    for i in range(n):
+        for j in range(n):
+            for k, c in A.product(i, j):
+                sc[i, j, k] = c.to_complex()
+        for k, c in A.star(i):
             star[i, k] = c.to_complex()
     psi = np.array([p.to_complex() for p in psi])
     gram = np.einsum("ip,pjk,k->ij", star, sc, psi)
@@ -170,8 +176,8 @@ def square_root_algebra(square):
     mul = {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),),
            (1, 1): ((0, Cyclotomic.rational(square)),)}
     star = ONE if square > 0 else -ONE
-    return StructAlgebra(2, ["1", "x"], mul=mul, invol=[((0, ONE),), ((1, star),)],
-                         unit=[ONE, ZERO], trace=[ONE, ZERO])
+    return StructAlgebra._from_terms(2, ["1", "x"], mul, [((0, ONE),), ((1, star),)],
+                                     [ONE, ZERO], [ONE, ZERO])
 
 
 @pytest.mark.parametrize("square, root", [
@@ -239,9 +245,8 @@ def test_not_semisimple_detected():
     one = Cyclotomic.one()
     mul = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)}
     invol = [((0, one),), ((1, one),)]
-    alg = StructAlgebra(2, ["1", "x"], mul=mul, invol=invol,
-                        unit=[one, Cyclotomic.zero()],
-                        trace=[one, Cyclotomic.zero()])
+    alg = StructAlgebra._from_terms(2, ["1", "x"], mul, invol, [one, Cyclotomic.zero()],
+                                    [one, Cyclotomic.zero()])
     with pytest.raises(NotSemisimple):
         recognize_blocks(alg)
 
@@ -253,9 +258,8 @@ def test_axiom_violation_caught_at_construction():
            (1, 1): ((1, one),)}
     invol = [((0, one),), ((1, one),)]
     with pytest.raises(AxiomViolation):
-        StructAlgebra(2, ["a", "b"], mul=mul, invol=invol,
-                      unit=[one, Cyclotomic.zero()],
-                      trace=[one, Cyclotomic.zero()])
+        StructAlgebra._from_terms(2, ["a", "b"], mul, invol, [one, Cyclotomic.zero()],
+                                  [one, Cyclotomic.zero()])
 
 
 # -- automorphism checks on monomial maps ---------------------------------------
@@ -263,8 +267,8 @@ def test_axiom_violation_caught_at_construction():
 def weighted_c2(w0, w1):
     """C^2 in the point basis with trace weights w0, w1."""
     mul = {(0, 0): ((0, ONE),), (1, 1): ((1, ONE),)}
-    return StructAlgebra(2, ["p", "q"], mul=mul, invol=[((0, ONE),), ((1, ONE),)],
-                         unit=[ONE, ONE], trace=[Cyclotomic.rational(w0), Cyclotomic.rational(w1)])
+    return StructAlgebra._from_terms(2, ["p", "q"], mul, [((0, ONE),), ((1, ONE),)], [ONE, ONE],
+                                     [Cyclotomic.rational(w0), Cyclotomic.rational(w1)])
 
 
 def test_automorphism_failure_unital():
@@ -365,58 +369,121 @@ def test_automorphism_failure_agrees_with_sparse_reference():
     assert outcomes == {"unital", "multiplicative", "*-compatible", "trace-preserving", None}
 
 
+def golden_text(name):
+    with open(os.path.join(GOLDEN, f"{name}.txt")) as fh:
+        return fh.read()
+
+
 def test_serialization_golden_roundtrip():
     alg = multimatrix(BlockSpec((2, 1)))
     text = alg.serialize()
-    with open(os.path.join(GOLDEN, "multimatrix_2_1.txt")) as fh:
-        assert text == fh.read()
+    assert text == golden_text("multimatrix_2_1")
     back = StructAlgebra.deserialize(text)
     assert back.serialize() == text
 
 
+def _twist_2_2():
+    spec = BlockSpec((2, 2))
+    return twist_left(fourier_function_algebra(spec), spec_cocycle(spec))[0]
+
+
+@pytest.mark.parametrize("name, build", [
+    ("tensor_multimatrix_2_1_by_2", lambda: tensor_algebra(multimatrix(BlockSpec((2, 1))), 2)),
+    ("group_algebra_2_3", lambda: group_algebra(FinAbGroup((2, 3))).algebra),
+    ("fourier_function_algebra_2_1", lambda: fourier_function_algebra(BlockSpec((2, 1))).algebra),
+    ("twist_left_2_2", _twist_2_2),
+])
+def test_builders_match_golden_text(name, build):
+    text = build().serialize()
+    assert text == golden_text(name)
+    assert StructAlgebra.deserialize(text).serialize() == text
+
+
+@pytest.mark.parametrize("label", ["u(0, 1)", ""])
+def test_serialize_refuses_labels_it_cannot_read_back(label):
+    A = multimatrix(BlockSpec((1, 1)))
+    A.labels = ("a", label)
+    with pytest.raises(ValueError, match="whitespace"):
+        A.serialize()
+
+
+# C^2 in the basis b0 = 1, b1 = e0 + 2 e1: a valid algebra, but
+# b1 b1 = -2 b0 + 3 b1 is not a monomial
+TWO_TERM_TEXT = """dim 2
+labels 1 x
+mul 0 0 0=1:1
+mul 0 1 1=1:1
+mul 1 0 1=1:1
+mul 1 1 0=1:-2 1=1:3
+invol 0 0=1:1
+invol 1 1=1:1
+unit 1:1 1:0
+trace 1:1 1:3/2
+"""
+
+
 def test_two_term_product_rejected_at_construction():
-    # C^2 in the basis b0 = 1, b1 = e0 + 2 e1: a valid algebra, but
-    # b1 b1 = -2 b0 + 3 b1 is not a monomial
-    r = Cyclotomic.rational
-    mul = {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),),
-           (1, 1): ((0, r(-2)), (1, r(3)))}
     with pytest.raises(AxiomViolation, match=r"b_1 b_1 has 2 terms, not one"):
-        StructAlgebra(2, ["1", "x"], mul=mul, invol=[((0, ONE),), ((1, ONE),)],
-                      unit=[ONE, ZERO], trace=[r(1), r(Fraction(3, 2))])
+        StructAlgebra.deserialize(TWO_TERM_TEXT)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    pytest.param("mul 0 1 1=1:1\n", "mul 0 1 1=1:1\nmul 0 1 1=1:1\n", 5, id="repeated-mul"),
+    pytest.param("trace ", "trace 1:0 ", 18, id="long-trace"),
+    pytest.param("dim 5\n", "", 1, id="no-dim"),
+    pytest.param("dim 5", "dim 6", 2, id="dim-above-lines"),
+    pytest.param("dim 5", "dim 4", 2, id="dim-below-lines"),
+    pytest.param("mul 0 1 1=", "mul 0 5 1=", 4, id="mul-index"),
+    pytest.param("mul 0 1 1=", "mul -1 1 1=", 4, id="negative-mul-index"),
+    pytest.param("mul 0 1 1=", "mul 0 1 5=", 4, id="mul-target"),
+    pytest.param("invol 2 1=", "invol 7 1=", 14, id="invol-index"),
+    pytest.param("invol 2 1=", "invol 2 -1=", 14, id="invol-target"),
+    pytest.param("invol 2 1=", "invol 1 1=", 14, id="repeated-invol"),
+    pytest.param("unit ", "unit 1:1 ", 17, id="long-unit"),
+    pytest.param("mul 0 1 1=1:1", "mul 0 1 1=0:1", 4, id="order-zero"),
+    pytest.param("mul 0 1 1=1:1", "mul 0 1 1:1", 4, id="term-without-target"),
+    pytest.param("labels", "label", 2, id="unknown-line"),
+])
+def test_deserialize_refuses_malformed_text(old, new, line):
+    text = golden_text("multimatrix_2_1")
+    assert old in text
+    with pytest.raises(ValueError, match=rf"^line {line} ") as err:
+        StructAlgebra.deserialize(text.replace(old, new))
+    assert not isinstance(err.value, AxiomViolation)
 
 
 def _edited_tensor_128(edit):
     """C(X) x M_2 for |X| = 32, dimension 128, rebuilt after
-    ``edit(mul, invol, trace)``.  The edits below touch only
-    d_3 x M_2 (basis 12..15), so they break a handful of the 2.1M basis
-    triples or 16k pairs, and the check must find those."""
+    ``edit(s, star_s, scalars, trace)`` on copies of its arrays.  The edits
+    below touch only d_3 x M_2 (basis 12..15), so they break a handful of
+    the 2.1M basis triples or 16k pairs, and the check must find those."""
     T = tensor_algebra(function_algebra(32), 2)
-    mul, invol, trace = dict(T.mul), list(T.invol), list(T.trace)
-    edit(mul, invol, trace)
-    return StructAlgebra(T.dim, T.labels, mul=mul, invol=invol, unit=T.unit,
-                         trace=trace)
+    s, star_s, scalars, trace = T.s.copy(), T.star_s.copy(), list(T.scalars), list(T.trace)
+    edit(s, star_s, scalars, trace)
+    return StructAlgebra(T.dim, T.labels, k=T.k, s=s, scalars=scalars, star_k=T.star_k,
+                         star_s=star_s, unit=T.unit, trace=trace)
 
 
 def test_associativity_checked_on_every_triple_at_dim_128():
-    def negate_product(mul, invol, trace):
-        ((k, c),) = mul[(13, 14)]  # (d3 E01)(d3 E10) = d3 E00
-        mul[(13, 14)] = ((k, -c),)
+    def negate_product(s, star_s, scalars, trace):
+        scalars.append(-scalars[s[13, 14]])  # (d3 E01)(d3 E10) = d3 E00
+        s[13, 14] = len(scalars) - 1
 
     with pytest.raises(AxiomViolation, match=r"associativity fails at basis triple \(13,14,13\)"):
         _edited_tensor_128(negate_product)
 
 
 def test_antimultiplicativity_checked_on_every_pair_at_dim_128():
-    def negate_star(mul, invol, trace):
-        ((k, c),) = invol[12]  # (d3 E00)* = -d3 E00, still involutive
-        invol[12] = ((k, -c),)
+    def negate_star(s, star_s, scalars, trace):
+        scalars.append(-scalars[star_s[12]])  # (d3 E00)* = -d3 E00, still involutive
+        star_s[12] = len(scalars) - 1
 
     with pytest.raises(AxiomViolation, match=r"not antimultiplicative at \(12,12\)"):
         _edited_tensor_128(negate_star)
 
 
 def test_trace_property_checked_on_every_pair_at_dim_128():
-    def trace_off_diagonal(mul, invol, trace):
+    def trace_off_diagonal(s, star_s, scalars, trace):
         trace[13] = ONE  # tr(d3 E01) = 1
 
     with pytest.raises(AxiomViolation, match=r"trace is not tracial at \(12,13\)"):
@@ -526,10 +593,8 @@ def twisted_group_algebras(draw, edits=("none", "product", "scale", "star", "tra
 @given(twisted_group_algebras())
 def test_verify_axioms_agrees_with_dict_reference(case):
     dim, mul, invol, unit, trace = case
-    alg = StructAlgebra(dim, [f"u{i}" for i in range(dim)], mul=mul, invol=invol,
-                        unit=unit, trace=trace, verify=False)
     try:
-        alg.verify_axioms()
+        StructAlgebra._from_terms(dim, [f"u{i}" for i in range(dim)], mul, invol, unit, trace)
         got = None
     except AxiomViolation as exc:
         got = str(exc)
@@ -543,8 +608,7 @@ def test_exact_recognizer_on_twisted_group_algebras(case):
     # up to a root of unity; a twisted group algebra of an abelian group has
     # z blocks of one size
     dim, mul, invol, unit, trace = case
-    alg = StructAlgebra(dim, [f"u{i}" for i in range(dim)], mul=mul, invol=invol,
-                        unit=unit, trace=trace)
+    alg = StructAlgebra._from_terms(dim, [f"u{i}" for i in range(dim)], mul, invol, unit, trace)
     z = len(center(alg))
     size = math.isqrt(dim // z)
     assert size * size * z == dim

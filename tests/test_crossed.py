@@ -66,12 +66,13 @@ def test_swap_crossed_product_matches_regular_representation_oracle():
                            for a in range(2)])
         images[idx] = delta @ (X if g == (1,) else Mat.identity(2))
     # the four images form a basis of M_2 and multiply like the crossed product
-    for (a, b), terms in cp.algebra.mul.items():
-        prod = images[a] @ images[b]
-        acc = Mat.zeros(2, 2)
-        for k, c in terms:
-            acc = acc + images[k].scale(c)
-        assert prod.equals(acc)
+    for a in range(cp.algebra.dim):
+        for b in range(cp.algebra.dim):
+            prod = images[a] @ images[b]
+            acc = Mat.zeros(2, 2)
+            for k, c in cp.algebra.product(a, b):
+                acc = acc + images[k].scale(c)
+            assert prod.equals(acc)
 
 
 def test_translation_crossed_product_is_full_matrix_algebra():
@@ -218,7 +219,7 @@ def column_crossed_product(A, G, cols):
     for i in range(A.dim):
         for g in els:
             index[(i, g)] = len(labels)
-            labels.append(f"{A.labels[i]}.z{g}")
+            labels.append(f"{A.labels[i]}.z{g}".replace(" ", ""))
     one = Cyclotomic.one()
     mul = {}
     for g in els:
@@ -240,9 +241,15 @@ def column_crossed_product(A, G, cols):
         invol[a] = tuple((index[(k, ginv)], c) for k, c in sorted(star.items()))
         if g == G.identity:
             unit[a], trace[a] = A.unit[i], A.trace[i]
-    alg = StructAlgebra(len(labels), labels, mul=mul, invol=invol, unit=unit, trace=trace,
-                        tracial=A.tracial, verify=False)
+    alg = StructAlgebra._from_terms(len(labels), labels, mul, invol, unit, trace)
     return alg, index
+
+
+def test_crossed_product_text_reads_back():
+    spec = BlockSpec((2, 1))
+    cp = crossed_product(action_from_graded(fourier_function_algebra(spec), _tt_group(spec)))
+    text = cp.algebra.serialize()
+    assert StructAlgebra.deserialize(text).serialize() == text
 
 
 @pytest.mark.parametrize("sizes", [(2,), (2, 1), (2, 2)])
