@@ -631,9 +631,10 @@ def recognize_blocks(A: StructAlgebra, seed: int = 0) -> BlocksResult:
 
     Semisimplicity is detected (trace-form nondegeneracy of the regular
     representation), never assumed.  The center is split exactly for
-    dim <= 9; above that the structure constants are converted to
-    complex128 and split numerically, from seeded generic central elements.
-    ``seed`` reaches only that float path.
+    dim <= 9; above that it is split numerically in complex128, from seeded
+    generic central elements, with every product read off the monomial
+    arrays ``k``, ``s`` and ``scalars``.  ``seed`` reaches only that float
+    path.
     """
     if A.dim > 9:
         return _recognize_float(A, seed)
@@ -681,7 +682,9 @@ def _central_idempotents(A: StructAlgebra, cen):
     and on p the eigenvalues of c are the n-th roots mu of lam, with spectral
     projections (1/n) sum_(k=1..n) (c/mu)^k.  Every idempotent found so far
     is cut by 1 - p and by these projections, until there are as many as the
-    center has dimensions."""
+    center has dimensions.  An idempotent g with g c = a g is kept whole:
+    exactly one cut keeps it (1 - p when a = 0, else the projection for
+    mu = a), and every other cut gives zero."""
     support = [k for c in cen for k in c]
     if len(support) != len(set(support)):
         raise RecognitionError("reduced center basis rows share basis elements")
@@ -708,8 +711,16 @@ def _central_idempotents(A: StructAlgebra, cen):
                 w = w * mu_inv
                 accumulate(proj, w, ck.items())
             cuts.append(proj)
-        idems = [f for g in idems for f in
-                 (A.mul_sparse(g.items(), cut.items()) for cut in cuts) if f]
+        split = []
+        for g in idems:
+            gc = A.mul_sparse(g.items(), c.items())
+            k0, x0 = next(iter(g.items()))
+            a = gc.get(k0, Cyclotomic.zero()) / x0
+            if sparse_eq(gc, {i: a * x for i, x in g.items()}):
+                split.append(g)
+            else:
+                split += [f for f in (A.mul_sparse(g.items(), cut.items()) for cut in cuts) if f]
+        idems = split
     _verify_idempotents_exact(A, idems, unit)
     return idems
 
@@ -758,18 +769,12 @@ def _verify_idempotents_exact(A: StructAlgebra, idems, unit):
 
 
 def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
-    n = A.dim
-    sc = np.zeros((n, n, n), dtype=np.complex128)  # sc[i, j, k]: b_k in b_i b_j
-    i, j = np.nonzero(A.k >= 0)
-    values = np.array([c.to_complex() for c in A.scalars], dtype=np.complex128)
-    sc[i, j, A.k[i, j]] = values[A.s[i, j]]
+    prods = _FloatProducts(A)
     unit = np.array([c.to_complex() for c in A.unit])
-    t = np.einsum("kll->k", sc)
-    form = np.einsum("ijk,k->ij", sc, t)
-    sv = np.linalg.svd(form, compute_uv=False)
+    sv = np.linalg.svd(prods.trace_form(), compute_uv=False)
     if sv.size and sv[-1] <= 1e-6 * max(sv[0], 1.0):
         raise NotSemisimple("trace form of the regular representation is degenerate")
-    cen = _center_float(sc)
+    cen = _center_float(prods.commutator_rows())
     m = len(cen)
     if m == 0:
         raise RecognitionError("empty center")
@@ -782,11 +787,10 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
     for coeffs in coeff_sets:
         z = sum(c * v for c, v in zip(coeffs, cen))
         try:
-            idems, resid = _idempotents_from_generic_float(sc, unit, cen, z)
+            idems, resid = _idempotents_from_generic_float(prods.mul, unit, cen, z)
             sizes = []
             for e in idems:
-                rows = np.einsum("i,ijk->kj", e, sc)
-                svr = np.linalg.svd(rows, compute_uv=False)
+                svr = np.linalg.svd(prods.left_rows(e), compute_uv=False)
                 d = int(np.sum(svr > 1e-6 * max(float(svr[0]), 1.0)))
                 root = math.isqrt(d)
                 if root * root != d:
@@ -796,17 +800,68 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
                                 {"center_dim": m}, resid)
         except (RecognitionError, NonSquareBlock) as exc:
             # A non-square rank means this element merged blocks: a failed split.
-            last_err = str(exc)  # not exc, whose traceback would hold sc in a cycle
+            last_err = str(exc)  # not exc, whose traceback would hold this frame in a cycle
     raise RecognitionError(f"float center splitting failed: {last_err}")
 
 
-def _center_float(sc):
-    """Center basis as the SVD nullspace of the stacked commutator system:
-    rows indexed by (i, k), columns by j, entries sc[j,i,k] - sc[i,j,k]."""
-    n = sc.shape[0]
-    rows = np.zeros((n * n, n), dtype=np.complex128)
-    for i in range(n):
-        rows[i * n:(i + 1) * n, :] = sc[:, i, :].T - sc[i, :, :].T
+class _FloatProducts:
+    """The nonzero products b_i b_j = c b_k of an algebra in row-major (i, j)
+    order, c in complex128.  Products (u_i v_j) c are summed per k in that
+    order, so each float is, bit for bit, that of an einsum over the dense
+    (dim, dim, dim) structure tensor, which is never built."""
+
+    def __init__(self, A: StructAlgebra):
+        self.n = A.dim
+        self.i, self.j = np.nonzero(A.k >= 0)
+        self.k = A.k[self.i, self.j]
+        values = np.array([c.to_complex() for c in A.scalars], dtype=np.complex128)
+        self.c = values[A.s[self.i, self.j]]
+
+    def mul(self, u, v):
+        """The product u v."""
+        return _sums(self.k, _times(_times(u[self.i], v[self.j]), self.c), self.n)
+
+    def left_rows(self, e):
+        """The matrix of left multiplication by e: column j holds e b_j."""
+        n = self.n
+        return _sums(self.k * n + self.j, _times(e[self.i], self.c), n * n).reshape(n, n)
+
+    def trace_form(self):
+        """Tr(L_(b_i b_j)), the trace form of the regular representation."""
+        fixed = self.k == self.j  # b_i b_j = c b_j adds c to Tr(L_(b_i))
+        form = np.zeros((self.n, self.n), dtype=np.complex128)
+        form[self.i, self.j] = _times(self.c, _sums(self.i[fixed], self.c[fixed], self.n)[self.k])
+        return form
+
+    def commutator_rows(self):
+        """Row (i, k), column j: the b_k-coefficient of b_j b_i - b_i b_j."""
+        n = self.n
+        rows = np.zeros((n * n, n), dtype=np.complex128)
+        rows[self.j * n + self.k, self.i] = self.c
+        rows[self.i * n + self.k, self.j] -= self.c
+        return rows
+
+
+def _times(a, b):
+    """a * b elementwise from rounded float64 products, as einsum forms it;
+    numpy's complex multiply may fuse them and round differently."""
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _sums(index, values, size):
+    """out[t] = the sum of values[index == t], added in order."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(index, values.real, size)
+    out.imag = np.bincount(index, values.imag, size)
+    return out
+
+
+def _center_float(rows):
+    """Center basis as the SVD nullspace of the (n^2, n) commutator system."""
+    n = rows.shape[1]
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     tol = _FLOAT_EPS * max(rows.shape) * max(float(s[0]) if s.size else 1.0, 1.0)
     null_dim = int(np.sum(s <= tol))
@@ -816,13 +871,9 @@ def _center_float(sc):
     return [basis[i] for i in range(null_dim)]
 
 
-def _idempotents_from_generic_float(sc, unit, cen, z):
+def _idempotents_from_generic_float(mul, unit, cen, z):
     """Idempotents from the spectral projections of z, with the worst
-    |e e - e| among them."""
-
-    def mul(u, v):
-        return np.einsum("i,j,ijk->k", u, v, sc)
-
+    |e e - e| among them; ``mul(u, v)`` is the product of the algebra."""
     m = len(cen)
     cen_mat = np.array(cen).T  # dim x m
     pinv = np.linalg.pinv(cen_mat)

@@ -614,3 +614,197 @@ def test_exact_recognizer_on_twisted_group_algebras(case):
     assert size * size * z == dim
     res = recognize_blocks(alg)
     assert res.method == "exact" and res.sizes == (size,) * z
+
+
+# -- float recognizer against the dense structure tensor ----------------------
+
+def dense_structure_tensor(A):
+    """sc[i, j, k]: the b_k-coefficient of b_i b_j, in complex128."""
+    n = A.dim
+    sc = np.zeros((n, n, n), dtype=np.complex128)
+    i, j = np.nonzero(A.k >= 0)
+    values = np.array([c.to_complex() for c in A.scalars], dtype=np.complex128)
+    sc[i, j, A.k[i, j]] = values[A.s[i, j]]
+    return sc
+
+
+class DenseProducts:
+    """The reference for ``algebra._FloatProducts``: einsums over the dense
+    structure tensor."""
+
+    def __init__(self, A):
+        self.sc = dense_structure_tensor(A)
+
+    def mul(self, u, v):
+        return np.einsum("i,j,ijk->k", u, v, self.sc)
+
+    def left_rows(self, e):
+        return np.einsum("i,ijk->kj", e, self.sc)
+
+    def trace_form(self):
+        return np.einsum("ijk,k->ij", self.sc, np.einsum("kll->k", self.sc))
+
+    def commutator_rows(self):
+        sc = self.sc
+        n = sc.shape[0]
+        rows = np.zeros((n * n, n), dtype=np.complex128)
+        for i in range(n):
+            rows[i * n:(i + 1) * n, :] = sc[:, i, :].T - sc[i, :, :].T
+        return rows
+
+
+def bitwise_equal(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def tt_algebras(sizes):
+    """The double crossed product and the tensor oracle that ``tt`` compares."""
+    from qautcert.cli import _tt_group
+    from qautcert.crossed import action_from_graded, crossed_product, dual_action
+
+    spec = BlockSpec(sizes)
+    action = action_from_graded(fourier_function_algebra(spec), _tt_group(spec))
+    double = crossed_product(dual_action(crossed_product(action))).algebra
+    return double, tensor_algebra(action.algebra, action.group.order)
+
+
+FLOAT_CASES = [pytest.param(sizes, which, id=f"tt-{'-'.join(map(str, sizes))}-{which}")
+               for sizes in [(2,), (2, 1), (3,)] for which in ("double", "oracle")]
+FLOAT_CASES += [pytest.param(sizes, "multimatrix", id=f"multimatrix-{'-'.join(map(str, sizes))}")
+                for sizes in [(3, 1), (3, 2)]]
+
+
+@pytest.fixture(scope="module")
+def float_algebras():
+    cache = {}
+
+    def build(sizes, which):
+        if (sizes, which) not in cache:
+            if which == "multimatrix":
+                cache[sizes, which] = multimatrix(BlockSpec(sizes))
+            else:
+                double, oracle = tt_algebras(sizes)
+                cache[sizes, "double"], cache[sizes, "oracle"] = double, oracle
+        return cache[sizes, which]
+
+    return build
+
+
+@pytest.mark.parametrize("sizes, which", FLOAT_CASES)
+def test_float_products_match_dense_einsums_bit_for_bit(float_algebras, sizes, which):
+    from qautcert.algebra import _FloatProducts
+
+    A = float_algebras(sizes, which)
+    assert A.dim > 9
+    prods, dense = _FloatProducts(A), DenseProducts(A)
+    rng = np.random.default_rng(sum(sizes) + A.dim)
+    for _ in range(10):
+        u, v = rng.standard_normal((2, A.dim)) + 1j * rng.standard_normal((2, A.dim))
+        u[rng.random(A.dim) < 0.3] = 0
+        v[rng.random(A.dim) < 0.3] = 0
+        assert bitwise_equal(prods.mul(u, v), dense.mul(u, v))
+        assert bitwise_equal(prods.left_rows(u), dense.left_rows(u))
+    assert bitwise_equal(prods.trace_form(), dense.trace_form())
+    assert bitwise_equal(prods.commutator_rows(), dense.commutator_rows())
+
+
+@pytest.mark.parametrize("sizes, which", FLOAT_CASES)
+def test_float_recognizer_matches_dense_reference_bit_for_bit(float_algebras, monkeypatch,
+                                                               sizes, which):
+    from qautcert import algebra
+
+    A = float_algebras(sizes, which)
+    for seed in (0, 42):
+        got = recognize_blocks(A, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_FloatProducts", DenseProducts)
+            ref = recognize_blocks(A, seed)
+        assert got.method == ref.method == "float"
+        assert got.sizes == ref.sizes and got.details == ref.details
+        assert bitwise_equal(got.residual, ref.residual)
+        assert len(got.idempotents) == len(ref.idempotents)
+        for e, f in zip(got.idempotents, ref.idempotents):
+            assert bitwise_equal(e, f)
+
+
+# -- exact splitter against cutting every idempotent ----------------------------
+
+def central_idempotents_cutting_all(A, cen):
+    """The reference for ``algebra._central_idempotents``: every idempotent
+    is multiplied by every cut of every center row."""
+    from qautcert.algebra import (
+        _nth_root,
+        _power_cycle,
+        _verify_idempotents_exact,
+        monomial_forms,
+        sparse_vector,
+    )
+
+    unit = sparse_vector(A.unit)
+    idems = [unit]
+    for c in cen:
+        if len(idems) == len(cen):
+            break
+        lam, powers = _power_cycle(A, c)
+        n = len(powers)
+        L, (form,) = monomial_forms([lam])
+        r = _nth_root(form[0], n)
+        cuts = [dict(unit)]
+        accumulate(cuts[0], -lam.inverse(), powers[-1].items())
+        for j in range(n):
+            mu_inv = root_of_unity(n * L, -(form[1] + j * L)) / Cyclotomic.rational(r)
+            proj: dict = {}
+            w = Cyclotomic.rational(Fraction(1, n))
+            for ck in powers:
+                w = w * mu_inv
+                accumulate(proj, w, ck.items())
+            cuts.append(proj)
+        idems = [f for g in idems for f in
+                 (A.mul_sparse(g.items(), cut.items()) for cut in cuts) if f]
+    _verify_idempotents_exact(A, idems, unit)
+    return idems
+
+
+def reduced_center(A):
+    from qautcert.arith import echelon
+
+    return list(echelon(center(A))[0].values())
+
+
+def counting_mul_sparse(monkeypatch):
+    calls = [0]
+    mul_sparse = StructAlgebra.mul_sparse
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return mul_sparse(self, u, v)
+
+    monkeypatch.setattr(StructAlgebra, "mul_sparse", counted)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(twisted_group_algebras(edits=("none",)))
+def test_central_idempotents_match_cutting_every_idempotent(case):
+    from qautcert.algebra import _central_idempotents
+
+    dim, mul, invol, unit, trace = case
+    alg = StructAlgebra._from_terms(dim, [f"u{i}" for i in range(dim)], mul, invol, unit, trace)
+    cen = reduced_center(alg)
+    assert _central_idempotents(alg, cen) == central_idempotents_cutting_all(alg, cen)
+
+
+def test_central_idempotents_keep_what_a_row_does_not_split(monkeypatch):
+    # every center row delta_k of C^20 splits one idempotent and acts as a
+    # scalar on all the others, which keep their place in the list
+    from qautcert.algebra import _central_idempotents
+
+    A = function_algebra(20)
+    cen = reduced_center(A)
+    calls = counting_mul_sparse(monkeypatch)
+    ref = central_idempotents_cutting_all(A, cen)
+    ref_calls, calls[0] = calls[0], 0
+    assert _central_idempotents(A, cen) == ref
+    assert len(ref) == 20
+    assert calls[0] < ref_calls
