@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Time each suite at the largest partitions, one suite per process.
+
+Runs every suite at exact (4,) and (2,2,2,2) and float (3,3) and (4,2), one
+subprocess per (partition, suite), with ``force=True`` so the desk-scale cap
+admits it, under a timeout.  Prints, for each run, the wall and CPU time of the suite
+and the process's peak resident memory (``ru_maxrss``).
+
+Exits 1 when a budgeted run fails, times out or exceeds its budget.  The
+other runs are reported, not gated, until they have budgets of their own.
+
+    PYTHONPATH=src python scripts/time_large_partitions.py
+"""
+
+import json
+import resource
+import subprocess
+import sys
+import time
+
+PARTITIONS = [("exact", (4,)), ("exact", (2, 2, 2, 2)), ("float", (3, 3)), ("float", (4, 2))]
+# (backend, partition, suite) -> seconds
+BUDGETS = {("exact", (2, 2, 2, 2), "conj"): 0.5, ("exact", (2, 2, 2, 2), "twist"): 1.0}
+TIMEOUT_S = 120.0  # per run; a run that takes longer is reported as failed
+
+
+def child(backend: str, partition: str, suite: str) -> None:
+    """Run one suite in this process and print its measurements as JSON."""
+    from qautcert.cli import SuiteConfig, run
+
+    cfg = SuiteConfig(partition=tuple(int(n) for n in partition.split(",")),
+                      backend=backend, suites=(suite,), force=True)
+    t0, c0 = time.perf_counter(), time.process_time()
+    frag = run(cfg)["suites"][suite]
+    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+    print(json.dumps({"wall_s": wall, "cpu_s": cpu, "passed": bool(frag.get("passed")),
+                      "error": frag.get("error"),
+                      "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+
+
+def measure(backend, partition, suite):
+    """The child's measurements, or {"error": ...} when it timed out or crashed."""
+    cmd = [sys.executable, __file__, "--child", backend, ",".join(map(str, partition)), suite]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"passed": False, "error": f"timeout after {TIMEOUT_S:g} s"}
+    if proc.returncode != 0:
+        return {"passed": False, "error": (proc.stderr.strip().splitlines() or ["crashed"])[-1]}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--child"]:
+        child(*sys.argv[2:5])
+        return 0
+    from qautcert.cli import SUITE_NAMES
+
+    failed = 0
+    print(f"{'backend':7s} {'partition':12s} {'suite':8s} {'wall_s':>8s} {'cpu_s':>8s} "
+          f"{'rss_mb':>8s} {'budget':>7s}  result")
+    for backend, partition in PARTITIONS:
+        for suite in SUITE_NAMES:
+            m = measure(backend, partition, suite)
+            budget = BUDGETS.get((backend, partition, suite))
+            ok = m["passed"] and (budget is None or m["wall_s"] <= budget)
+            if budget is not None and not ok:
+                failed += 1
+            result = ("ok" if ok else "OVER BUDGET" if m["passed"] else f"FAIL {m['error']}")
+            print(f"{backend:7s} {str(partition):12s} {suite:8s} "
+                  + " ".join(f"{m[k]:8.2f}" if k in m else f"{'-':>8s}"
+                             for k in ("wall_s", "cpu_s", "maxrss_mb"))
+                  + f" {budget if budget is not None else '-':>7}  {result}", flush=True)
+    print(f"\n{failed} budgeted run(s) failed or over budget")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,9 @@ twist C(X) into a multimatrix algebra, certified by block recognition.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from .algebra import (
     BlockSpec,
     StructAlgebra,
     _scalar_products,
-    associativity_failure,
     monomial_forms,
     recognize_blocks,
 )
@@ -88,9 +89,16 @@ class FinAbGroup:
 
     def addition_table(self) -> np.ndarray:
         """t[a, b] = the position of g_a + g_b, for the elements g in
-        ``elements()`` order."""
-        els, pos = self.elements(), self.position_map()
-        return np.array([[pos[self.add(g, h)] for h in els] for g in els], dtype=np.int64)
+        ``elements()`` order, which is lexicographic: the position of g is
+        the mixed-radix number with digits g."""
+        digits = np.array(self.elements(), dtype=np.int64).reshape(self.order, -1)
+        strides = [math.prod(self.factors[i + 1:]) for i in range(len(self.factors))]
+        return (digits[:, None] + digits) % np.array(self.factors, dtype=np.int64) @ np.array(
+            strides, dtype=np.int64)
+
+    def negation(self) -> np.ndarray:
+        """n[a] = the position of -g_a."""
+        return np.argmin(self.addition_table(), axis=1)  # the one b with g_a + g_b = 0
 
     def pairing(self, chi, g) -> Cyclotomic:
         out = Cyclotomic.one()
@@ -108,140 +116,149 @@ class FinAbGroup:
         return True
 
 
-@dataclass
 class GroupCocycle:
-    """Table-valued normalized 2-cocycle with unit-modulus cyclotomic values."""
+    """A normalized 2-cocycle with root-of-unity values, held as one
+    exponent table: sigma(g_a, g_b) = zeta_L^E[a, b], with a and b the
+    positions of g_a and g_b in ``group.elements()``.  ``table`` is the int
+    table E with its order ``L``, or a dict {(g, h): Cyclotomic}, read into
+    E once.  ``W[a, b]`` is the order M of the field Q(zeta_M) that the
+    views ``value``, ``table`` and ``psi`` write the value over: the lcm of
+    the orders of the values it was built from, as their exact product
+    would write it (L for a dict), so that the views print and convert to
+    floats as that product does.  ``coboundary``, when normalization
+    produced the cocycle, is psi as (exponents at order L, field orders)."""
 
-    group: FinAbGroup
-    table: dict
-    psi: dict | None = None  # coboundary record when produced by normalization
-
-    def __post_init__(self):
+    def __init__(self, group: FinAbGroup, table, L: int | None = None, W=None,
+                 coboundary=None):
+        self.group = group
+        if isinstance(table, dict):
+            els = group.elements()
+            distinct = {(c.order, c.coeffs): c for c in table.values()}
+            L, forms = monomial_forms(list(distinct.values()))
+            exps = {}
+            for (key, c), form in zip(distinct.items(), forms):
+                if form is None or form[0] != 1:
+                    raise CocycleError(f"cocycle value {c!r} is not a root of unity")
+                exps[key] = form[1]
+            table = [[exps[(c.order, c.coeffs)] for c in (table[(g, h)] for h in els)]
+                     for g in els]
+        self.L = L
+        self.E = np.asarray(table, dtype=np.int64) % L
+        self.W = np.full_like(self.E, L) if W is None else W
+        self.coboundary = coboundary
         self.verify()
 
     def value(self, g, h) -> Cyclotomic:
-        return self.table[(g, h)]
+        pos = self.group.position_map()
+        (c,), _ = _roots(self.L, self.E[pos[g], pos[h]], self.W[pos[g], pos[h]])
+        return c
+
+    @property
+    def table(self) -> dict:
+        """{(g, h): sigma(g, h)}, read off E."""
+        els = self.group.elements()
+        values, t = _roots(self.L, self.E, self.W)
+        return {(g, h): values[t.item(a, b)] for a, g in enumerate(els) for b, h in enumerate(els)}
+
+    @property
+    def psi(self) -> dict | None:
+        """{g: psi(g)}, read off the coboundary record, or None."""
+        if self.coboundary is None:
+            return None
+        values, t = _roots(self.L, *self.coboundary)
+        return {g: values[i] for g, i in zip(self.group.elements(), t.tolist())}
 
     def verify(self):
-        """Normalization, and the cocycle identity on every triple: it is
-        the associativity of the twisted group algebra u_g u_h =
-        sigma(g, h) u_(g+h), with each value a root of unity zeta_L^e."""
-        G = self.group
-        els = G.elements()
-        e = G.identity
-        for g in els:
-            if not self.table[(e, g)].is_one() or not self.table[(g, e)].is_one():
-                raise CocycleError(f"cocycle not normalized at {g}")
-        distinct = {(c.order, c.coeffs): c for c in self.table.values()}
-        L, forms = monomial_forms(list(distinct.values()))
-        exps = {}
-        for (key, c), form in zip(distinct.items(), forms):
-            if form is None or form[0] != 1:
-                raise CocycleError(f"cocycle value {c!r} is not a root of unity")
-            exps[key] = form[1]
-        index = G.position_map()
-        target = G.addition_table()
-        exp = np.zeros_like(target)
-        for (g, h), c in self.table.items():
-            exp[index[g], index[h]] = exps[(c.order, c.coeffs)]
-        ones = np.ones_like(exp)
-        bad = associativity_failure(target, exp, ones, ones, L)
-        if bad:
-            g, h, k = (els[i] for i in bad)
-            raise CocycleError(f"cocycle identity fails at ({g},{h},{k})")
+        """Normalization, and the cocycle identity sigma(g, h) sigma(g+h, k)
+        = sigma(h, k) sigma(g, h+k) on every triple, in exponents, one g at
+        a time; it is the associativity of the twisted group algebra
+        u_g u_h = sigma(g, h) u_(g+h), and the first failing triple is
+        reported in lexicographic order."""
+        els, E, add = self.group.elements(), self.E, self.group.addition_table()
+        bad = (E[0] != 0) | (E[:, 0] != 0)  # the identity is position 0
+        if bad.any():
+            raise CocycleError(f"cocycle not normalized at {els[np.argmax(bad)]}")
+        for g in range(len(els)):
+            bad = (E[g][:, None] + E[add[g]] - E - E[g][add]) % self.L != 0
+            if bad.any():
+                h, k = np.argwhere(bad)[0].tolist()
+                raise CocycleError(f"cocycle identity fails at ({els[g]},{els[h]},{els[k]})")
 
     def inverse_pairing_trivial(self) -> bool:
-        G = self.group
-        return all(self.table[(g, G.neg(g))].is_one() for g in G.elements())
+        return not self.E[np.arange(self.group.order), self.group.negation()].any()
+
+
+def _roots(L: int, e, w):
+    """(values, t) with values[t[i]] = zeta_L^e[i] written over
+    Q(zeta_w[i]), elementwise over the int arrays e (in [0, L)) and w (each
+    w[i] | L, with zeta_L^e[i] a w[i]-th root of unity), each distinct value
+    built once."""
+    keys, t = np.unique(e * (L + 1) + w, return_inverse=True)
+    pairs = (divmod(key, L + 1) for key in keys.tolist())
+    return [root_of_unity(w, e * w // L) for e, w in pairs], t.reshape(np.shape(e))
+
+
+def _product_table(op, x, y):
+    """z[a len(y) + b, ...] = op(x[a, ...], y[b, ...]) on every axis: the
+    table on the product group of tables x and y on its factors."""
+    d = x.ndim
+    z = op.outer(x, y).transpose([i for a in range(d) for i in (a, d + a)])
+    return z.reshape([p * q for p, q in zip(x.shape, y.shape)])
 
 
 def trivial_cocycle(group: FinAbGroup) -> GroupCocycle:
-    one = Cyclotomic.one()
-    table = {(g, h): one for g in group.elements() for h in group.elements()}
-    return GroupCocycle(group, table)
+    return GroupCocycle(group, np.zeros((group.order, group.order), dtype=np.int64), 1)
 
 
 def base_cocycle(n_t: int) -> GroupCocycle:
     """w'([j1,j2],[k1,k2]) = zeta_{n_t}^(j1 k2) on Z_{n_t} x Z_{n_t}."""
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
-    G = FinAbGroup((n_t, n_t))
-    table = {}
-    for g in G.elements():
-        for h in G.elements():
-            table[(g, h)] = root_of_unity(n_t, g[0] * h[1]) if n_t > 1 else Cyclotomic.one()
-    return GroupCocycle(G, table)
+    j = np.arange(n_t)
+    return GroupCocycle(FinAbGroup((n_t, n_t)), np.outer(np.repeat(j, n_t), np.tile(j, n_t)), n_t)
 
 
 def normalize_inverse_pairing(sigma: GroupCocycle) -> GroupCocycle:
     """Cohomologous cocycle with w(h, h^-1) = 1 for every h.
 
-    Chooses psi(h) with psi(h)^-2 = sigma(h, h^-1) by exponent halving on a
-    deterministic representative of each pair {h, h^-1}, copies the value to
-    the inverse, and returns sigma * d(psi) together with the psi record.
+    For sigma(h, h^-1) = zeta_L^e, psi(h) = zeta_2L^-e halves the exponent
+    at order 2L, so psi(h)^-2 = sigma(h, h^-1); a normalized cocycle has
+    sigma(h, h^-1) = sigma(h^-1, h), so psi(h) = psi(h^-1).  Returns
+    sigma * d(psi), with psi as its coboundary record.
     """
-    G = sigma.group
-    psi = {G.identity: Cyclotomic.one()}
-    for g in sorted(G.elements()):
-        if g in psi:
-            continue
-        ginv = G.neg(g)
-        val = sigma.value(g, ginv)
-        psi_g = _principal_inverse_sqrt(val)
-        psi[g] = psi_g
-        psi.setdefault(ginv, psi_g)
-    table = {}
-    for g in G.elements():
-        for h in G.elements():
-            table[(g, h)] = sigma.value(g, h) * psi[g] * psi[h] / psi[G.add(g, h)]
-    out = GroupCocycle(G, table, psi=psi)
+    G, L, add = sigma.group, 2 * sigma.L, sigma.group.addition_table()
+    inverse_pairs = (np.arange(G.order), G.negation())  # the entries (h, h^-1)
+    psi = -sigma.E[inverse_pairs] % L
+    psi_w = 2 * sigma.W[inverse_pairs]
+    psi_w[0] = 1  # psi(e) = 1, written over Q
+    table = 2 * sigma.E + psi[:, None] + psi[None, :] - psi[add]
+    W = np.lcm(np.lcm(sigma.W, psi_w[:, None]), np.lcm(psi_w[None, :], psi_w[add]))
+    out = GroupCocycle(G, table, L, W, coboundary=(psi, psi_w))
     if not out.inverse_pairing_trivial():
         raise CocycleError("normalization failed to trivialize inverse pairing")
     return out
-
-
-def _principal_inverse_sqrt(val: Cyclotomic) -> Cyclotomic:
-    """psi with psi^-2 = val, for val a root of unity: write val = zeta_M^k
-    and halve the exponent inside zeta_2M, psi = zeta_2M^-k."""
-    M = val.order
-    for k in range(M):
-        if val == root_of_unity(M, k):
-            return root_of_unity(2 * M, (2 * M - k) % (2 * M))
-    raise CocycleError("cocycle value is not a root of unity")
 
 
 def product_cocycle(parts: list[GroupCocycle]) -> GroupCocycle:
     """Cocycle on the product group, sigma((g_t), (h_t)) = prod sigma_t(g_t, h_t)."""
     if not parts:
         raise ValueError("need at least one part")
-    factors = tuple(f for p in parts for f in p.group.factors)
-    G = FinAbGroup(factors)
-    widths = [len(p.group.factors) for p in parts]
-    table = {}
-    for g in G.elements():
-        for h in G.elements():
-            val = Cyclotomic.one()
-            pos = 0
-            for p, w in zip(parts, widths):
-                val = val * p.value(g[pos:pos + w], h[pos:pos + w])
-                pos += w
-            table[(g, h)] = val
-    psi = None
-    if all(p.psi is not None for p in parts):
-        psi = {}
-        for g in G.elements():
-            val = Cyclotomic.one()
-            pos = 0
-            for p, w in zip(parts, widths):
-                val = val * p.psi[g[pos:pos + w]]
-                pos += w
-            psi[g] = val
-    return GroupCocycle(G, table, psi=psi)
+    G = FinAbGroup(tuple(f for p in parts for f in p.group.factors))
+    L = math.lcm(*(p.L for p in parts))
+
+    def combine(op, arrays):
+        return functools.reduce(functools.partial(_product_table, op), arrays)
+
+    E = combine(np.add, [p.E * (L // p.L) for p in parts])
+    coboundary = None
+    if all(p.coboundary is not None for p in parts):
+        coboundary = (combine(np.add, [p.coboundary[0] * (L // p.L) for p in parts]) % L,
+                      combine(np.lcm, [p.coboundary[1] for p in parts]))
+    return GroupCocycle(G, E, L, combine(np.lcm, [p.W for p in parts]), coboundary)
 
 
 def inverse_cocycle(sigma: GroupCocycle) -> GroupCocycle:
-    table = {k: v.inverse() for k, v in sigma.table.items()}
-    return GroupCocycle(sigma.group, table)
+    return GroupCocycle(sigma.group, -sigma.E, sigma.L, sigma.W)
 
 
 @dataclass
@@ -283,10 +300,10 @@ def twist_left(graded: GradedAlgebra, sigma: GroupCocycle):
     G = graded.group
     if sigma.group != G:
         raise GradingMismatch("cocycle group does not match the grading group")
-    els, deg = G.elements(), graded.positions()
-    values = [sigma.value(g, h) for g in els for h in els]
-    products, s = _scalar_products(A.scalars, A.s, values, deg[:, None] * len(els) + deg)
-    scalars = [sigma.value(G.neg(d), d).conjugate() for d in graded.degrees]
+    deg = graded.positions()
+    values, t = _roots(sigma.L, sigma.E, sigma.W)
+    products, s = _scalar_products(A.scalars, A.s, values, t[deg[:, None], deg])
+    scalars = [values[i].conjugate() for i in t[G.negation()[deg], deg].tolist()]
     stars, star_s = _scalar_products(A.scalars, A.star_s, scalars, np.arange(A.dim))
     twisted = StructAlgebra(A.dim, A.labels, k=A.k, s=s, scalars=products + stars,
                             star_k=A.star_k, star_s=star_s + len(products),
@@ -405,20 +422,11 @@ def _explicit_weyl_isomorphism(spec: BlockSpec, graded: GradedAlgebra,
     n = spec.sizes[0]
     wb = weyl_basis(n)
     c = {(0, 0): Cyclotomic.one()}
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in c:
-                continue
-            if i > 0:
-                prev = c[(i - 1, j)]
-                c[(i, j)] = prev / sigma.value((1, 0), (i - 1, j))
-            else:
-                prev = c[(i, j - 1)]
-                c[(i, j)] = prev / sigma.value((i, j - 1), (0, 1))
-    index = {}
-    for i in range(n):
-        for j in range(n):
-            index[(i, j)] = i * n + j
+    for i, j in itertools.product(range(n), repeat=2):
+        if i:
+            c[(i, j)] = c[(i - 1, j)] / sigma.value((1, 0), (i - 1, j))
+        elif j:
+            c[(i, j)] = c[(i, j - 1)] / sigma.value((i, j - 1), (0, 1))
     products_checked = 0
     star_checked = 0
     for g in sigma.group.elements():

@@ -728,6 +728,66 @@ def test_float_recognizer_matches_dense_reference_bit_for_bit(float_algebras, mo
             assert bitwise_equal(e, f)
 
 
+def center_from_thin_svd(rows):
+    """The reference for ``algebra._center_float``: the nullspace from the
+    thin SVD of the whole (n^2, n) system, left factor included."""
+    from qautcert.algebra import _FLOAT_EPS
+
+    n = rows.shape[1]
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    tol = _FLOAT_EPS * max(rows.shape) * max(float(s[0]), 1.0)
+    return [vh.conj()[i] for i in range(n - int(np.sum(s <= tol)), n)]
+
+
+def sparse_dependent_system(n, seed):
+    """A seeded random sparse complex (n^2, n) system whose last n // 3
+    columns are multiples of earlier ones, so its nullspace is nonzero."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n * n, n)) + 1j * rng.standard_normal((n * n, n))
+    rows[rng.random((n * n, n)) < 0.9] = 0
+    for j in range(n - n // 3, n):
+        rows[:, j] = rng.standard_normal() * rows[:, rng.integers(n - n // 3)]
+    return rows
+
+
+@pytest.mark.parametrize("sizes, which", FLOAT_CASES)
+def test_float_center_matches_thin_svd_bit_for_bit(float_algebras, sizes, which):
+    from qautcert.algebra import _center_float, _FloatProducts
+
+    rows = _FloatProducts(float_algebras(sizes, which)).commutator_rows()
+    got, ref = _center_float(rows), center_from_thin_svd(rows)
+    assert len(got) == len(ref) > 0
+    assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("n", [10, 23, 47, 81])
+def test_float_center_matches_thin_svd_on_random_sparse_systems(n):
+    from qautcert.algebra import _center_float
+
+    for seed in range(3):
+        rows = sparse_dependent_system(n, seed)
+        got, ref = _center_float(rows), center_from_thin_svd(rows)
+        assert len(got) == len(ref) >= n // 3
+        assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_idempotent_check_rejects_a_failed_square_or_sum():
+    # orthogonality follows from these two checks, so it is not tested apart:
+    # a pair that is not orthogonal, like the unit and a block idempotent,
+    # fails the sum
+    from qautcert.algebra import _verify_idempotents_exact, sparse_vector
+
+    A = multimatrix(BlockSpec((2, 1)))
+    idems, unit = recognize_blocks(A).idempotents, sparse_vector(A.unit)
+    _verify_idempotents_exact(A, idems, unit)
+    doubled = [{k: 2 * c for k, c in idems[0].items()}] + idems[1:]
+    with pytest.raises(RecognitionError, match=r"fails e\^2 = e"):
+        _verify_idempotents_exact(A, doubled, unit)
+    for wrong in (idems[:-1], idems + [idems[0]], [unit, idems[0]]):
+        with pytest.raises(RecognitionError, match="do not sum to the unit"):
+            _verify_idempotents_exact(A, wrong, unit)
+
+
 # -- exact splitter against cutting every idempotent ----------------------------
 
 def central_idempotents_cutting_all(A, cen):

@@ -1,9 +1,13 @@
+import functools
 import itertools
+import operator
 import re
+
+import numpy as np
 
 import pytest
 
-from qautcert.algebra import BlockSpec, recognize_blocks
+from qautcert.algebra import BlockSpec, StructAlgebra, _scalar_products, recognize_blocks
 from qautcert.arith import Cyclotomic, root_of_unity
 from qautcert.cocycle import (
     CocycleError,
@@ -213,3 +217,97 @@ def test_gamma_group_factors():
     G = gamma_group(BlockSpec((2, 3)))
     assert G.factors == (2, 2, 3, 3)
     assert G.order == 36
+
+
+# -- reference: cocycles as dicts of Cyclotomic values ---------------------------
+
+def reference_base(n):
+    G = FinAbGroup((n, n))
+    return G, {(g, h): root_of_unity(n, g[0] * h[1]) if n > 1 else Cyclotomic.one()
+               for g in G.elements() for h in G.elements()}
+
+
+def reference_normalize(G, table):
+    """``normalize_inverse_pairing`` on a dict table: psi(h) = zeta_2M^-k for
+    sigma(h, h^-1) = zeta_M^k, k found by search, on the first element of
+    each pair {h, h^-1}; returns the table and psi."""
+    psi = {G.identity: Cyclotomic.one()}
+    for g in sorted(G.elements()):
+        if g not in psi:
+            val = table[(g, G.neg(g))]
+            k = next(k for k in range(val.order) if val == root_of_unity(val.order, k))
+            psi[g] = root_of_unity(2 * val.order, -k)
+            psi.setdefault(G.neg(g), psi[g])
+    els = G.elements()
+    return {(g, h): table[(g, h)] * psi[g] * psi[h] / psi[G.add(g, h)]
+            for g in els for h in els}, psi
+
+
+def reference_product(parts):
+    """``product_cocycle`` on (group, table, psi) parts: every value is the
+    product of the parts' values, from Cyclotomic.one()."""
+    G = FinAbGroup(tuple(f for p, _, _ in parts for f in p.factors))
+    cuts = list(itertools.accumulate([len(p.factors) for p, _, _ in parts], initial=0))
+
+    def split(g):
+        return [g[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    def product(values):
+        return functools.reduce(operator.mul, values, Cyclotomic.one())
+
+    els = G.elements()
+    table = {(g, h): product(t[(x, y)] for (_, t, _), x, y in zip(parts, split(g), split(h)))
+             for g in els for h in els}
+    psi = {g: product(q[x] for (_, _, q), x in zip(parts, split(g))) for g in els}
+    return G, table, psi
+
+
+def reference_spec_cocycle(sizes):
+    return reference_product([(G, *reference_normalize(G, t)) for G, t in map(reference_base, sizes)])
+
+
+def reference_twist_left(graded, table):
+    """``twist_left`` reading the dict table; returns the twisted algebra and
+    the involution scalars."""
+    A, G = graded.algebra, graded.group
+    els, deg = G.elements(), graded.positions()
+    values = [table[(g, h)] for g in els for h in els]
+    products, s = _scalar_products(A.scalars, A.s, values, deg[:, None] * len(els) + deg)
+    scalars = [table[(G.neg(d), d)].conjugate() for d in graded.degrees]
+    stars, star_s = _scalar_products(A.scalars, A.star_s, scalars, np.arange(A.dim))
+    return StructAlgebra(A.dim, A.labels, k=A.k, s=s, scalars=products + stars,
+                         star_k=A.star_k, star_s=star_s + len(products),
+                         unit=A.unit, trace=A.trace), scalars
+
+
+def written(values):
+    """Each value as the (order, coefficients) it is written with, which its
+    repr and its complex value follow."""
+    if isinstance(values, dict):
+        return {key: written(v) for key, v in values.items()}
+    return values.order, values.coeffs
+
+
+REFERENCE_SIZES = [(2,), (3,), (2, 1), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("sizes", REFERENCE_SIZES)
+def test_spec_cocycle_is_written_as_the_dict_reference(sizes):
+    G, table, psi = reference_spec_cocycle(sizes)
+    sigma = spec_cocycle(BlockSpec(sizes))
+    assert sigma.group == G
+    assert written(sigma.table) == written(table)
+    assert written(sigma.psi) == written(psi)
+    for n in sizes:
+        om = normalize_inverse_pairing(base_cocycle(n))
+        table, psi = reference_normalize(*reference_base(n))
+        assert written(om.table) == written(table) and written(om.psi) == written(psi)
+
+
+@pytest.mark.parametrize("sizes", REFERENCE_SIZES)
+def test_twist_left_is_written_as_the_dict_reference(sizes):
+    graded = fourier_function_algebra(BlockSpec(sizes))
+    ref, ref_scalars = reference_twist_left(graded, reference_spec_cocycle(sizes)[1])
+    twisted, record = twist_left(graded, spec_cocycle(BlockSpec(sizes)))
+    assert twisted.serialize() == ref.serialize()
+    assert [written(c) for c in record["involution_scalars"]] == [written(c) for c in ref_scalars]

@@ -200,6 +200,38 @@ def test_conjugation_lemma_requires_normalization():
         conjugation_lemma_check(fourier_function_algebra(spec), raw)
 
 
+def reference_conjugation_failure(graded, sigma):
+    """The first (x, g, k') at which the cocycle factor of
+    ``conjugation_lemma_check`` fails, by the loop over basis elements on
+    Cyclotomic values, or None."""
+    K, A, table = graded.group, graded.algebra, sigma.table
+    for x, h in zip(A.labels, graded.degrees):
+        for g in K.elements():
+            for kp in K.elements():
+                lhs = (table[(K.neg(g), kp)].conjugate() * table[(h, kp)]
+                       * table[(K.neg(K.add(h, g)), K.add(h, kp))])
+                if lhs != table[(h, g)]:
+                    return {"x": x, "g": list(g), "kp": list(kp)}
+    return None
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2)])
+def test_conjugation_lemma_fails_where_the_reference_loop_does(sizes):
+    # one exponent of E changed after construction, off the identity row and
+    # column and off sigma(k, -k), which NormalizationMissing covers
+    spec = BlockSpec(sizes)
+    graded = fourier_function_algebra(spec)
+    n, neg = graded.group.order, graded.group.negation()
+    cases = [(a, b) for a in range(1, n) for b in range(1, n) if b != neg[a]]
+    for i in np.random.default_rng(n).choice(len(cases), 6, replace=False):
+        sigma = spec_cocycle(spec)
+        a, b = cases[i]
+        sigma.E[a, b] = (sigma.E[a, b] + 1) % sigma.L
+        ref = reference_conjugation_failure(graded, sigma)
+        assert ref is not None
+        assert conjugation_lemma_check(graded, sigma) == {"passed": False, "failed_at": ref}
+
+
 # -- reference: crossed products built with one sparse product per pair --------
 
 def apply_columns(cols, terms):
