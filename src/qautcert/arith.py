@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "Cyclotomic",
     "Mat",
+    "Terms",
     "DimensionMismatch",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -674,15 +676,6 @@ class Mat:
             stack = stack * rows[:, None]
         return cls._new(stack.shape[1], mats[0].cols, order, _stored(stack), den)
 
-    def gather(self, index) -> "Mat":
-        """For a vertical stack of square blocks, the block matrix whose
-        block (a, b) is block ``index[a, b]`` of the stack, for a 2-D
-        integer array ``index``."""
-        index = np.asarray(index)
-        (R, C), n = index.shape, self.cols
-        coef = self.coef.reshape(len(self.coef), -1, n, n)[:, index].transpose(0, 1, 3, 2, 4)
-        return Mat._new(R * n, C * n, self.order, coef.reshape(len(coef), R * n, C * n), self.den)
-
     @classmethod
     def zeros(cls, rows, cols) -> "Mat":
         return cls._new(rows, cols, 1, np.zeros((1, rows, cols), dtype=np.int64), 1)
@@ -720,17 +713,6 @@ class Mat:
         a, b = self._promote_pair(other)
         coef = _bilinear(a.order, a.coef, b.coef, _planes_matmul, a.cols)
         return Mat._new(self.rows, other.cols, a.order, coef, a.den * b.den)
-
-    def block_products(self, other: "Mat") -> "Mat":
-        """For two vertical stacks of square blocks of one size, the stack of
-        the products of corresponding blocks."""
-        n = self.cols
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.rows % max(n, 1):
-            raise DimensionMismatch(f"{self.rows}x{self.cols} blockwise {other.rows}x{other.cols}")
-        a, b = self._promote_pair(other)
-        coef = _bilinear(a.order, *(x.coef.reshape(len(x.coef), -1, n, n) for x in (a, b)),
-                         _planes_matmul, n)
-        return Mat._new(self.rows, n, a.order, coef.reshape(-1, self.rows, n), a.den * b.den)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -865,6 +847,47 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, order {self.order})"
+
+
+@dataclass(frozen=True)
+class Terms:
+    """A rows x cols matrix as arrays over its terms,
+    (1/den) sum over t of num[t] * zeta_order^exp[t] * E_(row[t], col[t]),
+    where terms at one position add.  Integer numerators make it an exact
+    matrix (the arguments of ``Mat.from_entries``); complex ones, with exp 0,
+    order 1 and den 1, a complex array."""
+
+    rows: int
+    cols: int
+    order: int
+    den: int
+    row: np.ndarray
+    col: np.ndarray
+    exp: np.ndarray
+    num: np.ndarray
+
+    @property
+    def exact(self) -> bool:
+        return self.num.dtype.kind != "c"
+
+    @classmethod
+    def of(cls, m) -> "Terms":
+        """The nonzero terms of an exact ``Mat``, exp a power-basis index,
+        or of a complex array."""
+        if isinstance(m, Mat):
+            return cls(m.rows, m.cols, m.order, m.den, *m.terms())
+        row, col = np.nonzero(m)
+        return cls(*np.shape(m), 1, 1, row, col, np.zeros(len(row), dtype=np.int64),
+                   np.asarray(m[row, col], dtype=np.complex128))
+
+    def dense(self):
+        """The exact ``Mat``, or the complex array."""
+        if self.exact:
+            return Mat.from_entries(self.rows, self.cols, self.order, self.row, self.col,
+                                    self.exp, self.num, self.den)
+        out = np.zeros((self.rows, self.cols), dtype=np.complex128)
+        np.add.at(out, (self.row, self.col), self.num)
+        return out
 
 
 def _float_residual(a: Mat, b: Mat) -> float:

@@ -219,7 +219,7 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
         if cfg.backend == "float":
             images = ft_to_float(images)
         for label, line, assignment in cases:
-            subst = GeneratorAssignment(presentation, images.substitute(assignment.stack))
+            subst = GeneratorAssignment(presentation, images.substitute_terms(assignment.stack))
             rep = check_relations(subst, cfg.tol)
             worst = max(worst, rep.worst_residual)
             record.append(line)

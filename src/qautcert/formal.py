@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Mat, accumulate, root_of_unity
+from .arith import Mat, Terms, accumulate, root_of_unity
 
 __all__ = ["FormalTensor", "symbol_adjoint", "qsym", "usym"]
 
@@ -108,15 +108,20 @@ class FormalTensor:
         return out
 
     def substitute(self, values) -> Mat | np.ndarray:
+        """``substitute_terms`` as an exact Mat, or a complex array once
+        ``phase`` is set."""
+        return self.substitute_terms(values).dense()
+
+    def substitute_terms(self, values) -> Terms:
         """Evaluate every image under symbol -> exact k x k value: image b
         goes to block b of a (G size k) x (size k) stack, G the number of
         images, the sum over its rows of their coefficient times
         E_(row, col) (x) value.  ``values`` is a dict {symbol: Mat} or the
         vertical stack of the values of ``symbols`` in order (a
         ``GeneratorAssignment.stack``).  One scatter over the pairs of a row
-        and a nonzero power-basis term of its symbol's value gives an exact
-        Mat at one order and denominator, or a complex array once ``phase``
-        is set."""
+        and a nonzero power-basis term of its symbol's value gives the
+        stack's terms, exact at one order and denominator, or complex once
+        ``phase`` is set; no dense matrix is formed."""
         if isinstance(values, dict):
             values = Mat.vstack([values[s] for s in self.symbols])
         k = values.cols
@@ -137,15 +142,13 @@ class FormalTensor:
         if self.phase is not None:
             z = cmath.exp(2j * cmath.pi / values.order)
             powers = np.array([z ** e for e in range(values.order)])
-            data = np.zeros(shape, dtype=np.complex128)
-            np.add.at(data, (rows, cols),
-                      self.phase[t] * (vnum[v].astype(np.float64) / values.den) * powers[vexp[v]])
-            return data
+            num = self.phase[t] * (vnum[v].astype(np.float64) / values.den) * powers[vexp[v]]
+            return Terms(*shape, 1, 1, rows, cols, np.zeros(len(t), dtype=np.int64), num)
         order = math.lcm(self.order, values.order)
         den = math.lcm(*(p.denominator for p in self.prefactors))
         scale = [int(p * den) for p in self.prefactors]
         # stored value terms are below 2**31, so below it the products fit int64
         scale = np.array(scale, dtype=np.int64 if max(map(abs, scale)) < 2**31 else object)
-        return Mat.from_entries(*shape, order, rows, cols,
-                                self.exp[t] * (order // self.order) + vexp[v] * (order // values.order),
-                                scale[self.row[t] // self.size] * vnum[v], den * values.den)
+        return Terms(*shape, order, den * values.den, rows, cols,
+                     self.exp[t] * (order // self.order) + vexp[v] * (order // values.order),
+                     scale[self.row[t] // self.size] * vnum[v])

@@ -33,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec, MonomialMap, monomial_forms, multimatrix
-from .arith import Cyclotomic, Mat, accumulate, echelon, root_of_unity
+from .arith import (Cyclotomic, Mat, Terms, _maxabs, _root_table, _working, accumulate,
+                    echelon, euler_phi, root_of_unity)
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
 from .pauli import BlockEmbedding, NotPVM, pvm_check, weyl_basis
 
@@ -176,65 +177,11 @@ class QautPresentation:
                     yield RelationInstance(f"r5[{s},{i},{j}]", "r5", lhs, rhs)
 
     def block_residuals(self, values: "_BlockValues"):
-        """The residual of every relation instance, one array per block
-        contraction, the arrays and their entries in the order of
+        """The residual of every relation instance, one array per relation
+        family, the arrays and their entries in the order of
         ``relations()``."""
-        sizes, m = self.spec.sizes, self.spec.m
-        pos, start = {}, 0  # (s, r) -> generator numbers over (i, j, k, l)
-        for s, r in itertools.product(range(1, m + 1), repeat=2):
-            shape = (sizes[s - 1],) * 2 + (sizes[r - 1],) * 2
-            pos[s, r] = start + np.arange(math.prod(shape)).reshape(shape)
-            start += math.prod(shape)
-        zero, one = values.zero, values.one
-        # r1[s, s', r]: block rows (i, j, k), columns (i', j', l), summed over v
-        for s, sp, r in itertools.product(range(1, m + 1), repeat=3):
-            ns, nsp, nr = sizes[s - 1], sizes[sp - 1], sizes[r - 1]
-            rhs = None
-            if s == sp:
-                rhs = np.where(np.eye(ns, dtype=bool)[:, None, :, None, None],
-                               pos[s, r].transpose(0, 2, 1, 3)[:, None, :, None],
-                               zero).reshape(ns * ns * nr, -1)
-            resid = values.product_residuals(pos[s, r].reshape(-1, nr),
-                                             pos[sp, r].transpose(2, 0, 1, 3).reshape(nr, -1),
-                                             rhs)
-            yield resid.reshape(ns, ns, nr, nsp, nsp, nr).transpose(0, 1, 3, 4, 2, 5)
-        # r2[s, r, r']: n_s times the relation, block rows (i, k, l), columns
-        # (j, k', l'), summed over v; the residuals are scaled back by 1/n_s
-        for s, r, rp in itertools.product(range(1, m + 1), repeat=3):
-            ns, nr, nrp = sizes[s - 1], sizes[r - 1], sizes[rp - 1]
-            rhs = None
-            if r == rp:
-                rhs = np.where(np.eye(nr, dtype=bool)[:, None, :, None],
-                               pos[s, r].transpose(0, 2, 1, 3)[:, :, None, :, None],
-                               zero).reshape(ns * nr * nr, -1)
-            resid = values.product_residuals(pos[s, r].transpose(0, 2, 3, 1).reshape(-1, ns),
-                                             pos[s, rp].reshape(ns, -1), rhs,
-                                             Fraction(ns, nr), Fraction(1, ns))
-            yield resid.reshape(ns, nr, nr, ns, nrp, nrp).transpose(0, 3, 1, 2, 4, 5)
-        # r3[s, r]: Q with block rows (i, k), columns (j, l) is self-adjoint;
-        # instance (i, j, k, l) is block ((j, l), (i, k))
-        for s, r in itertools.product(range(1, m + 1), repeat=2):
-            ns, nr = sizes[s - 1], sizes[r - 1]
-            Q = values.gather(pos[s, r].transpose(0, 2, 1, 3).reshape(ns * nr, -1))
-            resid = values.residuals(values.adjoint(Q) - Q)
-            yield resid.reshape(ns, nr, ns, nr).transpose(2, 0, 3, 1)
-        # r4[r]: block rows (k, l), columns (s, i), times a column of identities
-        for r in range(1, m + 1):
-            nr = sizes[r - 1]
-            terms = np.concatenate([pos[s, r][np.arange(n), np.arange(n)].reshape(n, -1)
-                                    for s, n in enumerate(sizes, start=1)]).T
-            yield values.product_residuals(terms, np.full((terms.shape[1], 1), one),
-                                           np.where(np.eye(nr, dtype=bool), one, zero).reshape(-1, 1))
-        # r5[s]: block rows (i, j), columns (r, k), each column repeated n_r
-        # times for its coefficient n_r, times a column of identities
-        for s in range(1, m + 1):
-            ns = sizes[s - 1]
-            terms = np.concatenate([np.repeat(pos[s, r][..., np.arange(n), np.arange(n)]
-                                              .reshape(ns * ns, n), n, axis=1)
-                                    for r, n in enumerate(sizes, start=1)], axis=1)
-            yield values.product_residuals(terms, np.full((terms.shape[1], 1), one),
-                                           np.where(np.eye(ns, dtype=bool), one, zero).reshape(-1, 1),
-                                           ns)
+        for plan in _qaut_plans(self.spec.sizes):
+            yield values.residuals(plan)
 
 
 @dataclass
@@ -275,31 +222,23 @@ class SnPresentation:
                                    [(one, ())])
 
     def block_residuals(self, values: "_BlockValues"):
-        """The residual of every relation instance, one array per block
-        contraction, the arrays and their entries in the order of
-        ``relations()``."""
-        N = len(self.points)
-        pos = np.arange(N * N).reshape(N, N)  # generator numbers over (p, q)
-        # selfadj and idem per (p, q), over chunks of the stack of generators
-        step = max(1, _CHUNK_ENTRIES // values.n ** 2)
-        for lo in range(0, N * N, step):
-            column = np.arange(lo, min(lo + step, N * N))[:, None]
-            u = values.gather(column)
-            selfadj = values.residuals(values.adjoint(u) - values.gather(column.T))
-            idem = values.residuals(values.block_products(u, u) - u)
-            yield np.stack([selfadj.ravel(), idem.ravel()], axis=1)
-        ones = np.full((N, 1), values.one)
-        for terms in (pos, pos.T):  # rowsum[p], colsum[q]
-            yield values.product_residuals(terms, ones, ones)
+        """The residual of every relation instance, one array per relation
+        family (``selfadj`` and ``idem`` interleaved per (p, q)), the arrays
+        and their entries in the order of ``relations()``."""
+        selfadj, idem, rowsum, colsum = _sn_plans(self.spec.sizes)
+        yield np.stack([values.residuals(selfadj), values.residuals(idem)], axis=1)
+        yield values.residuals(rowsum)
+        yield values.residuals(colsum)
 
 
 class GeneratorAssignment:
     """Generator values, all exact or all complex, every one k x k, held as
     one block stack: ``stack`` is a (G k) x k exact ``Mat`` at one order and
-    denominator, or a complex array, whose block t is the value of generator
-    number t of ``presentation.generators``.  ``values`` is that stack, as
-    ``FormalTensor.substitute`` returns it, or a dict {generator: value},
-    which is stacked once here."""
+    denominator, or a complex array, or the ``Terms`` of either, whose block
+    t is the value of generator number t of ``presentation.generators``.
+    ``values`` is that stack, as ``FormalTensor.substitute`` or
+    ``substitute_terms`` returns it, or a dict {generator: value}, which is
+    stacked once here."""
 
     def __init__(self, presentation, values):
         self.presentation = presentation
@@ -318,20 +257,27 @@ class GeneratorAssignment:
             ordered = [values[g] for g in gens]
             values = (Mat.vstack(ordered) if exact
                       else np.concatenate(ordered).astype(np.complex128, copy=False))
-        self.exact = isinstance(values, Mat)
-        rows, self.size = (values.rows, values.cols) if self.exact else np.shape(values)
+        sized = isinstance(values, (Mat, Terms))
+        self.exact = values.exact if isinstance(values, Terms) else isinstance(values, Mat)
+        rows, self.size = (values.rows, values.cols) if sized else np.shape(values)
         if rows != len(gens) * self.size:
             raise IncompleteAssignment(f"a {rows}x{self.size} stack for {len(gens)} generators")
         self.stack = values
 
     @functools.cached_property
+    def terms(self) -> Terms:
+        """The stack as its ``Terms``."""
+        return self.stack if isinstance(self.stack, Terms) else Terms.of(self.stack)
+
+    @functools.cached_property
     def values(self) -> dict:
         """{generator: value}, read off the stack."""
         n = self.size
+        stack = self.stack.dense() if isinstance(self.stack, Terms) else self.stack
 
         def block(t):
             rows = range(t * n, t * n + n)
-            return self.stack.select(rows, range(n)) if self.exact else self.stack[rows.start:rows.stop]
+            return stack.select(rows, range(n)) if self.exact else stack[rows.start:rows.stop]
 
         return {g: block(t) for t, g in enumerate(self.presentation.generators)}
 
@@ -347,92 +293,331 @@ class RelationReport:
         return self.ok
 
 
-# Entries of one chunk of a block product, which bounds its working arrays
-# (a few hundred KB at the orders the suites reach) and so peak memory.
-_CHUNK_ENTRIES = 1 << 14
+# ---------------------------------------------------------------------------
+# relation families as index plans over the generators
+
+@dataclass(frozen=True)
+class _Sums:
+    """A relation family whose two sides are sums of generator values and
+    multiples of the identity.  For each entry e, instance inst[e] holds
+    weight[e] times the value of generator gen[e], or its adjoint where
+    adjoint[e]; instance x holds minus eye[x] times the identity."""
+
+    size: int
+    gen: np.ndarray
+    inst: np.ndarray
+    weight: np.ndarray
+    adjoint: np.ndarray
+    eye: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Products:
+    """A relation family whose left sides are sums of products of two
+    generator values and whose right sides are sums of values.  The value
+    of generator g times that of g' counts lweight[g] times towards the
+    instance of code lpart[g] rparts + rpart[g'] for every pair with
+    lkey[g] == rkey[g']; ``instance`` maps codes to instances.  ``rhs`` is a
+    ``_Sums`` plan of the right sides over codes, in their order.  The
+    instances of one left part are evaluated together.  The instances are
+    ``scale`` times the relations."""
+
+    size: int
+    lkey: np.ndarray
+    rkey: np.ndarray
+    lpart: np.ndarray
+    rpart: np.ndarray
+    rparts: int
+    instance: np.ndarray
+    lweight: np.ndarray
+    rhs: _Sums
+    scale: int = 1
+
+
+def _sum_plan(size, gen, inst, weight, adjoint=False, eye=0) -> _Sums:
+    gen = np.asarray(gen, dtype=np.int64)
+    return _Sums(size, gen, np.asarray(inst, dtype=np.int64),
+                 np.broadcast_to(np.asarray(weight, dtype=np.int64), gen.shape),
+                 np.broadcast_to(np.asarray(adjoint, dtype=bool), gen.shape),
+                 np.broadcast_to(np.asarray(eye, dtype=np.int64), (size,)))
+
+
+def _product_plan(inst_codes, gen_codes, keys, rhs, lweight=1, scale=1) -> _Products:
+    """A ``_Products`` plan from the codes of the left and right part of
+    every instance, in order, and of every generator as a left and as a
+    right factor; the join keys of every generator as a left and as a right
+    factor; and the (instance, generator, weight) entries of the right
+    sides."""
+    (il, ir), (gl, gr) = inst_codes, gen_codes
+    lparts, rparts = (np.sort(c) for c in inst_codes)
+    lparts, rparts = lparts[_starts(lparts)], rparts[_starts(rparts)]
+    code = np.searchsorted(lparts, il) * len(rparts) + np.searchsorted(rparts, ir)
+    instance = np.full(len(lparts) * len(rparts), -1, dtype=np.int64)
+    instance[code] = np.arange(len(il))
+    inst, gen, weight = rhs
+    order = np.argsort(code[inst], kind="stable")
+    return _Products(len(il), *keys, np.searchsorted(lparts, gl), np.searchsorted(rparts, gr),
+                     len(rparts), instance,
+                     np.broadcast_to(np.asarray(lweight, dtype=np.int64), gl.shape),
+                     _sum_plan(len(instance), gen[order], code[inst[order]],
+                               np.broadcast_to(weight, inst.shape)[order]), scale)
+
+
+def _enumerate(sizes, blocks: int, shape) -> np.ndarray:
+    """Index columns over the instances of a family, in the order of
+    ``relations()``: ``blocks`` block numbers, counted from 0, in
+    lexicographic order, and for each such tuple the free indices over the
+    ranges ``shape(*their block sizes)``, in lexicographic order."""
+    cols = []
+    for b in itertools.product(range(len(sizes)), repeat=blocks):
+        free = np.indices(shape(*(sizes[x] for x in b)))
+        free = free.reshape(len(free), -1)
+        cols.append(np.vstack([np.repeat(np.array(b)[:, None], free.shape[1], axis=1), free]))
+    return np.concatenate(cols, axis=1)
+
+
+def _codes(radix: int, *cols) -> np.ndarray:
+    """One integer per index tuple, its digits in base ``radix``."""
+    out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)), dtype=np.int64)
+    for c in cols:
+        out = out * radix + c
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _qaut_plans(sizes: tuple) -> tuple:
+    """Index plans of the families r1-r5 of ``QautPresentation``, in the
+    order of ``relations()``; block numbers count from 0."""
+    n, m = np.array(sizes), len(sizes)
+    code = functools.partial(_codes, max(m, *sizes))
+    # the generators q^(s,r)_(i,j),(k,l), in order, and their numbers
+    s, r, i, j, k, l = _enumerate(sizes, 2, lambda ns, nr: (ns, ns, nr, nr))
+    counts = (np.multiply.outer(n, n) ** 2).ravel()
+    first = (np.cumsum(counts) - counts).reshape(m, m)
+
+    def number(s, r, i, j, k, l):
+        return first[s, r] + ((i * n[s] + j) * n[r] + k) * n[r] + l
+
+    P = math.lcm(*sizes)
+    # r1: sum_v q(s,r,i,j,k,v) q(s',r,i',j',v,l) = [s = s', j = i'] q(s,r,i,j',k,l)
+    S, Sp, R, I, J, Ip, Jp, K, L = _enumerate(sizes, 3,
+                                              lambda ns, nsp, nr: (ns, ns, nsp, nsp, nr, nr))
+    x = np.flatnonzero((S == Sp) & (J == Ip))
+    r1 = _product_plan((code(S, R, I, J, K), code(Sp, R, Ip, Jp, L)),
+                       (code(s, r, i, j, k), code(s, r, i, j, l)), (code(r, l), code(r, k)),
+                       (x, number(S, R, I, Jp, K, L)[x], -1))
+    # r2, times P: sum_v (P/n_s) q(s,r,i,v,k,l) q(s,r',v,j,k',l')
+    #   = [r = r', l = k'] (P/n_r) q(s,r,i,j,k,l')
+    S, R, Rp, I, J, K, L, Kp, Lp = _enumerate(sizes, 3,
+                                              lambda ns, nr, nrp: (ns, ns, nr, nr, nrp, nrp))
+    x = np.flatnonzero((R == Rp) & (L == Kp))
+    r2 = _product_plan((code(S, R, I, K, L), code(S, Rp, J, Kp, Lp)),
+                       (code(s, r, i, k, l), code(s, r, j, k, l)), (code(s, j), code(s, i)),
+                       (x, number(S, R, I, J, K, Lp)[x], -(P // n[R[x]])), P // n[s], P)
+    # r3: instance number t, that of its generator: q(s,r,i,j,k,l)* = q(s,r,j,i,l,k)
+    t = np.arange(len(s))
+    r3 = _sum_plan(len(t), np.r_[t, number(s, r, j, i, l, k)], np.r_[t, t],
+                   np.repeat([1, -1], len(t)), np.repeat([True, False], len(t)))
+    # r4[r, k, l]: sum_(s,i) q(s,r,i,i,k,l) = [k = l];
+    # r5[s, i, j]: sum_(r,k) n_r q(s,r,i,j,k,k) = [i = j] n_s
+    first = np.cumsum(n * n) - n * n
+    R, K, L = _enumerate(sizes, 1, lambda nr: (nr, nr))
+    x = np.flatnonzero(i == j)
+    r4 = _sum_plan(len(R), x, first[r[x]] + k[x] * n[r[x]] + l[x], 1, eye=K == L)
+    S, I, J = _enumerate(sizes, 1, lambda ns: (ns, ns))
+    x = np.flatnonzero(k == l)
+    r5 = _sum_plan(len(S), x, first[s[x]] + i[x] * n[s[x]] + j[x], n[r[x]], eye=(I == J) * n[S])
+    return r1, r2, r3, r4, r5
+
+
+@functools.lru_cache(maxsize=None)
+def _sn_plans(sizes: tuple) -> tuple:
+    """Index plans of ``SnPresentation``'s families selfadj, idem, rowsum
+    and colsum; generator number t = p N + q is u_(p),(q)."""
+    N = sum(n * n for n in sizes)
+    t = np.arange(N * N)
+    selfadj = _sum_plan(len(t), np.r_[t, t], np.r_[t, t], np.repeat([1, -1], len(t)),
+                        np.repeat([True, False], len(t)))
+    idem = _product_plan((t, t * 0), (t, t * 0), (t, t), (t, t, -1))
+    return selfadj, idem, _sum_plan(N, t, t // N, 1, eye=1), _sum_plan(N, t, t % N, 1, eye=1)
+
+
+def _positions(lo, cnt):
+    """Every position of the ranges [lo[a], lo[a] + cnt[a]), in order."""
+    return np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+
+
+# Product pairs evaluated at once, over whole groups of instances, which
+# bounds the working arrays (about 100 bytes a pair) and so peak memory.
+_CHUNK_PAIRS = 1 << 17
 
 
 class _BlockValues:
-    """The generator values of an assignment, for evaluating relation
-    families block matrix by block matrix.  ``gather(index)`` is the block
-    matrix whose block (a, b) is the value of generator number index[a, b]
-    of ``presentation.generators``, or zero (``self.zero``) or the identity
-    (``self.one``): an exact ``Mat`` or a complex array."""
+    """The generator values of an assignment as one term table: for every
+    term of its ``Terms``, the number ``gen`` of its generator in
+    ``presentation.generators``, its ``row`` and ``col`` in the k x k value,
+    and its coefficient num * zeta_order^exp / den, with integer numerators
+    on the exact backend and complex ones (exp 0, order 1, den 1) on the
+    float backend.  Terms at one position add.  ``residuals(plan)``
+    evaluates one relation family on them."""
 
     def __init__(self, asg: GeneratorAssignment, tol: float):
-        n = self.n = asg.size
+        terms = asg.terms
+        self.k = asg.size
         self.exact = asg.exact
-        # a block passes when its residual is at most this
+        # an instance passes when its residual is at most this
         self.threshold = 0.0 if asg.exact else tol
-        self.zero = len(asg.presentation.generators)
-        self.one = self.zero + 1
-        if asg.exact:
-            self.blocks = Mat.vstack([asg.stack, Mat.zeros(n, n), Mat.identity(n)])
-        else:  # views into the stack
-            self.blocks = list(asg.stack.reshape(-1, n, n)) + [np.zeros((n, n)), np.eye(n)]
+        self.col, self.exp, self.num = terms.col, terms.exp, terms.num
+        self.order, self.den = terms.order, terms.den
+        self.gen, self.row = np.divmod(terms.row, self.k)
+        self.numax = _maxabs(self.num) if asg.exact else 1
+        self.by_gen = np.argsort(self.gen)
+        self.gen_start = np.searchsorted(self.gen[self.by_gen],
+                                         np.arange(len(asg.presentation.generators) + 1))
+        self.roots = np.exp(2j * np.pi / self.order * np.arange(euler_phi(self.order)))
+        # keys hold an exponent below this: a sum of two below the order
+        self._radix = 2 * self.order
 
-    def gather(self, index):
-        index = np.asarray(index)
-        if self.exact:
-            return self.blocks.gather(index)
-        (R, C), n = index.shape, self.n
-        stack = np.array([self.blocks[t] for t in index.ravel()], dtype=np.complex128)
-        return stack.reshape(R, C, n, n).transpose(0, 2, 1, 3).reshape(R * n, C * n)
+    def _fit(self, bound: int, *arrays):
+        """Exact numerators in the dtype ``_working`` gives them under
+        ``bound``; complex ones as they are."""
+        return _working(bound, *arrays) if self.exact else arrays
 
-    def scale(self, a, c):
-        if c == 1:
-            return a
-        return a.scale(c) if self.exact else a * complex(c)
-
-    def adjoint(self, a):
-        return a.adjoint() if self.exact else a.conj().T
-
-    def block_products(self, a, b):
-        """The blockwise products of two vertical stacks of blocks."""
-        if self.exact:
-            return a.block_products(b)
-        n = self.n
-        return np.matmul(a.reshape(-1, n, n), b.reshape(-1, n, n)).reshape(-1, n)
-
-    def residuals(self, diff, unit=1) -> np.ndarray:
-        """max |entry| of each block of unit * diff, an array over (block
-        row, block column).  An exact block is zero or has a positive
-        residual."""
-        n = self.n
-        if not self.exact:
-            rb, cb = diff.shape[0] // n, diff.shape[1] // n
-            return np.abs(diff.reshape(rb, n, cb, n)).max(axis=(1, 3)) * float(unit)
-        out = np.zeros((diff.rows // n, diff.cols // n))
-        if diff.is_zero():
+    def residuals(self, plan) -> np.ndarray:
+        """The residual of every instance of a family, in order: max |entry|
+        of the difference of its two sides.  An exact instance is 0.0 when
+        every power-basis coefficient of every entry cancels, and at least
+        the smallest positive float otherwise."""
+        out = np.zeros(plan.size)
+        if isinstance(plan, _Sums):
+            _, key, num = self._sums(plan, 1)
+            ikey, inum = self._identities(plan.eye, self.den)
+            self._reduce(out, np.concatenate([key, ikey]), np.concatenate([num, inum]), 1, 1)
             return out
-        for a, b in np.ndindex(out.shape):
-            block = diff.select(range(a * n, a * n + n), range(b * n, b * n + n))
-            if not block.is_zero():
-                resid = float(np.abs(block.to_float()).max()) * float(unit)
-                out[a, b] = max(resid, np.nextafter(0.0, 1.0))
+        k, R, nR = self.k, self._radix, plan.rparts
+        # join the terms (a, b) of left factors with the terms (b, c) of
+        # right ones on (key, b); a pair's entry key is the sum of a left
+        # and a right part
+        lk = plan.lkey[self.gen] * k + self.col
+        rk = plan.rkey[self.gen] * k + self.row
+        right = np.argsort(rk)
+        rk = rk[right]
+        lo = np.searchsorted(rk, lk)
+        cnt = np.searchsorted(rk, lk, side="right") - lo
+        group = plan.lpart[self.gen]
+        left = np.argsort(group)
+        group, lo, cnt = group[left], lo[left], cnt[left]
+        num, = self._fit(self.numax ** 2 * _maxabs(plan.lweight), self.num)
+        lnum, rnum = (num * plan.lweight[self.gen])[left], num[right]
+        lkey = (group * nR * k + self.row[left]) * k * R + self.exp[left] % self.order
+        rkey = ((plan.rpart[self.gen] * k * k + self.col) * R + self.exp % self.order)[right]
+        # the right sides, over den^2 as the products
+        e, hkey, hnum = self._sums(plan.rhs, self.den)
+        hgroup = plan.rhs.inst[e] // nR
+        # chunks of whole groups, a new one after about _CHUNK_PAIRS pairs
+        starts = _starts(group)
+        bucket = (np.cumsum(cnt) - cnt)[starts] // _CHUNK_PAIRS
+        bounds = [0, *starts[1:][bucket[1:] != bucket[:-1]].tolist(), len(left)]
+        for a, b in zip(bounds, bounds[1:]):
+            pos = _positions(lo[a:b], cnt[a:b])
+            c = np.searchsorted(hgroup, group[a]) if a else 0
+            d = np.searchsorted(hgroup, group[b]) if b < len(left) else len(hgroup)
+            key = np.repeat(lkey[a:b], cnt[a:b]) + rkey[pos]
+            num = np.repeat(lnum[a:b], cnt[a:b]) * rnum[pos]
+            self._reduce(out, np.concatenate([key, hkey[c:d]]), np.concatenate([num, hnum[c:d]]),
+                         plan.scale, 2, plan.instance)
         return out
 
-    def product_residuals(self, a, b, rhs=None, c=1, unit=1):
-        """Block residuals of unit * (A @ B - c R) for the gathers A, B and R
-        of the index arrays a, b and rhs (None for R = 0), taken over chunks
-        of A's block rows."""
-        right = self.gather(b)
-        step = max(1, _CHUNK_ENTRIES // (self.n ** 2 * np.shape(b)[1]))
-        out = []
-        for lo in range(0, len(a), step):
-            diff = self.gather(a[lo:lo + step]) @ right
-            if rhs is not None:
-                diff = diff - self.scale(self.gather(rhs[lo:lo + step]), c)
-            out.append(self.residuals(diff, unit))
-        return np.concatenate(out)
+    def _sums(self, plan: _Sums, scale: int):
+        """(entry, key, num) for every term of every entry's generator, in
+        entry order: the key of the entry (instance, row, col, exponent) it
+        adds to, and its numerator times the weight and ``scale``."""
+        lo = self.gen_start[plan.gen]
+        cnt = self.gen_start[plan.gen + 1] - lo
+        e, t = np.repeat(np.arange(len(cnt)), cnt), self.by_gen[_positions(lo, cnt)]
+        adj = plan.adjoint[e]
+        k, M = self.k, self.order
+        row, col = np.where(adj, self.col[t], self.row[t]), np.where(adj, self.row[t], self.col[t])
+        exp = np.where(adj, -self.exp[t], self.exp[t]) % M
+        num, w = self._fit(self.numax * _maxabs(plan.weight) * scale,
+                           np.where(adj, np.conj(self.num[t]), self.num[t]), plan.weight[e])
+        return e, ((plan.inst[e] * k + row) * k + col) * self._radix + exp, num * w * scale
+
+    def _identities(self, eye, scale: int):
+        """(key, num) of minus eye[x] times the identity for each instance
+        x, the numerators times ``scale``."""
+        x = np.flatnonzero(eye)
+        inst, diag = np.repeat(x, self.k), np.tile(np.arange(self.k), len(x))
+        num, = self._fit(_maxabs(eye) * scale, -eye[inst])
+        return ((inst * self.k + diag) * self.k + diag) * self._radix, num * scale
+
+    def _reduce(self, out, key, num, scale: int, degree: int, instance=None) -> None:
+        """Sum the numerators per key ((code, row, col) of an entry, and an
+        exponent below ``_radix``) and write the residual of each instance
+        they reach into ``out``: max over its entries of
+        |sum of num * zeta^exp| / (scale den^degree).  ``instance`` maps codes
+        to instances (the identity when None); every contribution to such an
+        instance is among these."""
+        if not len(key):
+            return
+        M, table = self.order, _root_table(self.order)
+        if self.exact:
+            num, = _working(_maxabs(num) * _maxabs(table) * len(num), num)
+        # one sum per (entry, exponent), then per entry in the power basis
+        order = np.argsort(key)
+        key = key[order]
+        first = _starts(key)
+        sums = np.add.reduceat(num[order], first)
+        key, exp = np.divmod(key[first], self._radix)
+        if self.exact:  # an entry whose sums all cancel is zero
+            live = sums != 0
+            key, exp, sums = key[live], exp[live], sums[live]
+            if not len(key):
+                return
+        first = _starts(key)
+        coef = np.add.reduceat(sums[:, None] * table[exp % M], first, axis=0)
+        key = key[first]
+        if self.exact:
+            live = (coef != 0).any(axis=1)
+            key, coef = key[live], coef[live]
+            if not len(key):
+                return
+        denom = scale * self.den ** degree
+        if self.exact:  # a nonzero entry fails, however small its float value
+            resid = np.maximum(np.abs(_quotients(coef, denom) @ self.roots), np.nextafter(0.0, 1.0))
+        else:
+            resid = np.abs(coef[:, 0]) / denom
+        code = key // self.k ** 2
+        first = _starts(code)
+        code = code[first]
+        out[code if instance is None else instance[code]] = np.maximum.reduceat(resid, first)
+
+
+def _quotients(a: np.ndarray, d: int) -> np.ndarray:
+    """The floats a / d for an integer array a; Python ints are divided as
+    fractions, so that neither a nor d need be below the float range."""
+    if a.dtype == object:
+        return np.array([float(Fraction(x, d)) for x in a.ravel()]).reshape(a.shape)
+    return a * (1 / d)
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """The positions where the runs of equal values of a sorted array
+    begin."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def check_relations(asg: GeneratorAssignment, tol: float = 1e-9) -> RelationReport:
     """Evaluate the relation instances of the presentation under the
-    assignment, one block contraction per relation family, and report the
-    first that fails in the order of ``relations()``.  Exact values demand
-    literal equality; complex-array values pass a relation when
-    max|lhs - rhs| <= tol.  ``worst_residual`` is the largest residual of the
+    assignment and report the first that fails in the order of
+    ``relations()``.  The values are read into one term table
+    (``_BlockValues``); each relation family is one join of its terms (r1,
+    r2, idem) or one keyed sum (r3-r5, selfadj, rowsum, colsum), summed per
+    (instance, row, col).  Exact values demand literal equality, every
+    power-basis coefficient cancelling; complex-array values pass a relation
+    when max|lhs - rhs| <= tol.  ``worst_residual`` is the largest residual of the
     instances up to the first failure (all of them on a pass), and
     ``checked`` counts those instances."""
     values = _BlockValues(asg, tol)
@@ -463,9 +648,7 @@ def counit_assignment(spec: BlockSpec) -> GeneratorAssignment:
 
 def permutation_assignment(spec: BlockSpec, perm: dict) -> GeneratorAssignment:
     """u_(P),(Q) -> [P == perm(Q)] for a permutation of the N points."""
-    pres = SnPresentation(spec)
-    return GeneratorAssignment(pres, Mat.exact([[int(perm[sym[4:7]] == sym[1:4])]
-                                                for sym in pres.generators]))
+    return direct_sum_assignment(spec, [perm])
 
 
 def arbitrary_permutations(spec: BlockSpec, count: int, seed: int):
@@ -487,11 +670,15 @@ def direct_sum_assignment(spec: BlockSpec, perms: list) -> GeneratorAssignment:
     with the indicator of each permutation on its own summand.  A genuinely
     matrix-valued magic unitary."""
     pres = SnPresentation(spec)
-    k = len(perms)
-    return GeneratorAssignment(pres, Mat.exact([[int(perm[sym[4:7]] == sym[1:4]) if a == b else 0
-                                                 for b in range(k)]
-                                                for sym in pres.generators
-                                                for a, perm in enumerate(perms)]))
+    pts = pres.points
+    N, k = len(pts), len(perms)
+    number = {p: x for x, p in enumerate(pts)}
+    # summand a of u_(perm_a(Q)),(Q), generator number perm_a(Q) N + Q
+    image = np.array([[number[perm[q]] for q in pts] for perm in perms], dtype=np.int64)
+    a, q = np.indices((k, N)).reshape(2, -1)
+    rows = (image[a, q] * N + q) * k + a
+    return GeneratorAssignment(pres, Mat.from_entries(N * N * k, k, 1, rows, a, np.zeros_like(a),
+                                                      np.ones_like(a)))
 
 
 def block_preserving_permutations(spec: BlockSpec, count: int, seed: int):

@@ -310,6 +310,158 @@ def test_checked_counts_every_instance_on_a_pass(sizes):
         assert rep.ok and rep.checked == len(list(asg.presentation.relations()))
 
 
+def sparse_exact_values(generators, rng, order, big):
+    """Random sparse 2 x 2 values at one order over denominators 2 and 3:
+    about half of them zero, the others one or two terms with small
+    numerators, and ``big`` added to one numerator."""
+    values = {}
+    for g in generators:
+        terms = 0 if rng.random() < 0.5 else int(rng.integers(1, 3))
+        num = rng.choice([-3, -2, -1, 1, 2, 3], size=terms).astype(object)
+        values[g] = Mat.from_entries(2, 2, order, rng.integers(0, 2, terms), rng.integers(0, 2, terms),
+                                     rng.integers(0, order, terms), num, int(rng.integers(2, 4)))
+    g = next(g for g in generators if not values[g].is_zero())
+    values[g] = values[g] + Mat.from_entries(2, 2, order, [0], [1], [1], [big], 3)
+    return values
+
+
+@pytest.mark.parametrize("sizes, order", [((2,), 3), ((2, 1), 4), ((1, 2), 12), ((3,), 12)])
+def test_exact_block_residuals_are_zero_exactly_where_the_reference_is(sizes, order):
+    from qautcert.qaut import _BlockValues
+
+    rng = np.random.default_rng(sum(sizes) * order)
+    spec = BlockSpec(sizes)
+    for pres in (QautPresentation(spec), SnPresentation(spec)):
+        asg = GeneratorAssignment(pres, sparse_exact_values(pres.generators, rng, order, 2**31 + 5))
+        assert asg.stack.den > 1 and asg.stack.coef.dtype == object  # the Python-int path
+        got = np.concatenate([r.ravel() for r in pres.block_residuals(_BlockValues(asg, 1e-9))])
+        want = np.array([resid for _, resid in reference_residuals(asg)])
+        assert ((got == 0) == (want == 0)).all()
+        assert 0 < (want == 0).sum() < len(want)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        assert not agreeing_report(asg).ok
+
+
+def unitary_conjugate(asg):
+    """asg, its values of even size n, with every value conjugated by the
+    unitary [[3/5, 4/5 zeta_12], [-4/5 zeta_12^-1, 3/5]] (x) 1_(n/2): a point
+    of the same presentation at order 12 over the denominator 25."""
+    c = Fraction(4, 5) * root_of_unity(12, 1)
+    U = Mat.exact([[Fraction(3, 5), c], [-c.conjugate(), Fraction(3, 5)]]).kron(Mat.identity(asg.size // 2))
+    return GeneratorAssignment(asg.presentation, {g: U @ v @ U.adjoint() for g, v in asg.values.items()})
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (3,)])
+def test_exact_first_failure_matches_the_reference_at_order_12(sizes):
+    rng = random.Random(sum(sizes))
+    for name in ("direct sum", "pi(direct sum)"):
+        asg = unitary_conjugate(passing_points(sizes)[name])
+        assert asg.stack.order == 12 and asg.stack.den > 1
+        assert agreeing_report(asg).ok, name
+        for _ in range(3):
+            t = rng.randrange(len(asg.presentation.generators))
+            a, b, e = rng.randrange(2), rng.randrange(2), rng.randrange(12)
+            values = dict(asg.values)
+            sym = asg.presentation.generators[t]
+            values[sym] = values[sym] + Mat.from_entries(asg.size, asg.size, 12, [a], [b], [e],
+                                                         [2**31 + 1], 25)
+            assert not agreeing_report(GeneratorAssignment(asg.presentation, values)).ok
+
+
+def test_an_exact_failure_below_float_range_still_fails():
+    # 2**-1100 is zero as a float, but not exactly
+    asg = counit_assignment(BlockSpec((2, 1)))
+    values = dict(asg.values)
+    sym = asg.presentation.generators[0]
+    values[sym] = values[sym] + Mat.from_entries(1, 1, 1, [0], [0], [0], [1], 2**1100)
+    rep = check_relations(GeneratorAssignment(asg.presentation, values))
+    assert not rep.ok and rep.worst_residual > 0 and rep.failing.startswith("r1[")
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (2, 2), (3,)])
+def test_families_agree_over_chunks_of_one_group(sizes, monkeypatch):
+    from qautcert import qaut
+
+    rng = random.Random(len(sizes))
+    points = []
+    for asg in passing_points(sizes).values():
+        t = rng.randrange(len(asg.presentation.generators))
+        points += [asg, perturbed(asg, t, 0, 0, 1), as_float(perturbed(asg, t, 0, 0, 1))]
+    whole = [list(p.presentation.block_residuals(qaut._BlockValues(p, 1e-9))) for p in points]
+    monkeypatch.setattr(qaut, "_CHUNK_PAIRS", 1)
+    for asg, want in zip(points, whole):
+        got = list(asg.presentation.block_residuals(qaut._BlockValues(asg, 1e-9)))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=0 if asg.exact else 1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1)])
+def test_substituted_terms_check_as_their_dense_stack(sizes):
+    from qautcert.arith import Terms
+    from qautcert.cli import ft_to_float
+    from qautcert.qaut import image_stack
+
+    spec = BlockSpec(sizes)
+    qpres, upres = QautPresentation(spec), SnPresentation(spec)
+    images = image_stack(pi_map(spec), qpres, upres)
+    perms = block_preserving_permutations(spec, 2, seed=4)
+    for point in (permutation_assignment(spec, perms[0]), direct_sum_assignment(spec, perms)):
+        for ft in (images, ft_to_float(images)):
+            terms = ft.substitute_terms(point.stack)
+            # one more term, at entry (0, 0) of generator 3: zeta^1 exact, 1 complex
+            one = terms.num[:1] * 0 + (terms.den if terms.exact else 1)
+            extra = replace(terms, row=np.r_[terms.row, 3 * terms.cols], col=np.r_[terms.col, 0],
+                            exp=np.r_[terms.exp, int(terms.exact)], num=np.r_[terms.num, one])
+            for t in (terms, extra):
+                assert isinstance(t, Terms)
+                got = check_relations(GeneratorAssignment(qpres, t))
+                want = check_relations(GeneratorAssignment(qpres, t.dense()))
+                assert (got.ok, got.failing, got.checked) == (want.ok, want.failing, want.checked)
+                assert abs(got.worst_residual - want.worst_residual) <= 1e-12
+            assert check_relations(GeneratorAssignment(qpres, terms)).ok
+            assert not check_relations(GeneratorAssignment(qpres, extra)).ok
+
+
+def test_permutation_and_direct_sum_stacks_are_the_mat_exact_ones():
+    for sizes in [(2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1)]:
+        spec = BlockSpec(sizes)
+        gens = SnPresentation(spec).generators
+        perms = block_preserving_permutations(spec, 3, seed=sum(sizes))
+        cases = [(permutation_assignment(spec, perms[0]), [perms[0]])]
+        cases += [(direct_sum_assignment(spec, perms[:n]), perms[:n]) for n in (1, 2, 3)]
+        for asg, ps in cases:
+            want = Mat.exact([[int(perm[sym[4:7]] == sym[1:4]) if a == b else 0
+                               for b in range(len(ps))]
+                              for sym in gens for a, perm in enumerate(ps)])
+            got = asg.stack
+            assert (got.rows, got.cols, got.order, got.den) == (want.rows, want.cols, want.order, want.den)
+            assert got.coef.dtype == want.coef.dtype and np.array_equal(got.coef, want.coef)
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (3,)])
+@pytest.mark.parametrize("edit", ["exponent", "prefactor"])
+def test_homs_fails_after_one_pi_image_changes(sizes, edit, monkeypatch):
+    import qautcert.cli
+    from qautcert.cli import SuiteConfig, run
+
+    real = qautcert.cli.pi_map
+    sym = QautPresentation(BlockSpec(sizes)).generators[1]
+
+    def edited(spec):
+        pi = real(spec)
+        if edit == "exponent":
+            _exponent_off_by_one(pi, sym)
+        else:
+            pi[sym] = replace(pi[sym], prefactors=(2 * pi[sym].prefactors[0],))
+        return pi
+
+    monkeypatch.setattr(qautcert.cli, "pi_map", edited)
+    for backend in ("exact", "float"):
+        frag = run(SuiteConfig(partition=sizes, backend=backend, suites=("homs",)))["suites"]["homs"]
+        assert not frag["passed"], frag
+        assert frag["failure"].startswith(("pi battery: r", "pi direct sum: r")), frag
+
+
 def test_ad_shift_classical_point():
     # Ad(Z_2): q_(i,j),(k,l) = delta_(i+1,k) delta_(j+1,l) mod 2
     spec = BlockSpec((2,))
