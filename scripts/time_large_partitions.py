@@ -8,8 +8,9 @@ the desk-scale cap admits it, under a timeout and a 3 GB address-space limit.
 Prints, for each run, the wall and CPU time of the suite and the process's
 peak resident memory (``ru_maxrss``).
 
-Exits 1 when a budgeted run fails, times out or exceeds its budget.  The
-other runs are reported, not gated, until they have budgets of their own.
+Exits 1 when a budgeted run fails, times out or exceeds its wall or memory
+budget.  The other runs are reported, not gated, until they have budgets of
+their own.
 
     PYTHONPATH=src python scripts/time_large_partitions.py
 """
@@ -25,7 +26,11 @@ PARTITIONS = [("exact", (4,)), ("exact", (2, 2, 2, 2)), ("float", (3, 3)), ("flo
 HOMS_PARTITIONS = [("exact", (3, 3)), ("exact", (4, 2)), ("exact", (6,))]
 # (backend, partition, suite) -> seconds
 BUDGETS = {("exact", (2, 2, 2, 2), "conj"): 0.5, ("exact", (2, 2, 2, 2), "twist"): 1.0,
-           ("exact", (4,), "homs"): 10.0, ("exact", (2, 2, 2, 2), "homs"): 20.0}
+           ("exact", (4,), "homs"): 10.0, ("exact", (2, 2, 2, 2), "homs"): 20.0,
+           ("exact", (4,), "cov"): 0.12, ("exact", (2, 2, 2, 2), "cov"): 1.9,
+           ("exact", (4,), "shuffle"): 0.08, ("exact", (2, 2, 2, 2), "shuffle"): 1.7}
+# (backend, partition, suite) -> peak resident MB (ru_maxrss of the run's process)
+MEMORY_BUDGETS = {("exact", (2, 2, 2, 2), "shuffle"): 170.0}
 TIMEOUT_S = 300.0  # per run; a run that takes longer is reported as failed
 ADDRESS_SPACE = 3 << 30  # bytes a run may map; past it, it fails
 
@@ -66,19 +71,22 @@ def main() -> int:
 
     failed = 0
     print(f"{'backend':7s} {'partition':12s} {'suite':8s} {'wall_s':>8s} {'cpu_s':>8s} "
-          f"{'rss_mb':>8s} {'budget':>7s}  result")
+          f"{'rss_mb':>8s} {'budget':>7s} {'mb_cap':>7s}  result")
     runs = [(b, p, suite) for b, p in PARTITIONS for suite in SUITE_NAMES]
     for backend, partition, suite in runs + [(b, p, "homs") for b, p in HOMS_PARTITIONS]:
         m = measure(backend, partition, suite)
         budget = BUDGETS.get((backend, partition, suite))
-        ok = m["passed"] and (budget is None or m["wall_s"] <= budget)
-        if budget is not None and not ok:
+        cap = MEMORY_BUDGETS.get((backend, partition, suite))
+        ok = (m["passed"] and (budget is None or m["wall_s"] <= budget)
+              and (cap is None or m["maxrss_mb"] <= cap))
+        if (budget is not None or cap is not None) and not ok:
             failed += 1
         result = ("ok" if ok else "OVER BUDGET" if m["passed"] else f"FAIL {m['error']}")
         print(f"{backend:7s} {str(partition):12s} {suite:8s} "
               + " ".join(f"{m[k]:8.2f}" if k in m else f"{'-':>8s}"
                          for k in ("wall_s", "cpu_s", "maxrss_mb"))
-              + f" {budget if budget is not None else '-':>7}  {result}", flush=True)
+              + f" {budget if budget is not None else '-':>7} {cap if cap is not None else '-':>7}"
+              + f"  {result}", flush=True)
     print(f"\n{failed} budgeted run(s) failed or over budget")
     return 1 if failed else 0
 

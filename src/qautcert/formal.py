@@ -63,36 +63,75 @@ class FormalTensor:
     phase: np.ndarray | None = None
 
     def __post_init__(self):
-        self.prefactors = tuple(Fraction(p) for p in self.prefactors)
+        self.prefactors = tuple(p if type(p) is Fraction else Fraction(p) for p in self.prefactors)
         for name in ("sym", "row", "col", "exp"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
     @classmethod
     def stack(cls, images, symbols) -> "FormalTensor":
         """The images, of one size, as one tensor over the symbols
-        ``symbols``: image b of the list is image b of the stack."""
+        ``symbols``: image b of the list is image b of the stack, and its
+        rows follow those of image b - 1."""
         size = images[0].size
         order = math.lcm(*(ft.order for ft in images))
         number = {s: n for n, s in enumerate(symbols)}
-        sym = [np.array([number[s] for s in ft.symbols], dtype=np.int64)[ft.sym] for ft in images]
+        renumbered = {}  # images often share their symbols tuple
+        for ft in images:
+            if id(ft.symbols) not in renumbered:
+                renumbered[id(ft.symbols)] = np.array([number[s] for s in ft.symbols],
+                                                      dtype=np.int64)
         return cls(size, order, sum((ft.prefactors for ft in images), ()), tuple(symbols),
-                   np.concatenate(sym),
+                   np.concatenate([renumbered[id(ft.symbols)][ft.sym] for ft in images]),
                    np.concatenate([ft.row + b * size for b, ft in enumerate(images)]),
                    np.concatenate([ft.col for ft in images]),
                    np.concatenate([ft.exp * (order // ft.order) for ft in images]))
 
     def equals(self, other: "FormalTensor") -> bool:
-        """Exact equality, for tensors that hold each (symbol, row, col) in
-        at most one row, as the images of pi and rho do."""
-        if self.prefactors != other.prefactors or self.symbols != other.symbols:
-            return False
-        order = math.lcm(self.order, other.order)
-        return np.array_equal(self._sorted_rows(order), other._sorted_rows(order))
+        """Exact equality of two stacks: ``differing`` marks no image."""
+        return (self.size == other.size and self.symbols == other.symbols
+                and len(self.prefactors) == len(other.prefactors)
+                and not self.differing(other).any())
 
-    def _sorted_rows(self, order: int) -> np.ndarray:
-        rows = np.stack([self.sym, self.row, self.col,
-                         self.exp * (order // self.order) % order])
-        return rows[:, np.lexsort(rows[::-1])]
+    def differing(self, other: "FormalTensor") -> np.ndarray:
+        """Which images of two stacks of one size, length and symbols
+        differ, as one bool per image.  Each row is encoded as one int64
+        key (symbol, image, row, col, exponent modulo the common order) and
+        each side's keys are sorted once; an image differs where its keys
+        or its prefactor differ.  Rows are compared as a multiset, so the
+        images of pi and rho, which hold each (symbol, row, col) at most
+        once, are compared as matrices."""
+        images = len(self.prefactors)
+        if (self.size, images, self.symbols) != (other.size, len(other.prefactors),
+                                                 other.symbols):
+            raise ValueError("differing compares stacks of one size, length and symbols")
+        order = math.lcm(self.order, other.order)
+        if len(self.symbols) * images * self.size ** 2 * order >= 2**63:
+            raise OverflowError(f"{images} images of size {self.size} exceed int64 keys")
+        a, b = self._sorted_keys(order), other._sorted_keys(order)
+        out = np.array([p != q for p, q in zip(self.prefactors, other.prefactors)], dtype=bool)
+        if len(a) == len(b) and np.array_equal(a, b):
+            return out
+        # the keys of group g = symbol * images + image span ``width``: keep the
+        # images whose every group has one length on both sides, which then line up
+        width, groups = self.size * self.size * order, len(self.symbols) * images
+        ga, gb = a // width, b // width
+        uneven = np.bincount(ga, minlength=groups) != np.bincount(gb, minlength=groups)
+        out[np.nonzero(uneven)[0] % images] = True
+        a, b = a[~out[ga % images]], b[~out[gb % images]]
+        out[a[a != b] // width % images] = True
+        return out
+
+    def _sorted_keys(self, order: int) -> np.ndarray:
+        key = self.sym * (len(self.prefactors) * self.size)
+        key += self.row
+        key *= self.size
+        key += self.col
+        key *= order
+        exp = self.exp * (order // self.order)
+        exp %= order
+        key += exp
+        key.sort()
+        return key
 
     def sparse(self) -> dict:
         """The nonzero coefficients of one image as {(symbol, row, col):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import replace
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qautcert.algebra import BlockSpec, MonomialMap, sparse_eq
+from qautcert.algebra import BlockSpec, MonomialMap, monomial_forms, sparse_eq
 from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
 from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, weyl_basis
@@ -41,7 +42,7 @@ from qautcert.qaut import (
     theta_identity,
     uet_pvm,
 )
-from qautcert.qaut import _shuffle_index, _unit_positions, _z_words
+from qautcert.qaut import _phase_permutation, _unit_positions, _z_images, _z_words
 
 
 def substitute_all(formal_map, values):
@@ -688,22 +689,28 @@ REFERENCE_PARTITIONS = [(1,), (2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1)]
 def reference_rho_forms_agree(spec, rho):
     """The rho cross-check with exact matrices: (T x T)(Q^(s,r)/n_s)(T x T)*
     by ``Mat`` products, compared with each image as {key: Cyclotomic}."""
-    emb = BlockEmbedding(spec)
-    for s, ns in enumerate(spec.sizes, start=1):
-        for r, nr in enumerate(spec.sizes, start=1):
+    return all(sparse_eq(lhs, rho[u].sparse())
+               for u, lhs in _reference_rho_forms(spec.sizes).items())
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rho_forms(sizes):
+    """{u: the conjugated form of Q^(s,r)/n_s as {(q, row, col): Cyclotomic}}."""
+    emb = BlockEmbedding(BlockSpec(sizes))
+    out = {}
+    for s, ns in enumerate(sizes, start=1):
+        for r, nr in enumerate(sizes, start=1):
             Q = {qsym(s, r, i, j, k, l): emb.paren_unit(s, i, j).kron(emb.paren_unit(r, k, l))
                  for i, j, k, l in itertools.product(range(ns), range(ns), range(nr), range(nr))}
             for x, y, v, w in itertools.product(range(ns), range(ns), range(nr), range(nr)):
                 conj = (emb.paren(s, weyl_basis(ns).t(x, (-y) % ns))
                         .kron(emb.paren(r, weyl_basis(nr).t(v, (-w) % nr))))
-                lhs = {}
+                lhs = out[usym(s, x, y, r, v, w)] = {}
                 for q, coeff in Q.items():
                     term = (conj @ coeff @ conj.adjoint()).scale(Fraction(1, ns))
                     for (row, col), c in term.sparse_entries().items():
                         lhs[(q, row, col)] = c
-                if not sparse_eq(lhs, rho[usym(s, x, y, r, v, w)].sparse()):
-                    return False
-    return True
+    return out
 
 
 def reference_shuffle(spec, pi):
@@ -722,25 +729,39 @@ def reference_shuffle(spec, pi):
         for (u, row, col), c in ft.sparse().items():
             coeff = lhs.setdefault(u, {})
             for r12, c12 in legs:
-                coeff[(_shuffle_index(int(r12) * d2 + row, d),
-                       _shuffle_index(int(c12) * d2 + col, d))] = c
-    emb = BlockEmbedding(spec)
-    words = 0
-    for s, ns in enumerate(spec.sizes, start=1):
-        for r, nr in enumerate(spec.sizes, start=1):
+                at = (_shuffle_index(int(r12) * d2 + row, d), _shuffle_index(int(c12) * d2 + col, d))
+                coeff[at] = coeff.get(at, Cyclotomic.zero()) + c
+    rhs = _reference_shuffle_rhs(spec.sizes)
+    for sym, coeff in rhs.items():
+        if not sparse_eq(lhs.get(sym, {}), coeff):
+            return {"passed": False, "failed_word": str(sym), "partition": list(spec.sizes)}
+    return {"passed": True, "partition": list(spec.sizes), "d": d,
+            "words_checked": len(rhs), "shuffle": "(1,2,3,4)->(1,3)(2,4)",
+            "rhs_constant": "n_s", "worst_residual": 0.0}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_shuffle_rhs(sizes):
+    """{u: n_s phi^[s]_(-x,y) x phi^[r]_(-v,w) as {(row, col): Cyclotomic}}, in order."""
+    emb = BlockEmbedding(BlockSpec(sizes))
+    d2 = emb.d ** 2
+    out = {}
+    for s, ns in enumerate(sizes, start=1):
+        for r, nr in enumerate(sizes, start=1):
             for x, y, v, w in itertools.product(range(ns), range(ns), range(nr), range(nr)):
-                sym = usym(s, x, y, r, v, w)
                 phi_s = emb.bracket_phi(s, (-x) % ns, y).sparse_entries()
                 phi_r = emb.bracket_phi(r, (-v) % nr, w).sparse_entries()
-                rhs = {(r1 * d2 + r2, c1 * d2 + c2): v1 * v2 * ns
-                       for (r1, c1), v1 in phi_s.items() for (r2, c2), v2 in phi_r.items()}
-                if not sparse_eq(lhs.get(sym, {}), rhs):
-                    return {"passed": False, "failed_word": str(sym),
-                            "partition": list(spec.sizes)}
-                words += 1
-    return {"passed": True, "partition": list(spec.sizes), "d": d,
-            "words_checked": words, "shuffle": "(1,2,3,4)->(1,3)(2,4)",
-            "rhs_constant": "n_s", "worst_residual": 0.0}
+                out[usym(s, x, y, r, v, w)] = {
+                    (r1 * d2 + r2, c1 * d2 + c2): v1 * v2 * ns
+                    for (r1, c1), v1 in phi_s.items() for (r2, c2), v2 in phi_r.items()}
+    return out
+
+
+def _shuffle_index(idx, d):
+    """The index with base-d digits (a, b, c, e) sent to (a, c, b, e): legs
+    (1,2,3,4) -> (1,3)(2,4) of (C^d)^(x4)."""
+    a, b, c, e = idx // d ** 3, idx // d ** 2 % d, idx // d % d, idx % d
+    return ((a * d + c) * d + b) * d + e
 
 
 def _moved(a, t, by, mod=None):
@@ -750,27 +771,40 @@ def _moved(a, t, by, mod=None):
 
 
 def single_row_mutations(images):
-    """(label, images with the middle image edited) per edit of its middle
-    row, and its prefactor; edits that leave the image equal are skipped."""
-    key = list(images)[len(images) // 2]
-    ft = images[key]
-    t = len(ft.row) // 2
-    edits = {
-        "exponent + 1": replace(ft, exp=_moved(ft.exp, t, 1)),
-        "row moved": replace(ft, row=_moved(ft.row, t, 1, ft.size)),
-        "column moved": replace(ft, col=_moved(ft.col, t, 1, ft.size)),
-        "row dropped": replace(ft, **{name: np.delete(getattr(ft, name), t)
-                                      for name in ("sym", "row", "col", "exp")}),
-        "prefactor doubled": replace(ft, prefactors=(2 * ft.prefactors[0],)),
-    }
-    return [(label, {**images, key: edited})
-            for label, edited in edits.items() if not edited.equals(ft)]
+    """(label, images with one image edited) per edit of the middle row of
+    the first, the middle and the last image, and of their prefactors;
+    edits that leave an image equal are skipped.  Where the first or the
+    last image has a symbol that the edited one lacks, as a symbol of
+    another block pair, the row is also moved to that symbol."""
+    keys = list(images)
+    out = []
+    for key in dict.fromkeys([keys[0], keys[len(keys) // 2], keys[-1]]):
+        ft = images[key]
+        t = len(ft.row) // 2
+        foreign = [sym for other in (keys[0], keys[-1]) for sym in images[other].symbols
+                   if sym not in ft.symbols]
+        edits = {
+            "exponent + 1": replace(ft, exp=_moved(ft.exp, t, 1)),
+            "row moved": replace(ft, row=_moved(ft.row, t, 1, ft.size)),
+            "column moved": replace(ft, col=_moved(ft.col, t, 1, ft.size)),
+            "row dropped": replace(ft, **{name: np.delete(getattr(ft, name), t)
+                                          for name in ("sym", "row", "col", "exp")}),
+            "prefactor doubled": replace(ft, prefactors=(2 * ft.prefactors[0],)),
+        }
+        if foreign:
+            edits["symbol of another pair"] = replace(
+                ft, symbols=ft.symbols + (foreign[0],),
+                sym=_moved(ft.sym, t, len(ft.symbols) - ft.sym[t]))
+        out += [(f"{label} at {key}", {**images, key: edited})
+                for label, edited in edits.items() if not edited.equals(ft)]
+    return out
 
 
 @pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
 def test_images_hold_each_entry_once(sizes):
-    """``FormalTensor.equals`` compares sorted rows, which presumes that no
-    (symbol, row, col) repeats within an image."""
+    """``FormalTensor.differing`` compares sorted row keys, which compares
+    the images as matrices only when no (symbol, row, col) repeats within
+    an image."""
     spec = BlockSpec(sizes)
     for images in (pi_map(spec), rho_map(spec)):
         for ft in images.values():
@@ -778,9 +812,7 @@ def test_images_hold_each_entry_once(sizes):
             assert np.unique(keys, axis=1).shape[1] == keys.shape[1]
 
 
-@pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
-def test_rho_forms_agree_matches_reference(sizes):
-    spec = BlockSpec(sizes)
+def assert_rho_forms_agree_matches_reference(spec):
     rho = rho_map(spec)
     cases = [("real images", rho)] + single_row_mutations(rho)
     assert len(cases) >= 3
@@ -788,6 +820,20 @@ def test_rho_forms_agree_matches_reference(sizes):
         expected = reference_rho_forms_agree(spec, images)
         assert expected is (label == "real images"), label
         assert rho_forms_agree(spec, images) is expected, label
+
+
+@pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
+def test_rho_forms_agree_matches_reference(sizes):
+    assert_rho_forms_agree_matches_reference(BlockSpec(sizes))
+
+
+@pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
+@pytest.mark.parametrize("chunk_rows", [1, 100])
+def test_rho_forms_agree_matches_reference_over_small_chunks(sizes, chunk_rows, monkeypatch):
+    import qautcert.qaut
+
+    monkeypatch.setattr(qautcert.qaut, "_CHUNK_ROWS", chunk_rows)
+    assert_rho_forms_agree_matches_reference(BlockSpec(sizes))
 
 
 @pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
@@ -816,6 +862,125 @@ def test_shuffle_fails_on_a_projection_with_two_scales(monkeypatch):
     cert = rearranged_Q_check(BlockSpec((2,)))
     assert cert["passed"] is False
     assert cert["failed_word"] == str(usym(1, 0, 0, 1, 0, 0))
+
+
+def _reference_conjugated(ft, U):
+    """Ad(U) of one image, U = (L, perm, exp) as ``_phase_permutation``
+    reads it."""
+    L, perm, exp = U
+    order = math.lcm(ft.order, L)
+    return replace(ft, order=order, row=perm[ft.row], col=perm[ft.col],
+                   exp=ft.exp * (order // ft.order) + (exp[ft.row] - exp[ft.col]) * (order // L))
+
+
+def _reference_times(c, ft):
+    """c ft for a scalar c = q zeta_L^e, q a positive rational."""
+    L, [(q, e)] = monomial_forms([c])
+    order = math.lcm(ft.order, L)
+    return replace(ft, order=order, prefactors=tuple(q * p for p in ft.prefactors),
+                   exp=ft.exp * (order // ft.order) + e * (order // L))
+
+
+def reference_covariance(spec, pi, rho):
+    """``covariance_check`` one generator at a time: for (a)/(b) and (d),
+    each generator's image under the substitution against its conjugated
+    image, compared with ``FormalTensor.equals``."""
+    d = spec.d
+    z = _z_images(spec)
+    zperm = {key: _phase_permutation(U) for key, U in z.items()}
+    qpres, upres = QautPresentation(spec), SnPresentation(spec)
+    cert = {"partition": list(spec.sizes), "d": d}
+    for idx in (1, 2, 3, 4):
+        for t in range(1, spec.m + 1):
+            sub = alpha(spec, idx, t)
+            for sym in qpres.generators:
+                scalar, target = sub(sym)
+                if not _reference_times(scalar, pi[target]).equals(
+                        _reference_conjugated(pi[sym], zperm[(idx, t)])):
+                    cert.update(passed=False, failure=f"alpha{idx},{t} vs Ad(z{idx},{t}) at {sym}")
+                    return cert
+    cert["a_b_alpha_cases"] = 4 * spec.m * len(qpres.generators)
+    checks = 0
+    for t in range(1, spec.m + 1):
+        for idx in (1, 2, 3, 4):
+            zi = z[(idx, t)]
+            power = Mat.identity(d * d)
+            for _ in range(spec.sizes[t - 1]):
+                power = power @ zi
+            assert zi.is_unitary() and power.equals(Mat.identity(d * d))
+            checks += 2
+        for tau in range(1, spec.m + 1):
+            for a, b in [(1, 3), (1, 1), (3, 3), (2, 4), (2, 2), (4, 4)]:
+                assert (z[(a, t)] @ z[(b, tau)]).equals(z[(b, tau)] @ z[(a, t)])
+                checks += 1
+            for conjugator, target, phase_applies in [
+                    (2, 1, True), (2, 3, False), (4, 3, True), (4, 1, False)]:
+                zc, zt = z[(conjugator, tau)], z[(target, t)]
+                n = spec.sizes[tau - 1]
+                expected = (zt.scale(root_of_unity(n, n - 1))
+                            if phase_applies and tau == t and n > 1 else zt)
+                assert (zc @ zt @ zc.adjoint()).equals(expected)
+                checks += 1
+    cert["c_z_relation_checks"] = checks
+    for idx in (1, 2, 3, 4):
+        for t in range(1, spec.m + 1):
+            sub = beta(spec, idx, t)
+            for sym in upres.generators:
+                scalar, target = sub(sym)
+                if not _reference_times(scalar, rho[target]).equals(
+                        _reference_conjugated(rho[sym], zperm[(idx, t)])):
+                    cert.update(passed=False, failure=f"beta{idx},{t} vs Ad(z{idx},{t}) at {sym}")
+                    return cert
+    cert["d_beta_cases"] = 4 * spec.m * len(upres.generators)
+    r = len(echelon({i * d + j: v for (i, j), v in w.sparse_entries().items()}
+                    for w in _z_words(spec))[0])
+    cert.update(e_span_rank=r * r, e_expected=d ** 4, passed=r * r == d ** 4,
+                worst_residual=0.0)
+    return cert
+
+
+def covariance_cases(spec):
+    """(label, pi, rho): the real images, then ``single_row_mutations`` of
+    pi and of rho."""
+    pi, rho = pi_map(spec), rho_map(spec)
+    return ([("real images", pi, rho)]
+            + [(f"pi: {label}", images, rho) for label, images in single_row_mutations(pi)]
+            + [(f"rho: {label}", pi, images) for label, images in single_row_mutations(rho)])
+
+
+def assert_covariance_matches_reference(spec, monkeypatch):
+    import qautcert.qaut
+
+    for label, pi_images, rho_images in covariance_cases(spec):
+        expected = reference_covariance(spec, pi_images, rho_images)
+        # with no block of size 1, every edit breaks covariance
+        if label == "real images" or 1 not in spec.sizes:
+            assert expected["passed"] is (label == "real images"), label
+        monkeypatch.setattr(qautcert.qaut, "pi_map", lambda _spec: pi_images)
+        monkeypatch.setattr(qautcert.qaut, "rho_map", lambda _spec: rho_images)
+        assert covariance_check(spec) == expected, label
+
+
+@pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
+def test_covariance_matches_reference(sizes, monkeypatch):
+    assert_covariance_matches_reference(BlockSpec(sizes), monkeypatch)
+
+
+def test_covariance_matches_reference_where_phase_and_image_orders_differ():
+    """At (3, 2) the images are written at order 6 and the phases of alpha
+    on the second block at order 2."""
+    spec = BlockSpec((3, 2))
+    expected = reference_covariance(spec, pi_map(spec), rho_map(spec))
+    assert expected["passed"] and covariance_check(spec) == expected
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1)])
+@pytest.mark.parametrize("chunk_rows", [1, 37])
+def test_covariance_matches_reference_over_small_chunks(sizes, chunk_rows, monkeypatch):
+    import qautcert.qaut
+
+    monkeypatch.setattr(qautcert.qaut, "_CHUNK_ROWS", chunk_rows)
+    assert_covariance_matches_reference(BlockSpec(sizes), monkeypatch)
 
 
 # -- automorphism families ----------------------------------------------------
