@@ -30,7 +30,9 @@ BUDGETS = {("exact", (2, 2, 2, 2), "conj"): 0.5, ("exact", (2, 2, 2, 2), "twist"
            ("exact", (4,), "cov"): 0.12, ("exact", (2, 2, 2, 2), "cov"): 1.9,
            ("exact", (4,), "shuffle"): 0.08, ("exact", (2, 2, 2, 2), "shuffle"): 1.7}
 # (backend, partition, suite) -> peak resident MB (ru_maxrss of the run's process)
-MEMORY_BUDGETS = {("exact", (2, 2, 2, 2), "shuffle"): 170.0}
+MEMORY_BUDGETS = {("exact", (2, 2, 2, 2), "shuffle"): 170.0,
+                  ("exact", (4,), "homs"): 52.0, ("exact", (2, 2, 2, 2), "homs"): 66.0,
+                  ("exact", (2, 2, 2, 2), "haar"): 85.0}
 TIMEOUT_S = 300.0  # per run; a run that takes longer is reported as failed
 ADDRESS_SPACE = 3 << 30  # bytes a run may map; past it, it fails
 

@@ -44,10 +44,10 @@ from .pauli import (
     weyl_basis,
 )
 from .qaut import (
-    GeneratorAssignment,
     QautPresentation,
     SnPresentation,
     arbitrary_permutations,
+    battery_groups,
     block_preserving_permutations,
     direct_sum_assignment,
     check_relations,
@@ -56,7 +56,6 @@ from .qaut import (
     covariance_check,
     haar_compat_check,
     image_stack,
-    permutation_assignment,
     pi_map,
     rearranged_Q_check,
     rho_forms_agree,
@@ -212,33 +211,30 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
     tagged += [("any", p) for p in arbitrary_permutations(spec, 3, seed=cfg.seed)]
     worst = 0.0
 
-    def battery_failure(presentation, images, cases, key, record):
-        """Substitute each case's generator values into the stacked images
-        and check the presentation's relations; the failing fragment, if any."""
+    def battery_failure(presentation, images, asg, cases, key):
+        """Check the presentation's relations at the images of each case of
+        the assignment, labelled (failure label, record line) in ``cases``;
+        the failing fragment, if any."""
         nonlocal worst
         if cfg.backend == "float":
             images = ft_to_float(images)
-        for label, line, assignment in cases:
-            subst = GeneratorAssignment(presentation, images.substitute_terms(assignment.stack))
-            rep = check_relations(subst, cfg.tol)
+        for first, group in battery_groups(images, presentation, asg):
+            rep = check_relations(group, cfg.tol)
             worst = max(worst, rep.worst_residual)
-            record.append(line)
             if not rep.ok:
-                return {"passed": False, "failure": f"{label}: {rep.failing}",
-                        "worst_residual": worst, key: record}
+                case = first + rep.failing_case
+                return {"passed": False, "failure": f"{cases[case][0]}: {rep.failing}",
+                        "worst_residual": worst, key: [line for _, line in cases[:case + 1]]}
         return None
 
-    def pi_cases():
-        for mode, perm in tagged:
-            yield ("pi battery",
-                   f"{mode}:" + ",".join(f"{k}->{v}" for k, v in sorted(perm.items())),
-                   permutation_assignment(spec, perm))
-        yield ("pi direct sum", "direct_sum:first-two-block-preserving",
-               direct_sum_assignment(spec, perms[:2]))
-
-    battery_record = []
-    failure = battery_failure(qpres, image_stack(pi_map(spec), qpres, upres), pi_cases(),
-                              "pi_battery", battery_record)
+    # the permutation cases, then their first two as one direct sum
+    pi_cases = [("pi battery", f"{mode}:" + ",".join(f"{k}->{v}" for k, v in sorted(perm.items())))
+                for mode, perm in tagged]
+    pi_cases.append(("pi direct sum", "direct_sum:first-two-block-preserving"))
+    points = [perm for _, perm in tagged] + perms[:2]
+    pi_asg = direct_sum_assignment(spec, points, np.minimum(np.arange(len(points)), len(tagged)))
+    failure = battery_failure(qpres, image_stack(pi_map(spec), qpres, upres), pi_asg, pi_cases,
+                              "pi_battery")
     if failure:
         return failure
     rho = rho_map(spec)
@@ -246,17 +242,17 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
         return {"passed": False, "failure": "rho displayed forms disagree",
                 "worst_residual": worst}
     battery = classical_theta_battery(spec, 10, seed=cfg.seed)
-    theta_cases = (("rho battery", str(entry[:-1]), classical_assignment_aut(spec, entry[-1]))
-                   for entry in battery)
-    theta_record = []
-    failure = battery_failure(upres, image_stack(rho, upres, qpres), theta_cases,
-                              "theta_battery", theta_record)
+    theta_cases = [("rho battery", str(entry[:-1])) for entry in battery]
+    failure = battery_failure(upres, image_stack(rho, upres, qpres),
+                              classical_assignment_aut(spec, [entry[-1] for entry in battery]),
+                              theta_cases, "theta_battery")
     if failure:
         return failure
     out = {"passed": True, "worst_residual": worst,
            "pi_permutations": len(perms), "rho_automorphisms": len(battery),
            "rho_forms_agree": True,
-           "pi_battery": battery_record, "theta_battery": theta_record}
+           "pi_battery": [line for _, line in pi_cases],
+           "theta_battery": [line for _, line in theta_cases]}
     if cfg.strict:
         out["strict_mode"] = strict_word_check(spec)
     return out

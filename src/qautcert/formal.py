@@ -156,19 +156,22 @@ class FormalTensor:
         goes to block b of a (G size k) x (size k) stack, G the number of
         images, the sum over its rows of their coefficient times
         E_(row, col) (x) value.  ``values`` is a dict {symbol: Mat} or the
-        vertical stack of the values of ``symbols`` in order (a
-        ``GeneratorAssignment.stack``).  One scatter over the pairs of a row
-        and a nonzero power-basis term of its symbol's value gives the
-        stack's terms, exact at one order and denominator, or complex once
-        ``phase`` is set; no dense matrix is formed."""
+        vertical stack of the values of ``symbols`` in order (an exact
+        ``GeneratorAssignment.stack``, a ``Mat`` or its ``Terms``).  One
+        scatter over the pairs of a row and a nonzero power-basis term of
+        its symbol's value gives the stack's terms, exact at one order and
+        denominator, or complex once ``phase`` is set; no dense matrix is
+        formed."""
         if isinstance(values, dict):
             values = Mat.vstack([values[s] for s in self.symbols])
+        if isinstance(values, Mat):
+            values = Terms.of(values)
         k = values.cols
         if values.rows != len(self.symbols) * k:
             raise ValueError(f"{values.rows}x{k} values for {len(self.symbols)} symbols")
         n = self.size * k
         shape = (len(self.prefactors) * n, n)
-        vrow, vcol, vexp, vnum = values.terms()
+        vrow, vcol, vexp, vnum = values.row, values.col, values.exp, values.num
         # t: table row, v: value term of its symbol, for every such pair
         by_symbol = np.argsort(vrow // k, kind="stable")
         counts = np.bincount(vrow // k, minlength=len(self.symbols))
@@ -185,7 +188,7 @@ class FormalTensor:
             return Terms(*shape, 1, 1, rows, cols, np.zeros(len(t), dtype=np.int64), num)
         order = math.lcm(self.order, values.order)
         den = math.lcm(*(p.denominator for p in self.prefactors))
-        scale = [int(p * den) for p in self.prefactors]
+        scale = [p.numerator * (den // p.denominator) for p in self.prefactors]
         # stored value terms are below 2**31, so below it the products fit int64
         scale = np.array(scale, dtype=np.int64 if max(map(abs, scale)) < 2**31 else object)
         return Terms(*shape, order, den * values.den, rows, cols,

@@ -147,7 +147,7 @@ def test_criterion_6_homomorphism_batteries():
         assert len(battery) >= 10
         assert any(entry[0] == "ad_weyl" for entry in battery)
         for entry in battery:
-            qasg = classical_assignment_aut(spec, entry[-1])
+            qasg = classical_assignment_aut(spec, [entry[-1]])
             uvals = {sym: ft.substitute(qasg.values) for sym, ft in rho.items()}
             rep = check_relations(GeneratorAssignment(upres, uvals))
             assert rep.ok and rep.worst_residual == 0.0, (sizes, entry[0])

@@ -59,7 +59,7 @@ def test_counit_assignment_passes():
 def test_counit_agrees_with_identity_point():
     spec = BlockSpec((2,))
     a = counit_assignment(spec)
-    b = classical_assignment_aut(spec, theta_identity(spec))
+    b = classical_assignment_aut(spec, [theta_identity(spec)])
     assert all(a.values[s].equals(b.values[s]) for s in a.values)
 
 
@@ -88,12 +88,13 @@ def test_assignment_from_a_dict_or_its_stack_is_one_assignment():
     spec = BlockSpec((2, 1))
     perm = block_preserving_permutations(spec, 1, seed=3)[0]
     point = direct_sum_assignment(spec, [perm, perm])
+    stack = point.stack.dense()
     as_dict = GeneratorAssignment(point.presentation, dict(point.values))
-    assert as_dict.stack.equals(point.stack) and as_dict.size == 2
-    floats = GeneratorAssignment(point.presentation, point.stack.to_float())
+    assert as_dict.stack.equals(stack) and as_dict.size == 2
+    floats = GeneratorAssignment(point.presentation, stack.to_float())
     assert all(np.array_equal(floats.values[g], v.to_float()) for g, v in point.values.items())
     with pytest.raises(IncompleteAssignment):
-        GeneratorAssignment(point.presentation, point.stack.select(range(4), range(2)))
+        GeneratorAssignment(point.presentation, stack.select(range(4), range(2)))
 
 
 @pytest.mark.parametrize("fill, odd_one", [
@@ -171,7 +172,7 @@ def reference_check(asg, tol=1e-9):
 @pytest.mark.parametrize("sizes", [(2,), (2, 1), (1, 2), (3,), (1, 1, 1)])
 def test_block_residuals_list_every_instance_in_relations_order(sizes):
     # at random complex values every instance has a residual of its own
-    from qautcert.qaut import _BlockValues
+    from qautcert.relations import _BlockValues
 
     rng = np.random.default_rng(len(sizes))
     spec = BlockSpec(sizes)
@@ -216,7 +217,7 @@ def passing_points(sizes):
     theta and pi at the first two for the q-generators."""
     spec = BlockSpec(sizes)
     perms = block_preserving_permutations(spec, 2, seed=1)
-    theta = classical_assignment_aut(spec, classical_theta_battery(spec, 1, seed=1)[-1][-1])
+    theta = classical_assignment_aut(spec, [classical_theta_battery(spec, 1, seed=1)[-1][-1]])
     rho = rho_map(spec)
     pi = pi_map(spec)
     perm, dsum = permutation_assignment(spec, perms[0]), direct_sum_assignment(spec, perms)
@@ -257,7 +258,7 @@ def _ad_shift_times_skew_idempotent():
     """The point of Ad(Z), the shift, on block 1 of (2, 1) times [[1, 1], [0, 0]], an
     idempotent that is not self-adjoint."""
     spec = BlockSpec((2, 1))
-    point = classical_assignment_aut(spec, theta_ad_unitary(spec, 1, weyl_basis(2).z))
+    point = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).z)])
     W = Mat.exact([[1, 1], [0, 0]])
     return GeneratorAssignment(point.presentation,
                                {g: W.scale(v.entry(0, 0)) for g, v in point.values.items()})
@@ -328,7 +329,7 @@ def sparse_exact_values(generators, rng, order, big):
 
 @pytest.mark.parametrize("sizes, order", [((2,), 3), ((2, 1), 4), ((1, 2), 12), ((3,), 12)])
 def test_exact_block_residuals_are_zero_exactly_where_the_reference_is(sizes, order):
-    from qautcert.qaut import _BlockValues
+    from qautcert.relations import _BlockValues
 
     rng = np.random.default_rng(sum(sizes) * order)
     spec = BlockSpec(sizes)
@@ -381,17 +382,18 @@ def test_an_exact_failure_below_float_range_still_fails():
 
 @pytest.mark.parametrize("sizes", [(2, 1), (2, 2), (3,)])
 def test_families_agree_over_chunks_of_one_group(sizes, monkeypatch):
-    from qautcert import qaut
+    from qautcert import relations
 
     rng = random.Random(len(sizes))
     points = []
     for asg in passing_points(sizes).values():
         t = rng.randrange(len(asg.presentation.generators))
         points += [asg, perturbed(asg, t, 0, 0, 1), as_float(perturbed(asg, t, 0, 0, 1))]
-    whole = [list(p.presentation.block_residuals(qaut._BlockValues(p, 1e-9))) for p in points]
-    monkeypatch.setattr(qaut, "_CHUNK_PAIRS", 1)
+    whole = [list(p.presentation.block_residuals(relations._BlockValues(p, 1e-9)))
+             for p in points]
+    monkeypatch.setattr(relations, "_CHUNK_PAIRS", 1)
     for asg, want in zip(points, whole):
-        got = list(asg.presentation.block_residuals(qaut._BlockValues(asg, 1e-9)))
+        got = list(asg.presentation.block_residuals(relations._BlockValues(asg, 1e-9)))
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=0 if asg.exact else 1e-12)
 
@@ -434,7 +436,7 @@ def test_permutation_and_direct_sum_stacks_are_the_mat_exact_ones():
             want = Mat.exact([[int(perm[sym[4:7]] == sym[1:4]) if a == b else 0
                                for b in range(len(ps))]
                               for sym in gens for a, perm in enumerate(ps)])
-            got = asg.stack
+            got = asg.stack.dense()
             assert (got.rows, got.cols, got.order, got.den) == (want.rows, want.cols, want.order, want.den)
             assert got.coef.dtype == want.coef.dtype and np.array_equal(got.coef, want.coef)
 
@@ -466,7 +468,7 @@ def test_homs_fails_after_one_pi_image_changes(sizes, edit, monkeypatch):
 def test_ad_shift_classical_point():
     # Ad(Z_2): q_(i,j),(k,l) = delta_(i+1,k) delta_(j+1,l) mod 2
     spec = BlockSpec((2,))
-    asg = classical_assignment_aut(spec, theta_ad_unitary(spec, 1, weyl_basis(2).z))
+    asg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).z)])
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -479,7 +481,7 @@ def test_ad_shift_classical_point():
 
 def test_block_swap_classical_point():
     spec = BlockSpec((1, 1))
-    asg = classical_assignment_aut(spec, theta_block_swap(spec, 1, 2))
+    asg = classical_assignment_aut(spec, [theta_block_swap(spec, 1, 2)])
     assert asg.values[qsym(1, 2, 0, 0, 0, 0)].entry(0, 0).is_one()
     assert asg.values[qsym(1, 1, 0, 0, 0, 0)].entry(0, 0).is_zero()
     assert check_relations(asg).ok
@@ -491,7 +493,7 @@ def test_non_star_automorphism_rejected():
     spec = BlockSpec((2,))
     theta = MonomialMap(range(4), [1, Fraction(1, 2), 2, 1])
     with pytest.raises(NotAutomorphismB, match=r"\*-compatible"):
-        classical_assignment_aut(spec, theta)
+        classical_assignment_aut(spec, [theta])
 
 
 def column_theta_stack(spec, entry):
@@ -530,7 +532,7 @@ def test_theta_stacks_match_matrix_reference(sizes):
     kinds = set()
     for seed in (0, 42):
         for entry in classical_theta_battery(spec, 10, seed=seed):
-            stack = classical_assignment_aut(spec, entry[-1]).stack
+            stack = classical_assignment_aut(spec, [entry[-1]]).stack.dense()
             ref = column_theta_stack(spec, entry)
             assert (stack.order, stack.den) == (ref.order, ref.den), entry[:-1]
             assert np.array_equal(stack.coef, ref.coef), entry[:-1]
@@ -646,7 +648,7 @@ def test_rho_both_forms_agree():
 
 def test_rho_classical_point_gives_magic_unitary():
     spec = BlockSpec((2,))
-    qasg = classical_assignment_aut(spec, theta_ad_unitary(spec, 1, weyl_basis(2).x))
+    qasg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).x)])
     rho = rho_map(spec)
     uvals = substitute_all(rho, qasg.values)
     assert next(iter(uvals.values())).rows == 4  # M_2 x M_2
@@ -659,7 +661,7 @@ def test_rho_battery_of_automorphisms():
     rho = rho_map(spec)
     pres = SnPresentation(spec)
     for entry in classical_theta_battery(spec, 10, seed=5):
-        qasg = classical_assignment_aut(spec, entry[-1])
+        qasg = classical_assignment_aut(spec, [entry[-1]])
         rep = check_relations(GeneratorAssignment(pres, substitute_all(rho, qasg.values)))
         assert rep.ok, entry[0]
 
@@ -1181,6 +1183,21 @@ def test_haar_reports_non_scalar_substitution(monkeypatch):
     _patch_pi(monkeypatch, skew)
     cert = haar_compat_check(BlockSpec((2,)))
     assert cert["all_scalar"] is False
+    assert cert["passed"] is False
+    assert cert["failure"] == f"substitution for {sym} is not scalar"
+
+
+def test_haar_reports_a_zero_diagonal_entry_as_not_scalar(monkeypatch):
+    sym = qsym(1, 1, 0, 0, 0, 0)
+
+    def drop_entry(pi):
+        ft = pi[sym]
+        keep = (ft.row != 1) | (ft.col != 1)  # entry (1, 1) becomes 0
+        pi[sym] = replace(ft, sym=ft.sym[keep], row=ft.row[keep], col=ft.col[keep],
+                          exp=ft.exp[keep])
+
+    _patch_pi(monkeypatch, drop_entry)
+    cert = haar_compat_check(BlockSpec((2,)))
     assert cert["passed"] is False
     assert cert["failure"] == f"substitution for {sym} is not scalar"
 
