@@ -457,6 +457,20 @@ class MonomialMap:
             raise ValueError("a monomial map has one target and one scalar per basis element")
         self.L, self.exp, self.num, self.den = _monomial_arrays(self.scalars)
 
+    @classmethod
+    def of_roots(cls, targets, L: int, exp) -> "MonomialMap":
+        """b_i -> zeta_L^exp[i] b_(k[i]), each scalar at order L, its arrays
+        written as ``monomial_forms`` would read them, at lcm(2, L)."""
+        theta = cls.__new__(cls)
+        theta.k = np.array(targets, dtype=np.int64)
+        exp = np.asarray(exp, dtype=np.int64) % L
+        units = [root_of_unity(L, e) for e in range(L)]
+        theta.scalars = [units[e] for e in exp.tolist()]
+        theta.L = math.lcm(2, L)
+        theta.exp = exp * (theta.L // L)
+        theta.num, theta.den = np.ones_like(exp), np.ones_like(exp)
+        return theta
+
 
 def _scalar_products(left, i, right, j):
     """(values, t) with values[t] = left[i] * right[j], elementwise over the

@@ -3,17 +3,29 @@
 Convention: X is diagonal (X|j> = w^j |j>) and Z is the cyclic shift
 (Z|j> = |j+1>), so XZ = w ZX.  Every downstream covariance formula depends
 on this choice, which is therefore fixed here once.
+
+Every Weyl operator is a phase permutation (``PhasePermutation``), and the
+entangled projections are one scale times a phase on each of their
+nonzeros; both are built here as index tables, and the exact matrices of
+``weyl_basis``, ``entangled_projection`` and ``bracket_phi`` are read off
+those tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .algebra import BlockSpec
 from .arith import Cyclotomic, Mat, root_of_unity, sqrt_int
 
 __all__ = [
+    "PhasePermutation",
+    "weyl_tables",
     "WeylBasis",
     "weyl_basis",
     "is_unitary_error_basis",
@@ -44,6 +56,79 @@ class SlotMismatch(ValueError):
     pass
 
 
+class PhasePermutation(NamedTuple):
+    """The unitary sum over c of zeta_L^exp[c] E_(perm[c], c): it sends
+    basis vector c to zeta_L^exp[c] times basis vector perm[c].  ``perm``
+    and ``exp`` may carry leading axes, one operator per index; products,
+    Kronecker products and slot placements are index arithmetic."""
+
+    L: int
+    perm: np.ndarray
+    exp: np.ndarray
+
+    @classmethod
+    def identity(cls, n: int) -> "PhasePermutation":
+        return cls(1, np.arange(n), np.zeros(n, dtype=np.int64))
+
+    def at(self, index) -> "PhasePermutation":
+        """The operator (or operators) at ``index`` of the leading axes."""
+        return PhasePermutation(self.L, self.perm[index], self.exp[index])
+
+    def compose(self, other: "PhasePermutation") -> "PhasePermutation":
+        """self @ other: c -> perm[other.perm[c]], with both phases."""
+        L = math.lcm(self.L, other.L)
+        return PhasePermutation(L, np.take_along_axis(self.perm, other.perm, -1),
+                                other.exp * (L // other.L)
+                                + np.take_along_axis(self.exp, other.perm, -1) * (L // self.L))
+
+    def adjoint(self) -> "PhasePermutation":
+        """The inverse, for a permutation ``perm``."""
+        perm, exp = np.empty_like(self.perm), np.empty_like(self.exp)
+        np.put_along_axis(perm, self.perm, np.arange(self.perm.shape[-1]), -1)
+        np.put_along_axis(exp, self.perm, -self.exp, -1)
+        return PhasePermutation(self.L, perm, exp)
+
+    def kron(self, other: "PhasePermutation") -> "PhasePermutation":
+        """self x other, index a n + b for n = other's size; leading axes
+        broadcast."""
+        L, n = math.lcm(self.L, other.L), other.perm.shape[-1]
+        perm = self.perm[..., :, None] * n + other.perm[..., None, :]
+        exp = self.exp[..., :, None] * (L // self.L) + other.exp[..., None, :] * (L // other.L)
+        return PhasePermutation(L, perm.reshape(perm.shape[:-2] + (-1,)),
+                                exp.reshape(exp.shape[:-2] + (-1,)))
+
+    def scaled(self, M: int, e: int) -> "PhasePermutation":
+        """zeta_M^e times the operator."""
+        L = math.lcm(self.L, M)
+        return PhasePermutation(L, self.perm, self.exp * (L // self.L) + e * (L // M))
+
+    def is_unitary(self) -> bool:
+        """Whether ``perm`` is a permutation: U U* = sum over c of
+        E_(perm[c], perm[c])."""
+        return np.array_equal(np.sort(self.perm, axis=-1),
+                              np.broadcast_to(np.arange(self.perm.shape[-1]), self.perm.shape))
+
+    def equals(self, other: "PhasePermutation") -> bool:
+        """Entry by entry: one nonzero per column, at one row with one phase."""
+        L = math.lcm(self.L, other.L)
+        return bool(np.array_equal(self.perm, other.perm)
+                    and ((self.exp * (L // self.L) - other.exp * (L // other.L)) % L == 0).all())
+
+    def mat(self) -> Mat:
+        """The exact matrix of one operator (``_table_mat``)."""
+        n = len(self.perm)
+        return _table_mat(n, (self.L, Fraction(1), self.perm, np.arange(n), self.exp))
+
+
+def weyl_tables(n: int) -> PhasePermutation:
+    """T_(a,b) = X^a Z^b of M_n, for every a, b < n, at index a n + b:
+    X^a Z^b |c> = w^(a(c+b)) |c+b>."""
+    a, b, c = np.ogrid[:n, :n, :n]
+    perm = (c + b) % n
+    return PhasePermutation(n, np.broadcast_to(perm, (n, n, n)).reshape(n * n, n),
+                            (a * perm % n).reshape(n * n, n))
+
+
 @dataclass
 class WeylBasis:
     n: int
@@ -56,28 +141,16 @@ class WeylBasis:
         return self.family[(i % self.n) * self.n + (j % self.n)]
 
 
-def pauli_x(n: int) -> Mat:
-    w = root_of_unity(n, 1)
-    return Mat.exact([[w ** i if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def pauli_z(n: int) -> Mat:
-    return Mat.exact([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])
-
-
 def weyl_basis(n: int) -> WeylBasis:
-    """The family {X^i Z^j} with both defining invariants verified exactly."""
+    """The family {X^i Z^j} as exact matrices, read off ``weyl_tables``,
+    with both defining invariants verified exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x, z = pauli_x(n), pauli_z(n)
+    tables = weyl_tables(n)
+    family = [tables.at(k).mat() for k in range(n * n)]
     w = root_of_unity(n, 1)
-    xs = [Mat.identity(n)]
-    zs = [Mat.identity(n)]
-    for _ in range(n - 1):
-        xs.append(xs[-1] @ x)
-        zs.append(zs[-1] @ z)
-    family = [xs[i] @ zs[j] for i in range(n) for j in range(n)]
-    basis = WeylBasis(n, w, x, z, family)
+    basis = WeylBasis(n, w, family[(1 % n) * n], family[1 % n], family)
+    x, z = basis.x, basis.z
     if not (x @ z).equals((z @ x).scale(w)):
         raise AssertionError("commutation relation XZ = wZX failed")
     for i in range(n):
@@ -163,19 +236,25 @@ def entangled_basis(n: int) -> EntangledBasis:
     return EntangledBasis(n, vectors)
 
 
+def entangled_table(n: int, i: int, j: int):
+    """|phi_ij><phi_ij| in M_n x M_n, square-root free, as (L, q, row, col,
+    exp): q sum over t of zeta_L^exp[t] E_(row[t], col[t]), from
+    (1/n) sum_{a,b} w^{i(a-b)} E_{a+j,b+j} x E_{a,b}, over (a, b)."""
+    a, b = np.divmod(np.arange(n * n), n)
+    return (n, Fraction(1, n), (a + j) % n * n + a, (b + j) % n * n + b, i * (a - b) % n)
+
+
 def entangled_projection(n: int, i: int, j: int) -> Mat:
-    """|phi_ij><phi_ij| in M_n x M_n, built square-root free:
-    (1/n) sum_{a,b} w^{i(a-b)} E_{a+j,b+j} x E_{a,b}."""
-    w = root_of_unity(n, 1)
-    entries = [[Cyclotomic.zero() for _ in range(n * n)] for _ in range(n * n)]
-    inv_n = Fraction(1, n)
-    for a in range(n):
-        for b in range(n):
-            phase = (w ** ((i * (a - b)) % n)) * inv_n
-            row = ((a + j) % n) * n + a
-            col = ((b + j) % n) * n + b
-            entries[row][col] = phase
-    return Mat.exact(entries)
+    """|phi_ij><phi_ij| as an exact matrix, read off ``entangled_table``."""
+    return _table_mat(n * n, entangled_table(n, i, j))
+
+
+def _table_mat(size: int, table) -> Mat:
+    """The exact size x size matrix of an (L, q, row, col, exp) table, at
+    order 1 when every phase is 1, as ``Mat.exact`` writes it."""
+    L, q, row, col, exp = table
+    return Mat.from_entries(size, size, L if (exp % L).any() else 1, row, col, exp,
+                            np.full(len(row), q.numerator), q.denominator)
 
 
 def pvm_check(projections: list) -> UebReport:
@@ -205,90 +284,65 @@ def pvm_check(projections: list) -> UebReport:
 
 
 class BlockEmbedding:
-    """Kronecker placements for a block partition.
+    """Placements for a block partition of d = n_1 ... n_m.
 
-    ``paren(r, T)`` puts T in the r-th slot of M_{n_1} x ... x M_{n_m} = M_d.
-    ``bracket(s, T2)`` puts a doubled-slot operator T2 in M_{n_s} x M_{n_s}
-    inside the interleaved product and rearranges it into M_d x M_d; the
-    rearrangement permutation is recorded and its round trip is the identity.
-    """
+    ``paren(r, T)`` puts T in the r-th slot of M_{n_1} x ... x M_{n_m} = M_d,
+    and ``paren_table`` does the same for phase permutations.
+    ``phi_table(s, i, j)`` puts the entangled projection of M_{n_s} x M_{n_s}
+    in the s-th doubled slot of the interleaved product of the
+    M_{n_t} x M_{n_t} and rearranges it into M_d x M_d: ``_to_paired`` sends
+    an interleaved index, digits (a_1, b_1, ..., a_m, b_m), to the paired
+    index ((a_1 .. a_m), (b_1 .. b_m))."""
 
     def __init__(self, spec: BlockSpec):
         self.spec = spec
         self.d = spec.d
-        sizes = spec.sizes
-        m = spec.m
-        # index maps between interleaved (a1,b1,...,am,bm) and paired
-        # ((a1..am),(b1..bm)) mixed-radix orderings of C^d x C^d.
-        self._to_paired = [0] * (self.d * self.d)
-        radix_inter = []
-        for n in sizes:
-            radix_inter += [n, n]
-        for idx in range(self.d * self.d):
-            digits = _digits(idx, radix_inter)
-            a = digits[0::2]
-            b = digits[1::2]
-            paired = _undigits(a + b, list(sizes) + list(sizes))
-            self._to_paired[idx] = paired
-        self._from_paired = [0] * len(self._to_paired)
-        for src, dst in enumerate(self._to_paired):
-            self._from_paired[dst] = src
+        inter = np.arange(self.d * self.d)
+        a = b = 0
+        for t, n in enumerate(spec.sizes):
+            pair = inter // math.prod(m * m for m in spec.sizes[t + 1:]) % (n * n)
+            a, b = a * n + pair // n, b * n + pair % n
+        self._to_paired = a * self.d + b
 
-    def paren(self, r: int, T: Mat) -> Mat:
-        sizes = self.spec.sizes
+    def _size(self, r: int) -> int:
+        """n_r, for a slot r of the partition."""
         if not (1 <= r <= self.spec.m):
             raise SlotMismatch(f"slot {r} out of range")
-        if T.rows != sizes[r - 1] or T.cols != sizes[r - 1]:
+        return self.spec.sizes[r - 1]
+
+    def paren(self, r: int, T: Mat) -> Mat:
+        if T.rows != self._size(r) or T.cols != T.rows:
             raise SlotMismatch(f"operator size {T.rows} does not fit block {r}")
         out = None
-        for t, n in enumerate(sizes, start=1):
+        for t, n in enumerate(self.spec.sizes, start=1):
             factor = T if t == r else Mat.identity(n)
             out = factor if out is None else out.kron(factor)
         return out
 
-    def bracket(self, s: int, T2: Mat) -> Mat:
-        sizes = self.spec.sizes
-        if not (1 <= s <= self.spec.m):
-            raise SlotMismatch(f"slot {s} out of range")
-        ns = sizes[s - 1]
-        if T2.rows != ns * ns or T2.cols != ns * ns:
-            raise SlotMismatch(f"doubled operator size {T2.rows} does not fit block {s}")
-        out = None
-        for t, n in enumerate(sizes, start=1):
-            factor = T2 if t == s else Mat.identity(n * n)
-            out = factor if out is None else out.kron(factor)
-        return self.rearrange(out)
+    def paren_table(self, r: int, U: PhasePermutation) -> PhasePermutation:
+        """``paren`` of the phase permutations U of M_{n_r}, leading axes
+        kept: the slot-r digit c_r of an index of C^d moves to perm[c_r]."""
+        n = self._size(r)
+        if U.perm.shape[-1] != n:
+            raise SlotMismatch(f"operator size {U.perm.shape[-1]} does not fit block {r}")
+        stride = math.prod(self.spec.sizes[r:])
+        c = np.arange(self.d)
+        digit = c // stride % n
+        return PhasePermutation(U.L, c + (U.perm[..., digit] - digit) * stride, U.exp[..., digit])
 
-    def rearrange(self, interleaved: Mat) -> Mat:
-        """Conjugate an interleaved-layout operator into the M_d x M_d layout."""
-        return interleaved.select(self._from_paired, self._from_paired)
-
-    def rearrange_inverse(self, paired: Mat) -> Mat:
-        return paired.select(self._to_paired, self._to_paired)
+    def phi_table(self, s: int, i: int, j: int):
+        """phi^[s]_{i,j}, the entangled projection in the s-th doubled slot,
+        as an (L, q, row, col, exp) table over M_d x M_d: each nonzero of
+        ``entangled_table`` times each index of the identity on the other
+        doubled slots, rearranged."""
+        n = self._size(s)
+        L, q, row, col, exp = entangled_table(n, i % n, j % n)
+        stride = math.prod(m * m for m in self.spec.sizes[s:])
+        inter = np.arange(self.d * self.d)
+        rest = inter[inter // stride % (n * n) == 0]
+        return (L, q, self._to_paired[(row[:, None] * stride + rest).ravel()],
+                self._to_paired[(col[:, None] * stride + rest).ravel()], np.repeat(exp, len(rest)))
 
     def bracket_phi(self, s: int, i: int, j: int) -> Mat:
-        """phi^[s]_{i,j}: the entangled projection in the s-th doubled slot."""
-        n = self.spec.sizes[s - 1]
-        return self.bracket(s, entangled_projection(n, i % n, j % n))
-
-    def paren_unit(self, s: int, i: int, j: int) -> Mat:
-        """E^(s)_{i,j} embedded in M_d."""
-        n = self.spec.sizes[s - 1]
-        unit = Mat.exact([[1 if (a, b) == (i % n, j % n) else 0 for b in range(n)]
-                          for a in range(n)])
-        return self.paren(s, unit)
-
-
-def _digits(idx: int, radix: list[int]) -> list[int]:
-    out = []
-    for n in reversed(radix):
-        out.append(idx % n)
-        idx //= n
-    return out[::-1]
-
-
-def _undigits(digits: list[int], radix: list[int]) -> int:
-    idx = 0
-    for d, n in zip(digits, radix):
-        idx = idx * n + d
-    return idx
+        """phi^[s]_{i,j} as an exact matrix, read off ``phi_table``."""
+        return _table_mat(self.d * self.d, self.phi_table(s, i, j))

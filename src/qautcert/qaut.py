@@ -23,6 +23,7 @@ generator-level trace constants on both sides agree (see haar_compat_check).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -31,11 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BlockSpec, MonomialMap, monomial_forms, multimatrix
+from .algebra import BlockSpec, MonomialMap, multimatrix
 from .arith import (Cyclotomic, Mat, Terms, _maxabs, _root_table, _working, accumulate,
                     echelon, root_of_unity)
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
-from .pauli import BlockEmbedding, NotPVM, pvm_check, weyl_basis
+from .pauli import BlockEmbedding, NotPVM, PhasePermutation, pvm_check, weyl_basis, weyl_tables
 from .relations import (GeneratorAssignment, IncompleteAssignment, QautPresentation,
                         RelationReport, SnPresentation, _enumerate, _starts, battery_groups,
                         check_relations)
@@ -177,19 +178,20 @@ def _unit_index(spec: BlockSpec):
     return {p: n for n, p in enumerate(SnPresentation(spec).points)}
 
 
-def theta_ad_unitary(spec: BlockSpec, r: int, U: Mat) -> MonomialMap:
-    """Ad(U) on block r, identity on the others, for a phase-permutation U:
-    U E_ij U* = u_i conj(u_j) E_(perm[i], perm[j]) with u_c = U[perm[c], c].
-    The scalars are products of entries of U at its order, so the
-    assignment ``classical_assignment_aut`` builds keeps that order."""
+def theta_ad_unitary(spec: BlockSpec, r: int, U: PhasePermutation) -> MonomialMap:
+    """Ad(U) on block r, identity on the others, for a phase permutation U
+    of M_(n_r): U E_ij U* = zeta_L^(exp[i] - exp[j]) E_(perm[i], perm[j]).
+    The scalars of block r are written at U's order L, so the assignment
+    ``classical_assignment_aut`` builds keeps that order."""
     n = spec.sizes[r - 1]
-    if U.rows != n:
-        raise IndexOutOfRange(f"unitary size {U.rows} does not match block {r}")
-    perm = _phase_permutation(U)[1].tolist()
-    u = [U.entry(p, c) for c, p in enumerate(perm)]
-    index, one = _unit_index(spec), Cyclotomic.one()
-    return MonomialMap([index[(r, perm[i], perm[j]) if rr == r else (rr, i, j)] for rr, i, j in index],
-                       [u[i] * u[j].conjugate() if rr == r else one for rr, i, j in index])
+    if U.perm.shape != (n,):
+        raise IndexOutOfRange(f"unitary size {U.perm.shape[-1]} does not match block {r}")
+    first = sum(m * m for m in spec.sizes[: r - 1])
+    i, j = np.divmod(np.arange(n * n), n)
+    k, exp = np.arange(spec.N), np.zeros(spec.N, dtype=np.int64)
+    k[first:first + n * n] = first + U.perm[i] * n + U.perm[j]
+    exp[first:first + n * n] = U.exp[i] - U.exp[j]
+    return MonomialMap.of_roots(k, U.L, exp)
 
 
 def theta_block_swap(spec: BlockSpec, r1: int, r2: int) -> MonomialMap:
@@ -246,15 +248,18 @@ def classical_assignment_aut(spec: BlockSpec, thetas: list) -> GeneratorAssignme
 def classical_theta_battery(spec: BlockSpec, count: int, seed: int):
     """At least ``count`` verified automorphisms: Ad of every Weyl element
     per block, one swap per equal-size block pair, then seeded Ad's of
-    permutation and diagonal-phase unitaries."""
+    permutation and diagonal-phase unitaries.  Each unitary is a phase
+    permutation at the order its exact matrix has: X^i Z^j at n, or at 1
+    for i = 0, a permutation at 1 and a diagonal of n-th roots at n."""
     rng = random.Random(seed)
     battery = []
     for r, n in enumerate(spec.sizes, start=1):
-        wb = weyl_basis(n)
+        weyl = weyl_tables(n)
         for i in range(n):
             for j in range(n):
+                U = weyl.at(i * n + j)
                 battery.append(("ad_weyl", r, i, j,
-                                theta_ad_unitary(spec, r, wb.t(i, j))))
+                                theta_ad_unitary(spec, r, U if i else U._replace(L=1))))
     swaps = [(r1, r2) for r1, r2 in itertools.combinations(range(1, spec.m + 1), 2)
              if spec.sizes[r1 - 1] == spec.sizes[r2 - 1]]
     if swaps:
@@ -267,12 +272,11 @@ def classical_theta_battery(spec: BlockSpec, count: int, seed: int):
             p = list(range(n))
             rng.shuffle(p)
             detail = tuple(p)
-            U = Mat.exact([[1 if a == p[b] else 0 for b in range(n)] for a in range(n)])
+            U = PhasePermutation(1, np.array(p), np.zeros(n, dtype=np.int64))
         else:
             exps = [rng.randrange(n) for _ in range(n)]
             detail = tuple(exps)
-            U = Mat.exact([[root_of_unity(n, exps[a]) if a == b else 0
-                            for b in range(n)] for a in range(n)])
+            U = PhasePermutation(n, np.arange(n), np.array(exps))
         battery.append((kind, r, detail, None, theta_ad_unitary(spec, r, U)))
     return battery
 
@@ -455,9 +459,9 @@ def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
         (T^[s]_(x,-y) x T^[r]_(v,-w))(Q^(s,r)/n_s)(T^[s]_(x,-y) x T^[r]_(v,-w))*,
 
     Q^(s,r) = sum E^(s)_(i,j) x E^(r)_(k,l) x q^(s,r)_(i,j),(k,l).  Q is
-    read off the d x d matrix units ``paren_unit`` and each factor
-    T^[t]_(a,-b) off the d x d ``paren`` as a phase-permutation,
-    independently of the phase table that ``rho`` comes from.  Kronecker
+    read off the positions of the ones of the d x d matrix units and each
+    factor T^[t]_(a,-b) off ``weyl_tables`` placed in slot t, independently
+    of the phase table that ``rho`` comes from.  Kronecker
     products are index arithmetic, Ad(A x B) E_(a d + a', b d + b') =
     Ad(A) E_(a,b) x Ad(B) E_(a',b'), so per block pair the n_s^2 n_r^2
     conjugations of Q are one gather, compared with the stacked images by
@@ -466,15 +470,12 @@ def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
     emb, d = BlockEmbedding(spec), spec.d
     units, weyl = {}, {}
     for t, n in enumerate(spec.sizes, start=1):
-        wb = weyl_basis(n)
         # (row, col) of the ones of E^(t)_(i,j), over (i, j)
-        units[t] = np.array([emb.paren_unit(t, i, j).terms()[:2]
-                             for i in range(n) for j in range(n)]).transpose(1, 0, 2)
-        # T^[t]_(a,-b) = sum over c of zeta_L^exp[c] E_(perm[c], c), over (a, b)
-        conj = [_phase_permutation(emb.paren(t, wb.t(a, -b % n)))
-                for a in range(n) for b in range(n)]
-        L = math.lcm(*(c[0] for c in conj))
-        weyl[t] = (L, np.array([c[1] for c in conj]), np.array([c[2] * (L // c[0]) for c in conj]))
+        stride, base = _unit_positions(spec, t)
+        i, j = np.divmod(np.arange(n * n), n)
+        units[t] = (base + (i * stride)[:, None], base + (j * stride)[:, None])
+        # T^[t]_(a,-b) = sum over c of zeta_L^exp[c] E_(perm[c], c), over (a, b) = (i, j)
+        weyl[t] = emb.paren_table(t, weyl_tables(n).at(i * n + -j % n))
     for s, ns in enumerate(spec.sizes, start=1):
         for r, nr in enumerate(spec.sizes, start=1):
             qs = tuple(qsym(s, r, *t) for t in _index_range(ns, nr))
@@ -514,16 +515,15 @@ def rearranged_Q_check(spec: BlockSpec) -> dict:
     is applied exactly once, here at certificate assembly.  The coefficient
     of each u on either side is a table of (row, col, exponent) rows (d^4
     nonzeros out of d^8): on the left read off pi's images, on the right
-    the Kronecker product of the entangled projections' nonzeros.  The
+    the Kronecker product of the entangled projections' tables
+    (``BlockEmbedding.phi_table``).  The
     u-symbols of the pair (s, r) occur in pi(q^(s,r)) only, so each block
     pair is one comparison of two tables with one image per u
     (``_shuffle_failure``); a failure names the first u in order."""
     sizes = spec.sizes
     pi = pi_map(spec)
     emb = BlockEmbedding(spec)
-    empty = np.zeros(0, dtype=np.int64)
-    phi = {(t, a, b): (_monomial_entries(emb.bracket_phi(t, -a, b))  # phi^[t]_(-a,b)
-                       or (1, Fraction(0), empty, empty, empty))  # not of one scale: fails
+    phi = {(t, a, b): emb.phi_table(t, -a, b)  # phi^[t]_(-a,b)
            for t, n in enumerate(sizes, start=1) for a in range(n) for b in range(n)}
     pairs = [(s, r) for s in range(1, spec.m + 1) for r in range(1, spec.m + 1)]
     us = [[usym(s, x, y, r, v, w) for x, y, v, w in _index_range(sizes[s - 1], sizes[r - 1])]
@@ -627,17 +627,29 @@ def _spread(idx, d: int):
 # ---------------------------------------------------------------------------
 # the automorphism substitutions
 
-@dataclass
+@dataclass(eq=False)
 class Substitution:
-    """Index substitution on generator symbols: sym -> (phase, sym)."""
+    """Index substitution on generator symbols: generator number n of
+    ``generators`` goes to zeta_L^exp[n] times generator number target[n]."""
 
     name: str
     spec: BlockSpec
     t: int
-    fn: object
+    generators: tuple
+    L: int
+    target: np.ndarray
+    exp: np.ndarray
 
     def __call__(self, sym):
-        return self.fn(sym)
+        """(phase, symbol) of one generator, read off the arrays."""
+        n = self._number[sym]
+        e = int(self.exp[n]) % self.L
+        return (root_of_unity(self.L, e) if e else Cyclotomic.one(),
+                self.generators[int(self.target[n])])
+
+    @functools.cached_property
+    def _number(self) -> dict:
+        return {g: n for n, g in enumerate(self.generators)}
 
     @property
     def order(self) -> int:
@@ -651,24 +663,23 @@ def alpha(spec: BlockSpec, idx: int, t: int) -> Substitution:
     if not (1 <= t <= spec.m) or idx not in (1, 2, 3, 4):
         raise IndexOutOfRange(f"alpha_{idx},{t}")
     nt = spec.sizes[t - 1]
-    w = root_of_unity(nt, 1) if nt > 1 else Cyclotomic.one()
-    powers = [w ** e for e in range(nt)]
-
-    def fn(sym):
-        kind, s, r, i, j, k, l = sym
-        assert kind == "q"
-        one = Cyclotomic.one()
-        if idx == 1:
-            return (powers[(i - j) % nt] if s == t and nt > 1 else one), sym
-        if idx == 3:
-            return (powers[(k - l) % nt] if r == t and nt > 1 else one), sym
-        if idx == 2 and s == t:
-            return one, qsym(s, r, (i + 1) % nt, (j + 1) % nt, k, l)
-        if idx == 4 and r == t:
-            return one, qsym(s, r, i, j, (k + 1) % nt, (l + 1) % nt)
-        return one, sym
-
-    return Substitution(f"alpha{idx},{t}", spec, t, fn)
+    n = np.array(spec.sizes)
+    # the index columns of every generator q^(s,r)_(i,j),(k,l), blocks from 0
+    s, r, i, j, k, l = _enumerate(spec.sizes, 2, lambda ns, nr: (ns, ns, nr, nr))
+    exp = np.zeros_like(s)
+    if idx == 1:
+        exp = np.where(s == t - 1, (i - j) % nt, 0)
+    elif idx == 3:
+        exp = np.where(r == t - 1, (k - l) % nt, 0)
+    elif idx == 2:
+        i, j = (np.where(s == t - 1, (a + 1) % nt, a) for a in (i, j))
+    else:
+        k, l = (np.where(r == t - 1, (a + 1) % nt, a) for a in (k, l))
+    counts = (np.multiply.outer(n, n) ** 2).ravel()
+    first = (np.cumsum(counts) - counts).reshape(spec.m, spec.m)
+    target = first[s, r] + ((i * n[s] + j) * n[r] + k) * n[r] + l
+    return Substitution(f"alpha{idx},{t}", spec, t, QautPresentation(spec).generators, nt,
+                        target, exp)
 
 
 def beta(spec: BlockSpec, idx: int, t: int) -> Substitution:
@@ -681,23 +692,20 @@ def beta(spec: BlockSpec, idx: int, t: int) -> Substitution:
     """
     if not (1 <= t <= spec.m) or idx not in (1, 2, 3, 4):
         raise IndexOutOfRange(f"beta_{idx},{t}")
-    nt = spec.sizes[t - 1]
-
-    def fn(sym):
-        kind, s, x, y, r, v, w = sym
-        assert kind == "u"
-        one = Cyclotomic.one()
-        if idx == 1 and s == t:
-            return one, usym(s, (x + 1) % nt, y, r, v, w)
-        if idx == 2 and s == t:
-            return one, usym(s, x, (y - 1) % nt, r, v, w)
-        if idx == 3 and r == t:
-            return one, usym(s, x, y, r, (v + 1) % nt, w)
-        if idx == 4 and r == t:
-            return one, usym(s, x, y, r, v, (w - 1) % nt)
-        return one, sym
-
-    return Substitution(f"beta{idx},{t}", spec, t, fn)
+    nt, N = spec.sizes[t - 1], spec.N
+    # the point (s, x, y) is number first[s] + x n_s + y, blocks from 0, and
+    # u_(P),(Q) is generator number P N + Q; moved[P] is the number of P's image
+    s, x, y = _enumerate(spec.sizes, 1, lambda ns: (ns, ns))
+    if idx in (1, 3):
+        x = np.where(s == t - 1, (x + 1) % nt, x)
+    else:
+        y = np.where(s == t - 1, (y - 1) % nt, y)
+    n = np.array(spec.sizes)
+    moved = np.cumsum(n * n)[s] - n[s] * n[s] + x * n[s] + y
+    P, Q = np.divmod(np.arange(N * N), N)
+    target = moved[P] * N + Q if idx in (1, 2) else P * N + moved[Q]
+    return Substitution(f"beta{idx},{t}", spec, t, SnPresentation(spec).generators, nt,
+                        target, np.zeros(N * N, dtype=np.int64))
 
 
 def _expression_key(terms, order: int):
@@ -765,52 +773,23 @@ def substitution_preserves_relations(spec: BlockSpec, sub: Substitution,
 # ---------------------------------------------------------------------------
 # covariance suite
 
-def _z_images(spec: BlockSpec):
-    emb = BlockEmbedding(spec)
-    d = spec.d
-    ident = Mat.identity(d)
+def _z_tables(spec: BlockSpec) -> dict:
+    """{(idx, t): z_idx,t}, the Pauli images in M_d x M_d as phase
+    permutations: x_t x 1, z_t x 1, 1 x x_t and 1 x z_t for idx 1..4, x_t
+    and z_t the Pauli X and Z of M_(n_t) in slot t of M_d."""
+    emb, one = BlockEmbedding(spec), PhasePermutation.identity(spec.d)
     out = {}
     for t, n in enumerate(spec.sizes, start=1):
-        wb = weyl_basis(n)
-        out[(1, t)] = emb.paren(t, wb.x).kron(ident)
-        out[(2, t)] = emb.paren(t, wb.z).kron(ident)
-        out[(3, t)] = ident.kron(emb.paren(t, wb.x))
-        out[(4, t)] = ident.kron(emb.paren(t, wb.z))
+        weyl = weyl_tables(n)
+        x, z = (emb.paren_table(t, weyl.at(k)) for k in ((1 % n) * n, 1 % n))
+        out[(1, t)], out[(2, t)] = x.kron(one), z.kron(one)
+        out[(3, t)], out[(4, t)] = one.kron(x), one.kron(z)
     return out
 
 
-def _monomial_entries(U: Mat):
-    """(L, q, row, col, exp) with U = q sum over t of zeta_L^exp[t]
-    E_(row[t], col[t]) and q a positive Fraction, or None when the nonzeros
-    of U are not all of that form with one q."""
-    entries = U.sparse_entries()
-    values = list(dict.fromkeys(entries.values()))
-    L, forms = monomial_forms(values)
-    scales = {None if form is None else form[0] for form in forms}
-    if len(scales) != 1 or None in scales:
-        return None
-    exp = dict(zip(values, (e for _, e in forms)))
-    row, col = np.array(list(entries), dtype=np.int64).T
-    return L, scales.pop(), row, col, np.array([exp[c] for c in entries.values()], dtype=np.int64)
-
-
-def _phase_permutation(U: Mat):
-    """(L, perm, exp) with U = sum over c of zeta_L^exp[c] E_(perm[c], c)."""
-    form = _monomial_entries(U)
-    if (form is None or form[1] != 1
-            or not np.array_equal(np.sort(form[2]), np.arange(U.rows))
-            or not np.array_equal(np.sort(form[3]), np.arange(U.cols))):
-        raise ValueError("not a phase-permutation")
-    L, _, row, col, exp = form
-    perm, phase = np.empty_like(row), np.empty_like(exp)
-    perm[col], phase[col] = row, exp
-    return L, perm, phase
-
-
-def _conjugated(ft: FormalTensor, U) -> FormalTensor:
-    """Ad(U) of every image of the stack ft, for U = (L, perm, exp) as
-    ``_phase_permutation`` reads it: U E_(a,b) U* = zeta_L^(exp[a] - exp[b])
-    E_(perm[a], perm[b])."""
+def _conjugated(ft: FormalTensor, U: PhasePermutation) -> FormalTensor:
+    """Ad(U) of every image of the stack ft: U E_(a,b) U* =
+    zeta_L^(exp[a] - exp[b]) E_(perm[a], perm[b])."""
     L, perm, exp = U
     order = math.lcm(ft.order, L)
     row = ft.row % ft.size
@@ -818,8 +797,8 @@ def _conjugated(ft: FormalTensor, U) -> FormalTensor:
                    exp=ft.exp * (order // ft.order) + (exp[row] - exp[ft.col]) * (order // L))
 
 
-def _first_not_intertwined(stack: FormalTensor, generators: list, sub: Substitution, U):
-    """The first generator g, in ``generators`` order, at which
+def _first_not_intertwined(stack: FormalTensor, sub: Substitution, U: PhasePermutation):
+    """The first generator g, in ``sub.generators`` order, at which
     c image(g') != Ad(U)(image(g)) for sub(g) = (c, g'), or None; image(g)
     is image n of ``stack`` for g = generators[n], its rows in image order
     as ``FormalTensor.stack`` lays them out.  Both sides are formed for
@@ -827,23 +806,14 @@ def _first_not_intertwined(stack: FormalTensor, generators: list, sub: Substitut
     one ``FormalTensor.differing`` per chunk: the left side regroups the
     rows of the images g' and adds c's phase, the right side conjugates the
     chunk's own rows."""
-    number = {g: n for n, g in enumerate(generators)}
-    phases, targets = zip(*(sub(g) for g in generators))
-    distinct = list(dict.fromkeys(phases))
-    L, forms = monomial_forms(distinct)
-    if None in forms:
-        raise ValueError(f"{sub.name} has a phase that is not a rational times a root of unity")
-    form = dict(zip(distinct, forms))
-    target = np.array([number[g] for g in targets], dtype=np.int64)
-    shift = np.array([form[c][1] for c in phases], dtype=np.int64)
-    prefactors = [stack.prefactors[n] if form[c][0] == 1 else form[c][0] * stack.prefactors[n]
-                  for c, n in zip(phases, target.tolist())]
-    counts = np.bincount(stack.row // stack.size, minlength=len(generators))
+    target, shift, L = sub.target, sub.exp, sub.L
+    prefactors = [stack.prefactors[n] for n in target.tolist()]
+    counts = np.bincount(stack.row // stack.size, minlength=len(target))
     ends = np.cumsum(counts)
     starts = ends - counts
     order = math.lcm(stack.order, L)
     cuts = np.searchsorted(ends, np.arange(_CHUNK_ROWS, ends[-1], _CHUNK_ROWS))
-    bounds = sorted({0, len(generators), *cuts.tolist()})
+    bounds = sorted({0, len(target), *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
         src = target[lo:hi]
         cnt = counts[src]
@@ -860,7 +830,7 @@ def _first_not_intertwined(stack: FormalTensor, generators: list, sub: Substitut
                                        stack.exp[own]), U)
         bad = lhs.differing(rhs)
         if bad.any():
-            return generators[lo + int(np.argmax(bad))]
+            return sub.generators[lo + int(np.argmax(bad))]
     return None
 
 
@@ -868,15 +838,16 @@ def covariance_check(spec: BlockSpec) -> dict:
     """Items (a)-(e): the alpha/beta families are implemented by conjugation
     with the Pauli images of the crossed-product unitaries, the phase tables
     of the extended actions hold, and the z-words L x R span all of
-    M_d x M_d.  For (a)/(b) and (d), the images of pi and of rho are
-    stacked once each, and each of the 8m substitutions is checked on
-    every generator at once (``_first_not_intertwined``); a failure names
-    the first generator in ``generators`` order.  For (e),
-    span{L x R} = span(words) x span(words), so ``e_span_rank`` is r^2, r
-    the rank of the d^2 words of M_d."""
+    M_d x M_d.  The z-images are phase permutations (``_z_tables``), and
+    (c) compares their products entry by entry.  For (a)/(b) and (d), the
+    images of pi and of rho are stacked once each, and each of the 8m
+    substitutions is checked on every generator at once
+    (``_first_not_intertwined``); a failure names the first generator in
+    ``generators`` order.  For (e), span{L x R} = span(words) x
+    span(words), so ``e_span_rank`` is r^2, r the rank of the d^2 words of
+    M_d."""
     d = spec.d
-    z = _z_images(spec)
-    zperm = {key: _phase_permutation(U) for key, U in z.items()}
+    z = _z_tables(spec)
     qpres = QautPresentation(spec)
     upres = SnPresentation(spec)
     cert = {"partition": list(spec.sizes), "d": d}
@@ -884,67 +855,37 @@ def covariance_check(spec: BlockSpec) -> dict:
     pi = image_stack(pi_map(spec), qpres, upres)
     for idx in (1, 2, 3, 4):
         for t in range(1, spec.m + 1):
-            sym = _first_not_intertwined(pi, qpres.generators, alpha(spec, idx, t),
-                                         zperm[(idx, t)])
+            sym = _first_not_intertwined(pi, alpha(spec, idx, t), z[(idx, t)])
             if sym is not None:
                 cert.update(passed=False, failure=f"alpha{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                 return cert
     cert["a_b_alpha_cases"] = 4 * spec.m * len(qpres.generators)
     del pi
     # (c): phase tables and group relations of the z-images
-    checks = 0
-    for t in range(1, spec.m + 1):
-        nt = spec.sizes[t - 1]
-        w_inv = root_of_unity(nt, nt - 1) if nt > 1 else Cyclotomic.one()
-        for idx in (1, 2, 3, 4):
-            zi = z[(idx, t)]
-            if not zi.is_unitary():
-                cert.update(passed=False, failure=f"z{idx},{t} not unitary")
-                return cert
-            power = Mat.identity(d * d)
-            for _ in range(nt):
-                power = power @ zi
-            if not power.equals(Mat.identity(d * d)):
-                cert.update(passed=False, failure=f"z{idx},{t}^n != 1")
-                return cert
-            checks += 2
-        for tau in range(1, spec.m + 1):
-            for (a, b) in [(1, 3), (1, 1), (3, 3), (2, 4), (2, 2), (4, 4)]:
-                za, zb = z[(a, t)], z[(b, tau)]
-                if not (za @ zb).equals(zb @ za):
-                    cert.update(passed=False,
-                                failure=f"[z{a},{t}, z{b},{tau}] != 0")
-                    return cert
-                checks += 1
-            for (conjugator, target, phase_applies) in [
-                    (2, 1, True), (2, 3, False), (4, 3, True), (4, 1, False)]:
-                zc, zt = z[(conjugator, tau)], z[(target, t)]
-                conj = zc @ zt @ zc.adjoint()
-                w_tau = spec.sizes[tau - 1]
-                if phase_applies and tau == t and w_tau > 1:
-                    expected = zt.scale(root_of_unity(w_tau, w_tau - 1))
-                else:
-                    expected = zt
-                if not conj.equals(expected):
-                    cert.update(passed=False,
-                                failure=f"Ad(z{conjugator},{tau})(z{target},{t}) phase")
-                    return cert
-                checks += 1
+    failure, checks = _z_relation_failure(spec, z)
+    if failure is not None:
+        cert.update(passed=False, failure=failure)
+        return cert
     cert["c_z_relation_checks"] = checks
     # (d): rho intertwines beta_i,t with Ad(z_i,t)
     rho = image_stack(rho_map(spec), upres, qpres)
     for idx in (1, 2, 3, 4):
         for t in range(1, spec.m + 1):
-            sym = _first_not_intertwined(rho, upres.generators, beta(spec, idx, t),
-                                         zperm[(idx, t)])
+            sym = _first_not_intertwined(rho, beta(spec, idx, t), z[(idx, t)])
             if sym is not None:
                 cert.update(passed=False, failure=f"beta{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                 return cert
     cert["d_beta_cases"] = 4 * spec.m * len(upres.generators)
     # (e): span{L x R} = span(words) x span(words), so the z-words span
-    # M_d x M_d exactly when the d^2 words span M_d: rank r^2 = d^4
-    r = len(echelon({i * d + j: v for (i, j), v in w.sparse_entries().items()}
-                    for w in _z_words(spec))[0])
+    # M_d x M_d exactly when the d^2 words span M_d: rank r^2 = d^4.  Word w
+    # is the row {perm[c] d + c: zeta_L^exp[c]}, its keys in order
+    L, perm, exp = _z_words(spec)
+    units = [root_of_unity(L, e) for e in range(L)]
+    keys = perm * d + np.arange(d)
+    by = np.argsort(keys, axis=1)
+    keys, exp = np.take_along_axis(keys, by, 1), np.take_along_axis(exp, by, 1) % L
+    r = len(echelon({k: units[e] for k, e in zip(word_keys, word_exp)}
+                    for word_keys, word_exp in zip(keys.tolist(), exp.tolist()))[0])
     cert["e_span_rank"] = r * r
     cert["e_expected"] = d ** 4
     cert["passed"] = r * r == d ** 4
@@ -952,29 +893,61 @@ def covariance_check(spec: BlockSpec) -> dict:
     return cert
 
 
-def _z_words(spec: BlockSpec) -> list:
+def _z_relation_failure(spec: BlockSpec, z: dict):
+    """(failure, checks) of item (c) on the z-images ``z``: unitarity,
+    z^n = 1, the commutations and the conjugation phases, in order, each
+    a comparison of products of phase permutations entry by entry; the
+    first failure, or None, and the number of checks passed.  The adjoint
+    of a z-image is taken as its inverse, which it is for a unitary one; a
+    z-image that is not unitary fails its own check, though a conjugation
+    by it may be reached first."""
+    checks = 0
+    ident = PhasePermutation.identity(spec.d ** 2)
+    for t in range(1, spec.m + 1):
+        nt = spec.sizes[t - 1]
+        for idx in (1, 2, 3, 4):
+            zi = z[(idx, t)]
+            if not zi.is_unitary():
+                return f"z{idx},{t} not unitary", checks
+            power = ident
+            for _ in range(nt):
+                power = power.compose(zi)
+            if not power.equals(ident):
+                return f"z{idx},{t}^n != 1", checks
+            checks += 2
+        for tau in range(1, spec.m + 1):
+            for (a, b) in [(1, 3), (1, 1), (3, 3), (2, 4), (2, 2), (4, 4)]:
+                za, zb = z[(a, t)], z[(b, tau)]
+                if not za.compose(zb).equals(zb.compose(za)):
+                    return f"[z{a},{t}, z{b},{tau}] != 0", checks
+                checks += 1
+            for (conjugator, target, phase_applies) in [
+                    (2, 1, True), (2, 3, False), (4, 3, True), (4, 1, False)]:
+                zc, zt = z[(conjugator, tau)], z[(target, t)]
+                conj = zc.compose(zt).compose(zc.adjoint())
+                w_tau = spec.sizes[tau - 1]
+                if phase_applies and tau == t and w_tau > 1:
+                    expected = zt.scaled(w_tau, w_tau - 1)
+                else:
+                    expected = zt
+                if not conj.equals(expected):
+                    return f"Ad(z{conjugator},{tau})(z{target},{t}) phase", checks
+                checks += 1
+    return None, checks
+
+
+def _z_words(spec: BlockSpec) -> PhasePermutation:
     """The d^2 words x_1^a_1 z_1^b_1 ... x_m^a_m z_m^b_m of M_d, over all
-    exponents a_t, b_t < n_t."""
-    words = []
-    for exps in itertools.product(*[range(n) for n in spec.sizes for _ in (0, 1)]):
-        word = Mat.identity(spec.d)
-        for t, which in enumerate("xz" * spec.m):
-            for _ in range(exps[t]):
-                word = word @ _paren_pauli(spec, t // 2 + 1, which)
-        words.append(word)
-    return words
-
-
-_PAULI_CACHE: dict = {}
-
-
-def _paren_pauli(spec: BlockSpec, t: int, which: str) -> Mat:
-    key = (spec.sizes, t, which)
-    if key not in _PAULI_CACHE:
-        emb = BlockEmbedding(spec)
-        wb = weyl_basis(spec.sizes[t - 1])
-        _PAULI_CACHE[key] = emb.paren(t, wb.x if which == "x" else wb.z)
-    return _PAULI_CACHE[key]
+    exponents a_t, b_t < n_t in lexicographic order of (a_1, b_1, ...,
+    a_m, b_m): word (a, b) is the Kronecker product of the X^a_t Z^b_t."""
+    L, perm, exp = 1, np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    for n in spec.sizes:
+        weyl = weyl_tables(n)
+        # every word so far times every X^a Z^b of the next slot
+        words = PhasePermutation(L, perm[:, None], exp[:, None]).kron(
+            PhasePermutation(n, weyl.perm[None], weyl.exp[None]))
+        L, perm, exp = words.L, *(a.reshape(len(perm) * n * n, -1) for a in words[1:])
+    return PhasePermutation(L, perm, exp)
 
 
 # ---------------------------------------------------------------------------

@@ -59,17 +59,12 @@ class RelationInstance:
 class QautPresentation:
     spec: BlockSpec
 
-    @property
-    def generators(self):
-        out = []
-        for s, ns in enumerate(self.spec.sizes, start=1):
-            for r, nr in enumerate(self.spec.sizes, start=1):
-                for i in range(ns):
-                    for j in range(ns):
-                        for k in range(nr):
-                            for l in range(nr):
-                                out.append(qsym(s, r, i, j, k, l))
-        return out
+    @functools.cached_property
+    def generators(self) -> tuple:
+        return tuple(qsym(s, r, i, j, k, l)
+                     for s, ns in enumerate(self.spec.sizes, start=1)
+                     for r, nr in enumerate(self.spec.sizes, start=1)
+                     for i, j, k, l in itertools.product(range(ns), range(ns), range(nr), range(nr)))
 
     def relations(self):
         sizes = self.spec.sizes
@@ -144,16 +139,16 @@ class SnPresentation:
 
     spec: BlockSpec
 
-    @property
-    def points(self):
-        return [(s, a, b)
-                for s, ns in enumerate(self.spec.sizes, start=1)
-                for a in range(ns) for b in range(ns)]
+    @functools.cached_property
+    def points(self) -> tuple:
+        return tuple((s, a, b)
+                     for s, ns in enumerate(self.spec.sizes, start=1)
+                     for a in range(ns) for b in range(ns))
 
-    @property
-    def generators(self):
+    @functools.cached_property
+    def generators(self) -> tuple:
         pts = self.points
-        return [usym(*p, *q) for p in pts for q in pts]
+        return tuple(usym(*p, *q) for p in pts for q in pts)
 
     def relations(self):
         pts = self.points

@@ -1,6 +1,7 @@
 """The homs batteries checked as direct sums of their cases, against the
 loop that checks one case at a time."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,9 @@ from qautcert.qaut import (
     image_stack,
     permutation_assignment,
     pi_map,
-    theta_ad_unitary,
 )
+
+from mat_reference import theta_ad_mat, weyl_products
 
 STANDARD = [(2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1)]
 
@@ -261,7 +263,7 @@ def test_theta_values_are_their_scalars(sizes, diagonal):
     spec = BlockSpec(sizes)
     n = spec.sizes[0]
     U = Mat.exact([[diagonal[a] if a == b else 0 for b in range(n)] for a in range(n)])
-    theta = theta_ad_unitary(spec, 1, U)
+    theta = theta_ad_mat(spec, 1, U)
     values = classical_assignment_aut(spec, [theta]).values
     index = {p: x for x, p in enumerate(SnPresentation(spec).points)}
     for sym, value in values.items():
@@ -269,3 +271,29 @@ def test_theta_values_are_their_scalars(sizes, diagonal):
         src = index[(s, i, j)]
         want = theta.scalars[src] if theta.k[src] == index[(r, k, l)] else Cyclotomic.zero()
         assert value.entry(0, 0) == want, sym
+
+
+@pytest.mark.parametrize("sizes", STANDARD + [(3, 2), (2, 2, 2)])
+def test_theta_tables_are_ad_of_their_matrices(sizes):
+    """Each battery theta built from a phase-permutation table against Ad
+    of its exact matrix read back entry by entry: one map, one scalar
+    order, and the arrays ``monomial_forms`` reads off the scalars."""
+    spec = BlockSpec(sizes)
+    for kind, r, a, b, theta in classical_theta_battery(spec, 10, seed=42):
+        if kind == "block_swap":
+            continue
+        n = spec.sizes[r - 1]
+        if kind == "ad_weyl":
+            U = weyl_products(n)[a * n + b]
+        elif kind == "perm":
+            U = Mat.exact([[1 if x == a[y] else 0 for y in range(n)] for x in range(n)])
+        else:
+            U = Mat.exact([[root_of_unity(n, a[x]) if x == y else 0 for y in range(n)]
+                           for x in range(n)])
+        ref = theta_ad_mat(spec, r, U)
+        assert np.array_equal(theta.k, ref.k) and theta.scalars == ref.scalars, (kind, r, a, b)
+        assert (math.lcm(*(c.order for c in theta.scalars))
+                == math.lcm(*(c.order for c in ref.scalars))), (kind, r, a, b)
+        assert theta.L == ref.L
+        for name in ("exp", "num", "den"):
+            assert np.array_equal(getattr(theta, name), getattr(ref, name)), name

@@ -22,6 +22,8 @@ from qautcert.qaut import (
     rho_map,
 )
 
+from mat_reference import paren_unit
+
 
 def test_symbol_adjoints():
     assert symbol_adjoint(usym(1, 0, 1, 2, 1, 0)) == usym(1, 0, 1, 2, 1, 0)
@@ -67,7 +69,7 @@ def dense_image(spec, source, values):
         (i, j, k, l), (x, y, v, w) = (fixed, free) if of_pi else (free, fixed)
         sym = usym(s, x, y, r, v, w) if of_pi else qsym(s, r, i, j, k, l)
         phase = root_of_unity(ns, sign * x * (i - j)) * root_of_unity(nr, sign * v * (k - l))
-        coeff = (emb.paren_unit(s, i - y, j - y).kron(emb.paren_unit(r, k - w, l - w))
+        coeff = (paren_unit(emb, s, i - y, j - y).kron(paren_unit(emb, r, k - w, l - w))
                  .scale(phase * pref))
         val = values[sym]
         term = coeff.scale(val.entry(0, 0)) if val.rows == 1 else coeff.kron(val)

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from qautcert.algebra import BlockSpec
@@ -5,6 +8,8 @@ from qautcert.arith import Cyclotomic, Mat, root_of_unity
 from qautcert.pauli import (
     BlockEmbedding,
     NotPVM,
+    PhasePermutation,
+    SlotMismatch,
     WrongCount,
     depolarization_check,
     entangled_basis,
@@ -12,7 +17,11 @@ from qautcert.pauli import (
     is_unitary_error_basis,
     pvm_check,
     weyl_basis,
+    weyl_tables,
 )
+
+from mat_reference import (bracket, bracket_phi, monomial_entries, rearrange, rearrange_inverse,
+                           weyl_products)
 
 
 def test_weyl_n2_matrices():
@@ -189,7 +198,7 @@ def test_bracket_embedding_before_rearrangement():
     T10 = weyl_basis(2).t(1, 0)
     doubled = T10.kron(Mat.identity(2))
     interleaved = Mat.identity(4).kron(doubled)  # I_2 x I_2 x (X_2 x I_2)
-    assert emb.rearrange(interleaved).equals(emb.bracket(2, doubled))
+    assert rearrange(emb, interleaved).equals(bracket(emb, 2, doubled))
 
 
 def test_rearrangement_round_trip():
@@ -199,5 +208,90 @@ def test_rearrangement_round_trip():
     emb = BlockEmbedding(spec)
     rng = random.Random(0)
     E = Mat.exact([[rng.randint(0, 2) for _ in range(16)] for _ in range(16)])
-    assert emb.rearrange_inverse(emb.rearrange(E)).equals(E)
-    assert emb.rearrange(emb.rearrange_inverse(E)).equals(E)
+    assert rearrange_inverse(emb, rearrange(emb, E)).equals(E)
+    assert rearrange(emb, rearrange_inverse(emb, E)).equals(E)
+
+
+# -- the index tables against the exact-matrix references ----------------------
+
+TABLE_PARTITIONS = [(1,), (2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1), (3, 2), (2, 2, 2)]
+
+
+def assert_same_mat(a, b):
+    """Equal, and written alike: one order, one denominator, one payload."""
+    assert (a.order, a.den) == (b.order, b.den)
+    assert np.array_equal(a.coef, b.coef)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weyl_tables_are_the_weyl_products(n):
+    tables, products = weyl_tables(n), weyl_products(n)
+    wb = weyl_basis(n)
+    for k, product in enumerate(products):
+        assert_same_mat(tables.at(k).mat(), product)
+        assert_same_mat(wb.family[k], product)
+    assert_same_mat(wb.x, products[(1 % n) * n])
+    assert_same_mat(wb.z, products[1 % n])
+
+
+@pytest.mark.parametrize("sizes", TABLE_PARTITIONS)
+def test_slot_placements_are_paren(sizes):
+    emb = BlockEmbedding(BlockSpec(sizes))
+    for t, n in enumerate(sizes, start=1):
+        placed = emb.paren_table(t, weyl_tables(n))  # every member at once
+        for k, product in enumerate(weyl_products(n)):
+            assert placed.at(k).mat().equals(emb.paren(t, product))
+            assert placed.at(k).equals(emb.paren_table(t, weyl_tables(n).at(k)))
+
+
+@pytest.mark.parametrize("sizes", TABLE_PARTITIONS)
+def test_phi_tables_are_bracket_phi_read_back(sizes):
+    emb = BlockEmbedding(BlockSpec(sizes))
+    for s, n in enumerate(sizes, start=1):
+        for i in range(-1, n):
+            for j in range(n):
+                ref = bracket_phi(emb, s, i, j)
+                assert_same_mat(emb.bracket_phi(s, i, j), ref)
+                L, q, row, col, exp = emb.phi_table(s, i, j)
+                L_ref, q_ref, row_ref, col_ref, exp_ref = monomial_entries(ref)
+                assert q == q_ref
+                lcm = math.lcm(L, L_ref)
+                assert (sorted(zip(row.tolist(), col.tolist(), (exp * (lcm // L) % lcm).tolist()))
+                        == sorted(zip(row_ref.tolist(), col_ref.tolist(),
+                                      (exp_ref * (lcm // L_ref) % lcm).tolist())))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_entangled_projection_is_the_entrywise_formula(n):
+    from mat_reference import entangled_projection as reference
+
+    for i in range(n):
+        for j in range(n):
+            assert_same_mat(entangled_projection(n, i, j), reference(n, i, j))
+
+
+def test_phase_permutation_products_are_matrix_products():
+    rng = np.random.default_rng(0)
+    ops = [PhasePermutation(L, rng.permutation(6), rng.integers(0, L, 6)) for L in (1, 2, 3, 4, 6)]
+    for a in ops:
+        assert a.is_unitary()
+        assert a.adjoint().mat().equals(a.mat().adjoint())
+        assert a.scaled(4, 1).mat().equals(a.mat().scale(root_of_unity(4, 1)))
+        for b in ops:
+            assert a.compose(b).mat().equals(a.mat() @ b.mat())
+            assert a.kron(b).mat().equals(a.mat().kron(b.mat()))
+            assert a.compose(b).equals(b.compose(a)) is (a.mat() @ b.mat()).equals(b.mat() @ a.mat())
+    assert not PhasePermutation(1, np.array([0, 0, 2]), np.zeros(3, dtype=np.int64)).is_unitary()
+
+
+
+def test_placements_refuse_a_slot_out_of_range():
+    emb = BlockEmbedding(BlockSpec((2, 1)))
+    for place in (lambda r: emb.paren_table(r, weyl_tables(2).at(1)),
+                  lambda r: emb.phi_table(r, 0, 0),
+                  lambda r: emb.paren(r, weyl_basis(2).z)):
+        for r in (0, 3):
+            with pytest.raises(SlotMismatch, match="out of range"):
+                place(r)
+    with pytest.raises(SlotMismatch, match="does not fit"):
+        emb.paren_table(2, weyl_tables(2).at(1))

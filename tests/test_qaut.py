@@ -12,7 +12,7 @@ import pytest
 from qautcert.algebra import BlockSpec, MonomialMap, monomial_forms, sparse_eq
 from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
 from qautcert.formal import qsym, usym
-from qautcert.pauli import BlockEmbedding, weyl_basis
+from qautcert.pauli import BlockEmbedding, PhasePermutation, weyl_tables
 from qautcert.qaut import (
     GeneratorAssignment,
     IncompleteAssignment,
@@ -42,7 +42,10 @@ from qautcert.qaut import (
     theta_identity,
     uet_pvm,
 )
-from qautcert.qaut import _phase_permutation, _unit_positions, _z_images, _z_words
+from qautcert.qaut import _unit_positions, _z_tables, _z_words
+
+from mat_reference import (alpha_closure, beta_closure, bracket_phi, paren_unit, phase_permutation,
+                           weyl_products, z_images, z_words)
 
 
 def substitute_all(formal_map, values):
@@ -258,7 +261,7 @@ def _ad_shift_times_skew_idempotent():
     """The point of Ad(Z), the shift, on block 1 of (2, 1) times [[1, 1], [0, 0]], an
     idempotent that is not self-adjoint."""
     spec = BlockSpec((2, 1))
-    point = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).z)])
+    point = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_tables(2).at(1))])
     W = Mat.exact([[1, 1], [0, 0]])
     return GeneratorAssignment(point.presentation,
                                {g: W.scale(v.entry(0, 0)) for g, v in point.values.items()})
@@ -468,7 +471,7 @@ def test_homs_fails_after_one_pi_image_changes(sizes, edit, monkeypatch):
 def test_ad_shift_classical_point():
     # Ad(Z_2): q_(i,j),(k,l) = delta_(i+1,k) delta_(j+1,l) mod 2
     spec = BlockSpec((2,))
-    asg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).z)])
+    asg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_tables(2).at(1))])
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -508,7 +511,7 @@ def column_theta_stack(spec, entry):
     else:
         n = spec.sizes[r - 1]
         if kind == "ad_weyl":
-            U = weyl_basis(n).t(a, b)
+            U = weyl_products(n)[a * n + b]
         elif kind == "perm":
             U = Mat.exact([[1 if x == a[y] else 0 for y in range(n)] for x in range(n)])
         else:
@@ -648,7 +651,7 @@ def test_rho_both_forms_agree():
 
 def test_rho_classical_point_gives_magic_unitary():
     spec = BlockSpec((2,))
-    qasg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).x)])
+    qasg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_tables(2).at(2))])
     rho = rho_map(spec)
     uvals = substitute_all(rho, qasg.values)
     assert next(iter(uvals.values())).rows == 4  # M_2 x M_2
@@ -702,11 +705,11 @@ def _reference_rho_forms(sizes):
     out = {}
     for s, ns in enumerate(sizes, start=1):
         for r, nr in enumerate(sizes, start=1):
-            Q = {qsym(s, r, i, j, k, l): emb.paren_unit(s, i, j).kron(emb.paren_unit(r, k, l))
+            Q = {qsym(s, r, i, j, k, l): paren_unit(emb, s, i, j).kron(paren_unit(emb, r, k, l))
                  for i, j, k, l in itertools.product(range(ns), range(ns), range(nr), range(nr))}
             for x, y, v, w in itertools.product(range(ns), range(ns), range(nr), range(nr)):
-                conj = (emb.paren(s, weyl_basis(ns).t(x, (-y) % ns))
-                        .kron(emb.paren(r, weyl_basis(nr).t(v, (-w) % nr))))
+                conj = (emb.paren(s, weyl_products(ns)[x * ns + (-y) % ns])
+                        .kron(emb.paren(r, weyl_products(nr)[v * nr + (-w) % nr])))
                 lhs = out[usym(s, x, y, r, v, w)] = {}
                 for q, coeff in Q.items():
                     term = (conj @ coeff @ conj.adjoint()).scale(Fraction(1, ns))
@@ -751,8 +754,8 @@ def _reference_shuffle_rhs(sizes):
     for s, ns in enumerate(sizes, start=1):
         for r, nr in enumerate(sizes, start=1):
             for x, y, v, w in itertools.product(range(ns), range(ns), range(nr), range(nr)):
-                phi_s = emb.bracket_phi(s, (-x) % ns, y).sparse_entries()
-                phi_r = emb.bracket_phi(r, (-v) % nr, w).sparse_entries()
+                phi_s = bracket_phi(emb, s, (-x) % ns, y).sparse_entries()
+                phi_r = bracket_phi(emb, r, (-v) % nr, w).sparse_entries()
                 out[usym(s, x, y, r, v, w)] = {
                     (r1 * d2 + r2, c1 * d2 + c2): v1 * v2 * ns
                     for (r1, c1), v1 in phi_s.items() for (r2, c2), v2 in phi_r.items()}
@@ -854,20 +857,26 @@ def test_shuffle_matches_reference(sizes, monkeypatch):
 
 
 def test_shuffle_fails_on_a_projection_with_two_scales(monkeypatch):
-    real = BlockEmbedding.bracket_phi
+    real = BlockEmbedding.phi_table
 
     def with_corner(self, s, i, j):
-        phi = real(self, s, i, j)  # entries 1/2 zeta^e at (2,)
-        return phi + Mat.from_entries(phi.rows, phi.cols, 1, [0], [1], [0], [1])
+        L, q, row, col, exp = real(self, s, i, j)  # entries 1/2 zeta^e at (2,)
+        # the corner entry 1 = 1/q rows of q zeta^0 at (0, 1)
+        copies = q.denominator // q.numerator
+        return (L, q, np.append(row, [0] * copies), np.append(col, [1] * copies),
+                np.append(exp, [0] * copies))
 
-    monkeypatch.setattr(BlockEmbedding, "bracket_phi", with_corner)
+    monkeypatch.setattr(BlockEmbedding, "phi_table", with_corner)
+    emb = BlockEmbedding(BlockSpec((2,)))
+    assert emb.bracket_phi(1, 1, 0).equals(  # the table is the matrix with the corner
+        bracket_phi(emb, 1, 1, 0) + Mat.from_entries(4, 4, 1, [0], [1], [0], [1]))
     cert = rearranged_Q_check(BlockSpec((2,)))
     assert cert["passed"] is False
     assert cert["failed_word"] == str(usym(1, 0, 0, 1, 0, 0))
 
 
 def _reference_conjugated(ft, U):
-    """Ad(U) of one image, U = (L, perm, exp) as ``_phase_permutation``
+    """Ad(U) of one image, U = (L, perm, exp) as ``phase_permutation``
     reads it."""
     L, perm, exp = U
     order = math.lcm(ft.order, L)
@@ -888,13 +897,13 @@ def reference_covariance(spec, pi, rho):
     each generator's image under the substitution against its conjugated
     image, compared with ``FormalTensor.equals``."""
     d = spec.d
-    z = _z_images(spec)
-    zperm = {key: _phase_permutation(U) for key, U in z.items()}
+    z = z_images(spec)
+    zperm = {key: phase_permutation(U) for key, U in z.items()}
     qpres, upres = QautPresentation(spec), SnPresentation(spec)
     cert = {"partition": list(spec.sizes), "d": d}
     for idx in (1, 2, 3, 4):
         for t in range(1, spec.m + 1):
-            sub = alpha(spec, idx, t)
+            sub = alpha_closure(spec, idx, t)
             for sym in qpres.generators:
                 scalar, target = sub(sym)
                 if not _reference_times(scalar, pi[target]).equals(
@@ -926,7 +935,7 @@ def reference_covariance(spec, pi, rho):
     cert["c_z_relation_checks"] = checks
     for idx in (1, 2, 3, 4):
         for t in range(1, spec.m + 1):
-            sub = beta(spec, idx, t)
+            sub = beta_closure(spec, idx, t)
             for sym in upres.generators:
                 scalar, target = sub(sym)
                 if not _reference_times(scalar, rho[target]).equals(
@@ -935,7 +944,7 @@ def reference_covariance(spec, pi, rho):
                     return cert
     cert["d_beta_cases"] = 4 * spec.m * len(upres.generators)
     r = len(echelon({i * d + j: v for (i, j), v in w.sparse_entries().items()}
-                    for w in _z_words(spec))[0])
+                    for w in z_words(spec))[0])
     cert.update(e_span_rank=r * r, e_expected=d ** 4, passed=r * r == d ** 4,
                 worst_residual=0.0)
     return cert
@@ -983,6 +992,126 @@ def test_covariance_matches_reference_over_small_chunks(sizes, chunk_rows, monke
 
     monkeypatch.setattr(qautcert.qaut, "_CHUNK_ROWS", chunk_rows)
     assert_covariance_matches_reference(BlockSpec(sizes), monkeypatch)
+
+
+# -- the z-images, z-words and substitutions against their references ---------
+
+TABLE_PARTITIONS = REFERENCE_PARTITIONS + [(3, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("sizes", TABLE_PARTITIONS)
+def test_z_tables_are_the_kronecker_matrices(sizes):
+    spec = BlockSpec(sizes)
+    tables, mats = _z_tables(spec), z_images(spec)
+    assert tables.keys() == mats.keys()
+    for key, z in tables.items():
+        assert z.mat().equals(mats[key]), key
+        assert z.equals(PhasePermutation(*phase_permutation(mats[key]))), key
+
+
+@pytest.mark.parametrize("sizes", TABLE_PARTITIONS)
+def test_z_word_tables_are_the_word_products(sizes):
+    spec = BlockSpec(sizes)
+    words, mats = _z_words(spec), z_words(spec)
+    assert len(words.perm) == len(mats) == spec.d ** 2
+    for k, word in enumerate(mats):
+        assert words.at(k).mat().equals(word), k
+
+
+@pytest.mark.parametrize("sizes", TABLE_PARTITIONS)
+def test_substitution_arrays_are_the_closures(sizes):
+    spec = BlockSpec(sizes)
+    for family, closure, pres in ((alpha, alpha_closure, QautPresentation(spec)),
+                                  (beta, beta_closure, SnPresentation(spec))):
+        for idx in (1, 2, 3, 4):
+            for t in range(1, spec.m + 1):
+                sub, ref = family(spec, idx, t), closure(spec, idx, t)
+                assert sub.generators == pres.generators
+                for g in pres.generators:
+                    (phase, target), (ref_phase, ref_target) = sub(g), ref(g)
+                    assert target == ref_target and phase == ref_phase, (sub.name, g)
+
+
+def reference_z_relation_failure(spec, z):
+    """Item (c) of ``covariance_check`` on exact matrices z, as
+    (failure, checks): the first failure, or None, and the checks passed."""
+    checks = 0
+    ident = Mat.identity(spec.d ** 2)
+    for t in range(1, spec.m + 1):
+        for idx in (1, 2, 3, 4):
+            zi = z[(idx, t)]
+            if not zi.is_unitary():
+                return f"z{idx},{t} not unitary", checks
+            power = ident
+            for _ in range(spec.sizes[t - 1]):
+                power = power @ zi
+            if not power.equals(ident):
+                return f"z{idx},{t}^n != 1", checks
+            checks += 2
+        for tau in range(1, spec.m + 1):
+            for a, b in [(1, 3), (1, 1), (3, 3), (2, 4), (2, 2), (4, 4)]:
+                if not (z[(a, t)] @ z[(b, tau)]).equals(z[(b, tau)] @ z[(a, t)]):
+                    return f"[z{a},{t}, z{b},{tau}] != 0", checks
+                checks += 1
+            for conjugator, target, phase_applies in [
+                    (2, 1, True), (2, 3, False), (4, 3, True), (4, 1, False)]:
+                zc, zt = z[(conjugator, tau)], z[(target, t)]
+                n = spec.sizes[tau - 1]
+                expected = (zt.scale(root_of_unity(n, n - 1))
+                            if phase_applies and tau == t and n > 1 else zt)
+                if not (zc @ zt @ zc.adjoint()).equals(expected):
+                    return f"Ad(z{conjugator},{tau})(z{target},{t}) phase", checks
+                checks += 1
+    return None, checks
+
+
+def mutated_z(z, edit):
+    """The z-images with one table edited:
+      * "repeat": column 1 of z1,1 sent where column 0 goes, not unitary;
+      * "cycle phase": exponent + 1 at column 0 of z2,1, so z2,1^n != 1;
+      * "balanced": exponent + 1 at column 0 of z2,1 and - 1 at the next
+        column of its cycle, so z2,1^n = 1 but z2,1 and z4,1 do not commute;
+      * "diagonal": exponent + 1 at column 0 of the diagonal z1,1, which
+        still commutes with every z it commuted with;
+      * "global": z2,1 times zeta_2n, so z2,1^n = -1, with the same Ad."""
+    key = (2, 1) if edit in ("cycle phase", "balanced", "global") else (1, 1)
+    L, perm, exp = z[key]
+    perm, exp = perm.copy(), exp.copy()
+    if edit == "global":
+        return {**z, key: PhasePermutation(L, perm, exp).scaled(2 * L, 1)}
+    if edit == "repeat":
+        perm[1] = perm[0]
+    else:
+        exp[0] += 1
+    if edit == "balanced":
+        exp[perm[0]] -= 1
+    return {**z, key: PhasePermutation(L, perm, exp)}
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (3, 2)])
+@pytest.mark.parametrize("edit, failure", [
+    (None, None),
+    ("repeat", "z1,1 not unitary"),
+    ("cycle phase", "z2,1^n != 1"),
+    ("balanced", "[z2,1, z4,1] != 0"),
+    ("diagonal", "Ad(z2,1)(z1,1) phase"),
+    ("global", "z2,1^n != 1"),
+])
+def test_z_relations_fail_as_the_matrix_reference(sizes, edit, failure, monkeypatch):
+    import qautcert.qaut
+
+    spec = BlockSpec(sizes)
+    z = _z_tables(spec)
+    if edit is not None:
+        z = mutated_z(z, edit)
+    expected = reference_z_relation_failure(spec, {key: u.mat() for key, u in z.items()})
+    assert expected[0] == failure
+    assert qautcert.qaut._z_relation_failure(spec, z) == expected
+    if edit in (None, "global"):
+        # the other edits change Ad(z) too, and (a)/(b) fail first
+        monkeypatch.setattr(qautcert.qaut, "_z_tables", lambda _spec: z)
+        cert = covariance_check(spec)
+        assert cert.get("failure") == failure and cert["passed"] is (edit is None)
 
 
 # -- automorphism families ----------------------------------------------------
@@ -1072,7 +1201,7 @@ def test_span_rank_matches_the_rank_of_all_products(sizes):
     spec = BlockSpec(sizes)
     cert = covariance_check(spec)
     assert cert["passed"]
-    assert cert["e_span_rank"] == reference_span_rank(_z_words(spec)) == spec.d ** 4
+    assert cert["e_span_rank"] == reference_span_rank(z_words(spec)) == spec.d ** 4
 
 
 @pytest.mark.parametrize("edit", ["repeat", "scale"])
@@ -1080,12 +1209,17 @@ def test_span_rank_falls_short_with_a_dependent_word(monkeypatch, edit):
     import qautcert.qaut
 
     spec = BlockSpec((2, 1))
-    words = _z_words(spec)
-    if edit == "repeat":
-        words[3] = words[1]
-    else:
+    words = z_words(spec)
+    L, perm, exp = _z_words(spec)
+    perm, exp = perm.copy(), exp.copy()
+    words[3], perm[3], exp[3] = words[1], perm[1], exp[1]
+    if edit == "scale":
         words[3] = words[1].scale(root_of_unity(4, 1))
-    monkeypatch.setattr(qautcert.qaut, "_z_words", lambda spec: list(words))
+        exp, L = exp * (math.lcm(L, 4) // L), math.lcm(L, 4)
+        exp[3] += L // 4
+    edited = PhasePermutation(L, perm, exp)
+    assert all(edited.at(k).mat().equals(word) for k, word in enumerate(words))
+    monkeypatch.setattr(qautcert.qaut, "_z_words", lambda spec: edited)
     cert = covariance_check(spec)
     assert cert["passed"] is False
     assert cert["e_span_rank"] == reference_span_rank(words) == (spec.d ** 2 - 1) ** 2
