@@ -507,21 +507,6 @@ def _sqrt_prime(p: int) -> Cyclotomic:
 # this bound and as Python ints otherwise.
 _INT64_GUARD = 2**31
 
-# The most multiply-adds one float64 plane product hands to BLAS.  On a
-# 2-core x86_64 host OpenBLAS 0.3.31 ran products of 2**19 multiply-adds
-# (128x32x128, 256x32x64, 512x32x32, 128x16x256) on one thread, CPU time
-# equal to wall time, and products of 2**20 (256x32x128, 512x32x64,
-# 128x64x128, 256x16x256) on two, at 1.6-1.9 times the CPU time for the
-# same wall time.
-_BLAS_CALL_LIMIT = 1 << 19
-
-# The fewest multiply-adds for which a plane product runs in float64.  On
-# that host the two conversions and the BLAS call cost about 10 us, and
-# numpy's int64 matmul was faster below about 2**14 multiply-adds (32x8x32:
-# 12 us in int64, 14 us in float64; 32x32x32: 33 us against 17 us).
-_BLAS_MIN_WORK = 1 << 14
-
-
 def _maxabs(a: np.ndarray) -> int:
     """Largest absolute value, at least 1, so that a product of these caps
     each of its factors.  int64 input never holds -2**63 (whose abs wraps):
@@ -556,44 +541,19 @@ def _linear(planes: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def _bilinear(order: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.ndarray:
     """sum over t1, t2 of zeta^(t1 + t2) * product(a[t1], b[t2]) as a plane
-    stack; ``product(a, b, exact_float)`` maps the two stacks to the
-    (D, D, r, c) stack of plane products, each entry a sum of ``inner``
-    terms.
+    stack; ``product(a, b)`` maps the two stacks to the (D, D, r, c) stack
+    of plane products, each entry a sum of ``inner`` terms.
 
     The plane products are bounded by maxabs(a) maxabs(b) inner.  They are
-    int64 below 2**63 and Python ints above it.  ``exact_float`` says that
-    the bound is below 2**53, where float64 holds every partial sum
-    exactly, so that ``_planes_matmul`` may run the products on BLAS."""
+    int64 below 2**63 and Python ints above it."""
     T = _product_table(order)
     bound = _maxabs(a) * _maxabs(b) * max(inner, 1)
-    P = product(*_working(bound, a, b), bound < 2**53)
+    P = product(*_working(bound, a, b))
     P, T = _working(bound * _maxabs(T) * len(T), P, T)
     return _stored(_contract(T, P.reshape(len(T), *P.shape[2:])))
 
 
-def _planes_matmul(a: np.ndarray, b: np.ndarray, exact_float: bool) -> np.ndarray:
-    """np.matmul(a[:, None], b[None]).  With ``exact_float``, and at least
-    _BLAS_MIN_WORK multiply-adds in all, the int64 planes are multiplied as
-    float64 a chunk at a time, over b's columns and then a's rows so that
-    each 2-D product makes at most _BLAS_CALL_LIMIT multiply-adds wherever
-    b has at most that many entries per column, and each chunk is written
-    to the int64 result."""
-    (m, k), n = a.shape[-2:], b.shape[-1]
-    shape = (len(a), len(b)) + np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2]) + (m, n)
-    if not exact_float or math.prod(shape) * k < _BLAS_MIN_WORK:
-        return np.matmul(a[:, None], b[None])
-    cstep = max(1, min(n, _BLAS_CALL_LIMIT // max(k, 1)))
-    rstep = max(1, _BLAS_CALL_LIMIT // max(k * cstep, 1))
-    out = np.empty(shape, dtype=np.int64)
-    for c0 in range(0, n, cstep):
-        right = b[None, ..., c0:c0 + cstep].astype(np.float64)
-        for lo in range(0, m, rstep):
-            out[..., lo:lo + rstep, c0:c0 + cstep] = np.matmul(
-                a[:, None, ..., lo:lo + rstep, :].astype(np.float64), right)
-    return out
-
-
-def _planes_kron(a: np.ndarray, b: np.ndarray, exact_float: bool) -> np.ndarray:
+def _planes_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.kron(a, b)
     return out.reshape(len(a), len(b), *out.shape[1:])
 
@@ -711,7 +671,8 @@ class Mat:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         a, b = self._promote_pair(other)
-        coef = _bilinear(a.order, a.coef, b.coef, _planes_matmul, a.cols)
+        coef = _bilinear(a.order, a.coef, b.coef, lambda x, y: np.matmul(x[:, None], y[None]),
+                         a.cols)
         return Mat._new(self.rows, other.cols, a.order, coef, a.den * b.den)
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -812,23 +773,12 @@ class Mat:
             return False
         return (self @ self.adjoint()).equals(Mat.identity(self.rows))
 
-    def is_projection(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return (self @ self).equals(self) and self.adjoint().equals(self)
-
     def scalar_multiple_of_identity(self):
         """Return the scalar c with self == c*I, or None."""
         if self.rows != self.cols or self.rows == 0:
             return None
         c = self.entry(0, 0)
         return c if self.equals(Mat.identity(self.rows).scale(c)) else None
-
-    def rank(self) -> int:
-        rows: dict = {}
-        for (i, j), c in self.sparse_entries().items():
-            rows.setdefault(i, {})[j] = c
-        return len(echelon(rows.values())[0])
 
     def entries(self):
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
@@ -879,6 +829,19 @@ class Terms:
         row, col = np.nonzero(m)
         return cls(*np.shape(m), 1, 1, row, col, np.zeros(len(row), dtype=np.int64),
                    np.asarray(m[row, col], dtype=np.complex128))
+
+    @classmethod
+    def vstack(cls, parts) -> "Terms":
+        """Terms of one width stacked top to bottom, at the lcm of their
+        orders and of their denominators."""
+        order, den = math.lcm(*(t.order for t in parts)), math.lcm(*(t.den for t in parts))
+        offset = np.cumsum([0] + [t.rows for t in parts]).tolist()
+        num = [t.num if t.den == den else
+               _working(_maxabs(t.num) * den // t.den, t.num)[0] * (den // t.den) for t in parts]
+        return cls(offset[-1], parts[0].cols, order, den,
+                   np.concatenate([t.row + o for t, o in zip(parts, offset)]),
+                   np.concatenate([t.col for t in parts]),
+                   np.concatenate([t.exp * (order // t.order) for t in parts]), np.concatenate(num))
 
     def dense(self):
         """The exact ``Mat``, or the complex array."""

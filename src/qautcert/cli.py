@@ -41,6 +41,7 @@ from .pauli import (
     entangled_basis,
     is_unitary_error_basis,
     pvm_check,
+    table_terms,
     weyl_basis,
 )
 from .qaut import (
@@ -153,9 +154,9 @@ def _suite_ueb(cfg: SuiteConfig) -> dict:
                 cases += 1
         entangled_basis(n)  # verifies orthonormality of its n^2 vectors
         cases += n * n
-    emb = BlockEmbedding(spec)
+    emb, d2 = BlockEmbedding(spec), spec.d ** 2
     for s, n in enumerate(spec.sizes, start=1):
-        pvm_check([emb.bracket_phi(s, i, j) for i in range(n) for j in range(n)])
+        pvm_check([table_terms(d2, emb.phi_table(s, i, j)) for i in range(n) for j in range(n)])
         cases += n * n
     return {"passed": True, "worst_residual": 0.0, "cases": cases,
             "block_sizes_checked": sorted(set(spec.sizes))}

@@ -6,9 +6,9 @@ on this choice, which is therefore fixed here once.
 
 Every Weyl operator is a phase permutation (``PhasePermutation``), and the
 entangled projections are one scale times a phase on each of their
-nonzeros; both are built here as index tables, and the exact matrices of
-``weyl_basis``, ``entangled_projection`` and ``bracket_phi`` are read off
-those tables.
+nonzeros; both are built here as index tables.  The exact matrices of
+``weyl_basis`` are read off those tables, and ``pvm_check`` takes the
+projections as their terms (``table_terms``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import BlockSpec
-from .arith import Cyclotomic, Mat, root_of_unity, sqrt_int
+from .arith import Cyclotomic, Mat, Terms, root_of_unity, sqrt_int
+from .relations import GeneratorAssignment, PvmPresentation, check_relations
 
 __all__ = [
     "PhasePermutation",
@@ -32,7 +33,7 @@ __all__ = [
     "depolarization_check",
     "EntangledBasis",
     "entangled_basis",
-    "entangled_projection",
+    "table_terms",
     "pvm_check",
     "BlockEmbedding",
     "WrongCount",
@@ -115,9 +116,9 @@ class PhasePermutation(NamedTuple):
                     and ((self.exp * (L // self.L) - other.exp * (L // other.L)) % L == 0).all())
 
     def mat(self) -> Mat:
-        """The exact matrix of one operator (``_table_mat``)."""
+        """The exact matrix of one operator (``table_terms``)."""
         n = len(self.perm)
-        return _table_mat(n, (self.L, Fraction(1), self.perm, np.arange(n), self.exp))
+        return table_terms(n, (self.L, Fraction(1), self.perm, np.arange(n), self.exp)).dense()
 
 
 def weyl_tables(n: int) -> PhasePermutation:
@@ -244,24 +245,24 @@ def entangled_table(n: int, i: int, j: int):
     return (n, Fraction(1, n), (a + j) % n * n + a, (b + j) % n * n + b, i * (a - b) % n)
 
 
-def entangled_projection(n: int, i: int, j: int) -> Mat:
-    """|phi_ij><phi_ij| as an exact matrix, read off ``entangled_table``."""
-    return _table_mat(n * n, entangled_table(n, i, j))
-
-
-def _table_mat(size: int, table) -> Mat:
-    """The exact size x size matrix of an (L, q, row, col, exp) table, at
-    order 1 when every phase is 1, as ``Mat.exact`` writes it."""
+def table_terms(size: int, table) -> Terms:
+    """The size x size ``Terms`` of an (L, q, row, col, exp) table, at order
+    1 when every phase is 1, as ``Mat.exact`` writes such a matrix."""
     L, q, row, col, exp = table
-    return Mat.from_entries(size, size, L if (exp % L).any() else 1, row, col, exp,
-                            np.full(len(row), q.numerator), q.denominator)
+    return Terms(size, size, L if (exp % L).any() else 1, q.denominator, row, col, exp,
+                 np.full(len(row), q.numerator))
 
 
 def pvm_check(projections: list) -> UebReport:
-    """Projection-valued measure check; zero members are admissible outcomes.
+    """Projection-valued measure check on the ``Terms`` of the members;
+    zero members are admissible outcomes.
 
-    Raises NotPVM naming the first violated condition (projection property,
-    mutual orthogonality, or completeness).
+    The members are the generators of a ``PvmPresentation``, decided by one
+    exact ``check_relations`` of their stack.  Raises NotPVM naming the
+    first violated condition: an empty family or a member of another shape
+    than member 0 (every shape is checked before any relation), a member
+    that is not a projection (selfadj or idem), two members that are not
+    orthogonal, or members that do not sum to the identity.
     """
     if not projections:
         raise NotPVM("empty family")
@@ -269,25 +270,24 @@ def pvm_check(projections: list) -> UebReport:
     for idx, p in enumerate(projections):
         if p.rows != size or p.cols != size:
             raise NotPVM(f"member {idx} has mismatched shape")
-        if not p.is_projection():
-            raise NotPVM(f"member {idx} is not a projection")
-    for a in range(len(projections)):
-        for b in range(a + 1, len(projections)):
-            if not (projections[a] @ projections[b]).is_zero():
-                raise NotPVM(f"members {a} and {b} are not orthogonal")
-    total = Mat.zeros(size, size)
-    for p in projections:
-        total = total + p
-    if not total.equals(Mat.identity(size)):
+    rep = check_relations(GeneratorAssignment(PvmPresentation(len(projections)),
+                                              Terms.vstack(projections)))
+    if rep.ok:
+        return UebReport(True, 0.0)
+    family, _, members = rep.failing.rstrip("]").partition("[")
+    if family == "orth":  # p_b p_a = (p_a p_b)* once both are self-adjoint
+        a, b = sorted(map(int, members.split(",")))
+        raise NotPVM(f"members {a} and {b} are not orthogonal")
+    if family == "sum":
         raise NotPVM("members do not sum to the identity")
-    return UebReport(True, 0.0)
+    raise NotPVM(f"member {members} is not a projection")
 
 
 class BlockEmbedding:
     """Placements for a block partition of d = n_1 ... n_m.
 
-    ``paren(r, T)`` puts T in the r-th slot of M_{n_1} x ... x M_{n_m} = M_d,
-    and ``paren_table`` does the same for phase permutations.
+    ``paren_table(r, U)`` puts the phase permutations U in the r-th slot of
+    M_{n_1} x ... x M_{n_m} = M_d.
     ``phi_table(s, i, j)`` puts the entangled projection of M_{n_s} x M_{n_s}
     in the s-th doubled slot of the interleaved product of the
     M_{n_t} x M_{n_t} and rearranges it into M_d x M_d: ``_to_paired`` sends
@@ -310,18 +310,10 @@ class BlockEmbedding:
             raise SlotMismatch(f"slot {r} out of range")
         return self.spec.sizes[r - 1]
 
-    def paren(self, r: int, T: Mat) -> Mat:
-        if T.rows != self._size(r) or T.cols != T.rows:
-            raise SlotMismatch(f"operator size {T.rows} does not fit block {r}")
-        out = None
-        for t, n in enumerate(self.spec.sizes, start=1):
-            factor = T if t == r else Mat.identity(n)
-            out = factor if out is None else out.kron(factor)
-        return out
-
     def paren_table(self, r: int, U: PhasePermutation) -> PhasePermutation:
-        """``paren`` of the phase permutations U of M_{n_r}, leading axes
-        kept: the slot-r digit c_r of an index of C^d moves to perm[c_r]."""
+        """The phase permutations U of M_{n_r} in slot r, identities in the
+        others, leading axes kept: the slot-r digit c_r of an index of C^d
+        moves to perm[c_r]."""
         n = self._size(r)
         if U.perm.shape[-1] != n:
             raise SlotMismatch(f"operator size {U.perm.shape[-1]} does not fit block {r}")
@@ -342,7 +334,3 @@ class BlockEmbedding:
         rest = inter[inter // stride % (n * n) == 0]
         return (L, q, self._to_paired[(row[:, None] * stride + rest).ravel()],
                 self._to_paired[(col[:, None] * stride + rest).ravel()], np.repeat(exp, len(rest)))
-
-    def bracket_phi(self, s: int, i: int, j: int) -> Mat:
-        """phi^[s]_{i,j} as an exact matrix, read off ``phi_table``."""
-        return _table_mat(self.d * self.d, self.phi_table(s, i, j))

@@ -36,7 +36,7 @@ from .algebra import BlockSpec, MonomialMap, multimatrix
 from .arith import (Cyclotomic, Mat, Terms, _maxabs, _root_table, _working, accumulate,
                     echelon, root_of_unity)
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
-from .pauli import BlockEmbedding, NotPVM, PhasePermutation, pvm_check, weyl_basis, weyl_tables
+from .pauli import BlockEmbedding, NotPVM, PhasePermutation, pvm_check, weyl_tables
 from .relations import (GeneratorAssignment, IncompleteAssignment, QautPresentation,
                         RelationReport, SnPresentation, _enumerate, _starts, battery_groups,
                         check_relations)
@@ -284,38 +284,35 @@ def classical_theta_battery(spec: BlockSpec, count: int, seed: int):
 # ---------------------------------------------------------------------------
 # the PVM representation in B x M_d
 
-def _block_diag_unit(spec: BlockSpec, s: int, i: int, j: int) -> Mat:
-    D = spec.D
-    offset = sum(spec.sizes[: s - 1])
-    return Mat.exact([[1 if (a, b) == (offset + i, offset + j) else 0
-                       for b in range(D)] for a in range(D)])
+def _uet_projections(spec: BlockSpec, s: int) -> list:
+    """The n_s^2 projections P_(s,a,b) of block s, at a n_s + b, as the
+    ``Terms`` of (D d) x (D d) matrices: P = sum over i, j < n_s of
+    E_((s,i),(s,j)) x [U* E_ij U / n_s]_s with U = X^a Z^b.  With c the
+    permutation of U^-1, U* E_ij U = zeta^(exp[c_j] - exp[c_i]) E_(c_i,c_j),
+    and slot s of M_d holds E_(c_i,c_j) at the positions of
+    ``_unit_positions``."""
+    d, ns = spec.d, spec.sizes[s - 1]
+    inv = weyl_tables(ns).adjoint()  # perm c, exp[i] = -(U's exp)[c_i]
+    stride, base = _unit_positions(spec, s)
+    i, j = np.divmod(np.arange(ns * ns), ns)
+    offset = sum(spec.sizes[:s - 1])
+    row = (offset + i[:, None]) * d + base + inv.perm[:, i, None] * stride
+    col = (offset + j[:, None]) * d + base + inv.perm[:, j, None] * stride
+    exp = np.broadcast_to((inv.exp[:, i] - inv.exp[:, j])[..., None] % ns, row.shape)
+    size = spec.D * d
+    return [Terms(size, size, ns, ns, row[k].ravel(), col[k].ravel(), exp[k].ravel(),
+                  np.ones(row[k].size, dtype=np.int64)) for k in range(ns * ns)]
 
 
 def uet_pvm(spec: BlockSpec) -> dict:
-    """The N projections P_(s,a,b) in B x M_d built from the Weyl bases,
-    with all five verification conditions, exact: projection, mutual
-    orthogonality and completeness (``pvm_check``), partial trace, and
-    Plancherel value 1/N."""
+    """The N projections P_(s,a,b) in B x M_d built from the Weyl bases as
+    terms (``_uet_projections``), with all five verification conditions,
+    exact: projection, mutual orthogonality and completeness
+    (``pvm_check``), partial trace, and Plancherel value 1/N.  The rank of
+    each P is read as its trace: a projection's eigenvalues are 0 and 1, so
+    once P is verified a projection its trace counts the eigenvalues 1."""
     d = spec.d
-    D = spec.D
-    emb = BlockEmbedding(spec)
-    projections = []
-    meta = []
-    for s, ns in enumerate(spec.sizes, start=1):
-        wb = weyl_basis(ns)
-        for a in range(ns):
-            for b in range(ns):
-                U = wb.t(a, b)
-                Ustar = U.adjoint()
-                P = Mat.zeros(D * d, D * d)
-                for i in range(ns):
-                    for j in range(ns):
-                        unit = Mat.exact([[1 if (p, q) == (i, j) else 0
-                                           for q in range(ns)] for p in range(ns)])
-                        inner = (Ustar @ unit @ U).scale(Fraction(1, ns))
-                        P = P + _block_diag_unit(spec, s, i, j).kron(emb.paren(s, inner))
-                projections.append(P)
-                meta.append((s, a, b))
+    projections = [P for s in range(1, spec.m + 1) for P in _uet_projections(spec, s)]
     cert = {"partition": list(spec.sizes), "N": spec.N, "d": d,
             "backend": "exact", "outcomes": len(projections)}
     try:
@@ -323,24 +320,22 @@ def uet_pvm(spec: BlockSpec) -> dict:
     except NotPVM as exc:
         cert.update(passed=False, failure=str(exc))
         return cert
-    # partial trace over the B leg, block s: n_s sum_i block (s,i),(s,i)
     ranks = []
-    for label, P in zip(meta, projections):
+    for label, P in zip(SnPresentation(spec).points, projections):
+        # partial trace over the B leg, block s: n_s sum_i block (s,i),(s,i)
         s = label[0]
         ns = spec.sizes[s - 1]
-        offset = sum(spec.sizes[: s - 1])
-        pt = Mat.zeros(d, d)
-        for i in range(ns):
-            row = offset + i
-            rng = range(row * d, (row + 1) * d)
-            pt = pt + P.select(rng, rng)
-        if not pt.scale(ns).equals(Mat.identity(d)):
+        offset = sum(spec.sizes[:s - 1])
+        leg = P.row // d
+        on = (leg == P.col // d) & (leg >= offset) & (leg < offset + ns)
+        pt = Terms(d, d, P.order, P.den, P.row[on] % d, P.col[on] % d, P.exp[on], P.num[on] * ns)
+        if not pt.dense().equals(Mat.identity(d)):
             cert.update(passed=False, failure=f"partial trace of P{label}")
             return cert
         if _psi_tr(spec, P) != Fraction(1, spec.N):
             cert.update(passed=False, failure=f"(psi x tr)(P{label}) != 1/N")
             return cert
-        ranks.append(P.rank())
+        ranks.append(int(_trace(P).as_fraction()))
         if ranks[-1] != d // ns:
             cert.update(passed=False,
                         failure=f"rank of P{label} is {ranks[-1]}, expected {d // ns}")
@@ -349,19 +344,19 @@ def uet_pvm(spec: BlockSpec) -> dict:
     return cert
 
 
-def _psi_tr(spec: BlockSpec, P: Mat) -> Cyclotomic:
-    """(psi x tr) of an element of B x M_d presented in M_D x M_d."""
-    d = spec.d
-    acc = Cyclotomic.zero()
-    pos = 0
-    for n in spec.sizes:
-        weight = Fraction(n, spec.N * d)
-        for i in range(n):
-            row = pos + i
-            rng = range(row * d, (row + 1) * d)
-            acc = acc + P.select(rng, rng).trace() * weight
-        pos += n
-    return acc
+def _trace(P: Terms, weight=1, den: int = 1) -> Cyclotomic:
+    """The sum of the diagonal terms of P, each times weight[its row] (an
+    integer array, or one integer), over ``den``."""
+    on = P.row == P.col
+    num = np.broadcast_to(weight, P.row.shape)[on] * P.num[on]
+    coeffs = num @ _root_table(P.order)[P.exp[on] % P.order]
+    return Cyclotomic(P.order, [Fraction(int(c), P.den * den) for c in coeffs])
+
+
+def _psi_tr(spec: BlockSpec, P: Terms) -> Cyclotomic:
+    """(psi x tr) of an element of B x M_d presented in M_D x M_d: weight
+    n_t / (N d) on the diagonal of the rows whose B index is in block t."""
+    return _trace(P, np.repeat(spec.sizes, spec.sizes)[P.row // spec.d], spec.N * spec.d)
 
 
 # ---------------------------------------------------------------------------

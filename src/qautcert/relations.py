@@ -7,6 +7,8 @@ assignments, and relation checking.
     symmetry, and the two partition-of-unity sums).
   * u-generators form a magic unitary: self-adjoint idempotent entries with
     row and column sums equal to 1.
+  * p-generators form a projection-valued measure: self-adjoint idempotents,
+    pairwise orthogonal, summing to 1 (a row of a magic unitary).
 
 Each relation family is evaluated from an index plan over the generators,
 as one join or one keyed sum of the terms of their values
@@ -31,6 +33,7 @@ from .formal import FormalTensor, qsym, usym
 __all__ = [
     "QautPresentation",
     "SnPresentation",
+    "PvmPresentation",
     "GeneratorAssignment",
     "RelationReport",
     "check_relations",
@@ -178,6 +181,40 @@ class SnPresentation:
         yield np.stack([values.residuals(selfadj), values.residuals(idem)], axis=-1)
         yield values.residuals(rowsum)
         yield values.residuals(colsum)
+
+
+@dataclass
+class PvmPresentation:
+    """Projection-valued measure on K outcomes: generators p_0 ... p_(K-1),
+    self-adjoint idempotents with p_a p_b = 0 for a != b, summing to 1."""
+
+    K: int
+
+    @functools.cached_property
+    def generators(self) -> tuple:
+        return tuple(("p", a) for a in range(self.K))
+
+    def relations(self):
+        gens, one = self.generators, Fraction(1)
+        for a, p in enumerate(gens):
+            yield RelationInstance(f"selfadj[{a}]", "selfadj", [(one, (p,))], [(one, (p,))],
+                                   adjoint_lhs=True)
+            yield RelationInstance(f"idem[{a}]", "idem", [(one, (p, p))], [(one, (p,))])
+        a, b = np.triu_indices(self.K, 1)
+        for x, y in zip(np.r_[a, b].tolist(), np.r_[b, a].tolist()):
+            yield RelationInstance(f"orth[{x},{y}]", "orth", [(one, (gens[x], gens[y]))], [])
+        yield RelationInstance("sum", "sum", [(one, (p,)) for p in gens], [(one, ())])
+
+    def block_residuals(self, values: "_BlockValues"):
+        """The residual of every relation instance, one array per relation
+        family (``selfadj`` and ``idem`` interleaved per member), the arrays
+        and their entries in the order of ``relations()``: ``idem`` and
+        ``orth`` are one join over every ordered pair of members."""
+        selfadj, pairs, total = _pvm_plans(self.K)
+        products = values.residuals(pairs)
+        yield np.stack([values.residuals(selfadj), products[:, :self.K]], axis=-1)
+        yield products[:, self.K:]
+        yield values.residuals(total)
 
 
 class GeneratorAssignment:
@@ -402,6 +439,20 @@ def _sn_plans(sizes: tuple) -> tuple:
     return selfadj, idem, _sum_plan(N, t, t // N, 1, eye=1), _sum_plan(N, t, t % N, 1, eye=1)
 
 
+@functools.lru_cache(maxsize=None)
+def _pvm_plans(K: int) -> tuple:
+    """Index plans of ``PvmPresentation``: selfadj; p_a p_b - [a = b] p_a
+    over the pairs (a, a), then (a, b) for a < b (``np.triu_indices``),
+    then (b, a), one join in which every left factor meets every right
+    one, so that each pair it forms is an instance; and sum."""
+    t, zero = np.arange(K), np.zeros(K, dtype=np.int64)
+    a, b = np.triu_indices(K, 1)
+    selfadj = _sum_plan(K, np.r_[t, t], np.r_[t, t], np.repeat([1, -1], K),
+                        np.repeat([True, False], K))
+    pairs = _product_plan((np.r_[t, a, b], np.r_[t, b, a]), (t, t), (zero, zero), (t, t, -1))
+    return selfadj, pairs, _sum_plan(1, t, zero, 1, eye=1)
+
+
 def _positions(lo, cnt):
     """Every position of the ranges [lo[a], lo[a] + cnt[a]), in order."""
     return np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
@@ -580,8 +631,8 @@ def check_relations(asg: GeneratorAssignment, tol: float = 1e-9) -> RelationRepo
     assignment, case by case, and report the first that fails: at the first
     failing case, in the order of ``relations()``.  The values are read into
     one term table (``_BlockValues``); each relation family is one join of
-    its terms (r1, r2, idem) or one keyed sum (r3-r5, selfadj, rowsum,
-    colsum), summed per (instance, row, col), for all cases at once.  Exact
+    its terms (r1, r2, idem, orth) or one keyed sum (r3-r5, selfadj, rowsum,
+    colsum, sum), summed per (instance, row, col), for all cases at once.  Exact
     values demand literal equality, every power-basis coefficient
     cancelling; complex-array values pass a relation when max|lhs - rhs| <=
     tol.  ``worst_residual`` is the largest residual of the instances up to

@@ -1,9 +1,10 @@
 """Exact-matrix references for the index tables of ``qautcert.pauli`` and
 ``qautcert.qaut``: the Pauli and Weyl operators as products of dense
 ``Mat``s and Kronecker placements, the entangled projections bracketed into
-M_d x M_d, the z-unitaries of the covariance suite, their monomial read
-back, the alpha/beta substitutions as closures on symbols, and Ad of a
-phase-permutation matrix as a monomial map."""
+M_d x M_d, the PVM check by dense products and the projections of
+``uet_pvm`` built from them, the z-unitaries of the covariance suite,
+their monomial read back, the alpha/beta substitutions as closures on
+symbols, and Ad of a phase-permutation matrix as a monomial map."""
 
 import itertools
 from fractions import Fraction
@@ -11,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from qautcert.algebra import MonomialMap, monomial_forms
-from qautcert.arith import Cyclotomic, Mat, root_of_unity
+from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
 from qautcert.formal import qsym, usym
-from qautcert.pauli import BlockEmbedding, SlotMismatch
+from qautcert.pauli import BlockEmbedding, NotPVM, SlotMismatch
 from qautcert.relations import SnPresentation
 
 
@@ -47,12 +48,25 @@ def entangled_projection(n, i, j):
     return Mat.exact(entries)
 
 
+def paren(emb, r, T):
+    """T in the r-th slot of M_{n_1} x ... x M_{n_m} = M_d, identities in
+    the others, as Kronecker products."""
+    if T.rows != emb._size(r) or T.cols != T.rows:
+        raise SlotMismatch(f"operator size {T.rows} does not fit block {r}")
+    out = None
+    for t, n in enumerate(emb.spec.sizes, start=1):
+        factor = T if t == r else Mat.identity(n)
+        out = factor if out is None else out.kron(factor)
+    return out
+
+
+def matrix_unit(n, i, j):
+    return Mat.exact([[1 if (a, b) == (i % n, j % n) else 0 for b in range(n)] for a in range(n)])
+
+
 def paren_unit(emb, s, i, j):
     """E^(s)_{i,j} embedded in M_d."""
-    n = emb.spec.sizes[s - 1]
-    unit = Mat.exact([[1 if (a, b) == (i % n, j % n) else 0 for b in range(n)]
-                      for a in range(n)])
-    return emb.paren(s, unit)
+    return paren(emb, s, matrix_unit(emb.spec.sizes[s - 1], i, j))
 
 
 def rearrange(emb, interleaved):
@@ -82,6 +96,63 @@ def bracket(emb, s, T2):
 def bracket_phi(emb, s, i, j):
     n = emb.spec.sizes[s - 1]
     return bracket(emb, s, entangled_projection(n, i % n, j % n))
+
+
+def pvm_check(projections):
+    """The PVM check by dense products: each member a projection, then each
+    pair a < b orthogonal, then the sum the identity; raises NotPVM as
+    ``qautcert.pauli.pvm_check`` does."""
+    if not projections:
+        raise NotPVM("empty family")
+    size = projections[0].rows
+    for idx, p in enumerate(projections):
+        if p.rows != size or p.cols != size:
+            raise NotPVM(f"member {idx} has mismatched shape")
+        if not ((p @ p).equals(p) and p.adjoint().equals(p)):
+            raise NotPVM(f"member {idx} is not a projection")
+    for a in range(len(projections)):
+        for b in range(a + 1, len(projections)):
+            if not (projections[a] @ projections[b]).is_zero():
+                raise NotPVM(f"members {a} and {b} are not orthogonal")
+    total = Mat.zeros(size, size)
+    for p in projections:
+        total = total + p
+    if not total.equals(Mat.identity(size)):
+        raise NotPVM("members do not sum to the identity")
+
+
+def block_diag_unit(spec, s, i, j):
+    """E_((s,i),(s,j)) in M_D."""
+    offset = sum(spec.sizes[: s - 1])
+    return matrix_unit(spec.D, offset + i, offset + j)
+
+
+def uet_projections(spec):
+    """The projections P_(s,a,b) = sum over i, j of
+    E_((s,i),(s,j)) x [(X^a Z^b)* E_ij X^a Z^b / n_s]_s in M_D x M_d, in
+    the order of ``uet_pvm``, by dense products."""
+    emb = BlockEmbedding(spec)
+    out = []
+    for s, ns in enumerate(spec.sizes, start=1):
+        products = weyl_products(ns)
+        for a in range(ns):
+            for b in range(ns):
+                U = products[a * ns + b]
+                P = Mat.zeros(spec.D * spec.d, spec.D * spec.d)
+                for i in range(ns):
+                    for j in range(ns):
+                        inner = (U.adjoint() @ matrix_unit(ns, i, j) @ U).scale(Fraction(1, ns))
+                        P = P + block_diag_unit(spec, s, i, j).kron(paren(emb, s, inner))
+                out.append(P)
+    return out
+
+
+def rank(m):
+    """The rank of an exact matrix, by ``echelon`` of its sparse rows."""
+    rows = {}
+    for (i, j), c in m.sparse_entries().items():
+        rows.setdefault(i, {})[j] = c
+    return len(echelon(rows.values())[0])
 
 
 def monomial_entries(U):
@@ -119,18 +190,18 @@ def z_images(spec):
     out = {}
     for t, n in enumerate(spec.sizes, start=1):
         x, z = pauli_x(n), pauli_z(n)
-        out[(1, t)] = emb.paren(t, x).kron(ident)
-        out[(2, t)] = emb.paren(t, z).kron(ident)
-        out[(3, t)] = ident.kron(emb.paren(t, x))
-        out[(4, t)] = ident.kron(emb.paren(t, z))
+        out[(1, t)] = paren(emb, t, x).kron(ident)
+        out[(2, t)] = paren(emb, t, z).kron(ident)
+        out[(3, t)] = ident.kron(paren(emb, t, x))
+        out[(4, t)] = ident.kron(paren(emb, t, z))
     return out
 
 
 def z_words(spec):
     """The d^2 words x_1^a_1 z_1^b_1 ... x_m^a_m z_m^b_m of M_d as products."""
     emb = BlockEmbedding(spec)
-    paulis = {(t, "x"): emb.paren(t, pauli_x(n)) for t, n in enumerate(spec.sizes, start=1)}
-    paulis.update({(t, "z"): emb.paren(t, pauli_z(n)) for t, n in enumerate(spec.sizes, start=1)})
+    paulis = {(t, "x"): paren(emb, t, pauli_x(n)) for t, n in enumerate(spec.sizes, start=1)}
+    paulis.update({(t, "z"): paren(emb, t, pauli_z(n)) for t, n in enumerate(spec.sizes, start=1)})
     words = []
     for exps in itertools.product(*[range(n) for n in spec.sizes for _ in (0, 1)]):
         word = Mat.identity(spec.d)

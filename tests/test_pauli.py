@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qautcert.algebra import BlockSpec
-from qautcert.arith import Cyclotomic, Mat, root_of_unity
+from qautcert.arith import Cyclotomic, Mat, Terms, root_of_unity
 from qautcert.pauli import (
     BlockEmbedding,
     NotPVM,
@@ -13,15 +13,22 @@ from qautcert.pauli import (
     WrongCount,
     depolarization_check,
     entangled_basis,
-    entangled_projection,
+    entangled_table,
     is_unitary_error_basis,
     pvm_check,
+    table_terms,
     weyl_basis,
     weyl_tables,
 )
+from qautcert.qaut import _uet_projections
 
-from mat_reference import (bracket, bracket_phi, monomial_entries, rearrange, rearrange_inverse,
-                           weyl_products)
+import mat_reference
+from mat_reference import (bracket, bracket_phi, entangled_projection, monomial_entries, paren,
+                           rearrange, rearrange_inverse, uet_projections, weyl_products)
+
+
+def phi_terms(emb, s, i, j):
+    return table_terms(emb.d ** 2, emb.phi_table(s, i, j))
 
 
 def test_weyl_n2_matrices():
@@ -133,23 +140,23 @@ def test_entangled_projection_matches_vectors():
         for i in range(n):
             for j in range(n):
                 v = eb.vectors[i * n + j]
-                assert (v @ v.adjoint()).equals(entangled_projection(n, i, j))
+                assert (v @ v.adjoint()).equals(table_terms(n * n, entangled_table(n, i, j)).dense())
 
 
 def test_pvm_check_diagonal():
-    p0 = Mat.exact([[1, 0], [0, 0]])
-    p1 = Mat.exact([[0, 0], [0, 1]])
+    p0 = Terms.of(Mat.exact([[1, 0], [0, 0]]))
+    p1 = Terms.of(Mat.exact([[0, 0], [0, 1]]))
     assert pvm_check([p0, p1]).ok
 
 
 def test_pvm_check_rejects_overlap():
-    p0 = Mat.exact([[1, 0], [0, 0]])
+    p0 = Terms.of(Mat.exact([[1, 0], [0, 0]]))
     with pytest.raises(NotPVM):
         pvm_check([p0, p0])
 
 
 def test_pvm_check_rejects_incomplete():
-    p0 = Mat.exact([[1, 0], [0, 0]])
+    p0 = Terms.of(Mat.exact([[1, 0], [0, 0]]))
     with pytest.raises(NotPVM) as err:
         pvm_check([p0])
     assert "sum" in str(err.value)
@@ -159,8 +166,8 @@ def test_phi_family_per_block_pvm_with_zero_outcome():
     # spec (2,1): the counit row family has 5 outcomes, one of them zero
     spec = BlockSpec((2, 1))
     emb = BlockEmbedding(spec)
-    fam = [emb.bracket_phi(1, i, j) for i in range(2) for j in range(2)]
-    fam.append(Mat.zeros(4, 4))
+    fam = [phi_terms(emb, 1, i, j) for i in range(2) for j in range(2)]
+    fam.append(Terms.of(Mat.zeros(4, 4)))
     rep = pvm_check(fam)
     assert rep.ok and len(fam) == 5
 
@@ -170,8 +177,8 @@ def test_phi_families_literal_cross_block_not_orthogonal():
     # N-outcome family needs the zero entries of the magic-unitary row
     spec = BlockSpec((2, 1))
     emb = BlockEmbedding(spec)
-    fam = [emb.bracket_phi(1, i, j) for i in range(2) for j in range(2)]
-    fam.append(emb.bracket_phi(2, 0, 0))
+    fam = [phi_terms(emb, 1, i, j) for i in range(2) for j in range(2)]
+    fam.append(phi_terms(emb, 2, 0, 0))
     with pytest.raises(NotPVM):
         pvm_check(fam)
 
@@ -181,7 +188,7 @@ def test_phi_pvm_all_partitions_up_to_13():
         spec = BlockSpec(sizes)
         emb = BlockEmbedding(spec)
         for s, n in enumerate(spec.sizes, start=1):
-            fam = [emb.bracket_phi(s, i, j) for i in range(n) for j in range(n)]
+            fam = [phi_terms(emb, s, i, j) for i in range(n) for j in range(n)]
             assert pvm_check(fam).ok
 
 
@@ -189,7 +196,7 @@ def test_paren_embedding_trailing_identity_trivial():
     spec = BlockSpec((2, 1))
     emb = BlockEmbedding(spec)
     X2 = weyl_basis(2).x
-    assert emb.paren(1, X2).equals(X2)  # d = 2
+    assert emb.paren_table(1, weyl_tables(2).at(2)).mat().equals(X2)  # d = 2
 
 
 def test_bracket_embedding_before_rearrangement():
@@ -240,7 +247,7 @@ def test_slot_placements_are_paren(sizes):
     for t, n in enumerate(sizes, start=1):
         placed = emb.paren_table(t, weyl_tables(n))  # every member at once
         for k, product in enumerate(weyl_products(n)):
-            assert placed.at(k).mat().equals(emb.paren(t, product))
+            assert placed.at(k).mat().equals(paren(emb, t, product))
             assert placed.at(k).equals(emb.paren_table(t, weyl_tables(n).at(k)))
 
 
@@ -251,7 +258,7 @@ def test_phi_tables_are_bracket_phi_read_back(sizes):
         for i in range(-1, n):
             for j in range(n):
                 ref = bracket_phi(emb, s, i, j)
-                assert_same_mat(emb.bracket_phi(s, i, j), ref)
+                assert_same_mat(phi_terms(emb, s, i, j).dense(), ref)
                 L, q, row, col, exp = emb.phi_table(s, i, j)
                 L_ref, q_ref, row_ref, col_ref, exp_ref = monomial_entries(ref)
                 assert q == q_ref
@@ -263,11 +270,10 @@ def test_phi_tables_are_bracket_phi_read_back(sizes):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_entangled_projection_is_the_entrywise_formula(n):
-    from mat_reference import entangled_projection as reference
-
     for i in range(n):
         for j in range(n):
-            assert_same_mat(entangled_projection(n, i, j), reference(n, i, j))
+            assert_same_mat(table_terms(n * n, entangled_table(n, i, j)).dense(),
+                            entangled_projection(n, i, j))
 
 
 def test_phase_permutation_products_are_matrix_products():
@@ -289,9 +295,86 @@ def test_placements_refuse_a_slot_out_of_range():
     emb = BlockEmbedding(BlockSpec((2, 1)))
     for place in (lambda r: emb.paren_table(r, weyl_tables(2).at(1)),
                   lambda r: emb.phi_table(r, 0, 0),
-                  lambda r: emb.paren(r, weyl_basis(2).z)):
+                  lambda r: paren(emb, r, weyl_basis(2).z)):
         for r in (0, 3):
             with pytest.raises(SlotMismatch, match="out of range"):
                 place(r)
     with pytest.raises(SlotMismatch, match="does not fit"):
         emb.paren_table(2, weyl_tables(2).at(1))
+
+
+# -- pvm_check against the dense-product reference ----------------------------
+
+STANDARD_PARTITIONS = [(2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1)]
+
+
+def mutations(fam):
+    """(label, family) for ten edits of a family of exact matrices."""
+    zero, ident = Mat.zeros(fam[0].rows, fam[0].cols), Mat.identity(fam[0].rows)
+    return [("double", [fam[0].scale(2)] + fam[1:]),
+            ("duplicate", fam + [fam[0]]),
+            ("drop first", fam[1:]),
+            ("drop last", fam[:-1]),
+            ("zero", [zero] + fam[1:]),
+            ("negate", fam[:-1] + [-fam[-1]]),
+            ("transpose", fam[:-1] + [fam[-1].transpose()]),
+            ("sum two", [fam[0] + fam[-1]] + fam[1:-1]),
+            ("extra zero", fam + [zero]),
+            ("extra identity", fam + [ident])]
+
+
+def outcome(check, family):
+    """None on a pass, else the NotPVM condition."""
+    try:
+        check(family)
+    except NotPVM as exc:
+        return exc.condition
+    return None
+
+
+def pvm_families(kind, sizes):
+    """(table-built terms, reference matrices) of each family of ``kind``:
+    the phi family of every block, or the projections of ``uet_pvm``."""
+    spec = BlockSpec(sizes)
+    if kind == "uet":
+        return [([P for s in range(1, spec.m + 1) for P in _uet_projections(spec, s)],
+                 uet_projections(spec))]
+    emb = BlockEmbedding(spec)
+    return [([phi_terms(emb, s, i, j) for i in range(n) for j in range(n)],
+             [bracket_phi(emb, s, i, j) for i in range(n) for j in range(n)])
+            for s, n in enumerate(sizes, start=1)]
+
+
+@pytest.mark.parametrize("kind", ["phi", "uet"])
+@pytest.mark.parametrize("sizes", STANDARD_PARTITIONS)
+def test_pvm_check_outcomes_are_the_dense_references(kind, sizes):
+    seen = set()
+    for terms, mats in pvm_families(kind, sizes):
+        assert [t.dense().equals(m) for t, m in zip(terms, mats)] == [True] * len(mats)
+        assert outcome(pvm_check, terms) is None
+        assert outcome(mat_reference.pvm_check, mats) is None
+        for label, fam in mutations(mats):
+            want = outcome(mat_reference.pvm_check, fam)
+            assert outcome(pvm_check, [Terms.of(m) for m in fam]) == want, label
+            seen.add(want.split(" ")[-1] if want else None)
+    assert {None, "projection", "orthogonal", "identity"} <= seen
+
+
+def test_pvm_check_names_each_failing_condition():
+    p0, p1 = (Terms.of(Mat.exact(m)) for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]]))
+    skew = Terms.of(Mat.exact([[1, 1], [0, 0]]))  # idempotent, not self-adjoint
+    cases = [([], "empty family"),
+             ([p0, Terms.of(Mat.identity(3))], "member 1 has mismatched shape"),
+             ([p0, skew], "member 1 is not a projection"),
+             ([p0, p1, p0], "members 0 and 2 are not orthogonal"),
+             ([p0], "members do not sum to the identity")]
+    for family, condition in cases:
+        assert outcome(pvm_check, family) == condition
+        assert outcome(mat_reference.pvm_check, [t.dense() for t in family]) == condition
+    # every shape is checked before any relation; the reference interleaves
+    # each member's shape and projection checks, so there the skew member
+    # 0 fails first
+    family = [skew, p1, Terms.of(Mat.identity(3))]
+    assert outcome(pvm_check, family) == "member 2 has mismatched shape"
+    assert outcome(mat_reference.pvm_check, [t.dense() for t in family]) == \
+        "member 0 is not a projection"

@@ -12,7 +12,7 @@ import pytest
 from qautcert.algebra import BlockSpec, MonomialMap, monomial_forms, sparse_eq
 from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
 from qautcert.formal import qsym, usym
-from qautcert.pauli import BlockEmbedding, PhasePermutation, weyl_tables
+from qautcert.pauli import BlockEmbedding, PhasePermutation, pvm_check, table_terms, weyl_tables
 from qautcert.qaut import (
     GeneratorAssignment,
     IncompleteAssignment,
@@ -42,10 +42,11 @@ from qautcert.qaut import (
     theta_identity,
     uet_pvm,
 )
-from qautcert.qaut import _unit_positions, _z_tables, _z_words
+from qautcert.qaut import _uet_projections, _unit_positions, _z_tables, _z_words
 
-from mat_reference import (alpha_closure, beta_closure, bracket_phi, paren_unit, phase_permutation,
-                           weyl_products, z_images, z_words)
+from mat_reference import (alpha_closure, beta_closure, bracket_phi, paren, paren_unit,
+                           phase_permutation, rank, uet_projections, weyl_products, z_images,
+                           z_words)
 
 
 def substitute_all(formal_map, values):
@@ -185,6 +186,22 @@ def test_block_residuals_list_every_instance_in_relations_order(sizes):
         got = np.concatenate([r.ravel() for r in pres.block_residuals(_BlockValues(asg, 1e-9))])
         want = [resid for _, resid in reference_residuals(asg)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_pvm_block_residuals_list_every_instance_in_relations_order(K):
+    from qautcert.relations import PvmPresentation, _BlockValues
+
+    rng = np.random.default_rng(K)
+    pres = PvmPresentation(K)
+    asg = GeneratorAssignment(pres, {g: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                                     for g in pres.generators})
+    got = np.concatenate([r.ravel() for r in pres.block_residuals(_BlockValues(asg, 1e-9))])
+    rels, want = zip(*reference_residuals(asg))
+    assert len(rels) == 2 * K + K * (K - 1) + 1
+    assert {(rel.family, len(rel.lhs[0][1])) for rel in rels} <= {
+        ("selfadj", 1), ("idem", 2), ("orth", 2), ("sum", 1)}
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def agreeing_report(asg, tol=1e-9):
@@ -578,16 +595,44 @@ def test_uet_pvm_fails_plancherel_value_off_by_a_fraction(monkeypatch):
 def test_uet_pvm_fails_with_the_pvm_check_message(monkeypatch):
     import qautcert.qaut
 
-    real = qautcert.qaut._block_diag_unit
+    real = qautcert.qaut._uet_projections
 
-    def doubled_in_block_2(spec, s, i, j):
-        unit = real(spec, s, i, j)
-        return unit.scale(2) if s == 2 else unit
+    def doubled_in_block_2(spec, s):
+        members = real(spec, s)
+        return [replace(P, num=P.num * 2) for P in members] if s == 2 else members
 
-    monkeypatch.setattr(qautcert.qaut, "_block_diag_unit", doubled_in_block_2)
+    monkeypatch.setattr(qautcert.qaut, "_uet_projections", doubled_in_block_2)
     cert = uet_pvm(BlockSpec((2, 1)))
     assert cert["passed"] is False
     assert cert["failure"] == "not a PVM: member 4 is not a projection"
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1),
+                                   (3, 2), (2, 2, 2), (4,)])
+def test_uet_pvm_projections_and_ranks_are_the_dense_references(sizes):
+    spec = BlockSpec(sizes)
+    refs = uet_projections(spec)
+    built = [P for s in range(1, spec.m + 1) for P in _uet_projections(spec, s)]
+    assert len(built) == len(refs) == spec.N
+    for P, ref in zip(built, refs):
+        assert P.dense().equals(ref)
+    cert = uet_pvm(spec)
+    assert cert["passed"]
+    assert cert["ranks"] == [rank(ref) for ref in refs]
+
+
+def test_uet_pvm_and_pvm_check_form_no_matrix_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense matrix product")
+
+    monkeypatch.setattr(Mat, "__matmul__", refuse)
+    monkeypatch.setattr(Mat, "kron", refuse)
+    spec = BlockSpec((2, 2))
+    assert uet_pvm(spec)["passed"]
+    emb = BlockEmbedding(spec)
+    for s, n in enumerate(spec.sizes, start=1):
+        assert pvm_check([table_terms(spec.d ** 2, emb.phi_table(s, i, j))
+                          for i in range(n) for j in range(n)]).ok
 
 
 # -- pi and rho ---------------------------------------------------------------
@@ -708,8 +753,8 @@ def _reference_rho_forms(sizes):
             Q = {qsym(s, r, i, j, k, l): paren_unit(emb, s, i, j).kron(paren_unit(emb, r, k, l))
                  for i, j, k, l in itertools.product(range(ns), range(ns), range(nr), range(nr))}
             for x, y, v, w in itertools.product(range(ns), range(ns), range(nr), range(nr)):
-                conj = (emb.paren(s, weyl_products(ns)[x * ns + (-y) % ns])
-                        .kron(emb.paren(r, weyl_products(nr)[v * nr + (-w) % nr])))
+                conj = (paren(emb, s, weyl_products(ns)[x * ns + (-y) % ns])
+                        .kron(paren(emb, r, weyl_products(nr)[v * nr + (-w) % nr])))
                 lhs = out[usym(s, x, y, r, v, w)] = {}
                 for q, coeff in Q.items():
                     term = (conj @ coeff @ conj.adjoint()).scale(Fraction(1, ns))
@@ -868,7 +913,7 @@ def test_shuffle_fails_on_a_projection_with_two_scales(monkeypatch):
 
     monkeypatch.setattr(BlockEmbedding, "phi_table", with_corner)
     emb = BlockEmbedding(BlockSpec((2,)))
-    assert emb.bracket_phi(1, 1, 0).equals(  # the table is the matrix with the corner
+    assert table_terms(4, emb.phi_table(1, 1, 0)).dense().equals(  # the matrix with the corner
         bracket_phi(emb, 1, 1, 0) + Mat.from_entries(4, 4, 1, [0], [1], [0], [1]))
     cert = rearranged_Q_check(BlockSpec((2,)))
     assert cert["passed"] is False
