@@ -3,9 +3,9 @@
 
 Runs every suite at exact (4,) and (2,2,2,2) and float (3,3) and (4,2),
 exact ``homs`` also at (3,3), (4,2) and (6,) (N = 18, 20 and 36, beyond the
-exact cap), and float ``ueb`` and ``pvm`` at (2,2,2,2,2) (N = 20, d = 32),
-one subprocess per (partition, suite), with ``force=True`` so the desk-scale
-cap admits it, under a timeout and a 3 GB address-space limit.
+exact cap), and float ``ueb``, ``pvm`` and ``twist`` at (2,2,2,2,2) (N = 20,
+d = 32), one subprocess per (partition, suite), with ``force=True`` so the
+desk-scale cap admits it, under a timeout and a 3 GB address-space limit.
 Prints, for each run, the wall and CPU time of the suite and the process's
 peak resident memory (``ru_maxrss``).
 
@@ -25,7 +25,8 @@ import time
 PARTITIONS = [("exact", (4,)), ("exact", (2, 2, 2, 2)), ("float", (3, 3)), ("float", (4, 2))]
 # (backend, partition, suite) runs beyond the PARTITIONS sweep
 EXTRA_RUNS = [("exact", (3, 3), "homs"), ("exact", (4, 2), "homs"), ("exact", (6,), "homs"),
-              ("float", (2, 2, 2, 2, 2), "ueb"), ("float", (2, 2, 2, 2, 2), "pvm")]
+              ("float", (2, 2, 2, 2, 2), "ueb"), ("float", (2, 2, 2, 2, 2), "pvm"),
+              ("float", (2, 2, 2, 2, 2), "twist")]
 # (backend, partition, suite) -> seconds.  The cov and shuffle budgets are
 # about 1.5x the median of three child runs on a 2-core x86_64 host, written
 # beside them; cov and shuffle build no dense matrix since their z-images,
@@ -37,17 +38,20 @@ BUDGETS = {("exact", (2, 2, 2, 2), "conj"): 0.5, ("exact", (2, 2, 2, 2), "twist"
            ("exact", (2, 2, 2, 2), "shuffle"): 1.7,
            ("float", (3, 3), "cov"): 0.4, ("float", (3, 3), "shuffle"): 0.24,  # 0.261, 0.156 s
            ("float", (4, 2), "cov"): 0.55, ("float", (4, 2), "shuffle"): 0.22}  # 0.363, 0.141 s
-# ueb and pvm check their projections as index tables (pvm_check on terms).
+# ueb, pvm and twist decide their identities on index tables and terms.
 # Each budget is 1.5x the median of three child runs, given here, but at
 # least WALL_FLOOR_S: scheduler jitter on a shared host alone can exceed
-# 1.5x of a few milliseconds
+# 1.5x of a few milliseconds.  At float (2,2,2,2,2), 11.7 of twist's 11.8 s
+# are GroupCocycle.verify on the 1024-element product cocycle
 WALL_FLOOR_S = 0.05
-BUDGETS.update({key: max(1.5 * median_s, WALL_FLOOR_S) for key, median_s in {
-    ("exact", (4,), "ueb"): 0.038, ("exact", (4,), "pvm"): 0.0033,
-    ("exact", (2, 2, 2, 2), "ueb"): 0.0088, ("exact", (2, 2, 2, 2), "pvm"): 0.0033,
-    ("float", (3, 3), "ueb"): 0.0177, ("float", (3, 3), "pvm"): 0.0039,
-    ("float", (4, 2), "ueb"): 0.047, ("float", (4, 2), "pvm"): 0.0043,
-    ("float", (2, 2, 2, 2, 2), "ueb"): 0.0177, ("float", (2, 2, 2, 2, 2), "pvm"): 0.0043,
+BUDGETS.update({key: round(max(1.5 * median_s, WALL_FLOOR_S), 4) for key, median_s in {
+    ("exact", (4,), "ueb"): 0.0022, ("exact", (4,), "pvm"): 0.0033,
+    ("exact", (2, 2, 2, 2), "ueb"): 0.0044, ("exact", (2, 2, 2, 2), "pvm"): 0.0033,
+    ("float", (3, 3), "ueb"): 0.0031, ("float", (3, 3), "pvm"): 0.0039,
+    ("float", (4, 2), "ueb"): 0.0043, ("float", (4, 2), "pvm"): 0.0043,
+    ("float", (2, 2, 2, 2, 2), "ueb"): 0.0124, ("float", (2, 2, 2, 2, 2), "pvm"): 0.0043,
+    ("exact", (4,), "twist"): 0.0062, ("float", (3, 3), "twist"): 0.0099,
+    ("float", (4, 2), "twist"): 0.0085, ("float", (2, 2, 2, 2, 2), "twist"): 11.84,
 }.items()})
 # (backend, partition, suite) -> peak resident MB (ru_maxrss of the run's process)
 MEMORY_BUDGETS = {("exact", (2, 2, 2, 2), "shuffle"): 170.0,
@@ -56,6 +60,11 @@ MEMORY_BUDGETS = {("exact", (2, 2, 2, 2), "shuffle"): 170.0,
 # ueb and pvm: about 1.5x the median peak of the same runs (34.6-35.6 MB)
 MEMORY_BUDGETS.update({(b, p, suite): 52.0 for b, p, suite in BUDGETS if suite in ("ueb", "pvm")})
 MEMORY_BUDGETS[("float", (4, 2), "ueb")] = 54.0  # 35.6 MB
+# twist: 1.5x the median peak of the same runs, given here
+MEMORY_BUDGETS.update({key: round(1.5 * median_mb, 1) for key, median_mb in {
+    ("exact", (4,), "twist"): 36.3, ("exact", (2, 2, 2, 2), "twist"): 46.7,
+    ("float", (3, 3), "twist"): 36.2, ("float", (4, 2), "twist"): 36.3,
+    ("float", (2, 2, 2, 2, 2), "twist"): 259.6}.items()})
 TIMEOUT_S = 300.0  # per run; a run that takes longer is reported as failed
 ADDRESS_SPACE = 3 << 30  # bytes a run may map; past it, it fails
 

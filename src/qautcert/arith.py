@@ -31,7 +31,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "root_of_unity",
-    "sqrt_int",
     "accumulate",
     "echelon",
 ]
@@ -460,49 +459,6 @@ def root_of_unity(M: int, k: int) -> Cyclotomic:
     return Cyclotomic(M, _power_row(M, k % M))
 
 
-def _legendre(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
-@lru_cache(maxsize=None)
-def sqrt_int(n: int) -> Cyclotomic:
-    """Exact square root of a positive integer, via quadratic Gauss sums.
-
-    sqrt(2) = zeta_8 + zeta_8^-1 and, for an odd prime p, the Gauss sum
-    g = sum_a (a|p) zeta_p^a equals sqrt(p) or i*sqrt(p) according to
-    p mod 4; composite n factors through its squarefree part.
-    """
-    if n < 1:
-        raise ValueError("need a positive integer")
-    result = Cyclotomic.one()
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % (p * p) == 0:
-            m //= p * p
-            result = result * p
-        if m % p == 0:
-            m //= p
-            result = result * _sqrt_prime(p)
-        p += 1
-    if m > 1:
-        result = result * _sqrt_prime(m)
-    return result
-
-
-def _sqrt_prime(p: int) -> Cyclotomic:
-    if p == 2:
-        return root_of_unity(8, 1) + root_of_unity(8, 7)
-    g = Cyclotomic.zero()
-    for a in range(1, p):
-        g = g + _legendre(a, p) * root_of_unity(p, a)
-    if p % 4 == 1:
-        return g
-    # g = i*sqrt(p); divide by i = zeta_4.
-    return g * root_of_unity(4, 3)
-
-
 # Coefficient planes are stored as int64 while every coefficient is below
 # this bound and as Python ints otherwise.
 _INT64_GUARD = 2**31
@@ -524,6 +480,14 @@ def _working(bound: int, *arrays):
     2**63, as Python ints otherwise."""
     dtype = np.int64 if bound < 2**63 else object
     return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """The positions where the runs of equal values of a sorted array
+    begin."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _contract(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -842,6 +806,21 @@ class Terms:
                    np.concatenate([t.row + o for t, o in zip(parts, offset)]),
                    np.concatenate([t.col for t in parts]),
                    np.concatenate([t.exp * (order // t.order) for t in parts]), np.concatenate(num))
+
+    def coefficients(self):
+        """(key, coef) over the nonzero entries of exact terms, in position
+        order: key = row * cols + col, and coef the entry's integer
+        coefficients in the power basis of order ``order``, over ``den``."""
+        table = _root_table(self.order)
+        key = self.row * self.cols + self.col
+        by = np.argsort(key, kind="stable")
+        key = key[by]
+        first = _starts(key)
+        num, powers = _working(_maxabs(self.num) * _maxabs(table) * max(len(key), 1),
+                               self.num[by], table[self.exp[by] % self.order])
+        coef = np.add.reduceat(num[:, None] * powers, first, axis=0)
+        live = coef.any(axis=1)
+        return key[first][live], coef[live]
 
     def dense(self):
         """The exact ``Mat``, or the complex array."""

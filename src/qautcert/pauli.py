@@ -5,10 +5,11 @@ Convention: X is diagonal (X|j> = w^j |j>) and Z is the cyclic shift
 on this choice, which is therefore fixed here once.
 
 Every Weyl operator is a phase permutation (``PhasePermutation``), and the
-entangled projections are one scale times a phase on each of their
-nonzeros; both are built here as index tables.  The exact matrices of
-``weyl_basis`` are read off those tables, and ``pvm_check`` takes the
-projections as their terms (``table_terms``).
+entangled vectors and projections are one scale times a phase on each of
+their nonzeros; all are built here as index tables, and their identities
+are decided on the tables: products and adjoints by index arithmetic,
+traces and inner products as sums of roots of unity in the power basis.
+``pvm_check`` takes the projections as their terms (``table_terms``).
 """
 
 from __future__ import annotations
@@ -21,17 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import BlockSpec
-from .arith import Cyclotomic, Mat, Terms, root_of_unity, sqrt_int
+from .arith import Cyclotomic, Terms, _root_table
 from .relations import GeneratorAssignment, PvmPresentation, check_relations
 
 __all__ = [
     "PhasePermutation",
-    "weyl_tables",
-    "WeylBasis",
     "weyl_basis",
     "is_unitary_error_basis",
     "depolarization_check",
-    "EntangledBasis",
     "entangled_basis",
     "table_terms",
     "pvm_check",
@@ -103,67 +101,61 @@ class PhasePermutation(NamedTuple):
         L = math.lcm(self.L, M)
         return PhasePermutation(L, self.perm, self.exp * (L // self.L) + e * (L // M))
 
-    def is_unitary(self) -> bool:
-        """Whether ``perm`` is a permutation: U U* = sum over c of
-        E_(perm[c], perm[c])."""
-        return np.array_equal(np.sort(self.perm, axis=-1),
-                              np.broadcast_to(np.arange(self.perm.shape[-1]), self.perm.shape))
+    def is_unitary(self) -> np.ndarray:
+        """Whether ``perm`` is a permutation, for each operator of the
+        leading axes: U U* = sum over c of E_(perm[c], perm[c])."""
+        return (np.sort(self.perm, axis=-1) == np.arange(self.perm.shape[-1])).all(axis=-1)
 
-    def equals(self, other: "PhasePermutation") -> bool:
-        """Entry by entry: one nonzero per column, at one row with one phase."""
+    def equals(self, other: "PhasePermutation") -> np.ndarray:
+        """Entry by entry, for each operator of the broadcast leading axes:
+        one nonzero per column, at one row with one phase."""
         L = math.lcm(self.L, other.L)
-        return bool(np.array_equal(self.perm, other.perm)
-                    and ((self.exp * (L // self.L) - other.exp * (L // other.L)) % L == 0).all())
+        return ((self.perm == other.perm)
+                & ((self.exp * (L // self.L) - other.exp * (L // other.L)) % L == 0)).all(axis=-1)
 
-    def mat(self) -> Mat:
-        """The exact matrix of one operator (``table_terms``)."""
-        n = len(self.perm)
-        return table_terms(n, (self.L, Fraction(1), self.perm, np.arange(n), self.exp)).dense()
+    def pairing(self, other: "PhasePermutation") -> np.ndarray:
+        """Tr(A* B) for every operator A of ``self`` and B of ``other``, one
+        leading axis each, as a (len A, len B, phi(L)) array of integer
+        coefficients in the power basis of order L = lcm(self.L, other.L):
+        the sum of zeta_L^(exp_B[c] - exp_A[c]) over the columns c where A
+        and B have their nonzero in one row.  It holds for any matrices with
+        one nonzero per column, unitary or not."""
+        L = math.lcm(self.L, other.L)
+        same = self.perm[:, None] == other.perm[None]
+        exp = other.exp[None] * (L // other.L) - self.exp[:, None] * (L // self.L)
+        return (same[..., None] * _root_table(L)[exp % L]).sum(axis=2)
 
 
-def weyl_tables(n: int) -> PhasePermutation:
+def _off_delta(gram: np.ndarray, scale: int):
+    """The first (a, b), in order, at which an array of power-basis
+    coefficients such as ``pairing`` gives is not scale delta_ab, or None."""
+    expect = (scale * np.eye(*gram.shape[:2], dtype=np.int64))[..., None] * (
+        np.arange(gram.shape[2]) == 0)
+    bad = np.argwhere((gram != expect).any(axis=2))
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
+def weyl_basis(n: int) -> PhasePermutation:
     """T_(a,b) = X^a Z^b of M_n, for every a, b < n, at index a n + b:
-    X^a Z^b |c> = w^(a(c+b)) |c+b>."""
-    a, b, c = np.ogrid[:n, :n, :n]
-    perm = (c + b) % n
-    return PhasePermutation(n, np.broadcast_to(perm, (n, n, n)).reshape(n * n, n),
-                            (a * perm % n).reshape(n * n, n))
-
-
-@dataclass
-class WeylBasis:
-    n: int
-    omega: Cyclotomic
-    x: Mat
-    z: Mat
-    family: list  # T[i*n + j] = X^i Z^j
-
-    def t(self, i: int, j: int) -> Mat:
-        return self.family[(i % self.n) * self.n + (j % self.n)]
-
-
-def weyl_basis(n: int) -> WeylBasis:
-    """The family {X^i Z^j} as exact matrices, read off ``weyl_tables``,
-    with both defining invariants verified exactly."""
+    X^a Z^b |c> = w^(a(c+b)) |c+b>.  Both defining invariants are verified
+    exactly: XZ = wZX, and every T_(a,b) is unitary with trace n for
+    (a, b) = (0, 0) and 0 otherwise."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tables = weyl_tables(n)
-    family = [tables.at(k).mat() for k in range(n * n)]
-    w = root_of_unity(n, 1)
-    basis = WeylBasis(n, w, family[(1 % n) * n], family[1 % n], family)
-    x, z = basis.x, basis.z
-    if not (x @ z).equals((z @ x).scale(w)):
+    a, b, c = np.ogrid[:n, :n, :n]
+    perm = (c + b) % n
+    T = PhasePermutation(n, np.broadcast_to(perm, (n, n, n)).reshape(n * n, n),
+                         (a * perm % n).reshape(n * n, n))
+    x, z = T.at((1 % n) * n), T.at(1 % n)
+    if not x.compose(z).equals(z.compose(x).scaled(n, 1)):
         raise AssertionError("commutation relation XZ = wZX failed")
-    for i in range(n):
-        for j in range(n):
-            t = basis.t(i, j)
-            if not t.is_unitary():
-                raise AssertionError(f"T[{i},{j}] is not unitary")
-            tr = t.trace()
-            expect = Cyclotomic.rational(n if (i, j) == (0, 0) else 0)
-            if tr != expect:
-                raise AssertionError(f"trace of T[{i},{j}] is wrong")
-    return basis
+    bad = np.flatnonzero(~T.is_unitary())
+    if len(bad):
+        raise AssertionError("T[%d,%d] is not unitary" % divmod(int(bad[0]), n))
+    off = _off_delta(PhasePermutation.identity(n).at(None).pairing(T), n)  # Tr T = Tr(I* T)
+    if off is not None:
+        raise AssertionError("trace of T[%d,%d] is wrong" % divmod(off[1], n))
+    return T
 
 
 @dataclass
@@ -176,65 +168,68 @@ class UebReport:
         return self.ok
 
 
-def is_unitary_error_basis(family: list, n: int | None = None) -> UebReport:
-    """Unitarity plus pairwise orthonormality under the normalized trace."""
-    if not family:
+def is_unitary_error_basis(family: PhasePermutation, n: int | None = None) -> UebReport:
+    """Unitarity of each member of a stack of phase permutations, then
+    orthonormality of every pair under the normalized trace,
+    Tr(T_a* T_b) / size = delta_ab, decided for all pairs at once; the first
+    failing member, or pair (a, b) in order, is reported."""
+    count, size = family.perm.shape
+    if not count:
         raise WrongCount("empty family")
-    size = family[0].rows
     n = n or size
-    if len(family) != n * n:
-        raise WrongCount(f"expected {n * n} members, got {len(family)}")
-    for idx, u in enumerate(family):
-        if not u.is_unitary():
-            resid = (u @ u.adjoint()).residual(Mat.identity(size))
-            return UebReport(False, resid, f"member {idx} is not unitary")
-    for a, ua in enumerate(family):
-        for b, ub in enumerate(family):
-            val = (ua.adjoint() @ ub).normalized_trace()
-            expect = 1 if a == b else 0
-            if val != Cyclotomic.rational(expect):
-                return UebReport(False, abs(val.to_complex() - expect),
-                                 f"trace pairing ({a},{b})")
-    return UebReport(True, 0.0)
-
-
-def depolarization_check(family: list, x: Mat) -> UebReport:
-    """sum_a u_a* x u_a = n Tr(x) 1 for an n x n input x."""
-    n = x.rows
-    acc = Mat.zeros(n, n)
-    for u in family:
-        acc = acc + (u.adjoint() @ x @ u)
-    target = Mat.identity(n).scale(x.trace() * n)
-    if acc.equals(target):
+    if count != n * n:
+        raise WrongCount(f"expected {n * n} members, got {count}")
+    bad = np.flatnonzero(~family.is_unitary())
+    if len(bad):
+        # U U* is diagonal: the number of columns with their nonzero in each row
+        rows = np.bincount(family.perm[bad[0]], minlength=size)
+        return UebReport(False, float(np.abs(rows - 1).max()), f"member {bad[0]} is not unitary")
+    gram = family.pairing(family)
+    off = _off_delta(gram, size)
+    if off is None:
         return UebReport(True, 0.0)
-    return UebReport(False, acc.residual(target), "depolarization identity")
+    a, b = off
+    val = Cyclotomic(family.L, [Fraction(int(c), size) for c in gram[a, b]])
+    return UebReport(False, abs(val.to_complex() - int(a == b)), f"trace pairing ({a},{b})")
 
 
-@dataclass
-class EntangledBasis:
-    n: int
-    vectors: list  # n^2 column vectors of size n^2
+def depolarization_check(family: PhasePermutation) -> UebReport:
+    """sum over the members u of u* E_pq u = n delta_pq 1 for every matrix
+    unit E_pq of M_n at once, n the size of the phase permutations u: with
+    v = u*, u* E_pq u = zeta^(v.exp[p] - v.exp[q]) E_(v.perm[p], v.perm[q]).
+    The sums less the right sides are one ``Terms`` of the n^2 units' blocks
+    in order (p, q); the first unit with a nonzero entry fails."""
+    n = family.perm.shape[-1]
+    v = family.adjoint()
+    p, q = np.divmod(np.arange(n * n), n)
+    # block p n + q holds the sum; less n at (q, q) of each diagonal block p (n + 1)
+    key, coef = Terms(n ** 3, n, family.L, 1,
+                      np.append((p * n + q) * n + v.perm[:, p], p * (n + 1) * n + q),
+                      np.append(v.perm[:, q], q), np.append(v.exp[:, p] - v.exp[:, q], 0 * q),
+                      np.append(np.ones(v.perm[:, p].size, dtype=np.int64), np.full(n * n, -n))
+                      ).coefficients()
+    if not len(key):
+        return UebReport(True, 0.0)
+    first = key[0] // n ** 2
+    resid = max(abs(Cyclotomic(family.L, [Fraction(int(c)) for c in row]).to_complex())
+                for row in coef[key // n ** 2 == first])
+    return UebReport(False, resid, "depolarization n=%d unit (%d,%d)" % (n, *divmod(first, n)))
 
 
-def entangled_basis(n: int) -> EntangledBasis:
-    """Vectors (T_ij x I)|phi> with |phi> = n^{-1/2} sum |ii>.
-
-    Orthonormality of all n^2 vectors is verified exactly on construction.
-    """
-    wb = weyl_basis(n)
-    inv_sqrt = sqrt_int(n).inverse()
-    phi = Mat.exact([[inv_sqrt if k % (n + 1) == 0 else 0] for k in range(n * n)])
-    vectors = []
-    ident = Mat.identity(n)
-    for i in range(n):
-        for j in range(n):
-            vectors.append(wb.t(i, j).kron(ident) @ phi)
-    for a, va in enumerate(vectors):
-        for b, vb in enumerate(vectors):
-            ip = (va.adjoint() @ vb).entry(0, 0)
-            if ip != Cyclotomic.rational(1 if a == b else 0):
-                raise AssertionError(f"entangled vectors ({a},{b}) not orthonormal")
-    return EntangledBasis(n, vectors)
+def entangled_basis(n: int) -> PhasePermutation:
+    """The vectors |phi_k> = (T_k x I)|phi>, |phi> = n^(-1/2) sum over c of
+    |cc>, of the Weyl basis T, as the n^2 x n matrices V_k with
+    V_k|c> = (T_k x I)|cc>, so |phi_k> = n^(-1/2) V_k sum over c of |c>.
+    Distinct columns of V_k have their rows in distinct last digits c, so
+    <phi_a|phi_b> = Tr(V_a* V_b) / n, a sum of phases over n: orthonormality
+    of all n^2 vectors is verified exactly on construction, with no square
+    root."""
+    doubled = weyl_basis(n).kron(PhasePermutation.identity(n))
+    V = PhasePermutation(doubled.L, doubled.perm[:, ::n + 1], doubled.exp[:, ::n + 1])
+    off = _off_delta(V.pairing(V), n)
+    if off is not None:
+        raise AssertionError("entangled vectors (%d,%d) not orthonormal" % off)
+    return V
 
 
 def entangled_table(n: int, i: int, j: int):

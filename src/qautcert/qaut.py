@@ -33,12 +33,11 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec, MonomialMap, multimatrix
-from .arith import (Cyclotomic, Mat, Terms, _maxabs, _root_table, _working, accumulate,
-                    echelon, root_of_unity)
+from .arith import Cyclotomic, Mat, Terms, _root_table, accumulate, echelon, root_of_unity
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
-from .pauli import BlockEmbedding, NotPVM, PhasePermutation, pvm_check, weyl_tables
+from .pauli import BlockEmbedding, NotPVM, PhasePermutation, pvm_check, weyl_basis
 from .relations import (GeneratorAssignment, IncompleteAssignment, QautPresentation,
-                        RelationReport, SnPresentation, _enumerate, _starts, battery_groups,
+                        RelationReport, SnPresentation, _enumerate, battery_groups,
                         check_relations)
 
 __all__ = [
@@ -254,7 +253,7 @@ def classical_theta_battery(spec: BlockSpec, count: int, seed: int):
     rng = random.Random(seed)
     battery = []
     for r, n in enumerate(spec.sizes, start=1):
-        weyl = weyl_tables(n)
+        weyl = weyl_basis(n)
         for i in range(n):
             for j in range(n):
                 U = weyl.at(i * n + j)
@@ -292,7 +291,7 @@ def _uet_projections(spec: BlockSpec, s: int) -> list:
     and slot s of M_d holds E_(c_i,c_j) at the positions of
     ``_unit_positions``."""
     d, ns = spec.d, spec.sizes[s - 1]
-    inv = weyl_tables(ns).adjoint()  # perm c, exp[i] = -(U's exp)[c_i]
+    inv = weyl_basis(ns).adjoint()  # perm c, exp[i] = -(U's exp)[c_i]
     stride, base = _unit_positions(spec, s)
     i, j = np.divmod(np.arange(ns * ns), ns)
     offset = sum(spec.sizes[:s - 1])
@@ -329,7 +328,9 @@ def uet_pvm(spec: BlockSpec) -> dict:
         leg = P.row // d
         on = (leg == P.col // d) & (leg >= offset) & (leg < offset + ns)
         pt = Terms(d, d, P.order, P.den, P.row[on] % d, P.col[on] % d, P.exp[on], P.num[on] * ns)
-        if not pt.dense().equals(Mat.identity(d)):
+        key, coef = pt.coefficients()  # the identity: den times 1 at each (i, i)
+        if not (np.array_equal(key, np.arange(d) * (d + 1))
+                and (coef == pt.den * _root_table(pt.order)[0]).all()):
             cert.update(passed=False, failure=f"partial trace of P{label}")
             return cert
         if _psi_tr(spec, P) != Fraction(1, spec.N):
@@ -455,7 +456,7 @@ def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
 
     Q^(s,r) = sum E^(s)_(i,j) x E^(r)_(k,l) x q^(s,r)_(i,j),(k,l).  Q is
     read off the positions of the ones of the d x d matrix units and each
-    factor T^[t]_(a,-b) off ``weyl_tables`` placed in slot t, independently
+    factor T^[t]_(a,-b) off ``weyl_basis`` placed in slot t, independently
     of the phase table that ``rho`` comes from.  Kronecker
     products are index arithmetic, Ad(A x B) E_(a d + a', b d + b') =
     Ad(A) E_(a,b) x Ad(B) E_(a',b'), so per block pair the n_s^2 n_r^2
@@ -470,7 +471,7 @@ def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
         i, j = np.divmod(np.arange(n * n), n)
         units[t] = (base + (i * stride)[:, None], base + (j * stride)[:, None])
         # T^[t]_(a,-b) = sum over c of zeta_L^exp[c] E_(perm[c], c), over (a, b) = (i, j)
-        weyl[t] = emb.paren_table(t, weyl_tables(n).at(i * n + -j % n))
+        weyl[t] = emb.paren_table(t, weyl_basis(n).at(i * n + -j % n))
     for s, ns in enumerate(spec.sizes, start=1):
         for r, nr in enumerate(spec.sizes, start=1):
             qs = tuple(qsym(s, r, *t) for t in _index_range(ns, nr))
@@ -775,7 +776,7 @@ def _z_tables(spec: BlockSpec) -> dict:
     emb, one = BlockEmbedding(spec), PhasePermutation.identity(spec.d)
     out = {}
     for t, n in enumerate(spec.sizes, start=1):
-        weyl = weyl_tables(n)
+        weyl = weyl_basis(n)
         x, z = (emb.paren_table(t, weyl.at(k)) for k in ((1 % n) * n, 1 % n))
         out[(1, t)], out[(2, t)] = x.kron(one), z.kron(one)
         out[(3, t)], out[(4, t)] = one.kron(x), one.kron(z)
@@ -937,7 +938,7 @@ def _z_words(spec: BlockSpec) -> PhasePermutation:
     a_m, b_m): word (a, b) is the Kronecker product of the X^a_t Z^b_t."""
     L, perm, exp = 1, np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
     for n in spec.sizes:
-        weyl = weyl_tables(n)
+        weyl = weyl_basis(n)
         # every word so far times every X^a Z^b of the next slot
         words = PhasePermutation(L, perm[:, None], exp[:, None]).kron(
             PhasePermutation(n, weyl.perm[None], weyl.exp[None]))
@@ -959,20 +960,13 @@ def haar_compat_check(spec: BlockSpec) -> dict:
     nonzero constant each fail the fragment."""
     qpres, upres = QautPresentation(spec), SnPresentation(spec)
     N, gens = spec.N, qpres.generators
-    flat = Mat.exact([[Fraction(1, N)]] * len(upres.generators))
+    one = np.ones(len(upres.generators), dtype=np.int64)
+    flat = Terms(len(one), 1, 1, N, np.arange(len(one)), 0 * one, 0 * one, one)
     terms = image_stack(pi_map(spec), qpres, upres).substitute_terms(flat)
-    n, table = terms.cols, _root_table(terms.order)
     # the power-basis coefficients of every nonzero entry, at its position
     # (generator, row, col), in position order
-    key = terms.row * n + terms.col
-    by = np.argsort(key, kind="stable")
-    key = key[by]
-    first = _starts(key)
-    num, powers = _working(_maxabs(terms.num) * _maxabs(table) * max(len(key), 1),
-                           terms.num[by], table[terms.exp[by] % terms.order])
-    coef = np.add.reduceat(num[:, None] * powers, first, axis=0)
-    live = coef.any(axis=1)
-    key, coef = key[first][live], coef[live]
+    n = terms.cols
+    key, coef = terms.coefficients()
     gen, row, col = key // (n * n), key // n % n, key % n
     # c times the identity: no entry off the diagonal, and n equal diagonal
     # entries or none

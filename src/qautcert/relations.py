@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec
-from .arith import Mat, Terms, _maxabs, _root_table, _working, euler_phi
+from .arith import Mat, Terms, _maxabs, _root_table, _starts, _working, euler_phi
 from .formal import FormalTensor, qsym, usym
 
 __all__ = [
@@ -616,14 +616,6 @@ def _quotients(a: np.ndarray, d: int) -> np.ndarray:
     if a.dtype == object:
         return np.array([float(Fraction(x, d)) for x in a.ravel()]).reshape(a.shape)
     return a * (1 / d)
-
-
-def _starts(a: np.ndarray) -> np.ndarray:
-    """The positions where the runs of equal values of a sorted array
-    begin."""
-    new = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=new[1:])
-    return np.flatnonzero(new)
 
 
 def check_relations(asg: GeneratorAssignment, tol: float = 1e-9) -> RelationReport:

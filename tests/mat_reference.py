@@ -1,7 +1,9 @@
-"""Exact-matrix references for the index tables of ``qautcert.pauli`` and
-``qautcert.qaut``: the Pauli and Weyl operators as products of dense
-``Mat``s and Kronecker placements, the entangled projections bracketed into
-M_d x M_d, the PVM check by dense products and the projections of
+"""Exact-matrix references for the index tables of ``qautcert.pauli``,
+``qautcert.cocycle`` and ``qautcert.qaut``: the Pauli and Weyl operators as
+products of dense ``Mat``s and Kronecker placements, a phase permutation's
+matrix, the unitary-error-basis, depolarization and explicit Weyl
+isomorphism checks by dense products, the entangled projections bracketed
+into M_d x M_d, the PVM check by dense products and the projections of
 ``uet_pvm`` built from them, the z-unitaries of the covariance suite,
 their monomial read back, the alpha/beta substitutions as closures on
 symbols, and Ad of a phase-permutation matrix as a monomial map."""
@@ -14,7 +16,7 @@ import numpy as np
 from qautcert.algebra import MonomialMap, monomial_forms
 from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
 from qautcert.formal import qsym, usym
-from qautcert.pauli import BlockEmbedding, NotPVM, SlotMismatch
+from qautcert.pauli import BlockEmbedding, NotPVM, SlotMismatch, UebReport, WrongCount, table_terms
 from qautcert.relations import SnPresentation
 
 
@@ -35,6 +37,76 @@ def weyl_products(n):
         xs.append(xs[-1] @ x)
         zs.append(zs[-1] @ z)
     return [xs[i] @ zs[j] for i in range(n) for j in range(n)]
+
+
+def mat(U):
+    """The exact matrix of one phase permutation, read through ``table_terms``."""
+    n = len(U.perm)
+    return table_terms(n, (U.L, Fraction(1), U.perm, np.arange(n), U.exp)).dense()
+
+
+def is_unitary_error_basis(family, n=None):
+    """Unitarity of each exact matrix, then the normalized trace of every
+    product T_a* T_b against delta_ab, pair by pair."""
+    if not family:
+        raise WrongCount("empty family")
+    size = family[0].rows
+    n = n or size
+    if len(family) != n * n:
+        raise WrongCount(f"expected {n * n} members, got {len(family)}")
+    for idx, u in enumerate(family):
+        if not u.is_unitary():
+            resid = (u @ u.adjoint()).residual(Mat.identity(size))
+            return UebReport(False, resid, f"member {idx} is not unitary")
+    for a, ua in enumerate(family):
+        for b, ub in enumerate(family):
+            val = (ua.adjoint() @ ub).normalized_trace()
+            expect = 1 if a == b else 0
+            if val != Cyclotomic.rational(expect):
+                return UebReport(False, abs(val.to_complex() - expect), f"trace pairing ({a},{b})")
+    return UebReport(True, 0.0)
+
+
+def depolarization_units(family):
+    """sum_a u_a* E_pq u_a = n delta_pq 1 for every matrix unit E_pq of M_n,
+    by dense products in order (p, q), the first failure named by its unit."""
+    n = family[0].rows
+    for p in range(n):
+        for q in range(n):
+            x = matrix_unit(n, p, q)
+            acc = Mat.zeros(n, n)
+            for u in family:
+                acc = acc + (u.adjoint() @ x @ u)
+            target = Mat.identity(n).scale(x.trace() * n)
+            if not acc.equals(target):
+                return UebReport(False, acc.residual(target), f"depolarization n={n} unit ({p},{q})")
+    return UebReport(True, 0.0)
+
+
+def explicit_weyl_isomorphism(sigma, c):
+    """e_g -> c_g X^i Z^j, g = (i, j), checked product by product and star by
+    star with dense matrices, in the order g, its products over h, its star."""
+    n = sigma.group.factors[0]
+    T = weyl_products(n)
+
+    def t(g):
+        return T[g[0] * n + g[1]]
+
+    products_checked = star_checked = 0
+    for g in sigma.group.elements():
+        for h in sigma.group.elements():
+            gh = sigma.group.add(g, h)
+            if not (t(g).scale(c[g]) @ t(h).scale(c[h])).equals(
+                    t(gh).scale(c[gh] * sigma.value(g, h))):
+                return {"verified": False, "failed_at": [list(g), list(h)]}
+            products_checked += 1
+        ginv = sigma.group.neg(g)
+        if not t(g).scale(c[g]).adjoint().equals(
+                t(ginv).scale(c[ginv] * sigma.value(ginv, g).conjugate())):
+            return {"verified": False, "failed_at": ["star", list(g)]}
+        star_checked += 1
+    return {"verified": True, "products_checked": products_checked, "star_checked": star_checked,
+            "coboundary": {str(k): repr(v) for k, v in sorted(c.items())}}
 
 
 def entangled_projection(n, i, j):

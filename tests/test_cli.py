@@ -20,6 +20,9 @@ from qautcert.cli import (
 )
 from qautcert.formal import qsym, usym
 
+import mat_reference
+from mat_reference import mat
+
 
 SMALL = ("ueb", "twist", "pvm", "haar")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -198,6 +201,47 @@ def test_exact_vs_float_deltas_confined_to_expected_fields():
     b = run(SuiteConfig(partition=(2, 1), backend="float", suites=subset))
     for line in diff(a, b).splitlines():
         assert line.split(":")[0] == "config.backend", line
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_no_certificate_builds_a_dense_matrix(backend, monkeypatch):
+    """Every suite decides its identities on index tables and terms: with
+    every ``Mat`` construction raising, every fragment still passes."""
+    from qautcert.arith import Mat
+
+    def refuse(cls, *args):
+        raise AssertionError("a certificate built a dense Mat")
+
+    monkeypatch.setattr(Mat, "_new", classmethod(refuse))
+    for partition in [(2,), (3,), (2, 2), (2, 1, 1)]:
+        cert = run(SuiteConfig(partition=partition, backend=backend))
+        failed = {name: frag.get("failure") or frag.get("error")
+                  for name, frag in cert["suites"].items() if not frag.get("passed")}
+        assert not failed, (partition, failed)
+        assert cert["summary"]["passed"]
+
+
+def test_ueb_failures_read_as_the_dense_reference(monkeypatch):
+    """A Weyl basis with one wrong phase: the suite names its first failing
+    pair after n, and, with that check passed over, its first failing
+    depolarization unit, in the dense reference's words."""
+    import qautcert.cli
+    from qautcert.pauli import PhasePermutation, UebReport, weyl_basis
+
+    T = weyl_basis(2)
+    exp = T.exp.copy()
+    exp[1, 0] = (exp[1, 0] + 1) % 2  # the phase of member 1 at column 0
+    bent = PhasePermutation(T.L, T.perm, exp)
+    mats = [mat(bent.at(k)) for k in range(4)]
+    monkeypatch.setattr(qautcert.cli, "weyl_basis", lambda n: bent if n == 2 else weyl_basis(n))
+    frag = run(SuiteConfig(partition=(2,), suites=("ueb",)))["suites"]["ueb"]
+    want = mat_reference.is_unitary_error_basis(mats, 2)
+    assert frag["failure"] == f"n=2: {want.failure}"
+    monkeypatch.setattr(qautcert.cli, "is_unitary_error_basis", lambda family, n: UebReport(True, 0.0))
+    frag = run(SuiteConfig(partition=(2,), suites=("ueb",)))["suites"]["ueb"]
+    want = mat_reference.depolarization_units(mats)
+    assert frag["failure"] == want.failure and frag["failure"].startswith("depolarization n=2 unit (")
+    assert frag["worst_residual"] == pytest.approx(want.worst_residual)
 
 
 def test_markdown_is_pure_function_of_json():

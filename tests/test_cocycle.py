@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import operator
@@ -27,6 +28,9 @@ from qautcert.cocycle import (
     twist_left,
     verify_twist_theorem,
 )
+from qautcert.cocycle import _explicit_weyl_isomorphism, _weyl_coboundary
+
+from mat_reference import explicit_weyl_isomorphism
 
 
 def test_pairing_nondegenerate():
@@ -171,6 +175,34 @@ def test_grading_mismatch_rejected():
     wrong = normalize_inverse_pairing(base_cocycle(3))
     with pytest.raises(GradingMismatch):
         twist_left(graded, wrong)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_explicit_weyl_isomorphism_is_the_dense_reference(n):
+    """Every coboundary scalar, times -1 and times zeta_n, fails at the
+    reference's first failing product or star; unperturbed, both verify."""
+    # the base cocycle is not normalized: there sigma(-g, g) enters the stars
+    for sigma in (base_cocycle(n), spec_cocycle(BlockSpec((n,)))):
+        c = _weyl_coboundary(sigma)
+        cert = _explicit_weyl_isomorphism(sigma, c)
+        assert cert["verified"] and cert == explicit_weyl_isomorphism(sigma, c)
+        assert (cert["products_checked"], cert["star_checked"]) == (n ** 4, n ** 2)
+    for g in c:
+        for factor in (-1, root_of_unity(max(n, 3), 1)):
+            bent = {**c, g: c[g] * factor}
+            cert = _explicit_weyl_isomorphism(sigma, bent)
+            assert not cert["verified"] and cert == explicit_weyl_isomorphism(sigma, bent), (g, factor)
+    # one sigma(-g, g) advanced: the star of g fails, or first the product
+    # (-g, g) when -g comes first, as it always does for n <= 2, where -g = g
+    neg, seen = sigma.group.negation(), set()
+    for a in range(len(c)):
+        bent = copy.copy(sigma)
+        bent.E, bent.W = sigma.E.copy(), np.full_like(sigma.E, sigma.L)
+        bent.E[neg[a], a] = (bent.E[neg[a], a] + 1) % sigma.L
+        cert = _explicit_weyl_isomorphism(bent, c)
+        assert not cert["verified"] and cert == explicit_weyl_isomorphism(bent, c), a
+        seen.add(cert["failed_at"][0] == "star")
+    assert seen == ({False, True} if n > 2 else {False})
 
 
 def test_twist_theorem_examples():

@@ -10,7 +10,6 @@ from qautcert.arith import (
     cyclotomic_polynomial,
     euler_phi,
     root_of_unity,
-    sqrt_int,
 )
 
 
@@ -104,13 +103,6 @@ def test_canonical_equality_within_one_order():
     a = Cyclotomic(4, [0, 1])
     b = root_of_unity(4, 1)
     assert a == b and a.coeffs == b.coeffs
-
-
-def test_sqrt_int():
-    for n in range(1, 13):
-        s = sqrt_int(n)
-        assert s * s == Cyclotomic.rational(n)
-        assert abs(s.to_complex() - n**0.5) < 1e-9
 
 
 small_roots = st.tuples(st.integers(min_value=1, max_value=12),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,109 +19,101 @@ from qautcert.pauli import (
     pvm_check,
     table_terms,
     weyl_basis,
-    weyl_tables,
 )
 from qautcert.qaut import _uet_projections
 
 import mat_reference
-from mat_reference import (bracket, bracket_phi, entangled_projection, monomial_entries, paren,
-                           rearrange, rearrange_inverse, uet_projections, weyl_products)
+from mat_reference import (bracket, bracket_phi, entangled_projection, mat, matrix_unit,
+                           monomial_entries, paren, pauli_x, pauli_z, rearrange, rearrange_inverse,
+                           uet_projections, weyl_products)
 
 
 def phi_terms(emb, s, i, j):
     return table_terms(emb.d ** 2, emb.phi_table(s, i, j))
 
 
+def members(family):
+    """The exact matrices of a stack of phase permutations."""
+    return [mat(family.at(k)) for k in range(len(family.perm))]
+
+
 def test_weyl_n2_matrices():
-    wb = weyl_basis(2)
-    assert wb.x.entries() == [[Cyclotomic.rational(1), Cyclotomic.zero()],
-                              [Cyclotomic.zero(), Cyclotomic.rational(-1)]]
-    assert wb.z.entry(0, 1).is_one() and wb.z.entry(1, 0).is_one()
-    assert wb.z.entry(0, 0).is_zero()
+    x, z = mat(weyl_basis(2).at(2)), mat(weyl_basis(2).at(1))
+    assert x.entries() == [[Cyclotomic.rational(1), Cyclotomic.zero()],
+                           [Cyclotomic.zero(), Cyclotomic.rational(-1)]]
+    assert z.entry(0, 1).is_one() and z.entry(1, 0).is_one()
+    assert z.entry(0, 0).is_zero()
 
 
 def test_weyl_n1_degenerate():
     wb = weyl_basis(1)
-    assert len(wb.family) == 1 and wb.family[0].entry(0, 0).is_one()
+    assert len(wb.perm) == 1 and mat(wb.at(0)).entry(0, 0).is_one()
 
 
 def test_weyl_n3_commutation():
-    wb = weyl_basis(3)
+    x, z = mat(weyl_basis(3).at(3)), mat(weyl_basis(3).at(1))
     w = root_of_unity(3, 1)
-    assert (wb.x @ wb.z).equals((wb.z @ wb.x).scale(w))
-    zxz = wb.z @ wb.x @ wb.z.adjoint()
-    assert not zxz.equals(wb.x)
+    assert (x @ z).equals((z @ x).scale(w))
+    zxz = z @ x @ z.adjoint()
+    assert not zxz.equals(x)
 
 
 def test_weyl_is_ueb_up_to_6():
     for n in range(1, 7):
-        rep = is_unitary_error_basis(weyl_basis(n).family, n)
+        rep = is_unitary_error_basis(weyl_basis(n), n)
         assert rep.ok and rep.worst_residual == 0.0
-
-
-def test_scaled_member_breaks_ueb():
-    fam = [m for m in weyl_basis(2).family]
-    fam[3] = fam[3].scale(2)
-    rep = is_unitary_error_basis(fam, 2)
-    assert not rep.ok and "not unitary" in rep.failure
 
 
 def test_wrong_count():
     with pytest.raises(WrongCount):
-        is_unitary_error_basis(weyl_basis(2).family[:3], 2)
+        is_unitary_error_basis(weyl_basis(2).at(slice(0, 3)), 2)
 
 
 def test_weyl_relations_exact():
     # T_ij T_kl = w^(-jk) T_(i+k, j+l), by exact multiplication
     for n in range(1, 5):
-        wb = weyl_basis(n)
+        T = members(weyl_basis(n))
         w = root_of_unity(n, 1) if n > 1 else Cyclotomic.one()
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     for l in range(n):
-                        lhs = wb.t(i, j) @ wb.t(k, l)
-                        rhs = wb.t(i + k, j + l).scale(w ** ((-j * k) % n))
+                        lhs = T[i * n + j] @ T[k * n + l]
+                        rhs = T[(i + k) % n * n + (j + l) % n].scale(w ** ((-j * k) % n))
                         assert lhs.equals(rhs)
 
 
 def test_depolarization_traceless_input():
-    wb = weyl_basis(2)
     e01 = Mat.exact([[0, 1], [0, 0]])
     acc = Mat.zeros(2, 2)
-    for u in wb.family:
+    for u in members(weyl_basis(2)):
         acc = acc + u.adjoint() @ e01 @ u
     assert acc.is_zero()
-    assert depolarization_check(wb.family, e01).ok
+    assert depolarization_check(weyl_basis(2)).ok
 
 
 def test_depolarization_identity_input():
-    wb = weyl_basis(2)
     acc = Mat.zeros(2, 2)
-    for u in wb.family:
+    for u in members(weyl_basis(2)):
         acc = acc + u.adjoint() @ u
     assert acc.equals(Mat.identity(2).scale(4))
-    assert depolarization_check(wb.family, Mat.identity(2)).ok
+    assert depolarization_check(weyl_basis(2)).ok
 
 
 def test_depolarization_e00_n3():
-    wb = weyl_basis(3)
     e00 = Mat.exact([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     acc = Mat.zeros(3, 3)
-    for u in wb.family:
+    for u in members(weyl_basis(3)):
         acc = acc + u.adjoint() @ e00 @ u
     assert acc.equals(Mat.identity(3).scale(3))
-    assert depolarization_check(wb.family, e00).ok
+    assert depolarization_check(weyl_basis(3)).ok
 
 
 def test_depolarization_all_units_up_to_4():
     for n in range(1, 5):
-        wb = weyl_basis(n)
-        for a in range(n):
-            for b in range(n):
-                unit = Mat.exact([[1 if (p, q) == (a, b) else 0 for q in range(n)]
-                                  for p in range(n)])
-                assert depolarization_check(wb.family, unit).ok
+        rep = depolarization_check(weyl_basis(n))
+        assert rep.ok and rep.worst_residual == 0.0
+        assert mat_reference.depolarization_units(members(weyl_basis(n))).ok
 
 
 def test_entangled_basis_orthonormal():
@@ -128,19 +121,75 @@ def test_entangled_basis_orthonormal():
         entangled_basis(n)  # construction verifies orthonormality exactly
 
 
+def mat_columns(V, k):
+    """The n^2 x n matrix V_k of ``entangled_basis``: column c holds
+    zeta^exp[k, c] at row perm[k, c]."""
+    n = V.perm.shape[-1]
+    return Mat.from_entries(n * n, n, V.L, V.perm[k], np.arange(n), V.exp[k], np.ones(n, dtype=np.int64))
+
+
 def test_entangled_inner_product_example():
     eb = entangled_basis(2)
-    ip = (eb.vectors[0].adjoint() @ eb.vectors[2]).entry(0, 0)  # phi_00 vs phi_10
+    # <phi_00|phi_10> = Tr(V_0* V_2) / 2
+    ip = (mat_columns(eb, 0).adjoint() @ mat_columns(eb, 2)).trace()
     assert ip.is_zero()
 
 
 def test_entangled_projection_matches_vectors():
+    # |phi_k><phi_k| = V_k J V_k* / n, J the all-ones n x n matrix
     for n in (2, 3):
         eb = entangled_basis(n)
+        ones = Mat.exact([[1] * n] * n)
         for i in range(n):
             for j in range(n):
-                v = eb.vectors[i * n + j]
-                assert (v @ v.adjoint()).equals(table_terms(n * n, entangled_table(n, i, j)).dense())
+                V = mat_columns(eb, i * n + j)
+                assert (V @ ones @ V.adjoint()).scale(Fraction(1, n)).equals(
+                    table_terms(n * n, entangled_table(n, i, j)).dense())
+
+
+# -- the table checks against their dense references under mutation -----------
+
+UEB_MUTATIONS = ["duplicate", "non-permutation", "phase", "diagonal"]
+
+
+def ueb_mutant(n, kind, k):
+    """The Weyl stack of M_n with member k edited: replaced by member k + 1,
+    its first column moved onto the row of its second, the phase of its
+    column k mod n advanced by one, or times X on the right, which makes it
+    a multiple of another member by a root of unity, often not real."""
+    T = weyl_basis(n)
+    perm, exp = T.perm.copy(), T.exp.copy()
+    if kind == "duplicate":
+        j = (k + 1) % len(perm)
+        perm[k], exp[k] = perm[j], exp[j]
+    elif kind == "non-permutation":
+        perm[k, 0] = perm[k, 1]
+    elif kind == "phase":
+        exp[k, k % n] = (exp[k, k % n] + 1) % n
+    else:
+        exp[k] = (exp[k] + np.arange(n)) % n
+    return PhasePermutation(T.L, perm, exp)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", UEB_MUTATIONS)
+def test_ueb_mutations_fail_as_the_dense_reference(kind, n):
+    expected = {"duplicate": "trace pairing (", "non-permutation": "member ",
+                "phase": f"depolarization n={n} unit (", "diagonal": "trace pairing ("}[kind]
+    for k in sorted({0, n * n // 2, n * n - 1}):
+        family = ueb_mutant(n, kind, k)
+        mats = members(family)
+        reports = [(is_unitary_error_basis(family, n), mat_reference.is_unitary_error_basis(mats, n))]
+        if family.is_unitary().all():
+            reports.append((depolarization_check(family), mat_reference.depolarization_units(mats)))
+        for got, want in reports:
+            assert (got.ok, got.failure) == (want.ok, want.failure), (k, want.failure)
+            assert got.worst_residual == pytest.approx(want.worst_residual, abs=1e-12)
+        # a wrong phase is named by the depolarization check, the rest by the first
+        failure = reports[kind == "phase"][0].failure
+        assert failure.startswith(expected), (k, failure)
+    if kind == "non-permutation":
+        assert reports[0][0].failure == f"member {k} is not unitary"
 
 
 def test_pvm_check_diagonal():
@@ -195,14 +244,13 @@ def test_phi_pvm_all_partitions_up_to_13():
 def test_paren_embedding_trailing_identity_trivial():
     spec = BlockSpec((2, 1))
     emb = BlockEmbedding(spec)
-    X2 = weyl_basis(2).x
-    assert emb.paren_table(1, weyl_tables(2).at(2)).mat().equals(X2)  # d = 2
+    assert mat(emb.paren_table(1, weyl_basis(2).at(2))).equals(pauli_x(2))  # d = 2
 
 
 def test_bracket_embedding_before_rearrangement():
     spec = BlockSpec((2, 2))
     emb = BlockEmbedding(spec)
-    T10 = weyl_basis(2).t(1, 0)
+    T10 = weyl_products(2)[2]
     doubled = T10.kron(Mat.identity(2))
     interleaved = Mat.identity(4).kron(doubled)  # I_2 x I_2 x (X_2 x I_2)
     assert rearrange(emb, interleaved).equals(bracket(emb, 2, doubled))
@@ -232,23 +280,18 @@ def assert_same_mat(a, b):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_weyl_tables_are_the_weyl_products(n):
-    tables, products = weyl_tables(n), weyl_products(n)
-    wb = weyl_basis(n)
-    for k, product in enumerate(products):
-        assert_same_mat(tables.at(k).mat(), product)
-        assert_same_mat(wb.family[k], product)
-    assert_same_mat(wb.x, products[(1 % n) * n])
-    assert_same_mat(wb.z, products[1 % n])
+    for table, product in zip(members(weyl_basis(n)), weyl_products(n), strict=True):
+        assert_same_mat(table, product)
 
 
 @pytest.mark.parametrize("sizes", TABLE_PARTITIONS)
 def test_slot_placements_are_paren(sizes):
     emb = BlockEmbedding(BlockSpec(sizes))
     for t, n in enumerate(sizes, start=1):
-        placed = emb.paren_table(t, weyl_tables(n))  # every member at once
+        placed = emb.paren_table(t, weyl_basis(n))  # every member at once
         for k, product in enumerate(weyl_products(n)):
-            assert placed.at(k).mat().equals(paren(emb, t, product))
-            assert placed.at(k).equals(emb.paren_table(t, weyl_tables(n).at(k)))
+            assert mat(placed.at(k)).equals(paren(emb, t, product))
+            assert placed.at(k).equals(emb.paren_table(t, weyl_basis(n).at(k)))
 
 
 @pytest.mark.parametrize("sizes", TABLE_PARTITIONS)
@@ -281,26 +324,42 @@ def test_phase_permutation_products_are_matrix_products():
     ops = [PhasePermutation(L, rng.permutation(6), rng.integers(0, L, 6)) for L in (1, 2, 3, 4, 6)]
     for a in ops:
         assert a.is_unitary()
-        assert a.adjoint().mat().equals(a.mat().adjoint())
-        assert a.scaled(4, 1).mat().equals(a.mat().scale(root_of_unity(4, 1)))
+        assert mat(a.adjoint()).equals(mat(a).adjoint())
+        assert mat(a.scaled(4, 1)).equals(mat(a).scale(root_of_unity(4, 1)))
         for b in ops:
-            assert a.compose(b).mat().equals(a.mat() @ b.mat())
-            assert a.kron(b).mat().equals(a.mat().kron(b.mat()))
-            assert a.compose(b).equals(b.compose(a)) is (a.mat() @ b.mat()).equals(b.mat() @ a.mat())
-    assert not PhasePermutation(1, np.array([0, 0, 2]), np.zeros(3, dtype=np.int64)).is_unitary()
+            assert mat(a.compose(b)).equals(mat(a) @ mat(b))
+            assert mat(a.kron(b)).equals(mat(a).kron(mat(b)))
+            assert a.compose(b).equals(b.compose(a)) == (mat(a) @ mat(b)).equals(mat(b) @ mat(a))
+    skew = PhasePermutation(1, np.array([0, 0, 2]), np.zeros(3, dtype=np.int64))
+    assert not skew.is_unitary()
+    # over a stack: one answer per member, and Tr(A* B) for every pair,
+    # permutation or not, in the power basis of the common order
+    stack = [PhasePermutation(L, rng.integers(0, 6, (3, 6)), rng.integers(0, L, (3, 6)))
+             for L in (1, 4, 6)] + [PhasePermutation(12, np.stack([op.perm for op in ops[:3]]),
+                                                     np.stack([op.exp * (12 // op.L) for op in ops[:3]]))]
+    for A in stack:
+        assert list(A.is_unitary()) == [mat(A.at(k)).is_unitary() for k in range(3)]
+        assert list(A.equals(A.at(0))) == [mat(A.at(k)).equals(mat(A.at(0))) for k in range(3)]
+        for B in stack:
+            L = math.lcm(A.L, B.L)
+            gram = A.pairing(B)
+            for a in range(3):
+                for b in range(3):
+                    want = (mat(A.at(a)).adjoint() @ mat(B.at(b))).trace().promoted(L)
+                    assert Cyclotomic(L, gram[a, b].tolist()) == want
 
 
 
 def test_placements_refuse_a_slot_out_of_range():
     emb = BlockEmbedding(BlockSpec((2, 1)))
-    for place in (lambda r: emb.paren_table(r, weyl_tables(2).at(1)),
+    for place in (lambda r: emb.paren_table(r, weyl_basis(2).at(1)),
                   lambda r: emb.phi_table(r, 0, 0),
-                  lambda r: paren(emb, r, weyl_basis(2).z)):
+                  lambda r: paren(emb, r, pauli_z(2))):
         for r in (0, 3):
             with pytest.raises(SlotMismatch, match="out of range"):
                 place(r)
     with pytest.raises(SlotMismatch, match="does not fit"):
-        emb.paren_table(2, weyl_tables(2).at(1))
+        emb.paren_table(2, weyl_basis(2).at(1))
 
 
 # -- pvm_check against the dense-product reference ----------------------------

@@ -12,7 +12,7 @@ import pytest
 from qautcert.algebra import BlockSpec, MonomialMap, monomial_forms, sparse_eq
 from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
 from qautcert.formal import qsym, usym
-from qautcert.pauli import BlockEmbedding, PhasePermutation, pvm_check, table_terms, weyl_tables
+from qautcert.pauli import BlockEmbedding, PhasePermutation, pvm_check, table_terms, weyl_basis
 from qautcert.qaut import (
     GeneratorAssignment,
     IncompleteAssignment,
@@ -44,7 +44,7 @@ from qautcert.qaut import (
 )
 from qautcert.qaut import _uet_projections, _unit_positions, _z_tables, _z_words
 
-from mat_reference import (alpha_closure, beta_closure, bracket_phi, paren, paren_unit,
+from mat_reference import (alpha_closure, beta_closure, bracket_phi, mat, paren, paren_unit,
                            phase_permutation, rank, uet_projections, weyl_products, z_images,
                            z_words)
 
@@ -278,7 +278,7 @@ def _ad_shift_times_skew_idempotent():
     """The point of Ad(Z), the shift, on block 1 of (2, 1) times [[1, 1], [0, 0]], an
     idempotent that is not self-adjoint."""
     spec = BlockSpec((2, 1))
-    point = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_tables(2).at(1))])
+    point = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).at(1))])
     W = Mat.exact([[1, 1], [0, 0]])
     return GeneratorAssignment(point.presentation,
                                {g: W.scale(v.entry(0, 0)) for g, v in point.values.items()})
@@ -488,7 +488,7 @@ def test_homs_fails_after_one_pi_image_changes(sizes, edit, monkeypatch):
 def test_ad_shift_classical_point():
     # Ad(Z_2): q_(i,j),(k,l) = delta_(i+1,k) delta_(j+1,l) mod 2
     spec = BlockSpec((2,))
-    asg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_tables(2).at(1))])
+    asg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).at(1))])
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -607,6 +607,20 @@ def test_uet_pvm_fails_with_the_pvm_check_message(monkeypatch):
     assert cert["failure"] == "not a PVM: member 4 is not a projection"
 
 
+def test_uet_pvm_fails_a_partial_trace_of_the_wrong_value(monkeypatch):
+    """With the PVM check passed over, projections doubled have partial
+    traces on the identity's support but of twice its value."""
+    import qautcert.qaut
+
+    real = qautcert.qaut._uet_projections
+    monkeypatch.setattr(qautcert.qaut, "_uet_projections",
+                        lambda spec, s: [replace(P, num=P.num * 2) for P in real(spec, s)])
+    monkeypatch.setattr(qautcert.qaut, "pvm_check", lambda projections: None)
+    cert = uet_pvm(BlockSpec((2, 1)))
+    assert cert["passed"] is False
+    assert cert["failure"] == "partial trace of P(1, 0, 0)"
+
+
 @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1),
                                    (3, 2), (2, 2, 2), (4,)])
 def test_uet_pvm_projections_and_ranks_are_the_dense_references(sizes):
@@ -696,7 +710,7 @@ def test_rho_both_forms_agree():
 
 def test_rho_classical_point_gives_magic_unitary():
     spec = BlockSpec((2,))
-    qasg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_tables(2).at(2))])
+    qasg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).at(2))])
     rho = rho_map(spec)
     uvals = substitute_all(rho, qasg.values)
     assert next(iter(uvals.values())).rows == 4  # M_2 x M_2
@@ -1050,7 +1064,7 @@ def test_z_tables_are_the_kronecker_matrices(sizes):
     tables, mats = _z_tables(spec), z_images(spec)
     assert tables.keys() == mats.keys()
     for key, z in tables.items():
-        assert z.mat().equals(mats[key]), key
+        assert mat(z).equals(mats[key]), key
         assert z.equals(PhasePermutation(*phase_permutation(mats[key]))), key
 
 
@@ -1060,7 +1074,7 @@ def test_z_word_tables_are_the_word_products(sizes):
     words, mats = _z_words(spec), z_words(spec)
     assert len(words.perm) == len(mats) == spec.d ** 2
     for k, word in enumerate(mats):
-        assert words.at(k).mat().equals(word), k
+        assert mat(words.at(k)).equals(word), k
 
 
 @pytest.mark.parametrize("sizes", TABLE_PARTITIONS)
@@ -1149,7 +1163,7 @@ def test_z_relations_fail_as_the_matrix_reference(sizes, edit, failure, monkeypa
     z = _z_tables(spec)
     if edit is not None:
         z = mutated_z(z, edit)
-    expected = reference_z_relation_failure(spec, {key: u.mat() for key, u in z.items()})
+    expected = reference_z_relation_failure(spec, {key: mat(u) for key, u in z.items()})
     assert expected[0] == failure
     assert qautcert.qaut._z_relation_failure(spec, z) == expected
     if edit in (None, "global"):
@@ -1263,7 +1277,7 @@ def test_span_rank_falls_short_with_a_dependent_word(monkeypatch, edit):
         exp, L = exp * (math.lcm(L, 4) // L), math.lcm(L, 4)
         exp[3] += L // 4
     edited = PhasePermutation(L, perm, exp)
-    assert all(edited.at(k).mat().equals(word) for k, word in enumerate(words))
+    assert all(mat(edited.at(k)).equals(word) for k, word in enumerate(words))
     monkeypatch.setattr(qautcert.qaut, "_z_words", lambda spec: edited)
     cert = covariance_check(spec)
     assert cert["passed"] is False
