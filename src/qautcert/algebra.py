@@ -139,24 +139,87 @@ def _monomials_differ(k1, e1, n1, d1, k2, e2, n2, d2, L):
     return (k1 != k2) | ((k1 >= 0) & (((e1 - e2) % L != 0) | (n1 * d2 != n2 * d1)))
 
 
-def associativity_failure(k, e, num, den, L):
+def _generators(k) -> np.ndarray:
+    """Basis indices that generate the algebra of the products ``k``
+    (k = -1: zero), in ascending order: each index not yet reached is added,
+    and the reached set is closed under right multiplication by the
+    generators.  Every stored scalar is nonzero, so a reached b_t is a
+    nonzero multiple of a left-normed word in the generators.  Each element
+    is reached once and multiplied then by the generators so far, and each
+    new generator multiplies the reached set once: O(dim r) lookups for r
+    generators."""
+    rows = k.tolist()
+    reached = [False] * len(rows)
+    words: list = []  # the reached indices, in the order reached
+    gens: list = []
+    for g in range(len(rows)):
+        if reached[g]:
+            continue
+        gens.append(g)
+        new = [rows[t][g] for t in words] + [g]  # the words so far times b_g, and b_g
+        while new:
+            fresh = [t for t in set(new) if t >= 0 and not reached[t]]
+            for t in fresh:
+                reached[t] = True
+            words += fresh
+            new = [rows[t][h] for t in fresh for h in gens]
+    return np.array(gens, dtype=np.int64)
+
+
+# how the exponent, numerator and denominator planes of two products combine
+_PLANE_OPS = (np.add, np.multiply, np.multiply)
+
+
+def _with_unit_ratios(planes: list) -> list:
+    """Exponent planes, or exponent, numerator and denominator planes, as
+    the three of ``_monomials_differ``: absent ratios are 1/1."""
+    return planes + [1, 1] if len(planes) == 1 else planes
+
+
+def associativity_failure(k, e, L, num=None, den=None, generators=None):
     """First basis triple (i, j, l), in lexicographic order, at which
     (b_i b_j) b_l != b_i (b_j b_l), or None, for the monomial products
-    b_i b_j = (num/den)[i, j] zeta_L^e[i, j] b_k[i, j] (k = -1: zero).
-    Runs one row i at a time, so memory stays O(dim^2)."""
+    b_i b_j = (num/den)[i, j] zeta_L^e[i, j] b_k[i, j] (k = -1: zero; num
+    and den None: all ones, and only targets and exponents are compared).
+
+    Light's test decides whether there is one.  The a with (x a) y = x (a y)
+    for all x and y form a subalgebra: for two of them, x (a a') = (x a) a',
+    so (x (a a')) y = (x a) (a' y) = x (a (a' y)) = x ((a a') y).  So the
+    identity on the basis elements ``generators`` (by default
+    ``_generators(k)``) holds on every triple.  Only when it fails is the
+    first triple looked for, one row i at a time.  Memory stays O(dim^2)."""
+    planes = [e] if num is None else [e, num, den]
+    columns = [p.T.copy() for p in [k] + planes]  # row a: column a
+    if not any(_middle_differs(k, planes, columns, a, L).any()
+               for a in (_generators(k) if generators is None else generators)):
+        return None
     for i in range(k.shape[0]):
         ki = k[i]
         # (b_i b_j) b_l = c_ij c_(ki[j], l) b_k[ki[j], l]
-        left = (np.where(ki[:, None] >= 0, k[ki], -1), e[i][:, None] + e[ki],
-                num[i][:, None] * num[ki], den[i][:, None] * den[ki])
+        left = [op(p[i][:, None], p[ki]) for p, op in zip(planes, _PLANE_OPS)]
         # b_i (b_j b_l) = c_jl c_(i, k[j, l]) b_ki[k[j, l]]
-        right = (np.where(k >= 0, ki[k], -1), e + e[i][k],
-                 num * num[i][k], den * den[i][k])
-        bad = _monomials_differ(*left, *right, L)
+        right = [op(p, p[i][k]) for p, op in zip(planes, _PLANE_OPS)]
+        bad = _monomials_differ(np.where(ki[:, None] >= 0, k[ki], -1), *_with_unit_ratios(left),
+                                np.where(k >= 0, ki[k], -1), *_with_unit_ratios(right), L)
         if bad.any():
             j, l = np.argwhere(bad)[0].tolist()
             return i, j, l
     return None
+
+
+def _middle_differs(k, planes, columns, a, L):
+    """Where (b_x b_a) b_y != b_x (b_a b_y), over (x, y), for the products
+    of ``associativity_failure``; ``columns`` are k and the planes
+    transposed, so that every gather takes whole rows."""
+    kc, *pc = columns
+    ka, ra = kc[a], k[a]  # b_x b_a = c_xa b_ka[x] and b_a b_y = c_ay b_ra[y]
+    # (b_x b_a) b_y = c_xa c_(ka[x], y) b_k[ka[x], y]
+    left = [op(q[a][:, None], p[ka]) for p, q, op in zip(planes, pc, _PLANE_OPS)]
+    # b_x (b_a b_y) = c_ay c_(x, ra[y]) b_k[x, ra[y]], formed over (y, x)
+    right = [op(p[a][:, None], q[ra]).T for p, q, op in zip(planes, pc, _PLANE_OPS)]
+    return _monomials_differ(np.where(ka[:, None] >= 0, k[ka], -1), *_with_unit_ratios(left),
+                             np.where(ra[:, None] >= 0, kc[ra], -1).T,
+                             *_with_unit_ratios(right), L)
 
 
 class StructAlgebra:
@@ -272,12 +335,14 @@ class StructAlgebra:
 
     # -- verification ---------------------------------------------------------
     def verify_axioms(self):
-        """Check every axiom on the basis: associativity on all triples,
-        antimultiplicativity of the involution and the trace property on all
-        pairs, involutivity and the unit on every basis element."""
+        """Check every axiom on the basis: associativity on all triples (by
+        Light's test, ``associativity_failure``), antimultiplicativity of the
+        involution and the trace property on all pairs, involutivity and the
+        unit on every basis element."""
         K, L = self.k, self.L
         E, N, D = self.exp[self.s], self.num[self.s], self.den[self.s]
-        bad = associativity_failure(K, E, N, D, L)
+        ratios = () if (self.num == 1).all() and (self.den == 1).all() else (N, D)
+        bad = associativity_failure(K, E, L, *ratios)
         if bad:
             raise AxiomViolation("associativity fails at basis triple ({},{},{})".format(*bad))
         ik, ie = self.star_k, self.exp[self.star_s]
@@ -297,13 +362,14 @@ class StructAlgebra:
                                 np.arange(self.dim), 0, 1, 1, L)
         if bad.any():
             raise AxiomViolation(f"involution is not involutive at basis {np.argmax(bad)}")
-        one = Cyclotomic.one()
-        unit = tuple(sparse_vector(self.unit).items())
-        for i in range(self.dim):
-            if not sparse_eq(self.mul_sparse(unit, ((i, one),)), {i: one}):
-                raise AxiomViolation(f"unit fails on the left at basis {i}")
-            if not sparse_eq(self.mul_sparse(((i, one),), unit), {i: one}):
-                raise AxiomViolation(f"unit fails on the right at basis {i}")
+        support = [t for t, c in enumerate(self.unit) if not c.is_zero()]
+        u = [self.unit[t] for t in support]
+        left = _fixes_basis(u, self.k[support], self.s[support], self.scalars)
+        right = _fixes_basis(u, self.k[:, support].T, self.s[:, support].T, self.scalars)
+        if not (left & right).all():
+            i = int(np.argmin(left & right))
+            raise AxiomViolation(f"unit fails on the {'left' if not left[i] else 'right'} "
+                                 f"at basis {i}")
         values = self._trace_of_products()
         bad = values != values.T
         if bad.any():
@@ -470,6 +536,28 @@ class MonomialMap:
         theta.exp = exp * (theta.L // L)
         theta.num, theta.den = np.ones_like(exp), np.ones_like(exp)
         return theta
+
+
+def _fixes_basis(u, K, S, scalars) -> np.ndarray:
+    """Over i, whether sum over t of u[t] c b_K[t, i] = b_i, with
+    c = scalars[S[t, i]]: the products of the unit's terms with each b_i,
+    one row t per term.  A column with one nonzero product is decided by
+    its target and scalar; one with several adds them exactly."""
+    if not u:
+        return np.zeros(K.shape[1], dtype=bool)
+    live = K >= 0
+    count, cols = live.sum(axis=0), np.arange(K.shape[1])
+    t = live.argmax(axis=0)  # the nonzero product, where there is one
+    values, code = _scalar_products(u, t, scalars, S[t, cols])
+    ok = ((count == 1) & (K[t, cols] == cols)
+          & np.array([v.is_one() for v in values], dtype=bool)[code])
+    one = Cyclotomic.one()
+    for i in np.flatnonzero(count > 1).tolist():
+        total: dict = {}
+        for r in np.flatnonzero(live[:, i]).tolist():
+            accumulate(total, u[r] * scalars[S[r, i]], ((K[r, i], one),))
+        ok[i] = sparse_eq(total, {i: one})
+    return ok
 
 
 def _scalar_products(left, i, right, j):

@@ -20,6 +20,7 @@ from .algebra import (
     BlockSpec,
     StructAlgebra,
     _scalar_products,
+    associativity_failure,
     monomial_forms,
     recognize_blocks,
 )
@@ -90,11 +91,12 @@ class FinAbGroup:
     def addition_table(self) -> np.ndarray:
         """t[a, b] = the position of g_a + g_b, for the elements g in
         ``elements()`` order, which is lexicographic: the position of g is
-        the mixed-radix number with digits g."""
-        digits = np.array(self.elements(), dtype=np.int64).reshape(self.order, -1)
-        strides = [math.prod(self.factors[i + 1:]) for i in range(len(self.factors))]
-        return (digits[:, None] + digits) % np.array(self.factors, dtype=np.int64) @ np.array(
-            strides, dtype=np.int64)
+        the mixed-radix number with digits g, so the table is built one
+        factor at a time as the product of the tables before it and Z_f's."""
+        table = np.zeros((1, 1), dtype=np.int64)
+        for f in self.factors:
+            table = _product_table(np.add, table * f, np.add.outer(range(f), range(f)) % f)
+        return table
 
     def negation(self) -> np.ndarray:
         """n[a] = the position of -g_a."""
@@ -170,19 +172,22 @@ class GroupCocycle:
 
     def verify(self):
         """Normalization, and the cocycle identity sigma(g, h) sigma(g+h, k)
-        = sigma(h, k) sigma(g, h+k) on every triple, in exponents, one g at
-        a time; it is the associativity of the twisted group algebra
-        u_g u_h = sigma(g, h) u_(g+h), and the first failing triple is
-        reported in lexicographic order."""
-        els, E, add = self.group.elements(), self.E, self.group.addition_table()
+        = sigma(h, k) sigma(g, h+k) on every triple, in exponents.  It is
+        the associativity of the twisted group algebra u_g u_h =
+        sigma(g, h) u_(g+h), so ``associativity_failure`` decides it by
+        Light's test on the u_g of the factors' unit vectors g: every u_h is
+        a nonzero multiple of a word in them, and u_0 is the unit once the
+        cocycle is normalized.  The first failing triple is reported in
+        lexicographic order."""
+        G, E = self.group, self.E
+        els = G.elements()
         bad = (E[0] != 0) | (E[:, 0] != 0)  # the identity is position 0
         if bad.any():
             raise CocycleError(f"cocycle not normalized at {els[np.argmax(bad)]}")
-        for g in range(len(els)):
-            bad = (E[g][:, None] + E[add[g]] - E - E[g][add]) % self.L != 0
-            if bad.any():
-                h, k = np.argwhere(bad)[0].tolist()
-                raise CocycleError(f"cocycle identity fails at ({els[g]},{els[h]},{els[k]})")
+        unit_vectors = [math.prod(G.factors[i + 1:]) for i, f in enumerate(G.factors) if f > 1]
+        bad = associativity_failure(G.addition_table(), E, self.L, generators=unit_vectors)
+        if bad:
+            raise CocycleError("cocycle identity fails at ({},{},{})".format(*(els[t] for t in bad)))
 
     def inverse_pairing_trivial(self) -> bool:
         return not self.E[np.arange(self.group.order), self.group.negation()].any()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -16,6 +17,7 @@ from qautcert.algebra import (
     NotSemisimple,
     RecognitionError,
     StructAlgebra,
+    associativity_failure,
     center,
     delta_form_check,
     function_algebra,
@@ -868,3 +870,143 @@ def test_central_idempotents_keep_what_a_row_does_not_split(monkeypatch):
     assert _central_idempotents(A, cen) == ref
     assert len(ref) == 20
     assert calls[0] < ref_calls
+
+
+# -- Light's associativity test against the lexicographic scan ---------------
+
+def lexicographic_first_triple(k, e, L, num, den):
+    """First (i, j, l) with (b_i b_j) b_l != b_i (b_j b_l), scanning every
+    triple one row i at a time: the check Light's test replaces."""
+    for i in range(k.shape[0]):
+        ki = k[i]
+        left_k = np.where(ki[:, None] >= 0, k[ki], -1)
+        right_k = np.where(k >= 0, ki[k], -1)
+        left = (e[i][:, None] + e[ki], num[i][:, None] * num[ki], den[i][:, None] * den[ki])
+        right = (e + e[i][k], num * num[i][k], den * den[i][k])
+        bad = (left_k != right_k) | ((left_k >= 0) & (((left[0] - right[0]) % L != 0)
+                                                     | (left[1] * right[2] != right[1] * left[2])))
+        if bad.any():
+            return (i, *np.argwhere(bad)[0].tolist())
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def tt_structures(sizes):
+    """Every algebra ``tt`` builds at a partition: C(X), its crossed
+    product, the double crossed product and the tensor oracle."""
+    from qautcert.cli import _tt_group
+    from qautcert.crossed import action_from_graded, crossed_product, dual_action
+
+    spec = BlockSpec(sizes)
+    action = action_from_graded(fourier_function_algebra(spec), _tt_group(spec))
+    cp = crossed_product(action)
+    return (action.algebra, cp.algebra, crossed_product(dual_action(cp)).algebra,
+            tensor_algebra(action.algebra, action.group.order))
+
+
+TT_STRUCTURES = [(sizes, which) for sizes in [(2,), (2, 2)] for which in range(4)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TT_STRUCTURES), st.sampled_from(["exponent", "target", "rational"]),
+       st.data())
+def test_light_test_agrees_with_the_lexicographic_scan(structure, edit, data):
+    A = tt_structures(structure[0])[structure[1]]
+    k, e = A.k.copy(), A.exp[A.s]
+    num, den = A.num[A.s].astype(object), A.den[A.s].astype(object)
+    # a scalar is edited where the product is not zero, a target anywhere
+    live = np.argwhere(A.k >= 0).tolist() if edit != "target" else None
+    i, j = (data.draw(st.sampled_from(live)) if live
+            else [data.draw(st.integers(0, A.dim - 1)) for _ in range(2)])
+    if edit == "exponent":
+        e[i, j] = (e[i, j] + data.draw(st.integers(1, A.L - 1))) % A.L
+    elif edit == "target":
+        k[i, j] = data.draw(st.integers(-1, A.dim - 1).filter(lambda t: t != k[i, j]))
+    else:
+        num[i, j] *= data.draw(st.sampled_from([2, 3, 2**70]))
+    expected = lexicographic_first_triple(k, e, A.L, num, den)
+    assert associativity_failure(k, e, A.L, num, den) == expected
+    if edit != "rational":
+        assert (num == 1).all() and (den == 1).all()
+        assert associativity_failure(k, e, A.L) == expected  # exponents alone
+
+
+def words_reach(k, gens):
+    """The basis elements that left-normed words in ``gens`` reach, with
+    nonzero coefficient, by plain set closure."""
+    reached = set(gens)
+    while True:
+        more = {k.item(t, g) for t in reached for g in gens} - {-1} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_generators_reach_every_basis_element(rows):
+    from qautcert.algebra import _generators
+
+    k = np.array(rows, dtype=np.int64)
+    gens = _generators(k).tolist()
+    assert words_reach(k, gens) == set(range(len(k)))
+    # an index is a generator exactly when the generators before it miss it
+    for t in range(len(k)):
+        assert (t in gens) == (t not in words_reach(k, [g for g in gens if g < t]))
+
+
+@pytest.mark.parametrize("structure", TT_STRUCTURES)
+def test_generators_of_tt_structures_reach_every_basis_element(structure):
+    from qautcert.algebra import _generators
+
+    A = tt_structures(structure[0])[structure[1]]
+    gens = _generators(A.k).tolist()
+    assert words_reach(A.k, gens) == set(range(A.dim))
+    assert len(gens) < A.dim or A.dim == 1
+
+
+def test_function_algebra_where_every_element_is_a_generator():
+    from qautcert.algebra import _generators
+
+    A = function_algebra(32)  # verify_axioms runs at construction
+    assert _generators(A.k).tolist() == list(range(32))
+
+
+def dict_form(A):
+    """(dim, mul, invol, unit, trace) of an algebra, as the text form has them."""
+    mul = {(i, j): A.product(i, j) for i, j in np.argwhere(A.k >= 0).tolist()}
+    return A.dim, mul, [A.star(i) for i in range(A.dim)], list(A.unit), list(A.trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 1), (1, 1, 1), (2, 2)]), st.data())
+def test_unit_check_agrees_with_dict_reference(sizes, data):
+    # units of several terms, some cancelling against a second term that
+    # reaches the same target
+    dim, mul, invol, unit, trace = dict_form(multimatrix(BlockSpec(sizes)))
+    pool = [ZERO, ONE, -ONE, Cyclotomic.rational(2), root_of_unity(4, 1)]
+    for i in data.draw(st.lists(st.integers(0, dim - 1), max_size=3)):
+        unit[i] = data.draw(st.sampled_from(pool))
+    try:
+        StructAlgebra._from_terms(dim, [f"b{i}" for i in range(dim)], mul, invol, unit, trace)
+        got = None
+    except AxiomViolation as exc:
+        got = str(exc)
+    assert got == reference_axiom_failure(dim, mul, invol, unit, trace)
+
+
+@pytest.mark.parametrize("u, expected", [
+    ([Cyclotomic.rational(2), -ONE], [True, False]),  # 2 b_0 - b_0 = b_0 in column 0
+    ([ONE, ONE], [False, False]),
+    ([ONE, -ONE], [False, False]),  # the terms of column 0 cancel
+    ([ONE], [True, True]),
+    ([], [False, False]),
+])
+def test_unit_terms_at_one_target_are_added(u, expected):
+    from qautcert.algebra import _fixes_basis
+
+    # term t times b_i lands on b_K[t, i]: both terms on b_0 in column 0
+    K = np.array([[0, 1], [0, 0]])[:len(u)]
+    assert _fixes_basis(u, K, np.zeros_like(K), [ONE]).tolist() == expected

@@ -1,12 +1,15 @@
 import copy
 import functools
 import itertools
+import math
 import operator
 import re
 
 import numpy as np
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qautcert.algebra import BlockSpec, StructAlgebra, _scalar_products, recognize_blocks
 from qautcert.arith import Cyclotomic, root_of_unity
@@ -343,3 +346,42 @@ def test_twist_left_is_written_as_the_dict_reference(sizes):
     twisted, record = twist_left(graded, spec_cocycle(BlockSpec(sizes)))
     assert twisted.serialize() == ref.serialize()
     assert [written(c) for c in record["involution_scalars"]] == [written(c) for c in ref_scalars]
+
+
+def lexicographic_cocycle_failure(sigma_group, E, L):
+    """The message of the cocycle check that scans every triple one g at a
+    time, or None: the check Light's test replaces."""
+    els, add = sigma_group.elements(), sigma_group.addition_table()
+    bad = (E[0] != 0) | (E[:, 0] != 0)
+    if bad.any():
+        return f"cocycle not normalized at {els[np.argmax(bad)]}"
+    for g in range(len(els)):
+        bad = (E[g][:, None] + E[add[g]] - E - E[g][add]) % L != 0
+        if bad.any():
+            h, k = np.argwhere(bad)[0].tolist()
+            return f"cocycle identity fails at ({els[g]},{els[h]},{els[k]})"
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 3)]), st.data())
+def test_cocycle_check_agrees_with_the_lexicographic_scan(sizes, data):
+    sigma = spec_cocycle(BlockSpec(sizes))
+    G, E = sigma.group.order, sigma.E.copy()
+    a, b = (data.draw(st.integers(0, G - 1)) for _ in range(2))
+    E[a, b] = (E[a, b] + data.draw(st.integers(1, sigma.L - 1))) % sigma.L
+    expected = lexicographic_cocycle_failure(sigma.group, E, sigma.L)
+    try:
+        GroupCocycle(sigma.group, E, sigma.L)
+        got = None
+    except CocycleError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_cocycle_check_passes_products_of_many_factors():
+    # the unit vectors of the factors generate; a group of one element has none
+    for factors in [(), (1,), (1, 3), (2, 1, 2)]:
+        GroupCocycle(FinAbGroup(factors), np.zeros((math.prod(factors),) * 2), 1)
+    sigma = product_cocycle([base_cocycle(2), base_cocycle(3), trivial_cocycle(FinAbGroup((1, 2)))])
+    assert lexicographic_cocycle_failure(sigma.group, sigma.E, sigma.L) is None
