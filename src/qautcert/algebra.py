@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import LinAlgError, lapack_lite
 
 from .arith import Cyclotomic, accumulate, echelon, root_of_unity
 
@@ -937,12 +938,13 @@ class _FloatProducts:
         return form
 
     def commutator_rows(self):
-        """Row (i, k), column j: the b_k-coefficient of b_j b_i - b_i b_j."""
+        """Row (i, k), column j: the b_k-coefficient of b_j b_i - b_i b_j,
+        stored column-major, the layout LAPACK factors in place."""
         n = self.n
-        rows = np.zeros((n * n, n), dtype=np.complex128)
-        rows[self.j * n + self.k, self.i] = self.c
-        rows[self.i * n + self.k, self.j] -= self.c
-        return rows
+        cols = np.zeros((n, n * n), dtype=np.complex128)
+        cols[self.i, self.j * n + self.k] = self.c
+        cols[self.j, self.i * n + self.k] -= self.c
+        return cols.T
 
 
 def _times(a, b):
@@ -966,10 +968,32 @@ def _center_float(rows):
     """Center basis as the SVD nullspace of the (n^2, n) commutator system,
     from its (n, n) QR factor R: for a matrix this tall LAPACK's SVD factors
     it as QR and computes s and V^H from R alone, so they are bit for bit
-    those of the thin SVD of ``rows``, without its (n^2, n) left factor."""
-    s, vh = np.linalg.svd(np.linalg.qr(rows, mode="r"), full_matrices=False)[1:]
+    those of the thin SVD of ``rows``, without its (n^2, n) left factor.
+    A column-major complex128 ``rows`` is overwritten by the factorization."""
+    s, vh = np.linalg.svd(_qr_r(rows), full_matrices=False)[1:]
     tol = _FLOAT_EPS * max(rows.shape) * max(float(s[0]), 1.0)
     return list(vh.conj()[len(s) - int(np.sum(s <= tol)):])
+
+
+def _qr_r(a):
+    """The R factor of a tall (m, n) matrix, bit for bit that of
+    ``np.linalg.qr(a, mode="r")``: LAPACK's zgeqrf with its optimal
+    workspace, run on ``a`` where it sits if it is column-major complex128
+    (``a`` is overwritten), else on one column-major copy."""
+    m, n = a.shape
+    a = np.asarray(a, dtype=np.complex128, order="F")
+    tau = np.empty(n, dtype=np.complex128)
+
+    def zgeqrf(work, lwork):
+        info = lapack_lite.zgeqrf(m, n, a.T, max(1, m), tau, work, lwork, 0)["info"]
+        if info:
+            raise LinAlgError(f"zgeqrf returns {info}")
+
+    work = np.empty(1, dtype=np.complex128)
+    zgeqrf(work, -1)  # a workspace query: the optimal size comes back in work[0]
+    lwork = max(1, n, int(work[0].real))
+    zgeqrf(np.empty(lwork, dtype=np.complex128), lwork)
+    return np.triu(a[:n])
 
 
 def _idempotents_from_generic_float(mul, unit, cen, z):

@@ -99,8 +99,12 @@ class FinAbGroup:
         return table
 
     def negation(self) -> np.ndarray:
-        """n[a] = the position of -g_a."""
-        return np.argmin(self.addition_table(), axis=1)  # the one b with g_a + g_b = 0
+        """n[a] = the position of -g_a, built one factor at a time as
+        ``addition_table`` is: each mixed-radix digit d becomes -d mod f."""
+        neg = np.zeros(1, dtype=np.int64)
+        for f in self.factors:
+            neg = (neg[:, None] * f + (-np.arange(f)) % f).ravel()
+        return neg
 
     def pairing(self, chi, g) -> Cyclotomic:
         out = Cyclotomic.one()

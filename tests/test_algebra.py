@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -757,7 +758,8 @@ def test_float_center_matches_thin_svd_bit_for_bit(float_algebras, sizes, which)
     from qautcert.algebra import _center_float, _FloatProducts
 
     rows = _FloatProducts(float_algebras(sizes, which)).commutator_rows()
-    got, ref = _center_float(rows), center_from_thin_svd(rows)
+    ref = center_from_thin_svd(rows)  # before _center_float overwrites rows
+    got = _center_float(rows)
     assert len(got) == len(ref) > 0
     assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
 
@@ -771,6 +773,44 @@ def test_float_center_matches_thin_svd_on_random_sparse_systems(n):
         got, ref = _center_float(rows), center_from_thin_svd(rows)
         assert len(got) == len(ref) >= n // 3
         assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.fixture(scope="module")
+def tt_commutator_systems():
+    """``tt``'s commutator systems at (2,) and (2, 2), both algebras; each
+    call builds fresh arrays, since the float center overwrites them."""
+    from qautcert.algebra import _FloatProducts
+
+    prods = [_FloatProducts(A) for sizes in [(2,), (2, 2)] for A in tt_algebras(sizes)]
+    return lambda: [p.commutator_rows() for p in prods]
+
+
+def test_commutator_rows_are_column_major(tt_commutator_systems):
+    for rows in tt_commutator_systems():
+        assert rows.flags.f_contiguous and rows.dtype == np.complex128
+
+
+def test_qr_factor_matches_numpy_bit_for_bit(tt_commutator_systems):
+    from qautcert.algebra import _qr_r
+
+    systems = tt_commutator_systems() + [sparse_dependent_system(n, 0) for n in (10, 47)]
+    for rows in systems:
+        ref = np.linalg.qr(rows.copy(), mode="r")
+        assert bitwise_equal(_qr_r(rows), ref)
+
+
+def test_float_center_factors_the_system_in_place(tt_commutator_systems):
+    from qautcert.algebra import _center_float
+
+    rows = tt_commutator_systems()[-1]
+    assert rows.shape == (128 * 128, 128)
+    tracemalloc.start()
+    try:
+        _center_float(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * rows.nbytes
 
 
 def test_idempotent_check_rejects_a_failed_square_or_sum():

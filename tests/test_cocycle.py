@@ -385,3 +385,10 @@ def test_cocycle_check_passes_products_of_many_factors():
         GroupCocycle(FinAbGroup(factors), np.zeros((math.prod(factors),) * 2), 1)
     sigma = product_cocycle([base_cocycle(2), base_cocycle(3), trivial_cocycle(FinAbGroup((1, 2)))])
     assert lexicographic_cocycle_failure(sigma.group, sigma.E, sigma.L) is None
+
+
+@pytest.mark.parametrize("factors", [(2,) * 10, (3, 4, 2), (1,)])
+def test_negation_is_the_zero_of_each_addition_table_row(factors):
+    G = FinAbGroup(factors)
+    expected = np.argmin(G.addition_table(), axis=1)  # the one b with g_a + g_b = 0
+    assert np.array_equal(G.negation(), expected)
