@@ -102,6 +102,9 @@ class BlockSpec:
 _INT64_RATIONAL_BOUND = 2**12
 # Relative singular-value cutoff of the float center: the default float tolerance.
 _FLOAT_EPS = 1e-9
+# Largest distance |tr - d| / max(1, |tr|) of a float idempotent's regular
+# trace tr from the integer d = d_e^2 it is read as.
+_TRACE_EPS = 1e-6
 
 
 def monomial_forms(values):
@@ -737,20 +740,43 @@ def recognize_blocks(A: StructAlgebra, seed: int = 0) -> BlocksResult:
     dim <= 9; above that it is split numerically in complex128, from seeded
     generic central elements, with every product read off the monomial
     arrays ``k``, ``s`` and ``scalars``.  ``seed`` reaches only that float
-    path.
+    path.  The block of a minimal central idempotent e is M_d with
+    d^2 = Tr(L_e), the regular trace, which is the rank of the idempotent
+    L_e.  Both paths read it as sum_k e_k Tr(L_(b_k)) off one vector of
+    basis traces (``_regular_traces``): exactly, where it must be a rational
+    integer, or in complex128, where it must lie within ``_TRACE_EPS`` of one.
+    A trace below 1 raises RecognitionError and one that is not a square
+    NonSquareBlock; on the float path either is a failed split, and the
+    next generic element is tried.
     """
     if A.dim > 9:
         return _recognize_float(A, seed)
     return _recognize_exact(A)
 
 
-def _regular_trace_form_exact(A: StructAlgebra):
-    """Sparse rows of Tr(L_(b_i b_j)), the trace form of the regular
-    representation."""
+def _regular_traces(A: StructAlgebra) -> dict:
+    """{k: Tr(L_(b_k))} without zeros: the sum of c over the products
+    b_k b_l = c b_l, the regular trace of each basis element."""
     one = Cyclotomic.one()
-    t: dict = {}  # t[k] = Tr(L_(b_k)), from the products b_k b_l = c b_l
+    t: dict = {}
     for k, l in np.argwhere(A.k == np.arange(A.dim)).tolist():
         accumulate(t, A.scalars[A.s.item(k, l)], ((k, one),))
+    return t
+
+
+def _block_size(tr: int) -> int:
+    """d with d^2 = tr, the regular trace of a minimal central idempotent."""
+    if tr < 1:
+        raise RecognitionError(f"idempotent of regular trace {tr}: a block of size 0")
+    root = math.isqrt(tr)
+    if root * root != tr:
+        raise NonSquareBlock(f"block of non-square dimension {tr}")
+    return root
+
+
+def _regular_trace_form_exact(A: StructAlgebra, t: dict):
+    """Sparse rows of Tr(L_(b_i b_j)), the trace form of the regular
+    representation, from the basis traces ``t`` of ``_regular_traces``."""
     form = [{} for _ in range(A.dim)]
     for i, j in np.argwhere(A.k >= 0).tolist():
         if A.k.item(i, j) in t:
@@ -759,20 +785,17 @@ def _regular_trace_form_exact(A: StructAlgebra):
 
 
 def _recognize_exact(A: StructAlgebra) -> BlocksResult:
-    n = A.dim
-    if len(echelon(_regular_trace_form_exact(A))[0]) < n:
+    traces = _regular_traces(A)
+    if len(echelon(_regular_trace_form_exact(A, traces))[0]) < A.dim:
         raise NotSemisimple("trace form of the regular representation is degenerate")
     cen = list(echelon(center(A))[0].values())
     idems = _central_idempotents(A, cen)
-    one = Cyclotomic.one()
     sizes = []
     for e in idems:
-        # rank of left multiplication by e, from its columns e b_j
-        d = len(echelon(A.mul_sparse(e.items(), ((j, one),)) for j in range(n))[0])
-        root = math.isqrt(d)
-        if root * root != d:
-            raise NonSquareBlock(f"block of non-square dimension {d}")
-        sizes.append(root)
+        tr = sum((e[k] * t for k, t in traces.items() if k in e), Cyclotomic.zero())
+        if not (tr.is_rational() and tr.as_fraction().denominator == 1):
+            raise RecognitionError(f"regular trace of an idempotent is {tr!r}, not an integer")
+        sizes.append(_block_size(int(tr.as_fraction())))
     return BlocksResult(tuple(sorted(sizes)), idems, "exact",
                         {"center_dim": len(cen)}, 0.0)
 
@@ -875,6 +898,9 @@ def _verify_idempotents_exact(A: StructAlgebra, idems, unit):
 def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
     prods = _FloatProducts(A)
     unit = np.array([c.to_complex() for c in A.unit])
+    traces = np.zeros(A.dim, dtype=np.complex128)
+    for k, t in _regular_traces(A).items():
+        traces[k] = t.to_complex()
     sv = np.linalg.svd(prods.trace_form(), compute_uv=False)
     if sv.size and sv[-1] <= 1e-6 * max(sv[0], 1.0):
         raise NotSemisimple("trace form of the regular representation is degenerate")
@@ -894,16 +920,16 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
             idems, resid = _idempotents_from_generic_float(prods.mul, unit, cen, z)
             sizes = []
             for e in idems:
-                svr = np.linalg.svd(prods.left_rows(e), compute_uv=False)
-                d = int(np.sum(svr > 1e-6 * max(float(svr[0]), 1.0)))
-                root = math.isqrt(d)
-                if root * root != d:
-                    raise NonSquareBlock(f"block of non-square dimension {d}")
-                sizes.append(root)
+                tr = complex(e @ traces)
+                if not (cmath.isfinite(tr)
+                        and abs(tr - round(tr.real)) <= _TRACE_EPS * max(1.0, abs(tr))):
+                    raise RecognitionError(f"regular trace of an idempotent is {tr}, "
+                                           "not an integer")
+                sizes.append(_block_size(round(tr.real)))
             return BlocksResult(tuple(sorted(sizes)), idems, "float",
                                 {"center_dim": m}, resid)
         except (RecognitionError, NonSquareBlock) as exc:
-            # A non-square rank means this element merged blocks: a failed split.
+            # A trace off the squares means this element merged blocks: a failed split.
             last_err = str(exc)  # not exc, whose traceback would hold this frame in a cycle
     raise RecognitionError(f"float center splitting failed: {last_err}")
 
@@ -924,11 +950,6 @@ class _FloatProducts:
     def mul(self, u, v):
         """The product u v."""
         return _sums(self.k, _times(_times(u[self.i], v[self.j]), self.c), self.n)
-
-    def left_rows(self, e):
-        """The matrix of left multiplication by e: column j holds e b_j."""
-        n = self.n
-        return _sums(self.k * n + self.j, _times(e[self.i], self.c), n * n).reshape(n, n)
 
     def trace_form(self):
         """Tr(L_(b_i b_j)), the trace form of the regular representation."""

@@ -385,9 +385,14 @@ def test_serialization_golden_roundtrip():
     assert back.serialize() == text
 
 
-def _twist_2_2():
-    spec = BlockSpec((2, 2))
+def twist_algebra(sizes):
+    """The twisted algebra whose blocks ``twist`` recognizes."""
+    spec = BlockSpec(sizes)
     return twist_left(fourier_function_algebra(spec), spec_cocycle(spec))[0]
+
+
+def _twist_2_2():
+    return twist_algebra((2, 2))
 
 
 @pytest.mark.parametrize("name, build", [
@@ -707,7 +712,6 @@ def test_float_products_match_dense_einsums_bit_for_bit(float_algebras, sizes, w
         u[rng.random(A.dim) < 0.3] = 0
         v[rng.random(A.dim) < 0.3] = 0
         assert bitwise_equal(prods.mul(u, v), dense.mul(u, v))
-        assert bitwise_equal(prods.left_rows(u), dense.left_rows(u))
     assert bitwise_equal(prods.trace_form(), dense.trace_form())
     assert bitwise_equal(prods.commutator_rows(), dense.commutator_rows())
 
@@ -828,6 +832,146 @@ def test_idempotent_check_rejects_a_failed_square_or_sum():
     for wrong in (idems[:-1], idems + [idems[0]], [unit, idems[0]]):
         with pytest.raises(RecognitionError, match="do not sum to the unit"):
             _verify_idempotents_exact(A, wrong, unit)
+
+
+# -- block sizes from regular traces ------------------------------------------
+
+def svd_rank(M):
+    """rank M as the float recognizer counted it before it read block sizes
+    off regular traces: singular values above 1e-6 of the largest."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > 1e-6 * max(float(s[0]), 1.0)))
+
+
+def echelon_rank(A, e):
+    """rank L_e from the echelon form of its columns e b_j, as the exact
+    recognizer counted it before it read block sizes off regular traces."""
+    from qautcert.arith import echelon
+
+    return len(echelon(A.mul_sparse(e.items(), ((j, ONE),)) for j in range(A.dim))[0])
+
+
+def block_sizes(ranks):
+    roots = sorted(math.isqrt(r) for r in ranks)
+    assert [d * d for d in roots] == sorted(ranks)
+    return tuple(roots)
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (2, 2), (3,)], ids=lambda p: "-".join(map(str, p)))
+@pytest.mark.parametrize("which", ["double", "oracle"])
+def test_float_trace_sizes_equal_the_svd_rank_of_left_multiplication(float_algebras, sizes,
+                                                                      which):
+    from qautcert.algebra import _regular_traces
+
+    A = float_algebras(sizes, which)
+    traces = np.zeros(A.dim, dtype=np.complex128)
+    for k, t in _regular_traces(A).items():
+        traces[k] = t.to_complex()
+    dense = DenseProducts(A)
+    res = recognize_blocks(A, 42)
+    assert res.method == "float"
+    ranks = []
+    for e in res.idempotents:
+        left = dense.left_rows(e)
+        tr = complex(e @ traces)
+        assert abs(tr - np.trace(left)) < 1e-9 * A.dim
+        ranks.append(svd_rank(left))
+        assert abs(tr - ranks[-1]) < 1e-9 * A.dim
+    assert res.sizes == block_sizes(ranks)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: multimatrix(BlockSpec((2, 1))), id="multimatrix-2-1"),
+    pytest.param(lambda: function_algebra(32), id="function-algebra-32"),
+    *[pytest.param(functools.partial(twist_algebra, sizes), id=f"twist-{'-'.join(map(str, sizes))}")
+      for sizes in [(2,), (3,), (2, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]],
+])
+def test_exact_trace_sizes_equal_the_echelon_rank(build):
+    from qautcert.algebra import _recognize_exact, _regular_traces
+
+    A = build()
+    traces = _regular_traces(A)
+    res = _recognize_exact(A)
+    ranks = []
+    for e in res.idempotents:
+        tr = sum((e[k] * t for k, t in traces.items() if k in e), ZERO)
+        ranks.append(echelon_rank(A, e))
+        assert tr == Cyclotomic.rational(ranks[-1])
+    assert res.sizes == block_sizes(ranks)
+
+
+def edit_float_idempotents(monkeypatch, edit):
+    """Have the float splitter hand the recognizer edit(idempotents)."""
+    from qautcert import algebra
+
+    split = algebra._idempotents_from_generic_float
+
+    def edited(mul, unit, cen, z):
+        idems, worst = split(mul, unit, cen, z)
+        return edit(idems, unit), worst
+
+    monkeypatch.setattr(algebra, "_idempotents_from_generic_float", edited)
+
+
+def edit_exact_idempotents(monkeypatch, edit):
+    """Have the exact splitter hand the recognizer edit(idempotents)."""
+    from qautcert import algebra
+    from qautcert.algebra import sparse_vector
+
+    split = algebra._central_idempotents
+    monkeypatch.setattr(algebra, "_central_idempotents",
+                        lambda A, cen: edit(split(A, cen), sparse_vector(A.unit)))
+
+
+def test_float_idempotent_off_an_integer_trace_is_a_failed_split(monkeypatch):
+    # e + 1e-3 * 1 has regular trace Tr(L_e) + 1e-3 * dim, off every integer
+    edit_float_idempotents(monkeypatch, lambda idems, unit: [idems[0] + 1e-3 * unit] + idems[1:])
+    with pytest.raises(RecognitionError, match="float center splitting failed: regular trace "
+                                               r"of an idempotent is \(.*\), not an integer"):
+        recognize_blocks(multimatrix(BlockSpec((3, 1))))
+
+
+def test_exact_idempotent_off_an_integer_trace_is_refused(monkeypatch):
+    # e + 1/3 has regular trace Tr(L_e) + 5/3 in the 5-dimensional M_2 + C
+    third = Cyclotomic.rational(Fraction(1, 3))
+
+    def perturb(idems, unit):
+        e = dict(idems[0])
+        accumulate(e, third, unit.items())
+        return [e] + idems[1:]
+
+    edit_exact_idempotents(monkeypatch, perturb)
+    with pytest.raises(RecognitionError, match="regular trace of an idempotent is .*, "
+                                               "not an integer"):
+        recognize_blocks(multimatrix(BlockSpec((2, 1))))
+
+
+def test_float_zero_idempotent_is_a_failed_split(monkeypatch):
+    edit_float_idempotents(monkeypatch, lambda idems, unit: idems + [0 * unit])
+    with pytest.raises(RecognitionError, match="float center splitting failed: idempotent "
+                                               "of regular trace 0: a block of size 0"):
+        recognize_blocks(multimatrix(BlockSpec((3, 1))))
+
+
+def test_exact_zero_idempotent_is_refused(monkeypatch):
+    edit_exact_idempotents(monkeypatch, lambda idems, unit: idems + [{}])
+    with pytest.raises(RecognitionError, match="idempotent of regular trace 0: a block of "
+                                               "size 0"):
+        recognize_blocks(multimatrix(BlockSpec((2, 1))))
+
+
+def test_tt_passes_at_2_2_2_1_with_the_exact_blocks():
+    # the SVD rank of L_e counted two valid splits of the oracle as
+    # non-square here, and the retries ended in "idempotent residual too large"
+    from qautcert.algebra import _recognize_exact
+    from qautcert.cli import SuiteConfig, run
+
+    frag = run(SuiteConfig(partition=(2, 2, 2, 1), suites=("tt",), seed=42))["suites"]["tt"]
+    assert frag["passed"], frag
+    assert frag["recognizer_methods"] == ["float", "float"]
+    for A, blocks in zip(tt_algebras((2, 2, 2, 1)),
+                         (frag["double_crossed_blocks"], frag["tensor_oracle_blocks"])):
+        assert blocks == list(_recognize_exact(A).sizes) == [4] * 13
 
 
 # -- exact splitter against cutting every idempotent ----------------------------
