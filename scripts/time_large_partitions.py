@@ -4,8 +4,8 @@
 Runs every suite at exact (4,) and (2,2,2,2) and float (3,3) and (4,2),
 exact ``homs`` also at (3,3), (4,2) and (6,) (N = 18, 20 and 36, beyond the
 exact cap), exact ``tt`` at (3,2) and (2,2,2,1) (double crossed products of
-dimension 117 and 208), and float ``ueb``, ``pvm`` and ``twist`` at
-(2,2,2,2,2) (N = 20, d = 32), one subprocess per (partition, suite), with
+dimension 117 and 208), and float ``ueb``, ``pvm``, ``twist`` and ``cov``
+at (2,2,2,2,2) (N = 20, d = 32), one subprocess per (partition, suite), with
 ``force=True`` so the
 desk-scale cap admits it, under a timeout and a 3 GB address-space limit.
 Prints, for each run, the wall and CPU time of the suite and the process's
@@ -29,7 +29,7 @@ PARTITIONS = [("exact", (4,)), ("exact", (2, 2, 2, 2)), ("float", (3, 3)), ("flo
 EXTRA_RUNS = [("exact", (3, 3), "homs"), ("exact", (4, 2), "homs"), ("exact", (6,), "homs"),
               ("exact", (3, 2), "tt"), ("exact", (2, 2, 2, 1), "tt"),
               ("float", (2, 2, 2, 2, 2), "ueb"), ("float", (2, 2, 2, 2, 2), "pvm"),
-              ("float", (2, 2, 2, 2, 2), "twist")]
+              ("float", (2, 2, 2, 2, 2), "twist"), ("float", (2, 2, 2, 2, 2), "cov")]
 # (backend, partition, suite) -> seconds.  The cov and shuffle budgets are
 # about 1.5x the median of three child runs on a 2-core x86_64 host, written
 # beside them; cov and shuffle build no dense matrix since their z-images,
@@ -69,14 +69,16 @@ MEMORY_BUDGETS.update({key: round(1.5 * median_mb, 1) for key, median_mb in {
     ("exact", (4,), "twist"): 36.3, ("exact", (2, 2, 2, 2), "twist"): 46.7,
     ("float", (3, 3), "twist"): 36.2, ("float", (4, 2), "twist"): 36.3,
     ("float", (2, 2, 2, 2, 2), "twist"): 136.5}.items()})
-# exact homs beyond the cap and tt where it passes beyond the standard
-# partitions: wall and memory budgets by the same rule, from the median
-# seconds and peak MB of three child runs, given here.  tt at the
-# PARTITIONS sweep still fails and has no budget
+# exact homs beyond the cap, tt where it passes beyond the standard
+# partitions and float cov at d = 32: wall and memory budgets by the same
+# rule, from the median seconds and peak MB of three child runs, given
+# here.  tt at the PARTITIONS sweep still fails and has no budget
 for key, (median_s, median_mb) in {
         ("exact", (3, 3), "homs"): (1.4189, 59.9), ("exact", (4, 2), "homs"): (3.2076, 65.6),
         ("exact", (6,), "homs"): (22.6728, 177.1),
         ("exact", (3, 2), "tt"): (0.1911, 62.9), ("exact", (2, 2, 2, 1), "tt"): (0.8086, 182.1),
+        # cov's item (e) pairs the d^2 = 1024 z-words by a join of d^4 entries
+        ("float", (2, 2, 2, 2, 2), "cov"): (3.1480, 136.5),
 }.items():
     BUDGETS[key] = round(max(1.5 * median_s, WALL_FLOOR_S), 4)
     MEMORY_BUDGETS[key] = round(1.5 * median_mb, 1)

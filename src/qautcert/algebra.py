@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import LinAlgError, lapack_lite
 
-from .arith import Cyclotomic, accumulate, echelon, root_of_unity
+from .arith import Cyclotomic, accumulate, root_of_unity
 
 __all__ = [
     "BlockSpec",
@@ -627,100 +627,76 @@ def tensor_algebra(A: StructAlgebra, k: int) -> StructAlgebra:
 def delta_form_check(A: StructAlgebra, psi=None):
     """Scalar c with m m* = c id for the GNS inner products of psi.
 
-    Returns c (the square of the delta-form constant).  Raises NotFaithful
-    when the Gram matrix of psi is singular or not positive definite, and
-    NotDeltaForm when m m* is not a scalar multiple of the identity.
-    """
-    psi = psi if psi is not None else A.trace
-    n = A.dim
-    one = Cyclotomic.one()
-    zero = Cyclotomic.zero()
-    gram = []  # gram[i][j] = psi(b_i* b_j), as sparse rows
+    Returns c (the square of the delta-form constant).  psi(b_i* b_j) must
+    be diagonal (else ValueError: a premise, not a verdict on psi) with
+    each g_i = psi(b_i* b_i) a positive rational (else NotFaithful).  Then
+    (m m*)_ll = g_l sum over b_i b_j = c_ij b_l of |c_ij|^2 / (g_i g_j),
+    which must be one c for all l (else NotDeltaForm)."""
+    psi = [Cyclotomic._coerce(p) for p in (A.trace if psi is None else psi)]
+    n, one = A.dim, Cyclotomic.one()
+    # b_i* b_j is a multiple of b_k for k = A.k[A.star_k][i, j]
+    live = np.isin(A.k[A.star_k], [k for k, p in enumerate(psi) if not p.is_zero()])
+    off = np.argwhere(live & ~np.eye(n, dtype=bool))
+    if len(off):
+        raise ValueError("the delta-form check needs a diagonal Gram matrix; "
+                         "psi(b_%d* b_%d) != 0" % tuple(off[0].tolist()))
+    g = []
     for i in range(n):
-        row = {}
-        for j in range(n):
-            val = zero
-            for k, a in A.mul_sparse(A.star(i), ((j, one),)).items():
-                val = val + a * psi[k]
-            if not val.is_zero():
-                row[j] = val
-        gram.append(row)
-    ginv = _positive_definite_inverse(gram)
-    # m m* = M (G^-1 x G^-1) M^dagger G with M the multiplication matrix
-    # M[l,(i,j)] = c^l_{ij}; the Kronecker inverse is folded directly through
-    # the sparse structure constants.
-    comp = [{} for _ in range(n)]
-    rows, cols = np.nonzero(A.k >= 0)
-    products = list(zip(rows.tolist(), cols.tolist(), A.k[rows, cols].tolist(),
-                        [A.scalars[t] for t in A.s[rows, cols].tolist()]))
-    for i, j, l, c1 in products:
-        for p, q, k2, c2 in products:
-            if p not in ginv[i] or q not in ginv[j]:
-                continue
-            w = ginv[i][p] * ginv[j][q]
-            accumulate(comp[l], c1 * w, ((k2, c2.conjugate()),))
-    mmstar = []
-    for row in comp:
-        out: dict = {}
-        for k2, a in row.items():
-            accumulate(out, a, gram[k2].items())
-        mmstar.append(out)
-    c = mmstar[0].get(0, zero)
-    for l, row in enumerate(mmstar):
-        if not sparse_eq(row, {l: c}):
-            raise NotDeltaForm("m m* is not a scalar multiple of the identity")
-    return c
-
-
-def _positive_definite_inverse(gram):
-    """Inverse of a Hermitian matrix given as sparse rows, raising
-    NotFaithful unless it is positive definite.  One in-order elimination of
-    [G | I]: its k-th pivot is the ratio of the k-th and (k-1)-th leading
-    minors, so Sylvester's criterion reads off the pivots.  The exact path
-    requires the minors to come out rational (true for every Gram matrix in
-    scope)."""
-    n = len(gram)
-    zero = Cyclotomic.zero()
-    for i, row in enumerate(gram):
-        for j, c in row.items():
-            if c.conjugate() != gram[j].get(i, zero):
-                raise NotFaithful("Gram matrix is not Hermitian")
-    one = Cyclotomic.one()
-    rref, leads = echelon({**row, n + i: one} for i, row in enumerate(gram))
-    for k, lead in enumerate(leads):
-        if lead is None or lead[0] != k:  # minor_k = 0
-            raise NotFaithful("Gram matrix singular or not positive definite")
-        if not lead[1].is_rational():
-            raise NotFaithful("Gram minors are not totally real")
-        if lead[1].as_fraction() <= 0:
-            raise NotFaithful("Gram matrix singular or not positive definite")
-    return [{j - n: c for j, c in rref[i].items() if j >= n} for i in range(n)]
-
-
-def _kernel(rows, ncols: int) -> list:
-    """Basis of the right kernel of sparse rows, one vector per free column
-    in ascending order, read off the reduced row echelon form."""
-    rref, _ = echelon(rows)
-    one = Cyclotomic.one()
-    basis = []
-    for f in range(ncols):
-        if f not in rref:
-            vec = {f: one}
-            vec.update((p, -row[f]) for p, row in rref.items() if f in row)
-            basis.append(vec)
-    return basis
+        val = sum((c * psi[k] for k, c in A.mul_sparse(A.star(i), ((i, one),)).items()),
+                  Cyclotomic.zero())
+        if not (val.is_rational() and val.as_fraction() > 0):
+            raise NotFaithful(f"psi(b_{i}* b_{i}) = {val!r} is not a positive rational")
+        g.append(val.as_fraction())
+    square = [Fraction(p, q) ** 2 for p, q in zip(A.num.tolist(), A.den.tolist())]
+    mm = [Fraction(0)] * n
+    for (i, j), l in zip(np.argwhere(A.k >= 0).tolist(), A.k[A.k >= 0].tolist()):
+        mm[l] += g[l] * square[A.s.item(i, j)] / (g[i] * g[j])
+    if len(set(mm)) != 1:
+        raise NotDeltaForm("m m* is not a scalar multiple of the identity")
+    return Cyclotomic.rational(mm[0])
 
 
 def center(A: StructAlgebra):
-    """Basis of the center, by solving [x, b_i] = 0 for all i: the row
-    (i, k) holds the b_k-coefficients of x b_i - b_i x."""
-    one = Cyclotomic.one()
-    rows: dict = {}
-    for a, b in np.argwhere(A.k >= 0).tolist():
-        k, c = A.k.item(a, b), A.scalars[A.s.item(a, b)]
-        accumulate(rows.setdefault((b, k), {}), c, ((a, one),))
-        accumulate(rows.setdefault((a, k), {}), -c, ((b, one),))
-    return _kernel(rows.values(), A.dim)
+    """Basis of the center, [x, b_i] = 0 for all i, as vectors with disjoint
+    supports, each 1 at its smallest index, in the order of their largest.
+    With products injective along each row and column of ``k`` (else
+    RecognitionError), row (i, t) is x_a c_(a,i) - x_a' c_(i,a') for
+    b_a b_i = c_(a,i) b_t and b_i b_a' = c_(i,a') b_t, either term possibly
+    absent.  One term, or a = a' with c_(a,i) != c_(i,a), forces x_a = 0;
+    two link x_a' = x_a c_(a,i) / c_(i,a').  A linked component with no
+    forced zero and ratios that agree around its cycles spans one central
+    vector (the sigma-regular classes of a twisted group algebra)."""
+    n = A.dim
+    i, j = np.nonzero(A.k >= 0)
+    t = A.k[i, j]
+    left, right = np.full((2, n, n), -1, dtype=np.int64)
+    left[j, t], right[i, t] = i, j  # a = left[i, t] and a' = right[i, t]
+    if min(np.count_nonzero(left >= 0), np.count_nonzero(right >= 0)) < len(t):
+        raise RecognitionError("products not injective along a row/column of the basis")
+    i, t = np.nonzero((left >= 0) | (right >= 0))
+    a, b = left[i, t], right[i, t]
+    sa, sb = A.s[a, i], A.s[i, b]
+    link = (a >= 0) & (b >= 0) & (a != b)
+    zero = np.isin(np.arange(n), np.maximum(a, b)[~link & _monomials_differ(
+        a, A.exp[sa], A.num[sa], A.den[sa], b, A.exp[sb], A.num[sb], A.den[sb], A.L)])
+    inverse = [c.inverse() for c in A.scalars]
+    ratios: list = [[] for _ in range(n)]  # (a', c_(a,i) / c_(i,a')) at a, and back at a'
+    for x, y, s1, s2 in zip(*(v[link].tolist() for v in (a, b, sa, sb))):
+        ratios[x].append((y, A.scalars[s1] * inverse[s2]))
+        ratios[y].append((x, A.scalars[s2] * inverse[s1]))
+    value, basis = [None] * n, []
+    for r in range(n):
+        if value[r] is None:
+            value[r], comp, free = Cyclotomic.one(), [r], True
+            for x in comp:  # breadth first
+                for y, c in ratios[x]:
+                    if value[y] is None:
+                        value[y] = value[x] * c
+                        comp.append(y)
+                    free &= value[y] == value[x] * c
+            if free and not zero[comp].any():
+                basis.append({x: value[x] for x in comp})
+    return sorted(basis, key=max)
 
 
 @dataclass
@@ -737,7 +713,8 @@ def recognize_blocks(A: StructAlgebra, seed: int = 0) -> BlocksResult:
 
     Semisimplicity is detected (trace-form nondegeneracy of the regular
     representation), never assumed.  The center is split exactly for
-    dim <= 9; above that it is split numerically in complex128, from seeded
+    dim <= 9 (``center``; the trace form must have a permutation pattern);
+    above that it is split numerically in complex128, from seeded
     generic central elements, with every product read off the monomial
     arrays ``k``, ``s`` and ``scalars``.  ``seed`` reaches only that float
     path.  The block of a minimal central idempotent e is M_d with
@@ -774,21 +751,14 @@ def _block_size(tr: int) -> int:
     return root
 
 
-def _regular_trace_form_exact(A: StructAlgebra, t: dict):
-    """Sparse rows of Tr(L_(b_i b_j)), the trace form of the regular
-    representation, from the basis traces ``t`` of ``_regular_traces``."""
-    form = [{} for _ in range(A.dim)]
-    for i, j in np.argwhere(A.k >= 0).tolist():
-        if A.k.item(i, j) in t:
-            form[i][j] = A.scalars[A.s.item(i, j)] * t[A.k.item(i, j)]
-    return form
-
-
 def _recognize_exact(A: StructAlgebra) -> BlocksResult:
+    cen = center(A)
     traces = _regular_traces(A)
-    if len(echelon(_regular_trace_form_exact(A, traces))[0]) < A.dim:
+    form = np.isin(A.k, list(traces))  # where Tr(L_(b_i b_j)) = c_ij t[k_ij] != 0
+    if (form.sum(axis=0) > 1).any() or (form.sum(axis=1) > 1).any():
+        raise RecognitionError("trace form of the regular representation is not monomial")
+    if not form.any(axis=1).all():
         raise NotSemisimple("trace form of the regular representation is degenerate")
-    cen = list(echelon(center(A))[0].values())
     idems = _central_idempotents(A, cen)
     sizes = []
     for e in idems:
@@ -801,8 +771,8 @@ def _recognize_exact(A: StructAlgebra) -> BlocksResult:
 
 
 def _central_idempotents(A: StructAlgebra, cen):
-    """The minimal central idempotents, from the rows of the reduced echelon
-    form of a center basis, which must have disjoint supports.  Each row c
+    """The minimal central idempotents, from a center basis whose rows have
+    disjoint supports, as ``center`` gives it.  Each row c
     must satisfy c^(n+1) = lam c with lam = q zeta_L^e != 0 for some n <= dim,
     and q must have a rational n-th root: then p = c^n / lam is idempotent,
     and on p the eigenvalues of c are the n-th roots mu of lam, with spectral

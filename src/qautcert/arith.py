@@ -3,9 +3,8 @@
 :class:`Cyclotomic` is an exact element of the field Q(zeta_M) stored as the
 canonical residue modulo the M-th cyclotomic polynomial, and :class:`Mat` a
 dense matrix of them; ``Mat.to_float`` gives its complex array, for
-residuals.  Outside :class:`Mat`, exact vectors and matrix rows are sparse
-dicts {index: Cyclotomic}; :func:`echelon` is their one Gaussian
-elimination.
+residuals.  Outside :class:`Mat`, exact vectors are sparse dicts
+{index: Cyclotomic}, added to by :func:`accumulate`.
 
 Canonical form reduces modulo Phi_M rather than x^M - 1, so exact equality
 of coefficient vectors decides equality of the represented complex numbers.
@@ -32,7 +31,6 @@ __all__ = [
     "euler_phi",
     "root_of_unity",
     "accumulate",
-    "echelon",
 ]
 
 
@@ -836,7 +834,7 @@ def _float_residual(a: Mat, b: Mat) -> float:
     return float(np.max(np.abs(a.to_float() - b.to_float()), initial=0.0))
 
 
-# -- exact sparse linear algebra: vectors and rows are {index: Cyclotomic} ----
+# -- exact sparse vectors {index: Cyclotomic} ---------------------------------
 
 def accumulate(out: dict, a, terms):
     """out += a * (sum of c e_k over the (k, c) pairs of terms), dropping
@@ -848,37 +846,3 @@ def accumulate(out: dict, a, terms):
             out.pop(k, None)
         else:
             out[k] = new
-
-
-def echelon(rows):
-    """Gauss-Jordan elimination of sparse rows {column: Cyclotomic}.
-
-    Each row in turn is reduced by the pivot rows found before it; what is
-    left, if anything, becomes a pivot row at its smallest column, scaled to
-    1 there, and that column is cleared from the earlier pivot rows.
-    Returns ``(rref, leads)``: ``rref`` maps each pivot column to its row of
-    the reduced row echelon form (1 at the pivot, 0 at every other pivot
-    column), and ``leads[i]`` is the (column, entry) at which input row i
-    became a pivot, before scaling, or None when it depended on the rows
-    before it.  Taken in order, the leads of a square matrix whose leading
-    minors are nonzero are ``(k, minor_k / minor_(k-1))``.
-    """
-    rref: dict = {}
-    leads: list = []
-    for row in rows:
-        cur = {k: c for k, c in row.items() if not c.is_zero()}
-        # pivot rows are zero at each other's pivots: one pass clears them all
-        for p in [p for p in cur if p in rref]:
-            accumulate(cur, -cur[p], rref[p].items())
-        if not cur:
-            leads.append(None)
-            continue
-        lead = min(cur)
-        leads.append((lead, cur[lead]))
-        inv = cur[lead].inverse()
-        new = {k: c * inv for k, c in cur.items()}
-        for other in rref.values():
-            if lead in other:
-                accumulate(other, -other[lead], new.items())
-        rref[lead] = new
-    return rref, leads

@@ -55,6 +55,9 @@ class SlotMismatch(ValueError):
     pass
 
 
+_JOIN_ROWS = 1 << 20  # most pairs of nonzeros in one join of PhasePermutation.pairing
+
+
 class PhasePermutation(NamedTuple):
     """The unitary sum over c of zeta_L^exp[c] E_(perm[c], c): it sends
     basis vector c to zeta_L^exp[c] times basis vector perm[c].  ``perm``
@@ -118,20 +121,33 @@ class PhasePermutation(NamedTuple):
         leading axis each, as a (len A, len B, phi(L)) array of integer
         coefficients in the power basis of order L = lcm(self.L, other.L):
         the sum of zeta_L^(exp_B[c] - exp_A[c]) over the columns c where A
-        and B have their nonzero in one row.  It holds for any matrices with
-        one nonzero per column, unitary or not."""
-        L = math.lcm(self.L, other.L)
-        same = self.perm[:, None] == other.perm[None]
-        exp = other.exp[None] * (L // other.L) - self.exp[:, None] * (L // self.L)
-        return (same[..., None] * _root_table(L)[exp % L]).sum(axis=2)
+        and B have their nonzero in one row, joined on (row, column), for
+        any matrices with one nonzero per column, unitary or not."""
+        L, (count, size), other_count = math.lcm(self.L, other.L), self.perm.shape, len(other.perm)
+        key_a = (self.perm * size + np.arange(size)).ravel()
+        by = np.argsort(key_a, kind="stable")
+        key_a = key_a[by]  # sorted: by[p] is the flat (a, c) of the p-th
+        step = max(1, _JOIN_ROWS // max(1, count * size))  # operators of B per join
+        out = np.empty((count, other_count, _root_table(L).shape[1]), dtype=np.int64)
+        for start in range(0, other_count, step):
+            B = other.at(slice(start, start + step))
+            key_b = (B.perm * size + np.arange(size)).ravel()
+            lo, hi = np.searchsorted(key_a, key_b), np.searchsorted(key_a, key_b, "right")
+            nb = np.repeat(np.arange(key_b.size), hi - lo)  # one entry per pair of nonzeros
+            na = by[np.arange(nb.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+            exp = B.exp.ravel()[nb] * (L // other.L) - self.exp.ravel()[na] * (L // self.L)
+            pair = (na // size * len(B.perm) + nb // size) * L + exp % L
+            powers = np.bincount(pair, minlength=count * len(B.perm) * L)
+            out[:, start:start + step] = powers.reshape(count, -1, L) @ _root_table(L)
+        return out
 
 
 def _off_delta(gram: np.ndarray, scale: int):
     """The first (a, b), in order, at which an array of power-basis
     coefficients such as ``pairing`` gives is not scale delta_ab, or None."""
-    expect = (scale * np.eye(*gram.shape[:2], dtype=np.int64))[..., None] * (
-        np.arange(gram.shape[2]) == 0)
-    bad = np.argwhere((gram != expect).any(axis=2))
+    bad, i = gram.any(axis=2), np.arange(min(gram.shape[:2]))
+    bad[i, i] = (gram[i, i, 0] != scale) | gram[i, i, 1:].any(axis=1)
+    bad = np.argwhere(bad)
     return tuple(bad[0].tolist()) if len(bad) else None
 
 

@@ -33,9 +33,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec, MonomialMap, multimatrix
-from .arith import Cyclotomic, Mat, Terms, _root_table, accumulate, echelon, root_of_unity
+from .arith import Cyclotomic, Mat, Terms, _root_table, accumulate, root_of_unity
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
-from .pauli import BlockEmbedding, NotPVM, PhasePermutation, pvm_check, weyl_basis
+from .pauli import BlockEmbedding, NotPVM, PhasePermutation, _off_delta, pvm_check, weyl_basis
 from .relations import (GeneratorAssignment, IncompleteAssignment, QautPresentation,
                         RelationReport, SnPresentation, _enumerate, battery_groups,
                         check_relations)
@@ -841,7 +841,7 @@ def covariance_check(spec: BlockSpec) -> dict:
     (``_first_not_intertwined``); a failure names the first generator in
     ``generators`` order.  For (e), span{L x R} = span(words) x
     span(words), so ``e_span_rank`` is r^2, r the rank of the d^2 words of
-    M_d."""
+    M_d, read off their trace pairing."""
     d = spec.d
     z = _z_tables(spec)
     qpres = QautPresentation(spec)
@@ -873,19 +873,19 @@ def covariance_check(spec: BlockSpec) -> dict:
                 return cert
     cert["d_beta_cases"] = 4 * spec.m * len(upres.generators)
     # (e): span{L x R} = span(words) x span(words), so the z-words span
-    # M_d x M_d exactly when the d^2 words span M_d: rank r^2 = d^4.  Word w
-    # is the row {perm[c] d + c: zeta_L^exp[c]}, its keys in order
-    L, perm, exp = _z_words(spec)
-    units = [root_of_unity(L, e) for e in range(L)]
-    keys = perm * d + np.arange(d)
-    by = np.argsort(keys, axis=1)
-    keys, exp = np.take_along_axis(keys, by, 1), np.take_along_axis(exp, by, 1) % L
-    r = len(echelon({k: units[e] for k, e in zip(word_keys, word_exp)}
-                    for word_keys, word_exp in zip(keys.tolist(), exp.tolist()))[0])
-    cert["e_span_rank"] = r * r
-    cert["e_expected"] = d ** 4
-    cert["passed"] = r * r == d ** 4
-    cert["worst_residual"] = 0.0
+    # M_d x M_d exactly when the d^2 words span M_d: rank r^2 = d^4.  r is the
+    # number of lines the words span, when a word of each (the first) is
+    # orthogonal to the others, Tr(w_a* w_b) = d delta_ab
+    L, perm, exp = words = _z_words(spec)
+    first = np.sort(np.unique(np.hstack([perm, (exp - exp[:, :1]) % L]), axis=0,
+                              return_index=True)[1])
+    off = _off_delta(words.at(first).pairing(words.at(first)), d)
+    if off is not None:
+        cert.update(passed=False, failure="z-words %d and %d are neither orthogonal nor "
+                    "proportional" % tuple(first[list(off)].tolist()))
+        return cert
+    r = len(first)
+    cert.update(e_span_rank=r * r, e_expected=d ** 4, passed=r * r == d ** 4, worst_residual=0.0)
     return cert
 
 

@@ -6,15 +6,20 @@ isomorphism checks by dense products, the entangled projections bracketed
 into M_d x M_d, the PVM check by dense products and the projections of
 ``uet_pvm`` built from them, the z-unitaries of the covariance suite,
 their monomial read back, the alpha/beta substitutions as closures on
-symbols, and Ad of a phase-permutation matrix as a monomial map."""
+symbols, and Ad of a phase-permutation matrix as a monomial map.  Also
+the exact sparse Gaussian elimination ``echelon`` over rows
+{column: Cyclotomic}, the ranks and kernels read off it, and the center of a
+``StructAlgebra`` as the reduced echelon rows of the kernel of its
+commutator system (``reference_center``), and m m* for any Gram matrix,
+through its inverse (``reference_delta_form``)."""
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from qautcert.algebra import MonomialMap, monomial_forms
-from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
+from qautcert.algebra import MonomialMap, NotDeltaForm, NotFaithful, monomial_forms, sparse_eq
+from qautcert.arith import Cyclotomic, Mat, accumulate, root_of_unity
 from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, NotPVM, SlotMismatch, UebReport, WrongCount, table_terms
 from qautcert.relations import SnPresentation
@@ -336,3 +341,128 @@ def theta_ad_mat(spec, r, U):
     one = Cyclotomic.one()
     return MonomialMap([index[(r, perm[i], perm[j]) if rr == r else (rr, i, j)] for rr, i, j in index],
                        [u[i] * u[j].conjugate() if rr == r else one for rr, i, j in index])
+
+
+# -- exact sparse linear algebra: vectors and rows are {index: Cyclotomic} ----
+
+def echelon(rows):
+    """Gauss-Jordan elimination of sparse rows {column: Cyclotomic}.
+
+    Each row in turn is reduced by the pivot rows found before it; what is
+    left, if anything, becomes a pivot row at its smallest column, scaled to
+    1 there, and that column is cleared from the earlier pivot rows.
+    Returns ``(rref, leads)``: ``rref`` maps each pivot column to its row of
+    the reduced row echelon form (1 at the pivot, 0 at every other pivot
+    column), and ``leads[i]`` is the (column, entry) at which input row i
+    became a pivot, before scaling, or None when it depended on the rows
+    before it.
+    """
+    rref: dict = {}
+    leads: list = []
+    for row in rows:
+        cur = {k: c for k, c in row.items() if not c.is_zero()}
+        # pivot rows are zero at each other's pivots: one pass clears them all
+        for p in [p for p in cur if p in rref]:
+            accumulate(cur, -cur[p], rref[p].items())
+        if not cur:
+            leads.append(None)
+            continue
+        lead = min(cur)
+        leads.append((lead, cur[lead]))
+        inv = cur[lead].inverse()
+        new = {k: c * inv for k, c in cur.items()}
+        for other in rref.values():
+            if lead in other:
+                accumulate(other, -other[lead], new.items())
+        rref[lead] = new
+    return rref, leads
+
+
+def kernel(rows, ncols: int) -> list:
+    """Basis of the right kernel of sparse rows, one vector per free column
+    in ascending order, read off the reduced row echelon form."""
+    rref, _ = echelon(rows)
+    one = Cyclotomic.one()
+    basis = []
+    for f in range(ncols):
+        if f not in rref:
+            vec = {f: one}
+            vec.update((p, -row[f]) for p, row in rref.items() if f in row)
+            basis.append(vec)
+    return basis
+
+
+def reference_center(A):
+    """The reduced echelon rows of the center of A, in the order the
+    elimination makes them pivots: the kernel of the commutator system
+    [x, b_i] = 0, whose row (i, k) holds the b_k-coefficients of
+    x b_i - b_i x, reduced once more."""
+    one = Cyclotomic.one()
+    rows: dict = {}
+    for a, b in np.argwhere(A.k >= 0).tolist():
+        k, c = A.k.item(a, b), A.scalars[A.s.item(a, b)]
+        accumulate(rows.setdefault((b, k), {}), c, ((a, one),))
+        accumulate(rows.setdefault((a, k), {}), -c, ((b, one),))
+    return list(echelon(kernel(rows.values(), A.dim))[0].values())
+
+
+def positive_definite_inverse(gram):
+    """Inverse of a Hermitian matrix given as sparse rows, raising
+    NotFaithful unless it is positive definite.  One in-order elimination of
+    [G | I]: its k-th pivot is the ratio of the k-th and (k-1)-th leading
+    minors, so Sylvester's criterion reads off the pivots.  The minors must
+    come out rational."""
+    n = len(gram)
+    zero = Cyclotomic.zero()
+    for i, row in enumerate(gram):
+        for j, c in row.items():
+            if c.conjugate() != gram[j].get(i, zero):
+                raise NotFaithful("Gram matrix is not Hermitian")
+    one = Cyclotomic.one()
+    rref, leads = echelon({**row, n + i: one} for i, row in enumerate(gram))
+    for k, lead in enumerate(leads):
+        if lead is None or lead[0] != k:  # minor_k = 0
+            raise NotFaithful("Gram matrix singular or not positive definite")
+        if not lead[1].is_rational():
+            raise NotFaithful("Gram minors are not totally real")
+        if lead[1].as_fraction() <= 0:
+            raise NotFaithful("Gram matrix singular or not positive definite")
+    return [{j - n: c for j, c in rref[i].items() if j >= n} for i in range(n)]
+
+
+def reference_delta_form(A, psi=None):
+    """The reference for ``algebra.delta_form_check``, for any Gram matrix
+    G = (psi(b_i* b_j)): m m* = M (G^-1 x G^-1) M^dagger G with M the
+    multiplication matrix M[l, (i, j)] = c^l_ij, the Kronecker inverse
+    folded through the structure constants.  Returns c with m m* = c id."""
+    psi = psi if psi is not None else A.trace
+    n = A.dim
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    gram = []  # gram[i][j] = psi(b_i* b_j), as sparse rows
+    for i in range(n):
+        row = {}
+        for j in range(n):
+            val = zero
+            for k, a in A.mul_sparse(A.star(i), ((j, one),)).items():
+                val = val + a * psi[k]
+            if not val.is_zero():
+                row[j] = val
+        gram.append(row)
+    ginv = positive_definite_inverse(gram)
+    comp = [{} for _ in range(n)]
+    rows, cols = np.nonzero(A.k >= 0)
+    products = list(zip(rows.tolist(), cols.tolist(), A.k[rows, cols].tolist(),
+                        [A.scalars[t] for t in A.s[rows, cols].tolist()]))
+    for i, j, l, c1 in products:
+        for p, q, k2, c2 in products:
+            if p in ginv[i] and q in ginv[j]:
+                accumulate(comp[l], c1 * ginv[i][p] * ginv[j][q], ((k2, c2.conjugate()),))
+    c = None
+    for l, row in enumerate(comp):
+        out: dict = {}
+        for k2, a in row.items():
+            accumulate(out, a, gram[k2].items())
+        c = out.get(0, zero) if c is None else c
+        if not sparse_eq(out, {l: c}):
+            raise NotDeltaForm("m m* is not a scalar multiple of the identity")
+    return c

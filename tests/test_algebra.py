@@ -2,7 +2,9 @@ import functools
 import itertools
 import math
 import os
+import time
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from qautcert.algebra import (
     BlockSpec,
     MonomialMap,
     NotDeltaForm,
+    NotFaithful,
     NotSemisimple,
     RecognitionError,
     StructAlgebra,
@@ -34,6 +37,8 @@ from qautcert.cocycle import (
     spec_cocycle,
     twist_left,
 )
+
+from mat_reference import echelon, reference_center, reference_delta_form
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 ONE = Cyclotomic.one()
@@ -125,6 +130,51 @@ def test_perturbed_state_across_blocks_is_not_delta_form():
     assert np.max(np.abs(off)) > 1e-3  # oracle sees a non-scalar output
     with pytest.raises(NotDeltaForm):
         delta_form_check(A, psi)
+
+
+def delta_form_outcome(check, A, psi):
+    try:
+        return check(A, psi)
+    except NotDeltaForm:
+        return NotDeltaForm
+
+
+@pytest.mark.parametrize("build, psi", [
+    *[pytest.param(functools.partial(multimatrix, BlockSpec(sizes)), None,
+                   id=f"multimatrix-{'-'.join(map(str, sizes))}")
+      for sizes in [(2,), (2, 1), (1, 1, 1), (3,), (2, 2), (3, 1)]],
+    pytest.param(functools.partial(multimatrix, BlockSpec((2,))),
+                 (Fraction(3, 4), 0, 0, Fraction(1, 4)), id="m2-perturbed"),
+    pytest.param(functools.partial(function_algebra, 2), (Fraction(3, 4), Fraction(1, 4)),
+                 id="c2-perturbed"),
+    *[pytest.param(lambda sizes=sizes: twist_algebra(sizes), None,
+                   id=f"twist-{'-'.join(map(str, sizes))}") for sizes in [(2,), (3,), (2, 1)]],
+    pytest.param(lambda: rescaled_m2([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5)]),
+                 None, id="rescaled-m2"),
+])
+def test_delta_form_matches_the_gram_inverse_reference(build, psi):
+    A = build()
+    psi = psi and [Cyclotomic.rational(q) for q in psi]
+    got = delta_form_outcome(delta_form_check, A, psi)
+    assert got == delta_form_outcome(reference_delta_form, A, psi)
+
+
+def test_delta_form_needs_a_diagonal_gram_matrix():
+    # psi(E_11* E_12) = psi(E_12) = 1/4: a faithful state on M_2, but its
+    # Gram matrix in the matrix units is not diagonal
+    A = multimatrix(BlockSpec((2,)))
+    psi = [Cyclotomic.rational(q) for q in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4),
+                                            Fraction(1, 2))]
+    with pytest.raises(ValueError, match=r"diagonal Gram matrix; psi\(b_0\* b_1\) != 0") as exc:
+        delta_form_check(A, psi)
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("weights", [(1, 0), (1, -1)])
+def test_delta_form_refuses_a_gram_entry_that_is_not_positive(weights):
+    psi = [Cyclotomic.rational(w) for w in weights]
+    with pytest.raises(NotFaithful, match=r"psi\(b_1\* b_1\) = .* is not a positive rational"):
+        delta_form_check(function_algebra(2), psi)
 
 
 def test_center_dimensions():
@@ -617,6 +667,7 @@ def test_exact_recognizer_on_twisted_group_algebras(case):
     # z blocks of one size
     dim, mul, invol, unit, trace = case
     alg = StructAlgebra._from_terms(dim, [f"u{i}" for i in range(dim)], mul, invol, unit, trace)
+    assert center(alg) == reference_center(alg)
     z = len(center(alg))
     size = math.isqrt(dim // z)
     assert size * size * z == dim
@@ -846,8 +897,6 @@ def svd_rank(M):
 def echelon_rank(A, e):
     """rank L_e from the echelon form of its columns e b_j, as the exact
     recognizer counted it before it read block sizes off regular traces."""
-    from qautcert.arith import echelon
-
     return len(echelon(A.mul_sparse(e.items(), ((j, ONE),)) for j in range(A.dim))[0])
 
 
@@ -974,6 +1023,122 @@ def test_tt_passes_at_2_2_2_1_with_the_exact_blocks():
         assert blocks == list(_recognize_exact(A).sizes) == [4] * 13
 
 
+# -- the exact recognizer on the monomial arrays ------------------------------
+
+TT_CENTER_SIZES = [(2,), (3,), (2, 2), (3, 2, 1), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["double", "oracle"])
+@pytest.mark.parametrize("sizes", TT_CENTER_SIZES, ids=lambda p: "-".join(map(str, p)))
+def test_center_of_tt_algebras_matches_the_reduced_echelon_rows(sizes, which):
+    A = tt_algebras(sizes)[which]
+    assert center(A) == reference_center(A)
+
+
+def rescaled_m2(lam):
+    """M_2 in the basis b_ij = lam[ij] E_ij, lam positive rationals: then
+    b_ij b_jl = (lam_ij lam_jl / lam_il) b_il and b_ij* = (lam_ij / lam_ji) b_ji."""
+    q = Cyclotomic.rational
+    mul = {(2 * i + j, 2 * j + l):
+           ((2 * i + l, q(lam[2 * i + j] * lam[2 * j + l] / lam[2 * i + l])),)
+           for i in range(2) for j in range(2) for l in range(2)}
+    invol = [((2 * j + i, q(lam[2 * i + j] / lam[2 * j + i])),) for i in range(2) for j in range(2)]
+    unit = [q(1 / lam[0]), ZERO, ZERO, q(1 / lam[3])]
+    trace = [q(lam[0] / 2), ZERO, ZERO, q(lam[3] / 2)]
+    return StructAlgebra._from_terms(4, ["b11", "b12", "b21", "b22"], mul, invol, unit, trace)
+
+
+@pytest.mark.parametrize("lam", [(1, 2, 1, 3), (Fraction(1, 2), 5, Fraction(2, 7), 4)])
+def test_center_carries_rational_ratios_along_its_links(lam):
+    # the center is spanned by E_11 + E_22 = b_11 / lam_11 + b_22 / lam_22
+    A = rescaled_m2([Fraction(x) for x in lam])
+    q = Cyclotomic.rational
+    assert center(A) == reference_center(A) == [{0: ONE, 3: q(Fraction(lam[0]) / lam[3])}]
+    assert recognize_blocks(A).sizes == (2,)
+
+
+def test_recognizer_refuses_products_not_injective_along_a_row():
+    # C^2 in the basis {1, e} with e^2 = e is a *-algebra, but b_e b_1 and
+    # b_e b_e are both b_e, so a commutator row has more than two terms
+    mul = {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),), (1, 1): ((1, ONE),)}
+    alg = StructAlgebra._from_terms(2, ["1", "e"], mul, [((0, ONE),), ((1, ONE),)],
+                                    [ONE, ZERO], [ONE, ZERO])
+    with pytest.raises(RecognitionError, match="products not injective along a row/column"):
+        recognize_blocks(alg)
+
+
+def test_recognizer_refuses_a_trace_form_off_a_permutation_pattern(monkeypatch):
+    # with both basis traces nonzero, each row of the form of C[Z_2] has two nonzeros
+    from qautcert import algebra
+
+    monkeypatch.setattr(algebra, "_regular_traces", lambda A: {k: ONE for k in range(A.dim)})
+    with pytest.raises(RecognitionError, match="trace form of the regular representation is "
+                                               "not monomial"):
+        recognize_blocks(group_algebra(FinAbGroup((2,))).algebra)
+
+
+S3 = list(itertools.permutations(range(3)))
+
+
+@st.composite
+def monomial_tables(draw):
+    """The arrays ``center`` reads, for products b_p b_q = c_pq b_(p q) over
+    S_3, associative or not: c_pq = 1 where p and q commute, so no row
+    forces a zero there, and elsewhere a drawn root of unity times 1, 2 or
+    1/3, so the ratios around a conjugacy class may disagree.  Some
+    products are zero, and some tables repeat a target in a row or a
+    column only."""
+    from qautcert.algebra import _monomial_arrays
+
+    n = len(S3)
+    k = np.array([[S3.index(tuple(p[i] for i in q)) for q in S3] for p in S3])
+    scalars = []
+    for p in range(n):
+        for q in range(n):
+            c = ONE
+            if k[p, q] != k[q, p] and draw(st.booleans()):
+                c = (Cyclotomic.rational(draw(st.sampled_from([1, 2, Fraction(1, 3)])))
+                     * root_of_unity(4, draw(st.integers(0, 3))))
+            scalars.append(c)
+    for p, q in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2)):
+        k[p, q] = -1
+    if draw(st.booleans()):
+        row = draw(st.integers(0, n - 1))
+        k[k[:, 1] == k[row, 0], 1] = -1  # b_row b_1 = b_row b_0, the only repeat
+        k[row, 1] = k[row, 0]
+        k = k.T if draw(st.booleans()) else k
+    L, exp, num, den = _monomial_arrays(scalars)
+    return types.SimpleNamespace(dim=n, k=k, s=np.arange(n * n).reshape(n, n), scalars=scalars,
+                                 L=L, exp=exp, num=num, den=den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_tables())
+def test_center_matches_the_elimination_on_monomial_tables(table):
+    k = table.k
+    if any(len(set(r[r >= 0].tolist())) < np.count_nonzero(r >= 0) for r in (*k, *k.T)):
+        with pytest.raises(RecognitionError, match="not injective"):
+            center(table)
+    else:
+        assert center(table) == reference_center(table)
+
+
+@pytest.mark.parametrize("sizes", [(4,), (2, 2, 2, 2), (3, 2, 1), (2,) + (1,) * 12],
+                         ids=lambda p: "-".join(map(str, p)))
+def test_exact_recognizer_agrees_where_the_float_one_fails(sizes):
+    # tt's float recognizer fails at these partitions; the exact one gives
+    # the double crossed product the blocks of its oracle, in under 1 s of
+    # CPU each
+    from qautcert.algebra import _recognize_exact
+
+    blocks = []
+    for A in tt_algebras(sizes):
+        start = time.process_time()
+        blocks.append(_recognize_exact(A).sizes)
+        assert time.process_time() - start < 1.0
+    assert blocks[0] == blocks[1]
+
 # -- exact splitter against cutting every idempotent ----------------------------
 
 def central_idempotents_cutting_all(A, cen):
@@ -1012,12 +1177,6 @@ def central_idempotents_cutting_all(A, cen):
     return idems
 
 
-def reduced_center(A):
-    from qautcert.arith import echelon
-
-    return list(echelon(center(A))[0].values())
-
-
 def counting_mul_sparse(monkeypatch):
     calls = [0]
     mul_sparse = StructAlgebra.mul_sparse
@@ -1037,7 +1196,8 @@ def test_central_idempotents_match_cutting_every_idempotent(case):
 
     dim, mul, invol, unit, trace = case
     alg = StructAlgebra._from_terms(dim, [f"u{i}" for i in range(dim)], mul, invol, unit, trace)
-    cen = reduced_center(alg)
+    cen = center(alg)
+    assert cen == reference_center(alg)
     assert _central_idempotents(alg, cen) == central_idempotents_cutting_all(alg, cen)
 
 
@@ -1047,7 +1207,7 @@ def test_central_idempotents_keep_what_a_row_does_not_split(monkeypatch):
     from qautcert.algebra import _central_idempotents
 
     A = function_algebra(20)
-    cen = reduced_center(A)
+    cen = center(A)
     calls = counting_mul_sparse(monkeypatch)
     ref = central_idempotents_cutting_all(A, cen)
     ref_calls, calls[0] = calls[0], 0

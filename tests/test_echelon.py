@@ -1,6 +1,9 @@
-"""The one sparse Gaussian elimination, `arith.echelon`, and what is read off
-it: kernels, inverses, ranks and Sylvester's positivity criterion."""
+"""The tests' exact sparse Gaussian elimination, `mat_reference.echelon`, and
+what is read off it: kernels, inverses, ranks and Sylvester's positivity
+criterion."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qautcert.algebra import NotFaithful, _kernel, _positive_definite_inverse
-from qautcert.arith import Cyclotomic, accumulate, echelon, euler_phi, root_of_unity
+import qautcert
+from qautcert.algebra import NotFaithful
+from qautcert.arith import Cyclotomic, accumulate, euler_phi, root_of_unity
+
+from mat_reference import echelon, kernel, positive_definite_inverse
 
 ORDERS = (1, 3, 4, 8)
 SINGULAR = "Gram matrix singular or not positive definite"
@@ -75,7 +81,7 @@ def to_numpy(rows, ncols):
 def test_kernel_annihilates_rows_and_rank_matches_float(drawn):
     rows, ncols = drawn
     rref, leads = echelon(rows)
-    ker = _kernel(rows, ncols)
+    ker = kernel(rows, ncols)
     for v in ker:
         for row in rows:
             acc = ZERO
@@ -156,7 +162,7 @@ def test_positivity_verdict_matches_eigenvalues(rows):
     eig = np.linalg.eigvalsh(to_numpy(rows, n))
     assume(np.min(np.abs(eig)) > 1e-3)
     try:
-        inverse = _positive_definite_inverse(rows)
+        inverse = positive_definite_inverse(rows)
     except NotFaithful as exc:
         assert str(exc) == SINGULAR
         assert eig.min() < 0
@@ -187,13 +193,22 @@ def rational_rows(grid):
 ])
 def test_positivity_failures_keep_their_messages(rows, message):
     with pytest.raises(NotFaithful) as exc:
-        _positive_definite_inverse(rows)
+        positive_definite_inverse(rows)
     assert str(exc.value) == message
 
 
 def test_positive_definite_inverse_is_exact():
     rows = rational_rows([[2, 1], [1, 2]])
     q = Cyclotomic.rational
-    assert _positive_definite_inverse(rows) == [
+    assert positive_definite_inverse(rows) == [
         {0: q(Fraction(2, 3)), 1: q(Fraction(-1, 3))},
         {0: q(Fraction(-1, 3)), 1: q(Fraction(2, 3))}]
+
+
+def test_no_module_of_the_library_eliminates():
+    # the recognizer, cov's span and the delta-form check decide on monomial
+    # arrays; the elimination and what was read off it live only here
+    gone = {"echelon", "_kernel", "_positive_definite_inverse", "_regular_trace_form_exact"}
+    names = ["qautcert"] + [f"qautcert.{m.name}" for m in pkgutil.iter_modules(qautcert.__path__)]
+    for name in names:
+        assert not gone & set(vars(importlib.import_module(name))), name

@@ -319,6 +319,31 @@ def test_entangled_projection_is_the_entrywise_formula(n):
                             entangled_projection(n, i, j))
 
 
+def test_off_delta_reads_the_diagonal_and_every_coefficient():
+    from qautcert.pauli import _off_delta
+
+    gram = np.zeros((3, 3, 2), dtype=np.int64)
+    gram[[0, 1, 2], [0, 1, 2], 0] = 5
+    assert _off_delta(gram, 5) is None
+    for at, coefficient, value in [((1, 1), 0, 4), ((2, 2), 1, 1), ((0, 2), 0, 1), ((2, 1), 1, -1)]:
+        edited = gram.copy()
+        edited[at + (coefficient,)] = value
+        assert _off_delta(edited, 5) == at
+
+
+def test_pairing_in_chunks_is_the_one_join(monkeypatch):
+    # joins of two operators of B each give the pairing of one join over all of B
+    from qautcert import pauli
+    from qautcert.qaut import _z_words
+
+    for A in [weyl_basis(3), _z_words(BlockSpec((2, 2))), entangled_basis(2)]:
+        gram = A.pairing(A)
+        monkeypatch.setattr(pauli, "_JOIN_ROWS", 2 * A.perm.size)
+        assert np.array_equal(A.pairing(A), gram)
+        assert np.array_equal(A.at(slice(1, None)).pairing(A), gram[1:])
+        monkeypatch.undo()
+
+
 def test_phase_permutation_products_are_matrix_products():
     rng = np.random.default_rng(0)
     ops = [PhasePermutation(L, rng.permutation(6), rng.integers(0, L, 6)) for L in (1, 2, 3, 4, 6)]

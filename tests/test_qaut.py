@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qautcert.algebra import BlockSpec, MonomialMap, monomial_forms, sparse_eq
-from qautcert.arith import Cyclotomic, Mat, echelon, root_of_unity
+from qautcert.arith import Cyclotomic, Mat, root_of_unity
 from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, PhasePermutation, pvm_check, table_terms, weyl_basis
 from qautcert.qaut import (
@@ -44,9 +44,9 @@ from qautcert.qaut import (
 )
 from qautcert.qaut import _uet_projections, _unit_positions, _z_tables, _z_words
 
-from mat_reference import (alpha_closure, beta_closure, bracket_phi, mat, paren, paren_unit,
-                           phase_permutation, rank, uet_projections, weyl_products, z_images,
-                           z_words)
+from mat_reference import (alpha_closure, beta_closure, bracket_phi, echelon, mat, paren,
+                           paren_unit, phase_permutation, rank, uet_projections, weyl_products,
+                           z_images, z_words)
 
 
 def substitute_all(formal_map, values):
