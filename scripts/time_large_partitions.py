@@ -3,8 +3,9 @@
 
 Runs every suite at exact (4,) and (2,2,2,2) and float (3,3) and (4,2),
 exact ``homs`` also at (3,3), (4,2) and (6,) (N = 18, 20 and 36, beyond the
-exact cap), exact ``tt`` at (3,2) and (2,2,2,1) (double crossed products of
-dimension 117 and 208), and float ``ueb``, ``pvm``, ``twist`` and ``cov``
+exact cap), exact ``tt`` at (3,2), (2,2,2), (2,2,2,1) and (2,2,2,1,1,1)
+(double crossed products of dimension 117, 192, 208 and 240), and float
+``ueb``, ``pvm``, ``twist`` and ``cov``
 at (2,2,2,2,2) (N = 20, d = 32), one subprocess per (partition, suite), with
 ``force=True`` so the
 desk-scale cap admits it, under a timeout and a 3 GB address-space limit.
@@ -27,7 +28,8 @@ import time
 PARTITIONS = [("exact", (4,)), ("exact", (2, 2, 2, 2)), ("float", (3, 3)), ("float", (4, 2))]
 # (backend, partition, suite) runs beyond the PARTITIONS sweep
 EXTRA_RUNS = [("exact", (3, 3), "homs"), ("exact", (4, 2), "homs"), ("exact", (6,), "homs"),
-              ("exact", (3, 2), "tt"), ("exact", (2, 2, 2, 1), "tt"),
+              ("exact", (3, 2), "tt"), ("exact", (2, 2, 2), "tt"), ("exact", (2, 2, 2, 1), "tt"),
+              ("exact", (2, 2, 2, 1, 1, 1), "tt"),
               ("float", (2, 2, 2, 2, 2), "ueb"), ("float", (2, 2, 2, 2, 2), "pvm"),
               ("float", (2, 2, 2, 2, 2), "twist"), ("float", (2, 2, 2, 2, 2), "cov")]
 # (backend, partition, suite) -> seconds.  The cov and shuffle budgets are
@@ -70,13 +72,22 @@ MEMORY_BUDGETS.update({key: round(1.5 * median_mb, 1) for key, median_mb in {
     ("float", (3, 3), "twist"): 36.2, ("float", (4, 2), "twist"): 36.3,
     ("float", (2, 2, 2, 2, 2), "twist"): 136.5}.items()})
 # exact homs beyond the cap, tt where it passes beyond the standard
-# partitions and float cov at d = 32: wall and memory budgets by the same
-# rule, from the median seconds and peak MB of three child runs, given
-# here.  tt at the PARTITIONS sweep still fails and has no budget
+# partitions, float cov at d = 32, and conj, haar and float homs at the
+# PARTITIONS sweep: wall and memory budgets by the same rule, from the
+# median seconds and peak MB of three child runs, given here.  tt at the
+# PARTITIONS sweep still fails and has no budget
 for key, (median_s, median_mb) in {
         ("exact", (3, 3), "homs"): (1.4189, 59.9), ("exact", (4, 2), "homs"): (3.2076, 65.6),
         ("exact", (6,), "homs"): (22.6728, 177.1),
-        ("exact", (3, 2), "tt"): (0.1911, 62.9), ("exact", (2, 2, 2, 1), "tt"): (0.8086, 182.1),
+        # the float center of tt's double crossed products factors only the
+        # nonzero rows of their one-term commutator systems
+        ("exact", (3, 2), "tt"): (0.1508, 61.6), ("exact", (2, 2, 2), "tt"): (0.4389, 150.2),
+        ("exact", (2, 2, 2, 1), "tt"): (0.5297, 180.7),
+        ("exact", (2, 2, 2, 1, 1, 1), "tt"): (0.9199, 257.3),
+        ("exact", (4,), "conj"): (0.0015, 31.8), ("exact", (4,), "haar"): (0.0095, 38.0),
+        ("float", (3, 3), "conj"): (0.0035, 32.2), ("float", (3, 3), "haar"): (0.0314, 53.9),
+        ("float", (4, 2), "conj"): (0.0030, 32.0), ("float", (4, 2), "haar"): (0.0420, 64.2),
+        ("float", (3, 3), "homs"): (1.2474, 65.0), ("float", (4, 2), "homs"): (2.8365, 73.9),
         # cov's item (e) pairs the d^2 = 1024 z-words by a join of d^4 entries
         ("float", (2, 2, 2, 2, 2), "cov"): (3.1480, 136.5),
 }.items():

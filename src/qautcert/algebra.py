@@ -725,6 +725,16 @@ def recognize_blocks(A: StructAlgebra, seed: int = 0) -> BlocksResult:
     A trace below 1 raises RecognitionError and one that is not a square
     NonSquareBlock; on the float path either is a failed split, and the
     next generic element is tried.
+
+    The float center is the nullspace of the commutator system.  When each
+    of its rows has at most one nonzero and the first n, the commutators
+    of b_0, are zero, as for ``tt``'s double crossed products with b_0 the
+    unit, LAPACK factors only those n rows and the nonzero rows below them:
+    Householder QR then updates no column, so R is the whole system's bit
+    for bit (``_center_float``).  Systems with rows of two terms, such as
+    ``tt``'s tensor oracles, are factored whole, since the benchmark's
+    reference certificates pin their float residual until the exact path
+    replaces this one.
     """
     if A.dim > 9:
         return _recognize_float(A, seed)
@@ -914,8 +924,9 @@ class _FloatProducts:
         self.n = A.dim
         self.i, self.j = np.nonzero(A.k >= 0)
         self.k = A.k[self.i, self.j]
-        values = np.array([c.to_complex() for c in A.scalars], dtype=np.complex128)
-        self.c = values[A.s[self.i, self.j]]
+        self.values = np.array([c.to_complex() for c in A.scalars], dtype=np.complex128)
+        self.c = self.values[A.s[self.i, self.j]]
+        self.tables = A.k, A.s
 
     def mul(self, u, v):
         """The product u v."""
@@ -930,11 +941,51 @@ class _FloatProducts:
 
     def commutator_rows(self):
         """Row (i, k), column j: the b_k-coefficient of b_j b_i - b_i b_j,
-        stored column-major, the layout LAPACK factors in place."""
+        stored column-major, the layout LAPACK factors in place.
+
+        When every row has at most one nonzero and rows (0, k), the first n,
+        are zero, only those n rows and the nonzero rows below them are
+        stored, in order (``_one_term_rows``): the rows left out are zero,
+        and on such a system Householder QR yields the same R bit for bit
+        (see ``_center_float``).  Any other system, such as ``tt``'s tensor
+        oracles, whose matrix units give rows of two terms, is built whole
+        (``dense_commutator_rows``): there leaving out the zero rows moves R
+        by an ulp, and the benchmark's reference certificates pin ``tt``'s
+        float residual until the exact recognizer replaces this path."""
+        rows = self._one_term_rows()
+        return self.dense_commutator_rows() if rows is None else rows
+
+    def dense_commutator_rows(self):
+        """The whole (n^2, n) commutator system, column-major."""
         n = self.n
         cols = np.zeros((n, n * n), dtype=np.complex128)
         cols[self.i, self.j * n + self.k] = self.c
         cols[self.j, self.i * n + self.k] -= self.c
+        return cols.T
+
+    def _one_term_rows(self):
+        """The first n rows of the commutator system and its nonzero rows
+        below them, or None when a row has two nonzeros or one of the first
+        n has any.  Each value comes from the float operations of the dense
+        build: b_i b_j = c b_k puts c in row (j, k), column i, and -c in row
+        (i, k), column j, one cell when b_j b_i = c' b_k too (c - c'), else
+        0 - c."""
+        n = self.n
+        k, s = self.tables
+        swapped = k.T[self.i, self.j] == self.k  # b_j b_i has the target of b_i b_j
+        plus = self.c.copy()
+        plus[swapped] -= self.values[s.T[self.i, self.j][swapped]]
+        alone = ~swapped
+        row = np.concatenate([self.j * n + self.k, (self.i * n + self.k)[alone]])
+        col = np.concatenate([self.i, self.j[alone]])
+        val = np.concatenate([plus, 0 - self.c[alone]])
+        live = np.flatnonzero(val != 0)
+        live = live[np.argsort(row[live])]
+        row = row[live]
+        if row.size and (row[0] < n or (row[1:] == row[:-1]).any()):
+            return None
+        cols = np.zeros((n, n + row.size), dtype=np.complex128)
+        cols[col[live], np.arange(n, n + row.size)] = val[live]
         return cols.T
 
 
@@ -960,9 +1011,22 @@ def _center_float(rows):
     from its (n, n) QR factor R: for a matrix this tall LAPACK's SVD factors
     it as QR and computes s and V^H from R alone, so they are bit for bit
     those of the thin SVD of ``rows``, without its (n^2, n) left factor.
-    A column-major complex128 ``rows`` is overwritten by the factorization."""
+    A column-major complex128 ``rows`` is overwritten by the factorization.
+
+    ``rows`` may be the compact one-term system of
+    ``_FloatProducts.commutator_rows``: n zero rows, then rows of one
+    nonzero each.  Its R is the whole system's bit for bit.  Each pivot row
+    is zero and no row has two nonzeros, so every w = C^H v of the
+    Householder updates is a sum of products with a zero factor: no column
+    changes.  Each R[j, j] is -||column j|| over the same nonzeros in the
+    same order, and the zero rows left out add nothing to it.  Two-term
+    systems, such as ``tt``'s tensor oracles, are factored whole: there the
+    rows left out would move R by an ulp, and with it the float residual
+    that the benchmark's reference certificates pin.  The cutoff counts the
+    n^2 equations of the whole system however many rows are stored."""
+    n = rows.shape[1]
     s, vh = np.linalg.svd(_qr_r(rows), full_matrices=False)[1:]
-    tol = _FLOAT_EPS * max(rows.shape) * max(float(s[0]), 1.0)
+    tol = _FLOAT_EPS * (n * n) * max(float(s[0]), 1.0)
     return list(vh.conj()[len(s) - int(np.sum(s <= tol)):])
 
 

@@ -764,7 +764,7 @@ def test_float_products_match_dense_einsums_bit_for_bit(float_algebras, sizes, w
         v[rng.random(A.dim) < 0.3] = 0
         assert bitwise_equal(prods.mul(u, v), dense.mul(u, v))
     assert bitwise_equal(prods.trace_form(), dense.trace_form())
-    assert bitwise_equal(prods.commutator_rows(), dense.commutator_rows())
+    assert bitwise_equal(prods.dense_commutator_rows(), dense.commutator_rows())
 
 
 @pytest.mark.parametrize("sizes, which", FLOAT_CASES)
@@ -866,6 +866,110 @@ def test_float_center_factors_the_system_in_place(tt_commutator_systems):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * rows.nbytes
+
+
+def kept_rows(dense):
+    """The rows a compact commutator system keeps: the first n and every
+    nonzero row below them."""
+    n = dense.shape[1]
+    return np.concatenate([np.arange(n), n + np.flatnonzero(dense[n:].any(axis=1))])
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (2, 2), (2, 1, 1), (3, 2)],
+                         ids=lambda p: "-".join(map(str, p)))
+def test_one_term_system_factors_like_the_whole_system(float_algebras, sizes):
+    from qautcert.algebra import _center_float, _FloatProducts, _qr_r
+
+    prods = _FloatProducts(float_algebras(sizes, "double"))
+    n = prods.n
+    rows, dense = prods.commutator_rows(), prods.dense_commutator_rows()
+    assert rows.flags.f_contiguous and rows.shape[0] < n * n
+    assert bitwise_equal(rows, dense[kept_rows(dense)])
+    assert bitwise_equal(_qr_r(rows.copy(order="F")), _qr_r(dense.copy(order="F")))
+    got, ref = _center_float(rows), _center_float(dense)
+    assert len(got) == len(ref) > 0
+    assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (3,)], ids=lambda p: "-".join(map(str, p)))
+def test_tensor_oracles_keep_the_whole_system(float_algebras, sizes):
+    from qautcert.algebra import _FloatProducts
+
+    prods = _FloatProducts(float_algebras(sizes, "oracle"))
+    rows = prods.commutator_rows()
+    assert rows.shape == (prods.n ** 2, prods.n)
+    assert bitwise_equal(rows, prods.dense_commutator_rows())
+
+
+def relabeled(A, perm):
+    """A with basis element i renamed perm[i]."""
+    perm = np.asarray(perm)
+    k, s = np.empty_like(A.k), np.empty_like(A.s)
+    k[np.ix_(perm, perm)] = np.where(A.k >= 0, perm[A.k], -1)
+    s[np.ix_(perm, perm)] = A.s
+    star_k, star_s = np.empty_like(A.star_k), np.empty_like(A.star_s)
+    star_k[perm], star_s[perm] = perm[A.star_k], A.star_s
+    moved = np.argsort(perm).tolist()  # moved[new] = old
+    return StructAlgebra(A.dim, [A.labels[i] for i in moved], k=k, s=s, scalars=A.scalars,
+                         star_k=star_k, star_s=star_s, unit=[A.unit[i] for i in moved],
+                         trace=[A.trace[i] for i in moved])
+
+
+def symmetric_group_algebra():
+    """C[S_3], the unit first: a commutator row (g, k) has two terms, k g^-1
+    and g^-1 k, where these differ."""
+    perms = list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(perms)}
+    mul = {(index[g], index[h]): ((index[tuple(g[x] for x in h)], ONE),)
+           for g in perms for h in perms}
+    invol = [((index[tuple(sorted(range(3), key=g.__getitem__))], ONE),) for g in perms]
+    first = [ONE] + [ZERO] * 5
+    return StructAlgebra._from_terms(6, [str(g) for g in perms], mul, invol, first, first)
+
+
+def test_other_systems_fall_back_to_the_whole_system(float_algebras):
+    from qautcert.algebra import _FloatProducts
+
+    double = float_algebras((2,), "double")
+    t = min(set(range(double.dim)) - {i for v in center(double) for i in v})
+    swap = np.arange(double.dim)
+    swap[[0, t]] = t, 0  # b_0 is not central now
+    for A, first_rows_zero, terms in [(relabeled(double, swap), False, 1),
+                                      (symmetric_group_algebra(), True, 2)]:
+        prods = _FloatProducts(A)
+        dense = prods.dense_commutator_rows()
+        assert (not dense[:A.dim].any()) == first_rows_zero
+        assert (dense != 0).sum(axis=1).max() == terms
+        assert bitwise_equal(prods.commutator_rows(), dense)
+
+
+def test_float_center_cutoff_counts_every_equation():
+    # n zero rows, then one row per column: singular values 1 and 5e-8, which
+    # lies under 1e-9 * n^2 but above 1e-9 times the 2n rows stored
+    from qautcert.algebra import _center_float
+
+    n = 10
+    rows = np.zeros((2 * n, n), dtype=np.complex128, order="F")
+    rows[n:] = np.diag([1.0] * (n - 1) + [5e-8])
+    whole = np.zeros((n * n, n), dtype=np.complex128, order="F")
+    whole[:2 * n] = rows
+    got, ref = _center_float(rows), center_from_thin_svd(whole)
+    assert len(got) == len(ref) == 1
+    assert bitwise_equal(got[0], ref[0])
+
+
+def test_one_term_system_allocates_a_fraction_of_the_whole(float_algebras):
+    from qautcert.algebra import _FloatProducts
+
+    prods = _FloatProducts(float_algebras((2, 2), "double"))
+    tracemalloc.start()
+    try:
+        rows = prods.commutator_rows()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (3968, 128)
+    assert peak < 128 ** 3 * 16 / 3
 
 
 def test_idempotent_check_rejects_a_failed_square_or_sum():
