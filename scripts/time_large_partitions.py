@@ -79,8 +79,9 @@ MEMORY_BUDGETS.update({key: round(1.5 * median_mb, 1) for key, median_mb in {
 for key, (median_s, median_mb) in {
         ("exact", (3, 3), "homs"): (1.4189, 59.9), ("exact", (4, 2), "homs"): (3.2076, 65.6),
         ("exact", (6,), "homs"): (22.6728, 177.1),
-        # the float center of tt's double crossed products factors only the
-        # nonzero rows of their one-term commutator systems
+        # tt's double crossed products have one-term commutator systems:
+        # the float center builds only their nonzero rows and reduces each
+        # column alone, with no QR of the system
         ("exact", (3, 2), "tt"): (0.1508, 61.6), ("exact", (2, 2, 2), "tt"): (0.4389, 150.2),
         ("exact", (2, 2, 2, 1), "tt"): (0.5297, 180.7),
         ("exact", (2, 2, 2, 1, 1, 1), "tt"): (0.9199, 257.3),
@@ -93,6 +94,14 @@ for key, (median_s, median_mb) in {
 }.items():
     BUDGETS[key] = round(max(1.5 * median_s, WALL_FLOOR_S), 4)
     MEMORY_BUDGETS[key] = round(1.5 * median_mb, 1)
+# the budget these runs lacked, by the same rule: peak MB of shuffle, cov and
+# conj, whose wall budgets are above, and the wall of exact (2,2,2,2) haar
+MEMORY_BUDGETS.update({key: round(1.5 * median_mb, 1) for key, median_mb in {
+    ("exact", (4,), "shuffle"): 39.3, ("exact", (4,), "cov"): 37.2,
+    ("float", (3, 3), "shuffle"): 75.4, ("float", (3, 3), "cov"): 46.5,
+    ("float", (4, 2), "shuffle"): 117.7, ("float", (4, 2), "cov"): 52.5,
+    ("exact", (2, 2, 2, 2), "conj"): 38.6, ("exact", (2, 2, 2, 2), "cov"): 49.0}.items()})
+BUDGETS[("exact", (2, 2, 2, 2), "haar")] = round(max(1.5 * 0.0293, WALL_FLOOR_S), 4)
 TIMEOUT_S = 300.0  # per run; a run that takes longer is reported as failed
 ADDRESS_SPACE = 3 << 30  # bytes a run may map; past it, it fails
 

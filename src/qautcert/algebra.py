@@ -726,15 +726,16 @@ def recognize_blocks(A: StructAlgebra, seed: int = 0) -> BlocksResult:
     NonSquareBlock; on the float path either is a failed split, and the
     next generic element is tried.
 
-    The float center is the nullspace of the commutator system.  When each
-    of its rows has at most one nonzero and the first n, the commutators
-    of b_0, are zero, as for ``tt``'s double crossed products with b_0 the
-    unit, LAPACK factors only those n rows and the nonzero rows below them:
-    Householder QR then updates no column, so R is the whole system's bit
-    for bit (``_center_float``).  Systems with rows of two terms, such as
-    ``tt``'s tensor oracles, are factored whole, since the benchmark's
-    reference certificates pin their float residual until the exact path
-    replaces this one.
+    The float center is the nullspace of the commutator system, read off
+    the SVD of its QR factor R.  When each of its rows has at most one
+    nonzero and the first n, the commutators of b_0, are zero, as for
+    ``tt``'s double crossed products with b_0 the unit, Householder QR
+    updates no column, so R is diagonal: LAPACK reduces each column alone,
+    from the n rows and the nonzero rows below them, and R is the whole
+    system's bit for bit (``_one_term_r``).  Systems with rows of two terms,
+    such as ``tt``'s tensor oracles, are factored whole (``_qr_r``), since
+    the benchmark's reference certificates pin their float residual until
+    the exact path replaces this one.
     """
     if A.dim > 9:
         return _recognize_float(A, seed)
@@ -884,7 +885,7 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
     sv = np.linalg.svd(prods.trace_form(), compute_uv=False)
     if sv.size and sv[-1] <= 1e-6 * max(sv[0], 1.0):
         raise NotSemisimple("trace form of the regular representation is degenerate")
-    cen = _center_float(prods.commutator_rows())
+    cen = _center_float(prods.commutator_r())
     m = len(cen)
     if m == 0:
         raise RecognitionError("empty center")
@@ -939,21 +940,21 @@ class _FloatProducts:
         form[self.i, self.j] = _times(self.c, _sums(self.i[fixed], self.c[fixed], self.n)[self.k])
         return form
 
-    def commutator_rows(self):
-        """Row (i, k), column j: the b_k-coefficient of b_j b_i - b_i b_j,
-        stored column-major, the layout LAPACK factors in place.
+    def commutator_r(self):
+        """The (n, n) QR factor R of the commutator system, whose row (i, k),
+        column j is the b_k-coefficient of b_j b_i - b_i b_j.
 
         When every row has at most one nonzero and rows (0, k), the first n,
-        are zero, only those n rows and the nonzero rows below them are
-        stored, in order (``_one_term_rows``): the rows left out are zero,
-        and on such a system Householder QR yields the same R bit for bit
-        (see ``_center_float``).  Any other system, such as ``tt``'s tensor
-        oracles, whose matrix units give rows of two terms, is built whole
-        (``dense_commutator_rows``): there leaving out the zero rows moves R
-        by an ulp, and the benchmark's reference certificates pin ``tt``'s
-        float residual until the exact recognizer replaces this path."""
+        are zero, R is diagonal and comes from those n rows and the nonzero
+        rows below them (``_one_term_rows``), one column at a time
+        (``_one_term_r``), bit for bit the whole system's.  Any other system,
+        such as ``tt``'s tensor oracles, whose matrix units give rows of two
+        terms, is built whole (``dense_commutator_rows``) and factored in
+        place (``_qr_r``): there leaving out the zero rows moves R by an
+        ulp, and the benchmark's reference certificates pin ``tt``'s float
+        residual until the exact recognizer replaces this path."""
         rows = self._one_term_rows()
-        return self.dense_commutator_rows() if rows is None else rows
+        return _qr_r(self.dense_commutator_rows()) if rows is None else _one_term_r(rows)
 
     def dense_commutator_rows(self):
         """The whole (n^2, n) commutator system, column-major."""
@@ -1006,28 +1007,25 @@ def _sums(index, values, size):
     return out
 
 
-def _center_float(rows):
+def _center_float(r):
     """Center basis as the SVD nullspace of the (n^2, n) commutator system,
-    from its (n, n) QR factor R: for a matrix this tall LAPACK's SVD factors
-    it as QR and computes s and V^H from R alone, so they are bit for bit
-    those of the thin SVD of ``rows``, without its (n^2, n) left factor.
-    A column-major complex128 ``rows`` is overwritten by the factorization.
-
-    ``rows`` may be the compact one-term system of
-    ``_FloatProducts.commutator_rows``: n zero rows, then rows of one
-    nonzero each.  Its R is the whole system's bit for bit.  Each pivot row
-    is zero and no row has two nonzeros, so every w = C^H v of the
-    Householder updates is a sum of products with a zero factor: no column
-    changes.  Each R[j, j] is -||column j|| over the same nonzeros in the
-    same order, and the zero rows left out add nothing to it.  Two-term
-    systems, such as ``tt``'s tensor oracles, are factored whole: there the
-    rows left out would move R by an ulp, and with it the float residual
-    that the benchmark's reference certificates pin.  The cutoff counts the
-    n^2 equations of the whole system however many rows are stored."""
-    n = rows.shape[1]
-    s, vh = np.linalg.svd(_qr_r(rows), full_matrices=False)[1:]
+    from its (n, n) QR factor R (``_FloatProducts.commutator_r``): for a
+    matrix this tall LAPACK's SVD factors it as QR and computes s and V^H
+    from R alone, so they are bit for bit those of the thin SVD of the
+    whole system, without its (n^2, n) left factor.  The cutoff counts the
+    n^2 equations of the whole system, however many rows R was formed from."""
+    n = r.shape[1]
+    s, vh = np.linalg.svd(r, full_matrices=False)[1:]
     tol = _FLOAT_EPS * (n * n) * max(float(s[0]), 1.0)
     return list(vh.conj()[len(s) - int(np.sum(s <= tol)):])
+
+
+def _zgeqrf(m, n, a, tau, work, lwork):
+    """LAPACK's zgeqrf on the column-major (m, n) matrix whose transpose is
+    the C-contiguous ``a``, in place."""
+    info = lapack_lite.zgeqrf(m, n, a, max(1, m), tau, work, lwork, 0)["info"]
+    if info:
+        raise LinAlgError(f"zgeqrf returns {info}")
 
 
 def _qr_r(a):
@@ -1038,17 +1036,34 @@ def _qr_r(a):
     m, n = a.shape
     a = np.asarray(a, dtype=np.complex128, order="F")
     tau = np.empty(n, dtype=np.complex128)
-
-    def zgeqrf(work, lwork):
-        info = lapack_lite.zgeqrf(m, n, a.T, max(1, m), tau, work, lwork, 0)["info"]
-        if info:
-            raise LinAlgError(f"zgeqrf returns {info}")
-
     work = np.empty(1, dtype=np.complex128)
-    zgeqrf(work, -1)  # a workspace query: the optimal size comes back in work[0]
+    _zgeqrf(m, n, a.T, tau, work, -1)  # a workspace query: the optimal size comes back in work[0]
     lwork = max(1, n, int(work[0].real))
-    zgeqrf(np.empty(lwork, dtype=np.complex128), lwork)
+    _zgeqrf(m, n, a.T, tau, np.empty(lwork, dtype=np.complex128), lwork)
     return np.triu(a[:n])
+
+
+def _one_term_r(rows):
+    """``_qr_r(rows)`` bit for bit, for an (m, n) system whose first n rows
+    are zero and whose other rows have at most one nonzero each, as
+    ``_FloatProducts._one_term_rows`` returns it: R is diagonal, R[j, j]
+    from a one-column zgeqrf on rows j.. of column j.  ``rows`` is
+    overwritten if it is column-major complex128.
+
+    Step j of the whole factorization (LAPACK's unblocked zgeqr2) is one
+    zlarfg on rows j.. of column j, and that column is still the input's:
+    each earlier reflector v has its nonzeros in one column's rows, so
+    every w = C^H v of the trailing updates is a sum of products with a
+    zero factor, and each update adds +-0 to every cell.  The pivot entry
+    is a zero row's +0.0, so zlarfg returns -dznrm2 of the slice, or +0.0
+    with tau = 0 for a zero slice, as the one-column call does; every other
+    entry of R stays +0.0."""
+    m, n = rows.shape
+    cols = np.ascontiguousarray(rows.T, dtype=np.complex128)  # column j is cols[j]
+    tau, work = np.empty(1, dtype=np.complex128), np.empty(1, dtype=np.complex128)
+    for j in range(n):
+        _zgeqrf(m - j, 1, cols[j, j:], tau, work, 1)
+    return np.diag(cols.diagonal())
 
 
 def _idempotents_from_generic_float(mul, unit, cen, z):

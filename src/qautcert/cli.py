@@ -3,7 +3,8 @@ deterministic JSON certificates (timings quarantined in their own section),
 render Markdown reports, and diff certificates structurally.
 
 Exit codes of ``run``: 0 all selected suites passed, 1 at least one suite
-failed, 2 malformed configuration.  Exit codes of ``diff``: 0 identical,
+failed, 2 malformed configuration (a repeated suite included) or an output
+file that cannot be written.  Exit codes of ``diff``: 0 identical,
 1 the certificates differ, 2 a file is missing or is not a certificate, or
 the tool versions differ.
 """
@@ -117,6 +118,9 @@ class SuiteConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ConfigError(f"unknown suites: {', '.join(unknown)}")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"repeated suites: {', '.join(repeated)}")
         N = sum(n * n for n in self.partition)
         cap = 16 if self.backend == "exact" else 36
         if N > cap and not self.force:
@@ -469,14 +473,18 @@ def main(argv=None) -> int:
         return 2
     cert = run(cfg)
     text = certificate_json(cert)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
+    try:
+        if cfg.out:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        if cfg.markdown:
+            with open(cfg.markdown, "w") as fh:
+                fh.write(certificate_markdown(cert))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not cfg.out:
         sys.stdout.write(text)
-    if cfg.markdown:
-        with open(cfg.markdown, "w") as fh:
-            fh.write(certificate_markdown(cert))
     for name in sorted(cert["suites"]):
         frag = cert["suites"][name]
         status = "PASS" if frag.get("passed") else "FAIL"

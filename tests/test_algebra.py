@@ -711,10 +711,19 @@ class DenseProducts:
             rows[i * n:(i + 1) * n, :] = sc[:, i, :].T - sc[i, :, :].T
         return rows
 
+    def commutator_r(self):
+        return np.linalg.qr(self.commutator_rows(), mode="r")
+
 
 def bitwise_equal(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def same_bits(a, b):
+    """``bitwise_equal`` that also tells +0.0 from -0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def tt_algebras(sizes):
@@ -812,32 +821,35 @@ def sparse_dependent_system(n, seed):
 def test_float_center_matches_thin_svd_bit_for_bit(float_algebras, sizes, which):
     from qautcert.algebra import _center_float, _FloatProducts
 
-    rows = _FloatProducts(float_algebras(sizes, which)).commutator_rows()
-    ref = center_from_thin_svd(rows)  # before _center_float overwrites rows
-    got = _center_float(rows)
+    prods = _FloatProducts(float_algebras(sizes, which))
+    ref = center_from_thin_svd(prods.dense_commutator_rows())
+    got = _center_float(prods.commutator_r())
     assert len(got) == len(ref) > 0
     assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
 
 
 @pytest.mark.parametrize("n", [10, 23, 47, 81])
 def test_float_center_matches_thin_svd_on_random_sparse_systems(n):
-    from qautcert.algebra import _center_float
+    from qautcert.algebra import _center_float, _qr_r
 
     for seed in range(3):
         rows = sparse_dependent_system(n, seed)
-        got, ref = _center_float(rows), center_from_thin_svd(rows)
+        ref = center_from_thin_svd(rows)  # before _qr_r may overwrite rows
+        got = _center_float(_qr_r(rows))
         assert len(got) == len(ref) >= n // 3
         assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
 
 
 @pytest.fixture(scope="module")
 def tt_commutator_systems():
-    """``tt``'s commutator systems at (2,) and (2, 2), both algebras; each
-    call builds fresh arrays, since the float center overwrites them."""
+    """``tt``'s whole commutator systems at (2,) and (2, 2), both algebras,
+    and the compact systems of the two double crossed products; each call
+    builds fresh arrays, since the QR factors overwrite them."""
     from qautcert.algebra import _FloatProducts
 
     prods = [_FloatProducts(A) for sizes in [(2,), (2, 2)] for A in tt_algebras(sizes)]
-    return lambda: [p.commutator_rows() for p in prods]
+    return lambda: ([p._one_term_rows() for p in prods[::2]]
+                    + [p.dense_commutator_rows() for p in prods])
 
 
 def test_commutator_rows_are_column_major(tt_commutator_systems):
@@ -855,13 +867,13 @@ def test_qr_factor_matches_numpy_bit_for_bit(tt_commutator_systems):
 
 
 def test_float_center_factors_the_system_in_place(tt_commutator_systems):
-    from qautcert.algebra import _center_float
+    from qautcert.algebra import _center_float, _qr_r
 
     rows = tt_commutator_systems()[-1]
     assert rows.shape == (128 * 128, 128)
     tracemalloc.start()
     try:
-        _center_float(rows)
+        _center_float(_qr_r(rows))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -882,23 +894,22 @@ def test_one_term_system_factors_like_the_whole_system(float_algebras, sizes):
 
     prods = _FloatProducts(float_algebras(sizes, "double"))
     n = prods.n
-    rows, dense = prods.commutator_rows(), prods.dense_commutator_rows()
+    rows, dense = prods._one_term_rows(), prods.dense_commutator_rows()
     assert rows.flags.f_contiguous and rows.shape[0] < n * n
     assert bitwise_equal(rows, dense[kept_rows(dense)])
-    assert bitwise_equal(_qr_r(rows.copy(order="F")), _qr_r(dense.copy(order="F")))
-    got, ref = _center_float(rows), _center_float(dense)
+    assert bitwise_equal(_qr_r(rows), _qr_r(dense.copy(order="F")))
+    got, ref = _center_float(prods.commutator_r()), _center_float(_qr_r(dense))
     assert len(got) == len(ref) > 0
     assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
 
 
 @pytest.mark.parametrize("sizes", [(2,), (2, 1), (3,)], ids=lambda p: "-".join(map(str, p)))
 def test_tensor_oracles_keep_the_whole_system(float_algebras, sizes):
-    from qautcert.algebra import _FloatProducts
+    from qautcert.algebra import _FloatProducts, _qr_r
 
     prods = _FloatProducts(float_algebras(sizes, "oracle"))
-    rows = prods.commutator_rows()
-    assert rows.shape == (prods.n ** 2, prods.n)
-    assert bitwise_equal(rows, prods.dense_commutator_rows())
+    assert prods._one_term_rows() is None
+    assert bitwise_equal(prods.commutator_r(), _qr_r(prods.dense_commutator_rows()))
 
 
 def relabeled(A, perm):
@@ -928,7 +939,7 @@ def symmetric_group_algebra():
 
 
 def test_other_systems_fall_back_to_the_whole_system(float_algebras):
-    from qautcert.algebra import _FloatProducts
+    from qautcert.algebra import _FloatProducts, _qr_r
 
     double = float_algebras((2,), "double")
     t = min(set(range(double.dim)) - {i for v in center(double) for i in v})
@@ -940,20 +951,21 @@ def test_other_systems_fall_back_to_the_whole_system(float_algebras):
         dense = prods.dense_commutator_rows()
         assert (not dense[:A.dim].any()) == first_rows_zero
         assert (dense != 0).sum(axis=1).max() == terms
-        assert bitwise_equal(prods.commutator_rows(), dense)
+        assert prods._one_term_rows() is None
+        assert bitwise_equal(prods.commutator_r(), _qr_r(dense))
 
 
 def test_float_center_cutoff_counts_every_equation():
     # n zero rows, then one row per column: singular values 1 and 5e-8, which
     # lies under 1e-9 * n^2 but above 1e-9 times the 2n rows stored
-    from qautcert.algebra import _center_float
+    from qautcert.algebra import _center_float, _one_term_r
 
     n = 10
     rows = np.zeros((2 * n, n), dtype=np.complex128, order="F")
     rows[n:] = np.diag([1.0] * (n - 1) + [5e-8])
     whole = np.zeros((n * n, n), dtype=np.complex128, order="F")
     whole[:2 * n] = rows
-    got, ref = _center_float(rows), center_from_thin_svd(whole)
+    got, ref = _center_float(_one_term_r(rows)), center_from_thin_svd(whole)
     assert len(got) == len(ref) == 1
     assert bitwise_equal(got[0], ref[0])
 
@@ -964,12 +976,38 @@ def test_one_term_system_allocates_a_fraction_of_the_whole(float_algebras):
     prods = _FloatProducts(float_algebras((2, 2), "double"))
     tracemalloc.start()
     try:
-        rows = prods.commutator_rows()
+        r = prods.commutator_r()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.shape == (3968, 128)
+    assert r.shape == (128, 128) and prods._one_term_rows().shape == (3968, 128)
     assert peak < 128 ** 3 * 16 / 3
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (2, 2), (2, 1, 1), (3, 1), (3, 2),
+                                   (2, 2, 2)], ids=lambda p: "-".join(map(str, p)))
+def test_one_term_r_is_the_qr_factor_bit_for_bit(float_algebras, sizes):
+    from qautcert.algebra import _FloatProducts, _one_term_r, _qr_r
+
+    prods = _FloatProducts(float_algebras(sizes, "double"))
+    rows = prods._one_term_rows()
+    r = _one_term_r(rows.copy(order="F"))
+    assert not (r - np.diag(np.diag(r))).any()
+    assert same_bits(r, _qr_r(rows))
+    assert same_bits(r, _qr_r(prods.dense_commutator_rows()))
+
+
+def test_double_crossed_products_never_call_the_whole_qr(float_algebras, monkeypatch):
+    from qautcert import algebra
+
+    def refuse(a):
+        raise AssertionError("_qr_r called")
+
+    monkeypatch.setattr(algebra, "_qr_r", refuse)
+    for sizes in [(2,), (2, 1), (3,)]:
+        assert recognize_blocks(float_algebras(sizes, "double")).sizes
+        with pytest.raises(AssertionError, match="_qr_r called"):
+            recognize_blocks(float_algebras(sizes, "oracle"))
 
 
 def test_idempotent_check_rejects_a_failed_square_or_sum():

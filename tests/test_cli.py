@@ -268,6 +268,24 @@ def test_cli_diff_nonidentical_exits_1(tmp_path):
     assert main(["diff", str(a), str(b)]) == 1
 
 
+def test_repeated_suite_is_a_config_error(capsys):
+    with pytest.raises(ConfigError, match="repeated suites: tt"):
+        SuiteConfig(partition=(2,), suites=("tt", "ueb", "tt"))
+    assert main(["run", "--partition", "2", "--suites", "ueb,tt,ueb,tt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: repeated suites: tt, ueb\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--out", "--markdown"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+    target = str(tmp_path / "missing" / "x.json")
+    assert main(["run", "--partition", "1", "--suites", "ueb", flag, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and target in err and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_diff_missing_file_exits_2(tmp_path, capsys):
     a = tmp_path / "a.json"
     assert main(["run", "--partition", "2", "--suites", "ueb", "--out", str(a)]) == 0
