@@ -783,16 +783,6 @@ class Terms:
         return self.num.dtype.kind != "c"
 
     @classmethod
-    def of(cls, m) -> "Terms":
-        """The nonzero terms of an exact ``Mat``, exp a power-basis index,
-        or of a complex array."""
-        if isinstance(m, Mat):
-            return cls(m.rows, m.cols, m.order, m.den, *m.terms())
-        row, col = np.nonzero(m)
-        return cls(*np.shape(m), 1, 1, row, col, np.zeros(len(row), dtype=np.int64),
-                   np.asarray(m[row, col], dtype=np.complex128))
-
-    @classmethod
     def vstack(cls, parts) -> "Terms":
         """Terms of one width stacked top to bottom, at the lcm of their
         orders and of their denominators."""

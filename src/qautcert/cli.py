@@ -12,6 +12,7 @@ the tool versions differ.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -471,15 +472,20 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    cert = run(cfg)
-    text = certificate_json(cert)
     try:
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        if cfg.markdown:
-            with open(cfg.markdown, "w") as fh:
-                fh.write(certificate_markdown(cert))
+        with contextlib.ExitStack() as files:
+            # both files are opened before any suite runs, so that a bad
+            # path costs no run, and emptied only once the run is done
+            out, md = [files.enter_context(open(path, "a")) if path else None
+                       for path in (cfg.out, cfg.markdown)]
+            cert = run(cfg)
+            text = certificate_json(cert)
+            if out:
+                out.truncate(0)
+                out.write(text)
+            if md:
+                md.truncate(0)
+                md.write(certificate_markdown(cert))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

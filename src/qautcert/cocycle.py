@@ -125,31 +125,18 @@ class FinAbGroup:
 class GroupCocycle:
     """A normalized 2-cocycle with root-of-unity values, held as one
     exponent table: sigma(g_a, g_b) = zeta_L^E[a, b], with a and b the
-    positions of g_a and g_b in ``group.elements()``.  ``table`` is the int
-    table E with its order ``L``, or a dict {(g, h): Cyclotomic}, read into
-    E once.  ``W[a, b]`` is the order M of the field Q(zeta_M) that the
-    views ``value``, ``table`` and ``psi`` write the value over: the lcm of
-    the orders of the values it was built from, as their exact product
-    would write it (L for a dict), so that the views print and convert to
-    floats as that product does.  ``coboundary``, when normalization
-    produced the cocycle, is psi as (exponents at order L, field orders)."""
+    positions of g_a and g_b in ``group.elements()``.  ``W[a, b]`` is the
+    order M of the field Q(zeta_M) that the views ``value``, ``table`` and
+    ``psi`` write the value over: the lcm of the orders of the values it
+    was built from, as their exact product would write it (all L when
+    omitted), so that the views print and convert to floats as that
+    product does.  ``coboundary``, when normalization produced the cocycle,
+    is psi as (exponents at order L, field orders)."""
 
-    def __init__(self, group: FinAbGroup, table, L: int | None = None, W=None,
-                 coboundary=None):
+    def __init__(self, group: FinAbGroup, E, L: int, W=None, coboundary=None):
         self.group = group
-        if isinstance(table, dict):
-            els = group.elements()
-            distinct = {(c.order, c.coeffs): c for c in table.values()}
-            L, forms = monomial_forms(list(distinct.values()))
-            exps = {}
-            for (key, c), form in zip(distinct.items(), forms):
-                if form is None or form[0] != 1:
-                    raise CocycleError(f"cocycle value {c!r} is not a root of unity")
-                exps[key] = form[1]
-            table = [[exps[(c.order, c.coeffs)] for c in (table[(g, h)] for h in els)]
-                     for g in els]
         self.L = L
-        self.E = np.asarray(table, dtype=np.int64) % L
+        self.E = np.asarray(E, dtype=np.int64) % L
         self.W = np.full_like(self.E, L) if W is None else W
         self.coboundary = coboundary
         self.verify()

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Mat, Terms, accumulate, root_of_unity
+from .arith import Terms, accumulate, root_of_unity
 
 __all__ = ["FormalTensor", "symbol_adjoint", "qsym", "usym"]
 
@@ -146,26 +146,21 @@ class FormalTensor:
                                           self.col.tolist(), self.exp.tolist())))
         return out
 
-    def substitute(self, values) -> Mat | np.ndarray:
-        """``substitute_terms`` as an exact Mat, or a complex array once
+    def substitute(self, values: Terms):
+        """``substitute_terms`` as an exact ``Mat``, or a complex array once
         ``phase`` is set."""
         return self.substitute_terms(values).dense()
 
-    def substitute_terms(self, values) -> Terms:
+    def substitute_terms(self, values: Terms) -> Terms:
         """Evaluate every image under symbol -> exact k x k value: image b
         goes to block b of a (G size k) x (size k) stack, G the number of
         images, the sum over its rows of their coefficient times
-        E_(row, col) (x) value.  ``values`` is a dict {symbol: Mat} or the
-        vertical stack of the values of ``symbols`` in order (an exact
-        ``GeneratorAssignment.stack``, a ``Mat`` or its ``Terms``).  One
-        scatter over the pairs of a row and a nonzero power-basis term of
-        its symbol's value gives the stack's terms, exact at one order and
-        denominator, or complex once ``phase`` is set; no dense matrix is
-        formed."""
-        if isinstance(values, dict):
-            values = Mat.vstack([values[s] for s in self.symbols])
-        if isinstance(values, Mat):
-            values = Terms.of(values)
+        E_(row, col) (x) value.  ``values`` is the ``Terms`` of the vertical
+        stack of the values of ``symbols`` in order (an exact
+        ``GeneratorAssignment.stack``).  One scatter over the pairs of a row
+        and a nonzero power-basis term of its symbol's value gives the
+        stack's terms, exact at one order and denominator, or complex once
+        ``phase`` is set; no dense matrix is formed."""
         k = values.cols
         if values.rows != len(self.symbols) * k:
             raise ValueError(f"{values.rows}x{k} values for {len(self.symbols)} symbols")

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec, MonomialMap, multimatrix
-from .arith import Cyclotomic, Mat, Terms, _root_table, accumulate, root_of_unity
+from .arith import Cyclotomic, Terms, _root_table, accumulate, root_of_unity
 from .formal import FormalTensor, qsym, symbol_adjoint, usym
 from .pauli import BlockEmbedding, NotPVM, PhasePermutation, _off_delta, pvm_check, weyl_basis
 from .relations import (GeneratorAssignment, IncompleteAssignment, QautPresentation,
@@ -47,13 +47,11 @@ __all__ = [
     "RelationReport",
     "check_relations",
     "battery_groups",
-    "counit_assignment",
     "permutation_assignment",
     "block_preserving_permutations",
     "arbitrary_permutations",
     "direct_sum_assignment",
     "classical_assignment_aut",
-    "theta_identity",
     "theta_ad_unitary",
     "theta_block_swap",
     "classical_theta_battery",
@@ -90,13 +88,6 @@ class IndexOutOfRange(ValueError):
 
 # ---------------------------------------------------------------------------
 # classical points
-
-def counit_assignment(spec: BlockSpec) -> GeneratorAssignment:
-    """q^(s,r)_(i,j),(k,l) -> delta_sr delta_ik delta_jl, as 1x1 matrices."""
-    pres = QautPresentation(spec)
-    return GeneratorAssignment(pres, Mat.exact([[int(s == r and i == k and j == l)]
-                                                for _, s, r, i, j, k, l in pres.generators]))
-
 
 def permutation_assignment(spec: BlockSpec, perm: dict) -> GeneratorAssignment:
     """u_(P),(Q) -> [P == perm(Q)] for a permutation of the N points."""
@@ -165,11 +156,6 @@ def block_preserving_permutations(spec: BlockSpec, count: int, seed: int):
                 perm[src] = dst
         out.append(perm)
     return out
-
-
-def theta_identity(spec: BlockSpec) -> MonomialMap:
-    """The identity of B, as a monomial map."""
-    return MonomialMap(range(spec.N))
 
 
 def _unit_index(spec: BlockSpec):

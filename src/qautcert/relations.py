@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec
-from .arith import Mat, Terms, _maxabs, _root_table, _starts, _working, euler_phi
+from .arith import Terms, _maxabs, _root_table, _starts, _working, euler_phi
 from .formal import FormalTensor, qsym, usym
 
 __all__ = [
@@ -219,12 +219,9 @@ class PvmPresentation:
 
 class GeneratorAssignment:
     """Generator values, all exact or all complex, every one k x k, held as
-    one block stack: ``stack`` is a (G k) x k exact ``Mat`` at one order and
-    denominator, or a complex array, or the ``Terms`` of either, whose block
-    t is the value of generator number t of ``presentation.generators``.
-    ``values`` is that stack, as ``FormalTensor.substitute`` or
-    ``substitute_terms`` returns it, or a dict {generator: value}, which is
-    stacked once here.
+    one block stack: ``stack`` is the ``Terms`` of a (G k) x k matrix, as
+    ``FormalTensor.substitute_terms`` returns it, whose block t is the
+    value of generator number t of ``presentation.generators``.
 
     The assignment may hold several cases as one direct sum: ``cases[a]``
     is the case of index a < k (all 0, one case, when omitted), and every
@@ -232,50 +229,16 @@ class GeneratorAssignment:
     value there.  ``check_relations`` reports on the cases in their
     order."""
 
-    def __init__(self, presentation, values, cases=None):
+    def __init__(self, presentation, stack: Terms, cases=None):
         self.presentation = presentation
-        gens = presentation.generators
-        if isinstance(values, dict):
-            missing = [g for g in gens if g not in values]
-            if missing:
-                raise IncompleteAssignment(f"{len(missing)} generators unassigned")
-            kinds = {isinstance(v, Mat) for v in values.values()}
-            if len(kinds) != 1:
-                raise IncompleteAssignment("assigned matrices must be all exact or all float")
-            exact = kinds.pop()
-            shapes = {(v.rows, v.cols) if exact else np.shape(v) for v in values.values()}
-            if len(shapes) != 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
-                raise IncompleteAssignment("assigned matrices must be square of one size")
-            ordered = [values[g] for g in gens]
-            values = (Mat.vstack(ordered) if exact
-                      else np.concatenate(ordered).astype(np.complex128, copy=False))
-        sized = isinstance(values, (Mat, Terms))
-        self.exact = values.exact if isinstance(values, Terms) else isinstance(values, Mat)
-        rows, self.size = (values.rows, values.cols) if sized else np.shape(values)
-        if rows != len(gens) * self.size:
-            raise IncompleteAssignment(f"a {rows}x{self.size} stack for {len(gens)} generators")
-        self.stack = values
+        self.stack, self.exact, self.size = stack, stack.exact, stack.cols
+        G = len(presentation.generators)
+        if stack.rows != G * self.size:
+            raise IncompleteAssignment(f"a {stack.rows}x{self.size} stack for {G} generators")
         self.cases = (np.zeros(self.size, dtype=np.int64) if cases is None
                       else np.asarray(cases, dtype=np.int64))
         if self.cases.shape != (self.size,):
             raise IncompleteAssignment(f"{len(self.cases)} case numbers for {self.size} indices")
-
-    @functools.cached_property
-    def terms(self) -> Terms:
-        """The stack as its ``Terms``."""
-        return self.stack if isinstance(self.stack, Terms) else Terms.of(self.stack)
-
-    @functools.cached_property
-    def values(self) -> dict:
-        """{generator: value}, read off the stack."""
-        n = self.size
-        stack = self.stack.dense() if isinstance(self.stack, Terms) else self.stack
-
-        def block(t):
-            rows = range(t * n, t * n + n)
-            return stack.select(rows, range(n)) if self.exact else stack[rows.start:rows.stop]
-
-        return {g: block(t) for t, g in enumerate(self.presentation.generators)}
 
 
 @dataclass
@@ -475,7 +438,7 @@ class _BlockValues:
     block-diagonal over the cases."""
 
     def __init__(self, asg: GeneratorAssignment, tol: float):
-        terms = asg.terms
+        terms = asg.stack
         self.k = asg.size
         self.exact = asg.exact
         self.cases = asg.cases
@@ -663,7 +626,7 @@ def battery_groups(images: FormalTensor, presentation, asg: GeneratorAssignment)
     substituted terms past ``_GROUP_TERMS``.  A relation holds on a direct
     sum exactly when it holds on every summand, so ``check_relations`` of
     the groups in turn reports what it would of each case in turn."""
-    t, k = asg.terms, asg.size
+    t, k = asg.stack, asg.size
     uses = np.bincount(images.sym, minlength=len(images.symbols))
     load = np.bincount(asg.cases[t.col], weights=uses[t.row // k],
                        minlength=int(asg.cases.max()) + 1)

@@ -11,7 +11,10 @@ the exact sparse Gaussian elimination ``echelon`` over rows
 {column: Cyclotomic}, the ranks and kernels read off it, and the center of a
 ``StructAlgebra`` as the reduced echelon rows of the kernel of its
 commutator system (``reference_center``), and m m* for any Gram matrix,
-through its inverse (``reference_delta_form``)."""
+through its inverse (``reference_delta_form``).  Generator values given as
+a dict of ``Mat``s or complex arrays are stacked into the ``Terms`` that
+``GeneratorAssignment`` and ``FormalTensor.substitute`` take
+(``assignment``, ``substitute``) and read back off them (``values_of``)."""
 
 import itertools
 from fractions import Fraction
@@ -19,10 +22,46 @@ from fractions import Fraction
 import numpy as np
 
 from qautcert.algebra import MonomialMap, NotDeltaForm, NotFaithful, monomial_forms, sparse_eq
-from qautcert.arith import Cyclotomic, Mat, accumulate, root_of_unity
+from qautcert.arith import Cyclotomic, Mat, Terms, accumulate, root_of_unity
 from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, NotPVM, SlotMismatch, UebReport, WrongCount, table_terms
-from qautcert.relations import SnPresentation
+from qautcert.relations import GeneratorAssignment, SnPresentation
+
+
+def terms_of(m) -> Terms:
+    """The nonzero terms of an exact ``Mat``, exp a power-basis index, or
+    of a complex array."""
+    if isinstance(m, Mat):
+        return Terms(m.rows, m.cols, m.order, m.den, *m.terms())
+    row, col = np.nonzero(m)
+    return Terms(*np.shape(m), 1, 1, row, col, np.zeros(len(row), dtype=np.int64),
+                 np.asarray(m[row, col], dtype=np.complex128))
+
+
+def stacked(values: dict, symbols) -> Terms:
+    """The values of ``symbols``, all exact ``Mat``s or all complex arrays,
+    stacked in order as one ``Terms``."""
+    ordered = [values[s] for s in symbols]
+    if isinstance(ordered[0], Mat):
+        return terms_of(Mat.vstack(ordered))
+    return terms_of(np.concatenate(ordered).astype(np.complex128, copy=False))
+
+
+def assignment(presentation, values: dict, cases=None) -> GeneratorAssignment:
+    """The assignment of {generator: value}."""
+    return GeneratorAssignment(presentation, stacked(values, presentation.generators), cases)
+
+
+def values_of(asg) -> dict:
+    """{generator: value} of an assignment, its blocks read off the stack."""
+    n, stack = asg.size, asg.stack.dense()
+    return {g: stack.select(range(t * n, t * n + n), range(n)) if asg.exact
+            else stack[t * n:t * n + n] for t, g in enumerate(asg.presentation.generators)}
+
+
+def substitute(ft, values: dict):
+    """``ft.substitute`` at {symbol: value}."""
+    return ft.substitute(stacked(values, ft.symbols))
 
 
 def pauli_x(n):

@@ -19,7 +19,6 @@ from qautcert.crossed import (
 )
 from qautcert.pauli import depolarization_check, is_unitary_error_basis, weyl_basis
 from qautcert.qaut import (
-    GeneratorAssignment,
     QautPresentation,
     SnPresentation,
     block_preserving_permutations,
@@ -35,6 +34,8 @@ from qautcert.qaut import (
     rho_map,
     uet_pvm,
 )
+
+from mat_reference import assignment, substitute, values_of
 
 
 def report(num, ok, detail=""):
@@ -133,8 +134,9 @@ def test_criterion_6_homomorphism_batteries():
         assert len(perms) >= 20
         for perm in perms:
             uasg = permutation_assignment(spec, perm)
-            qvals = {sym: ft.substitute(uasg.values) for sym, ft in pi.items()}
-            rep = check_relations(GeneratorAssignment(qpres, qvals))
+            uvals = values_of(uasg)
+            qvals = {sym: substitute(ft, uvals) for sym, ft in pi.items()}
+            rep = check_relations(assignment(qpres, qvals))
             assert rep.ok and rep.worst_residual == 0.0, (sizes, rep.failing)
         rho = rho_map(spec)
         assert rho_forms_agree(spec, rho)
@@ -144,8 +146,9 @@ def test_criterion_6_homomorphism_batteries():
         assert any(entry[0] == "ad_weyl" for entry in battery)
         for entry in battery:
             qasg = classical_assignment_aut(spec, [entry[-1]])
-            uvals = {sym: ft.substitute(qasg.values) for sym, ft in rho.items()}
-            rep = check_relations(GeneratorAssignment(upres, uvals))
+            qvals = values_of(qasg)
+            uvals = {sym: substitute(ft, qvals) for sym, ft in rho.items()}
+            rep = check_relations(assignment(upres, uvals))
             assert rep.ok and rep.worst_residual == 0.0, (sizes, entry[0])
     budget.check()
     report(6, True, f"20 permutations and 10 automorphisms per partition, "

@@ -29,7 +29,7 @@ from qautcert.qaut import (
     pi_map,
 )
 
-from mat_reference import theta_ad_mat, weyl_products
+from mat_reference import terms_of, theta_ad_mat, values_of, weyl_products
 
 STANDARD = [(2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1)]
 
@@ -201,13 +201,13 @@ def test_values_across_cases_are_refused():
     perms = block_preserving_permutations(spec, 2, seed=1)
     dsum = direct_sum_assignment(spec, perms)
     stack = dsum.stack.dense()
-    assert check_relations(GeneratorAssignment(dsum.presentation, stack, [0, 1])).ok
+    assert check_relations(GeneratorAssignment(dsum.presentation, terms_of(stack), [0, 1])).ok
     stack = stack.to_float()
     stack[0, 1] = 1.0  # an entry of generator 0 between summands 0 and 1
     with pytest.raises(IncompleteAssignment, match="block-diagonal"):
-        check_relations(GeneratorAssignment(dsum.presentation, stack, [0, 1]))
+        check_relations(GeneratorAssignment(dsum.presentation, terms_of(stack), [0, 1]))
     with pytest.raises(IncompleteAssignment, match="case numbers"):
-        GeneratorAssignment(dsum.presentation, stack, [0, 1, 2])
+        GeneratorAssignment(dsum.presentation, terms_of(stack), [0, 1, 2])
 
 
 @pytest.mark.parametrize("limit", [0, 100, 300, 10**6])
@@ -223,7 +223,7 @@ def test_groups_are_consecutive_cases_within_the_limit(limit, monkeypatch):
     for first, group in battery_groups(images, qpres, asg):
         n = int(group.cases.max()) + 1
         assert first == len(seen) and group.presentation is qpres
-        assert n == 1 or len(group.terms.row) <= limit
+        assert n == 1 or len(group.stack.row) <= limit
         seen += range(first, first + n)
         # each case of the group is its cases' points, substituted
         for c in range(n):
@@ -264,7 +264,7 @@ def test_theta_values_are_their_scalars(sizes, diagonal):
     n = spec.sizes[0]
     U = Mat.exact([[diagonal[a] if a == b else 0 for b in range(n)] for a in range(n)])
     theta = theta_ad_mat(spec, 1, U)
-    values = classical_assignment_aut(spec, [theta]).values
+    values = values_of(classical_assignment_aut(spec, [theta]))
     index = {p: x for x, p in enumerate(SnPresentation(spec).points)}
     for sym, value in values.items():
         _, s, r, i, j, k, l = sym

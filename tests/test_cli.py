@@ -278,12 +278,31 @@ def test_repeated_suite_is_a_config_error(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--out", "--markdown"])
-def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, flag):
+    # the path is refused before any suite runs
+    import qautcert.cli as cli
+
+    def no_run(cfg):
+        raise AssertionError("a suite ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
     target = str(tmp_path / "missing" / "x.json")
     assert main(["run", "--partition", "1", "--suites", "ueb", flag, target]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and target in err and err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+def test_output_file_kept_when_the_other_path_is_unwritable(tmp_path, capsys):
+    # a certificate already at --out survives a run refused for --markdown,
+    # and a run that goes ahead replaces it whole
+    out = tmp_path / "cert.json"
+    out.write_text("an earlier certificate\n")
+    assert main(["run", "--partition", "2", "--suites", "ueb", "--out", str(out),
+                 "--markdown", str(tmp_path / "missing" / "x.md")]) == 2
+    assert out.read_text() == "an earlier certificate\n"
+    assert main(["run", "--partition", "2", "--suites", "ueb", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["passed"]
 
 
 def test_cli_diff_missing_file_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ what is read off it: kernels, inverses, ranks and Sylvester's positivity
 criterion."""
 
 import importlib
+import inspect
 import pkgutil
 from fractions import Fraction
 
@@ -212,3 +213,19 @@ def test_no_module_of_the_library_eliminates():
     names = ["qautcert"] + [f"qautcert.{m.name}" for m in pkgutil.iter_modules(qautcert.__path__)]
     for name in names:
         assert not gone & set(vars(importlib.import_module(name))), name
+
+
+def test_only_arith_binds_mat():
+    # every other module takes matrices as ``Terms``; the package may
+    # re-export ``Mat`` while the tests use it as their dense reference
+    from qautcert.cocycle import GroupCocycle
+    from qautcert.formal import FormalTensor
+    from qautcert.relations import GeneratorAssignment
+
+    for m in pkgutil.iter_modules(qautcert.__path__):
+        if m.name != "arith":
+            assert "Mat" not in vars(importlib.import_module(f"qautcert.{m.name}")), m.name
+    # each boundary takes one form, so none of them dispatches on its input
+    for boundary in (GeneratorAssignment.__init__, FormalTensor.substitute_terms,
+                     GroupCocycle.__init__):
+        assert "isinstance" not in inspect.getsource(boundary), boundary.__qualname__

@@ -22,7 +22,7 @@ from qautcert.qaut import (
     rho_map,
 )
 
-from mat_reference import paren_unit
+from mat_reference import assignment, paren_unit, substitute, values_of
 
 
 def test_symbol_adjoints():
@@ -34,7 +34,7 @@ def test_substitute_scalar_assignment():
     sym = usym(1, 0, 0, 1, 0, 0)
     # 2 E_00 + 2 E_11
     ft = FormalTensor(2, 1, (Fraction(2),), (sym,), [0, 0], [0, 1], [0, 1], [0, 0])
-    out = ft.substitute({sym: Mat.scalar(Fraction(1, 2))})
+    out = substitute(ft, {sym: Mat.scalar(Fraction(1, 2))})
     assert out.equals(Mat.identity(2))
 
 
@@ -43,7 +43,7 @@ def test_substitute_matrix_assignment_uses_kron():
     sym = usym(1, 0, 0, 1, 0, 0)
     ft = FormalTensor(2, 1, (Fraction(1),), (sym,), [0], [0], [0], [0])
     val = Mat.exact([[0, 1], [1, 0]])
-    out = ft.substitute({sym: val})
+    out = substitute(ft, {sym: val})
     assert out.rows == 4
     assert out.equals(c.kron(val))
 
@@ -104,8 +104,8 @@ def images_and_values(draw):
 def test_substitute_matches_dense_kron_sum(case):
     spec, source, ft, values = case
     expected = dense_image(spec, source, values)
-    assert ft.substitute(values).equals(expected)
-    got = ft_to_float(ft).substitute(values)
+    assert substitute(ft, values).equals(expected)
+    got = substitute(ft_to_float(ft), values)
     assert np.max(np.abs(got - expected.to_float())) <= 1e-9
 
 
@@ -156,15 +156,15 @@ def scaled_dense_image(spec, images, source, values):
 def test_stacked_substitute_matches_dense_image_per_block(case):
     spec, images, pres, target, values, checked = case
     stack = image_stack(images, pres, target)
-    exact = stack.substitute(values)
-    assert exact.equals(stack.substitute(GeneratorAssignment(target, values).stack))
-    floats = ft_to_float(stack).substitute(values)
-    subst = GeneratorAssignment(pres, exact)
-    n = subst.size
+    values_stack = assignment(target, values).stack
+    exact = stack.substitute_terms(values_stack)
+    floats = ft_to_float(stack).substitute(values_stack)
+    subst = values_of(GeneratorAssignment(pres, exact))
+    n = exact.cols
     for t in checked:
         source = pres.generators[t]
         expected = scaled_dense_image(spec, images, source, values)
-        assert subst.values[source].equals(expected)
+        assert subst[source].equals(expected)
         got = floats[t * n:(t + 1) * n]
         assert np.max(np.abs(got - expected.to_float()), initial=0.0) <= 1e-12
 

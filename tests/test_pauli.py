@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qautcert.algebra import BlockSpec
-from qautcert.arith import Cyclotomic, Mat, Terms, root_of_unity
+from qautcert.arith import Cyclotomic, Mat, root_of_unity
 from qautcert.pauli import (
     BlockEmbedding,
     NotPVM,
@@ -25,7 +25,7 @@ from qautcert.qaut import _uet_projections
 import mat_reference
 from mat_reference import (bracket, bracket_phi, entangled_projection, mat, matrix_unit,
                            monomial_entries, paren, pauli_x, pauli_z, rearrange, rearrange_inverse,
-                           uet_projections, weyl_products)
+                           terms_of, uet_projections, weyl_products)
 
 
 def phi_terms(emb, s, i, j):
@@ -193,19 +193,19 @@ def test_ueb_mutations_fail_as_the_dense_reference(kind, n):
 
 
 def test_pvm_check_diagonal():
-    p0 = Terms.of(Mat.exact([[1, 0], [0, 0]]))
-    p1 = Terms.of(Mat.exact([[0, 0], [0, 1]]))
+    p0 = terms_of(Mat.exact([[1, 0], [0, 0]]))
+    p1 = terms_of(Mat.exact([[0, 0], [0, 1]]))
     assert pvm_check([p0, p1]).ok
 
 
 def test_pvm_check_rejects_overlap():
-    p0 = Terms.of(Mat.exact([[1, 0], [0, 0]]))
+    p0 = terms_of(Mat.exact([[1, 0], [0, 0]]))
     with pytest.raises(NotPVM):
         pvm_check([p0, p0])
 
 
 def test_pvm_check_rejects_incomplete():
-    p0 = Terms.of(Mat.exact([[1, 0], [0, 0]]))
+    p0 = terms_of(Mat.exact([[1, 0], [0, 0]]))
     with pytest.raises(NotPVM) as err:
         pvm_check([p0])
     assert "sum" in str(err.value)
@@ -216,7 +216,7 @@ def test_phi_family_per_block_pvm_with_zero_outcome():
     spec = BlockSpec((2, 1))
     emb = BlockEmbedding(spec)
     fam = [phi_terms(emb, 1, i, j) for i in range(2) for j in range(2)]
-    fam.append(Terms.of(Mat.zeros(4, 4)))
+    fam.append(terms_of(Mat.zeros(4, 4)))
     rep = pvm_check(fam)
     assert rep.ok and len(fam) == 5
 
@@ -439,16 +439,16 @@ def test_pvm_check_outcomes_are_the_dense_references(kind, sizes):
         assert outcome(mat_reference.pvm_check, mats) is None
         for label, fam in mutations(mats):
             want = outcome(mat_reference.pvm_check, fam)
-            assert outcome(pvm_check, [Terms.of(m) for m in fam]) == want, label
+            assert outcome(pvm_check, [terms_of(m) for m in fam]) == want, label
             seen.add(want.split(" ")[-1] if want else None)
     assert {None, "projection", "orthogonal", "identity"} <= seen
 
 
 def test_pvm_check_names_each_failing_condition():
-    p0, p1 = (Terms.of(Mat.exact(m)) for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]]))
-    skew = Terms.of(Mat.exact([[1, 1], [0, 0]]))  # idempotent, not self-adjoint
+    p0, p1 = (terms_of(Mat.exact(m)) for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]]))
+    skew = terms_of(Mat.exact([[1, 1], [0, 0]]))  # idempotent, not self-adjoint
     cases = [([], "empty family"),
-             ([p0, Terms.of(Mat.identity(3))], "member 1 has mismatched shape"),
+             ([p0, terms_of(Mat.identity(3))], "member 1 has mismatched shape"),
              ([p0, skew], "member 1 is not a projection"),
              ([p0, p1, p0], "members 0 and 2 are not orthogonal"),
              ([p0], "members do not sum to the identity")]
@@ -458,7 +458,7 @@ def test_pvm_check_names_each_failing_condition():
     # every shape is checked before any relation; the reference interleaves
     # each member's shape and projection checks, so there the skew member
     # 0 fails first
-    family = [skew, p1, Terms.of(Mat.identity(3))]
+    family = [skew, p1, terms_of(Mat.identity(3))]
     assert outcome(pvm_check, family) == "member 2 has mismatched shape"
     assert outcome(mat_reference.pvm_check, [t.dense() for t in family]) == \
         "member 0 is not a projection"
