@@ -9,7 +9,7 @@ exactly, in cyclotomic arithmetic, or numerically under a stated tolerance.
 __version__ = "0.1.0"
 
 from .algebra import BlockSpec, StructAlgebra, delta_form_check, multimatrix, recognize_blocks
-from .arith import Cyclotomic, Mat, cyclotomic_polynomial, root_of_unity
+from .arith import Cyclotomic, cyclotomic_polynomial, root_of_unity
 from .cocycle import (
     FinAbGroup,
     GroupCocycle,

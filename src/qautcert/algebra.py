@@ -26,7 +26,6 @@ __all__ = [
     "sparse_eq",
     "MonomialMap",
     "multimatrix",
-    "function_algebra",
     "tensor_algebra",
     "delta_form_check",
     "center",
@@ -239,12 +238,11 @@ class StructAlgebra:
     use, row-major over ``k`` and then the stars, so every construction of
     the same algebra gives the same ``scalars`` and ``s``.  Scalar t is
     (num[t]/den[t]) zeta_L^exp[t], with L even.  ``unit`` and ``trace`` are
-    scalar lists.  Term tuples ((k, c),) appear only in the text form
-    (``serialize``/``deserialize``) and in ``product``/``star``.  The sparse
-    element operations take elements as iterables of (k, coefficient) pairs
-    (a dict's ``items()``, or the tuples of ``product`` and ``star``) and
-    return dicts {k: coefficient} without zeros.  Linear maps on the basis
-    are MonomialMaps.
+    scalar lists.  Term tuples ((k, c),) appear only in ``product`` and
+    ``star``.  The sparse element operations take elements as iterables of
+    (k, coefficient) pairs (a dict's ``items()``, or the tuples of
+    ``product`` and ``star``) and return dicts {k: coefficient} without
+    zeros.  Linear maps on the basis are MonomialMaps.
     """
 
     def __init__(self, dim, labels, *, k, s, scalars, star_k, star_s, unit, trace):
@@ -280,31 +278,6 @@ class StructAlgebra:
         self.L, self.exp, self.num, self.den = _monomial_arrays(self.scalars)
         self.verify_axioms()
 
-    @classmethod
-    def _from_terms(cls, dim, labels, mul, invol, unit, trace) -> "StructAlgebra":
-        """The algebra whose products ``mul[(i, j)]`` (absent: zero) and stars
-        ``invol[i]`` are given as tuples of (k, c) terms, as the text form
-        gives them.  A product or star of more than one nonzero term raises
-        AxiomViolation."""
-        scalars: list = []
-
-        def monomial(terms, what):
-            terms = [(k, c) for k, c in terms if not c.is_zero()]
-            if len(terms) > 1:
-                raise AxiomViolation(f"{what} has {len(terms)} terms, not one")
-            if not terms:
-                return -1, 0
-            scalars.append(terms[0][1])
-            return terms[0][0], len(scalars) - 1
-
-        k = np.full((dim, dim), -1, dtype=np.int64)
-        s = np.zeros((dim, dim), dtype=np.int64)
-        for (i, j), terms in mul.items():
-            k[i, j], s[i, j] = monomial(terms, f"b_{i} b_{j}")
-        stars = [monomial(terms, f"b_{i}*") for i, terms in enumerate(invol)]
-        return cls(dim, labels, k=k, s=s, scalars=scalars, star_k=[k for k, _ in stars],
-                   star_s=[t for _, t in stars], unit=unit, trace=trace)
-
     # -- basis products -------------------------------------------------------
     def product(self, i, j) -> tuple:
         """b_i b_j as a tuple of (k, c) pairs: empty, or one pair."""
@@ -329,12 +302,6 @@ class StructAlgebra:
         out: dict = {}
         for i, a in terms:
             accumulate(out, a.conjugate(), self.star(i))
-        return out
-
-    def trace_sparse(self, terms):
-        out = Cyclotomic.zero()
-        for k, a in terms:
-            out = out + a * self.trace[k]
         return out
 
     # -- verification ---------------------------------------------------------
@@ -428,74 +395,6 @@ class StructAlgebra:
         if any(c[i] * self.trace[t] != self.trace[i] for i, t in enumerate(k.tolist())):
             return "trace-preserving"
         return None
-
-    # -- serialization -----------------------------------------------------------
-    def serialize(self) -> str:
-        """Stable text form for golden-file regression; a label that is
-        empty or holds whitespace, which could not be read back, raises ValueError."""
-        if not all(lab.split() == [lab] for lab in self.labels):
-            raise ValueError("labels must be nonempty and hold no whitespace")
-        lines = [f"dim {self.dim}", "labels " + " ".join(self.labels)]
-
-        def scal(c: Cyclotomic) -> str:
-            return f"{c.order}:" + ",".join(str(q) for q in c.coeffs)
-
-        for i, j in np.argwhere(self.k >= 0).tolist():
-            ((k, c),) = self.product(i, j)
-            lines.append(f"mul {i} {j} {k}={scal(c)}")
-        for i in range(self.dim):
-            ((k, c),) = self.star(i)
-            lines.append(f"invol {i} {k}={scal(c)}")
-        lines.append("unit " + " ".join(scal(c) for c in self.unit))
-        lines.append("trace " + " ".join(scal(c) for c in self.trace))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "StructAlgebra":
-        """The algebra of a ``serialize`` text.  The first line is ``dim``;
-        a malformed line, a repeated one, an index outside [0, dim) or a
-        list of the wrong length raises ValueError naming the line."""
-        dim, fields, mul, invol = None, {}, {}, {}
-        for n, line in enumerate(text.strip().splitlines(), 1):
-            try:
-                word, *parts = line.split()
-                if (word == "dim") != (n == 1):
-                    raise ValueError("the first line, and only it, is 'dim'")
-                if word == "dim":
-                    (dim,) = map(int, parts)
-                elif word in ("mul", "invol"):
-                    width = 2 if word == "mul" else 1
-                    key = tuple(map(int, parts[:width]))
-                    terms = [(int(k), c) for k, c in (t.split("=") for t in parts[width:])]
-                    indices = [*key, *(k for k, _ in terms)]
-                    if len(key) != width or not all(0 <= i < dim for i in indices):
-                        raise ValueError("basis index missing or outside [0, dim)")
-                    table = mul if word == "mul" else invol
-                    if key in table:
-                        raise ValueError("repeated")
-                    table[key] = tuple((k, _parse_scalar(c)) for k, c in terms)
-                elif word in ("labels", "unit", "trace") and word not in fields:
-                    if len(parts) != dim:
-                        raise ValueError(f"{len(parts)} entries, not {dim}")
-                    fields[word] = parts if word == "labels" else [_parse_scalar(t) for t in parts]
-                else:
-                    raise ValueError("unknown or repeated line")
-            except (ValueError, ZeroDivisionError) as err:
-                raise ValueError(f"line {n} {line!r}: {err}") from err
-        if dim is None:
-            raise ValueError("no 'dim' line")
-        missing = [w for w in ("labels", "unit", "trace") if w not in fields]
-        missing += [f"invol {i}" for i in range(dim) if (i,) not in invol]
-        if missing:
-            raise ValueError(f"no line for {', '.join(missing)}")
-        return cls._from_terms(dim, fields["labels"], mul, [invol[(i,)] for i in range(dim)],
-                               fields["unit"], fields["trace"])
-
-
-def _parse_scalar(text: str) -> Cyclotomic:
-    order, body = text.split(":")
-    return Cyclotomic(int(order), [Fraction(q) for q in body.split(",")])
-
 
 def sparse_vector(vec) -> dict:
     """The nonzero coordinates of a dense vector, as {k: Cyclotomic}."""
@@ -593,14 +492,6 @@ def multimatrix(spec: BlockSpec) -> StructAlgebra:
         o += n * n
     return StructAlgebra(dim, labels, k=k, s=np.zeros_like(k), scalars=[Cyclotomic.one()],
                          star_k=star_k, star_s=np.zeros_like(star_k), unit=unit, trace=trace)
-
-
-def function_algebra(npoints: int) -> StructAlgebra:
-    """C(X) for |X| = npoints in the point-indicator basis, uniform trace:
-    the multimatrix algebra of npoints blocks of size 1, relabelled."""
-    A = multimatrix(BlockSpec((1,) * npoints))
-    A.labels = tuple(f"d{x}" for x in range(npoints))
-    return A
 
 
 def tensor_algebra(A: StructAlgebra, k: int) -> StructAlgebra:
@@ -934,10 +825,13 @@ class _FloatProducts:
         return _sums(self.k, _times(_times(u[self.i], v[self.j]), self.c), self.n)
 
     def trace_form(self):
-        """Tr(L_(b_i b_j)), the trace form of the regular representation."""
+        """Tr(L_(b_i b_j)), the trace form of the regular representation.
+        Each product is added to +0.0, as einsum's accumulator adds it, so
+        that c 0 = -0.0 is written +0.0."""
         fixed = self.k == self.j  # b_i b_j = c b_j adds c to Tr(L_(b_i))
         form = np.zeros((self.n, self.n), dtype=np.complex128)
-        form[self.i, self.j] = _times(self.c, _sums(self.i[fixed], self.c[fixed], self.n)[self.k])
+        traces = _sums(self.i[fixed], self.c[fixed], self.n)
+        form[self.i, self.j] = 0.0 + _times(self.c, traces[self.k])
         return form
 
     def commutator_r(self):

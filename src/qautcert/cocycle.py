@@ -32,10 +32,8 @@ __all__ = [
     "GroupCocycle",
     "GradedAlgebra",
     "base_cocycle",
-    "trivial_cocycle",
     "normalize_inverse_pairing",
     "product_cocycle",
-    "inverse_cocycle",
     "twist_left",
     "fourier_function_algebra",
     "gamma_group",
@@ -81,9 +79,6 @@ class FinAbGroup:
     def add(self, g, h):
         return tuple((a + b) % f for a, b, f in zip(g, h, self.factors))
 
-    def neg(self, g):
-        return tuple((-a) % f for a, f in zip(g, self.factors))
-
     def position_map(self) -> dict:
         """g -> the position of g in ``elements()``."""
         return {g: a for a, g in enumerate(self.elements())}
@@ -113,21 +108,13 @@ class FinAbGroup:
                 out = out * root_of_unity(f, c * a)
         return out
 
-    def pairing_nondegenerate(self) -> bool:
-        for chi in self.elements():
-            if chi == self.identity:
-                continue
-            if all(self.pairing(chi, g).is_one() for g in self.elements()):
-                return False
-        return True
-
 
 class GroupCocycle:
     """A normalized 2-cocycle with root-of-unity values, held as one
     exponent table: sigma(g_a, g_b) = zeta_L^E[a, b], with a and b the
     positions of g_a and g_b in ``group.elements()``.  ``W[a, b]`` is the
-    order M of the field Q(zeta_M) that the views ``value``, ``table`` and
-    ``psi`` write the value over: the lcm of the orders of the values it
+    order M of the field Q(zeta_M) that the views ``value`` and ``psi``
+    write the value over: the lcm of the orders of the values it
     was built from, as their exact product would write it (all L when
     omitted), so that the views print and convert to floats as that
     product does.  ``coboundary``, when normalization produced the cocycle,
@@ -145,13 +132,6 @@ class GroupCocycle:
         pos = self.group.position_map()
         (c,), _ = _roots(self.L, self.E[pos[g], pos[h]], self.W[pos[g], pos[h]])
         return c
-
-    @property
-    def table(self) -> dict:
-        """{(g, h): sigma(g, h)}, read off E."""
-        els = self.group.elements()
-        values, t = _roots(self.L, self.E, self.W)
-        return {(g, h): values[t.item(a, b)] for a, g in enumerate(els) for b, h in enumerate(els)}
 
     @property
     def psi(self) -> dict | None:
@@ -202,10 +182,6 @@ def _product_table(op, x, y):
     return z.reshape([p * q for p, q in zip(x.shape, y.shape)])
 
 
-def trivial_cocycle(group: FinAbGroup) -> GroupCocycle:
-    return GroupCocycle(group, np.zeros((group.order, group.order), dtype=np.int64), 1)
-
-
 def base_cocycle(n_t: int) -> GroupCocycle:
     """w'([j1,j2],[k1,k2]) = zeta_{n_t}^(j1 k2) on Z_{n_t} x Z_{n_t}."""
     if n_t < 1:
@@ -251,10 +227,6 @@ def product_cocycle(parts: list[GroupCocycle]) -> GroupCocycle:
         coboundary = (combine(np.add, [p.coboundary[0] * (L // p.L) for p in parts]) % L,
                       combine(np.lcm, [p.coboundary[1] for p in parts]))
     return GroupCocycle(G, E, L, combine(np.lcm, [p.W for p in parts]), coboundary)
-
-
-def inverse_cocycle(sigma: GroupCocycle) -> GroupCocycle:
-    return GroupCocycle(sigma.group, -sigma.E, sigma.L, sigma.W)
 
 
 @dataclass
@@ -317,17 +289,6 @@ def gamma_group(spec: BlockSpec) -> FinAbGroup:
     for n in spec.sizes:
         factors += [n, n]
     return FinAbGroup(tuple(factors))
-
-
-def group_algebra(group: FinAbGroup) -> GradedAlgebra:
-    """C[K] graded by itself: u_g u_h = u_{gh}, u_g* = u_{g^-1}, tau(u_g) = [g=e]."""
-    els, pos = group.elements(), group.position_map()
-    k = group.addition_table()
-    delta = [Cyclotomic.one() if g == group.identity else Cyclotomic.zero() for g in els]
-    alg = StructAlgebra(len(els), [f"u{g}".replace(" ", "") for g in els], k=k, s=np.zeros_like(k),
-                        scalars=[Cyclotomic.one()], star_k=[pos[group.neg(g)] for g in els],
-                        star_s=np.zeros(len(els), dtype=np.int64), unit=delta, trace=delta)
-    return GradedAlgebra(alg, group, tuple(els))
 
 
 def fourier_function_algebra(spec: BlockSpec) -> GradedAlgebra:

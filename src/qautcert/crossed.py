@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    AxiomViolation,
-    BlockSpec,
     MonomialMap,
     StructAlgebra,
     _monomials_differ,
@@ -24,21 +22,14 @@ from .algebra import (
     tensor_algebra,
 )
 from .arith import Cyclotomic
-from .cocycle import (
-    FinAbGroup,
-    GradedAlgebra,
-    GroupCocycle,
-    fourier_function_algebra,
-)
+from .cocycle import FinAbGroup, GradedAlgebra, GroupCocycle
 
 __all__ = [
     "GroupAction",
     "CrossedProduct",
     "crossed_product",
     "dual_action",
-    "translation_action",
     "action_from_graded",
-    "inner_action",
     "takesaki_takai_check",
     "conjugation_lemma_check",
     "NotAutomorphism",
@@ -184,13 +175,6 @@ def dual_action(cp: CrossedProduct) -> GroupAction:
                                        for chi in G.elements()})
 
 
-def translation_action(spec: BlockSpec):
-    """Gamma acting on C(X) by translation, in the character basis, with the
-    graded algebra returned alongside (the action is diagonal there)."""
-    graded = fourier_function_algebra(spec)
-    return action_from_graded(graded), graded
-
-
 def action_from_graded(graded: GradedAlgebra, group: FinAbGroup | None = None) -> GroupAction:
     """The diagonal action attached to a grading: g acts on degree chi by
     the pairing <chi, g>.  ``group`` is the acting subgroup, by default the
@@ -202,29 +186,6 @@ def action_from_graded(graded: GradedAlgebra, group: FinAbGroup | None = None) -
     return GroupAction(group, graded.algebra, {
         g: MonomialMap(range(graded.algebra.dim), [G.pairing(chi, g + pad) for chi in graded.degrees])
         for g in group.elements()})
-
-
-def inner_action(group: FinAbGroup, algebra: StructAlgebra, unitary_vec) -> GroupAction:
-    """Cyclic inner action Ad(u^k) of Z_n given the coordinate vector of a
-    unitary u with u^n = 1.  Raises NotAutomorphism when Ad(u) is not a
-    monomial map."""
-    if len(group.factors) != 1:
-        raise ValueError("inner_action builds cyclic actions only")
-    A, one = algebra, Cyclotomic.one()
-    u = sparse_vector(unitary_vec).items()
-    images = [A.mul_sparse(A.mul_sparse(u, ((i, one),)).items(), A.invol_sparse(u).items())
-              for i in range(A.dim)]
-    if any(len(image) != 1 for image in images):
-        raise NotAutomorphism("Ad(u) is not a monomial map")
-    try:
-        ad = MonomialMap(*zip(*(image.popitem() for image in images)))
-    except AxiomViolation as err:
-        raise NotAutomorphism(f"Ad(u) is not a monomial map: {err}") from err
-    thetas, k, c = {}, np.arange(A.dim), [one] * A.dim
-    for p in range(group.factors[0]):  # Ad(u)(c_i b_k[i]) for Ad(u^p)(b_i) = c_i b_k[i]
-        thetas[(p,)] = MonomialMap(k, c)
-        k, c = ad.k[k], [ci * ad.scalars[ki] for ci, ki in zip(c, k.tolist())]
-    return GroupAction(group, A, thetas)
 
 
 def takesaki_takai_check(action: GroupAction, seed: int = 0) -> dict:

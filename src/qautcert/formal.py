@@ -86,12 +86,6 @@ class FormalTensor:
                    np.concatenate([ft.col for ft in images]),
                    np.concatenate([ft.exp * (order // ft.order) for ft in images]))
 
-    def equals(self, other: "FormalTensor") -> bool:
-        """Exact equality of two stacks: ``differing`` marks no image."""
-        return (self.size == other.size and self.symbols == other.symbols
-                and len(self.prefactors) == len(other.prefactors)
-                and not self.differing(other).any())
-
     def differing(self, other: "FormalTensor") -> np.ndarray:
         """Which images of two stacks of one size, length and symbols
         differ, as one bool per image.  Each row is encoded as one int64

@@ -27,6 +27,8 @@ from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, NotPVM, SlotMismatch, UebReport, WrongCount, table_terms
 from qautcert.relations import GeneratorAssignment, SnPresentation
 
+from builders import negative
+
 
 def terms_of(m) -> Terms:
     """The nonzero terms of an exact ``Mat``, exp a power-basis index, or
@@ -144,7 +146,7 @@ def explicit_weyl_isomorphism(sigma, c):
                     t(gh).scale(c[gh] * sigma.value(g, h))):
                 return {"verified": False, "failed_at": [list(g), list(h)]}
             products_checked += 1
-        ginv = sigma.group.neg(g)
+        ginv = negative(sigma.group, g)
         if not t(g).scale(c[g]).adjoint().equals(
                 t(ginv).scale(c[ginv] * sigma.value(ginv, g).conjugate())):
             return {"verified": False, "failed_at": ["star", list(g)]}

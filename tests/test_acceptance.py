@@ -1,22 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 and enforcing its stated tolerance and time budget."""
 
-import json
 import time
-
-import pytest
 
 from qautcert.algebra import BlockSpec, MonomialMap, multimatrix
 from qautcert.arith import Cyclotomic
 from qautcert.cli import SuiteConfig, certificate_json, run
 from qautcert.cocycle import FinAbGroup, fourier_function_algebra, spec_cocycle, verify_twist_theorem
-from qautcert.crossed import (
-    GroupAction,
-    conjugation_lemma_check,
-    inner_action,
-    takesaki_takai_check,
-    translation_action,
-)
+from qautcert.crossed import GroupAction, conjugation_lemma_check, takesaki_takai_check
 from qautcert.pauli import depolarization_check, is_unitary_error_basis, weyl_basis
 from qautcert.qaut import (
     QautPresentation,
@@ -35,6 +26,7 @@ from qautcert.qaut import (
     uet_pvm,
 )
 
+from builders import inner_action, translation_action
 from mat_reference import assignment, substitute, values_of
 
 

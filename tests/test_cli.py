@@ -424,3 +424,14 @@ def test_exact_certificate_matches_golden(partition):
 @pytest.mark.parametrize("partition", [(2, 1), (2, 1, 1)])
 def test_float_certificate_matches_golden(partition):
     assert_matches_golden(partition, "float")
+
+
+def test_every_function_no_certificate_runs_is_on_the_allowlist():
+    """``scripts/unreached_functions.py``, the gate on code that no standard
+    certificate runs, passes on this tree."""
+    src = os.path.dirname(os.path.dirname(qautcert.__file__))
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "unreached_functions.py")
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=600)
+    assert proc.returncode == 0, proc.stderr

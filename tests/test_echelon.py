@@ -216,12 +216,12 @@ def test_no_module_of_the_library_eliminates():
 
 
 def test_only_arith_binds_mat():
-    # every other module takes matrices as ``Terms``; the package may
-    # re-export ``Mat`` while the tests use it as their dense reference
+    # every other module, and the package itself, takes matrices as ``Terms``
     from qautcert.cocycle import GroupCocycle
     from qautcert.formal import FormalTensor
     from qautcert.relations import GeneratorAssignment
 
+    assert "Mat" not in vars(qautcert)
     for m in pkgutil.iter_modules(qautcert.__path__):
         if m.name != "arith":
             assert "Mat" not in vars(importlib.import_module(f"qautcert.{m.name}")), m.name

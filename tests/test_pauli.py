@@ -23,9 +23,9 @@ from qautcert.pauli import (
 from qautcert.qaut import _uet_projections
 
 import mat_reference
-from mat_reference import (bracket, bracket_phi, entangled_projection, mat, matrix_unit,
-                           monomial_entries, paren, pauli_x, pauli_z, rearrange, rearrange_inverse,
-                           terms_of, uet_projections, weyl_products)
+from mat_reference import (bracket, bracket_phi, entangled_projection, mat, monomial_entries,
+                           paren, pauli_x, pauli_z, rearrange, rearrange_inverse, terms_of,
+                           uet_projections, weyl_products)
 
 
 def phi_terms(emb, s, i, j):

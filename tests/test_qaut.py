@@ -42,6 +42,7 @@ from qautcert.qaut import (
 )
 from qautcert.qaut import _uet_projections, _unit_positions, _z_tables, _z_words
 
+from builders import formal_equals
 from mat_reference import (alpha_closure, assignment, beta_closure, bracket_phi, echelon, mat,
                            paren, paren_unit, phase_permutation, rank, substitute, terms_of,
                            uet_projections, values_of, weyl_products, z_images, z_words)
@@ -828,7 +829,7 @@ def single_row_mutations(images):
                 ft, symbols=ft.symbols + (foreign[0],),
                 sym=_moved(ft.sym, t, len(ft.symbols) - ft.sym[t]))
         out += [(f"{label} at {key}", {**images, key: edited})
-                for label, edited in edits.items() if not edited.equals(ft)]
+                for label, edited in edits.items() if not formal_equals(edited, ft)]
     return out
 
 
@@ -922,7 +923,7 @@ def _reference_times(c, ft):
 def reference_covariance(spec, pi, rho):
     """``covariance_check`` one generator at a time: for (a)/(b) and (d),
     each generator's image under the substitution against its conjugated
-    image, compared with ``FormalTensor.equals``."""
+    image, compared with ``formal_equals``."""
     d = spec.d
     z = z_images(spec)
     zperm = {key: phase_permutation(U) for key, U in z.items()}
@@ -933,8 +934,8 @@ def reference_covariance(spec, pi, rho):
             sub = alpha_closure(spec, idx, t)
             for sym in qpres.generators:
                 scalar, target = sub(sym)
-                if not _reference_times(scalar, pi[target]).equals(
-                        _reference_conjugated(pi[sym], zperm[(idx, t)])):
+                if not formal_equals(_reference_times(scalar, pi[target]),
+                                     _reference_conjugated(pi[sym], zperm[(idx, t)])):
                     cert.update(passed=False, failure=f"alpha{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                     return cert
     cert["a_b_alpha_cases"] = 4 * spec.m * len(qpres.generators)
@@ -965,8 +966,8 @@ def reference_covariance(spec, pi, rho):
             sub = beta_closure(spec, idx, t)
             for sym in upres.generators:
                 scalar, target = sub(sym)
-                if not _reference_times(scalar, rho[target]).equals(
-                        _reference_conjugated(rho[sym], zperm[(idx, t)])):
+                if not formal_equals(_reference_times(scalar, rho[target]),
+                                     _reference_conjugated(rho[sym], zperm[(idx, t)])):
                     cert.update(passed=False, failure=f"beta{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                     return cert
     cert["d_beta_cases"] = 4 * spec.m * len(upres.generators)
