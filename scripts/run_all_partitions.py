@@ -3,7 +3,6 @@
 certificate per partition next to a combined summary table."""
 
 import argparse
-import json
 import os
 import sys
 import time

@@ -334,16 +334,16 @@ def spec_cocycle(spec: BlockSpec) -> GroupCocycle:
     return product_cocycle(parts)
 
 
-def verify_twist_theorem(spec: BlockSpec, seed: int = 0) -> dict:
+def verify_twist_theorem(spec: BlockSpec) -> dict:
     """Twist C(X) by sigma_0 and certify the recognized blocks equal the
     partition; for a single block an explicit Weyl-relation isomorphism is
-    exhibited as well.  The same computation on both backends; ``seed``
-    reaches only the float block recognizer, above dimension 9."""
+    exhibited as well.  The same exact computation on both backends, with
+    residual 0.0."""
     graded = fourier_function_algebra(spec)
     sigma = spec_cocycle(spec)
     twisted, record = twist_left(graded, sigma)
     cross_block_zero = _cross_block_products_vanish(spec, twisted)
-    result = recognize_blocks(twisted, seed=seed)
+    result = recognize_blocks(twisted)
     expected = tuple(sorted(spec.sizes))
     cert = {
         "partition": list(spec.sizes),

@@ -15,8 +15,8 @@ from .algebra import (
     MonomialMap,
     StructAlgebra,
     _monomials_differ,
+    _recognize_tt,
     _scalar_products,
-    recognize_blocks,
     sparse_eq,
     sparse_vector,
     tensor_algebra,
@@ -190,14 +190,15 @@ def action_from_graded(graded: GradedAlgebra, group: FinAbGroup | None = None) -
 
 def takesaki_takai_check(action: GroupAction, seed: int = 0) -> dict:
     """Blocks of (A rtimes Lambda) rtimes dual-Lambda against the blocks of
-    the independently built A x M_|Lambda|.  ``seed`` reaches only the float
-    block recognizer, above dimension 9."""
+    the independently built A x M_|Lambda|, each recognized by
+    ``algebra._recognize_tt``: in floats above dimension 9, with ``seed``,
+    and exactly where that split fails."""
     cp = crossed_product(action)
     dp = crossed_product(dual_action(cp))
     double = dp.algebra
-    blocks_double = recognize_blocks(double, seed=seed)
+    blocks_double = _recognize_tt(double, seed)
     oracle = tensor_algebra(action.algebra, action.group.order)
-    blocks_oracle = recognize_blocks(oracle, seed=seed)
+    blocks_oracle = _recognize_tt(oracle, seed)
     return {
         "base_dim": action.algebra.dim,
         "group_order": action.group.order,

@@ -187,10 +187,13 @@ def test_recognize_literal_multimatrix():
 
 
 def test_recognizer_residual_exact_and_forced_float():
-    exact = recognize_blocks(multimatrix(BlockSpec((2, 1))))
-    assert exact.method == "exact" and exact.residual == 0.0
-    # above dimension 9 the float recognizer runs
-    res = recognize_blocks(multimatrix(BlockSpec((3, 1))))
+    from qautcert.algebra import _recognize_tt
+
+    for sizes in [(2, 1), (3, 1)]:
+        exact = recognize_blocks(multimatrix(BlockSpec(sizes)))
+        assert exact.method == "exact" and exact.residual == 0.0
+    # above dimension 9 tt's entry runs the float recognizer
+    res = _recognize_tt(multimatrix(BlockSpec((3, 1))), 0)
     assert res.method == "float"
     assert res.sizes == (1, 3)
     assert 0.0 <= res.residual <= 1e-9
@@ -283,8 +286,7 @@ def test_recognize_round_trip_all_partitions_up_to_16():
         spec = BlockSpec(sizes)
         res = recognize_blocks(multimatrix(spec))
         assert res.sizes == tuple(sorted(sizes)), sizes
-        if spec.N > 9:
-            assert res.method == "float"
+        assert res.method == "exact"
 
 
 def test_recognize_tensor_amplification():
@@ -659,9 +661,6 @@ class DenseProducts:
     def left_rows(self, e):
         return np.einsum("i,ijk->kj", e, self.sc)
 
-    def trace_form(self):
-        return np.einsum("ijk,k->ij", self.sc, np.einsum("kll->k", self.sc))
-
     def commutator_rows(self):
         sc = self.sc
         n = sc.shape[0]
@@ -726,7 +725,6 @@ def test_float_products_match_dense_einsums_bit_for_bit(float_algebras, sizes, w
         u[rng.random(A.dim) < 0.3] = 0
         v[rng.random(A.dim) < 0.3] = 0
         assert bitwise_equal(prods.mul(u, v), dense.mul(u, v))
-    assert bitwise_equal(prods.trace_form(), dense.trace_form())
     assert bitwise_equal(prods.dense_commutator_rows(), dense.commutator_rows())
 
 
@@ -737,10 +735,10 @@ def test_float_recognizer_matches_dense_reference_bit_for_bit(float_algebras, mo
 
     A = float_algebras(sizes, which)
     for seed in (0, 42):
-        got = recognize_blocks(A, seed)
+        got = algebra._recognize_tt(A, seed)
         with monkeypatch.context() as patch:
             patch.setattr(algebra, "_FloatProducts", DenseProducts)
-            ref = recognize_blocks(A, seed)
+            ref = algebra._recognize_tt(A, seed)
         assert got.method == ref.method == "float"
         assert got.sizes == ref.sizes and got.details == ref.details
         assert bitwise_equal(got.residual, ref.residual)
@@ -959,9 +957,9 @@ def test_double_crossed_products_never_call_the_whole_qr(float_algebras, monkeyp
 
     monkeypatch.setattr(algebra, "_qr_r", refuse)
     for sizes in [(2,), (2, 1), (3,)]:
-        assert recognize_blocks(float_algebras(sizes, "double")).sizes
+        assert algebra._recognize_tt(float_algebras(sizes, "double"), 0).method == "float"
         with pytest.raises(AssertionError, match="_qr_r called"):
-            recognize_blocks(float_algebras(sizes, "oracle"))
+            algebra._recognize_tt(float_algebras(sizes, "oracle"), 0)
 
 
 def test_idempotent_check_rejects_a_failed_square_or_sum():
@@ -1006,14 +1004,14 @@ def block_sizes(ranks):
 @pytest.mark.parametrize("which", ["double", "oracle"])
 def test_float_trace_sizes_equal_the_svd_rank_of_left_multiplication(float_algebras, sizes,
                                                                       which):
-    from qautcert.algebra import _regular_traces
+    from qautcert.algebra import _recognize_tt, _regular_traces
 
     A = float_algebras(sizes, which)
     traces = np.zeros(A.dim, dtype=np.complex128)
     for k, t in _regular_traces(A).items():
         traces[k] = t.to_complex()
     dense = DenseProducts(A)
-    res = recognize_blocks(A, 42)
+    res = _recognize_tt(A, 42)
     assert res.method == "float"
     ranks = []
     for e in res.idempotents:
@@ -1032,11 +1030,11 @@ def test_float_trace_sizes_equal_the_svd_rank_of_left_multiplication(float_algeb
       for sizes in [(2,), (3,), (2, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]],
 ])
 def test_exact_trace_sizes_equal_the_echelon_rank(build):
-    from qautcert.algebra import _recognize_exact, _regular_traces
+    from qautcert.algebra import _regular_traces
 
     A = build()
     traces = _regular_traces(A)
-    res = _recognize_exact(A)
+    res = recognize_blocks(A)
     ranks = []
     for e in res.idempotents:
         tr = sum((e[k] * t for k, t in traces.items() if k in e), ZERO)
@@ -1070,10 +1068,12 @@ def edit_exact_idempotents(monkeypatch, edit):
 
 def test_float_idempotent_off_an_integer_trace_is_a_failed_split(monkeypatch):
     # e + 1e-3 * 1 has regular trace Tr(L_e) + 1e-3 * dim, off every integer
+    from qautcert.algebra import _recognize_float
+
     edit_float_idempotents(monkeypatch, lambda idems, unit: [idems[0] + 1e-3 * unit] + idems[1:])
     with pytest.raises(RecognitionError, match="float center splitting failed: regular trace "
                                                r"of an idempotent is \(.*\), not an integer"):
-        recognize_blocks(multimatrix(BlockSpec((3, 1))))
+        _recognize_float(multimatrix(BlockSpec((3, 1))), 0)
 
 
 def test_exact_idempotent_off_an_integer_trace_is_refused(monkeypatch):
@@ -1092,10 +1092,12 @@ def test_exact_idempotent_off_an_integer_trace_is_refused(monkeypatch):
 
 
 def test_float_zero_idempotent_is_a_failed_split(monkeypatch):
+    from qautcert.algebra import _recognize_float
+
     edit_float_idempotents(monkeypatch, lambda idems, unit: idems + [0 * unit])
     with pytest.raises(RecognitionError, match="float center splitting failed: idempotent "
                                                "of regular trace 0: a block of size 0"):
-        recognize_blocks(multimatrix(BlockSpec((3, 1))))
+        _recognize_float(multimatrix(BlockSpec((3, 1))), 0)
 
 
 def test_exact_zero_idempotent_is_refused(monkeypatch):
@@ -1105,18 +1107,52 @@ def test_exact_zero_idempotent_is_refused(monkeypatch):
         recognize_blocks(multimatrix(BlockSpec((2, 1))))
 
 
+def run_tt(sizes):
+    from qautcert.cli import SuiteConfig, run
+
+    return run(SuiteConfig(partition=sizes, suites=("tt",), seed=42))["suites"]["tt"]
+
+
 def test_tt_passes_at_2_2_2_1_with_the_exact_blocks():
     # the SVD rank of L_e counted two valid splits of the oracle as
     # non-square here, and the retries ended in "idempotent residual too large"
-    from qautcert.algebra import _recognize_exact
-    from qautcert.cli import SuiteConfig, run
-
-    frag = run(SuiteConfig(partition=(2, 2, 2, 1), suites=("tt",), seed=42))["suites"]["tt"]
+    frag = run_tt((2, 2, 2, 1))
     assert frag["passed"], frag
     assert frag["recognizer_methods"] == ["float", "float"]
     for A, blocks in zip(tt_algebras((2, 2, 2, 1)),
                          (frag["double_crossed_blocks"], frag["tensor_oracle_blocks"])):
-        assert blocks == list(_recognize_exact(A).sizes) == [4] * 13
+        assert blocks == list(recognize_blocks(A).sizes) == [4] * 13
+
+
+def test_twist_recognizes_exactly_above_dimension_9():
+    from qautcert.cocycle import verify_twist_theorem
+
+    cert = verify_twist_theorem(BlockSpec((4,)))  # the twisted algebra has dimension 16
+    assert cert["passed"] and cert["recognized_blocks"] == [4]
+    assert cert["recognizer_method"] == "exact" and cert["worst_residual"] == 0.0
+
+
+def test_tt_falls_back_to_the_exact_recognizer_when_the_float_split_fails(monkeypatch):
+    from qautcert import algebra
+
+    def fail(A, seed):
+        raise RecognitionError("float center splitting failed")
+
+    monkeypatch.setattr(algebra, "_recognize_float", fail)
+    frag = run_tt((2,))
+    assert frag["passed"], frag
+    assert frag["recognizer_methods"] == ["exact", "exact"] and frag["worst_residual"] == 0.0
+
+
+@pytest.mark.parametrize("sizes, methods", [((3, 2, 1), ["exact", "float"]),
+                                            ((4,), ["exact", "exact"])],
+                         ids=["3-2-1", "4"])
+def test_tt_passes_where_the_float_split_fails(sizes, methods):
+    # the float split fails on the double crossed product at (3,2,1) and on
+    # both algebras at (4,); those are recognized exactly
+    frag = run_tt(sizes)
+    assert frag["passed"], frag
+    assert frag["recognizer_methods"] == methods
 
 
 # -- the exact recognizer on the monomial arrays ------------------------------
@@ -1226,12 +1262,10 @@ def test_exact_recognizer_agrees_where_the_float_one_fails(sizes):
     # tt's float recognizer fails at these partitions; the exact one gives
     # the double crossed product the blocks of its oracle, in under 1 s of
     # CPU each
-    from qautcert.algebra import _recognize_exact
-
     blocks = []
     for A in tt_algebras(sizes):
         start = time.process_time()
-        blocks.append(_recognize_exact(A).sizes)
+        blocks.append(recognize_blocks(A).sizes)
         assert time.process_time() - start < 1.0
     assert blocks[0] == blocks[1]
 
