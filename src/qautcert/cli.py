@@ -122,6 +122,11 @@ class SuiteConfig:
         repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if repeated:
             raise ConfigError(f"repeated suites: {', '.join(repeated)}")
+        if self.out and self.markdown and (
+                os.path.realpath(self.out) == os.path.realpath(self.markdown)
+                or os.path.exists(self.out) and os.path.exists(self.markdown)
+                and os.path.samefile(self.out, self.markdown)):
+            raise ConfigError(f"--out and --markdown name one file: {self.out}")
         N = sum(n * n for n in self.partition)
         cap = 16 if self.backend == "exact" else 36
         if N > cap and not self.force:

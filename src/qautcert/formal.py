@@ -1,9 +1,9 @@
 """Formal tensors: elements of M_size x (generator symbols) whose every
 coefficient is a phase-permutation, stored as rows of an index table.
 
-A symbol is a hashable tuple; q-type symbols carry their own adjoint rule
-(index transposition), u-type symbols are formally self-adjoint.  The images
-of the generators under pi and rho are such tensors (see ``qaut.pi_map``).
+A symbol is a hashable tuple, a q-symbol (``qsym``) or a u-symbol
+(``usym``).  The images of the generators under pi and rho are such tensors
+(see ``qaut.pi_map``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import Terms, accumulate, root_of_unity
 
-__all__ = ["FormalTensor", "symbol_adjoint", "qsym", "usym"]
+__all__ = ["FormalTensor", "qsym", "usym"]
 
 
 def qsym(s, r, i, j, k, l):
@@ -26,15 +26,6 @@ def qsym(s, r, i, j, k, l):
 
 def usym(s, x, y, r, v, w):
     return ("u", s, x, y, r, v, w)
-
-
-def symbol_adjoint(sym):
-    if sym[0] == "u":
-        return sym
-    if sym[0] == "q":
-        _, s, r, i, j, k, l = sym
-        return ("q", s, r, j, i, l, k)
-    raise ValueError(f"unknown symbol kind {sym[0]!r}")
 
 
 @dataclass(eq=False)

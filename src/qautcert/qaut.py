@@ -23,7 +23,6 @@ generator-level trace constants on both sides agree (see haar_compat_check).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -33,12 +32,12 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec, MonomialMap, multimatrix
-from .arith import Cyclotomic, Terms, _root_table, accumulate, root_of_unity
-from .formal import FormalTensor, qsym, symbol_adjoint, usym
+from .arith import Cyclotomic, Terms, _root_table, accumulate
+from .formal import FormalTensor, qsym, usym
 from .pauli import BlockEmbedding, NotPVM, PhasePermutation, _off_delta, pvm_check, weyl_basis
 from .relations import (GeneratorAssignment, IncompleteAssignment, QautPresentation,
-                        RelationReport, SnPresentation, _enumerate, battery_groups,
-                        check_relations)
+                        RelationReport, SnPresentation, _enumerate, _product_words, _qaut_plans,
+                        battery_groups, check_relations)
 
 __all__ = [
     "QautPresentation",
@@ -63,7 +62,6 @@ __all__ = [
     "rearranged_Q_check",
     "alpha",
     "beta",
-    "substitution_preserves_relations",
     "covariance_check",
     "haar_compat_check",
     "strict_word_check",
@@ -614,28 +612,10 @@ class Substitution:
     """Index substitution on generator symbols: generator number n of
     ``generators`` goes to zeta_L^exp[n] times generator number target[n]."""
 
-    name: str
-    spec: BlockSpec
-    t: int
     generators: tuple
     L: int
     target: np.ndarray
     exp: np.ndarray
-
-    def __call__(self, sym):
-        """(phase, symbol) of one generator, read off the arrays."""
-        n = self._number[sym]
-        e = int(self.exp[n]) % self.L
-        return (root_of_unity(self.L, e) if e else Cyclotomic.one(),
-                self.generators[int(self.target[n])])
-
-    @functools.cached_property
-    def _number(self) -> dict:
-        return {g: n for n, g in enumerate(self.generators)}
-
-    @property
-    def order(self) -> int:
-        return self.spec.sizes[self.t - 1]
 
 
 def alpha(spec: BlockSpec, idx: int, t: int) -> Substitution:
@@ -660,8 +640,7 @@ def alpha(spec: BlockSpec, idx: int, t: int) -> Substitution:
     counts = (np.multiply.outer(n, n) ** 2).ravel()
     first = (np.cumsum(counts) - counts).reshape(spec.m, spec.m)
     target = first[s, r] + ((i * n[s] + j) * n[r] + k) * n[r] + l
-    return Substitution(f"alpha{idx},{t}", spec, t, QautPresentation(spec).generators, nt,
-                        target, exp)
+    return Substitution(QautPresentation(spec).generators, nt, target, exp)
 
 
 def beta(spec: BlockSpec, idx: int, t: int) -> Substitution:
@@ -686,70 +665,8 @@ def beta(spec: BlockSpec, idx: int, t: int) -> Substitution:
     moved = np.cumsum(n * n)[s] - n[s] * n[s] + x * n[s] + y
     P, Q = np.divmod(np.arange(N * N), N)
     target = moved[P] * N + Q if idx in (1, 2) else P * N + moved[Q]
-    return Substitution(f"beta{idx},{t}", spec, t, SnPresentation(spec).generators, nt,
-                        target, np.zeros(N * N, dtype=np.int64))
-
-
-def _expression_key(terms, order: int):
-    """Canonical form of a formal linear combination: normalize by the
-    coefficient of the least word, promote scalars to one common cyclotomic
-    order, drop zeros, sort."""
-    agg = {}
-    for coeff, word in terms:
-        c = coeff if isinstance(coeff, Cyclotomic) else Cyclotomic.rational(coeff)
-        agg[word] = agg.get(word, Cyclotomic.zero()) + c
-    agg = {w: c for w, c in agg.items() if not c.is_zero()}
-    if not agg:
-        return ()
-    least = min(agg)
-    inv = agg[least].inverse()
-    return tuple(sorted((w, (c * inv).promoted(order).coeffs)
-                        for w, c in agg.items()))
-
-
-def substitution_preserves_relations(spec: BlockSpec, sub: Substitution,
-                                     presentation) -> dict:
-    """The image of every relation instance is again a relation instance of
-    the same family, up to a unit scalar (canonical re-indexing check), and
-    the substitution commutes with the formal adjoint."""
-    relations = list(presentation.relations())
-    order = 1
-    for n in spec.sizes:
-        order = order * n // math.gcd(order, n)
-    by_family: dict = {}
-    for rel in relations:
-        if rel.adjoint_lhs:
-            continue
-        key = _expression_key(rel.lhs + [(-c, w) for c, w in rel.rhs], order)
-        by_family.setdefault(rel.family, {})[key] = rel.rid
-    checked = 0
-    for rel in relations:
-        if rel.adjoint_lhs:
-            continue
-        mapped = []
-        for coeff, word in rel.lhs + [(-c, w) for c, w in rel.rhs]:
-            scalar = Cyclotomic.one()
-            new_word = []
-            for sym in word:
-                ph, new_sym = sub(sym)
-                scalar = scalar * ph
-                new_word.append(new_sym)
-            c = coeff if isinstance(coeff, Cyclotomic) else Cyclotomic.rational(coeff)
-            mapped.append((c * scalar, tuple(new_word)))
-        key = _expression_key(mapped, order)
-        if key != () and key not in by_family[rel.family]:
-            return {"passed": False, "substitution": sub.name,
-                    "failing_relation": rel.rid}
-        checked += 1
-    # adjoint compatibility: sub(sym*) = (conj(phase), sub(sym)*)
-    for sym in presentation.generators:
-        ph, img = sub(sym)
-        ph2, img2 = sub(symbol_adjoint(sym))
-        if img2 != symbol_adjoint(img) or ph2 != ph.conjugate():
-            return {"passed": False, "substitution": sub.name,
-                    "failing_relation": f"adjoint compatibility at {sym}"}
-        checked += 1
-    return {"passed": True, "substitution": sub.name, "instances_checked": checked}
+    return Substitution(SnPresentation(spec).generators, nt, target,
+                        np.zeros(N * N, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -1009,8 +926,9 @@ def haar_compat_check(spec: BlockSpec) -> dict:
 # ---------------------------------------------------------------------------
 # optional strict word-level checker
 
-def strict_word_check(spec: BlockSpec, families=("r1", "r2")) -> dict:
-    """Local-rewrite verification of pi-images of the quadratic relations:
+def strict_word_check(spec: BlockSpec) -> dict:
+    """Local-rewrite verification of pi-images of the quadratic relations
+    r1 and r2, their words read off their index plans (``_product_words``):
     u-words collapse by idempotency and row/column annihilation.  Returns
     'verified' per family when all irreducible coefficients cancel and
     'inconclusive' otherwise; no failure is ever concluded from this mode.
@@ -1019,7 +937,7 @@ def strict_word_check(spec: BlockSpec, families=("r1", "r2")) -> dict:
     N > 5 are skipped rather than ground through."""
     if spec.N > 5:
         return {"partition": list(spec.sizes),
-                "families": {f: "skipped_desk_scale" for f in families},
+                "families": {f: "skipped_desk_scale" for f in ("r1", "r2")},
                 "note": "word-level expansion skipped for N > 5"}
 
     def reduce_pair(a, b):
@@ -1053,16 +971,13 @@ def strict_word_check(spec: BlockSpec, families=("r1", "r2")) -> dict:
         return out
 
     results = {}
-    for family in families:
+    gens = QautPresentation(spec).generators
+    for family, plan in zip(("r1", "r2"), _qaut_plans(spec.sizes)):
         status = "verified"
-        for rel in QautPresentation(spec).relations():
-            if rel.family != family:
-                continue
+        for terms in _product_words(plan, gens):
             acc: dict = {}
-            for coeff, word in rel.lhs:
+            for coeff, word in terms:
                 accumulate(acc, coeff, entries(word))
-            for coeff, word in rel.rhs:
-                accumulate(acc, -coeff, entries(word))
             if acc:
                 status = "inconclusive"
                 break

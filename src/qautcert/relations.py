@@ -10,10 +10,11 @@ assignments, and relation checking.
   * p-generators form a projection-valued measure: self-adjoint idempotents,
     pairwise orthogonal, summing to 1 (a row of a magic unitary).
 
-Each relation family is evaluated from an index plan over the generators,
-as one join or one keyed sum of the terms of their values
-(``check_relations``); a battery of points is checked as a few direct sums
-of them (``battery_groups``).
+Each relation family is defined once, as an index plan over the
+generators, and evaluated from it as one join or one keyed sum of the
+terms of their values (``check_relations``); a failing instance is named
+from the index columns of its plan (``instance_name``).  A battery of
+points is checked as a few direct sums of them (``battery_groups``).
 """
 
 from __future__ import annotations
@@ -50,15 +51,6 @@ class IncompleteAssignment(ValueError):
 # presentations
 
 @dataclass
-class RelationInstance:
-    rid: str
-    family: str
-    lhs: list  # [(coeff, word)], word a tuple of symbols
-    rhs: list
-    adjoint_lhs: bool = False
-
-
-@dataclass
 class QautPresentation:
     spec: BlockSpec
 
@@ -69,69 +61,19 @@ class QautPresentation:
                      for r, nr in enumerate(self.spec.sizes, start=1)
                      for i, j, k, l in itertools.product(range(ns), range(ns), range(nr), range(nr)))
 
-    def relations(self):
-        sizes = self.spec.sizes
-        m = self.spec.m
-        one = Fraction(1)
-        for s in range(1, m + 1):
-            ns = sizes[s - 1]
-            for sp in range(1, m + 1):
-                nsp = sizes[sp - 1]
-                for r in range(1, m + 1):
-                    nr = sizes[r - 1]
-                    for i, j, ip, jp, k, l in itertools.product(
-                            range(ns), range(ns), range(nsp), range(nsp),
-                            range(nr), range(nr)):
-                        lhs = [(one, (qsym(s, r, i, j, k, v), qsym(sp, r, ip, jp, v, l)))
-                               for v in range(nr)]
-                        rhs = []
-                        if s == sp and j == ip:
-                            rhs = [(one, (qsym(s, r, i, jp, k, l),))]
-                        yield RelationInstance(
-                            f"r1[{s},{sp},{r},{i},{j},{ip},{jp},{k},{l}]", "r1", lhs, rhs)
-        for s in range(1, m + 1):
-            ns = sizes[s - 1]
-            for r in range(1, m + 1):
-                nr = sizes[r - 1]
-                for rp in range(1, m + 1):
-                    nrp = sizes[rp - 1]
-                    for i, j, k, l, kp, lp in itertools.product(
-                            range(ns), range(ns), range(nr), range(nr),
-                            range(nrp), range(nrp)):
-                        lhs = [(Fraction(1, ns),
-                                (qsym(s, r, i, v, k, l), qsym(s, rp, v, j, kp, lp)))
-                               for v in range(ns)]
-                        rhs = []
-                        if r == rp and l == kp:
-                            rhs = [(Fraction(1, nr), (qsym(s, r, i, j, k, lp),))]
-                        yield RelationInstance(
-                            f"r2[{s},{r},{rp},{i},{j},{k},{l},{kp},{lp}]", "r2", lhs, rhs)
-        for sym in self.generators:
-            _, s, r, i, j, k, l = sym
-            yield RelationInstance(
-                f"r3[{s},{r},{i},{j},{k},{l}]", "r3",
-                [(one, (sym,))], [(one, (qsym(s, r, j, i, l, k),))], adjoint_lhs=True)
-        for r in range(1, m + 1):
-            nr = sizes[r - 1]
-            for k in range(nr):
-                for l in range(nr):
-                    lhs = [(one, (qsym(s, r, i, i, k, l),))
-                           for s in range(1, m + 1) for i in range(sizes[s - 1])]
-                    rhs = [(one, ())] if k == l else []
-                    yield RelationInstance(f"r4[{r},{k},{l}]", "r4", lhs, rhs)
-        for s in range(1, m + 1):
-            ns = sizes[s - 1]
-            for i in range(ns):
-                for j in range(ns):
-                    lhs = [(Fraction(sizes[r - 1]), (qsym(s, r, i, j, k, k),))
-                           for r in range(1, m + 1) for k in range(sizes[r - 1])]
-                    rhs = [(Fraction(ns), ())] if i == j else []
-                    yield RelationInstance(f"r5[{s},{i},{j}]", "r5", lhs, rhs)
+    def instance_name(self, t: int) -> str:
+        """The name of instance number t: its family and its
+        ``_QAUT_INDICES`` columns, block numbers counted from 1."""
+        for family, (blocks, shape) in _QAUT_INDICES.items():
+            cols = _enumerate(self.spec.sizes, blocks, shape)
+            if t < cols.shape[1]:
+                index = cols[:, t] + (np.arange(len(cols)) < blocks)
+                return f"{family}[{','.join(map(str, index.tolist()))}]"
+            t -= cols.shape[1]
 
     def block_residuals(self, values: "_BlockValues"):
         """The residual of every relation instance, one array per relation
-        family, the arrays and their entries in the order of
-        ``relations()``."""
+        family, the arrays and their entries in instance order."""
         for plan in _qaut_plans(self.spec.sizes):
             yield values.residuals(plan)
 
@@ -153,30 +95,20 @@ class SnPresentation:
         pts = self.points
         return tuple(usym(*p, *q) for p in pts for q in pts)
 
-    def relations(self):
-        pts = self.points
-        one = Fraction(1)
-        for p in pts:
-            for q in pts:
-                sym = usym(*p, *q)
-                yield RelationInstance(f"selfadj[{p},{q}]", "selfadj",
-                                       [(one, (sym,))], [(one, (sym,))],
-                                       adjoint_lhs=True)
-                yield RelationInstance(f"idem[{p},{q}]", "idem",
-                                       [(one, (sym, sym))], [(one, (sym,))])
-        for p in pts:
-            yield RelationInstance(f"rowsum[{p}]", "rowsum",
-                                   [(one, (usym(*p, *q),)) for q in pts],
-                                   [(one, ())])
-        for q in pts:
-            yield RelationInstance(f"colsum[{q}]", "colsum",
-                                   [(one, (usym(*p, *q),)) for p in pts],
-                                   [(one, ())])
+    def instance_name(self, t: int) -> str:
+        """The name of instance number t: selfadj and idem at every pair
+        of points (p, q), then rowsum at every p and colsum at every q."""
+        pts, G = self.points, len(self.generators)
+        if t < 2 * G:
+            p, q = divmod(t // 2, len(pts))
+            return f"{('selfadj', 'idem')[t % 2]}[{pts[p]},{pts[q]}]"
+        p, q = divmod(t - 2 * G, len(pts))
+        return f"{('rowsum', 'colsum')[p]}[{pts[q]}]"
 
     def block_residuals(self, values: "_BlockValues"):
         """The residual of every relation instance, one array per relation
         family (``selfadj`` and ``idem`` interleaved per (p, q)), the arrays
-        and their entries in the order of ``relations()``."""
+        and their entries in instance order."""
         selfadj, idem, rowsum, colsum = _sn_plans(self.spec.sizes)
         yield np.stack([values.residuals(selfadj), values.residuals(idem)], axis=-1)
         yield values.residuals(rowsum)
@@ -194,22 +126,23 @@ class PvmPresentation:
     def generators(self) -> tuple:
         return tuple(("p", a) for a in range(self.K))
 
-    def relations(self):
-        gens, one = self.generators, Fraction(1)
-        for a, p in enumerate(gens):
-            yield RelationInstance(f"selfadj[{a}]", "selfadj", [(one, (p,))], [(one, (p,))],
-                                   adjoint_lhs=True)
-            yield RelationInstance(f"idem[{a}]", "idem", [(one, (p, p))], [(one, (p,))])
-        a, b = np.triu_indices(self.K, 1)
-        for x, y in zip(np.r_[a, b].tolist(), np.r_[b, a].tolist()):
-            yield RelationInstance(f"orth[{x},{y}]", "orth", [(one, (gens[x], gens[y]))], [])
-        yield RelationInstance("sum", "sum", [(one, (p,)) for p in gens], [(one, ())])
+    def instance_name(self, t: int) -> str:
+        """The name of instance number t: selfadj and idem of every
+        member, orth of every ordered pair in ``_pvm_pairs`` order, then
+        sum."""
+        K = self.K
+        if t < 2 * K:
+            return f"{('selfadj', 'idem')[t % 2]}[{t // 2}]"
+        if t < K * (K + 1):
+            left, right = _pvm_pairs(K)
+            return f"orth[{left[t - K]},{right[t - K]}]"
+        return "sum"
 
     def block_residuals(self, values: "_BlockValues"):
         """The residual of every relation instance, one array per relation
         family (``selfadj`` and ``idem`` interleaved per member), the arrays
-        and their entries in the order of ``relations()``: ``idem`` and
-        ``orth`` are one join over every ordered pair of members."""
+        and their entries in instance order: ``idem`` and ``orth`` are one
+        join over every ordered pair of members."""
         selfadj, pairs, total = _pvm_plans(self.K)
         products = values.residuals(pairs)
         yield np.stack([values.residuals(selfadj), products[:, :self.K]], axis=-1)
@@ -324,8 +257,8 @@ def _product_plan(inst_codes, gen_codes, keys, rhs, lweight=1, scale=1) -> _Prod
 
 
 def _enumerate(sizes, blocks: int, shape) -> np.ndarray:
-    """Index columns over the instances of a family, in the order of
-    ``relations()``: ``blocks`` block numbers, counted from 0, in
+    """Index columns over the instances of a family, in instance order:
+    ``blocks`` block numbers, counted from 0, in
     lexicographic order, and for each such tuple the free indices over the
     ranges ``shape(*their block sizes)``, in lexicographic order."""
     cols = []
@@ -344,14 +277,27 @@ def _codes(radix: int, *cols) -> np.ndarray:
     return out
 
 
+# The instances of the families r1-r5 of ``QautPresentation``, in instance
+# order: ``_enumerate``'s columns over these block numbers and free index
+# ranges, which an instance's name lists.  Instance t of r3 is that of
+# generator number t, so its columns are the generators'.
+_QAUT_INDICES = {
+    "r1": (3, lambda ns, nsp, nr: (ns, ns, nsp, nsp, nr, nr)),
+    "r2": (3, lambda ns, nr, nrp: (ns, ns, nr, nr, nrp, nrp)),
+    "r3": (2, lambda ns, nr: (ns, ns, nr, nr)),
+    "r4": (1, lambda nr: (nr, nr)),
+    "r5": (1, lambda ns: (ns, ns)),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _qaut_plans(sizes: tuple) -> tuple:
-    """Index plans of the families r1-r5 of ``QautPresentation``, in the
-    order of ``relations()``; block numbers count from 0."""
+    """Index plans of the families r1-r5 of ``QautPresentation``, in
+    instance order; block numbers count from 0."""
     n, m = np.array(sizes), len(sizes)
     code = functools.partial(_codes, max(m, *sizes))
     # the generators q^(s,r)_(i,j),(k,l), in order, and their numbers
-    s, r, i, j, k, l = _enumerate(sizes, 2, lambda ns, nr: (ns, ns, nr, nr))
+    s, r, i, j, k, l = _enumerate(sizes, *_QAUT_INDICES["r3"])
     counts = (np.multiply.outer(n, n) ** 2).ravel()
     first = (np.cumsum(counts) - counts).reshape(m, m)
 
@@ -360,16 +306,14 @@ def _qaut_plans(sizes: tuple) -> tuple:
 
     P = math.lcm(*sizes)
     # r1: sum_v q(s,r,i,j,k,v) q(s',r,i',j',v,l) = [s = s', j = i'] q(s,r,i,j',k,l)
-    S, Sp, R, I, J, Ip, Jp, K, L = _enumerate(sizes, 3,
-                                              lambda ns, nsp, nr: (ns, ns, nsp, nsp, nr, nr))
+    S, Sp, R, I, J, Ip, Jp, K, L = _enumerate(sizes, *_QAUT_INDICES["r1"])
     x = np.flatnonzero((S == Sp) & (J == Ip))
     r1 = _product_plan((code(S, R, I, J, K), code(Sp, R, Ip, Jp, L)),
                        (code(s, r, i, j, k), code(s, r, i, j, l)), (code(r, l), code(r, k)),
                        (x, number(S, R, I, Jp, K, L)[x], -1))
     # r2, times P: sum_v (P/n_s) q(s,r,i,v,k,l) q(s,r',v,j,k',l')
     #   = [r = r', l = k'] (P/n_r) q(s,r,i,j,k,l')
-    S, R, Rp, I, J, K, L, Kp, Lp = _enumerate(sizes, 3,
-                                              lambda ns, nr, nrp: (ns, ns, nr, nr, nrp, nrp))
+    S, R, Rp, I, J, K, L, Kp, Lp = _enumerate(sizes, *_QAUT_INDICES["r2"])
     x = np.flatnonzero((R == Rp) & (L == Kp))
     r2 = _product_plan((code(S, R, I, K, L), code(S, Rp, J, Kp, Lp)),
                        (code(s, r, i, k, l), code(s, r, j, k, l)), (code(s, j), code(s, i)),
@@ -381,10 +325,10 @@ def _qaut_plans(sizes: tuple) -> tuple:
     # r4[r, k, l]: sum_(s,i) q(s,r,i,i,k,l) = [k = l];
     # r5[s, i, j]: sum_(r,k) n_r q(s,r,i,j,k,k) = [i = j] n_s
     first = np.cumsum(n * n) - n * n
-    R, K, L = _enumerate(sizes, 1, lambda nr: (nr, nr))
+    R, K, L = _enumerate(sizes, *_QAUT_INDICES["r4"])
     x = np.flatnonzero(i == j)
     r4 = _sum_plan(len(R), x, first[r[x]] + k[x] * n[r[x]] + l[x], 1, eye=K == L)
-    S, I, J = _enumerate(sizes, 1, lambda ns: (ns, ns))
+    S, I, J = _enumerate(sizes, *_QAUT_INDICES["r5"])
     x = np.flatnonzero(k == l)
     r5 = _sum_plan(len(S), x, first[s[x]] + i[x] * n[s[x]] + j[x], n[r[x]], eye=(I == J) * n[S])
     return r1, r2, r3, r4, r5
@@ -402,18 +346,43 @@ def _sn_plans(sizes: tuple) -> tuple:
     return selfadj, idem, _sum_plan(N, t, t // N, 1, eye=1), _sum_plan(N, t, t % N, 1, eye=1)
 
 
+def _pvm_pairs(K: int) -> tuple:
+    """The members (a, b) of every product p_a p_b of ``PvmPresentation``,
+    as two columns: the pairs (a, a), then (a, b) for a < b
+    (``np.triu_indices``), then (b, a)."""
+    t = np.arange(K)
+    a, b = np.triu_indices(K, 1)
+    return np.r_[t, a, b], np.r_[t, b, a]
+
+
 @functools.lru_cache(maxsize=None)
 def _pvm_plans(K: int) -> tuple:
     """Index plans of ``PvmPresentation``: selfadj; p_a p_b - [a = b] p_a
-    over the pairs (a, a), then (a, b) for a < b (``np.triu_indices``),
-    then (b, a), one join in which every left factor meets every right
-    one, so that each pair it forms is an instance; and sum."""
+    over the pairs of ``_pvm_pairs``, one join in which every left factor
+    meets every right one, so that each pair it forms is an instance; and
+    sum."""
     t, zero = np.arange(K), np.zeros(K, dtype=np.int64)
-    a, b = np.triu_indices(K, 1)
     selfadj = _sum_plan(K, np.r_[t, t], np.r_[t, t], np.repeat([1, -1], K),
                         np.repeat([True, False], K))
-    pairs = _product_plan((np.r_[t, a, b], np.r_[t, b, a]), (t, t), (zero, zero), (t, t, -1))
+    pairs = _product_plan(_pvm_pairs(K), (t, t), (zero, zero), (t, t, -1))
     return selfadj, pairs, _sum_plan(1, t, zero, 1, eye=1)
+
+
+def _product_words(plan: _Products, generators: tuple) -> list:
+    """Every instance of a product family as [(coefficient, word)], its
+    left side minus its right side, the words over ``generators``: the
+    pairs (g, h) of a left and a right factor with lkey[g] == rkey[h], the
+    join ``_BlockValues.residuals`` evaluates, then the right side's
+    generators, each weight over ``scale``."""
+    words = [[] for _ in range(plan.size)]
+    g, h = np.nonzero(plan.lkey[:, None] == plan.rkey[None, :])
+    inst = plan.instance[plan.lpart[g] * plan.rparts + plan.rpart[h]]
+    for x, a, b, w in zip(inst.tolist(), g.tolist(), h.tolist(), plan.lweight[g].tolist()):
+        words[x].append((Fraction(w, plan.scale), (generators[a], generators[b])))
+    rhs = plan.rhs
+    for x, a, w in zip(plan.instance[rhs.inst].tolist(), rhs.gen.tolist(), rhs.weight.tolist()):
+        words[x].append((Fraction(w, plan.scale), (generators[a],)))
+    return words
 
 
 def _positions(lo, cnt):
@@ -584,10 +553,12 @@ def _quotients(a: np.ndarray, d: int) -> np.ndarray:
 def check_relations(asg: GeneratorAssignment, tol: float = 1e-9) -> RelationReport:
     """Evaluate the relation instances of the presentation under the
     assignment, case by case, and report the first that fails: at the first
-    failing case, in the order of ``relations()``.  The values are read into
-    one term table (``_BlockValues``); each relation family is one join of
-    its terms (r1, r2, idem, orth) or one keyed sum (r3-r5, selfadj, rowsum,
-    colsum, sum), summed per (instance, row, col), for all cases at once.  Exact
+    failing case, in instance order (the instances of each family in turn,
+    as ``block_residuals`` yields them), named by the presentation's
+    ``instance_name``.  The values are read into one term table
+    (``_BlockValues``); each relation family is one join of its terms (r1,
+    r2, idem, orth) or one keyed sum (r3-r5, selfadj, rowsum, colsum, sum),
+    summed per (instance, row, col), for all cases at once.  Exact
     values demand literal equality, every power-basis coefficient
     cancelling; complex-array values pass a relation when max|lhs - rhs| <=
     tol.  ``worst_residual`` is the largest residual of the instances up to
@@ -603,8 +574,8 @@ def check_relations(asg: GeneratorAssignment, tol: float = 1e-9) -> RelationRepo
     case = int(fails.any(axis=1).argmax())
     t = int(fails[case].argmax())
     worst = max(float(resid[:case].max(initial=0.0)), float(resid[case, :t + 1].max()))
-    rel = next(itertools.islice(asg.presentation.relations(), t, None))
-    return RelationReport(False, worst, rel.rid, case * resid.shape[1] + t + 1, case)
+    return RelationReport(False, worst, asg.presentation.instance_name(t),
+                          case * resid.shape[1] + t + 1, case)
 
 
 # Substituted terms that one group of battery_groups holds at most, unless

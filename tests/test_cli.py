@@ -293,6 +293,28 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, flag):
     assert not (tmp_path / "missing").exists()
 
 
+def test_out_and_markdown_at_one_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # one path, the same path spelled two ways, and a hard link to an
+    # existing certificate are each refused before any suite runs
+    import qautcert.cli as cli
+
+    def no_run(cfg):
+        raise AssertionError("a suite ran with --out and --markdown at one file")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    cert, link = tmp_path / "cert.json", tmp_path / "link.md"
+    cert.write_text("an earlier certificate\n")
+    os.link(cert, link)
+    for out, md in [(cert, cert), (cert, tmp_path / "." / "cert.json"), (cert, link),
+                    (tmp_path / "new.json", tmp_path / "new.json")]:
+        assert main(["run", "--partition", "2", "--suites", "ueb", "--out", str(out),
+                     "--markdown", str(md)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --out and --markdown name one file: {out}\n"
+    assert cert.read_text() == "an earlier certificate\n"
+    assert not (tmp_path / "new.json").exists()
+
+
 def test_output_file_kept_when_the_other_path_is_unwritable(tmp_path, capsys):
     # a certificate already at --out survives a run refused for --markdown,
     # and a run that goes ahead replaces it whole
@@ -432,6 +454,8 @@ def test_every_function_no_certificate_runs_is_on_the_allowlist():
     src = os.path.dirname(os.path.dirname(qautcert.__file__))
     script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "scripts", "unreached_functions.py")
+    # a QAUTCERT_ variable in the caller's environment does not reach the runs
     proc = subprocess.run([sys.executable, script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=600)
+                          env=dict(os.environ, PYTHONPATH=src, QAUTCERT_SUITES="ueb"),
+                          timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qautcert.algebra import BlockSpec
 from qautcert.arith import Mat, root_of_unity
 from qautcert.cli import ft_to_float
-from qautcert.formal import FormalTensor, qsym, symbol_adjoint, usym
+from qautcert.formal import FormalTensor, qsym, usym
 from qautcert.pauli import BlockEmbedding
 from qautcert.qaut import (
     GeneratorAssignment,
@@ -23,6 +23,7 @@ from qautcert.qaut import (
 )
 
 from mat_reference import assignment, paren_unit, substitute, values_of
+from relation_reference import symbol_adjoint
 
 
 def test_symbol_adjoints():

@@ -35,14 +35,15 @@ from qautcert.qaut import (
     rho_forms_agree,
     rho_map,
     strict_word_check,
-    substitution_preserves_relations,
     theta_ad_unitary,
     theta_block_swap,
     uet_pvm,
 )
 from qautcert.qaut import _uet_projections, _unit_positions, _z_tables, _z_words
+from qautcert.relations import PvmPresentation
 
 from builders import formal_equals
+from relation_reference import relations, substitution_preserves_relations, symbolic
 from mat_reference import (alpha_closure, assignment, beta_closure, bracket_phi, echelon, mat,
                            paren, paren_unit, phase_permutation, rank, substitute, terms_of,
                            uet_projections, values_of, weyl_products, z_images, z_words)
@@ -124,7 +125,7 @@ def reference_residuals(asg):
             acc = acc + scale(val, coeff)
         return acc
 
-    for rel in asg.presentation.relations():
+    for rel in relations(asg.presentation):
         lhs, rhs = side(rel.lhs), side(rel.rhs)
         if rel.adjoint_lhs:
             lhs = adjoint(lhs)
@@ -288,7 +289,7 @@ def test_each_family_fails_first_as_in_the_reference(family, build, tol):
     asg = build()
     reports = [agreeing_report(as_float(asg), tol)] if tol else [agreeing_report(asg),
                                                                    agreeing_report(as_float(asg))]
-    rids = [rel.rid for rel in asg.presentation.relations()]
+    rids = [rel.rid for rel in relations(asg.presentation)]
     for rep in reports:
         assert rep.failing.startswith(family + "[")
         assert rep.checked == rids.index(rep.failing) + 1
@@ -298,7 +299,27 @@ def test_each_family_fails_first_as_in_the_reference(family, build, tol):
 def test_checked_counts_every_instance_on_a_pass(sizes):
     for asg in passing_points(sizes).values():
         rep = check_relations(asg)
-        assert rep.ok and rep.checked == len(list(asg.presentation.relations()))
+        assert rep.ok and rep.checked == len(list(relations(asg.presentation)))
+
+
+NAME_PARTITIONS = [(2,), (2, 1), (1, 1, 1), (3,), (2, 2), (3, 1, 2)]
+
+
+def presentations(sizes):
+    spec = BlockSpec(sizes)
+    return QautPresentation(spec), SnPresentation(spec)
+
+
+@pytest.mark.parametrize("pres", [p for sizes in NAME_PARTITIONS for p in presentations(sizes)]
+                         + [PvmPresentation(K) for K in (1, 2, 5)], ids=repr)
+def test_instance_names_are_the_reference_rids(pres, monkeypatch):
+    import qautcert.relations
+
+    # the index columns, cached, so that naming every instance takes one pass
+    monkeypatch.setattr(qautcert.relations, "_enumerate",
+                        functools.lru_cache(qautcert.relations._enumerate))
+    rids = [rel.rid for rel in relations(pres)]
+    assert [pres.instance_name(t) for t in range(len(rids))] == rids
 
 
 def sparse_exact_values(generators, rng, order, big):
@@ -1055,9 +1076,10 @@ def test_substitution_arrays_are_the_closures(sizes):
             for t in range(1, spec.m + 1):
                 sub, ref = family(spec, idx, t), closure(spec, idx, t)
                 assert sub.generators == pres.generators
+                image = symbolic(sub)
                 for g in pres.generators:
-                    (phase, target), (ref_phase, ref_target) = sub(g), ref(g)
-                    assert target == ref_target and phase == ref_phase, (sub.name, g)
+                    (phase, target), (ref_phase, ref_target) = image(g), ref(g)
+                    assert target == ref_target and phase == ref_phase, (family, idx, t, g)
 
 
 def reference_z_relation_failure(spec, z):
@@ -1146,18 +1168,18 @@ def test_z_relations_fail_as_the_matrix_reference(sizes, edit, failure, monkeypa
 
 def test_alpha1_has_order_nt():
     spec = BlockSpec((2, 1))
-    sub = alpha(spec, 1, 1)
+    sub = symbolic(alpha(spec, 1, 1))
     for sym in QautPresentation(spec).generators:
         phase = Cyclotomic.one()
         cur = sym
-        for _ in range(sub.order):
+        for _ in range(spec.sizes[0]):
             p, cur = sub(cur)
             phase = phase * p
         assert cur == sym and phase.is_one()
 
 
 def test_alpha2_shifts_row_indices():
-    sub = alpha(BlockSpec((2,)), 2, 1)
+    sub = symbolic(alpha(BlockSpec((2,)), 2, 1))
     for k in range(2):
         for l in range(2):
             phase, img = sub(qsym(1, 1, 0, 0, k, l))
@@ -1165,7 +1187,7 @@ def test_alpha2_shifts_row_indices():
 
 
 def test_beta4_shifts_w_down():
-    sub = beta(BlockSpec((2,)), 4, 1)
+    sub = symbolic(beta(BlockSpec((2,)), 4, 1))
     phase, img = sub(usym(1, 0, 1, 1, 1, 1))
     assert phase.is_one() and img == usym(1, 0, 1, 1, 1, 0)
 
@@ -1174,8 +1196,8 @@ def test_alpha_commutations_on_generators():
     spec = BlockSpec((2, 2))
     for t in (1, 2):
         for tau in (1, 2):
-            a1, a3 = alpha(spec, 1, t), alpha(spec, 3, tau)
-            a2, a4 = alpha(spec, 2, t), alpha(spec, 4, tau)
+            a1, a3 = symbolic(alpha(spec, 1, t)), symbolic(alpha(spec, 3, tau))
+            a2, a4 = symbolic(alpha(spec, 2, t)), symbolic(alpha(spec, 4, tau))
             for sym in QautPresentation(spec).generators:
                 p1, s1 = a1(sym)
                 p2, s12 = a3(s1)
@@ -1397,6 +1419,38 @@ def test_strict_word_mode_reports_without_failing():
     assert out["families"] == {"r1": "verified", "r2": "verified"}
     out = strict_word_check(BlockSpec((2, 2)))
     assert set(out["families"].values()) == {"skipped_desk_scale"}
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (1, 1, 1), (3,), (2, 2)])
+def test_product_words_are_the_reference_r1_r2_instances(sizes):
+    from qautcert.relations import _product_words, _qaut_plans
+
+    pres = QautPresentation(BlockSpec(sizes))
+    want = [sorted(rel.lhs + [(-c, w) for c, w in rel.rhs]) for rel in relations(pres)
+            if rel.family in ("r1", "r2")]
+    got = [sorted(words) for plan in _qaut_plans(sizes)[:2]
+           for words in _product_words(plan, pres.generators)]
+    assert got == want
+
+
+@pytest.mark.parametrize("sizes, families", [
+    ((2,), {"r1": "verified", "r2": "verified"}),
+    ((2, 1), {"r1": "verified", "r2": "verified"}),
+    ((1, 1), {"r1": "verified", "r2": "verified"}),
+    ((2, 2), {"r1": "skipped_desk_scale", "r2": "skipped_desk_scale"}),
+])
+def test_strict_word_check_families(sizes, families):
+    assert strict_word_check(BlockSpec(sizes))["families"] == families
+
+
+def test_strict_word_check_is_inconclusive_on_a_wrong_image(monkeypatch):
+    def copy_diagonal(pi):
+        pi[qsym(1, 1, 0, 1, 0, 0)] = pi[qsym(1, 1, 0, 0, 0, 0)]
+
+    _patch_pi(monkeypatch, copy_diagonal)
+    for sizes in [(2,), (2, 1)]:
+        assert strict_word_check(BlockSpec(sizes))["families"] == {
+            "r1": "inconclusive", "r2": "inconclusive"}
 
 
 def test_homs_battery_2_2_small_sample():
