@@ -58,7 +58,6 @@ from .qaut import (
     classical_theta_battery,
     covariance_check,
     haar_compat_check,
-    image_stack,
     pi_map,
     rearranged_Q_check,
     rho_forms_agree,
@@ -238,8 +237,7 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
     pi_cases.append(("pi direct sum", "direct_sum:first-two-block-preserving"))
     points = [perm for _, perm in tagged] + perms[:2]
     pi_asg = direct_sum_assignment(spec, points, np.minimum(np.arange(len(points)), len(tagged)))
-    failure = battery_failure(qpres, image_stack(pi_map(spec), qpres, upres), pi_asg, pi_cases,
-                              "pi_battery")
+    failure = battery_failure(qpres, pi_map(spec), pi_asg, pi_cases, "pi_battery")
     if failure:
         return failure
     rho = rho_map(spec)
@@ -248,7 +246,7 @@ def _suite_homs(cfg: SuiteConfig) -> dict:
                 "worst_residual": worst}
     battery = classical_theta_battery(spec, 10, seed=cfg.seed)
     theta_cases = [("rho battery", str(entry[:-1])) for entry in battery]
-    failure = battery_failure(upres, image_stack(rho, upres, qpres),
+    failure = battery_failure(upres, rho,
                               classical_assignment_aut(spec, [entry[-1] for entry in battery]),
                               theta_cases, "theta_battery")
     if failure:

@@ -2,8 +2,9 @@
 coefficient is a phase-permutation, stored as rows of an index table.
 
 A symbol is a hashable tuple, a q-symbol (``qsym``) or a u-symbol
-(``usym``).  The images of the generators under pi and rho are such tensors
-(see ``qaut.pi_map``).
+(``usym``), read only as a name: a table row holds its symbol's number.
+The images of the generators under pi and rho are such tensors, one stack
+each (see ``qaut.pi_map``).
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class FormalTensor:
             prefactor_b * zeta_order^exp[t] * E_(row[t] - b size, col[t]) (x) symbols[sym[t]],
 
     E the matrix units of M_size, and ``prefactors`` holds prefactor_b for
-    each image b.  One image is a stack of one, with rows below ``size``;
-    ``stack`` lays several images out as one tensor.
+    each image b.  The rows of image b follow those of image b - 1.  One
+    image is a stack of one, with rows below ``size``; ``take`` reads some
+    images of a stack as one.
 
     ``cli.ft_to_float`` sets ``phase``, each row's coefficient as a complex
     number; ``substitute`` then computes in floats."""
@@ -58,24 +60,20 @@ class FormalTensor:
         for name in ("sym", "row", "col", "exp"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
-    @classmethod
-    def stack(cls, images, symbols) -> "FormalTensor":
-        """The images, of one size, as one tensor over the symbols
-        ``symbols``: image b of the list is image b of the stack, and its
-        rows follow those of image b - 1."""
-        size = images[0].size
-        order = math.lcm(*(ft.order for ft in images))
-        number = {s: n for n, s in enumerate(symbols)}
-        renumbered = {}  # images often share their symbols tuple
-        for ft in images:
-            if id(ft.symbols) not in renumbered:
-                renumbered[id(ft.symbols)] = np.array([number[s] for s in ft.symbols],
-                                                      dtype=np.int64)
-        return cls(size, order, sum((ft.prefactors for ft in images), ()), tuple(symbols),
-                   np.concatenate([renumbered[id(ft.symbols)][ft.sym] for ft in images]),
-                   np.concatenate([ft.row + b * size for b, ft in enumerate(images)]),
-                   np.concatenate([ft.col for ft in images]),
-                   np.concatenate([ft.exp * (order // ft.order) for ft in images]))
+    def take(self, images) -> "FormalTensor":
+        """The stack of the images numbered ``images`` of this one, in that
+        order: image a of it is image images[a] here, its rows in their
+        order.  As row // size grows along the table, bisection on ``row``
+        finds each image's rows."""
+        images = np.asarray(images, dtype=np.int64)
+        lo = np.searchsorted(self.row, images * self.size)
+        cnt = np.searchsorted(self.row, (images + 1) * self.size) - lo
+        image = np.repeat(np.arange(len(images)), cnt)
+        rows = np.arange(len(image)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+        return FormalTensor(self.size, self.order,
+                            tuple(self.prefactors[b] for b in images.tolist()), self.symbols,
+                            self.sym[rows], self.row[rows] % self.size + image * self.size,
+                            self.col[rows], self.exp[rows])
 
     def differing(self, other: "FormalTensor") -> np.ndarray:
         """Which images of two stacks of one size, length and symbols

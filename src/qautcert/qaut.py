@@ -32,11 +32,11 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec, MonomialMap, multimatrix
-from .arith import Cyclotomic, Terms, _root_table, accumulate
-from .formal import FormalTensor, qsym, usym
+from .arith import Cyclotomic, Terms, _root_table, _starts, accumulate
+from .formal import FormalTensor
 from .pauli import BlockEmbedding, NotPVM, PhasePermutation, _off_delta, pvm_check, weyl_basis
 from .relations import (GeneratorAssignment, IncompleteAssignment, QautPresentation,
-                        RelationReport, SnPresentation, _enumerate, _product_words, _qaut_plans,
+                        RelationReport, SnPresentation, _numbering, _product_words, _qaut_plans,
                         battery_groups, check_relations)
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "pi_map",
     "rho_map",
     "rho_forms_agree",
-    "image_stack",
     "rearranged_Q_check",
     "alpha",
     "beta",
@@ -156,11 +155,6 @@ def block_preserving_permutations(spec: BlockSpec, count: int, seed: int):
     return out
 
 
-def _unit_index(spec: BlockSpec):
-    """(r, i, j) -> the position of E^(r)_(i,j) in the basis of B."""
-    return {p: n for n, p in enumerate(SnPresentation(spec).points)}
-
-
 def theta_ad_unitary(spec: BlockSpec, r: int, U: PhasePermutation) -> MonomialMap:
     """Ad(U) on block r, identity on the others, for a phase permutation U
     of M_(n_r): U E_ij U* = zeta_L^(exp[i] - exp[j]) E_(perm[i], perm[j]).
@@ -169,7 +163,7 @@ def theta_ad_unitary(spec: BlockSpec, r: int, U: PhasePermutation) -> MonomialMa
     n = spec.sizes[r - 1]
     if U.perm.shape != (n,):
         raise IndexOutOfRange(f"unitary size {U.perm.shape[-1]} does not match block {r}")
-    first = sum(m * m for m in spec.sizes[: r - 1])
+    first = _numbering(spec.sizes).point_first[r - 1]
     i, j = np.divmod(np.arange(n * n), n)
     k, exp = np.arange(spec.N), np.zeros(spec.N, dtype=np.int64)
     k[first:first + n * n] = first + U.perm[i] * n + U.perm[j]
@@ -180,9 +174,10 @@ def theta_ad_unitary(spec: BlockSpec, r: int, U: PhasePermutation) -> MonomialMa
 def theta_block_swap(spec: BlockSpec, r1: int, r2: int) -> MonomialMap:
     if spec.sizes[r1 - 1] != spec.sizes[r2 - 1]:
         raise IndexOutOfRange("can only swap blocks of equal size")
-    index = _unit_index(spec)
-    swap = {r1: r2, r2: r1}
-    return MonomialMap([index[(swap.get(r, r), i, j)] for (r, i, j) in index])
+    num = _numbering(spec.sizes)
+    r, i, j = num.points  # E^(r)_(i,j) is basis element point_number(r, i, j)
+    swapped = np.select([r == r1 - 1, r == r2 - 1], [r2 - 1, r1 - 1], r)
+    return MonomialMap(num.point_number(swapped, i, j))
 
 
 def classical_assignment_aut(spec: BlockSpec, thetas: list) -> GeneratorAssignment:
@@ -203,19 +198,14 @@ def classical_assignment_aut(spec: BlockSpec, thetas: list) -> GeneratorAssignme
             raise NotTracePreserving("theta does not preserve the Plancherel trace")
         if failure:
             raise NotAutomorphismB(f"theta is not {failure}")
-    n, K = np.array(spec.sizes), len(thetas)
-    # generator number t is q_(s,r,i,j,k,l) for the basis elements
-    # E^(s)_ij = src[t] and E^(r)_kl = tgt[t]
-    s, r, i, j, k, l = _enumerate(spec.sizes, 2, lambda ns, nr: (ns, ns, nr, nr))
-    first = np.cumsum(n * n) - n * n
-    src, tgt = first[s] + i * n[s] + j, first[r] + k * n[r] + l
-    number = np.empty(len(src), dtype=np.int64)
-    number[src * spec.N + tgt] = np.arange(len(src))
+    K, num = len(thetas), _numbering(spec.sizes)
+    # theta_a sends E^(s)_ij, basis element (s, i, j), to a multiple of the
+    # one t = theta_a.k at (r, k, l): the value of q_(s,r,i,j,k,l) at a
+    s, i, j = num.points
     M = math.lcm(*(c.order for theta in thetas for c in theta.scalars))
     L = math.lcm(2, M)
-    basis = np.arange(spec.N)
-    rows = np.concatenate([number[basis * spec.N + theta.k] * K + a
-                           for a, theta in enumerate(thetas)])
+    rows = np.concatenate([num.q_number(s, s[t], i, j, i[t], j[t]) * K + a
+                           for a, t in enumerate(theta.k for theta in thetas)])
     exp = np.concatenate([theta.exp * (L // theta.L) for theta in thetas])
     sign = np.ones_like(exp)
     if L != M:  # M odd: zeta_2M = -zeta_M^((M + 1) / 2)
@@ -224,7 +214,7 @@ def classical_assignment_aut(spec: BlockSpec, thetas: list) -> GeneratorAssignme
     power = _root_table(M)[exp % M]
     x, t = np.nonzero(power)
     return GeneratorAssignment(QautPresentation(spec), Terms(
-        len(src) * K, K, M, 1, rows[x], np.repeat(np.arange(K), spec.N)[x], t,
+        num.q.shape[1] * K, K, M, 1, rows[x], np.repeat(np.arange(K), spec.N)[x], t,
         sign[x] * power[x, t]), np.arange(K))
 
 
@@ -355,10 +345,6 @@ def _unit_positions(spec: BlockSpec, s: int):
     return stride, idx[(idx // stride) % spec.sizes[s - 1] == 0]
 
 
-def _index_range(ns: int, nr: int):
-    return itertools.product(range(ns), range(ns), range(nr), range(nr))
-
-
 def _phase_table(spec: BlockSpec):
     """The one table of pi and rho.  Per block pair (s, r), integer arrays
     row, col and exp over the axes (i, j, k, l, x, y, v, w, rest), one entry
@@ -388,53 +374,61 @@ def _phase_table(spec: BlockSpec):
             yield (s, r, L) + tuple(np.broadcast_arrays(row, col, exp))
 
 
-def _table_images(spec: BlockSpec, of_rho: bool) -> dict:
-    """The images of pi (q-generators) or rho (u-generators), each read off
-    its rows of the phase table."""
-    out = {}
-    for s, r, L, row, col, exp in _phase_table(spec):
-        ns, nr = spec.sizes[s - 1], spec.sizes[r - 1]
-        qs = [qsym(s, r, *t) for t in _index_range(ns, nr)]
-        us = [usym(s, x, y, r, v, w) for x, y, v, w in _index_range(ns, nr)]
-        sources, targets, prefactor = qs, tuple(us), Fraction(1, nr)
-        if of_rho:
-            row, col, exp = (a.transpose(4, 5, 6, 7, 0, 1, 2, 3, 8) for a in (row, col, -exp))
-            sources, targets, prefactor = us, tuple(qs), Fraction(1, ns)
-        shape = (len(sources), len(targets), row.shape[-1])
-        row, col, exp = (a.reshape(shape) for a in (row, col, exp % L))
-        sym = np.repeat(np.arange(len(targets)), shape[2])
-        for n, source in enumerate(sources):
-            out[source] = FormalTensor(spec.d ** 2, L, (prefactor,), targets, sym,
-                                       row[n].ravel(), col[n].ravel(), exp[n].ravel())
-    return out
+def _stacked_images(spec: BlockSpec, of_rho: bool) -> FormalTensor:
+    """The images of pi (q-generators) or rho (u-generators) as one stack,
+    in generator order, scattered from the phase table into preallocated
+    arrays: the image of a generator of the block pair (s, r) holds its
+    n_s n_r d^2 table rows, over the other side's indices and the rest, in
+    order."""
+    sizes, N, size = spec.sizes, spec.N, spec.d ** 2
+    num = _numbering(sizes)
+    # the blocks s and r of every image; its prefactor is 1/n_s for rho, 1/n_r for pi
+    bs, br = (np.repeat(num.points[0], N), np.tile(num.points[0], N)) if of_rho else num.q[:2]
+    counts = num.n[bs] * num.n[br] * size
+    start = np.cumsum(counts) - counts
+    sym, row, col, exp = (np.empty(int(counts.sum()), dtype=np.int64) for _ in range(4))
+    for s, r, L, trow, tcol, texp in _phase_table(spec):
+        ns, nr = sizes[s - 1], sizes[r - 1]
+        # the numbers of q^(s,r)_(i,j),(k,l) over (i, j, k, l) and of
+        # u_(s,x,y),(r,v,w) over (x, y, v, w)
+        q = num.q_first[s - 1, r - 1] + np.arange(ns * ns * nr * nr).reshape(ns, ns, nr, nr)
+        u = num.u_numbers(s - 1, r - 1).reshape(ns, ns, nr, nr)
+        source, target = (u, q) if of_rho else (q, u)
+        if of_rho:  # the table over (x, y, v, w, i, j, k, l, rest), conjugated
+            trow, tcol, texp = (a.transpose(4, 5, 6, 7, 0, 1, 2, 3, 8)
+                                for a in (trow, tcol, -texp % L))
+        # each row's position: its image's start, plus its place in the image
+        at = (start[source][..., None] + np.arange(target.size * trow.shape[-1])
+              ).reshape(trow.shape)
+        sym[at] = target[..., None]
+        row[at] = trow + (source * size).reshape(source.shape + (1,) * 5)
+        col[at], exp[at] = tcol, texp
+    prefactor = [Fraction(1, n) for n in sizes]
+    return FormalTensor(size, math.lcm(*sizes),
+                        tuple(prefactor[b] for b in (bs if of_rho else br).tolist()),
+                        (QautPresentation if of_rho else SnPresentation)(spec).generators,
+                        sym, row, col, exp)
 
 
-def pi_map(spec: BlockSpec) -> dict:
-    """pi on q-generators as formal tensors over M_d x M_d in u-symbols."""
-    return _table_images(spec, of_rho=False)
+def pi_map(spec: BlockSpec) -> FormalTensor:
+    """pi on the q-generators: their images, in ``QautPresentation``
+    order, as one stack of formal tensors over M_d x M_d in the
+    u-generators."""
+    return _stacked_images(spec, of_rho=False)
 
 
-def rho_map(spec: BlockSpec) -> dict:
-    """rho on u-generators as formal tensors over M_d x M_d in q-symbols."""
-    return _table_images(spec, of_rho=True)
-
-
-def image_stack(images: dict, presentation, target) -> FormalTensor:
-    """The images of ``presentation.generators``, in that order, as one
-    stacked formal tensor over ``target.generators``: its ``substitute``
-    takes the stack of a ``GeneratorAssignment`` of ``target`` and returns
-    the stack of one of ``presentation``."""
-    missing = [g for g in presentation.generators if g not in images]
-    if missing:
-        raise IncompleteAssignment(f"{len(missing)} generators have no image")
-    return FormalTensor.stack([images[g] for g in presentation.generators], target.generators)
+def rho_map(spec: BlockSpec) -> FormalTensor:
+    """rho on the u-generators: their images, in ``SnPresentation`` order,
+    as one stack of formal tensors over M_d x M_d in the q-generators."""
+    return _stacked_images(spec, of_rho=True)
 
 
 _CHUNK_ROWS = 1 << 14  # rows of a table that one comparison of cov or rho_forms_agree takes
 
 
-def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
-    """Whether every rho(u_(s,x,y),(r,v,w)) equals its conjugated form
+def rho_forms_agree(spec: BlockSpec, rho: FormalTensor) -> bool:
+    """Whether every rho(u_(s,x,y),(r,v,w)) of the stack ``rho`` equals its
+    conjugated form
 
         (T^[s]_(x,-y) x T^[r]_(v,-w))(Q^(s,r)/n_s)(T^[s]_(x,-y) x T^[r]_(v,-w))*,
 
@@ -444,10 +438,11 @@ def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
     of the phase table that ``rho`` comes from.  Kronecker
     products are index arithmetic, Ad(A x B) E_(a d + a', b d + b') =
     Ad(A) E_(a,b) x Ad(B) E_(a',b'), so per block pair the n_s^2 n_r^2
-    conjugations of Q are one gather, compared with the stacked images by
-    one ``FormalTensor.differing``, in chunks of about ``_CHUNK_ROWS``
-    rows."""
-    emb, d = BlockEmbedding(spec), spec.d
+    conjugations of Q are one gather, compared with their images
+    (``FormalTensor.take``) by one ``FormalTensor.differing``, in chunks of
+    about ``_CHUNK_ROWS`` rows."""
+    emb, d, qs = BlockEmbedding(spec), spec.d, QautPresentation(spec).generators
+    num = _numbering(spec.sizes)
     units, weyl = {}, {}
     for t, n in enumerate(spec.sizes, start=1):
         # (row, col) of the ones of E^(t)_(i,j), over (i, j)
@@ -458,10 +453,7 @@ def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
         weyl[t] = emb.paren_table(t, weyl_basis(n).at(i * n + -j % n))
     for s, ns in enumerate(spec.sizes, start=1):
         for r, nr in enumerate(spec.sizes, start=1):
-            qs = tuple(qsym(s, r, *t) for t in _index_range(ns, nr))
-            images = [rho[usym(s, x, y, r, v, w)] for x, y, v, w in _index_range(ns, nr)]
-            if any(ft.symbols != qs for ft in images):
-                return False
+            us = num.u_numbers(s - 1, r - 1).ravel()  # over (x, y, v, w)
             # Q's rows over (i, j) x (k, l) x (a one of E^(s)_(i,j)) x (a one of E^(r)_(k,l))
             ij, kl, a, b = np.indices((ns * ns, nr * nr, d // ns, d // nr)).reshape(4, -1)
             (rows_s, cols_s), (rows_r, cols_r) = units[s], units[r]
@@ -471,16 +463,17 @@ def rho_forms_agree(spec: BlockSpec, rho: dict) -> bool:
             # Ad(A x B) of Q for the conjugations c = (A = T^[s]_(x,-y)) x (B = T^[r]_(v,-w))
             # of a chunk, over (c, row of Q)
             step = max(1, _CHUNK_ROWS // len(rs))
-            for lo in range(0, len(images), step):
-                c = np.arange(lo, min(lo + step, len(images)))[:, None]
+            for lo in range(0, len(us), step):
+                c = np.arange(lo, min(lo + step, len(us)))[:, None]
                 A, B = c // (nr * nr), c % (nr * nr)
                 forms = FormalTensor(
-                    d * d, L, (Fraction(1, ns),) * len(c), qs, np.tile(ij * nr * nr + kl, len(c)),
+                    d * d, L, (Fraction(1, ns),) * len(c), qs,
+                    np.tile(num.q_first[s - 1, r - 1] + ij * nr * nr + kl, len(c)),
                     (perm_s[A, rs] * d + perm_r[B, rr] + d * d * (c - lo)).ravel(),
                     (perm_s[A, cs] * d + perm_r[B, cr]).ravel(),
                     ((exp_s[A, rs] - exp_s[A, cs]) * (L // Ls)
                      + (exp_r[B, rr] - exp_r[B, cr]) * (L // Lr)).ravel())
-                if forms.differing(FormalTensor.stack(images[lo:lo + len(c)], qs)).any():
+                if forms.differing(rho.take(us[lo:lo + len(c)])).any():
                     return False
     return True
 
@@ -500,71 +493,70 @@ def rearranged_Q_check(spec: BlockSpec) -> dict:
     u-symbols of the pair (s, r) occur in pi(q^(s,r)) only, so each block
     pair is one comparison of two tables with one image per u
     (``_shuffle_failure``); a failure names the first u in order."""
-    sizes = spec.sizes
+    sizes, N, m = spec.sizes, spec.N, spec.m
     pi = pi_map(spec)
+    num = _numbering(sizes)
     emb = BlockEmbedding(spec)
-    phi = {(t, a, b): emb.phi_table(t, -a, b)  # phi^[t]_(-a,b)
-           for t, n in enumerate(sizes, start=1) for a in range(n) for b in range(n)}
-    pairs = [(s, r) for s in range(1, spec.m + 1) for r in range(1, spec.m + 1)]
-    us = [[usym(s, x, y, r, v, w) for x, y, v, w in _index_range(sizes[s - 1], sizes[r - 1])]
-          for s, r in pairs]
-    uid = {u: (p, n) for p, pair_us in enumerate(us) for n, u in enumerate(pair_us)}
-    # per symbols tuple of pi's images, the (pair, number) of each symbol's u; per
-    # prefactor, an id; per pair, the images that reach its u
-    codes, ids, reach = {}, {}, [[] for _ in pairs]
-    for q, ft in pi.items():
-        if id(ft.symbols) not in codes:
-            codes[id(ft.symbols)] = np.array([uid[u] for u in ft.symbols],
-                                             dtype=np.int64).reshape(-1, 2).T
-        where = codes[id(ft.symbols)]
-        for p in np.flatnonzero(np.bincount(where[0][ft.sym], minlength=len(pairs))).tolist():
-            reach[p].append((q, ft, where, ids.setdefault(ft.prefactors, len(ids))))
-    prefactors = [p[0] for p in ids]
-    for p, (s, r) in enumerate(pairs):
-        failed = _shuffle_failure(spec, s, r, p, us[p], reach[p], prefactors, phi)
+    phi = {(t, a, b): emb.phi_table(t + 1, -a, b)  # phi^[t]_(-a,b), blocks from 0
+           for t, n in enumerate(sizes) for a in range(n) for b in range(n)}
+    # the block pair of each u_(P),(Q), blocks from 0, and its number there over
+    # (x, y, v, w); an id per prefactor
+    P, Q = np.divmod(np.arange(N * N), N)
+    bs, br = num.points[0][P], num.points[0][Q]
+    pair, number = bs * m + br, (P - num.point_first[bs]) * num.n[br] ** 2 + Q - num.point_first[br]
+    prefactors, pid = np.unique(np.array(pi.prefactors, dtype=object), return_inverse=True)
+    for p in range(m * m):
+        failed = _shuffle_failure(spec, pi, *divmod(p, m), pair, number, pid, prefactors, phi)
         if failed is not None:
-            return {"passed": False, "failed_word": str(failed), "partition": list(sizes)}
+            return {"passed": False, "failed_word": str(SnPresentation(spec).generators[failed]),
+                    "partition": list(sizes)}
     return {"passed": True, "partition": list(sizes), "d": spec.d,
-            "words_checked": len(uid), "shuffle": "(1,2,3,4)->(1,3)(2,4)",
+            "words_checked": N * N, "shuffle": "(1,2,3,4)->(1,3)(2,4)",
             "rhs_constant": "n_s", "worst_residual": 0.0}
 
 
-def _shuffle_failure(spec: BlockSpec, s: int, r: int, p: int, us: list, images: list,
-                     prefactors: list, phi: dict):
-    """The first u of ``us``, the u-symbols of the block pair (s, r), number
-    p, at which the shuffle identity fails, or None.  ``images`` holds
-    (q, image, where, prefactor id) for the images of pi that reach these
-    u, where[0] and where[1] the pair and number of each image symbol's u.
-    Both sides are one table with one image per u, its rows the outer sums
-    of a vector over one factor's rows and one over the other's."""
+def _shuffle_failure(spec: BlockSpec, pi: FormalTensor, s: int, r: int, pair: np.ndarray,
+                     number: np.ndarray, pid: np.ndarray, prefactors: np.ndarray, phi: dict):
+    """The generator number of the first u_(s,x,y),(r,v,w), blocks from 0,
+    at which the shuffle identity fails, or None.  u-generator g is of the
+    block pair pair[g] = s m + r and its number there over (x, y, v, w) is
+    number[g]; image b of the stack ``pi`` has the prefactor
+    prefactors[pid[b]].  Both sides are one table with one image per u, its
+    rows the outer sums of a vector over one factor's rows and one over the
+    other's."""
     d = spec.d
     d2 = d * d
     size = d2 * d2
-    order = math.lcm(1, *(ft.order for _, ft, _, _ in images))
+    num, ns, nr = _numbering(spec.sizes), spec.sizes[s], spec.sizes[r]
     # left: per image, its legs' rows (row, col) and its rows of this pair (u, row, col, exp);
     # each u must be reached, by images of one prefactor
+    rows = np.flatnonzero(pair[pi.sym] == s * spec.m + r)
+    u, image = number[pi.sym[rows]], pi.row[rows] // pi.size
+    least, most = np.full(ns * ns * nr * nr, len(prefactors)), np.full(ns * ns * nr * nr, -1)
+    np.minimum.at(least, u, pid[image])
+    np.maximum.at(most, u, pid[image])
     factors = []
-    least, most = np.full(len(us), len(prefactors)), np.full(len(us), -1)
-    for (_, s_, r_, i, j, k, l), ft, where, pid in images:
-        mine = where[0][ft.sym] == p
-        u = where[1][ft.sym[mine]]
-        (stride_s, base_s), (stride_r, base_r) = (_unit_positions(spec, s_),
-                                                  _unit_positions(spec, r_))
+    starts = _starts(image)
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(rows)]):
+        s_, r_, i, j, k, l = num.q[:, image[a]].tolist()
+        (stride_s, base_s), (stride_r, base_r) = (_unit_positions(spec, s_ + 1),
+                                                  _unit_positions(spec, r_ + 1))
         legs_row = ((base_s + i * stride_s)[:, None] * d + base_r + k * stride_r).ravel()
         legs_col = ((base_s + j * stride_s)[:, None] * d + base_r + l * stride_r).ravel()
-        factors.append(((_spread(legs_row, d) * d, _spread(ft.row[mine], d) + u * size),
-                        (_spread(legs_col, d) * d, _spread(ft.col[mine], d)),
-                        (np.zeros(len(legs_row), dtype=np.int64),
-                         ft.exp[mine] * (order // ft.order))))
-        least[u], most[u] = np.minimum(least[u], pid), np.maximum(most[u], pid)
+        mine = rows[a:b]
+        factors.append(((_spread(legs_row, d) * d,
+                         _spread(pi.row[mine] % pi.size, d) + u[a:b] * size),
+                        (_spread(legs_col, d) * d, _spread(pi.col[mine], d)),
+                        (np.zeros(len(legs_row), dtype=np.int64), pi.exp[mine])))
+    del rows, u, image  # the sums below hold these rows again, times the legs
     bad = least != most
-    lhs = FormalTensor(size, order, [0 if b else prefactors[m]
-                                     for b, m in zip(bad.tolist(), least.tolist())],
+    lhs = FormalTensor(size, pi.order, [0 if b else prefactors[m]
+                                        for b, m in zip(bad.tolist(), least.tolist())],
                        ("u",), *_outer_sums(factors))
     # right: every nonzero of phi^[s]_(-x,y) times every one of phi^[r]_(-v,w)
     sides = []
     for t in (s, r):
-        n = spec.sizes[t - 1]
+        n = spec.sizes[t]
         forms = [phi[t, a, b] for a in range(n) for b in range(n)]
         L = math.lcm(*(f[0] for f in forms))
         sides.append((L, [f[1] for f in forms],
@@ -573,13 +565,13 @@ def _shuffle_failure(spec: BlockSpec, s: int, r: int, p: int, us: list, images: 
                       np.concatenate([f[4] * (L // f[0]) for f in forms])))
     (Ls, qs, owner_s, row_s, col_s, exp_s), (Lr, qr, owner_r, row_r, col_r, exp_r) = sides
     L = math.lcm(Ls, Lr)
-    rhs = FormalTensor(size, L, [spec.sizes[s - 1] * a * b for a in qs for b in qr], ("u",),
+    rhs = FormalTensor(size, L, [ns * a * b for a in qs for b in qr], ("u",),
                        *_outer_sums([((owner_s * len(qr) * size + row_s * d2,
                                        owner_r * size + row_r),
                                       (col_s * d2, col_r),
                                       (exp_s * (L // Ls), exp_r * (L // Lr)))]))
     bad |= lhs.differing(rhs)
-    return us[int(np.argmax(bad))] if bad.any() else None
+    return int(num.u_numbers(s, r).ravel()[np.argmax(bad)]) if bad.any() else None
 
 
 def _outer_sums(factors):
@@ -624,10 +616,9 @@ def alpha(spec: BlockSpec, idx: int, t: int) -> Substitution:
     3: phase w^(k-l) on block r = t;  4: (k,l) -> (k+1,l+1) on r = t."""
     if not (1 <= t <= spec.m) or idx not in (1, 2, 3, 4):
         raise IndexOutOfRange(f"alpha_{idx},{t}")
-    nt = spec.sizes[t - 1]
-    n = np.array(spec.sizes)
+    nt, num = spec.sizes[t - 1], _numbering(spec.sizes)
     # the index columns of every generator q^(s,r)_(i,j),(k,l), blocks from 0
-    s, r, i, j, k, l = _enumerate(spec.sizes, 2, lambda ns, nr: (ns, ns, nr, nr))
+    s, r, i, j, k, l = num.q
     exp = np.zeros_like(s)
     if idx == 1:
         exp = np.where(s == t - 1, (i - j) % nt, 0)
@@ -637,10 +628,8 @@ def alpha(spec: BlockSpec, idx: int, t: int) -> Substitution:
         i, j = (np.where(s == t - 1, (a + 1) % nt, a) for a in (i, j))
     else:
         k, l = (np.where(r == t - 1, (a + 1) % nt, a) for a in (k, l))
-    counts = (np.multiply.outer(n, n) ** 2).ravel()
-    first = (np.cumsum(counts) - counts).reshape(spec.m, spec.m)
-    target = first[s, r] + ((i * n[s] + j) * n[r] + k) * n[r] + l
-    return Substitution(QautPresentation(spec).generators, nt, target, exp)
+    return Substitution(QautPresentation(spec).generators, nt, num.q_number(s, r, i, j, k, l),
+                        exp)
 
 
 def beta(spec: BlockSpec, idx: int, t: int) -> Substitution:
@@ -653,16 +642,15 @@ def beta(spec: BlockSpec, idx: int, t: int) -> Substitution:
     """
     if not (1 <= t <= spec.m) or idx not in (1, 2, 3, 4):
         raise IndexOutOfRange(f"beta_{idx},{t}")
-    nt, N = spec.sizes[t - 1], spec.N
-    # the point (s, x, y) is number first[s] + x n_s + y, blocks from 0, and
-    # u_(P),(Q) is generator number P N + Q; moved[P] is the number of P's image
-    s, x, y = _enumerate(spec.sizes, 1, lambda ns: (ns, ns))
+    nt, N, num = spec.sizes[t - 1], spec.N, _numbering(spec.sizes)
+    # the points (s, x, y), blocks from 0; u_(P),(Q) is generator number
+    # P N + Q, and moved[P] is the number of P's image
+    s, x, y = num.points
     if idx in (1, 3):
         x = np.where(s == t - 1, (x + 1) % nt, x)
     else:
         y = np.where(s == t - 1, (y - 1) % nt, y)
-    n = np.array(spec.sizes)
-    moved = np.cumsum(n * n)[s] - n[s] * n[s] + x * n[s] + y
+    moved = num.point_number(s, x, y)
     P, Q = np.divmod(np.arange(N * N), N)
     target = moved[P] * N + Q if idx in (1, 2) else P * N + moved[Q]
     return Substitution(SnPresentation(spec).generators, nt, target,
@@ -697,40 +685,32 @@ def _conjugated(ft: FormalTensor, U: PhasePermutation) -> FormalTensor:
 
 
 def _first_not_intertwined(stack: FormalTensor, sub: Substitution, U: PhasePermutation):
-    """The first generator g, in ``sub.generators`` order, at which
-    c image(g') != Ad(U)(image(g)) for sub(g) = (c, g'), or None; image(g)
-    is image n of ``stack`` for g = generators[n], its rows in image order
-    as ``FormalTensor.stack`` lays them out.  Both sides are formed for
-    chunks of whole images of about ``_CHUNK_ROWS`` rows and compared with
-    one ``FormalTensor.differing`` per chunk: the left side regroups the
-    rows of the images g' and adds c's phase, the right side conjugates the
-    chunk's own rows."""
+    """(g, compared): the first generator g, in ``sub.generators`` order,
+    at which c image(g') != Ad(U)(image(g)) for sub(g) = (c, g'), or None,
+    and the number of generators compared before it, or all of them;
+    image(g) is image n of ``stack`` for g = generators[n].  Both sides are
+    formed for chunks of whole images of about ``_CHUNK_ROWS`` rows and
+    compared with one ``FormalTensor.differing`` per chunk: the left side
+    takes the images g' (``FormalTensor.take``) and adds c's phase, the
+    right side conjugates the chunk's own images."""
     target, shift, L = sub.target, sub.exp, sub.L
-    prefactors = [stack.prefactors[n] for n in target.tolist()]
-    counts = np.bincount(stack.row // stack.size, minlength=len(target))
-    ends = np.cumsum(counts)
-    starts = ends - counts
     order = math.lcm(stack.order, L)
-    cuts = np.searchsorted(ends, np.arange(_CHUNK_ROWS, ends[-1], _CHUNK_ROWS))
+    # the first row of each image, and past the last: its rows follow those before it
+    first = np.searchsorted(stack.row, np.arange(len(stack.prefactors) + 1) * stack.size)
+    cuts = np.searchsorted(first[1:len(target) + 1],
+                           np.arange(_CHUNK_ROWS, first[len(target)], _CHUNK_ROWS))
     bounds = sorted({0, len(target), *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
-        src = target[lo:hi]
-        cnt = counts[src]
-        image = np.repeat(np.arange(hi - lo), cnt)
-        take = (starts[src] - np.cumsum(cnt) + cnt)[image] + np.arange(cnt.sum())
-        lhs = FormalTensor(stack.size, order, prefactors[lo:hi], stack.symbols, stack.sym[take],
-                           stack.row[take] % stack.size + image * stack.size, stack.col[take],
-                           stack.exp[take] * (order // stack.order) + shift[lo:hi][image]
-                           * (order // L))
-        own = slice(starts[lo], ends[hi - 1])
-        rhs = _conjugated(FormalTensor(stack.size, stack.order, stack.prefactors[lo:hi],
-                                       stack.symbols, stack.sym[own],
-                                       stack.row[own] - lo * stack.size, stack.col[own],
-                                       stack.exp[own]), U)
-        bad = lhs.differing(rhs)
+        lhs = stack.take(target[lo:hi])
+        lhs = replace(lhs, order=order, exp=lhs.exp * (order // stack.order) + np.repeat(
+            shift[lo:hi], np.diff(first)[target[lo:hi]]) * (order // L))
+        own = slice(first[lo], first[hi])
+        rhs = replace(stack, prefactors=stack.prefactors[lo:hi], sym=stack.sym[own],
+                      row=stack.row[own] - lo * stack.size, col=stack.col[own], exp=stack.exp[own])
+        bad = lhs.differing(_conjugated(rhs, U))
         if bad.any():
-            return sub.generators[lo + int(np.argmax(bad))]
-    return None
+            return sub.generators[lo + int(np.argmax(bad))], lo
+    return None, len(target)
 
 
 def covariance_check(spec: BlockSpec) -> dict:
@@ -738,27 +718,26 @@ def covariance_check(spec: BlockSpec) -> dict:
     with the Pauli images of the crossed-product unitaries, the phase tables
     of the extended actions hold, and the z-words L x R span all of
     M_d x M_d.  The z-images are phase permutations (``_z_tables``), and
-    (c) compares their products entry by entry.  For (a)/(b) and (d), the
-    images of pi and of rho are stacked once each, and each of the 8m
-    substitutions is checked on every generator at once
-    (``_first_not_intertwined``); a failure names the first generator in
-    ``generators`` order.  For (e), span{L x R} = span(words) x
+    (c) compares their products entry by entry.  For (a)/(b) and (d), each
+    of the 8m substitutions is checked on every generator at once against
+    the stack of pi's or rho's images (``_first_not_intertwined``), and the
+    cases count the generators compared; a failure names the first
+    generator in ``generators`` order.  For (e), span{L x R} = span(words) x
     span(words), so ``e_span_rank`` is r^2, r the rank of the d^2 words of
     M_d, read off their trace pairing."""
     d = spec.d
     z = _z_tables(spec)
-    qpres = QautPresentation(spec)
-    upres = SnPresentation(spec)
     cert = {"partition": list(spec.sizes), "d": d}
     # (a)/(b): pi intertwines alpha_i,t with Ad(z_i,t)
-    pi = image_stack(pi_map(spec), qpres, upres)
+    pi, cases = pi_map(spec), 0
     for idx in (1, 2, 3, 4):
         for t in range(1, spec.m + 1):
-            sym = _first_not_intertwined(pi, alpha(spec, idx, t), z[(idx, t)])
+            sym, compared = _first_not_intertwined(pi, alpha(spec, idx, t), z[(idx, t)])
             if sym is not None:
                 cert.update(passed=False, failure=f"alpha{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                 return cert
-    cert["a_b_alpha_cases"] = 4 * spec.m * len(qpres.generators)
+            cases += compared
+    cert["a_b_alpha_cases"] = cases
     del pi
     # (c): phase tables and group relations of the z-images
     failure, checks = _z_relation_failure(spec, z)
@@ -767,14 +746,15 @@ def covariance_check(spec: BlockSpec) -> dict:
         return cert
     cert["c_z_relation_checks"] = checks
     # (d): rho intertwines beta_i,t with Ad(z_i,t)
-    rho = image_stack(rho_map(spec), upres, qpres)
+    rho, cases = rho_map(spec), 0
     for idx in (1, 2, 3, 4):
         for t in range(1, spec.m + 1):
-            sym = _first_not_intertwined(rho, beta(spec, idx, t), z[(idx, t)])
+            sym, compared = _first_not_intertwined(rho, beta(spec, idx, t), z[(idx, t)])
             if sym is not None:
                 cert.update(passed=False, failure=f"beta{idx},{t} vs Ad(z{idx},{t}) at {sym}")
                 return cert
-    cert["d_beta_cases"] = 4 * spec.m * len(upres.generators)
+            cases += compared
+    cert["d_beta_cases"] = cases
     # (e): span{L x R} = span(words) x span(words), so the z-words span
     # M_d x M_d exactly when the d^2 words span M_d: rank r^2 = d^4.  r is the
     # number of lines the words span, when a word of each (the first) is
@@ -861,11 +841,10 @@ def haar_compat_check(spec: BlockSpec) -> dict:
     a scalar multiple of the identity, two diagonal generators of one class
     (s, r) with different constants, and an off-diagonal generator with a
     nonzero constant each fail the fragment."""
-    qpres, upres = QautPresentation(spec), SnPresentation(spec)
-    N, gens = spec.N, qpres.generators
-    one = np.ones(len(upres.generators), dtype=np.int64)
+    N, gens = spec.N, QautPresentation(spec).generators
+    one = np.ones(N * N, dtype=np.int64)
     flat = Terms(len(one), 1, 1, N, np.arange(len(one)), 0 * one, 0 * one, one)
-    terms = image_stack(pi_map(spec), qpres, upres).substitute_terms(flat)
+    terms = pi_map(spec).substitute_terms(flat)
     # the power-basis coefficients of every nonzero entry, at its position
     # (generator, row, col), in position order
     n = terms.cols
@@ -883,18 +862,17 @@ def haar_compat_check(spec: BlockSpec) -> dict:
                 "worst_residual": 0.0, "failure": failure}
 
     classes = {}
-    for t, sym in enumerate(gens):
-        _, s, r, i, j, k, l = sym
+    for t, (s, r, i, j, k, l) in enumerate(_numbering(spec.sizes).q.T.tolist()):
         if not scalar[t]:
-            return failed(f"substitution for {sym} is not scalar", all_scalar=False)
+            return failed(f"substitution for {gens[t]} is not scalar", all_scalar=False)
         scal = (Cyclotomic(terms.order, [Fraction(int(x), terms.den) for x in coef[start[t]]])
                 if count[t] else Cyclotomic.zero())
         if i == j and k == l:
-            prev = classes.setdefault((s, r), scal)
+            prev = classes.setdefault((s + 1, r + 1), scal)
             if prev != scal:
-                return failed(f"inconsistent constants in class ({s},{r})")
+                return failed(f"inconsistent constants in class ({s + 1},{r + 1})")
         elif not scal.is_zero():
-            return failed(f"off-diagonal generator {sym} has nonzero constant")
+            return failed(f"off-diagonal generator {gens[t]} has nonzero constant")
     records = []
     for (s, r), c in sorted(classes.items()):
         ns = Fraction(spec.sizes[s - 1], N)
@@ -948,11 +926,12 @@ def strict_word_check(spec: BlockSpec) -> dict:
             return None
         return (a, b)
 
-    pi = {sym: ft.sparse() for sym, ft in pi_map(spec).items()}
-    by_row = {sym: {} for sym in pi}
-    for sym, entries in pi.items():
-        for (u, row, col), c in entries.items():
-            by_row[sym].setdefault(row, []).append((u, col, c))
+    stack = pi_map(spec)
+    pi = [stack.take([t]).sparse() for t in range(len(stack.prefactors))]
+    by_row = [{} for _ in pi]
+    for t, image in enumerate(pi):
+        for (u, row, col), c in image.items():
+            by_row[t].setdefault(row, []).append((u, col, c))
     unit = Cyclotomic.one()
 
     def entries(word):
@@ -971,10 +950,9 @@ def strict_word_check(spec: BlockSpec) -> dict:
         return out
 
     results = {}
-    gens = QautPresentation(spec).generators
     for family, plan in zip(("r1", "r2"), _qaut_plans(spec.sizes)):
         status = "verified"
-        for terms in _product_words(plan, gens):
+        for terms in _product_words(plan, range(len(pi))):
             acc: dict = {}
             for coeff, word in terms:
                 accumulate(acc, coeff, entries(word))

@@ -56,10 +56,8 @@ class QautPresentation:
 
     @functools.cached_property
     def generators(self) -> tuple:
-        return tuple(qsym(s, r, i, j, k, l)
-                     for s, ns in enumerate(self.spec.sizes, start=1)
-                     for r, nr in enumerate(self.spec.sizes, start=1)
-                     for i, j, k, l in itertools.product(range(ns), range(ns), range(nr), range(nr)))
+        return tuple(qsym(s + 1, r + 1, i, j, k, l)
+                     for s, r, i, j, k, l in _numbering(self.spec.sizes).q.T.tolist())
 
     def instance_name(self, t: int) -> str:
         """The name of instance number t: its family and its
@@ -86,9 +84,7 @@ class SnPresentation:
 
     @functools.cached_property
     def points(self) -> tuple:
-        return tuple((s, a, b)
-                     for s, ns in enumerate(self.spec.sizes, start=1)
-                     for a in range(ns) for b in range(ns))
+        return tuple((s + 1, a, b) for s, a, b in _numbering(self.spec.sizes).points.T.tolist())
 
     @functools.cached_property
     def generators(self) -> tuple:
@@ -290,47 +286,74 @@ _QAUT_INDICES = {
 }
 
 
+class _Numbering:
+    """The one numbering of the generators of a partition, blocks counted
+    from 0.  ``points`` holds the index columns (s, a, b) of the points
+    (s, a, b) in order, and ``q`` the columns (s, r, i, j, k, l) of the
+    generators q^(s,r)_(i,j),(k,l) in order, ``_enumerate``'s over
+    ``_QAUT_INDICES["r3"]``; ``point_number`` and ``q_number`` give the
+    number of any such columns.  u_(P),(Q) is generator number P N + Q."""
+
+    def __init__(self, sizes: tuple):
+        self.n = n = np.array(sizes)
+        counts = (np.multiply.outer(n, n) ** 2).ravel()
+        self.q_first = (np.cumsum(counts) - counts).reshape(len(sizes), len(sizes))
+        self.point_first = np.cumsum(n * n) - n * n
+        self.points = _enumerate(sizes, 1, lambda ns: (ns, ns))
+        self.q = _enumerate(sizes, *_QAUT_INDICES["r3"])
+        for a in (self.n, self.q_first, self.point_first, self.points, self.q):
+            a.flags.writeable = False  # shared by every caller of the cache
+
+    def point_number(self, s, a, b):
+        return self.point_first[s] + a * self.n[s] + b
+
+    def q_number(self, s, r, i, j, k, l):
+        n = self.n
+        return self.q_first[s, r] + ((i * n[s] + j) * n[r] + k) * n[r] + l
+
+    def u_numbers(self, s: int, r: int) -> np.ndarray:
+        """The numbers of the u_(s,x,y),(r,v,w), an n_s^2 x n_r^2 array over
+        (x, y) and (v, w)."""
+        first, n2 = self.point_first, self.n * self.n
+        return (first[s] + np.arange(n2[s]))[:, None] * n2.sum() + first[r] + np.arange(n2[r])
+
+
+_numbering = functools.lru_cache(maxsize=None)(_Numbering)
+
+
 @functools.lru_cache(maxsize=None)
 def _qaut_plans(sizes: tuple) -> tuple:
     """Index plans of the families r1-r5 of ``QautPresentation``, in
     instance order; block numbers count from 0."""
-    n, m = np.array(sizes), len(sizes)
-    code = functools.partial(_codes, max(m, *sizes))
-    # the generators q^(s,r)_(i,j),(k,l), in order, and their numbers
-    s, r, i, j, k, l = _enumerate(sizes, *_QAUT_INDICES["r3"])
-    counts = (np.multiply.outer(n, n) ** 2).ravel()
-    first = (np.cumsum(counts) - counts).reshape(m, m)
-
-    def number(s, r, i, j, k, l):
-        return first[s, r] + ((i * n[s] + j) * n[r] + k) * n[r] + l
-
+    num = _numbering(sizes)
+    n, s, r, i, j, k, l = num.n, *num.q
+    code = functools.partial(_codes, max(len(sizes), *sizes))
     P = math.lcm(*sizes)
     # r1: sum_v q(s,r,i,j,k,v) q(s',r,i',j',v,l) = [s = s', j = i'] q(s,r,i,j',k,l)
     S, Sp, R, I, J, Ip, Jp, K, L = _enumerate(sizes, *_QAUT_INDICES["r1"])
     x = np.flatnonzero((S == Sp) & (J == Ip))
     r1 = _product_plan((code(S, R, I, J, K), code(Sp, R, Ip, Jp, L)),
                        (code(s, r, i, j, k), code(s, r, i, j, l)), (code(r, l), code(r, k)),
-                       (x, number(S, R, I, Jp, K, L)[x], -1))
+                       (x, num.q_number(S, R, I, Jp, K, L)[x], -1))
     # r2, times P: sum_v (P/n_s) q(s,r,i,v,k,l) q(s,r',v,j,k',l')
     #   = [r = r', l = k'] (P/n_r) q(s,r,i,j,k,l')
     S, R, Rp, I, J, K, L, Kp, Lp = _enumerate(sizes, *_QAUT_INDICES["r2"])
     x = np.flatnonzero((R == Rp) & (L == Kp))
     r2 = _product_plan((code(S, R, I, K, L), code(S, Rp, J, Kp, Lp)),
                        (code(s, r, i, k, l), code(s, r, j, k, l)), (code(s, j), code(s, i)),
-                       (x, number(S, R, I, J, K, Lp)[x], -(P // n[R[x]])), P // n[s], P)
+                       (x, num.q_number(S, R, I, J, K, Lp)[x], -(P // n[R[x]])), P // n[s], P)
     # r3: instance number t, that of its generator: q(s,r,i,j,k,l)* = q(s,r,j,i,l,k)
     t = np.arange(len(s))
-    r3 = _sum_plan(len(t), np.r_[t, number(s, r, j, i, l, k)], np.r_[t, t],
+    r3 = _sum_plan(len(t), np.r_[t, num.q_number(s, r, j, i, l, k)], np.r_[t, t],
                    np.repeat([1, -1], len(t)), np.repeat([True, False], len(t)))
-    # r4[r, k, l]: sum_(s,i) q(s,r,i,i,k,l) = [k = l];
-    # r5[s, i, j]: sum_(r,k) n_r q(s,r,i,j,k,k) = [i = j] n_s
-    first = np.cumsum(n * n) - n * n
+    # r4 at point (r, k, l): sum_(s,i) q(s,r,i,i,k,l) = [k = l];
+    # r5 at point (s, i, j): sum_(r,k) n_r q(s,r,i,j,k,k) = [i = j] n_s
     R, K, L = _enumerate(sizes, *_QAUT_INDICES["r4"])
     x = np.flatnonzero(i == j)
-    r4 = _sum_plan(len(R), x, first[r[x]] + k[x] * n[r[x]] + l[x], 1, eye=K == L)
+    r4 = _sum_plan(len(R), x, num.point_number(r[x], k[x], l[x]), 1, eye=K == L)
     S, I, J = _enumerate(sizes, *_QAUT_INDICES["r5"])
     x = np.flatnonzero(k == l)
-    r5 = _sum_plan(len(S), x, first[s[x]] + i[x] * n[s[x]] + j[x], n[r[x]], eye=(I == J) * n[S])
+    r5 = _sum_plan(len(S), x, num.point_number(s[x], i[x], j[x]), n[r[x]], eye=(I == J) * n[S])
     return r1, r2, r3, r4, r5
 
 

@@ -10,6 +10,7 @@ from qautcert.cocycle import FinAbGroup, fourier_function_algebra, spec_cocycle,
 from qautcert.crossed import GroupAction, conjugation_lemma_check, takesaki_takai_check
 from qautcert.pauli import depolarization_check, is_unitary_error_basis, weyl_basis
 from qautcert.qaut import (
+    GeneratorAssignment,
     QautPresentation,
     SnPresentation,
     block_preserving_permutations,
@@ -27,7 +28,6 @@ from qautcert.qaut import (
 )
 
 from builders import inner_action, translation_action
-from mat_reference import assignment, substitute, values_of
 
 
 def report(num, ok, detail=""):
@@ -126,9 +126,7 @@ def test_criterion_6_homomorphism_batteries():
         assert len(perms) >= 20
         for perm in perms:
             uasg = permutation_assignment(spec, perm)
-            uvals = values_of(uasg)
-            qvals = {sym: substitute(ft, uvals) for sym, ft in pi.items()}
-            rep = check_relations(assignment(qpres, qvals))
+            rep = check_relations(GeneratorAssignment(qpres, pi.substitute_terms(uasg.stack)))
             assert rep.ok and rep.worst_residual == 0.0, (sizes, rep.failing)
         rho = rho_map(spec)
         assert rho_forms_agree(spec, rho)
@@ -138,9 +136,7 @@ def test_criterion_6_homomorphism_batteries():
         assert any(entry[0] == "ad_weyl" for entry in battery)
         for entry in battery:
             qasg = classical_assignment_aut(spec, [entry[-1]])
-            qvals = values_of(qasg)
-            uvals = {sym: substitute(ft, qvals) for sym, ft in rho.items()}
-            rep = check_relations(assignment(upres, uvals))
+            rep = check_relations(GeneratorAssignment(upres, rho.substitute_terms(qasg.stack)))
             assert rep.ok and rep.worst_residual == 0.0, (sizes, entry[0])
     budget.check()
     report(6, True, f"20 permutations and 10 automorphisms per partition, "

@@ -24,7 +24,6 @@ from qautcert.qaut import (
     classical_assignment_aut,
     classical_theta_battery,
     direct_sum_assignment,
-    image_stack,
     permutation_assignment,
     pi_map,
 )
@@ -68,7 +67,7 @@ def reference_homs(cfg):
                direct_sum_assignment(spec, perms[:2]))
 
     battery_record = []
-    failure = battery_failure(qpres, image_stack(cli.pi_map(spec), qpres, upres), pi_cases(),
+    failure = battery_failure(qpres, cli.pi_map(spec), pi_cases(),
                               "pi_battery", battery_record)
     if failure:
         return failure
@@ -80,7 +79,7 @@ def reference_homs(cfg):
     theta_cases = (("rho battery", str(entry[:-1]), classical_assignment_aut(spec, [entry[-1]]))
                    for entry in battery)
     theta_record = []
-    failure = battery_failure(upres, image_stack(rho, upres, qpres), theta_cases,
+    failure = battery_failure(upres, rho, theta_cases,
                               "theta_battery", theta_record)
     if failure:
         return failure
@@ -132,6 +131,25 @@ def test_grouped_batteries_give_the_per_case_fragment(partition, backend, limit,
     # the groups hold the 24 pi and 10 theta cases
     assert sum(checks) == 34
     assert len(checks) == 34 if limit == 0 else len(checks) < 34
+
+
+class FloatConversion(Exception):
+    pass
+
+
+@pytest.mark.parametrize("partition", [(2,), (2, 2)])
+def test_exact_homs_decides_without_floats(partition, monkeypatch):
+    """Exact ``homs`` never converts its images to floats, where a residual
+    of 0.0 would still read as a pass; float ``homs`` does."""
+    def refuse(ft):
+        raise FloatConversion("ft_to_float")
+
+    monkeypatch.setattr(cli, "ft_to_float", refuse)
+    frag = run(SuiteConfig(partition=partition, suites=("homs",)))["suites"]["homs"]
+    assert frag["passed"] and frag["worst_residual"] == 0.0, frag
+    frag = run(SuiteConfig(partition=partition, backend="float",
+                           suites=("homs",)))["suites"]["homs"]
+    assert not frag["passed"] and frag["error"] == "FloatConversion: ft_to_float", frag
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -214,8 +232,8 @@ def test_values_across_cases_are_refused():
 def test_groups_are_consecutive_cases_within_the_limit(limit, monkeypatch):
     monkeypatch.setattr(relations, "_GROUP_TERMS", limit)
     spec = BlockSpec((2, 1))
-    qpres, upres = QautPresentation(spec), SnPresentation(spec)
-    images = image_stack(pi_map(spec), qpres, upres)
+    qpres = QautPresentation(spec)
+    images = pi_map(spec)
     perms = block_preserving_permutations(spec, 6, seed=3)
     cases = [0, 1, 1, 2, 3, 3, 3, 4]
     asg = direct_sum_assignment(spec, perms + perms[:2], cases)

@@ -21,6 +21,7 @@ from qautcert.cli import (
 from qautcert.formal import qsym, usym
 
 import mat_reference
+from image_reference import pi_images, pi_stack, rho_images, rho_stack
 from mat_reference import mat
 
 
@@ -392,13 +393,12 @@ def _exponent_off_by_one(ft):
 def test_homs_fails_when_a_rho_image_disagrees_with_its_conjugated_form(monkeypatch):
     import qautcert.cli
 
-    real = qautcert.cli.rho_map
     sym = usym(1, 0, 0, 1, 0, 0)
 
     def edited(spec):
-        rho = real(spec)
+        rho = rho_images(spec)
         rho[sym] = _exponent_off_by_one(rho[sym])
-        return rho
+        return rho_stack(spec, rho)
 
     monkeypatch.setattr(qautcert.cli, "rho_map", edited)
     frag = run(SuiteConfig(partition=(2,), suites=("homs",)))["suites"]["homs"]
@@ -409,13 +409,12 @@ def test_homs_fails_when_a_rho_image_disagrees_with_its_conjugated_form(monkeypa
 def test_shuffle_names_the_word_of_a_mutated_pi_image(monkeypatch):
     import qautcert.qaut
 
-    real = qautcert.qaut.pi_map
     sym = qsym(1, 1, 0, 0, 0, 0)
 
     def edited(spec):
-        pi = real(spec)
+        pi = pi_images(spec)
         pi[sym] = _exponent_off_by_one(pi[sym])
-        return pi
+        return pi_stack(spec, pi)
 
     monkeypatch.setattr(qautcert.qaut, "pi_map", edited)
     frag = run(SuiteConfig(partition=(2, 1), suites=("shuffle",)))["suites"]["shuffle"]

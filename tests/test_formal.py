@@ -17,11 +17,9 @@ from qautcert.qaut import (
     IncompleteAssignment,
     QautPresentation,
     SnPresentation,
-    image_stack,
-    pi_map,
-    rho_map,
 )
 
+from image_reference import image_stack, pi_images, rho_images
 from mat_reference import assignment, paren_unit, substitute, values_of
 from relation_reference import symbol_adjoint
 
@@ -82,7 +80,7 @@ def dense_image(spec, source, values):
 def images_and_values(draw):
     spec = BlockSpec(draw(st.sampled_from([(1,), (2,), (2, 1), (3,), (1, 1)])))
     of_rho = draw(st.booleans())
-    images = rho_map(spec) if of_rho else pi_map(spec)
+    images = rho_images(spec) if of_rho else pi_images(spec)
     source = draw(st.sampled_from(sorted(images)))
     ft = images[source]
     k = draw(st.sampled_from([1, 1, 2, 3]))
@@ -124,8 +122,8 @@ def families_and_values(draw):
     spec = BlockSpec(draw(st.sampled_from([(2,), (3,), (2, 1)])))
     qpres, upres = QautPresentation(spec), SnPresentation(spec)
     of_rho = draw(st.booleans())
-    images, pres, target = ((rho_map(spec), upres, qpres) if of_rho
-                            else (pi_map(spec), qpres, upres))
+    images, pres, target = ((rho_images(spec), upres, qpres) if of_rho
+                            else (pi_images(spec), qpres, upres))
     # scale a few images' prefactors, on top of the mix (2, 1) has already
     scaled = draw(st.lists(st.integers(0, len(pres.generators) - 1), max_size=3))
     for t in scaled:
@@ -148,7 +146,7 @@ def families_and_values(draw):
 def scaled_dense_image(spec, images, source, values):
     """dense_image, times the factor by which ``images[source]``'s prefactor
     differs from its own."""
-    natural = (pi_map(spec) if source[0] == "q" else rho_map(spec))[source].prefactors[0]
+    natural = (pi_images(spec) if source[0] == "q" else rho_images(spec))[source].prefactors[0]
     return dense_image(spec, source, values).scale(images[source].prefactors[0] / natural)
 
 
@@ -173,7 +171,7 @@ def test_stacked_substitute_matches_dense_image_per_block(case):
 def test_image_family_missing_a_generator_is_incomplete():
     spec = BlockSpec((2, 1))
     qpres, upres = QautPresentation(spec), SnPresentation(spec)
-    images = pi_map(spec)
+    images = pi_images(spec)
     del images[qpres.generators[5]]
     with pytest.raises(IncompleteAssignment):
         image_stack(images, qpres, upres)

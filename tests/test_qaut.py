@@ -40,9 +40,10 @@ from qautcert.qaut import (
     uet_pvm,
 )
 from qautcert.qaut import _uet_projections, _unit_positions, _z_tables, _z_words
-from qautcert.relations import PvmPresentation
+from qautcert.relations import PvmPresentation, _numbering
 
 from builders import formal_equals
+from image_reference import pi_images, pi_stack, rho_images, rho_stack, stack_images
 from relation_reference import relations, substitution_preserves_relations, symbolic
 from mat_reference import (alpha_closure, assignment, beta_closure, bracket_phi, echelon, mat,
                            paren, paren_unit, phase_permutation, rank, substitute, terms_of,
@@ -211,8 +212,8 @@ def passing_points(sizes):
     spec = BlockSpec(sizes)
     perms = block_preserving_permutations(spec, 2, seed=1)
     theta = classical_assignment_aut(spec, [classical_theta_battery(spec, 1, seed=1)[-1][-1]])
-    rho = rho_map(spec)
-    pi = pi_map(spec)
+    rho = rho_images(spec)
+    pi = pi_images(spec)
     perm, dsum = permutation_assignment(spec, perms[0]), direct_sum_assignment(spec, perms)
     return {
         "permutation": perm,
@@ -412,11 +413,10 @@ def test_families_agree_over_chunks_of_one_group(sizes, monkeypatch):
 def test_substituted_terms_check_as_their_dense_stack(sizes):
     from qautcert.arith import Terms
     from qautcert.cli import ft_to_float
-    from qautcert.qaut import image_stack
 
     spec = BlockSpec(sizes)
-    qpres, upres = QautPresentation(spec), SnPresentation(spec)
-    images = image_stack(pi_map(spec), qpres, upres)
+    qpres = QautPresentation(spec)
+    images = pi_map(spec)
     perms = block_preserving_permutations(spec, 2, seed=4)
     for point in (permutation_assignment(spec, perms[0]), direct_sum_assignment(spec, perms)):
         for ft in (images, ft_to_float(images)):
@@ -457,16 +457,15 @@ def test_homs_fails_after_one_pi_image_changes(sizes, edit, monkeypatch):
     import qautcert.cli
     from qautcert.cli import SuiteConfig, run
 
-    real = qautcert.cli.pi_map
     sym = QautPresentation(BlockSpec(sizes)).generators[1]
 
     def edited(spec):
-        pi = real(spec)
+        pi = pi_images(spec)
         if edit == "exponent":
             _exponent_off_by_one(pi, sym)
         else:
             pi[sym] = replace(pi[sym], prefactors=(2 * pi[sym].prefactors[0],))
-        return pi
+        return pi_stack(spec, pi)
 
     monkeypatch.setattr(qautcert.cli, "pi_map", edited)
     for backend in ("exact", "float"):
@@ -644,7 +643,7 @@ def test_uet_pvm_and_pvm_check_form_no_matrix_product(monkeypatch):
 
 def test_pi_collapses_on_abelian_partition():
     spec = BlockSpec((1, 1))
-    pi = pi_map(spec)
+    pi = pi_images(spec)
     for s in (1, 2):
         for r in (1, 2):
             ft = pi[qsym(s, r, 0, 0, 0, 0)]
@@ -655,7 +654,7 @@ def test_pi_collapses_on_abelian_partition():
 
 def test_pi_identity_permutation_substitution():
     spec = BlockSpec((2,))
-    pi = pi_map(spec)
+    pi = pi_images(spec)
     pts = SnPresentation(spec).points
     uasg = permutation_assignment(spec, {p: p for p in pts})
     qvals = substitute_all(pi, values_of(uasg))
@@ -665,7 +664,7 @@ def test_pi_identity_permutation_substitution():
 
 def test_pi_seeded_block_preserving_battery():
     spec = BlockSpec((2, 1))
-    pi = pi_map(spec)
+    pi = pi_images(spec)
     pres = QautPresentation(spec)
     for perm in block_preserving_permutations(spec, 8, seed=11):
         uasg = permutation_assignment(spec, perm)
@@ -680,14 +679,14 @@ def test_pi_block_crossing_cycle_passes():
     spec = BlockSpec((2, 1))
     pts = SnPresentation(spec).points
     cyc = {pts[i]: pts[(i + 1) % len(pts)] for i in range(len(pts))}
-    pi = pi_map(spec)
+    pi = pi_images(spec)
     uasg = permutation_assignment(spec, cyc)
     rep = check_relations(assignment(QautPresentation(spec), substitute_all(pi, values_of(uasg))))
     assert rep.ok
 
 
 def test_rho_collapses_on_abelian_partition():
-    rho = rho_map(BlockSpec((1, 1)))
+    rho = rho_images(BlockSpec((1, 1)))
     ft = rho[usym(1, 0, 0, 2, 0, 0)]
     assert ft.symbols == (qsym(1, 2, 0, 0, 0, 0),)
 
@@ -701,7 +700,7 @@ def test_rho_both_forms_agree():
 def test_rho_classical_point_gives_magic_unitary():
     spec = BlockSpec((2,))
     qasg = classical_assignment_aut(spec, [theta_ad_unitary(spec, 1, weyl_basis(2).at(2))])
-    rho = rho_map(spec)
+    rho = rho_images(spec)
     uvals = substitute_all(rho, values_of(qasg))
     assert next(iter(uvals.values())).rows == 4  # M_2 x M_2
     rep = check_relations(assignment(SnPresentation(spec), uvals))
@@ -710,12 +709,37 @@ def test_rho_classical_point_gives_magic_unitary():
 
 def test_rho_battery_of_automorphisms():
     spec = BlockSpec((2,))
-    rho = rho_map(spec)
+    rho = rho_images(spec)
     pres = SnPresentation(spec)
     for entry in classical_theta_battery(spec, 10, seed=5):
         qasg = classical_assignment_aut(spec, [entry[-1]])
         rep = check_relations(assignment(pres, substitute_all(rho, values_of(qasg))))
         assert rep.ok, entry[0]
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1), (3, 2),
+                                   (4, 2, 2)])
+def test_stacks_are_the_per_generator_images_stacked(sizes):
+    spec = BlockSpec(sizes)
+    for got, want in ((pi_map(spec), pi_stack(spec, pi_images(spec))),
+                      (rho_map(spec), rho_stack(spec, rho_images(spec)))):
+        for name in ("sym", "row", "col", "exp"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert ((got.prefactors, got.order, got.size, got.symbols, got.phase)
+                == (want.prefactors, want.order, want.size, want.symbols, None))
+
+
+def test_take_reads_images_of_a_stack():
+    spec = BlockSpec((2, 1))
+    qpres, pi = QautPresentation(spec), pi_images(spec)
+    picked = [7, 0, 24, 7]
+    got = pi_stack(spec, pi).take(picked)
+    want = stack_images([pi[qpres.generators[t]] for t in picked], SnPresentation(spec).generators)
+    for name in ("sym", "row", "col", "exp"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert ((got.prefactors, got.order, got.size, got.symbols)
+            == (want.prefactors, want.order, want.size, want.symbols))
 
 
 # -- the shuffle identity -----------------------------------------------------
@@ -858,22 +882,21 @@ def single_row_mutations(images):
 def test_images_hold_each_entry_once(sizes):
     """``FormalTensor.differing`` compares sorted row keys, which compares
     the images as matrices only when no (symbol, row, col) repeats within
-    an image."""
+    an image: a stack's rows hold their image's number in ``row``."""
     spec = BlockSpec(sizes)
-    for images in (pi_map(spec), rho_map(spec)):
-        for ft in images.values():
-            keys = np.stack([ft.sym, ft.row, ft.col])
-            assert np.unique(keys, axis=1).shape[1] == keys.shape[1]
+    for ft in (pi_map(spec), rho_map(spec)):
+        keys = np.stack([ft.sym, ft.row, ft.col])
+        assert np.unique(keys, axis=1).shape[1] == keys.shape[1]
 
 
 def assert_rho_forms_agree_matches_reference(spec):
-    rho = rho_map(spec)
+    rho = rho_images(spec)
     cases = [("real images", rho)] + single_row_mutations(rho)
     assert len(cases) >= 3
     for label, images in cases:
         expected = reference_rho_forms_agree(spec, images)
         assert expected is (label == "real images"), label
-        assert rho_forms_agree(spec, images) is expected, label
+        assert rho_forms_agree(spec, rho_stack(spec, images)) is expected, label
 
 
 @pytest.mark.parametrize("sizes", REFERENCE_PARTITIONS)
@@ -895,13 +918,13 @@ def test_shuffle_matches_reference(sizes, monkeypatch):
     import qautcert.qaut
 
     spec = BlockSpec(sizes)
-    pi = pi_map(spec)
+    pi = pi_images(spec)
     cases = [("real images", pi)] + single_row_mutations(pi)
     assert len(cases) >= 3
     for label, images in cases:
         expected = reference_shuffle(spec, images)
         assert expected["passed"] is (label == "real images"), label
-        monkeypatch.setattr(qautcert.qaut, "pi_map", lambda _spec: images)
+        monkeypatch.setattr(qautcert.qaut, "pi_map", lambda _spec: pi_stack(spec, images))
         assert rearranged_Q_check(spec) == expected, label
 
 
@@ -1002,7 +1025,7 @@ def reference_covariance(spec, pi, rho):
 def covariance_cases(spec):
     """(label, pi, rho): the real images, then ``single_row_mutations`` of
     pi and of rho."""
-    pi, rho = pi_map(spec), rho_map(spec)
+    pi, rho = pi_images(spec), rho_images(spec)
     return ([("real images", pi, rho)]
             + [(f"pi: {label}", images, rho) for label, images in single_row_mutations(pi)]
             + [(f"rho: {label}", pi, images) for label, images in single_row_mutations(rho)])
@@ -1011,13 +1034,13 @@ def covariance_cases(spec):
 def assert_covariance_matches_reference(spec, monkeypatch):
     import qautcert.qaut
 
-    for label, pi_images, rho_images in covariance_cases(spec):
-        expected = reference_covariance(spec, pi_images, rho_images)
+    for label, pi, rho in covariance_cases(spec):
+        expected = reference_covariance(spec, pi, rho)
         # with no block of size 1, every edit breaks covariance
         if label == "real images" or 1 not in spec.sizes:
             assert expected["passed"] is (label == "real images"), label
-        monkeypatch.setattr(qautcert.qaut, "pi_map", lambda _spec: pi_images)
-        monkeypatch.setattr(qautcert.qaut, "rho_map", lambda _spec: rho_images)
+        monkeypatch.setattr(qautcert.qaut, "pi_map", lambda _spec: pi_stack(spec, pi))
+        monkeypatch.setattr(qautcert.qaut, "rho_map", lambda _spec: rho_stack(spec, rho))
         assert covariance_check(spec) == expected, label
 
 
@@ -1030,7 +1053,7 @@ def test_covariance_matches_reference_where_phase_and_image_orders_differ():
     """At (3, 2) the images are written at order 6 and the phases of alpha
     on the second block at order 2."""
     spec = BlockSpec((3, 2))
-    expected = reference_covariance(spec, pi_map(spec), rho_map(spec))
+    expected = reference_covariance(spec, pi_images(spec), rho_images(spec))
     assert expected["passed"] and covariance_check(spec) == expected
 
 
@@ -1211,6 +1234,28 @@ def test_alpha_commutations_on_generators():
                 assert s12 == t12 and p1 * p2 == q1 * q2
 
 
+@pytest.mark.parametrize("sizes", [(2,), (2, 1), (3, 1, 2)])
+def test_numbering_gives_the_generator_order_and_the_substitution_targets(sizes):
+    spec, num = BlockSpec(sizes), _numbering(sizes)
+    pts = [(s, a, b) for s, n in enumerate(sizes, start=1) for a in range(n) for b in range(n)]
+    qs = [qsym(s, r, i, j, k, l) for s, ns in enumerate(sizes, start=1)
+          for r, nr in enumerate(sizes, start=1)
+          for i, j, k, l in itertools.product(range(ns), range(ns), range(nr), range(nr))]
+    us = [usym(*p, *q) for p in pts for q in pts]
+    assert [(s + 1, a, b) for s, a, b in num.points.T.tolist()] == pts
+    assert num.point_number(*num.points).tolist() == list(range(len(pts)))
+    assert [qsym(s + 1, r + 1, *rest) for s, r, *rest in num.q.T.tolist()] == qs
+    assert num.q_number(*num.q).tolist() == list(range(len(qs)))
+    assert QautPresentation(spec).generators == tuple(qs)
+    assert SnPresentation(spec).points == tuple(pts)
+    assert SnPresentation(spec).generators == tuple(us)
+    for family, closure, gens in ((alpha, alpha_closure, qs), (beta, beta_closure, us)):
+        for idx in (1, 2, 3, 4):
+            for t in range(1, spec.m + 1):
+                sub, ref = family(spec, idx, t), closure(spec, idx, t)
+                assert [gens[n] for n in sub.target.tolist()] == [ref(g)[1] for g in gens]
+
+
 def test_substitutions_preserve_relations():
     # every relation instance maps to a phase multiple of another instance
     # of the same family, for all partitions with N <= 9 exercised here
@@ -1231,6 +1276,30 @@ def test_covariance_m2():
     cert = covariance_check(BlockSpec((2,)))
     assert cert["passed"]
     assert cert["e_span_rank"] == 16
+
+
+def test_covariance_counts_the_generators_it_compares(monkeypatch):
+    import qautcert.qaut
+
+    spec = BlockSpec((2, 1))
+    G, N2 = len(QautPresentation(spec).generators), spec.N ** 2
+    cert = covariance_check(spec)
+    assert (cert["a_b_alpha_cases"], cert["d_beta_cases"]) == (4 * spec.m * G, 4 * spec.m * N2)
+
+    def first_half(family):
+        def substitution(spec, idx, t):
+            sub = family(spec, idx, t)
+            half = len(sub.generators) // 2
+            return replace(sub, generators=sub.generators[:half], target=sub.target[:half],
+                           exp=sub.exp[:half])
+        return substitution
+
+    monkeypatch.setattr(qautcert.qaut, "alpha", first_half(alpha))
+    monkeypatch.setattr(qautcert.qaut, "beta", first_half(beta))
+    cert = covariance_check(spec)
+    assert cert["passed"]
+    assert (cert["a_b_alpha_cases"], cert["d_beta_cases"]) == (4 * spec.m * (G // 2),
+                                                               4 * spec.m * (N2 // 2))
 
 
 def test_covariance_degenerate_abelian():
@@ -1298,12 +1367,10 @@ def _patch_pi(monkeypatch, edit):
     """Make ``qaut.pi_map`` return its images after ``edit(pi)``."""
     import qautcert.qaut
 
-    real = qautcert.qaut.pi_map
-
     def edited(spec):
-        pi = real(spec)
+        pi = pi_images(spec)
         edit(pi)
-        return pi
+        return pi_stack(spec, pi)
 
     monkeypatch.setattr(qautcert.qaut, "pi_map", edited)
 
@@ -1312,12 +1379,10 @@ def _patch_rho(monkeypatch, edit):
     """Make ``qaut.rho_map`` return its images after ``edit(rho)``."""
     import qautcert.qaut
 
-    real = qautcert.qaut.rho_map
-
     def edited(spec):
-        rho = real(spec)
+        rho = rho_images(spec)
         edit(rho)
-        return rho
+        return rho_stack(spec, rho)
 
     monkeypatch.setattr(qautcert.qaut, "rho_map", edited)
 
@@ -1332,7 +1397,7 @@ def _exponent_off_by_one(images, sym):
 def test_pi_exponent_off_by_one_fails_covariance_and_shuffle(monkeypatch):
     spec = BlockSpec((2, 1))
     sym = qsym(1, 1, 0, 0, 0, 0)
-    ft = pi_map(spec)[sym]
+    ft = pi_images(spec)[sym]
     assert ft.symbols[ft.sym[0]] == usym(1, 0, 0, 1, 0, 0)
     _patch_pi(monkeypatch, lambda pi: _exponent_off_by_one(pi, sym))
     cert = covariance_check(spec)
@@ -1455,7 +1520,7 @@ def test_strict_word_check_is_inconclusive_on_a_wrong_image(monkeypatch):
 
 def test_homs_battery_2_2_small_sample():
     spec = BlockSpec((2, 2))
-    pi = pi_map(spec)
+    pi = pi_images(spec)
     pres = QautPresentation(spec)
     for perm in block_preserving_permutations(spec, 3, seed=3):
         uasg = permutation_assignment(spec, perm)
@@ -1467,7 +1532,7 @@ def test_arbitrary_permutations_pass_bare_relation_checks():
     from qautcert.qaut import arbitrary_permutations
 
     spec = BlockSpec((2, 1))
-    pi = pi_map(spec)
+    pi = pi_images(spec)
     pres = QautPresentation(spec)
     for perm in arbitrary_permutations(spec, 5, seed=9):
         uasg = permutation_assignment(spec, perm)
@@ -1483,6 +1548,6 @@ def test_direct_sum_is_matrix_valued_magic_unitary():
     dsum = direct_sum_assignment(spec, perms)
     assert dsum.size == 2  # entries live in M_2
     assert check_relations(dsum).ok
-    pi = pi_map(spec)
+    pi = pi_images(spec)
     rep = check_relations(assignment(QautPresentation(spec), substitute_all(pi, values_of(dsum))))
     assert rep.ok and rep.worst_residual == 0.0
