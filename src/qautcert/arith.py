@@ -488,6 +488,11 @@ def _starts(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def _positions(lo, cnt):
+    """Every position of the ranges [lo[a], lo[a] + cnt[a]), in order."""
+    return np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+
+
 def _contract(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """out[v] = sum over k of table[k, v] * stack[k]."""
     out = np.dot(table.T, stack.reshape(len(stack), -1))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Terms, accumulate, root_of_unity
+from .arith import Terms, _positions
 
 __all__ = ["FormalTensor", "qsym", "usym"]
 
@@ -68,8 +68,7 @@ class FormalTensor:
         images = np.asarray(images, dtype=np.int64)
         lo = np.searchsorted(self.row, images * self.size)
         cnt = np.searchsorted(self.row, (images + 1) * self.size) - lo
-        image = np.repeat(np.arange(len(images)), cnt)
-        rows = np.arange(len(image)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+        image, rows = np.repeat(np.arange(len(images)), cnt), _positions(lo, cnt)
         return FormalTensor(self.size, self.order,
                             tuple(self.prefactors[b] for b in images.tolist()), self.symbols,
                             self.sym[rows], self.row[rows] % self.size + image * self.size,
@@ -116,19 +115,6 @@ class FormalTensor:
         key.sort()
         return key
 
-    def sparse(self) -> dict:
-        """The nonzero coefficients of one image as {(symbol, row, col):
-        Cyclotomic}."""
-        if len(self.prefactors) != 1:
-            raise ValueError(f"sparse reads one image, not a stack of {len(self.prefactors)}")
-        units = [root_of_unity(self.order, e) for e in range(self.order)]
-        out: dict = {}
-        accumulate(out, self.prefactors[0],
-                   (((self.symbols[j], r, c), units[e % self.order])
-                    for j, r, c, e in zip(self.sym.tolist(), self.row.tolist(),
-                                          self.col.tolist(), self.exp.tolist())))
-        return out
-
     def substitute(self, values: Terms):
         """``substitute_terms`` as an exact ``Mat``, or a complex array once
         ``phase`` is set."""
@@ -155,9 +141,7 @@ class FormalTensor:
         counts = np.bincount(vrow // k, minlength=len(self.symbols))
         reps = counts[self.sym]
         t = np.repeat(np.arange(len(self.sym)), reps)
-        first = np.cumsum(counts) - counts
-        v = by_symbol[np.repeat(first[self.sym] - (np.cumsum(reps) - reps), reps)
-                      + np.arange(len(t))]
+        v = by_symbol[_positions((np.cumsum(counts) - counts)[self.sym], reps)]
         rows, cols = self.row[t] * k + vrow[v] % k, self.col[t] * k + vcol[v]
         if self.phase is not None:
             z = cmath.exp(2j * cmath.pi / values.order)

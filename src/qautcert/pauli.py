@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import BlockSpec
-from .arith import Cyclotomic, Terms, _root_table
+from .arith import Cyclotomic, Terms, _positions, _root_table
 from .relations import GeneratorAssignment, PvmPresentation, check_relations
 
 __all__ = [
@@ -134,7 +134,7 @@ class PhasePermutation(NamedTuple):
             key_b = (B.perm * size + np.arange(size)).ravel()
             lo, hi = np.searchsorted(key_a, key_b), np.searchsorted(key_a, key_b, "right")
             nb = np.repeat(np.arange(key_b.size), hi - lo)  # one entry per pair of nonzeros
-            na = by[np.arange(nb.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+            na = by[_positions(lo, hi - lo)]
             exp = B.exp.ravel()[nb] * (L // other.L) - self.exp.ravel()[na] * (L // self.L)
             pair = (na // size * len(B.perm) + nb // size) * L + exp % L
             powers = np.bincount(pair, minlength=count * len(B.perm) * L)

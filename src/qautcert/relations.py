@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec
-from .arith import Terms, _maxabs, _root_table, _starts, _working, euler_phi
+from .arith import Terms, _maxabs, _positions, _root_table, _starts, _working, euler_phi
 from .formal import FormalTensor, qsym, usym
 
 __all__ = [
@@ -406,11 +406,6 @@ def _product_words(plan: _Products, generators: tuple) -> list:
     for x, a, w in zip(plan.instance[rhs.inst].tolist(), rhs.gen.tolist(), rhs.weight.tolist()):
         words[x].append((Fraction(w, plan.scale), (generators[a],)))
     return words
-
-
-def _positions(lo, cnt):
-    """Every position of the ranges [lo[a], lo[a] + cnt[a]), in order."""
-    return np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
 
 
 # Product pairs evaluated at once, over whole groups of instances, which

@@ -3,7 +3,8 @@
 ``FormalTensor`` per generator, each over the symbols of its own block
 pair, read off the phase table (``pi_images``, ``rho_images``), and their
 stack over a presentation's generators (``image_stack``).  ``pi_map`` and
-``rho_map`` return that stack, written directly."""
+``rho_map`` return that stack, written directly.  ``image_entries`` reads
+one image as a dict of exact coefficients."""
 
 import itertools
 import math
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qautcert.arith import accumulate, root_of_unity
 from qautcert.formal import FormalTensor, qsym, usym
 from qautcert.qaut import IncompleteAssignment, QautPresentation, SnPresentation, _phase_table
 
@@ -88,3 +90,17 @@ def pi_stack(spec, images: dict) -> FormalTensor:
 def rho_stack(spec, images: dict) -> FormalTensor:
     """The stack of images of rho, as ``rho_map`` returns it."""
     return image_stack(images, SnPresentation(spec), QautPresentation(spec))
+
+
+def image_entries(ft: FormalTensor) -> dict:
+    """The nonzero coefficients of one image as {(symbol, row, col):
+    Cyclotomic}."""
+    if len(ft.prefactors) != 1:
+        raise ValueError(f"image_entries reads one image, not a stack of {len(ft.prefactors)}")
+    units = [root_of_unity(ft.order, e) for e in range(ft.order)]
+    out: dict = {}
+    accumulate(out, ft.prefactors[0],
+               (((ft.symbols[j], r, c), units[e % ft.order])
+                for j, r, c, e in zip(ft.sym.tolist(), ft.row.tolist(), ft.col.tolist(),
+                                      ft.exp.tolist())))
+    return out

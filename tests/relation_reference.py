@@ -3,8 +3,8 @@ the index plans of ``qautcert.relations`` are tested against: each instance
 of Qaut (r1-r5), of S_N^+ (selfadj, idem, rowsum, colsum) and of a PVM
 (selfadj, idem, orth, sum) as a ``RelationInstance`` of symbolic words, in
 the order ``check_relations`` evaluates them (``relations``); the formal
-adjoint of a symbol (``symbol_adjoint``); a ``Substitution`` read as a map
-of symbols (``symbolic``); and the symbolic check that a substitution maps
+adjoint of a symbol (``symbol_adjoint``); a substitution on generator
+numbers read as a map of symbols (``symbolic``); and the symbolic check that a substitution maps
 every instance of a family to a unit multiple of another
 (``substitution_preserves_relations``)."""
 
@@ -137,16 +137,17 @@ def symbol_adjoint(sym):
     raise ValueError(f"unknown symbol kind {sym[0]!r}")
 
 
-def symbolic(sub):
-    """A ``Substitution`` as the map symbol -> (phase, symbol), read off its
-    arrays."""
-    number = {g: n for n, g in enumerate(sub.generators)}
+def symbolic(sub, generators):
+    """A substitution on generator numbers, a ``PhasePermutation`` such as
+    ``qaut.alpha`` returns, as the map symbol -> (phase, symbol) on the
+    generators ``generators``, read off its arrays."""
+    number = {g: n for n, g in enumerate(generators)}
 
     def call(sym):
         n = number[sym]
         e = int(sub.exp[n]) % sub.L
         return (root_of_unity(sub.L, e) if e else Cyclotomic.one(),
-                sub.generators[int(sub.target[n])])
+                generators[int(sub.perm[n])])
 
     return call
 
@@ -173,7 +174,7 @@ def substitution_preserves_relations(spec, sub, presentation) -> dict:
     the same family, up to a unit scalar (canonical re-indexing check), and
     the substitution commutes with the formal adjoint."""
     relations_ = list(relations(presentation))
-    image = symbolic(sub)
+    image = symbolic(sub, presentation.generators)
     order = 1
     for n in spec.sizes:
         order = order * n // math.gcd(order, n)

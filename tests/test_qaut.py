@@ -43,7 +43,8 @@ from qautcert.qaut import _uet_projections, _unit_positions, _z_tables, _z_words
 from qautcert.relations import PvmPresentation, _numbering
 
 from builders import formal_equals
-from image_reference import pi_images, pi_stack, rho_images, rho_stack, stack_images
+from image_reference import (image_entries, pi_images, pi_stack, rho_images, rho_stack,
+                             stack_images)
 from relation_reference import relations, substitution_preserves_relations, symbolic
 from mat_reference import (alpha_closure, assignment, beta_closure, bracket_phi, echelon, mat,
                            paren, paren_unit, phase_permutation, rank, substitute, terms_of,
@@ -767,7 +768,7 @@ REFERENCE_PARTITIONS = [(1,), (2,), (3,), (2, 1), (2, 2), (1, 1, 1, 1)]
 def reference_rho_forms_agree(spec, rho):
     """The rho cross-check with exact matrices: (T x T)(Q^(s,r)/n_s)(T x T)*
     by ``Mat`` products, compared with each image as {key: Cyclotomic}."""
-    return all(sparse_eq(lhs, rho[u].sparse())
+    return all(sparse_eq(lhs, image_entries(rho[u]))
                for u, lhs in _reference_rho_forms(spec.sizes).items())
 
 
@@ -804,7 +805,7 @@ def reference_shuffle(spec, pi):
         legs = [(r1 * d + r2, c1 * d + c2)
                 for r1, c1 in zip(base_s + i * stride_s, base_s + j * stride_s)
                 for r2, c2 in zip(base_r + k * stride_r, base_r + l * stride_r)]
-        for (u, row, col), c in ft.sparse().items():
+        for (u, row, col), c in image_entries(ft).items():
             coeff = lhs.setdefault(u, {})
             for r12, c12 in legs:
                 at = (_shuffle_index(int(r12) * d2 + row, d), _shuffle_index(int(c12) * d2 + col, d))
@@ -924,6 +925,25 @@ def test_shuffle_matches_reference(sizes, monkeypatch):
     for label, images in cases:
         expected = reference_shuffle(spec, images)
         assert expected["passed"] is (label == "real images"), label
+        monkeypatch.setattr(qautcert.qaut, "pi_map", lambda _spec: pi_stack(spec, images))
+        assert rearranged_Q_check(spec) == expected, label
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 37])
+def test_shuffle_matches_reference_over_small_chunks(chunk_rows, monkeypatch):
+    """The (2,1) fragment, and the u a mutated pi image fails at, are those
+    of one comparison per block pair when each pair is compared in chunks
+    of a few u's."""
+    import qautcert.qaut
+
+    spec = BlockSpec((2, 1))
+    whole = rearranged_Q_check(spec)
+    monkeypatch.setattr(qautcert.qaut, "_CHUNK_ROWS", chunk_rows)
+    assert rearranged_Q_check(spec) == whole
+    pi = pi_images(spec)
+    for label, images in single_row_mutations(pi):
+        expected = reference_shuffle(spec, images)
+        assert expected["passed"] is False, label
         monkeypatch.setattr(qautcert.qaut, "pi_map", lambda _spec: pi_stack(spec, images))
         assert rearranged_Q_check(spec) == expected, label
 
@@ -1098,8 +1118,8 @@ def test_substitution_arrays_are_the_closures(sizes):
         for idx in (1, 2, 3, 4):
             for t in range(1, spec.m + 1):
                 sub, ref = family(spec, idx, t), closure(spec, idx, t)
-                assert sub.generators == pres.generators
-                image = symbolic(sub)
+                assert len(sub.perm) == len(sub.exp) == len(pres.generators)
+                image = symbolic(sub, pres.generators)
                 for g in pres.generators:
                     (phase, target), (ref_phase, ref_target) = image(g), ref(g)
                     assert target == ref_target and phase == ref_phase, (family, idx, t, g)
@@ -1191,8 +1211,9 @@ def test_z_relations_fail_as_the_matrix_reference(sizes, edit, failure, monkeypa
 
 def test_alpha1_has_order_nt():
     spec = BlockSpec((2, 1))
-    sub = symbolic(alpha(spec, 1, 1))
-    for sym in QautPresentation(spec).generators:
+    gens = QautPresentation(spec).generators
+    sub = symbolic(alpha(spec, 1, 1), gens)
+    for sym in gens:
         phase = Cyclotomic.one()
         cur = sym
         for _ in range(spec.sizes[0]):
@@ -1202,7 +1223,8 @@ def test_alpha1_has_order_nt():
 
 
 def test_alpha2_shifts_row_indices():
-    sub = symbolic(alpha(BlockSpec((2,)), 2, 1))
+    spec = BlockSpec((2,))
+    sub = symbolic(alpha(spec, 2, 1), QautPresentation(spec).generators)
     for k in range(2):
         for l in range(2):
             phase, img = sub(qsym(1, 1, 0, 0, k, l))
@@ -1210,18 +1232,20 @@ def test_alpha2_shifts_row_indices():
 
 
 def test_beta4_shifts_w_down():
-    sub = symbolic(beta(BlockSpec((2,)), 4, 1))
+    spec = BlockSpec((2,))
+    sub = symbolic(beta(spec, 4, 1), SnPresentation(spec).generators)
     phase, img = sub(usym(1, 0, 1, 1, 1, 1))
     assert phase.is_one() and img == usym(1, 0, 1, 1, 1, 0)
 
 
 def test_alpha_commutations_on_generators():
     spec = BlockSpec((2, 2))
+    gens = QautPresentation(spec).generators
     for t in (1, 2):
         for tau in (1, 2):
-            a1, a3 = symbolic(alpha(spec, 1, t)), symbolic(alpha(spec, 3, tau))
-            a2, a4 = symbolic(alpha(spec, 2, t)), symbolic(alpha(spec, 4, tau))
-            for sym in QautPresentation(spec).generators:
+            a1, a3 = symbolic(alpha(spec, 1, t), gens), symbolic(alpha(spec, 3, tau), gens)
+            a2, a4 = symbolic(alpha(spec, 2, t), gens), symbolic(alpha(spec, 4, tau), gens)
+            for sym in gens:
                 p1, s1 = a1(sym)
                 p2, s12 = a3(s1)
                 q1, t1 = a3(sym)
@@ -1253,7 +1277,9 @@ def test_numbering_gives_the_generator_order_and_the_substitution_targets(sizes)
         for idx in (1, 2, 3, 4):
             for t in range(1, spec.m + 1):
                 sub, ref = family(spec, idx, t), closure(spec, idx, t)
-                assert [gens[n] for n in sub.target.tolist()] == [ref(g)[1] for g in gens]
+                assert [gens[n] for n in sub.perm.tolist()] == [ref(g)[1] for g in gens]
+                image = symbolic(sub, tuple(gens))
+                assert [image(g) for g in gens] == [ref(g) for g in gens]
 
 
 def test_substitutions_preserve_relations():
@@ -1289,9 +1315,8 @@ def test_covariance_counts_the_generators_it_compares(monkeypatch):
     def first_half(family):
         def substitution(spec, idx, t):
             sub = family(spec, idx, t)
-            half = len(sub.generators) // 2
-            return replace(sub, generators=sub.generators[:half], target=sub.target[:half],
-                           exp=sub.exp[:half])
+            half = len(sub.perm) // 2
+            return sub._replace(perm=sub.perm[:half], exp=sub.exp[:half])
         return substitution
 
     monkeypatch.setattr(qautcert.qaut, "alpha", first_half(alpha))
@@ -1503,6 +1528,10 @@ def test_product_words_are_the_reference_r1_r2_instances(sizes):
     ((2, 1), {"r1": "verified", "r2": "verified"}),
     ((1, 1), {"r1": "verified", "r2": "verified"}),
     ((2, 2), {"r1": "skipped_desk_scale", "r2": "skipped_desk_scale"}),
+    ((1,), {"r1": "verified", "r2": "verified"}),
+    ((1, 1, 1), {"r1": "verified", "r2": "verified"}),
+    ((1, 1, 1, 1), {"r1": "verified", "r2": "verified"}),
+    ((1, 1, 1, 1, 1), {"r1": "verified", "r2": "verified"}),
 ])
 def test_strict_word_check_families(sizes, families):
     assert strict_word_check(BlockSpec(sizes))["families"] == families
@@ -1512,8 +1541,12 @@ def test_strict_word_check_is_inconclusive_on_a_wrong_image(monkeypatch):
     def copy_diagonal(pi):
         pi[qsym(1, 1, 0, 1, 0, 0)] = pi[qsym(1, 1, 0, 0, 0, 0)]
 
-    _patch_pi(monkeypatch, copy_diagonal)
-    for sizes in [(2,), (2, 1)]:
+    def copy_across_blocks(pi):  # with blocks of size 1, q^(1,2) takes q^(1,1)'s image
+        pi[qsym(1, 2, 0, 0, 0, 0)] = pi[qsym(1, 1, 0, 0, 0, 0)]
+
+    for sizes, edit in [((2,), copy_diagonal), ((2, 1), copy_diagonal),
+                        ((1, 1, 1, 1), copy_across_blocks)]:
+        _patch_pi(monkeypatch, edit)
         assert strict_word_check(BlockSpec(sizes))["families"] == {
             "r1": "inconclusive", "r2": "inconclusive"}
 
