@@ -43,15 +43,17 @@ ALLOWED = {
             Mat.normalized_trace Mat.to_float Mat.is_zero Mat.equals Mat.residual
             Mat.is_unitary Mat.scalar_multiple_of_identity Mat.entries Mat.terms
             Mat.sparse_entries Mat.__repr__
-            _product_table _stored _contract _linear _bilinear _planes_kron _float_residual
+            _product_table _contract _linear _bilinear _planes_kron _float_residual
             Terms.dense""",
         "formal": "FormalTensor.substitute",
         "qaut": "permutation_assignment",
     },
-    # tests/mat_reference.py, the dense reference of the tests, calls them
+    # tests/mat_reference.py and tests/sparse_reference.py, the references of
+    # the tests, call them
     "test reference": {
         "arith": """Cyclotomic.__sub__ Cyclotomic.__rsub__ Cyclotomic.__rtruediv__
-                    Cyclotomic.__pow__ Cyclotomic.__hash__""",
+                    Cyclotomic.__pow__ Cyclotomic.__hash__ Cyclotomic.__add__
+                    Cyclotomic.__neg__""",
     },
     # they run on bad input or on a failed check, or read a report as a bool
     "input/error path": {

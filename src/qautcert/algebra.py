@@ -11,19 +11,17 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 from numpy.linalg import LinAlgError, lapack_lite
 
-from .arith import Cyclotomic, accumulate, root_of_unity
+from .arith import Cyclotomic, Terms, _maxabs, _pairs, _stored, _working, euler_phi, root_of_unity
 
 __all__ = [
     "BlockSpec",
     "StructAlgebra",
-    "sparse_vector",
-    "sparse_eq",
     "MonomialMap",
     "multimatrix",
     "tensor_algebra",
@@ -85,10 +83,7 @@ class BlockSpec:
 
     @property
     def d(self) -> int:
-        out = 1
-        for n in self.sizes:
-            out *= n
-        return out
+        return math.prod(self.sizes)
 
     @property
     def D(self) -> int:
@@ -238,11 +233,11 @@ class StructAlgebra:
     use, row-major over ``k`` and then the stars, so every construction of
     the same algebra gives the same ``scalars`` and ``s``.  Scalar t is
     (num[t]/den[t]) zeta_L^exp[t], with L even.  ``unit`` and ``trace`` are
-    scalar lists.  Term tuples ((k, c),) appear only in ``product`` and
-    ``star``.  The sparse element operations take elements as iterables of
-    (k, coefficient) pairs (a dict's ``items()``, or the tuples of
-    ``product`` and ``star``) and return dicts {k: coefficient} without
-    zeros.  Linear maps on the basis are MonomialMaps.
+    scalar lists.  Elements are handled as stacks: a ``Terms`` of shape
+    (count, dim) whose row r is element r, b_col weighted by
+    (num/den) zeta_order^exp; ``Terms.reduced`` is their canonical form, and
+    ``mul``, ``adjoint`` and ``_rows_equal`` work row by row.  Linear maps
+    on the basis are MonomialMaps.
     """
 
     def __init__(self, dim, labels, *, k, s, scalars, star_k, star_s, unit, trace):
@@ -278,31 +273,28 @@ class StructAlgebra:
         self.L, self.exp, self.num, self.den = _monomial_arrays(self.scalars)
         self.verify_axioms()
 
-    # -- basis products -------------------------------------------------------
-    def product(self, i, j) -> tuple:
-        """b_i b_j as a tuple of (k, c) pairs: empty, or one pair."""
-        k = self.k.item(i, j)
-        return () if k < 0 else ((k, self.scalars[self.s.item(i, j)]),)
+    # -- element stacks ---------------------------------------------------------
+    def mul(self, x: Terms, y: Terms) -> Terms:
+        """The row-wise product of two element stacks, reduced: row r is
+        x_r y_r, or x_r y_0 for a one-row y.  Each term a b_i of x_r meets
+        each term a' b_j of y_r, and b_i b_j = c b_k makes a a' c b_k."""
+        i, j = _pairs(x.row if y.rows == x.rows else np.zeros_like(x.row), y.row)
+        k, s = self.k[x.col[i], y.col[j]], self.s[x.col[i], y.col[j]]
+        live = k >= 0
+        i, j, k, s = i[live], j[live], k[live], s[live]
+        num, den = _over_lcm(self.num, self.den)
+        order = math.lcm(x.order, y.order, self.L)
+        xn, yn, num = _working(_maxabs(x.num) * _maxabs(y.num) * _maxabs(num), x.num, y.num, num)
+        return Terms(x.rows, self.dim, order, x.den * y.den * den, x.row[i], k,
+                     x.exp[i] * (order // x.order) + y.exp[j] * (order // y.order)
+                     + self.exp[s] * (order // self.L), xn[i] * yn[j] * num[s]).reduced()
 
-    def star(self, i) -> tuple:
-        """b_i* as a tuple of one (k, c) pair."""
-        return ((self.star_k.item(i), self.scalars[self.star_s.item(i)]),)
-
-    # -- element operations ----------------------------------------------------
-    def mul_sparse(self, u, v) -> dict:
-        out: dict = {}
-        for i, a in u:
-            for j, b in v:
-                terms = self.product(i, j)
-                if terms:
-                    accumulate(out, a * b, terms)
-        return out
-
-    def invol_sparse(self, terms) -> dict:
-        out: dict = {}
-        for i, a in terms:
-            accumulate(out, a.conjugate(), self.star(i))
-        return out
+    def adjoint(self, x: Terms) -> Terms:
+        """The row-wise involution of an element stack: a b_i goes to
+        conj(a) b_i*."""
+        s = self.star_s
+        return replace(x, exp=-x.exp) @ _monomial_matrix(self.star_k, self.L, self.exp[s],
+                                                         self.num[s], self.den[s])
 
     # -- verification ---------------------------------------------------------
     def verify_axioms(self):
@@ -333,32 +325,23 @@ class StructAlgebra:
                                 np.arange(self.dim), 0, 1, 1, L)
         if bad.any():
             raise AxiomViolation(f"involution is not involutive at basis {np.argmax(bad)}")
-        support = [t for t, c in enumerate(self.unit) if not c.is_zero()]
-        u = [self.unit[t] for t in support]
-        left = _fixes_basis(u, self.k[support], self.s[support], self.scalars)
-        right = _fixes_basis(u, self.k[:, support].T, self.s[:, support].T, self.scalars)
+        unit, basis = _vector(self.unit), _basis(self.dim)
+        left = _rows_equal(self.mul(_take(unit, np.zeros(self.dim, dtype=np.int64)), basis), basis)
+        right = _rows_equal(self.mul(basis, unit), basis)
         if not (left & right).all():
             i = int(np.argmin(left & right))
             raise AxiomViolation(f"unit fails on the {'left' if not left[i] else 'right'} "
                                  f"at basis {i}")
-        values = self._trace_of_products()
-        bad = values != values.T
+        # row (i, j): tr(b_i b_j) = c_ij tr(b_k[i, j]), against row (j, i)
+        n = self.dim
+        i, j = np.nonzero(K >= 0)
+        num, den = _over_lcm(self.num, self.den)
+        tr = Terms(n * n, n, L, den, i * n + j, K[i, j], E[i, j], num[self.s[i, j]]) @ _transposed(
+            _vector(self.trace))
+        bad = ~_rows_equal(tr, replace(tr, row=tr.row % n * n + tr.row // n)).reshape(n, n)
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
             raise AxiomViolation(f"trace is not tracial at ({i},{j})")
-
-    def _trace_of_products(self):
-        """Array whose entries (i, j) and (p, q) are equal iff
-        tr(b_i b_j) = tr(b_p b_q): one exact product c tr(b_k) per distinct
-        pair of scalar and target (a zero product pairs with a zero appended
-        to the trace), then one code per distinct value."""
-        values, t = _scalar_products(self.scalars, self.s, self.trace + [Cyclotomic.zero()],
-                                     np.where(self.k >= 0, self.k, self.dim))
-        L = math.lcm(*(v.order for v in values))
-        codes: dict = {}
-        code = np.array([codes.setdefault(v.promoted(L).coeffs, len(codes))
-                         for v in values], dtype=np.int64)
-        return code[t]
 
     def automorphism_failure(self, theta) -> str | None:
         """Check the monomial map ``theta`` (a MonomialMap on this basis)
@@ -369,10 +352,9 @@ class StructAlgebra:
         k, c = theta.k, theta.scalars
         if k.shape != (self.dim,) or not ((0 <= k) & (k < self.dim)).all():
             raise ValueError(f"not a map on a basis of dimension {self.dim}")
-        unit, image = sparse_vector(self.unit), {}
-        for i, a in unit.items():
-            accumulate(image, a, ((k.item(i), c[i]),))
-        if not sparse_eq(image, unit):
+        unit = _vector(self.unit)
+        image = unit @ _monomial_matrix(k, theta.L, theta.exp, theta.num, theta.den)
+        if not _rows_equal(image, unit)[0]:
             return "unital"
         L = math.lcm(self.L, theta.L)
         e, n, d = theta.exp * (L // theta.L), theta.num, theta.den
@@ -395,20 +377,6 @@ class StructAlgebra:
         if any(c[i] * self.trace[t] != self.trace[i] for i, t in enumerate(k.tolist())):
             return "trace-preserving"
         return None
-
-def sparse_vector(vec) -> dict:
-    """The nonzero coordinates of a dense vector, as {k: Cyclotomic}."""
-    out = {}
-    for i, a in enumerate(vec):
-        a = Cyclotomic._coerce(a)
-        if not a.is_zero():
-            out[i] = a
-    return out
-
-
-def sparse_eq(a: dict, b: dict) -> bool:
-    zero = Cyclotomic.zero()
-    return all(a.get(k, zero) == b.get(k, zero) for k in set(a) | set(b))
 
 
 class MonomialMap:
@@ -441,26 +409,64 @@ class MonomialMap:
         return theta
 
 
-def _fixes_basis(u, K, S, scalars) -> np.ndarray:
-    """Over i, whether sum over t of u[t] c b_K[t, i] = b_i, with
-    c = scalars[S[t, i]]: the products of the unit's terms with each b_i,
-    one row t per term.  A column with one nonzero product is decided by
-    its target and scalar; one with several adds them exactly."""
-    if not u:
-        return np.zeros(K.shape[1], dtype=bool)
-    live = K >= 0
-    count, cols = live.sum(axis=0), np.arange(K.shape[1])
-    t = live.argmax(axis=0)  # the nonzero product, where there is one
-    values, code = _scalar_products(u, t, scalars, S[t, cols])
-    ok = ((count == 1) & (K[t, cols] == cols)
-          & np.array([v.is_one() for v in values], dtype=bool)[code])
-    one = Cyclotomic.one()
-    for i in np.flatnonzero(count > 1).tolist():
-        total: dict = {}
-        for r in np.flatnonzero(live[:, i]).tolist():
-            accumulate(total, u[r] * scalars[S[r, i]], ((K[r, i], one),))
-        ok[i] = sparse_eq(total, {i: one})
-    return ok
+# -- element stacks: Terms of shape (count, dim), row r the element r ----------
+
+def _vector(values) -> Terms:
+    """The one-row stack of a list of scalars, reduced."""
+    order = math.lcm(*(c.order for c in values))
+    terms = [(i, t, q) for i, c in enumerate(values)
+             for t, q in enumerate(c.promoted(order).coeffs) if q]
+    den = math.lcm(*(q.denominator for *_, q in terms))
+    col, exp = (np.array([x[a] for x in terms], dtype=np.int64) for a in (0, 1))
+    return Terms(1, len(values), order, den, np.zeros_like(col), col, exp,
+                 _stored(np.array([int(q * den) for *_, q in terms], dtype=object)))
+
+
+def _basis(dim: int) -> Terms:
+    """The stack of the basis elements b_0, ..., b_(dim - 1)."""
+    t = np.arange(dim)
+    return Terms(dim, dim, 1, 1, t, t, np.zeros_like(t), np.ones_like(t))
+
+
+def _take(x: Terms, rows) -> Terms:
+    """The rows ``rows`` of x, in that order, as a stack: reduced when x is."""
+    r, t = _pairs(np.asarray(rows, dtype=np.int64), x.row)
+    return Terms(len(rows), x.cols, x.order, x.den, r, x.col[t], x.exp[t], x.num[t])
+
+
+def _rows_equal(x: Terms, y: Terms) -> np.ndarray:
+    """Over the rows of two stacks of one shape, whether they are equal:
+    the coefficients of their difference vanish."""
+    diff = Terms.vstack([x, replace(y, num=-y.num)])
+    key, _ = replace(diff, rows=x.rows, row=np.r_[x.row, y.row]).coefficients()
+    return ~np.isin(np.arange(x.rows), key // x.cols)
+
+
+def _transposed(x: Terms) -> Terms:
+    return replace(x, rows=x.cols, cols=x.rows, row=x.col, col=x.row)
+
+
+def _entry(x: Terms, row: int, col: int) -> Cyclotomic:
+    """The scalar at (row, col) of a reduced stack."""
+    coeffs = np.zeros(euler_phi(x.order), dtype=object)
+    at = (x.row == row) & (x.col == col)
+    coeffs[x.exp[at]] = x.num[at]
+    return Cyclotomic(x.order, [Fraction(int(m), x.den) for m in coeffs])
+
+
+def _over_lcm(num, den):
+    """(num * (D / den), D) with D = lcm(den): the ratios num / den over
+    one denominator."""
+    D = math.lcm(*den.tolist())
+    num, den = _working(_maxabs(num) * D, num, den)
+    return num * (D // den), D
+
+
+def _monomial_matrix(k, L, exp, num, den) -> Terms:
+    """The matrix whose row i is (num[i]/den[i]) zeta_L^exp[i] b_k[i]: a
+    stack x goes to x @ it under the linear map of these images of the b_i."""
+    num, D = _over_lcm(num, den)
+    return Terms(len(k), len(k), L, D, np.arange(len(k)), k, exp, num)
 
 
 def _scalar_products(left, i, right, j):
@@ -524,17 +530,17 @@ def delta_form_check(A: StructAlgebra, psi=None):
     (m m*)_ll = g_l sum over b_i b_j = c_ij b_l of |c_ij|^2 / (g_i g_j),
     which must be one c for all l (else NotDeltaForm)."""
     psi = [Cyclotomic._coerce(p) for p in (A.trace if psi is None else psi)]
-    n, one = A.dim, Cyclotomic.one()
+    n = A.dim
     # b_i* b_j is a multiple of b_k for k = A.k[A.star_k][i, j]
     live = np.isin(A.k[A.star_k], [k for k, p in enumerate(psi) if not p.is_zero()])
     off = np.argwhere(live & ~np.eye(n, dtype=bool))
     if len(off):
         raise ValueError("the delta-form check needs a diagonal Gram matrix; "
                          "psi(b_%d* b_%d) != 0" % tuple(off[0].tolist()))
+    gram = A.mul(A.adjoint(_basis(n)), _basis(n)) @ _transposed(_vector(psi))  # psi(b_i* b_i)
     g = []
     for i in range(n):
-        val = sum((c * psi[k] for k, c in A.mul_sparse(A.star(i), ((i, one),)).items()),
-                  Cyclotomic.zero())
+        val = _entry(gram, i, 0)
         if not (val.is_rational() and val.as_fraction() > 0):
             raise NotFaithful(f"psi(b_{i}* b_{i}) = {val!r} is not a positive rational")
         g.append(val.as_fraction())
@@ -547,16 +553,17 @@ def delta_form_check(A: StructAlgebra, psi=None):
     return Cyclotomic.rational(mm[0])
 
 
-def center(A: StructAlgebra):
-    """Basis of the center, [x, b_i] = 0 for all i, as vectors with disjoint
-    supports, each 1 at its smallest index, in the order of their largest.
-    With products injective along each row and column of ``k`` (else
-    RecognitionError), row (i, t) is x_a c_(a,i) - x_a' c_(i,a') for
-    b_a b_i = c_(a,i) b_t and b_i b_a' = c_(i,a') b_t, either term possibly
-    absent.  One term, or a = a' with c_(a,i) != c_(i,a), forces x_a = 0;
-    two link x_a' = x_a c_(a,i) / c_(i,a').  A linked component with no
-    forced zero and ratios that agree around its cycles spans one central
-    vector (the sigma-regular classes of a twisted group algebra)."""
+def center(A: StructAlgebra) -> Terms:
+    """Basis of the center, [x, b_i] = 0 for all i, as a reduced stack of
+    rows with disjoint supports, each 1 at its smallest index, in the order
+    of their largest.  With products injective along each row and column of
+    ``k`` (else RecognitionError), row (i, t) is x_a c_(a,i) - x_a' c_(i,a')
+    for b_a b_i = c_(a,i) b_t and b_i b_a' = c_(i,a') b_t, either term
+    possibly absent.  One term, or a = a' with c_(a,i) != c_(i,a), forces
+    x_a = 0; two link x_a' = x_a c_(a,i) / c_(i,a').  A linked component
+    with no forced zero and ratios that agree around its cycles spans one
+    central vector (the sigma-regular classes of a twisted group algebra).
+    Every ratio and value is q zeta_L^e, held as (q, e)."""
     n = A.dim
     i, j = np.nonzero(A.k >= 0)
     t = A.k[i, j]
@@ -570,30 +577,38 @@ def center(A: StructAlgebra):
     link = (a >= 0) & (b >= 0) & (a != b)
     zero = np.isin(np.arange(n), np.maximum(a, b)[~link & _monomials_differ(
         a, A.exp[sa], A.num[sa], A.den[sa], b, A.exp[sb], A.num[sb], A.den[sb], A.L)])
-    inverse = [c.inverse() for c in A.scalars]
+    q, e = [Fraction(m, d) for m, d in zip(A.num.tolist(), A.den.tolist())], A.exp.tolist()
     ratios: list = [[] for _ in range(n)]  # (a', c_(a,i) / c_(i,a')) at a, and back at a'
     for x, y, s1, s2 in zip(*(v[link].tolist() for v in (a, b, sa, sb))):
-        ratios[x].append((y, A.scalars[s1] * inverse[s2]))
-        ratios[y].append((x, A.scalars[s2] * inverse[s1]))
+        ratios[x].append((y, q[s1] / q[s2], e[s1] - e[s2]))
+        ratios[y].append((x, q[s2] / q[s1], e[s2] - e[s1]))
     value, basis = [None] * n, []
     for r in range(n):
         if value[r] is None:
-            value[r], comp, free = Cyclotomic.one(), [r], True
+            value[r], comp, free = (Fraction(1), 0), [r], True
             for x in comp:  # breadth first
-                for y, c in ratios[x]:
+                qx, ex = value[x]
+                for y, qc, ec in ratios[x]:
+                    v = (qx * qc, (ex + ec) % A.L)
                     if value[y] is None:
-                        value[y] = value[x] * c
+                        value[y] = v
                         comp.append(y)
-                    free &= value[y] == value[x] * c
+                    free &= value[y] == v
             if free and not zero[comp].any():
-                basis.append({x: value[x] for x in comp})
-    return sorted(basis, key=max)
+                basis.append(comp)
+    basis.sort(key=max)
+    cols = [x for comp in basis for x in comp]
+    den = math.lcm(*(value[x][0].denominator for x in cols))
+    rows = np.repeat(np.arange(len(basis)), [len(comp) for comp in basis])
+    return Terms(len(basis), n, A.L, den, rows, np.array(cols, dtype=np.int64),
+                 np.array([value[x][1] for x in cols], dtype=np.int64),
+                 _stored(np.array([int(value[x][0] * den) for x in cols], dtype=object))).reduced()
 
 
 @dataclass
 class BlocksResult:
     sizes: tuple[int, ...]
-    idempotents: list
+    idempotents: object  # a reduced stack when exact, a list of complex vectors when float
     method: str
     details: dict
     residual: float  # worst |e e - e| over the idempotents; 0.0 when exact
@@ -612,24 +627,23 @@ def recognize_blocks(A: StructAlgebra) -> BlocksResult:
     traces = _regular_traces(A)
     _require_semisimple(A, traces)
     idems = _central_idempotents(A, cen)
+    tr = idems @ _transposed(traces)  # row e: Tr(L_e) = sum over k of e_k Tr(L_(b_k))
     sizes = []
-    for e in idems:
-        tr = sum((e[k] * t for k, t in traces.items() if k in e), Cyclotomic.zero())
-        if not (tr.is_rational() and tr.as_fraction().denominator == 1):
-            raise RecognitionError(f"regular trace of an idempotent is {tr!r}, not an integer")
-        sizes.append(_block_size(int(tr.as_fraction())))
-    return BlocksResult(tuple(sorted(sizes)), idems, "exact",
-                        {"center_dim": len(cen)}, 0.0)
+    for e in range(idems.rows):
+        value = _entry(tr, e, 0)
+        if not (value.is_rational() and value.as_fraction().denominator == 1):
+            raise RecognitionError(f"regular trace of an idempotent is {value!r}, not an integer")
+        sizes.append(_block_size(int(value.as_fraction())))
+    return BlocksResult(tuple(sorted(sizes)), idems, "exact", {"center_dim": cen.rows}, 0.0)
 
 
-def _regular_traces(A: StructAlgebra) -> dict:
-    """{k: Tr(L_(b_k))} without zeros: the sum of c over the products
-    b_k b_l = c b_l, the regular trace of each basis element."""
-    one = Cyclotomic.one()
-    t: dict = {}
-    for k, l in np.argwhere(A.k == np.arange(A.dim)).tolist():
-        accumulate(t, A.scalars[A.s.item(k, l)], ((k, one),))
-    return t
+def _regular_traces(A: StructAlgebra) -> Terms:
+    """The one-row stack of the regular traces Tr(L_(b_k)), reduced: the
+    sum of c over the products b_k b_l = c b_l."""
+    k, l = np.nonzero(A.k == np.arange(A.dim))
+    s = A.s[k, l]
+    num, den = _over_lcm(A.num, A.den)
+    return Terms(1, A.dim, A.L, den, np.zeros_like(k), k, A.exp[s], num[s]).reduced()
 
 
 def _block_size(tr: int) -> int:
@@ -642,79 +656,71 @@ def _block_size(tr: int) -> int:
     return root
 
 
-def _require_semisimple(A: StructAlgebra, traces: dict):
+def _require_semisimple(A: StructAlgebra, traces: Terms):
     """The trace form Tr(L_(b_i b_j)) of the regular representation, with
-    ``traces`` the nonzero Tr(L_(b_k)), must have a permutation pattern,
-    and so be nondegenerate: RecognitionError for two nonzeros in a row or
-    column, NotSemisimple for a zero row."""
-    form = np.isin(A.k, list(traces))  # where Tr(L_(b_i b_j)) = c_ij t[k_ij] != 0
+    ``traces`` those of the basis, must have a permutation pattern, and so
+    be nondegenerate: RecognitionError for two nonzeros in a row or column,
+    NotSemisimple for a zero row."""
+    form = np.isin(A.k, traces.col)  # where Tr(L_(b_i b_j)) = c_ij t[k_ij] != 0
     if (form.sum(axis=0) > 1).any() or (form.sum(axis=1) > 1).any():
         raise RecognitionError("trace form of the regular representation is not monomial")
     if not form.any(axis=1).all():
         raise NotSemisimple("trace form of the regular representation is degenerate")
 
 
-def _central_idempotents(A: StructAlgebra, cen):
-    """The minimal central idempotents, from a center basis whose rows have
-    disjoint supports, as ``center`` gives it.  Each row c
-    must satisfy c^(n+1) = lam c with lam = q zeta_L^e != 0 for some n <= dim,
-    and q must have a rational n-th root: then p = c^n / lam is idempotent,
-    and on p the eigenvalues of c are the n-th roots mu of lam, with spectral
-    projections (1/n) sum_(k=1..n) (c/mu)^k.  Every idempotent found so far
-    is cut by 1 - p and by these projections, until there are as many as the
-    center has dimensions.  An idempotent g with g c = a g is kept whole:
-    exactly one cut keeps it (1 - p when a = 0, else the projection for
-    mu = a), and every other cut gives zero."""
-    support = [k for c in cen for k in c]
-    if len(support) != len(set(support)):
+def _central_idempotents(A: StructAlgebra, cen: Terms) -> Terms:
+    """The minimal central idempotents, as a reduced stack, from a center
+    basis whose rows have disjoint supports, as ``center`` gives it.  Each
+    row c must satisfy c^(n+1) = lam c with lam = q zeta_L^e != 0 for some
+    n <= dim, and q must have a rational n-th root r: then p = c^n / lam is
+    idempotent, and on p the eigenvalues of c are the n-th roots
+    mu_j = r zeta_(nL)^(e + jL) of lam, with spectral projections
+    (1/n) sum_(k=1..n) (c/mu_j)^k.  Every idempotent found so far is cut by
+    1 - p and by these projections, all in one product whose row g (n + 1) + x
+    is idempotent g times cut x, and the zero rows are dropped, until there
+    are as many as the center has dimensions."""
+    support = np.unique(cen.row * cen.cols + cen.col) % cen.cols
+    if len(support) != len(np.unique(support)):
         raise RecognitionError("reduced center basis rows share basis elements")
-    unit = sparse_vector(A.unit)
-    idems = [unit]
-    for c in cen:
-        if len(idems) == len(cen):
+    unit = _vector(A.unit)
+    idems = unit
+    for c in range(cen.rows):
+        if idems.rows == cen.rows:
             break
-        lam, powers = _power_cycle(A, c)
-        n = len(powers)
+        lam, powers = _power_cycle(A, _take(cen, [c]))
+        n = powers.rows
         L, (form,) = monomial_forms([lam])
         r = form and _nth_root(form[0], n)
         if not r:
             raise RecognitionError(f"c^(n+1) = lam c with n = {n} and lam = {lam!r}, not "
                                    "a root of unity times the n-th power of a rational")
-        e = form[1]
-        cuts = [dict(unit)]  # 1 - p, then one projection per root mu
-        accumulate(cuts[0], -lam.inverse(), powers[-1].items())
-        for j in range(n):
-            mu_inv = root_of_unity(n * L, -(e + j * L)) / Cyclotomic.rational(r)
-            proj: dict = {}
-            w = Cyclotomic.rational(Fraction(1, n))
-            for ck in powers:
-                w = w * mu_inv
-                accumulate(proj, w, ck.items())
-            cuts.append(proj)
-        split = []
-        for g in idems:
-            gc = A.mul_sparse(g.items(), c.items())
-            k0, x0 = next(iter(g.items()))
-            a = gc.get(k0, Cyclotomic.zero()) / x0
-            if sparse_eq(gc, {i: a * x for i, x in g.items()}):
-                split.append(g)
-            else:
-                split += [f for f in (A.mul_sparse(g.items(), cut.items()) for cut in cuts) if f]
-        idems = split
+        # the cuts as weights (row, column, rational, exponent at order nL) over
+        # the stack of 1, c, ..., c^n: 1 - c^n / lam, then the projections
+        weights = [(0, 0, Fraction(1), 0), (0, n, -1 / form[0], -form[1] * n)]
+        weights += [(1 + j, k, 1 / (n * r ** k), -k * (form[1] + j * L))
+                    for j in range(n) for k in range(1, n + 1)]
+        row, col, w, exp = zip(*weights)
+        den = math.lcm(*(x.denominator for x in w))
+        cuts = Terms(n + 1, n + 1, n * L, den, np.array(row), np.array(col), np.array(exp),
+                     _stored(np.array([int(x * den) for x in w], dtype=object))
+                     ) @ Terms.vstack([unit, powers])
+        g = np.arange(idems.rows * cuts.rows)
+        split = A.mul(_take(idems, g // cuts.rows), _take(cuts, g % cuts.rows))
+        idems = _take(split, np.unique(split.row))
     _verify_idempotents_exact(A, idems, unit)
     return idems
 
 
-def _power_cycle(A: StructAlgebra, c):
-    """(lam, [c, c^2, ..., c^n]) for the least n <= dim with
-    c^(n+1) = lam c and lam != 0; raises RecognitionError when there is none."""
-    k, a = next(iter(c.items()))
-    powers = [c]
+def _power_cycle(A: StructAlgebra, c: Terms):
+    """(lam, the stack of c, c^2, ..., c^n) for the least n <= dim with
+    c^(n+1) = lam c and lam != 0, c a one-row stack; raises
+    RecognitionError when there is none."""
+    k, powers = c.col[0], [c]
     for _ in range(A.dim):
-        nxt = A.mul_sparse(powers[-1].items(), c.items())
-        lam = nxt[k] / a if k in nxt else None
-        if lam is not None and sparse_eq(nxt, {i: lam * x for i, x in c.items()}):
-            return lam, powers
+        nxt = A.mul(powers[-1], c)
+        lam = _entry(nxt, 0, k) / _entry(c, 0, k)
+        if not lam.is_zero() and _rows_equal(nxt, _vector([lam]) @ c)[0]:
+            return lam, Terms.vstack(powers)
         powers.append(nxt)
     raise RecognitionError("no power of a center row is a multiple of it")
 
@@ -733,19 +739,15 @@ def _nth_root(q: Fraction, n: int):
     return r if r ** n == q else None
 
 
-def _verify_idempotents_exact(A: StructAlgebra, idems, unit):
-    """e^2 = e for each candidate and their sum is the unit.  That makes
-    them orthogonal: they are central (cut from center rows), so for a != b
-    each e_a e_b is an idempotent, and these products sum to
-    (sum e)^2 - sum e^2 = 1 - 1 = 0; the regular trace of an idempotent is
-    its rank, >= 0, so each has rank 0 and e_a e_b = 0."""
-    one = Cyclotomic.one()
-    total: dict = {}
-    for e in idems:
-        if not sparse_eq(A.mul_sparse(e.items(), e.items()), e):
-            raise RecognitionError("candidate idempotent fails e^2 = e")
-        accumulate(total, one, e.items())
-    if not sparse_eq(total, unit):
+def _verify_idempotents_exact(A: StructAlgebra, idems: Terms, unit: Terms):
+    """e^2 = e for each row of the stack, in one product, and the rows sum
+    to the unit.  That makes them orthogonal: they are central (cut from
+    center rows), so for a != b each e_a e_b is an idempotent, and these
+    products sum to (sum e)^2 - sum e^2 = 1 - 1 = 0; the regular trace of an
+    idempotent is its rank, >= 0, so each has rank 0 and e_a e_b = 0."""
+    if not _rows_equal(A.mul(idems, idems), idems).all():
+        raise RecognitionError("candidate idempotent fails e^2 = e")
+    if not _rows_equal(replace(idems, rows=1, row=np.zeros_like(idems.row)), unit)[0]:
         raise RecognitionError("idempotents do not sum to the unit")
 
 
@@ -768,8 +770,8 @@ def _recognize_float(A: StructAlgebra, seed: int) -> BlocksResult:
     prods = _FloatProducts(A)
     unit = np.array([c.to_complex() for c in A.unit])
     traces = np.zeros(A.dim, dtype=np.complex128)
-    for k, t in regular.items():
-        traces[k] = t.to_complex()
+    for k in np.unique(regular.col).tolist():
+        traces[k] = _entry(regular, 0, k).to_complex()
     cen = _center_float(prods.commutator_r())
     m = len(cen)
     if m == 0:

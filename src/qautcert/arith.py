@@ -3,8 +3,8 @@
 :class:`Cyclotomic` is an exact element of the field Q(zeta_M) stored as the
 canonical residue modulo the M-th cyclotomic polynomial, and :class:`Mat` a
 dense matrix of them; ``Mat.to_float`` gives its complex array, for
-residuals.  Outside :class:`Mat`, exact vectors are sparse dicts
-{index: Cyclotomic}, added to by :func:`accumulate`.
+residuals.  Outside :class:`Mat`, exact matrices and stacks of vectors are
+:class:`Terms`: integer arrays over their terms.
 
 Canonical form reduces modulo Phi_M rather than x^M - 1, so exact equality
 of coefficient vectors decides equality of the represented complex numbers.
@@ -30,7 +30,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "root_of_unity",
-    "accumulate",
 ]
 
 
@@ -493,6 +492,15 @@ def _positions(lo, cnt):
     return np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
 
 
+def _pairs(left: np.ndarray, right: np.ndarray):
+    """(i, j) over every pair with left[i] == right[j], in order of i and
+    then of j: the join of two key arrays."""
+    by = np.argsort(right, kind="stable")
+    lo = np.searchsorted(right[by], left)
+    cnt = np.searchsorted(right[by], left, side="right") - lo
+    return np.repeat(np.arange(len(left)), cnt), by[_positions(lo, cnt)]
+
+
 def _contract(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """out[v] = sum over k of table[k, v] * stack[k]."""
     out = np.dot(table.T, stack.reshape(len(stack), -1))
@@ -815,6 +823,28 @@ class Terms:
         live = coef.any(axis=1)
         return key[first][live], coef[live]
 
+    def reduced(self) -> "Terms":
+        """The same exact matrix in canonical form: one term per nonzero
+        power-basis coefficient of each entry, in position order, over the
+        least denominator."""
+        key, coef = self.coefficients()
+        at, exp = np.nonzero(coef)
+        num = coef[at, exp]
+        g = math.gcd(self.den, int(np.gcd.reduce(num, initial=0)))
+        (num,) = _working(max(g, _maxabs(num)), num)
+        return Terms(self.rows, self.cols, self.order, self.den // g, key[at] // self.cols,
+                     key[at] % self.cols, exp, _stored(num // g))
+
+    def __matmul__(self, other: "Terms") -> "Terms":
+        """The exact matrix product, reduced: each term at (r, s) meets
+        every term of row s of ``other``."""
+        i, j = _pairs(self.col, other.row)
+        order = math.lcm(self.order, other.order)
+        num, onum = _working(_maxabs(self.num) * _maxabs(other.num), self.num, other.num)
+        return Terms(self.rows, other.cols, order, self.den * other.den, self.row[i], other.col[j],
+                     self.exp[i] * (order // self.order) + other.exp[j] * (order // other.order),
+                     num[i] * onum[j]).reduced()
+
     def dense(self):
         """The exact ``Mat``, or the complex array."""
         if self.exact:
@@ -827,17 +857,3 @@ class Terms:
 
 def _float_residual(a: Mat, b: Mat) -> float:
     return float(np.max(np.abs(a.to_float() - b.to_float()), initial=0.0))
-
-
-# -- exact sparse vectors {index: Cyclotomic} ---------------------------------
-
-def accumulate(out: dict, a, terms):
-    """out += a * (sum of c e_k over the (k, c) pairs of terms), dropping
-    coordinates that cancel."""
-    for k, c in terms:
-        cur = out.get(k)
-        new = a * c if cur is None else cur + a * c
-        if new.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = new

@@ -29,6 +29,7 @@ from .arith import root_of_unity
 from .cocycle import (
     FinAbGroup,
     fourier_function_algebra,
+    gamma_group,
     spec_cocycle,
     verify_twist_theorem,
 )
@@ -179,14 +180,8 @@ def _tt_group(spec: BlockSpec) -> FinAbGroup:
     """Largest canonical translation subgroup keeping the double crossed
     product at desk scale (dimension <= 300)."""
     n1 = spec.sizes[0]
-    full = []
-    for n in spec.sizes:
-        full += [n, n]
-    for factors in (tuple(full), (n1, n1), (n1,)):
-        order = 1
-        for f in factors:
-            order *= f
-        if spec.N * order * order <= 300:
+    for factors in (gamma_group(spec).factors, (n1, n1), (n1,)):
+        if spec.N * math.prod(factors) ** 2 <= 300:
             return FinAbGroup(factors)
     return FinAbGroup((1,))
 

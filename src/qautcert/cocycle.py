@@ -64,10 +64,7 @@ class FinAbGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return math.prod(self.factors)
 
     def elements(self):
         return [tuple(e) for e in itertools.product(*[range(f) for f in self.factors])]
@@ -75,9 +72,6 @@ class FinAbGroup:
     @property
     def identity(self):
         return tuple(0 for _ in self.factors)
-
-    def add(self, g, h):
-        return tuple((a + b) % f for a, b, f in zip(g, h, self.factors))
 
     def position_map(self) -> dict:
         """g -> the position of g in ``elements()``."""
@@ -285,10 +279,7 @@ def twist_left(graded: GradedAlgebra, sigma: GroupCocycle):
 
 def gamma_group(spec: BlockSpec) -> FinAbGroup:
     """Gamma = prod_t (Z_{n_t} x Z_{n_t}) as one tuple group."""
-    factors = []
-    for n in spec.sizes:
-        factors += [n, n]
-    return FinAbGroup(tuple(factors))
+    return FinAbGroup(tuple(n for n in spec.sizes for _ in (0, 1)))
 
 
 def fourier_function_algebra(spec: BlockSpec) -> GradedAlgebra:

@@ -7,21 +7,23 @@ identity behind the twisted/untwisted crossed-product isomorphism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import (
     MonomialMap,
     StructAlgebra,
+    _monomial_matrix,
     _monomials_differ,
     _recognize_tt,
+    _rows_equal,
     _scalar_products,
-    sparse_eq,
-    sparse_vector,
+    _take,
+    _vector,
     tensor_algebra,
 )
-from .arith import Cyclotomic
+from .arith import Cyclotomic, Terms
 from .cocycle import FinAbGroup, GradedAlgebra, GroupCocycle
 
 __all__ = [
@@ -93,16 +95,6 @@ class CrossedProduct:
     algebra: StructAlgebra
     index: dict  # (basis index of A, group element) -> basis index, in basis order
 
-    def z_vector(self, g) -> dict:
-        """The distinguished unitary z_g = 1_A z_g as a sparse vector."""
-        return {self.index[(i, g)]: a for i, a in enumerate(self.base.unit)
-                if not a.is_zero()}
-
-    def embed(self, vec: dict) -> dict:
-        """A -> A rtimes Lambda, b -> b z_e, on sparse vectors."""
-        e = self.group.identity
-        return {self.index[(i, e)]: a for i, a in vec.items()}
-
 
 def crossed_product(action: GroupAction) -> CrossedProduct:
     """A rtimes Lambda on the basis {b_i z_g}: (b_i z_g)(b_j z_h) =
@@ -144,24 +136,33 @@ def crossed_product(action: GroupAction) -> CrossedProduct:
 
 
 def _verify_crossed_relations(cp: CrossedProduct, action: GroupAction):
+    """z_g z_g* = 1, z_g z_h = z_(g+h) and z_g b_i z_g* = theta_g(b_i) in
+    the crossed product, each as one product of element stacks: over every
+    g, every (g, h) and every (g, i)."""
     A, G, alg = cp.base, cp.group, cp.algebra
-    one = Cyclotomic.one()
-    unit = cp.embed(sparse_vector(A.unit))
-    for g in G.elements():
-        theta = action.thetas[g]
-        zg = cp.z_vector(g).items()
-        zg_star = alg.invol_sparse(zg).items()
-        if not sparse_eq(alg.mul_sparse(zg, zg_star), unit):
+    els = G.elements()
+    n, m, e = len(els), A.dim, els.index(G.identity)
+    # row g: z_g = 1_A z_g, at the basis indices i n + g of the unit's terms
+    units = _take(_vector(A.unit), np.zeros(n, dtype=np.int64))
+    z = replace(units, cols=alg.dim, col=units.col * n + units.row)
+    unitary = _rows_equal(alg.mul(z, alg.adjoint(z)), _take(z, np.full(n, e)))
+    gh = np.arange(n * n)
+    closed = _rows_equal(alg.mul(_take(z, gh // n), _take(z, gh % n)),
+                         _take(z, G.addition_table().ravel())).reshape(n, n)
+    # row (g, i): z_g b_i z_g*, with b_i = b_i z_e, against theta_g(b_i) z_e
+    gi = np.arange(n * m)
+    b = Terms(n * m, alg.dim, 1, 1, gi, gi % m * n + e, np.zeros_like(gi), np.ones_like(gi))
+    lhs = alg.mul(alg.mul(_take(z, gi // m), b), _take(alg.adjoint(z), gi // m))
+    thetas = Terms.vstack([_monomial_matrix(t.k, t.L, t.exp, t.num, t.den)
+                           for t in (action.thetas[h] for h in els)])
+    acts = _rows_equal(lhs, replace(thetas, cols=alg.dim, col=thetas.col * n + e)).reshape(n, m)
+    for t, g in enumerate(els):
+        if not unitary[t]:
             raise NotAutomorphism(f"z_{g} is not unitary in the crossed product")
-        for h in G.elements():
-            lhs = alg.mul_sparse(zg, cp.z_vector(h).items())
-            if not sparse_eq(lhs, cp.z_vector(G.add(g, h))):
-                raise NotAutomorphism(f"z_{g} z_{h} != z_(gh)")
-        for i in range(A.dim):
-            b = cp.embed({i: one}).items()
-            lhs = alg.mul_sparse(alg.mul_sparse(zg, b).items(), zg_star)
-            if not sparse_eq(lhs, cp.embed({theta.k.item(i): theta.scalars[i]})):
-                raise NotAutomorphism(f"z_{g} b z_{g}* != action_{g}(b)")
+        if not closed[t].all():
+            raise NotAutomorphism(f"z_{g} z_{els[int(np.argmin(closed[t]))]} != z_(gh)")
+        if not acts[t].all():
+            raise NotAutomorphism(f"z_{g} b z_{g}* != action_{g}(b)")
 
 
 def dual_action(cp: CrossedProduct) -> GroupAction:

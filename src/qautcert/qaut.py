@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockSpec, MonomialMap, multimatrix
-from .arith import Cyclotomic, Terms, _positions, _root_table
+from .arith import Cyclotomic, Terms, _pairs, _positions, _root_table
 from .formal import FormalTensor
 from .pauli import BlockEmbedding, NotPVM, PhasePermutation, _off_delta, pvm_check, weyl_basis
 from .relations import (GeneratorAssignment, IncompleteAssignment, QautPresentation,
@@ -936,27 +936,23 @@ def strict_word_check(spec: BlockSpec) -> dict:
     size, G, U = pi.size, len(pi.prefactors), N * N
     W = U + U * U  # reduced word codes: u, or U + u1 U + u2 for u1 u2
     # every prefactor is an integer over D; the rows of image g are at
-    # first[g]:first[g + 1], and the rows in row order at by_row
+    # first[g]:first[g + 1]
     D = math.lcm(*spec.sizes)
     pre = np.array([int(p * D) for p in pi.prefactors])
     first = np.searchsorted(pi.row, np.arange(G + 1) * size)
-    by_row = np.argsort(pi.row, kind="stable")
-    row, col, sorted_row = pi.row % size, pi.col, pi.row[by_row]
+    row, col = pi.row % size, pi.col
     results = {}
     for family, plan in zip(("r1", "r2"), _qaut_plans(spec.sizes)):
         # the terms (instance, coefficient times scale, a, b) of the words q_a q_b and q_a
-        terms = [(x, int(c * plan.scale), word[0], word[1] if len(word) == 2 else -1)
-                 for x, words in enumerate(_product_words(plan, range(G))) for c, word in words]
-        x, c, a, b = np.array(terms, dtype=np.int64).reshape(-1, 4).T
+        x, c, a, b = _product_words(plan)
         # every row t of the image a of every term e; those of one-letter words are (f, t)
         cnt = np.diff(first)[a]
         e, t = np.repeat(np.arange(len(a)), cnt), _positions(first[a], cnt)
         two = b[e] >= 0
         (e, t1), (f, t) = (e[two], t[two]), (e[~two], t[~two])
         # products: each row (u1, row, mid) of image a meets the rows (u2, mid, col) of image b
-        lo = np.searchsorted(sorted_row, b[e] * size + col[t1])
-        cnt = np.searchsorted(sorted_row, b[e] * size + col[t1], side="right") - lo
-        e, t1, t2 = np.repeat(e, cnt), np.repeat(t1, cnt), by_row[_positions(lo, cnt)]
+        i, t2 = _pairs(b[e] * size + col[t1], pi.row)
+        e, t1 = e[i], t1[i]
         u1, u2 = pi.sym[t1], pi.sym[t2]
         live = (u1 == u2) | ((u1 // N != u2 // N) & (u1 % N != u2 % N))
         e, t1, t2, u1, u2 = e[live], t1[live], t2[live], u1[live], u2[live]

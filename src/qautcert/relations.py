@@ -391,21 +391,19 @@ def _pvm_plans(K: int) -> tuple:
     return selfadj, pairs, _sum_plan(1, t, zero, 1, eye=1)
 
 
-def _product_words(plan: _Products, generators: tuple) -> list:
-    """Every instance of a product family as [(coefficient, word)], its
-    left side minus its right side, the words over ``generators``: the
-    pairs (g, h) of a left and a right factor with lkey[g] == rkey[h], the
-    join ``_BlockValues.residuals`` evaluates, then the right side's
-    generators, each weight over ``scale``."""
-    words = [[] for _ in range(plan.size)]
+def _product_words(plan: _Products) -> tuple:
+    """The terms of every instance of a product family, its left side minus
+    its right side, as arrays (instance, weight, a, b) over generator
+    numbers: the pairs (a, b) of a left and a right factor with
+    lkey[a] == rkey[b], the join ``_BlockValues.residuals`` evaluates, then
+    the right side's generators a, with b = -1.  Each weight is over
+    ``scale``."""
     g, h = np.nonzero(plan.lkey[:, None] == plan.rkey[None, :])
-    inst = plan.instance[plan.lpart[g] * plan.rparts + plan.rpart[h]]
-    for x, a, b, w in zip(inst.tolist(), g.tolist(), h.tolist(), plan.lweight[g].tolist()):
-        words[x].append((Fraction(w, plan.scale), (generators[a], generators[b])))
     rhs = plan.rhs
-    for x, a, w in zip(plan.instance[rhs.inst].tolist(), rhs.gen.tolist(), rhs.weight.tolist()):
-        words[x].append((Fraction(w, plan.scale), (generators[a],)))
-    return words
+    return (np.r_[plan.instance[plan.lpart[g] * plan.rparts + plan.rpart[h]],
+                  plan.instance[rhs.inst]],
+            np.r_[plan.lweight[g], rhs.weight], np.r_[g, rhs.gen],
+            np.r_[h, np.full(len(rhs.gen), -1)])
 
 
 # Product pairs evaluated at once, over whole groups of instances, which

@@ -4,7 +4,7 @@ because no certificate runs them: a ``StructAlgebra`` from term tuples
 stable text form, the writer of ``tests/golden/*.txt`` (``serialize``);
 the function algebra C(X) and the group algebra C[K]; the trivial and the
 inverse cocycle and a cocycle's values as a dict (``cocycle_table``);
-negation in a ``FinAbGroup`` and nondegeneracy of its pairing; the
+addition and negation in a ``FinAbGroup`` and nondegeneracy of its pairing; the
 translation action of Gamma on C(X) and a cyclic inner action; and exact
 equality of two ``FormalTensor`` stacks (``formal_equals``)."""
 
@@ -16,11 +16,12 @@ from qautcert.algebra import (
     MonomialMap,
     StructAlgebra,
     multimatrix,
-    sparse_vector,
 )
 from qautcert.arith import Cyclotomic
 from qautcert.cocycle import FinAbGroup, GradedAlgebra, GroupCocycle, _roots, fourier_function_algebra
 from qautcert.crossed import GroupAction, NotAutomorphism, action_from_graded
+
+from sparse_reference import invol_sparse, mul_sparse, product, sparse_vector, star
 
 
 def from_terms(dim, labels, mul, invol, unit, trace) -> StructAlgebra:
@@ -66,10 +67,10 @@ def serialize(A: StructAlgebra) -> str:
         return f"{c.order}:" + ",".join(str(q) for q in c.coeffs)
 
     for i, j in np.argwhere(A.k >= 0).tolist():
-        ((k, c),) = A.product(i, j)
+        ((k, c),) = product(A, i, j)
         lines.append(f"mul {i} {j} {k}={scal(c)}")
     for i in range(A.dim):
-        ((k, c),) = A.star(i)
+        ((k, c),) = star(A, i)
         lines.append(f"invol {i} {k}={scal(c)}")
     lines.append("unit " + " ".join(scal(c) for c in A.unit))
     lines.append("trace " + " ".join(scal(c) for c in A.trace))
@@ -86,6 +87,10 @@ def function_algebra(npoints: int) -> StructAlgebra:
 
 def negative(group: FinAbGroup, g):
     return tuple((-a) % f for a, f in zip(g, group.factors))
+
+
+def add(group: FinAbGroup, g, h):
+    return tuple((a + b) % f for a, b, f in zip(g, h, group.factors))
 
 
 def pairing_nondegenerate(group: FinAbGroup) -> bool:
@@ -138,7 +143,7 @@ def inner_action(group: FinAbGroup, algebra: StructAlgebra, unitary_vec) -> Grou
         raise ValueError("inner_action builds cyclic actions only")
     A, one = algebra, Cyclotomic.one()
     u = sparse_vector(unitary_vec).items()
-    images = [A.mul_sparse(A.mul_sparse(u, ((i, one),)).items(), A.invol_sparse(u).items())
+    images = [mul_sparse(A, mul_sparse(A, u, ((i, one),)).items(), invol_sparse(A, u).items())
               for i in range(A.dim)]
     if any(len(image) != 1 for image in images):
         raise NotAutomorphism("Ad(u) is not a monomial map")

@@ -12,9 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from qautcert.arith import accumulate, root_of_unity
+from qautcert.arith import root_of_unity
 from qautcert.formal import FormalTensor, qsym, usym
 from qautcert.qaut import IncompleteAssignment, QautPresentation, SnPresentation, _phase_table
+
+from sparse_reference import accumulate
 
 
 def _index_range(ns: int, nr: int):

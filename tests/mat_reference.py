@@ -21,13 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from qautcert.algebra import MonomialMap, NotDeltaForm, NotFaithful, monomial_forms, sparse_eq
-from qautcert.arith import Cyclotomic, Mat, Terms, accumulate, root_of_unity
+from qautcert.algebra import MonomialMap, NotDeltaForm, NotFaithful, monomial_forms
+from qautcert.arith import Cyclotomic, Mat, Terms, root_of_unity
 from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, NotPVM, SlotMismatch, UebReport, WrongCount, table_terms
 from qautcert.relations import GeneratorAssignment, SnPresentation
 
-from builders import negative
+from builders import add, negative
+from sparse_reference import accumulate, mul_sparse, sparse_eq, star
 
 
 def terms_of(m) -> Terms:
@@ -141,7 +142,7 @@ def explicit_weyl_isomorphism(sigma, c):
     products_checked = star_checked = 0
     for g in sigma.group.elements():
         for h in sigma.group.elements():
-            gh = sigma.group.add(g, h)
+            gh = add(sigma.group, g, h)
             if not (t(g).scale(c[g]) @ t(h).scale(c[h])).equals(
                     t(gh).scale(c[gh] * sigma.value(g, h))):
                 return {"verified": False, "failed_at": [list(g), list(h)]}
@@ -484,7 +485,7 @@ def reference_delta_form(A, psi=None):
         row = {}
         for j in range(n):
             val = zero
-            for k, a in A.mul_sparse(A.star(i), ((j, one),)).items():
+            for k, a in mul_sparse(A, star(A, i), ((j, one),)).items():
                 val = val + a * psi[k]
             if not val.is_zero():
                 row[j] = val

@@ -28,7 +28,7 @@ from qautcert.algebra import (
     recognize_blocks,
     tensor_algebra,
 )
-from qautcert.arith import Cyclotomic, accumulate, root_of_unity
+from qautcert.arith import Cyclotomic, root_of_unity
 from qautcert.cocycle import (
     FinAbGroup,
     fourier_function_algebra,
@@ -38,6 +38,18 @@ from qautcert.cocycle import (
 
 from builders import from_terms, function_algebra, group_algebra, serialize, trace_sparse
 from mat_reference import echelon, reference_center, reference_delta_form
+from sparse_reference import (
+    accumulate,
+    as_dicts,
+    as_stack,
+    central_idempotents_cutting_all,
+    invol_sparse,
+    mul_sparse,
+    product,
+    sparse_eq,
+    sparse_vector,
+    star,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 ONE = Cyclotomic.one()
@@ -70,8 +82,8 @@ def test_plancherel_gram_is_diagonal_with_weights():
     weights = [Fraction(2, 5)] * 4 + [Fraction(1, 5)]
     for i in range(A.dim):
         for j in range(A.dim):
-            star = A.invol_sparse({i: ONE}.items())
-            val = trace_sparse(A, A.mul_sparse(star.items(), {j: ONE}.items()).items())
+            adj = invol_sparse(A, {i: ONE}.items())
+            val = trace_sparse(A, mul_sparse(A, adj.items(), {j: ONE}.items()).items())
             expect = Cyclotomic.rational(weights[i]) if i == j else Cyclotomic.zero()
             assert val == expect
 
@@ -95,15 +107,15 @@ def brute_force_mmstar(A, psi):
     # numpy tensors of the structure constants
     n = A.dim
     sc = np.zeros((n, n, n), dtype=complex)
-    star = np.zeros((n, n), dtype=complex)
+    inv = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            for k, c in A.product(i, j):
+            for k, c in product(A, i, j):
                 sc[i, j, k] = c.to_complex()
-        for k, c in A.star(i):
-            star[i, k] = c.to_complex()
+        for k, c in star(A, i):
+            inv[i, k] = c.to_complex()
     psi = np.array([p.to_complex() for p in psi])
-    gram = np.einsum("ip,pjk,k->ij", star, sc, psi)
+    gram = np.einsum("ip,pjk,k->ij", inv, sc, psi)
     M = sc.reshape(n * n, n).T
     return M @ np.kron(np.linalg.inv(gram), np.linalg.inv(gram)) @ M.conj().T @ gram
 
@@ -177,9 +189,9 @@ def test_delta_form_refuses_a_gram_entry_that_is_not_positive(weights):
 
 
 def test_center_dimensions():
-    assert len(center(multimatrix(BlockSpec((2,))))) == 1
-    assert len(center(multimatrix(BlockSpec((2, 1))))) == 2
-    assert len(center(function_algebra(5))) == 5
+    assert center(multimatrix(BlockSpec((2,)))).rows == 1
+    assert center(multimatrix(BlockSpec((2, 1)))).rows == 2
+    assert center(function_algebra(5)).rows == 5
 
 
 def test_recognize_literal_multimatrix():
@@ -245,9 +257,9 @@ def test_recognizer_splits_by_rational_roots(square, root):
     res = recognize_blocks(square_root_algebra(square))
     assert res.sizes == (1, 1) and res.method == "exact"
     half = Cyclotomic.rational(Fraction(1, 2))
-    assert len(res.idempotents) == 2
+    assert res.idempotents.rows == 2
     for sign in (1, -1):
-        assert {0: half, 1: half / root * sign} in res.idempotents
+        assert {0: half, 1: half / root * sign} in as_dicts(res.idempotents)
 
 
 def test_recognizer_refuses_center_not_split_over_cyclotomics():
@@ -265,7 +277,7 @@ def test_center_splitter_refuses_rows(rows):
     from qautcert.algebra import _central_idempotents
 
     with pytest.raises(RecognitionError):
-        _central_idempotents(function_algebra(3), rows)
+        _central_idempotents(function_algebra(3), as_stack(rows, 3))
 
 
 def test_recognize_round_trip_all_partitions_up_to_16():
@@ -381,10 +393,10 @@ def sparse_automorphism_failure(A, theta):
         return "unital"
     for i in range(A.dim):
         for j in range(A.dim):
-            if image(A.product(i, j)) != A.mul_sparse(cols[i], cols[j]):
+            if image(product(A, i, j)) != mul_sparse(A, cols[i], cols[j]):
                 return "multiplicative"
     for i in range(A.dim):
-        if image(A.star(i)) != A.invol_sparse(cols[i]):
+        if image(star(A, i)) != invol_sparse(A, cols[i]):
             return "*-compatible"
     for i in range(A.dim):
         if trace_sparse(A, cols[i]) != A.trace[i]:
@@ -628,8 +640,8 @@ def test_exact_recognizer_on_twisted_group_algebras(case):
     # z blocks of one size
     dim, mul, invol, unit, trace = case
     alg = from_terms(dim, [f"u{i}" for i in range(dim)], mul, invol, unit, trace)
-    assert center(alg) == reference_center(alg)
-    z = len(center(alg))
+    assert as_dicts(center(alg)) == reference_center(alg)
+    z = center(alg).rows
     size = math.isqrt(dim // z)
     assert size * size * z == dim
     res = recognize_blocks(alg)
@@ -894,7 +906,7 @@ def test_other_systems_fall_back_to_the_whole_system(float_algebras):
     from qautcert.algebra import _FloatProducts, _qr_r
 
     double = float_algebras((2,), "double")
-    t = min(set(range(double.dim)) - {i for v in center(double) for i in v})
+    t = min(set(range(double.dim)) - set(center(double).col.tolist()))
     swap = np.arange(double.dim)
     swap[[0, t]] = t, 0  # b_0 is not central now
     for A, first_rows_zero, terms in [(relabeled(double, swap), False, 1),
@@ -966,17 +978,21 @@ def test_idempotent_check_rejects_a_failed_square_or_sum():
     # orthogonality follows from these two checks, so it is not tested apart:
     # a pair that is not orthogonal, like the unit and a block idempotent,
     # fails the sum
-    from qautcert.algebra import _verify_idempotents_exact, sparse_vector
+    from qautcert.algebra import _verify_idempotents_exact
 
     A = multimatrix(BlockSpec((2, 1)))
-    idems, unit = recognize_blocks(A).idempotents, sparse_vector(A.unit)
-    _verify_idempotents_exact(A, idems, unit)
+    idems, unit = as_dicts(recognize_blocks(A).idempotents), sparse_vector(A.unit)
+
+    def verify(elements):
+        _verify_idempotents_exact(A, as_stack(elements, A.dim), as_stack([unit], A.dim))
+
+    verify(idems)
     doubled = [{k: 2 * c for k, c in idems[0].items()}] + idems[1:]
     with pytest.raises(RecognitionError, match=r"fails e\^2 = e"):
-        _verify_idempotents_exact(A, doubled, unit)
+        verify(doubled)
     for wrong in (idems[:-1], idems + [idems[0]], [unit, idems[0]]):
         with pytest.raises(RecognitionError, match="do not sum to the unit"):
-            _verify_idempotents_exact(A, wrong, unit)
+            verify(wrong)
 
 
 # -- block sizes from regular traces ------------------------------------------
@@ -991,7 +1007,7 @@ def svd_rank(M):
 def echelon_rank(A, e):
     """rank L_e from the echelon form of its columns e b_j, as the exact
     recognizer counted it before it read block sizes off regular traces."""
-    return len(echelon(A.mul_sparse(e.items(), ((j, ONE),)) for j in range(A.dim))[0])
+    return len(echelon(mul_sparse(A, e.items(), ((j, ONE),)) for j in range(A.dim))[0])
 
 
 def block_sizes(ranks):
@@ -1008,7 +1024,7 @@ def test_float_trace_sizes_equal_the_svd_rank_of_left_multiplication(float_algeb
 
     A = float_algebras(sizes, which)
     traces = np.zeros(A.dim, dtype=np.complex128)
-    for k, t in _regular_traces(A).items():
+    for k, t in as_dicts(_regular_traces(A))[0].items():
         traces[k] = t.to_complex()
     dense = DenseProducts(A)
     res = _recognize_tt(A, 42)
@@ -1033,10 +1049,12 @@ def test_exact_trace_sizes_equal_the_echelon_rank(build):
     from qautcert.algebra import _regular_traces
 
     A = build()
-    traces = _regular_traces(A)
+    (traces,) = as_dicts(_regular_traces(A))
     res = recognize_blocks(A)
+    # the same idempotents, in the same order, as the dict reference
+    assert as_dicts(res.idempotents) == central_idempotents_cutting_all(A, as_dicts(center(A)))
     ranks = []
-    for e in res.idempotents:
+    for e in as_dicts(res.idempotents):
         tr = sum((e[k] * t for k, t in traces.items() if k in e), ZERO)
         ranks.append(echelon_rank(A, e))
         assert tr == Cyclotomic.rational(ranks[-1])
@@ -1059,11 +1077,10 @@ def edit_float_idempotents(monkeypatch, edit):
 def edit_exact_idempotents(monkeypatch, edit):
     """Have the exact splitter hand the recognizer edit(idempotents)."""
     from qautcert import algebra
-    from qautcert.algebra import sparse_vector
 
     split = algebra._central_idempotents
-    monkeypatch.setattr(algebra, "_central_idempotents",
-                        lambda A, cen: edit(split(A, cen), sparse_vector(A.unit)))
+    monkeypatch.setattr(algebra, "_central_idempotents", lambda A, cen: as_stack(
+        edit(as_dicts(split(A, cen)), sparse_vector(A.unit)), A.dim))
 
 
 def test_float_idempotent_off_an_integer_trace_is_a_failed_split(monkeypatch):
@@ -1164,7 +1181,7 @@ TT_CENTER_SIZES = [(2,), (3,), (2, 2), (3, 2, 1), (2, 2, 2, 2)]
 @pytest.mark.parametrize("sizes", TT_CENTER_SIZES, ids=lambda p: "-".join(map(str, p)))
 def test_center_of_tt_algebras_matches_the_reduced_echelon_rows(sizes, which):
     A = tt_algebras(sizes)[which]
-    assert center(A) == reference_center(A)
+    assert as_dicts(center(A)) == reference_center(A)
 
 
 def rescaled_m2(lam):
@@ -1185,7 +1202,7 @@ def test_center_carries_rational_ratios_along_its_links(lam):
     # the center is spanned by E_11 + E_22 = b_11 / lam_11 + b_22 / lam_22
     A = rescaled_m2([Fraction(x) for x in lam])
     q = Cyclotomic.rational
-    assert center(A) == reference_center(A) == [{0: ONE, 3: q(Fraction(lam[0]) / lam[3])}]
+    assert as_dicts(center(A)) == reference_center(A) == [{0: ONE, 3: q(Fraction(lam[0]) / lam[3])}]
     assert recognize_blocks(A).sizes == (2,)
 
 
@@ -1203,7 +1220,8 @@ def test_recognizer_refuses_a_trace_form_off_a_permutation_pattern(monkeypatch):
     # with both basis traces nonzero, each row of the form of C[Z_2] has two nonzeros
     from qautcert import algebra
 
-    monkeypatch.setattr(algebra, "_regular_traces", lambda A: {k: ONE for k in range(A.dim)})
+    monkeypatch.setattr(algebra, "_regular_traces",
+                        lambda A: as_stack([{k: ONE for k in range(A.dim)}], A.dim))
     with pytest.raises(RecognitionError, match="trace form of the regular representation is "
                                                "not monomial"):
         recognize_blocks(group_algebra(FinAbGroup((2,))).algebra)
@@ -1253,7 +1271,7 @@ def test_center_matches_the_elimination_on_monomial_tables(table):
         with pytest.raises(RecognitionError, match="not injective"):
             center(table)
     else:
-        assert center(table) == reference_center(table)
+        assert as_dicts(center(table)) == reference_center(table)
 
 
 @pytest.mark.parametrize("sizes", [(4,), (2, 2, 2, 2), (3, 2, 1), (2,) + (1,) * 12],
@@ -1269,55 +1287,18 @@ def test_exact_recognizer_agrees_where_the_float_one_fails(sizes):
         assert time.process_time() - start < 1.0
     assert blocks[0] == blocks[1]
 
+def test_exact_recognizer_at_trivial_group_6():
+    # tt acts by the trivial group at (6,): both algebras are C(X) with
+    # |X| = 36, and each recognizes as 36 blocks of size 1
+    from qautcert.cli import _tt_group
+
+    assert _tt_group(BlockSpec((6,))).order == 1
+    for A in tt_algebras((6,)):
+        assert A.dim == 36
+        assert recognize_blocks(A).sizes == (1,) * 36
+
+
 # -- exact splitter against cutting every idempotent ----------------------------
-
-def central_idempotents_cutting_all(A, cen):
-    """The reference for ``algebra._central_idempotents``: every idempotent
-    is multiplied by every cut of every center row."""
-    from qautcert.algebra import (
-        _nth_root,
-        _power_cycle,
-        _verify_idempotents_exact,
-        monomial_forms,
-        sparse_vector,
-    )
-
-    unit = sparse_vector(A.unit)
-    idems = [unit]
-    for c in cen:
-        if len(idems) == len(cen):
-            break
-        lam, powers = _power_cycle(A, c)
-        n = len(powers)
-        L, (form,) = monomial_forms([lam])
-        r = _nth_root(form[0], n)
-        cuts = [dict(unit)]
-        accumulate(cuts[0], -lam.inverse(), powers[-1].items())
-        for j in range(n):
-            mu_inv = root_of_unity(n * L, -(form[1] + j * L)) / Cyclotomic.rational(r)
-            proj: dict = {}
-            w = Cyclotomic.rational(Fraction(1, n))
-            for ck in powers:
-                w = w * mu_inv
-                accumulate(proj, w, ck.items())
-            cuts.append(proj)
-        idems = [f for g in idems for f in
-                 (A.mul_sparse(g.items(), cut.items()) for cut in cuts) if f]
-    _verify_idempotents_exact(A, idems, unit)
-    return idems
-
-
-def counting_mul_sparse(monkeypatch):
-    calls = [0]
-    mul_sparse = StructAlgebra.mul_sparse
-
-    def counted(self, u, v):
-        calls[0] += 1
-        return mul_sparse(self, u, v)
-
-    monkeypatch.setattr(StructAlgebra, "mul_sparse", counted)
-    return calls
-
 
 @settings(max_examples=30, deadline=None)
 @given(twisted_group_algebras(edits=("none",)))
@@ -1327,23 +1308,47 @@ def test_central_idempotents_match_cutting_every_idempotent(case):
     dim, mul, invol, unit, trace = case
     alg = from_terms(dim, [f"u{i}" for i in range(dim)], mul, invol, unit, trace)
     cen = center(alg)
-    assert cen == reference_center(alg)
-    assert _central_idempotents(alg, cen) == central_idempotents_cutting_all(alg, cen)
+    assert as_dicts(cen) == reference_center(alg)
+    assert as_dicts(_central_idempotents(alg, cen)) == central_idempotents_cutting_all(
+        alg, as_dicts(cen))
 
 
-def test_central_idempotents_keep_what_a_row_does_not_split(monkeypatch):
-    # every center row delta_k of C^20 splits one idempotent and acts as a
-    # scalar on all the others, which keep their place in the list
-    from qautcert.algebra import _central_idempotents
+@st.composite
+def elements(draw, dim):
+    """A dict element: at each of a few basis indices, a sum of one or two
+    rationals, some past int64, times roots of unity of orders 1 to 6."""
+    out = {}
+    for k in draw(st.lists(st.integers(0, dim - 1), max_size=dim, unique=True)):
+        c = ZERO
+        for _ in range(draw(st.integers(1, 2))):
+            q = Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from([1, 2, 3, 2**70])))
+            c = c + Cyclotomic.rational(q) * root_of_unity(draw(st.integers(1, 6)),
+                                                           draw(st.integers(0, 5)))
+        if not c.is_zero():
+            out[k] = c
+    return out
 
-    A = function_algebra(20)
-    cen = center(A)
-    calls = counting_mul_sparse(monkeypatch)
-    ref = central_idempotents_cutting_all(A, cen)
-    ref_calls, calls[0] = calls[0], 0
-    assert _central_idempotents(A, cen) == ref
-    assert len(ref) == 20
-    assert calls[0] < ref_calls
+
+@settings(max_examples=40, deadline=None)
+@given(twisted_group_algebras(edits=("none",)), st.data())
+def test_element_stacks_agree_with_the_dict_reference(case, data):
+    # the row-wise product (row by row, and with a one-row right factor
+    # broadcast), the involution, row-wise equality and the center
+    from qautcert.algebra import _rows_equal
+
+    dim, mul, invol, unit, trace = case
+    alg = from_terms(dim, [f"u{i}" for i in range(dim)], mul, invol, unit, trace)
+    xs = data.draw(st.lists(elements(dim), min_size=1, max_size=4))
+    ys = [data.draw(st.one_of(st.just(x), elements(dim))) for x in xs]
+    x, y = as_stack(xs, dim), as_stack(ys, dim)
+    assert as_dicts(alg.mul(x, y)) == [mul_sparse(alg, u.items(), v.items())
+                                       for u, v in zip(xs, ys)]
+    assert as_dicts(alg.mul(x, as_stack(ys[:1], dim))) == [
+        mul_sparse(alg, u.items(), ys[0].items()) for u in xs]
+    assert as_dicts(alg.adjoint(x)) == [invol_sparse(alg, u.items()) for u in xs]
+    assert _rows_equal(x, y).tolist() == [sparse_eq(u, v) for u, v in zip(xs, ys)]
+    assert _rows_equal(x.reduced(), x).all()
+    assert as_dicts(center(alg)) == reference_center(alg)
 
 
 # -- Light's associativity test against the lexicographic scan ---------------
@@ -1450,8 +1455,8 @@ def test_function_algebra_where_every_element_is_a_generator():
 
 def dict_form(A):
     """(dim, mul, invol, unit, trace) of an algebra, as the text form has them."""
-    mul = {(i, j): A.product(i, j) for i, j in np.argwhere(A.k >= 0).tolist()}
-    return A.dim, mul, [A.star(i) for i in range(A.dim)], list(A.unit), list(A.trace)
+    mul = {(i, j): product(A, i, j) for i, j in np.argwhere(A.k >= 0).tolist()}
+    return A.dim, mul, [star(A, i) for i in range(A.dim)], list(A.unit), list(A.trace)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1479,8 +1484,12 @@ def test_unit_check_agrees_with_dict_reference(sizes, data):
     ([], [False, False]),
 ])
 def test_unit_terms_at_one_target_are_added(u, expected):
-    from qautcert.algebra import _fixes_basis
+    from qautcert.algebra import _basis, _rows_equal, _take
 
     # term t times b_i lands on b_K[t, i]: both terms on b_0 in column 0
-    K = np.array([[0, 1], [0, 0]])[:len(u)]
-    assert _fixes_basis(u, K, np.zeros_like(K), [ONE]).tolist() == expected
+    K = np.array([[0, 1], [0, 0]])
+    table = types.SimpleNamespace(dim=2, k=K, s=np.zeros_like(K), L=2, exp=np.zeros(1, dtype=int),
+                                  num=np.ones(1, dtype=int), den=np.ones(1, dtype=int))
+    unit = as_stack([{t: c for t, c in enumerate(u) if not c.is_zero()}], 2)
+    left = StructAlgebra.mul(table, _take(unit, [0, 0]), _basis(2))
+    assert _rows_equal(left, _basis(2)).tolist() == expected

@@ -442,7 +442,7 @@ def test_exact_certificate_matches_golden(partition):
     assert_matches_golden(partition, "exact")
 
 
-@pytest.mark.parametrize("partition", [(2, 1), (2, 1, 1)])
+@pytest.mark.parametrize("partition", [(2, 1), (2, 1, 1), (2,), (3,), (2, 2), (1, 1, 1, 1)])
 def test_float_certificate_matches_golden(partition):
     assert_matches_golden(partition, "float")
 

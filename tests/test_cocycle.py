@@ -31,6 +31,7 @@ from qautcert.cocycle import (
 from qautcert.cocycle import _explicit_weyl_isomorphism, _weyl_coboundary
 
 from builders import (
+    add,
     cocycle_table,
     group_algebra,
     inverse_cocycle,
@@ -40,6 +41,7 @@ from builders import (
     trivial_cocycle,
 )
 from mat_reference import explicit_weyl_isomorphism
+from sparse_reference import product
 
 
 def test_pairing_nondegenerate():
@@ -107,7 +109,7 @@ def test_normalized_cocycle_is_cohomologous_via_recorded_psi():
         for g in G.elements():
             for h in G.elements():
                 quotient = om.value(g, h) / base.value(g, h)
-                coboundary = om.psi[g] * om.psi[h] / om.psi[G.add(g, h)]
+                coboundary = om.psi[g] * om.psi[h] / om.psi[add(G, g, h)]
                 assert quotient == coboundary
 
 
@@ -140,7 +142,7 @@ def test_twist_by_trivial_cocycle_is_identity():
     twisted, record = twist_left(graded, triv)
     assert record["involution_scalars_all_one"]
     A = graded.algebra
-    assert all(twisted.product(i, j) == A.product(i, j)
+    assert all(product(twisted, i, j) == product(A, i, j)
                for i in range(A.dim) for j in range(A.dim))
 
 
@@ -150,7 +152,7 @@ def test_twist_group_algebra_of_z2z2_gives_m2():
     twisted, _ = twist_left(graded, om)
     from qautcert.algebra import center
 
-    assert len(center(twisted)) == 1
+    assert center(twisted).rows == 1
     assert recognize_blocks(twisted).sizes == (2,)
 
 
@@ -169,7 +171,7 @@ def test_twist_then_inverse_twist_restores_structure_constants():
     A = graded.algebra
     for i in range(A.dim):
         for j in range(A.dim):
-            assert back.product(i, j) == A.product(i, j)
+            assert product(back, i, j) == product(A, i, j)
 
 
 def test_grading_mismatch_rejected():
@@ -273,7 +275,7 @@ def reference_normalize(G, table):
             psi[g] = root_of_unity(2 * val.order, -k)
             psi.setdefault(negative(G, g), psi[g])
     els = G.elements()
-    return {(g, h): table[(g, h)] * psi[g] * psi[h] / psi[G.add(g, h)]
+    return {(g, h): table[(g, h)] * psi[g] * psi[h] / psi[add(G, g, h)]
             for g in els for h in els}, psi
 
 

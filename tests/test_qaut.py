@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qautcert.algebra import BlockSpec, MonomialMap, monomial_forms, sparse_eq
+from qautcert.algebra import BlockSpec, MonomialMap, monomial_forms
 from qautcert.arith import Cyclotomic, Mat, root_of_unity
 from qautcert.formal import qsym, usym
 from qautcert.pauli import BlockEmbedding, PhasePermutation, pvm_check, table_terms, weyl_basis
@@ -49,6 +49,7 @@ from relation_reference import relations, substitution_preserves_relations, symb
 from mat_reference import (alpha_closure, assignment, beta_closure, bracket_phi, echelon, mat,
                            paren, paren_unit, phase_permutation, rank, substitute, terms_of,
                            uet_projections, values_of, weyl_products, z_images, z_words)
+from sparse_reference import sparse_eq
 
 
 def substitute_all(formal_map, values):
@@ -1518,8 +1519,13 @@ def test_product_words_are_the_reference_r1_r2_instances(sizes):
     pres = QautPresentation(BlockSpec(sizes))
     want = [sorted(rel.lhs + [(-c, w) for c, w in rel.rhs]) for rel in relations(pres)
             if rel.family in ("r1", "r2")]
-    got = [sorted(words) for plan in _qaut_plans(sizes)[:2]
-           for words in _product_words(plan, pres.generators)]
+    got = []
+    for plan in _qaut_plans(sizes)[:2]:
+        words = [[] for _ in range(plan.size)]
+        for x, w, a, b in zip(*(v.tolist() for v in _product_words(plan))):
+            word = (pres.generators[a],) if b < 0 else (pres.generators[a], pres.generators[b])
+            words[x].append((Fraction(w, plan.scale), word))
+        got += map(sorted, words)
     assert got == want
 
 
